@@ -29,9 +29,10 @@ from .modmath import (SMALL_WORD, U64, PrimeModulus, generate_ntt_primes,
                       mod_sub, mul_sum, shoup_mul, shoup_words)
 from .ntt import ntt
 from .rnspoly import (COEFF, EVAL, LimbBasis, RnsPolynomial, automorphism,
-                      base_convert, crt_float, make_base_table,
-                      poly_from_int_coeffs, rp_add, rp_mul, rp_mul_sum,
-                      rp_neg, rp_scalar_mul_per_limb, rp_sub)
+                      base_convert, bconv_routine, crt_float,
+                      lift_int_coeffs, make_base_table, poly_from_int_coeffs,
+                      rp_add, rp_mul, rp_mul_sum, rp_neg,
+                      rp_scalar_mul_per_limb, rp_sub)
 
 
 @dataclass(frozen=True)
@@ -266,6 +267,24 @@ def make_rotation_keys(params: CkksParams, sk: SecretKey, steps,
 # ---------------------------------------------------------------------------
 # Encoding.
 
+def slots_to_coeffs(rows, scale: int | Fraction) -> np.ndarray:
+    """Slot vectors shaped (..., N/2) as the rounded coefficients of their
+    scaled packed embedding, shaped (..., N): real parts, then imaginary.
+
+    Every plaintext built from slot values is rounded here, so each one
+    rejects the same inputs: non-finite values, and coefficients that a
+    signed 64-bit word reduced per limb cannot carry.
+    """
+    packed = slots_to_packed(rows)
+    coeffs = np.concatenate([np.rint(packed.real * float(scale)),
+                             np.rint(packed.imag * float(scale))], axis=-1)
+    if not np.all(np.isfinite(coeffs)):
+        raise ConfigurationError("encoded coefficients are not finite")
+    if np.any(np.abs(coeffs) >= 2.0 ** 62):
+        raise ConfigurationError("encoded coefficients overflow 62 bits")
+    return coeffs.astype(np.int64)
+
+
 def encode(params: CkksParams, values, level: int | None = None,
            scale: int | Fraction | None = None) -> Plaintext:
     """Embed a complex vector as a scaled integer polynomial.
@@ -283,14 +302,8 @@ def encode(params: CkksParams, values, level: int | None = None,
     half = params.n_ring // 2
     if m < 1 or half % m:
         raise ConfigurationError(f"slot count {m} must divide {half}")
-    packed = slots_to_packed(np.tile(values, half // m))
-    coeffs = np.concatenate([
-        np.rint(packed.real * float(scale)),
-        np.rint(packed.imag * float(scale))])
-    if np.any(np.abs(coeffs) >= 2.0 ** 62):
-        raise ConfigurationError("encoded coefficients overflow 62 bits")
-    poly = poly_from_int_coeffs(coeffs.astype(np.int64),
-                                basis_c(params, level), rep=EVAL)
+    coeffs = slots_to_coeffs(np.tile(values, half // m), scale)
+    poly = poly_from_int_coeffs(coeffs, basis_c(params, level), rep=EVAL)
     return Plaintext(poly=poly, scale=scale, level=level, slots=m)
 
 
@@ -310,14 +323,8 @@ def encode_diagonal_batch(params: CkksParams, rows: np.ndarray, level: int,
     half = params.n_ring // 2
     if rows.ndim != 2 or rows.shape[1] != half:
         raise ConfigurationError("diagonal batch must be (rows, n_ring/2)")
-    packed = slots_to_packed(rows)
-    coeffs = np.concatenate([np.rint(packed.real * float(scale)),
-                             np.rint(packed.imag * float(scale))], axis=1)
     basis = basis_c(params, level)
-    stacks = np.empty((len(basis), rows.shape[0], params.n_ring), dtype=U64)
-    for i, pm in enumerate(basis):
-        residues = (coeffs.astype(np.int64) % np.int64(pm.q)).astype(U64)
-        stacks[i] = ntt(residues, pm, "forward")
+    stacks = lift_int_coeffs(slots_to_coeffs(rows, scale), basis)
     return [Plaintext(poly=RnsPolynomial(basis, EVAL, stacks[:, r].copy()),
                       scale=scale, level=level, slots=half)
             for r in range(rows.shape[0])]
@@ -463,7 +470,7 @@ def key_switch(params: CkksParams, d: RnsPolynomial,
 
     def mod_down(limbs: np.ndarray) -> RnsPolynomial:
         bpart = RnsPolynomial(b_basis, EVAL, limbs[level + 1:])
-        corr = base_convert(bpart.to_coeff(), table_bc).to_eval().limbs
+        corr = bconv_routine(bpart, table_bc).limbs
         out = np.empty((level + 1, params.n_ring), dtype=U64)
         for i, pm in enumerate(c_basis):
             out[i] = shoup_mul(mod_sub(limbs[i], corr[i], pm), inv_p[i],
@@ -518,21 +525,21 @@ def _rescale_poly(params: CkksParams, p: RnsPolynomial,
     evaluations: l + 1 limb transforms per polynomial, and by linearity of
     the transform the same words as a coefficient-domain rescale.
     """
-    chain = modulus_chain(params)
-    qt = chain[level]
+    qt = modulus_chain(params)[level]
     p = p.to_eval()
     last = ntt(p.limbs[level], qt, "inverse")
     # Centered lift of the dropped limb keeps the rounding error at most
     # half a unit.
     lifted = last.astype(np.int64) - np.where(
         last > qt.q // 2, np.int64(qt.q), np.int64(0))
+    basis = basis_c(params, level - 1)
+    red = lift_int_coeffs(lifted, basis)
     inv, inv_shoup = _rescale_inverses(params, level)
     limbs = np.empty((level, params.n_ring), dtype=U64)
-    for i, pm in enumerate(chain[:level]):
-        red = ntt((lifted % np.int64(pm.q)).astype(U64), pm, "forward")
-        limbs[i] = shoup_mul(mod_sub(p.limbs[i], red, pm), inv[i],
+    for i, pm in enumerate(basis):
+        limbs[i] = shoup_mul(mod_sub(p.limbs[i], red[i], pm), inv[i],
                              inv_shoup[i], pm, small=pm.q <= SMALL_WORD)
-    return RnsPolynomial(basis_c(params, level - 1), EVAL, limbs)
+    return RnsPolynomial(basis, EVAL, limbs)
 
 
 def hrescale(params: CkksParams, ct: Ciphertext) -> Ciphertext:

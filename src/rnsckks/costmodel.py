@@ -287,16 +287,13 @@ class CostReport:
     variant: str
     evk_bytes: int
     plaintext_bytes: int
-    ciphertext_bytes: int
-    twist_bytes: int
     modular_mults: int
     evk_loads: int
     stages: tuple[StageCost, ...]
 
     @property
     def offchip_bytes(self) -> int:
-        return (self.evk_bytes + self.plaintext_bytes
-                + self.ciphertext_bytes + self.twist_bytes)
+        return self.evk_bytes + self.plaintext_bytes
 
     @property
     def ops_per_byte(self) -> float:
@@ -366,8 +363,6 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile, variant: str,
         variant=variant,
         evk_bytes=sum(st.evk_bytes for st in stages),
         plaintext_bytes=sum(st.plaintext_bytes for st in stages),
-        ciphertext_bytes=0,
-        twist_bytes=0,
         modular_mults=sum(st.modular_mults for st in stages),
         evk_loads=sum(st.evk_loads for st in stages),
         stages=tuple(stages),

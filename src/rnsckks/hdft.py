@@ -40,13 +40,12 @@ import numpy as np
 from .ckks import (Ciphertext, CkksParams, EvaluationKey, Plaintext,
                    SecretKey, basis_c, decode, decrypt, encode,
                    encode_diagonal_batch, encrypt, hadd, hrescale, hrot,
-                   modulus_chain, pmult)
+                   modulus_chain, pmult, slots_to_coeffs)
 from .embedding import stage_twiddles
 from .errors import ConfigurationError, MissingKeyError, SeedRangeError
 from .modmath import U64
-from .ntt import ntt
-from .rnspoly import EVAL, LimbBasis, RnsPolynomial, base_convert, \
-    make_base_table
+from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, bconv_routine,
+                      lift_int_coeffs, make_base_table, poly_from_int_coeffs)
 
 DFT = "dft"       # coefficients to slot values
 IDFT = "idft"     # slot values back to coefficients
@@ -196,7 +195,8 @@ def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
                         tag: str = "") -> PlaintextSeed:
     q0 = modulus_chain(params)[0].q
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    if np.any(np.abs(coeffs) >= (q0 + 1) // 2):
+    bound = (q0 + 1) // 2
+    if np.any(coeffs >= bound) or np.any(coeffs <= -bound):
         raise SeedRangeError(
             f"coefficients reach +-{q0 // 2}; one limb cannot carry them")
     return PlaintextSeed(q0_limb=coeffs.copy(), scale=Fraction(scale),
@@ -206,33 +206,24 @@ def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
 def of_limb_extend(params: CkksParams, seed: PlaintextSeed,
                    level: int) -> Plaintext:
     """Rebuild the full working-basis plaintext from its seed limb."""
-    basis = basis_c(params, level)
-    limbs = np.empty((len(basis), params.n_ring), dtype=U64)
-    for i, pm in enumerate(basis):
-        limbs[i] = ntt((seed.q0_limb % np.int64(pm.q)).astype(U64),
-                       pm, "forward")
-    return Plaintext(poly=RnsPolynomial(basis, EVAL, limbs), scale=seed.scale,
-                     level=level, slots=params.n_ring // 2)
+    poly = poly_from_int_coeffs(seed.q0_limb, basis_c(params, level),
+                                rep=EVAL)
+    return Plaintext(poly=poly, scale=seed.scale, level=level,
+                     slots=params.n_ring // 2)
 
 
 def _seed_batch(params: CkksParams, rows: np.ndarray, scale: int,
                 tag: str) -> list[PlaintextSeed]:
-    from .embedding import slots_to_packed
-    packed = slots_to_packed(rows)
-    coeffs = np.concatenate([np.rint(packed.real * float(scale)),
-                             np.rint(packed.imag * float(scale))], axis=1)
     return [make_plaintext_seed(params, c, scale, tag=f"{tag}:{r}")
-            for r, c in enumerate(coeffs.astype(np.int64))]
+            for r, c in enumerate(slots_to_coeffs(rows, scale))]
 
 
 def _extend_stage_seeds(params: CkksParams, seeds: dict, level: int) -> dict:
     """Batched seed extension for one stage's constants."""
     keys = list(seeds)
-    lifted = np.stack([seeds[kk].q0_limb for kk in keys])
     basis = basis_c(params, level)
-    stacks = np.empty((len(basis), len(keys), params.n_ring), dtype=U64)
-    for i, pm in enumerate(basis):
-        stacks[i] = ntt((lifted % np.int64(pm.q)).astype(U64), pm, "forward")
+    stacks = lift_int_coeffs(np.stack([seeds[kk].q0_limb for kk in keys]),
+                             basis)
     return {kk: Plaintext(poly=RnsPolynomial(basis, EVAL, stacks[:, r].copy()),
                           scale=seeds[kk].scale, level=level,
                           slots=params.n_ring // 2)
@@ -543,18 +534,6 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
     return ct
 
 
-def hdft_baseline(params: CkksParams, ct: Ciphertext, plan: DftPlan,
-                  keys: dict[int, EvaluationKey],
-                  log: EvkUsageLog | None = None) -> Ciphertext:
-    return hdft_apply(params, ct, plan, keys, "baseline", log)
-
-
-def hdft_minks(params: CkksParams, ct: Ciphertext, plan: DftPlan,
-               keys: dict[int, EvaluationKey],
-               log: EvkUsageLog | None = None) -> Ciphertext:
-    return hdft_apply(params, ct, plan, keys, "minks", log)
-
-
 # ---------------------------------------------------------------------------
 # Bootstrap pipeline.
 
@@ -577,10 +556,9 @@ def mod_raise(params: CkksParams, ct: Ciphertext,
     table = make_base_table(src, rest)
 
     def raise_poly(p):
-        ext = base_convert(p.to_coeff(), table).to_eval()
         limbs = np.empty((len(target), params.n_ring), dtype=U64)
         limbs[0] = p.limbs[0]
-        limbs[1:] = ext.limbs
+        limbs[1:] = bconv_routine(p, table).limbs
         return RnsPolynomial(target, EVAL, limbs)
 
     return Ciphertext(raise_poly(ct.c0), raise_poly(ct.c1), ct.scale, level,

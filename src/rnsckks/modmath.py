@@ -2,7 +2,7 @@
 
 All bulk arithmetic runs on uint64 numpy arrays.  Products of two sub-2^62
 operands need 128 bits, which numpy lacks, so products are assembled from
-32-bit halves into an explicit (hi, lo) pair and reduced with one of three
+32-bit halves into an explicit (hi, lo) pair and reduced with one of two
 strategies:
 
 * Shoup for paths where one operand is a fixed multiplier (twiddles,
@@ -14,14 +14,12 @@ strategies:
 * Barrett with a precomputed floor(2^128 / q) for general data-by-data
   products (multiply-accumulate paths); a sum of several 128-bit products
   can be reduced once.
-* Montgomery (REDC), kept for the four-step twisting factors and as a
-  cross-check of Barrett in the tests.
 
 Shoup's and Barrett's quotient estimates come from float64 instead when
 the words involved stay below 2^48, which covers the 40-bit scale primes:
-a float64 multiply replaces a four-product high word.  Every strategy returns the canonical representative in [0, q) and they
-agree bitwise; tests cross-check them against wide-integer reference
-arithmetic.
+a float64 multiply replaces a four-product high word.  Both strategies
+return the canonical representative in [0, q); tests cross-check them
+against wide-integer reference arithmetic.
 """
 
 from __future__ import annotations
@@ -109,9 +107,6 @@ class PrimeModulus:
     q: int
     two_n: int
     root: int = 0
-    # Montgomery: R = 2^64; neg_qinv = -q^{-1} mod R; r2 = R^2 mod q.
-    neg_qinv: int = field(init=False)
-    r2: int = field(init=False)
     # Barrett: (hi, lo) words of floor(2^128 / q).
     ratio_hi: int = field(init=False)
     ratio_lo: int = field(init=False)
@@ -127,8 +122,6 @@ class PrimeModulus:
             if pow(root, self.two_n // 2, q) != q - 1:
                 raise ConfigurationError(f"{root} has wrong order mod {q}")
         object.__setattr__(self, "root", root)
-        object.__setattr__(self, "neg_qinv", (-pow(q, -1, 1 << 64)) % (1 << 64))
-        object.__setattr__(self, "r2", (1 << 128) % q)
         ratio = (1 << 128) // q
         object.__setattr__(self, "ratio_hi", ratio >> 64)
         object.__setattr__(self, "ratio_lo", ratio & ((1 << 64) - 1))
@@ -136,10 +129,6 @@ class PrimeModulus:
     @property
     def bit_width(self) -> int:
         return self.q.bit_length()
-
-    def to_mont(self, x: int) -> int:
-        """Scalar Montgomery-domain image x * 2^64 mod q."""
-        return (x << 64) % self.q
 
 
 def shoup_words(words, qs) -> tuple[np.ndarray, np.ndarray]:
@@ -268,22 +257,6 @@ def shoup_mul(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
     return np.minimum(r, r - q)
 
 
-def _redc(hi: np.ndarray, lo: np.ndarray, mod: PrimeModulus) -> np.ndarray:
-    """Montgomery reduction of a 128-bit value T < q * 2^64: T * 2^-64 mod q."""
-    q = U64(mod.q)
-    with np.errstate(over="ignore"):
-        m = lo * U64(mod.neg_qinv)              # wrapping multiply mod 2^64
-        # T + m*q has zero low word; its carry into the high word is (lo != 0).
-        t = hi + mulhi(m, q) + np.minimum(lo, 1)
-        return np.minimum(t, t - q)             # t < 2q
-
-
-def mont_mul(a: np.ndarray, b_mont: np.ndarray, mod: PrimeModulus) -> np.ndarray:
-    """a * b mod q where b_mont = b * 2^64 mod q is in Montgomery form."""
-    hi, lo = mul128(np.asarray(a, dtype=U64), np.asarray(b_mont, dtype=U64))
-    return _redc(hi, lo, mod)
-
-
 @_wrapping
 def barrett_reduce128(hi: np.ndarray, lo: np.ndarray, mod: PrimeModulus) -> np.ndarray:
     """T mod q for a 128-bit T = hi * 2^64 + lo, any T < 2^128.
@@ -389,22 +362,3 @@ def mod_sub(a: np.ndarray, b: np.ndarray, mod: PrimeModulus) -> np.ndarray:
 
 def mod_neg(a: np.ndarray, mod: PrimeModulus) -> np.ndarray:
     return mod_sub(U64(0), a, mod)
-
-
-def mod_mul(a: np.ndarray, b: np.ndarray, mod: PrimeModulus,
-            strategy: str = "barrett") -> np.ndarray:
-    """a * b mod q under the chosen reduction strategy.
-
-    Domain encodings are internal: both strategies take and return canonical
-    representatives and produce bitwise-identical results.
-    """
-    if strategy == "barrett":
-        return barrett_mul(a, b, mod)
-    if strategy == "montgomery":
-        b_mont = mont_mul(np.asarray(b, dtype=U64), U64(mod.r2 % mod.q), mod)
-        return mont_mul(np.asarray(a, dtype=U64), b_mont, mod)
-    raise ConfigurationError(f"unknown reduction strategy {strategy!r}")
-
-
-def mod_pow_scalar(base: int, exp: int, mod: PrimeModulus) -> int:
-    return pow(base, exp, mod.q)

@@ -31,8 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .modmath import (SMALL_WORD, U64, PrimeModulus, float_ratio, mont_mul,
-                      shoup_mul_lazy, shoup_words)
+from .modmath import (SMALL_WORD, U64, PrimeModulus, barrett_mul,
+                      float_ratio, shoup_mul, shoup_mul_lazy, shoup_words)
 
 
 def bit_reverse_permutation(n: int) -> np.ndarray:
@@ -269,18 +269,6 @@ def make_twist_schedule(mod: PrimeModulus, n: int, direction: str) -> TwistSched
                          common_ratios=ratios)
 
 
-def expand_twist(t: TwistSchedule, steps: int) -> np.ndarray:
-    """Materialize `steps` columns of the twist table from its seeds."""
-    r2 = np.array(t.mod.r2, dtype=U64)
-    ratios_mont = mont_mul(t.common_ratios, r2, t.mod)
-    out = np.empty((t.rows, steps), dtype=U64)
-    col = t.start_values.astype(U64)
-    for c in range(steps):
-        out[:, c] = col
-        col = mont_mul(col, ratios_mont, t.mod)
-    return out
-
-
 def _sqrt_len(n: int) -> int:
     s = 1 << ((n.bit_length() - 1) // 2)
     if s * s != n:
@@ -289,14 +277,19 @@ def _sqrt_len(n: int) -> int:
 
 
 def _apply_twist(mat: np.ndarray, twist: TwistSchedule) -> np.ndarray:
-    """Multiply mat[j, c] by start[j] * ratio[j]^c, one column at a time."""
-    r2 = np.array(twist.mod.r2, dtype=U64)
-    col_mont = mont_mul(twist.start_values, r2, twist.mod)
-    ratios_mont = mont_mul(twist.common_ratios, r2, twist.mod)
+    """Multiply mat[j, c] by start[j] * ratio[j]^c, one column at a time.
+
+    The ratios are fixed multipliers, so the column recurrence runs on
+    Shoup products; the entry products are data by data, so Barrett.
+    """
+    mod = twist.mod
+    ratios, ratios_shoup = shoup_words(twist.common_ratios.tolist(),
+                                       [mod.q] * twist.rows)
+    col = twist.start_values
     out = np.empty_like(mat)
     for c in range(mat.shape[1]):
-        out[:, c] = mont_mul(mat[:, c], col_mont, twist.mod)
-        col_mont = mont_mul(col_mont, ratios_mont, twist.mod)
+        out[:, c] = barrett_mul(mat[:, c], col, mod)
+        col = shoup_mul(col, ratios, ratios_shoup, mod)
     return out
 
 

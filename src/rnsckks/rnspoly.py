@@ -97,24 +97,36 @@ def zero_poly(basis: LimbBasis, n: int, rep: str = COEFF) -> RnsPolynomial:
     return RnsPolynomial(basis, rep, np.zeros((len(basis), n), dtype=U64))
 
 
+def _int_residues(coeffs, basis: LimbBasis) -> np.ndarray:
+    """Signed int64 coefficients shaped (..., N) reduced into every prime:
+    uint64 limbs shaped (L, ..., N)."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    out = np.empty((len(basis),) + coeffs.shape, dtype=U64)
+    for i, p in enumerate(basis):
+        out[i] = coeffs % np.int64(p.q)
+    return out
+
+
+def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
+    """Signed int64 coefficients shaped (N,) or (R, N) as evaluation-rep
+    limbs shaped (L, N) or (L, R, N).
+
+    Every integer plaintext enters the evaluation domain here: encoding,
+    OF-Limb seed extension and the rescale correction share this lift, so
+    a seed rebuilds exactly the words full precomputation stores.
+    """
+    out = _int_residues(coeffs, basis)
+    for i, p in enumerate(basis):
+        out[i] = ntt(out[i], p, "forward")
+    return out
+
+
 def poly_from_int_coeffs(coeffs: np.ndarray, basis: LimbBasis,
                          rep: str = COEFF) -> RnsPolynomial:
     """Reduce signed word-sized integer coefficients into every limb."""
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    limbs = np.empty((len(basis), len(coeffs)), dtype=U64)
-    for i, p in enumerate(basis):
-        limbs[i] = (coeffs % np.int64(p.q)).astype(U64)
-    out = RnsPolynomial(basis, COEFF, limbs)
-    return out.to_eval() if rep == EVAL else out
-
-
-def poly_from_big_coeffs(coeffs, basis: LimbBasis, rep: str = COEFF) -> RnsPolynomial:
-    """Reduce arbitrary-precision integer coefficients into every limb."""
-    limbs = np.empty((len(basis), len(coeffs)), dtype=U64)
-    for i, p in enumerate(basis):
-        limbs[i] = np.array([int(c) % p.q for c in coeffs], dtype=U64)
-    out = RnsPolynomial(basis, COEFF, limbs)
-    return out.to_eval() if rep == EVAL else out
+    if rep == EVAL:
+        return RnsPolynomial(basis, EVAL, lift_int_coeffs(coeffs, basis))
+    return RnsPolynomial(basis, COEFF, _int_residues(coeffs, basis))
 
 
 def _check_pair(a: RnsPolynomial, b: RnsPolynomial):
@@ -172,14 +184,6 @@ def rp_mul_sum(pairs) -> RnsPolynomial:
     for i, p in enumerate(a0.basis):
         out[i] = mul_sum([(a.limbs[i], b.limbs[i]) for a, b in pairs], p)
     return RnsPolynomial(a0.basis, a0.rep, out)
-
-
-def rp_scalar_mul(a: RnsPolynomial, scalar: int) -> RnsPolynomial:
-    """Multiply by one integer scalar, reduced per limb."""
-    out = np.empty_like(a.limbs)
-    for i, p in enumerate(a.basis):
-        out[i] = barrett_mul(a.limbs[i], np.array(scalar % p.q, dtype=U64), p)
-    return RnsPolynomial(a.basis, a.rep, out)
 
 
 def rp_scalar_mul_per_limb(a: RnsPolynomial, scalars: dict[int, int]) -> RnsPolynomial:
@@ -285,7 +289,7 @@ def _bconv_accumulate(v: np.ndarray, table: BaseTable, i: int) -> np.ndarray:
     return acc % q
 
 
-def base_convert(p: RnsPolynomial, table: BaseTable, order: str = "naive",
+def base_convert(p: RnsPolynomial, table: BaseTable,
                  centered: bool = True) -> RnsPolynomial:
     """Fast base conversion of a coefficient-representation polynomial.
 
@@ -294,11 +298,6 @@ def base_convert(p: RnsPolynomial, table: BaseTable, order: str = "naive",
     (sum b_j) * P_src, one subtraction per target row converts the unsigned
     form; the leftover slack k * P_src then has |k| <= ceil(|source| / 2)
     and zero mean instead of a positive bias.
-
-    `order` picks the loop order of the accumulation: 'naive' runs one
-    whole row per target prime, the fastest order here; 'blocked' walks
-    the factor table in 6-row by 1024-column tiles, the shape the
-    multiply-accumulate units stream.  Results are identical.
     """
     if p.rep != COEFF:
         raise RepresentationError("base conversion needs coefficient rep")
@@ -312,20 +311,9 @@ def base_convert(p: RnsPolynomial, table: BaseTable, order: str = "naive",
         if centered:
             borrow += v[j] > U64(pj.q // 2)
 
-    n = p.n
-    out = np.empty((len(table.target), n), dtype=U64)
-    if order == "naive":
-        for i in range(len(table.target)):
-            out[i] = _bconv_accumulate(v, table, i)
-    elif order == "blocked":
-        row_block, col_block = 6, 4 * 256
-        for i0 in range(0, len(table.target), row_block):
-            for c0 in range(0, n, col_block):
-                cols = slice(c0, min(c0 + col_block, n))
-                for i in range(i0, min(i0 + row_block, len(table.target))):
-                    out[i, cols] = _bconv_accumulate(v[:, cols], table, i)
-    else:
-        raise ConfigurationError(f"unknown accumulation order {order!r}")
+    out = np.empty((len(table.target), p.n), dtype=U64)
+    for i in range(len(table.target)):
+        out[i] = _bconv_accumulate(v, table, i)
     if centered:
         for i, qi in enumerate(table.target):
             # borrow counts source primes, far below 2^48.
@@ -335,15 +323,12 @@ def base_convert(p: RnsPolynomial, table: BaseTable, order: str = "naive",
     return RnsPolynomial(table.target, COEFF, out)
 
 
-def bconv_routine(p: RnsPolynomial, table: BaseTable, order: str = "naive",
+def bconv_routine(p: RnsPolynomial, table: BaseTable,
                   centered: bool = True) -> RnsPolynomial:
-    """INTT -> base conversion -> NTT: the evaluation-rep conversion unit.
-
-    `order` is passed to `base_convert`; both orders give identical limbs.
-    """
+    """INTT -> base conversion -> NTT: the evaluation-rep conversion unit."""
     if p.rep != EVAL:
         raise RepresentationError("bconv routine expects evaluation rep")
-    return base_convert(p.to_coeff(), table, order, centered).to_eval()
+    return base_convert(p.to_coeff(), table, centered).to_eval()
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,13 @@ def oracle_crt(residue_rows, primes, centered: bool = True) -> list[int]:
     return out
 
 
+def oracle_residues(coeffs, primes) -> np.ndarray:
+    """Integer coefficients of any size reduced into each prime: one uint64
+    row per prime."""
+    return np.array([[int(c) % q for c in coeffs] for q in primes],
+                    dtype=np.uint64)
+
+
 def oracle_negacyclic_big(a: list[int], b: list[int]) -> list[int]:
     """Exact integer negacyclic product, no modulus."""
     n = len(a)

@@ -25,8 +25,8 @@ from rnsckks.costmodel import (PROFILES, POLICY_ALTERNATING, POLICY_LIMB_WISE,
                                hdft_pass_cost, keyswitch_mults, tas_metric,
                                utilization_bound)
 from rnsckks.errors import SeedRangeError
-from rnsckks.hdft import (IDFT, EvkUsageLog, hdft_baseline, hdft_minks,
-                          make_plaintext_seed, of_limb_extend)
+from rnsckks.hdft import (IDFT, EvkUsageLog, hdft_apply, make_plaintext_seed,
+                          of_limb_extend)
 from rnsckks.modmath import (U64, PrimeModulus, barrett_mul,
                              generate_ntt_primes)
 from rnsckks.ntt import four_step_ntt, ntt
@@ -180,8 +180,8 @@ def test_grouped_transform_equals_baseline_with_two_loads(params, sk,
                  sk, rng)
 
     base_log, mks_log = EvkUsageLog(), EvkUsageLog()
-    base = hdft_baseline(params, ct, inv, message_keys, base_log)
-    mks = hdft_minks(params, ct, inv, message_keys, mks_log)
+    base = hdft_apply(params, ct, inv, message_keys, "baseline", base_log)
+    mks = hdft_apply(params, ct, inv, message_keys, "minks", mks_log)
     assert rel_error(slot_values(params, mks, sk),
                      slot_values(params, base, sk)) < 2 * params.budgets.multiply
 

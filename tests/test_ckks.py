@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import centered_mod, oracle_crt, oracle_negacyclic_big
+from oracles import (centered_mod, oracle_crt, oracle_negacyclic_big,
+                     oracle_residues)
 import rnsckks.ckks as ckks_module
 import rnsckks.rnspoly as rnspoly_module
 from rnsckks.ckks import (CkksParams, aux_chain, basis_b, basis_c, basis_d,
@@ -22,7 +23,7 @@ from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             LevelExhaustedError, MissingKeyError,
                             ScaleMismatchError)
 from rnsckks.rnspoly import (COEFF, RnsPolynomial, crt_float, crt_reconstruct,
-                             poly_from_big_coeffs, rp_mul)
+                             rp_mul)
 
 
 def random_message(params, rng):
@@ -178,6 +179,8 @@ def test_encode_rejects_bad_shapes(params):
         encode(params, np.ones((2, 2)))
     with pytest.raises(ConfigurationError):
         encode(params, np.full(4, 1e30), scale=1 << 55)
+    with pytest.raises(ConfigurationError):
+        encode(params, np.array([1.0, np.nan]))
 
 
 def test_diagonal_batch_matches_per_row_encode(params):
@@ -193,6 +196,10 @@ def test_diagonal_batch_matches_per_row_encode(params):
         assert (pt.level, pt.slots) == (5, half)
     with pytest.raises(ConfigurationError):
         encode_diagonal_batch(params, rows[:, :8], level=5)
+    # The batch rounds like encode: a row whose coefficients reach 2^62
+    # is rejected, not wrapped.
+    with pytest.raises(ConfigurationError):
+        encode_diagonal_batch(params, rows * 2.0 ** 27, level=5)
 
 
 def decode_cases(params, rng):
@@ -204,24 +211,29 @@ def decode_cases(params, rng):
     for level in range(params.levels + 1):
         basis = basis_c(params, level)
         big_q = basis.modulus
+
+        def poly_from_big_coeffs(coeffs):
+            return RnsPolynomial(basis, COEFF,
+                                 oracle_residues(coeffs, basis.qs))
+
         yield level, RnsPolynomial(basis, COEFF, np.stack(
             [rng.integers(0, pm.q, n, dtype=np.uint64) for pm in basis]))
         edge = [big_q // 2 - int(k) for k in rng.integers(0, 1 << 20, n // 2)]
         edge += [-(big_q // 2) + int(k) for k in rng.integers(0, 1 << 20,
                                                                n // 2)]
-        yield level, poly_from_big_coeffs(edge, basis)
+        yield level, poly_from_big_coeffs(edge)
         if level:
             # Just above the base prime, where the base digit still reaches
             # the last place of the result.
             q0 = basis.primes[0].q
             near = [int(x) * q0 // 16 + int(y) for x, y in zip(
                 rng.integers(-64, 64, n), rng.integers(0, q0, n))]
-            yield level, poly_from_big_coeffs(near, basis)
+            yield level, poly_from_big_coeffs(near)
         if big_q > 1 << 82:
             scaled = [int(x) << 60 for x in rng.integers(-1 << 20, 1 << 20, n)]
             scaled[::7] = [0] * len(scaled[::7])
-            yield level, poly_from_big_coeffs(scaled, basis)
-        yield level, poly_from_big_coeffs([0] * n, basis)
+            yield level, poly_from_big_coeffs(scaled)
+        yield level, poly_from_big_coeffs([0] * n)
 
 
 def test_decode_matches_exact_crt(params, sk):

@@ -8,6 +8,7 @@ the contract promises determinism under a fixed seed.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import re
 import subprocess
@@ -19,9 +20,38 @@ from rnsckks import serial
 from rnsckks.ckks import CkksParams
 
 
+# sha256 of each report's stdout at the default seed, taken before the
+# kernels and plaintext paths were last rewritten: a rewrite must leave every
+# report byte, and the key-file digests keygen reports, as they were.
+STDOUT_SHA256 = {
+    "selftest":
+        "192e91738422bf982c31b5955ad0ecf098ddaf8f75d4994cbbedbb43d3992b8d",
+    "hdft":
+        "ec8249eabfd7d6b457d9dbb6742ae9cd760c60e7fcd82a7bece4c27a9f666acf",
+    "hdft --n 16 --k 2 --variant baseline":
+        "580a686362601df587b04105f2d7c31531b48ce2dd05b470d53e5443c1590f15",
+    "hdft --n 16 --k 2 --variant minks":
+        "7764f12c0a06e609e6785fd089100fb5dad1ce588f2eeb46402d53efdbaa203b",
+    "hdft --analytic-only":
+        "dd59d795c0e6311681d2fa5cfce9596e8aa3aae7844a450afe6abc162dc119da",
+    "sizes":
+        "61799f759e634e55639bb829534d646b8c607eef1ad1cccbdc542eb6bdcf892f",
+    "keygen --n 16":
+        "9d382b06a4515f1abbc68b75006510a6bf7167db0f13cb1e139ed7461fc9d3e0",
+    "bench":
+        "2223ac4c9f0767915b61513aa9fcb6bad2316418e0b14d1e8886b5ad2094bc57",
+}
+
+
 def run_cli(*args: str, timeout: float = 600.0) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "rnsckks.cli", *args],
                           capture_output=True, text=True, timeout=timeout)
+
+
+def assert_stdout_pinned(proc: subprocess.CompletedProcess, report: str):
+    got = hashlib.sha256(proc.stdout.encode()).hexdigest()
+    assert got == STDOUT_SHA256[report], \
+        f"{report} report changed:\n{proc.stdout}"
 
 
 def line_with(proc: subprocess.CompletedProcess, prefix: str) -> str:
@@ -64,6 +94,7 @@ def test_unknown_choice_is_rejected(flag, value):
 def test_sizes_rows_match():
     proc = run_cli("sizes")
     assert proc.returncode == 0
+    assert_stdout_pinned(proc, "sizes")
     lines = proc.stdout.splitlines()
     assert lines[0] == "# rnsckks-report v1"
     assert "result: 4/4 rows match" in lines
@@ -89,6 +120,7 @@ def test_analytic_report_is_pinned_and_deterministic():
     again = run_cli("hdft", "--analytic-only")
     assert first.returncode == 0
     assert first.stdout == again.stdout
+    assert_stdout_pinned(first, "hdft --analytic-only")
     lines = first.stdout.splitlines()
     for pinned in (
             "profile: ark",
@@ -147,13 +179,16 @@ def test_variants_decrypt_to_the_same_vector(executed16):
 
 
 def test_executed_report_is_deterministic(executed16):
-    _, mks, again = executed16
+    base, mks, again = executed16
     assert mks.stdout == again.stdout
+    assert_stdout_pinned(base, "hdft --n 16 --k 2 --variant baseline")
+    assert_stdout_pinned(mks, "hdft --n 16 --k 2 --variant minks")
 
 
 def test_default_invocation_full_width_message():
     proc = run_cli("hdft")
     assert proc.returncode == 0
+    assert_stdout_pinned(proc, "hdft")
     lines = proc.stdout.splitlines()
     assert "mode: executed (size=64 k=2 split=(1, 2))" in lines
     assert line_with(proc, "roundtrip max error:").endswith("ok")
@@ -170,6 +205,7 @@ def test_default_invocation_full_width_message():
 def test_selftest_passes_every_check():
     proc = run_cli("selftest")
     assert proc.returncode == 0
+    assert_stdout_pinned(proc, "selftest")
     checks = [ln for ln in proc.stdout.splitlines()
               if ln.startswith("check ")]
     assert len(checks) == 8
@@ -181,6 +217,7 @@ def test_bench_reports_model_counts():
     first = run_cli("bench")
     again = run_cli("bench")
     assert first.returncode == 0
+    assert_stdout_pinned(first, "bench")
     lines = first.stdout.splitlines()
     assert ("model keyswitch@L: ntt 2555904 bconv 1179648 "
             "elementwise 524288 total 4259840") in lines
@@ -205,6 +242,7 @@ def test_keygen_is_reproducible(tmp_path):
         runs.append((out, proc))
     (dir_a, proc_a), (dir_b, proc_b) = runs
     assert proc_a.stdout == proc_b.stdout
+    assert_stdout_pinned(proc_a, "keygen --n 16")
     assert (dir_a / "report.txt").read_text() == proc_a.stdout
 
     steps = line_with(proc_a, "rotation steps:").split(":")[1].split()

@@ -11,8 +11,7 @@ from rnsckks.errors import (ConfigurationError, MissingKeyError,
                             SeedRangeError)
 from rnsckks.hdft import (DFT, IDFT, DftPlan, EvkUsageLog, PlanStage,
                           bootstrap, build_dft_plan, diag_apply, diag_product,
-                          hdft_apply, hdft_baseline, hdft_minks,
-                          make_plaintext_seed, merge_factors,
+                          hdft_apply, make_plaintext_seed, merge_factors,
                           minks_rotate_accumulate, minks_rotations, mod_raise,
                           of_limb_extend, radix2_factor)
 from rnsckks.ntt import bit_reverse_permutation
@@ -235,8 +234,8 @@ def test_roundtrip_restores_message(params, sk, message_plans, message_keys):
     rng = np.random.default_rng(47)
     v = random_message(params, rng)
     ct = encrypt(params, encode(params, v), sk, rng)
-    mid = hdft_minks(params, ct, inv, message_keys)
-    out = hdft_minks(params, mid, fwd, message_keys)
+    mid = hdft_apply(params, ct, inv, message_keys, "minks")
+    out = hdft_apply(params, mid, fwd, message_keys, "minks")
     assert out.level == fwd.stages[-1].level - 1
     assert rel_error(slot_values(params, out, sk),
                      v) < params.budgets.bootstrap
@@ -259,9 +258,9 @@ def test_apply_requires_keys(params, sk, message_plans):
     rng = np.random.default_rng(59)
     ct = encrypt(params, encode(params, random_message(params, rng)), sk, rng)
     with pytest.raises(MissingKeyError):
-        hdft_minks(params, ct, inv, {})
+        hdft_apply(params, ct, inv, {}, "minks")
     with pytest.raises(MissingKeyError):
-        hdft_baseline(params, ct, inv, {})
+        hdft_apply(params, ct, inv, {}, "baseline")
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +357,24 @@ def test_seed_range_guard(params):
     with pytest.raises(SeedRangeError):
         make_plaintext_seed(params, coeffs, 1 << 40)
     make_plaintext_seed(params, coeffs - 1, 1 << 40)  # boundary fits
+    make_plaintext_seed(params, 1 - coeffs, 1 << 40)  # and its negative
+    with pytest.raises(SeedRangeError):
+        make_plaintext_seed(params, -coeffs, 1 << 40)
+    # -2^63 is its own absolute value in int64; the guard must see it.
+    coeffs[0] = np.iinfo(np.int64).min
+    with pytest.raises(SeedRangeError):
+        make_plaintext_seed(params, coeffs, 1 << 40)
+
+
+def test_oflimb_constants_reject_non_finite_rows(params):
+    plan = build_dft_plan(params, DFT, size=16, k=2, split=(1, 2),
+                          levels=[3, 2])
+    stage = plan.stages[0]
+    first = next(i for i, d in enumerate(stage.diags) if d is not None)
+    stage.diags[first] = np.full_like(stage.diags[first], np.nan)
+    for _ in range(2):      # nothing half-built is cached either
+        with pytest.raises(ConfigurationError):
+            plan.stage_constants("minks-oflimb")
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ from oracles import oracle_is_prime
 from rnsckks.errors import ConfigurationError
 from rnsckks.modmath import (SMALL_WORD, U64, PrimeModulus, barrett_mul,
                              barrett_reduce128, generate_ntt_primes, mod_add,
-                             mod_mul, mod_neg, mod_sub, mont_mul, mul128,
-                             mul_sum, mulhi, shoup_mul, shoup_mul_lazy)
+                             mod_neg, mod_sub, mul128, mul_sum, mulhi,
+                             shoup_mul, shoup_mul_lazy)
 
 PRIMES = [PrimeModulus(q, 1 << 14)
           for q in generate_ntt_primes(40, 2, 1 << 14)
@@ -69,21 +69,7 @@ def test_both_reduction_strategies_match_oracle(pm):
     b = boundary_and_random(pm, rng)
     want = np.array([(int(x) * int(y)) % pm.q for x, y in zip(a, b)],
                     dtype=U64)
-    got_b = mod_mul(a, b, pm, strategy="barrett")
-    got_m = mod_mul(a, b, pm, strategy="montgomery")
-    assert np.array_equal(got_b, want)
-    assert np.array_equal(got_m, want)
-    assert np.array_equal(got_b, got_m)
-
-
-def test_mont_mul_uses_montgomery_domain_operand():
-    pm = PRIMES[0]
-    rng = np.random.default_rng(17)
-    a = rng.integers(0, pm.q, 512, dtype=np.uint64)
-    b = int(rng.integers(0, pm.q))
-    got = mont_mul(a, np.array(pm.to_mont(b), dtype=U64), pm)
-    want = np.array([(int(x) * b) % pm.q for x in a], dtype=U64)
-    assert np.array_equal(got, want)
+    assert np.array_equal(barrett_mul(a, b, pm), want)
 
 
 def test_barrett_reduce128_on_wide_inputs():
@@ -114,12 +100,6 @@ def test_additive_ops_match_oracle():
     assert np.array_equal(
         mod_neg(a, pm),
         np.array([(-int(x)) % pm.q for x in a], dtype=U64))
-
-
-def test_unknown_strategy_rejected():
-    with pytest.raises(ConfigurationError):
-        mod_mul(np.zeros(1, dtype=U64), np.zeros(1, dtype=U64), PRIMES[0],
-                strategy="detour")
 
 
 def test_barrett_mul_scalar_broadcast():
