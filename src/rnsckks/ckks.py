@@ -27,7 +27,6 @@ from .errors import (BasisMismatchError, ConfigurationError,
                      LevelExhaustedError, MissingKeyError, ScaleMismatchError)
 from .modmath import (SMALL_WORD, U64, PrimeModulus, generate_ntt_primes,
                       mod_sub, mul_sum, shoup_mul, shoup_words)
-from .ntt import ntt
 from .rnspoly import (COEFF, EVAL, LimbBasis, RnsPolynomial, automorphism,
                       base_convert, bconv_routine, crt_float,
                       lift_int_coeffs, make_base_table, poly_from_int_coeffs,
@@ -317,7 +316,8 @@ def decode(params: CkksParams, pt: Plaintext) -> np.ndarray:
 def encode_diagonal_batch(params: CkksParams, rows: np.ndarray, level: int,
                           scale: int | Fraction | None = None) -> list[Plaintext]:
     """Encode many full-slot vectors at once; one batched transform and one
-    batched NTT per limb instead of per-row calls."""
+    batched NTT per limb instead of per-row calls.  Each plaintext's limbs
+    are a view of the one lifted (L, R, N) stack."""
     scale = Fraction(params.scale if scale is None else scale)
     rows = np.asarray(rows, dtype=np.complex128)
     half = params.n_ring // 2
@@ -325,7 +325,7 @@ def encode_diagonal_batch(params: CkksParams, rows: np.ndarray, level: int,
         raise ConfigurationError("diagonal batch must be (rows, n_ring/2)")
     basis = basis_c(params, level)
     stacks = lift_int_coeffs(slots_to_coeffs(rows, scale), basis)
-    return [Plaintext(poly=RnsPolynomial(basis, EVAL, stacks[:, r].copy()),
+    return [Plaintext(poly=RnsPolynomial(basis, EVAL, stacks[:, r]),
                       scale=scale, level=level, slots=half)
             for r in range(rows.shape[0])]
 
@@ -426,12 +426,34 @@ def _key_rows(params: CkksParams, level: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _mod_down_inverses(params: CkksParams,
-                       level: int) -> tuple[np.ndarray, np.ndarray]:
-    """P^{-1} mod each prime of C_level, with Shoup companions."""
-    big_p = basis_b(params).modulus
-    qs = basis_c(params, level).qs
-    return shoup_words([pow(big_p % q, -1, q) for q in qs], qs)
+def _drop_inverses(kept: LimbBasis,
+                   dropped: LimbBasis) -> tuple[np.ndarray, np.ndarray]:
+    """D^{-1} mod each kept prime, D the product of the dropped primes, with
+    Shoup companions."""
+    d = dropped.modulus
+    return shoup_words([pow(d % q, -1, q) for q in kept.qs], kept.qs)
+
+
+def mod_down(limbs: np.ndarray, kept: LimbBasis,
+             dropped: LimbBasis) -> RnsPolynomial:
+    """(x - [x]_D) / D over `kept`, for eval-rep limbs of x over
+    kept + dropped, D the product of the dropped primes.
+
+    The dropped rows are base-converted into `kept`, subtracted, and
+    multiplied by D^{-1}.  The centered conversion may add k * D with
+    |k| <= ceil(|dropped| / 2); from one prime it is the centered lift
+    itself, so the rescale rounds to within half a unit.  Key switching
+    drops the auxiliary primes B, rescale drops q_l.
+    """
+    k = len(kept)
+    corr = bconv_routine(RnsPolynomial(dropped, EVAL, limbs[k:]),
+                         make_base_table(dropped, kept)).limbs
+    inv, inv_shoup = _drop_inverses(kept, dropped)
+    out = np.empty((k, limbs.shape[1]), dtype=U64)
+    for i, pm in enumerate(kept):
+        out[i] = shoup_mul(mod_sub(limbs[i], corr[i], pm), inv[i],
+                           inv_shoup[i], pm, small=pm.q <= SMALL_WORD)
+    return RnsPolynomial(kept, EVAL, out)
 
 
 def key_switch(params: CkksParams, d: RnsPolynomial,
@@ -465,19 +487,8 @@ def key_switch(params: CkksParams, d: RnsPolynomial,
                 [(piece[r], evk.pieces[i][half].limbs[kr])
                  for i, piece in enumerate(pieces)], pm)
 
-    inv_p, inv_p_shoup = _mod_down_inverses(params, level)
-    table_bc = make_base_table(b_basis, c_basis)
-
-    def mod_down(limbs: np.ndarray) -> RnsPolynomial:
-        bpart = RnsPolynomial(b_basis, EVAL, limbs[level + 1:])
-        corr = bconv_routine(bpart, table_bc).limbs
-        out = np.empty((level + 1, params.n_ring), dtype=U64)
-        for i, pm in enumerate(c_basis):
-            out[i] = shoup_mul(mod_sub(limbs[i], corr[i], pm), inv_p[i],
-                               inv_p_shoup[i], pm, small=pm.q <= SMALL_WORD)
-        return RnsPolynomial(c_basis, EVAL, out)
-
-    return mod_down(acc[0]), mod_down(acc[1])
+    return (mod_down(acc[0], c_basis, b_basis),
+            mod_down(acc[1], c_basis, b_basis))
 
 
 def hmult(params: CkksParams, a: Ciphertext, b: Ciphertext,
@@ -508,47 +519,16 @@ def hrot(params: CkksParams, ct: Ciphertext, r: int,
     return Ciphertext(rp_add(r0, k0), k1, ct.scale, ct.level, ct.slots)
 
 
-@lru_cache(maxsize=None)
-def _rescale_inverses(params: CkksParams,
-                      level: int) -> tuple[np.ndarray, np.ndarray]:
-    """q_level^{-1} mod each lower prime, with Shoup companions."""
-    qs = basis_c(params, level).qs
-    return shoup_words([pow(qs[-1] % q, -1, q) for q in qs[:-1]], qs)
-
-
-def _rescale_poly(params: CkksParams, p: RnsPolynomial,
-                  level: int) -> RnsPolynomial:
-    """(p - [p]_{q_level}) / q_level over the shrunken basis, eval rep.
-
-    Only the dropped limb goes to coefficients.  Its centered lift, reduced
-    into each remaining prime and transformed there, is subtracted from the
-    evaluations: l + 1 limb transforms per polynomial, and by linearity of
-    the transform the same words as a coefficient-domain rescale.
-    """
-    qt = modulus_chain(params)[level]
-    p = p.to_eval()
-    last = ntt(p.limbs[level], qt, "inverse")
-    # Centered lift of the dropped limb keeps the rounding error at most
-    # half a unit.
-    lifted = last.astype(np.int64) - np.where(
-        last > qt.q // 2, np.int64(qt.q), np.int64(0))
-    basis = basis_c(params, level - 1)
-    red = lift_int_coeffs(lifted, basis)
-    inv, inv_shoup = _rescale_inverses(params, level)
-    limbs = np.empty((level, params.n_ring), dtype=U64)
-    for i, pm in enumerate(basis):
-        limbs[i] = shoup_mul(mod_sub(p.limbs[i], red[i], pm), inv[i],
-                             inv_shoup[i], pm, small=pm.q <= SMALL_WORD)
-    return RnsPolynomial(basis, EVAL, limbs)
-
-
 def hrescale(params: CkksParams, ct: Ciphertext) -> Ciphertext:
+    """Divide by q_level and round: a ModDown from the one top prime, l + 1
+    limb transforms per polynomial, as `costmodel.rescale_mults` counts."""
     if ct.level == 0:
         raise LevelExhaustedError("cannot rescale below the base prime")
-    qt = modulus_chain(params)[ct.level].q
-    return Ciphertext(_rescale_poly(params, ct.c0, ct.level),
-                      _rescale_poly(params, ct.c1, ct.level),
-                      ct.scale / qt, ct.level - 1, ct.slots)
+    kept = basis_c(params, ct.level - 1)
+    dropped = LimbBasis(modulus_chain(params)[ct.level:ct.level + 1])
+    return Ciphertext(mod_down(ct.c0.to_eval().limbs, kept, dropped),
+                      mod_down(ct.c1.to_eval().limbs, kept, dropped),
+                      ct.scale / dropped.modulus, ct.level - 1, ct.slots)
 
 
 def mod_drop(params: CkksParams, ct: Ciphertext, level: int) -> Ciphertext:

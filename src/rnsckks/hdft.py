@@ -194,13 +194,16 @@ def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
                         scale: int | Fraction,
                         tag: str = "") -> PlaintextSeed:
     q0 = modulus_chain(params)[0].q
-    coeffs = np.asarray(coeffs, dtype=np.int64)
+    values = np.asarray(coeffs)
+    if values.dtype.kind in "fc" and not np.all(
+            np.isfinite(values) & (values == np.rint(values))):
+        raise SeedRangeError("seed coefficients must be finite integers")
+    coeffs = values.astype(np.int64)
     bound = (q0 + 1) // 2
     if np.any(coeffs >= bound) or np.any(coeffs <= -bound):
         raise SeedRangeError(
             f"coefficients reach +-{q0 // 2}; one limb cannot carry them")
-    return PlaintextSeed(q0_limb=coeffs.copy(), scale=Fraction(scale),
-                         tag=tag)
+    return PlaintextSeed(q0_limb=coeffs, scale=Fraction(scale), tag=tag)
 
 
 def of_limb_extend(params: CkksParams, seed: PlaintextSeed,
@@ -224,7 +227,7 @@ def _extend_stage_seeds(params: CkksParams, seeds: dict, level: int) -> dict:
     basis = basis_c(params, level)
     stacks = lift_int_coeffs(np.stack([seeds[kk].q0_limb for kk in keys]),
                              basis)
-    return {kk: Plaintext(poly=RnsPolynomial(basis, EVAL, stacks[:, r].copy()),
+    return {kk: Plaintext(poly=RnsPolynomial(basis, EVAL, stacks[:, r]),
                           scale=seeds[kk].scale, level=level,
                           slots=params.n_ring // 2)
             for r, kk in enumerate(keys)}
@@ -424,6 +427,12 @@ def minks_rotate_accumulate(params: CkksParams, cts: list, r: int,
     return acc
 
 
+def _rotation_key(keys: dict[int, EvaluationKey], step: int) -> EvaluationKey:
+    if step not in keys:
+        raise MissingKeyError(f"no rotation key for step {step}")
+    return keys[step]
+
+
 def _keyed_rotate(params, ct, amount, keys, size, log, transform, stage):
     """Rotate by a scheduled amount under per-amount keys (baseline path).
 
@@ -439,18 +448,14 @@ def _keyed_rotate(params, ct, amount, keys, size, log, transform, stage):
                           performed=phys != 0)
     if phys == 0:
         return ct
-    if phys not in keys:
-        raise MissingKeyError(f"no rotation key for step {phys}")
-    return hrot(params, ct, phys, keys[phys])
+    return hrot(params, ct, phys, _rotation_key(keys, phys))
 
 
 def _single_rotate(params, ct, step, keys, log, transform, stage):
     """One fix-up rotation through an already-held key (grouped path)."""
     if log is not None:
         log.note_rotation(transform, stage, step, step)
-    if step not in keys:
-        raise MissingKeyError(f"no rotation key for step {step}")
-    return hrot(params, ct, step, keys[step])
+    return hrot(params, ct, step, _rotation_key(keys, step))
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +471,6 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
     consts = plan.stage_constants(variant)
     big = 1 << plan.k1
     grouped = variant != "baseline"
-
-    def need(step):
-        if step not in keys:
-            raise MissingKeyError(f"no rotation key for step {step}")
-        return keys[step]
 
     if grouped and plan.direction == DFT and not plan.stages[0].center_only:
         # Entry fix-up: +1 makes the stage residuals sum to a full cycle.
@@ -493,7 +493,7 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
         if grouped:
             babies = [ct] + minks_rotations(
                 params, ct, st.g % plan.size, (1 << plan.k1) - 1,
-                need(st.g % plan.size), log, label, s)
+                _rotation_key(keys, st.g % plan.size), log, label, s)
         else:
             pre = _keyed_rotate(params, ct, -(1 << plan.k) * st.g, keys,
                                 plan.size, log, label, s)
@@ -514,7 +514,8 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
                 inner = term if inner is None else hadd(inner, term)
             inners.append(inner)
         if grouped:
-            acc = minks_rotate_accumulate(params, inners, gee, need(gee),
+            acc = minks_rotate_accumulate(params, inners, gee,
+                                          _rotation_key(keys, gee),
                                           log, label, s)
         else:
             acc = None

@@ -6,14 +6,14 @@ Conventions, fixed across the package:
   evaluation vector out[j] = P(psi^(2j+1)) in natural j order, where psi is
   a primitive 2n-th root of unity mod q.  The odd-exponent indexing makes
   the evaluation-domain automorphism a closed-form index permutation.
-* `intt` direction is the exact inverse; the 1/n factor is folded into the
-  final stage's twiddles so the roundtrip is the identity bitwise.
+* The "inverse" direction is the exact inverse; the 1/n factor is folded
+  into the final stage's twiddles so the roundtrip is the identity bitwise.
 * `four_step_ntt` computes the same map for square n via sqrt(n)-point
   column and row passes joined by a twisting-factor table whose rows are
-  geometric progressions; the table is never materialized in full, only
-  expanded column by column from (start, ratio) seeds.
+  geometric progressions starting at one; only the sqrt(n) row ratios are
+  stored, and the table is generated column by column at runtime.
 
-Twiddle tables are cached per (q, n, root) and stored alongside their
+Twiddle tables are cached per (q, n, root, cyclic) and stored alongside their
 64-bit reciprocal companions.  Butterflies are Harvey's lazy form: each
 costs one lazy Shoup product (result in [0, 2q)) and one conditional
 subtract, words stay below 4q < 2^64 between stages, and one final
@@ -87,6 +87,7 @@ def _stages(n: int, w: np.ndarray, w_shoup: np.ndarray, narrow: bool,
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def _build_tables(mod: PrimeModulus, n: int, psi: int, cyclic: bool) -> NttTables:
     q = mod.q
     order = n if cyclic else 2 * n
@@ -119,11 +120,6 @@ def _build_tables(mod: PrimeModulus, n: int, psi: int, cyclic: bool) -> NttTable
                      cyclic=cyclic)
 
 
-@lru_cache(maxsize=None)
-def _tables_cached(mod: PrimeModulus, n: int, psi: int, cyclic: bool) -> NttTables:
-    return _build_tables(mod, n, psi, cyclic)
-
-
 def get_tables(mod: PrimeModulus, n: int, psi: int | None = None,
                cyclic: bool = False) -> NttTables:
     if n < 2 or n & (n - 1):
@@ -134,7 +130,7 @@ def get_tables(mod: PrimeModulus, n: int, psi: int | None = None,
             raise ConfigurationError(
                 f"modulus root order {mod.two_n} does not cover length {n}")
         psi = pow(mod.root, mod.two_n // order, mod.q)
-    return _tables_cached(mod, n, psi, cyclic)
+    return _build_tables(mod, n, psi, cyclic)
 
 
 @lru_cache(maxsize=None)
@@ -218,13 +214,13 @@ def _transform(values: np.ndarray, t: NttTables, direction: str) -> np.ndarray:
 
 
 def ntt(values: np.ndarray, mod: PrimeModulus, direction: str = "forward",
-        n: int | None = None, psi: int | None = None) -> np.ndarray:
+        psi: int | None = None) -> np.ndarray:
     """Negacyclic NTT over the last axis; direction 'forward' or 'inverse'.
 
     Input words must be canonical, in [0, q).
     """
     values = np.asarray(values, dtype=U64)
-    return _transform(values, get_tables(mod, n or values.shape[-1], psi),
+    return _transform(values, get_tables(mod, values.shape[-1], psi),
                       direction)
 
 
@@ -236,39 +232,6 @@ def cyclic_ntt(values: np.ndarray, mod: PrimeModulus, direction: str,
     return _transform(values, t, direction)
 
 
-@dataclass(frozen=True)
-class TwistSchedule:
-    """Seeds of the four-step twisting table: row r is start[r] * ratio[r]^c.
-
-    Keeping only the seeds is the on-the-fly policy: 2 sqrt(n) words of
-    state replace the sqrt(n) x sqrt(n) table.  `words_avoided` counts the
-    entries never stored.
-    """
-
-    mod: PrimeModulus
-    start_values: np.ndarray
-    common_ratios: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return len(self.start_values)
-
-    @property
-    def words_avoided(self) -> int:
-        return self.rows * self.rows
-
-
-def make_twist_schedule(mod: PrimeModulus, n: int, direction: str) -> TwistSchedule:
-    """Seeds for the twist psi^(±(2j+1)c) joining column and row passes."""
-    s = _sqrt_len(n)
-    psi = pow(mod.root, mod.two_n // (2 * n), mod.q)
-    if direction == "inverse":
-        psi = pow(psi, -1, mod.q)
-    ratios = np.array([pow(psi, 2 * j + 1, mod.q) for j in range(s)], dtype=U64)
-    return TwistSchedule(mod=mod, start_values=np.ones(s, dtype=U64),
-                         common_ratios=ratios)
-
-
 def _sqrt_len(n: int) -> int:
     s = 1 << ((n.bit_length() - 1) // 2)
     if s * s != n:
@@ -276,16 +239,15 @@ def _sqrt_len(n: int) -> int:
     return s
 
 
-def _apply_twist(mat: np.ndarray, twist: TwistSchedule) -> np.ndarray:
-    """Multiply mat[j, c] by start[j] * ratio[j]^c, one column at a time.
+def _apply_twist(mat: np.ndarray, ratios: list[int],
+                 mod: PrimeModulus) -> np.ndarray:
+    """Multiply mat[j, c] by ratios[j]^c, one column at a time.
 
     The ratios are fixed multipliers, so the column recurrence runs on
     Shoup products; the entry products are data by data, so Barrett.
     """
-    mod = twist.mod
-    ratios, ratios_shoup = shoup_words(twist.common_ratios.tolist(),
-                                       [mod.q] * twist.rows)
-    col = twist.start_values
+    ratios, ratios_shoup = shoup_words(ratios, [mod.q] * len(ratios))
+    col = np.ones(len(ratios), dtype=U64)
     out = np.empty_like(mat)
     for c in range(mat.shape[1]):
         out[:, c] = barrett_mul(mat[:, c], col, mod)
@@ -293,14 +255,14 @@ def _apply_twist(mat: np.ndarray, twist: TwistSchedule) -> np.ndarray:
     return out
 
 
-def four_step_ntt(values: np.ndarray, mod: PrimeModulus, direction: str = "forward",
-                  twist: TwistSchedule | None = None) -> np.ndarray:
+def four_step_ntt(values: np.ndarray, mod: PrimeModulus,
+                  direction: str = "forward") -> np.ndarray:
     """Four-step evaluation of the same map as `ntt`, bit-identical output.
 
     Column pass: sqrt(n)-point negacyclic transforms (root psi^sqrt(n)).
     Twist: entry (j0, t0) gains psi^(±(2 j0 + 1) t0), rows expanded
-    geometrically from the schedule seeds.  Row pass: sqrt(n)-point cyclic
-    transforms (root psi^(2 sqrt(n))).
+    geometrically from their ratios psi^(±(2 j0 + 1)).  Row pass:
+    sqrt(n)-point cyclic transforms (root psi^(2 sqrt(n))).
     """
     values = np.asarray(values, dtype=U64)
     n = values.shape[-1]
@@ -308,19 +270,19 @@ def four_step_ntt(values: np.ndarray, mod: PrimeModulus, direction: str = "forwa
     psi = pow(mod.root, mod.two_n // (2 * n), mod.q)
     eta = pow(psi, s, mod.q)            # order 2s: column negacyclic root
     mu = pow(psi, 2 * s, mod.q)         # order s: row cyclic root
-    if twist is None:
-        twist = make_twist_schedule(mod, n, direction)
+    base = psi if direction == "forward" else pow(psi, -1, mod.q)
+    ratios = [pow(base, 2 * j + 1, mod.q) for j in range(s)]
 
     if direction == "forward":
         mat = values.reshape(s, s)                        # [t1, t0]
-        cols = ntt(mat.T.copy(), mod, "forward", n=s, psi=eta)   # [t0, j0]
-        twisted = _apply_twist(cols.T.copy(), twist)      # [j0, t0]
+        cols = ntt(mat.T.copy(), mod, "forward", psi=eta)        # [t0, j0]
+        twisted = _apply_twist(cols.T.copy(), ratios, mod)  # [j0, t0]
         rows = cyclic_ntt(twisted, mod, "forward", psi=mu)       # [j0, j1]
         return rows.T.reshape(n).copy()                   # out[j1 * s + j0]
     if direction == "inverse":
         mat = values.reshape(s, s).T.copy()               # [j0, j1]
         rows = cyclic_ntt(mat, mod, "inverse", psi=mu)    # [j0, t0]
-        untwisted = _apply_twist(rows, twist)
-        cols = ntt(untwisted.T.copy(), mod, "inverse", n=s, psi=eta)  # [t0, t1]
+        untwisted = _apply_twist(rows, ratios, mod)
+        cols = ntt(untwisted.T.copy(), mod, "inverse", psi=eta)  # [t0, t1]
         return cols.T.reshape(n).copy()
     raise ConfigurationError(f"unknown direction {direction!r}")

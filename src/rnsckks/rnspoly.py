@@ -4,9 +4,10 @@ A polynomial in Z_Q[X]/(X^N + 1) with Q = q_0 ... q_l is held as an
 (l+1) x N uint64 matrix of per-prime residue limbs, in either coefficient
 or evaluation (NTT) representation.  Base conversion follows the textbook
 approximate form: out_i = sum_j ([P]_{p_j} * phat_j^{-1} mod p_j) * phat_j
-mod q_i, which may add an integer multiple k * P_src, 0 <= k < |source|;
-callers rely on that slack being annihilated downstream (key-switching) or
-irrelevant (mod raise).
+mod q_i, read with signed step-1 residues, which may add an integer
+multiple k * P_src, |k| <= ceil(|source| / 2); callers rely on that slack
+being annihilated downstream (key-switching), bounded (ModDown) or
+irrelevant (mod raise).  From a single prime there is no slack.
 """
 
 from __future__ import annotations
@@ -48,9 +49,6 @@ class LimbBasis:
 
     def concat(self, other: "LimbBasis") -> "LimbBasis":
         return LimbBasis(self.primes + other.primes)
-
-    def slice(self, start: int, stop: int) -> "LimbBasis":
-        return LimbBasis(self.primes[start:stop])
 
 
 @dataclass
@@ -111,9 +109,9 @@ def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
     """Signed int64 coefficients shaped (N,) or (R, N) as evaluation-rep
     limbs shaped (L, N) or (L, R, N).
 
-    Every integer plaintext enters the evaluation domain here: encoding,
-    OF-Limb seed extension and the rescale correction share this lift, so
-    a seed rebuilds exactly the words full precomputation stores.
+    Every integer plaintext enters the evaluation domain here: encoding
+    and OF-Limb seed extension share this lift, so a seed rebuilds exactly
+    the words full precomputation stores.
     """
     out = _int_residues(coeffs, basis)
     for i, p in enumerate(basis):
@@ -240,7 +238,7 @@ class BaseTable:
 
 
 @lru_cache(maxsize=None)
-def _base_table_cached(source: LimbBasis, target: LimbBasis) -> BaseTable:
+def make_base_table(source: LimbBasis, target: LimbBasis) -> BaseTable:
     p_src = source.modulus
     inv = np.empty(len(source), dtype=U64)
     inv_sh = np.empty(len(source), dtype=U64)
@@ -264,10 +262,6 @@ def _base_table_cached(source: LimbBasis, target: LimbBasis) -> BaseTable:
                      src_mod=src, src_mod_shoup=src_sh)
 
 
-def make_base_table(source: LimbBasis, target: LimbBasis) -> BaseTable:
-    return _base_table_cached(source, target)
-
-
 def _bconv_accumulate(v: np.ndarray, table: BaseTable, i: int) -> np.ndarray:
     """sum_j v[j] * factors[i, j] mod q_i, for v[j] < p_j."""
     qi = table.target.primes[i]
@@ -289,12 +283,11 @@ def _bconv_accumulate(v: np.ndarray, table: BaseTable, i: int) -> np.ndarray:
     return acc % q
 
 
-def base_convert(p: RnsPolynomial, table: BaseTable,
-                 centered: bool = True) -> RnsPolynomial:
+def base_convert(p: RnsPolynomial, table: BaseTable) -> RnsPolynomial:
     """Fast base conversion of a coefficient-representation polynomial.
 
-    With `centered` the step-1 residues are read as signed representatives:
-    since v_j - b_j p_j with b_j = (v_j > p_j/2) shifts the sum by exactly
+    The step-1 residues are read as signed representatives: since
+    v_j - b_j p_j with b_j = (v_j > p_j/2) shifts the sum by exactly
     (sum b_j) * P_src, one subtraction per target row converts the unsigned
     form; the leftover slack k * P_src then has |k| <= ceil(|source| / 2)
     and zero mean instead of a positive bias.
@@ -308,27 +301,22 @@ def base_convert(p: RnsPolynomial, table: BaseTable,
     for j, pj in enumerate(table.source):
         v[j] = shoup_mul(p.limbs[j], table.inv_factors[j],
                          table.inv_shoup[j], pj, small=pj.q <= SMALL_WORD)
-        if centered:
-            borrow += v[j] > U64(pj.q // 2)
+        borrow += v[j] > U64(pj.q // 2)
 
     out = np.empty((len(table.target), p.n), dtype=U64)
-    for i in range(len(table.target)):
-        out[i] = _bconv_accumulate(v, table, i)
-    if centered:
-        for i, qi in enumerate(table.target):
-            # borrow counts source primes, far below 2^48.
-            shift = shoup_mul(borrow, table.src_mod[i],
-                              table.src_mod_shoup[i], qi, small=True)
-            out[i] = mod_sub(out[i], shift, qi)
+    for i, qi in enumerate(table.target):
+        # borrow counts source primes, far below 2^48.
+        shift = shoup_mul(borrow, table.src_mod[i], table.src_mod_shoup[i],
+                          qi, small=True)
+        out[i] = mod_sub(_bconv_accumulate(v, table, i), shift, qi)
     return RnsPolynomial(table.target, COEFF, out)
 
 
-def bconv_routine(p: RnsPolynomial, table: BaseTable,
-                  centered: bool = True) -> RnsPolynomial:
+def bconv_routine(p: RnsPolynomial, table: BaseTable) -> RnsPolynomial:
     """INTT -> base conversion -> NTT: the evaluation-rep conversion unit."""
     if p.rep != EVAL:
         raise RepresentationError("bconv routine expects evaluation rep")
-    return base_convert(p.to_coeff(), table, centered).to_eval()
+    return base_convert(p.to_coeff(), table).to_eval()
 
 
 # ---------------------------------------------------------------------------

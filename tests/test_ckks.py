@@ -1,6 +1,7 @@
 """Leveled scheme operations, including a big-integer key-switch oracle."""
 
 import hashlib
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,22 +9,22 @@ import pytest
 
 from oracles import (centered_mod, oracle_crt, oracle_negacyclic_big,
                      oracle_residues)
-import rnsckks.ckks as ckks_module
 import rnsckks.rnspoly as rnspoly_module
 from rnsckks.ckks import (CkksParams, aux_chain, basis_b, basis_c, basis_d,
                           cadd, cmult, decode, decrypt, encode,
                           encode_diagonal_batch, encrypt, hadd, hmult, hneg,
                           hrescale, hrot, hsub, key_switch, make_relin_key,
-                          make_rotation_key, make_rotation_keys, mod_drop,
-                          modulus_chain, normalize_step, padd, piece_basis,
-                          pmult, restrict_poly, sample_uniform, slot_values)
+                          make_rotation_key, make_rotation_keys, mod_down,
+                          mod_drop, modulus_chain, normalize_step, padd,
+                          piece_basis, pmult, restrict_poly, sample_uniform,
+                          slot_values)
 from rnsckks.costmodel import PROFILES, ParamProfile, rescale_mults
 from rnsckks.embedding import packed_to_slots
 from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             LevelExhaustedError, MissingKeyError,
                             ScaleMismatchError)
-from rnsckks.rnspoly import (COEFF, RnsPolynomial, crt_float, crt_reconstruct,
-                             rp_mul)
+from rnsckks.rnspoly import (COEFF, LimbBasis, RnsPolynomial, crt_float,
+                             crt_reconstruct, rp_mul)
 
 
 def random_message(params, rng):
@@ -200,6 +201,23 @@ def test_diagonal_batch_matches_per_row_encode(params):
     # is rejected, not wrapped.
     with pytest.raises(ConfigurationError):
         encode_diagonal_batch(params, rows * 2.0 ** 27, level=5)
+
+
+def test_diagonal_batch_holds_one_stack(params):
+    """The plaintexts are views of the lifted stack, not copies: 64 rows at
+    level 7 hold 32 MiB of limbs, and the batch peaks under 56 MiB."""
+    half = params.n_ring // 2
+    rng = np.random.default_rng(43)
+    rows = rng.normal(size=(64, half)) + 1j * rng.normal(size=(64, half))
+    encode_diagonal_batch(params, rows[:1], level=7)    # warm the tables
+    tracemalloc.start()
+    try:
+        batch = encode_diagonal_batch(params, rows, level=7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(pt.poly.limbs.nbytes for pt in batch) == 32 << 20
+    assert peak < 56 << 20
 
 
 def decode_cases(params, rng):
@@ -381,6 +399,31 @@ def test_rescale_matches_big_integer_definition(which, params, sk,
         ct = out
 
 
+@pytest.mark.parametrize("which, level",
+                         [("desk", 7), ("desk", 1), ("tiny", 2), ("tiny", 1)])
+def test_mod_down_divides_by_dropped_primes(which, level, params,
+                                            tiny_params):
+    """From big integers: D * y - x is within (ceil(|dropped| / 2) + 1/2) D
+    of zero when ModDown drops the aux basis B, and within D / 2 when it
+    drops the one prime q_l."""
+    p = tiny_params if which == "tiny" else params
+    rng = np.random.default_rng(81 + level)
+    q_l = LimbBasis(modulus_chain(p)[level:level + 1])
+    for kept, dropped in ((basis_c(p, level), basis_b(p)),
+                          (basis_c(p, level - 1), q_l)):
+        full = kept.concat(dropped)
+        x = sample_uniform(full, p.n_ring, rng)
+        y = mod_down(x.limbs, kept, dropped)
+        assert y.basis == kept
+        big_d = dropped.modulus
+        xs = oracle_crt(x.to_coeff().limbs, full.qs)
+        ys = oracle_crt(y.to_coeff().limbs, kept.qs)
+        worst = max(abs(centered_mod(big_d * b - a, full.modulus))
+                    for a, b in zip(xs, ys))
+        halves = 1 if len(dropped) == 1 else 2 * -(-len(dropped) // 2) + 1
+        assert 2 * worst <= halves * big_d, (len(dropped), worst / big_d)
+
+
 @pytest.mark.parametrize("which", ["tiny", "desk"])
 def test_rescale_transforms_l_plus_one_limbs(which, params, sk, tiny_params,
                                              tiny_sk, monkeypatch):
@@ -391,13 +434,12 @@ def test_rescale_transforms_l_plus_one_limbs(which, params, sk, tiny_params,
         "tiny", N=p.n_ring, L=p.levels, dnum=p.dnum, alpha=p.alpha,
         n=p.n_slots)
     rows = []
-    real_ntt = ckks_module.ntt
+    real_ntt = rnspoly_module.ntt
 
     def counting_ntt(values, *args, **kwargs):
         rows.append(np.size(values) // np.shape(values)[-1])
         return real_ntt(values, *args, **kwargs)
 
-    monkeypatch.setattr(ckks_module, "ntt", counting_ntt)
     monkeypatch.setattr(rnspoly_module, "ntt", counting_ntt)
     rng = np.random.default_rng(77)
     ct = encrypt(p, encode(p, random_message(p, rng)), key, rng)

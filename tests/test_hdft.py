@@ -364,6 +364,10 @@ def test_seed_range_guard(params):
     coeffs[0] = np.iinfo(np.int64).min
     with pytest.raises(SeedRangeError):
         make_plaintext_seed(params, coeffs, 1 << 40)
+    # Fractional and non-finite coefficients are rejected, not truncated.
+    for bad in (0.7, np.nan, np.inf):
+        with pytest.raises(SeedRangeError):
+            make_plaintext_seed(params, np.full(params.n_ring, bad), 1 << 40)
 
 
 def test_oflimb_constants_reject_non_finite_rows(params):
