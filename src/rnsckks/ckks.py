@@ -28,10 +28,10 @@ from .errors import (BasisMismatchError, ConfigurationError,
 from .modmath import (SMALL_WORD, U64, PrimeModulus, generate_ntt_primes,
                       mod_sub, mul_sum, shoup_mul, shoup_words)
 from .rnspoly import (COEFF, EVAL, LimbBasis, RnsPolynomial, automorphism,
-                      base_convert, bconv_routine, crt_float,
-                      lift_int_coeffs, make_base_table, poly_from_int_coeffs,
-                      rp_add, rp_mul, rp_mul_sum, rp_neg,
-                      rp_scalar_mul_per_limb, rp_sub)
+                      base_convert, crt_float, lift_int_coeffs,
+                      make_base_table, poly_from_int_coeffs, rp_add, rp_mul,
+                      rp_mul_sum, rp_neg, rp_scalar_mul_per_limb, rp_sub,
+                      transform_limbs)
 
 
 @dataclass(frozen=True)
@@ -435,25 +435,31 @@ def _drop_inverses(kept: LimbBasis,
 
 
 def mod_down(limbs: np.ndarray, kept: LimbBasis,
-             dropped: LimbBasis) -> RnsPolynomial:
+             dropped: LimbBasis) -> np.ndarray:
     """(x - [x]_D) / D over `kept`, for eval-rep limbs of x over
-    kept + dropped, D the product of the dropped primes.
+    kept + dropped shaped (L, ..., N), D the product of the dropped primes;
+    returns eval-rep limbs shaped (len(kept), ..., N).
 
     The dropped rows are base-converted into `kept`, subtracted, and
     multiplied by D^{-1}.  The centered conversion may add k * D with
     |k| <= ceil(|dropped| / 2); from one prime it is the centered lift
     itself, so the rescale rounds to within half a unit.  Key switching
-    drops the auxiliary primes B, rescale drops q_l.
+    drops the auxiliary primes B, rescale drops q_l.  A stack of
+    polynomials shares each prime's transforms; base conversion works
+    coefficient by coefficient, so it takes the stacked rows as one wide
+    row.
     """
     k = len(kept)
-    corr = bconv_routine(RnsPolynomial(dropped, EVAL, limbs[k:]),
-                         make_base_table(dropped, kept)).limbs
+    coeff = transform_limbs(limbs[k:], dropped, "inverse")
+    wide = RnsPolynomial(dropped, COEFF, coeff.reshape(len(dropped), -1))
+    corr = base_convert(wide, make_base_table(dropped, kept)).limbs
+    corr = corr.reshape((k,) + limbs.shape[1:])
+    transform_limbs(corr, kept, "forward", out=corr)
     inv, inv_shoup = _drop_inverses(kept, dropped)
-    out = np.empty((k, limbs.shape[1]), dtype=U64)
     for i, pm in enumerate(kept):
-        out[i] = shoup_mul(mod_sub(limbs[i], corr[i], pm), inv[i],
-                           inv_shoup[i], pm, small=pm.q <= SMALL_WORD)
-    return RnsPolynomial(kept, EVAL, out)
+        corr[i] = shoup_mul(mod_sub(limbs[i], corr[i], pm), inv[i],
+                            inv_shoup[i], pm, small=pm.q <= SMALL_WORD)
+    return corr
 
 
 def key_switch(params: CkksParams, d: RnsPolynomial,
@@ -467,28 +473,42 @@ def key_switch(params: CkksParams, d: RnsPolynomial,
     d_basis = basis_d(params, level)
     d_coeff = d.to_coeff()
 
-    # Each digit piece, extended to C_level + B: its own limbs as they are,
-    # the others by base conversion from the piece.
-    pieces = []
-    for i in range(params.piece_count(level)):
+    # ModUp: ext[r, i] is digit piece i over prime r of C_level + B, its
+    # own limbs as they are, the others base-converted from the piece.
+    count = params.piece_count(level)
+    ext = np.empty((len(d_basis), count, params.n_ring), dtype=U64)
+    for i in range(count):
         src = piece_basis(params, i, level)
         lo, hi = i * params.alpha, i * params.alpha + len(src)
         rest = LimbBasis(d_basis.primes[:lo] + d_basis.primes[hi:])
         own = RnsPolynomial(src, COEFF, d_coeff.limbs[lo:hi])
-        ext = base_convert(own, make_base_table(src, rest)).to_eval().limbs
-        pieces.append(np.concatenate([ext[:lo], d.limbs[lo:hi], ext[lo:]]))
+        conv = base_convert(own, make_base_table(src, rest)).limbs
+        ext[:lo, i], ext[lo:hi, i], ext[hi:, i] = (conv[:lo], d.limbs[lo:hi],
+                                                   conv[lo:])
+    # Each prime's converted rows take one transform: over C_level every
+    # piece but the prime's own, over B every piece.
+    c = level + 1
+    transform_limbs(ext[c:], b_basis, "forward", out=ext[c:])
+    if count > 1:
+        others = np.array([[i for i in range(count) if i != r // params.alpha]
+                           for r in range(c)])
+        rows = np.arange(c)[:, None]
+        ext[rows, others] = transform_limbs(ext[rows, others], c_basis,
+                                            "forward")
 
-    # Inner product with the key pairs, one reduction per output word.
-    rows = _key_rows(params, level)
-    acc = np.empty((2, len(d_basis), params.n_ring), dtype=U64)
-    for r, (pm, kr) in enumerate(zip(d_basis, rows)):
+    # Inner product with the key pairs, one reduction per output word; the
+    # accumulator is (L, 2, N) so that one ModDown sheds B from both halves.
+    key_rows = _key_rows(params, level)
+    acc = np.empty((len(d_basis), 2, params.n_ring), dtype=U64)
+    for r, (pm, kr) in enumerate(zip(d_basis, key_rows)):
         for half in (0, 1):
-            acc[half, r] = mul_sum(
-                [(piece[r], evk.pieces[i][half].limbs[kr])
-                 for i, piece in enumerate(pieces)], pm)
+            acc[r, half] = mul_sum(
+                [(ext[r, i], evk.pieces[i][half].limbs[kr])
+                 for i in range(count)], pm)
 
-    return (mod_down(acc[0], c_basis, b_basis),
-            mod_down(acc[1], c_basis, b_basis))
+    out = mod_down(acc, c_basis, b_basis)
+    return (RnsPolynomial(c_basis, EVAL, out[:, 0]),
+            RnsPolynomial(c_basis, EVAL, out[:, 1]))
 
 
 def hmult(params: CkksParams, a: Ciphertext, b: Ciphertext,
@@ -516,7 +536,9 @@ def hrot(params: CkksParams, ct: Ciphertext, r: int,
     r0 = automorphism(ct.c0, r)
     r1 = automorphism(ct.c1, r)
     k0, k1 = key_switch(params, r1, evk)
-    return Ciphertext(rp_add(r0, k0), k1, ct.scale, ct.level, ct.slots)
+    # k1 alone, as a view, would keep the whole (L, 2, N) ModDown output.
+    return Ciphertext(rp_add(r0, k0), k1.copy(), ct.scale, ct.level,
+                      ct.slots)
 
 
 def hrescale(params: CkksParams, ct: Ciphertext) -> Ciphertext:
@@ -526,8 +548,10 @@ def hrescale(params: CkksParams, ct: Ciphertext) -> Ciphertext:
         raise LevelExhaustedError("cannot rescale below the base prime")
     kept = basis_c(params, ct.level - 1)
     dropped = LimbBasis(modulus_chain(params)[ct.level:ct.level + 1])
-    return Ciphertext(mod_down(ct.c0.to_eval().limbs, kept, dropped),
-                      mod_down(ct.c1.to_eval().limbs, kept, dropped),
+    out = mod_down(np.stack([ct.c0.to_eval().limbs, ct.c1.to_eval().limbs],
+                            axis=1), kept, dropped)
+    return Ciphertext(RnsPolynomial(kept, EVAL, out[:, 0]),
+                      RnsPolynomial(kept, EVAL, out[:, 1]),
                       ct.scale / dropped.modulus, ct.level - 1, ct.slots)
 
 

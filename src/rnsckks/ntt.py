@@ -21,6 +21,12 @@ correction per transform returns canonical words.  The product's quotient
 estimate is a high-word multiply, or for primes below 2^46 (so words
 below 2^48) one float64 multiply.  The stages with short butterfly spans
 run on a transposed copy so that numpy's inner loops stay long.
+
+A stack of rows (..., n) runs through every stage in blocks of
+`BLOCK_WORDS` words, 4 rows at n = 2^13.  A whole 127-row stack and its
+stage temporaries fall out of L2 between stages, which made one call over
+127 rows 2-4x slower per row than the same rows in blocks of 4-8.  Each
+output row depends on its input row alone, so the blocks change no word.
 """
 
 from __future__ import annotations
@@ -33,6 +39,11 @@ import numpy as np
 from .errors import ConfigurationError
 from .modmath import (SMALL_WORD, U64, PrimeModulus, barrett_mul,
                       float_ratio, shoup_mul, shoup_mul_lazy, shoup_words)
+
+# Words per pass through the butterfly stages: 256 KiB, so a block and its
+# stage temporaries (a few times its size) fit a 2 MiB L2.  On a 2-core
+# Xeon with that L2, 2^16 ran 8 rows of the 59-bit prime 1.5x slower.
+BLOCK_WORDS = 1 << 15
 
 
 def bit_reverse_permutation(n: int) -> np.ndarray:
@@ -205,12 +216,17 @@ def _inverse(x: np.ndarray, t: NttTables) -> np.ndarray:
 
 
 def _transform(values: np.ndarray, t: NttTables, direction: str) -> np.ndarray:
+    run = {"forward": _forward, "inverse": _inverse}.get(direction)
+    if run is None:
+        raise ConfigurationError(f"unknown direction {direction!r}")
     x = values.reshape(-1, t.n)
-    if direction == "forward":
-        return _forward(x, t).reshape(values.shape)
-    if direction == "inverse":
-        return _inverse(x, t).reshape(values.shape)
-    raise ConfigurationError(f"unknown direction {direction!r}")
+    block = max(1, BLOCK_WORDS // t.n)
+    if len(x) <= block:
+        return run(x, t).reshape(values.shape)
+    out = np.empty_like(x)
+    for lo in range(0, len(x), block):
+        out[lo:lo + block] = run(x[lo:lo + block], t)
+    return out.reshape(values.shape)
 
 
 def ntt(values: np.ndarray, mod: PrimeModulus, direction: str = "forward",

@@ -8,6 +8,12 @@ mod q_i, read with signed step-1 residues, which may add an integer
 multiple k * P_src, |k| <= ceil(|source| / 2); callers rely on that slack
 being annihilated downstream (key-switching), bounded (ModDown) or
 irrelevant (mod raise).  From a single prime there is no slack.
+
+Several polynomials over one basis stack as limbs shaped (L, ..., N): the
+leading axis is the prime, so each prime's rows sit together and
+`transform_limbs` runs them through one `ntt` call (in cache-sized
+blocks) instead of one call per row.  Key switching, rescale and the
+integer lift pass their same-prime rows this way.
 """
 
 from __future__ import annotations
@@ -77,18 +83,25 @@ class RnsPolynomial:
     def to_eval(self) -> "RnsPolynomial":
         if self.rep == EVAL:
             return self
-        out = np.empty_like(self.limbs)
-        for i, p in enumerate(self.basis):
-            out[i] = ntt(self.limbs[i], p, "forward")
-        return RnsPolynomial(self.basis, EVAL, out)
+        return RnsPolynomial(self.basis, EVAL,
+                             transform_limbs(self.limbs, self.basis, "forward"))
 
     def to_coeff(self) -> "RnsPolynomial":
         if self.rep == COEFF:
             return self
-        out = np.empty_like(self.limbs)
-        for i, p in enumerate(self.basis):
-            out[i] = ntt(self.limbs[i], p, "inverse")
-        return RnsPolynomial(self.basis, COEFF, out)
+        return RnsPolynomial(self.basis, COEFF,
+                             transform_limbs(self.limbs, self.basis, "inverse"))
+
+
+def transform_limbs(limbs: np.ndarray, basis: LimbBasis, direction: str,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Limbs shaped (L, ..., N) over `basis` through the negacyclic NTT in
+    `direction`, one `ntt` call per prime over all of that prime's rows.
+    Writes into `out` (which may be `limbs`) or a new array."""
+    out = np.empty_like(limbs) if out is None else out
+    for i, p in enumerate(basis):
+        out[i] = ntt(limbs[i], p, direction)
+    return out
 
 
 def zero_poly(basis: LimbBasis, n: int, rep: str = COEFF) -> RnsPolynomial:
@@ -114,9 +127,7 @@ def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
     the words full precomputation stores.
     """
     out = _int_residues(coeffs, basis)
-    for i, p in enumerate(basis):
-        out[i] = ntt(out[i], p, "forward")
-    return out
+    return transform_limbs(out, basis, "forward", out=out)
 
 
 def poly_from_int_coeffs(coeffs: np.ndarray, basis: LimbBasis,

@@ -100,14 +100,18 @@ class _Cursor:
         return self.take(count)
 
     def get_text(self) -> str:
-        return self.get_bytes().decode("utf-8")
+        raw = self.get_bytes()
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError:
+            self.fail(f"text is not UTF-8: {raw!r}")
 
     def get_fraction(self) -> Fraction:
         text = self.get_text()
         try:
             num, den = text.split("/")
             return Fraction(int(num), int(den))
-        except ValueError:
+        except (ValueError, ZeroDivisionError):
             self.fail(f"malformed fraction {text!r}")
 
     def get_words(self, shape: tuple, dtype: str) -> np.ndarray:
@@ -164,6 +168,8 @@ def _put_poly(body: _Body, p: RnsPolynomial):
 
 def _get_poly(cur: _Cursor) -> RnsPolynomial:
     rep_code, nlimbs, n = cur.unpack("BHI")
+    if rep_code not in (0, 1):
+        cur.fail(f"unknown representation code {rep_code}")
     if n < 2 or n & (n - 1):
         cur.fail(f"ring degree {n} is not a power of two")
     primes = []
@@ -174,6 +180,9 @@ def _get_poly(cur: _Cursor) -> RnsPolynomial:
         except Exception:
             cur.fail(f"invalid modulus {q}")
     limbs = cur.get_words((nlimbs, n), "<u8")
+    for pm, row in zip(primes, limbs):
+        if np.any(row >= np.uint64(pm.q)):
+            cur.fail(f"limb words not below their modulus {pm.q}")
     try:
         return RnsPolynomial(LimbBasis(tuple(primes)),
                              EVAL if rep_code else COEFF, limbs)

@@ -18,12 +18,13 @@ from rnsckks.ckks import (CkksParams, aux_chain, basis_b, basis_c, basis_d,
                           mod_drop, modulus_chain, normalize_step, padd,
                           piece_basis, pmult, restrict_poly, sample_uniform,
                           slot_values)
-from rnsckks.costmodel import PROFILES, ParamProfile, rescale_mults
+from rnsckks.costmodel import (PROFILES, ParamProfile, keyswitch_mults,
+                               rescale_mults)
 from rnsckks.embedding import packed_to_slots
 from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             LevelExhaustedError, MissingKeyError,
                             ScaleMismatchError)
-from rnsckks.rnspoly import (COEFF, LimbBasis, RnsPolynomial, crt_float,
+from rnsckks.rnspoly import (COEFF, EVAL, LimbBasis, RnsPolynomial, crt_float,
                              crt_reconstruct, rp_mul)
 
 
@@ -413,8 +414,9 @@ def test_mod_down_divides_by_dropped_primes(which, level, params,
                           (basis_c(p, level - 1), q_l)):
         full = kept.concat(dropped)
         x = sample_uniform(full, p.n_ring, rng)
-        y = mod_down(x.limbs, kept, dropped)
-        assert y.basis == kept
+        out = mod_down(x.limbs, kept, dropped)
+        assert out.shape == (len(kept), p.n_ring)
+        y = RnsPolynomial(kept, EVAL, out)
         big_d = dropped.modulus
         xs = oracle_crt(x.to_coeff().limbs, full.qs)
         ys = oracle_crt(y.to_coeff().limbs, kept.qs)
@@ -422,6 +424,61 @@ def test_mod_down_divides_by_dropped_primes(which, level, params,
                     for a, b in zip(xs, ys))
         halves = 1 if len(dropped) == 1 else 2 * -(-len(dropped) // 2) + 1
         assert 2 * worst <= halves * big_d, (len(dropped), worst / big_d)
+
+
+@pytest.mark.parametrize("level", [7, 1])
+def test_stacked_mod_down_equals_one_at_a_time(level, params):
+    """Polynomials stacked as (L, R, N) share each prime's transforms and
+    come out with the words of R separate ModDowns, dropping B or q_l."""
+    rng = np.random.default_rng(91 + level)
+    q_l = LimbBasis(modulus_chain(params)[level:level + 1])
+    for kept, dropped in ((basis_c(params, level), basis_b(params)),
+                          (basis_c(params, level - 1), q_l)):
+        full = kept.concat(dropped)
+        polys = [sample_uniform(full, params.n_ring, rng).limbs
+                 for _ in range(3)]
+        stacked = mod_down(np.stack(polys, axis=1), kept, dropped)
+        assert stacked.shape == (len(kept), 3, params.n_ring)
+        for r, limbs in enumerate(polys):
+            assert np.array_equal(stacked[:, r],
+                                  mod_down(limbs, kept, dropped)), r
+
+
+@pytest.mark.parametrize("which", ["tiny", "desk"])
+def test_key_switch_transforms_match_cost_model(which, params, relin,
+                                                tiny_params, tiny_sk,
+                                                monkeypatch):
+    """Limb rows transformed by one key switch equal the
+    (dnum_l + 2)(alpha + l + 1) that costmodel.keyswitch_mults charges,
+    however the rows are grouped into calls."""
+    if which == "tiny":
+        p, levels = tiny_params, range(tiny_params.levels + 1)
+        evk = make_relin_key(p, tiny_sk, np.random.default_rng(93))
+        profile = ParamProfile("tiny", N=p.n_ring, L=p.levels, dnum=p.dnum,
+                               alpha=p.alpha, n=p.n_slots)
+    else:
+        p, levels, evk, profile = params, (7, 6, 5, 2, 1), relin, \
+            PROFILES["desk"]
+    rows = []
+    real_ntt = rnspoly_module.ntt
+
+    def counting_ntt(values, *args, **kwargs):
+        rows.append(np.size(values) // np.shape(values)[-1])
+        return real_ntt(values, *args, **kwargs)
+
+    monkeypatch.setattr(rnspoly_module, "ntt", counting_ntt)
+    rng = np.random.default_rng(95)
+    butterflies = p.n_ring // 2 * (p.n_ring.bit_length() - 1)
+    counts = {}
+    for level in levels:
+        d = sample_uniform(basis_c(p, level), p.n_ring, rng)
+        rows.clear()
+        key_switch(p, d, evk)
+        counts[level] = sum(rows)
+        assert counts[level] == keyswitch_mults(profile, level).ntt \
+            // butterflies, level
+    if which == "desk":
+        assert counts[7] == 48
 
 
 @pytest.mark.parametrize("which", ["tiny", "desk"])

@@ -1,5 +1,8 @@
 """Negacyclic and cyclic transforms against convolution oracles."""
 
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,8 @@ from rnsckks.modmath import (U64, PrimeModulus, barrett_mul,
                              generate_ntt_primes)
 from rnsckks.ntt import (bit_reverse_permutation, cyclic_ntt, four_step_ntt,
                          get_tables, ntt)
+
+ntt_module = importlib.import_module("rnsckks.ntt")
 
 # The chain's widest primes, where lazy butterfly words come closest to
 # 2^64, and the widest prime whose butterflies take the float64 quotient.
@@ -156,6 +161,44 @@ def test_batched_rows_equal_per_row():
     batched = ntt(mat, pm, "forward")
     for i in range(5):
         assert np.array_equal(batched[i], ntt(mat[i], pm, "forward"))
+
+
+@pytest.mark.parametrize("width", ["base59", "q40", "aux60"])
+def test_row_blocks_equal_per_row(width):
+    """A stack runs through the stages in blocks of BLOCK_WORDS words; at
+    row counts around a block edge, and for an (L, R, N) stack, every row
+    gets the words a one-row call gives it."""
+    n = DESK.n_ring
+    pm = modulus_chain(DESK)[1] if width == "q40" else WIDE[width]
+    block = ntt_module.BLOCK_WORDS // n
+    assert block > 1
+    rng = np.random.default_rng(59)
+    for rows in (1, block - 1, block, block + 1, 127):
+        mat = rng.integers(0, pm.q, (rows, n), dtype=np.uint64)
+        for direction in ("forward", "inverse"):
+            want = np.stack([ntt(row, pm, direction) for row in mat])
+            assert np.array_equal(ntt(mat, pm, direction), want), \
+                (rows, direction)
+    cube = mat[:3 * (block + 2)].reshape(3, block + 2, n)
+    for direction in ("forward", "inverse"):
+        want = [[ntt(row, pm, direction) for row in limb] for limb in cube]
+        assert np.array_equal(ntt(cube, pm, direction), np.array(want))
+
+
+def test_row_blocks_bound_the_temporaries():
+    """A (64, 8192) stack at the 59-bit q0 holds its 4 MiB result and one
+    block's temporaries at a time, not a few times the whole stack."""
+    pm = WIDE["base59"]
+    mat = np.random.default_rng(61).integers(0, pm.q, (64, DESK.n_ring),
+                                             dtype=np.uint64)
+    ntt(mat[:1], pm, "forward")          # tables are built once, not here
+    tracemalloc.start()
+    try:
+        ntt(mat, pm, "forward")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20
 
 
 def test_rejects_bad_direction_and_length():

@@ -1,11 +1,13 @@
 """RNS polynomial primitives against big-integer CRT oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import (centered_mod, oracle_crt, oracle_negacyclic,
                      oracle_residues)
-from rnsckks.ckks import CkksParams, basis_d
+from rnsckks.ckks import CkksParams, basis_c, basis_d
 from rnsckks.errors import BasisMismatchError, RepresentationError
 from rnsckks.modmath import U64, PrimeModulus, generate_ntt_primes
 from rnsckks.ntt import ntt
@@ -83,6 +85,24 @@ def test_lift_matches_big_integer_residues():
                          for res, pm in zip(residues, basis)])
         assert np.array_equal(stacked[:, r], want), r
         assert np.array_equal(lift_int_coeffs(row, basis), want), r
+
+
+def test_lift_holds_one_stack():
+    """Lifting 64 rows to level 7 holds the 32 MiB result plus one prime's
+    rows and one transform block, not four times a prime's rows."""
+    params = CkksParams()
+    basis = basis_c(params, 7)
+    coeffs = np.random.default_rng(113).integers(
+        -(1 << 50), 1 << 50, (64, params.n_ring), dtype=np.int64)
+    lift_int_coeffs(coeffs[:1], basis)   # tables are built once, not here
+    tracemalloc.start()
+    try:
+        out = lift_int_coeffs(coeffs, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 32 << 20
+    assert peak < 42 << 20
 
 
 def test_rep_conversion_roundtrip_bitwise():

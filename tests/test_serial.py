@@ -1,5 +1,7 @@
 """Container formats: roundtrips, corruption detection, determinism."""
 
+import struct
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -167,6 +169,55 @@ def test_trailing_garbage_detected(params, ct, tmp_path):
     open(path, "wb").write(head + body)
     with pytest.raises(SerializationError, match="trailing"):
         load_ciphertext(path)
+
+
+def _scale_text(body, text):
+    (old,) = struct.unpack("<I", body[:4])
+    return struct.pack("<I", len(text)) + text + body[4 + old:]
+
+
+def _poly_at(body):
+    """Offset of the first polynomial block: after the scale text and the
+    level and slot count."""
+    return 4 + struct.unpack("<I", body[:4])[0] + 8
+
+
+def _rep_code(body):
+    body[_poly_at(body)] = 2
+    return body
+
+
+def _word_at_modulus(body):
+    at = _poly_at(body)
+    (nlimbs,) = struct.unpack("<H", body[at + 1:at + 3])
+    q = body[at + 7:at + 15]                 # the first limb's modulus
+    words = at + 7 + 16 * nlimbs
+    body[words:words + 8] = q
+    return body
+
+
+@pytest.mark.parametrize("edit, what", [
+    (lambda b: _scale_text(b, b"\xff\xfe/1"), "UTF-8"),
+    (lambda b: _scale_text(b, b"1/0"), "malformed fraction"),
+    (_rep_code, "representation code 2"),
+    (_word_at_modulus, "not below their modulus"),
+], ids=["utf8", "zero-denominator", "rep-code", "word-at-q"])
+def test_crafted_ciphertext_raises_serialization_error(tiny_params, tiny_sk,
+                                                       tmp_path, edit, what):
+    """A body the checksum accepts but the loader must not: its own error
+    type, naming the file."""
+    rng = np.random.default_rng(131)
+    ct = encrypt(tiny_params, encode(tiny_params, message(tiny_params, rng)),
+                 tiny_sk, rng)
+    path = str(tmp_path / "crafted.ct")
+    save_ciphertext(path, ct)
+    raw = open(path, "rb").read()
+    body = bytes(edit(bytearray(raw[16:])))
+    with open(path, "wb") as f:
+        f.write(raw[:12] + struct.pack("<I", zlib.crc32(body)) + body)
+    with pytest.raises(SerializationError, match="crafted.ct") as info:
+        load_ciphertext(path)
+    assert what in str(info.value)
 
 
 # ---------------------------------------------------------------------------
