@@ -14,7 +14,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,28 +53,15 @@ ANALYTIC_SCHEDULE = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    seed: int
-    params_path: str | None
-    variant: str
-    profile: str
-    out: str | None
-    analytic_only: bool
-    n: int
-    k: int
-
-
 def _note(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _load_params(cfg: RunConfig) -> tuple[CkksParams, int]:
-    if cfg.params_path is None:
-        return CkksParams(), cfg.seed
-    params, file_seed = serial.read_params(cfg.params_path)
-    seed = file_seed if file_seed is not None and cfg.seed == 0 else cfg.seed
+def _load_params(args: argparse.Namespace) -> tuple[CkksParams, int]:
+    if args.params_path is None:
+        return CkksParams(), args.seed
+    params, file_seed = serial.read_params(args.params_path)
+    seed = file_seed if file_seed is not None and args.seed == 0 else args.seed
     return params, seed
 
 
@@ -239,8 +225,8 @@ def _check_cost_pins(params, rng):
     assert abs(shares.bconv_share - 0.342) < 0.03
 
 
-def cmd_selftest(cfg: RunConfig) -> int:
-    params, seed = _load_params(cfg)
+def cmd_selftest(args: argparse.Namespace) -> int:
+    params, seed = _load_params(args)
     t0 = time.perf_counter()
     rng = np.random.default_rng([seed, 0xC0FFEE])
     _note("selftest: generating keys")
@@ -287,7 +273,7 @@ def cmd_selftest(cfg: RunConfig) -> int:
             lines.append(f"check {name}: FAIL ({e})")
         _note(f"selftest: {name} done at {time.perf_counter() - t0:.2f}s")
     lines.append(f"result: {len(checks) - failures}/{len(checks)} passed")
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 1 if failures else 0
 
 
@@ -318,17 +304,17 @@ def _fig4_lines(profile: ParamProfile) -> list[str]:
     return lines
 
 
-def cmd_hdft(cfg: RunConfig) -> int:
-    params, seed = _load_params(cfg)
+def cmd_hdft(args: argparse.Namespace) -> int:
+    params, seed = _load_params(args)
     lines = [REPORT_SCHEMA, "command: hdft", f"seed: {seed}",
-             f"variant: {cfg.variant}", f"profile: {cfg.profile}"]
-    if cfg.analytic_only:
+             f"variant: {args.variant}", f"profile: {args.profile}"]
+    if args.analytic_only:
         lines.append("mode: analytic")
-        lines.extend(_fig4_lines(PROFILES[cfg.profile]))
-        _emit(lines, cfg.out)
+        lines.extend(_fig4_lines(PROFILES[args.profile]))
+        _emit(lines, args.out)
         return 0
 
-    size, k = cfg.n, cfg.k
+    size, k = args.n, args.k
     split = _split_for(k)
     lines.append(f"mode: executed (size={size} k={k} split={split})")
     rng = np.random.default_rng([seed, 0xD1F7])
@@ -347,14 +333,14 @@ def cmd_hdft(cfg: RunConfig) -> int:
     ct = encrypt(params, encode(params, np.resize(v, params.n_slots)), sk,
                  rng)
     ct.slots = size
-    steps = set(inv.required_steps(cfg.variant)) \
-        | set(fwd.required_steps(cfg.variant))
+    steps = set(inv.required_steps(args.variant)) \
+        | set(fwd.required_steps(args.variant))
     keys = make_rotation_keys(params, sk, steps, rng)
     _note(f"hdft: setup took {time.perf_counter() - t0:.2f}s")
 
     log = EvkUsageLog()
-    mid = hdft_apply(params, ct, inv, keys, cfg.variant, log)
-    out = hdft_apply(params, mid, fwd, keys, cfg.variant, log)
+    mid = hdft_apply(params, ct, inv, keys, args.variant, log)
+    out = hdft_apply(params, mid, fwd, keys, args.variant, log)
     got = slot_values(params, out, sk)[:size]
     err = float(np.max(np.abs(got - v)))
     bound = params.budgets.bootstrap
@@ -377,23 +363,23 @@ def cmd_hdft(cfg: RunConfig) -> int:
 
     desk = _profile_for(params, "desk")
     for label, plan in ((IDFT, inv), (DFT, fwd)):
-        rep = hdft_pass_cost(PassShape.from_plan(plan), desk, cfg.variant,
+        rep = hdft_pass_cost(PassShape.from_plan(plan), desk, args.variant,
                              usage=log)
         lines.append(f"measured cost {label}: offchip_bytes "
                      f"{rep.offchip_bytes} mults {rep.modular_mults} "
                      f"evk_loads {rep.evk_loads} "
                      f"ops_per_byte {rep.ops_per_byte:.3f}")
-    profile = PROFILES["ark" if cfg.profile == "desk" else cfg.profile]
+    profile = PROFILES["ark" if args.profile == "desk" else args.profile]
     lines.append(f"analytic profile: {profile.name}")
     lines.extend(_fig4_lines(profile))
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 0 if ok else 1
 
 
 # ---------------------------------------------------------------------------
 # sizes: static data-size table with pass/fail cells.
 
-def cmd_sizes(cfg: RunConfig) -> int:
+def cmd_sizes(args: argparse.Namespace) -> int:
     lines = [REPORT_SCHEMA, "command: sizes"]
     failures = 0
     mib = 1 << 20
@@ -412,30 +398,30 @@ def cmd_sizes(cfg: RunConfig) -> int:
             f"({in_mb[0]:.2f}/{in_mb[1]:.2f}/{in_mb[2]:.2f} MB) "
             f"(expect {expect[0]:g}/{expect[1]:g}/{expect[2]:g} MiB) "
             f"{'ok' if ok else 'FAIL'}")
-    desk = _profile_for(_load_params(cfg)[0], "desk")
+    desk = _profile_for(_load_params(args)[0], "desk")
     got = data_sizes(desk)
     lines.append(f"row desk: plaintext {got.plaintext_bytes} "
                  f"ciphertext {got.ciphertext_bytes} "
                  f"evk {got.evk_bytes} bytes")
     lines.append(f"result: {4 - failures}/4 rows match")
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 1 if failures else 0
 
 
 # ---------------------------------------------------------------------------
 # keygen: write key material and parameter files.
 
-def cmd_keygen(cfg: RunConfig) -> int:
-    params, seed = _load_params(cfg)
-    out_dir = cfg.out or "rnsckks-keys"
+def cmd_keygen(args: argparse.Namespace) -> int:
+    params, seed = _load_params(args)
+    out_dir = args.out or "rnsckks-keys"
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng([seed, 0x5EC2E7])
     t0 = time.perf_counter()
     sk = keygen(params, rng)
     relin = make_relin_key(params, sk, rng)
-    plan = build_dft_plan(params, IDFT, size=cfg.n, k=cfg.k,
-                          split=_split_for(cfg.k))
-    steps = sorted(set(plan.required_steps(cfg.variant)))
+    plan = build_dft_plan(params, IDFT, size=args.n, k=args.k,
+                          split=_split_for(args.k))
+    steps = sorted(set(plan.required_steps(args.variant)))
     keys = make_rotation_keys(params, sk, steps, rng)
     _note(f"keygen: generated in {time.perf_counter() - t0:.2f}s")
 
@@ -467,8 +453,8 @@ def cmd_keygen(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # bench: deterministic op counts on stdout, wall times on stderr.
 
-def cmd_bench(cfg: RunConfig) -> int:
-    params, seed = _load_params(cfg)
+def cmd_bench(args: argparse.Namespace) -> int:
+    params, seed = _load_params(args)
     rng = np.random.default_rng([seed, 0xBE7C4])
     profile = _profile_for(params, "desk")
     lines = [REPORT_SCHEMA, "command: bench", f"seed: {seed}"]
@@ -504,7 +490,7 @@ def cmd_bench(cfg: RunConfig) -> int:
         _note(f"bench: {name} {best * 1e3:.2f} ms")
     lines.append(f"ops timed: {' '.join(name for name, _ in timings)}")
     lines.append("timings: stderr (wall clock, not part of the report)")
-    _emit(lines, cfg.out)
+    _emit(lines, args.out)
     return 0
 
 
@@ -550,15 +536,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(command=args.command, seed=args.seed,
-                    params_path=args.params_path, variant=args.variant,
-                    profile=args.profile, out=args.out,
-                    analytic_only=args.analytic_only, n=args.n, k=args.k)
     handler = {"selftest": cmd_selftest, "hdft": cmd_hdft,
                "sizes": cmd_sizes, "keygen": cmd_keygen,
-               "bench": cmd_bench}[cfg.command]
+               "bench": cmd_bench}[args.command]
     try:
-        return handler(cfg)
+        return handler(args)
     except SerializationError as e:
         _note(f"error: {e}")
         return 2

@@ -27,6 +27,14 @@ Two execution styles share a plan:
                 extended to the working basis on the fly; the extension is
                 bit-identical to full precomputation whenever the
                 coefficients fit the seed prime.
+
+Every rotation of a pass is one logged step under a key id: it records
+the amount the schedule prescribes and the id, then rotates by
+step = id mod size under the key held for that step (none for a step of
+0, which leaves the ciphertext as it is).  The baseline's ids are its
+scheduled amounts, so a scheduled no-op still counts as a key load; the
+minks baby chain and giant fold each use their one stride as the id, and
+each fix-up rotation uses id 1.
 """
 
 from __future__ import annotations
@@ -41,11 +49,12 @@ from .ckks import (Ciphertext, CkksParams, EvaluationKey, Plaintext,
                    SecretKey, basis_c, decode, decrypt, encode,
                    encode_diagonal_batch, encrypt, hadd, hrescale, hrot,
                    modulus_chain, pmult, slots_to_coeffs)
+from .costmodel import VARIANTS
 from .embedding import stage_twiddles
 from .errors import ConfigurationError, MissingKeyError, SeedRangeError
 from .modmath import U64
-from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, bconv_routine,
-                      lift_int_coeffs, make_base_table, poly_from_int_coeffs)
+from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, lift_int_coeffs,
+                      poly_from_int_coeffs, transform_limbs)
 
 DFT = "dft"       # coefficients to slot values
 IDFT = "idft"     # slot values back to coefficients
@@ -394,88 +403,34 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Rotation helpers.
-
-def minks_rotations(params: CkksParams, ct: Ciphertext, r: int, m: int,
-                    evk: EvaluationKey, log: EvkUsageLog | None = None,
-                    transform: str = "", stage: int = 0) -> list[Ciphertext]:
-    """[rot(ct, r), rot(ct, 2r), ..., rot(ct, m*r)] chained through one key."""
-    out = []
-    cur = ct
-    for i in range(1, m + 1):
-        cur = hrot(params, cur, r, evk)
-        if log is not None:
-            log.note_rotation(transform, stage, i * r, r)
-        out.append(cur)
-    return out
-
-
-def minks_rotate_accumulate(params: CkksParams, cts: list, r: int,
-                            evk: EvaluationKey, log: EvkUsageLog | None = None,
-                            transform: str = "",
-                            stage: int = 0) -> Ciphertext:
-    """sum_i rot(cts[i], i*r), folded as acc <- rot(acc, r) + ct through one
-    key.  None entries contribute nothing but still advance the fold."""
-    acc = cts[-1]
-    for t in reversed(cts[:-1]):
-        if acc is not None:
-            acc = hrot(params, acc, r, evk)
-            if log is not None:
-                log.note_rotation(transform, stage, r, r)
-        if t is not None:
-            acc = t if acc is None else hadd(acc, t)
-    return acc
-
-
-def _rotation_key(keys: dict[int, EvaluationKey], step: int) -> EvaluationKey:
-    if step not in keys:
-        raise MissingKeyError(f"no rotation key for step {step}")
-    return keys[step]
-
-
-def _keyed_rotate(params, ct, amount, keys, size, log, transform, stage):
-    """Rotate by a scheduled amount under per-amount keys (baseline path).
-
-    A zero amount prescribes no rotation and is not logged.  A nonzero
-    amount is logged verbatim; one that reduces to zero modulo the slot
-    count is a physical no-op yet still accounts for its key load.
-    """
-    if amount == 0:
-        return ct
-    phys = amount % size
-    if log is not None:
-        log.note_rotation(transform, stage, amount, amount,
-                          performed=phys != 0)
-    if phys == 0:
-        return ct
-    return hrot(params, ct, phys, _rotation_key(keys, phys))
-
-
-def _single_rotate(params, ct, step, keys, log, transform, stage):
-    """One fix-up rotation through an already-held key (grouped path)."""
-    if log is not None:
-        log.note_rotation(transform, stage, step, step)
-    return hrot(params, ct, step, _rotation_key(keys, step))
-
-
-# ---------------------------------------------------------------------------
 # Plan execution.
 
 def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
                keys: dict[int, EvaluationKey], variant: str = "minks",
                log: EvkUsageLog | None = None) -> Ciphertext:
     """Evaluate the planned transform, one stage per level."""
-    if variant not in ("baseline", "minks", "minks-oflimb"):
+    if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
+    log = EvkUsageLog() if log is None else log
     label = plan.direction
     consts = plan.stage_constants(variant)
     big = 1 << plan.k1
     grouped = variant != "baseline"
 
+    def rotate(ct: Ciphertext, stage: int, evk_id: int,
+               amount: int) -> Ciphertext:
+        step = evk_id % plan.size
+        log.note_rotation(label, stage, amount, evk_id, performed=step != 0)
+        if step == 0:
+            return ct
+        if step not in keys:
+            raise MissingKeyError(f"no rotation key for step {step}")
+        return hrot(params, ct, step, keys[step])
+
     if grouped and plan.direction == DFT and not plan.stages[0].center_only:
         # Entry fix-up: +1 makes the stage residuals sum to a full cycle.
         # The stride-1 key is stage 0's own baby key.
-        ct = _single_rotate(params, ct, 1, keys, log, label, 0)
+        ct = rotate(ct, 0, 1, 1)
 
     for s, st in enumerate(plan.stages):
         if ct.level != st.level:
@@ -484,54 +439,52 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
         cmap = consts[s]
         if variant == "minks-oflimb":
             cmap = _extend_stage_seeds(params, cmap, st.level)
-        if st.center_only:
-            if log is not None:
-                log.note_pmult(label, s)
-            ct = hrescale(params, pmult(ct, cmap[(0, 0)]))
-            continue
-        gee = (big * st.g) % plan.size
-        if grouped:
-            babies = [ct] + minks_rotations(
-                params, ct, st.g % plan.size, (1 << plan.k1) - 1,
-                _rotation_key(keys, st.g % plan.size), log, label, s)
-        else:
-            pre = _keyed_rotate(params, ct, -(1 << plan.k) * st.g, keys,
-                                plan.size, log, label, s)
-            babies = [pre]
-            for i1 in range(1, 1 << plan.k1):
-                babies.append(_keyed_rotate(params, pre, i1 * st.g, keys,
-                                            plan.size, log, label, s))
+        babies = [ct]
+        if not st.center_only:
+            if not grouped:
+                pre = -(1 << plan.k) * st.g
+                babies = [rotate(ct, s, pre, pre)]
+            for i1 in range(1, big):
+                if grouped:     # chained through the one stride-g key
+                    babies.append(rotate(babies[-1], s, st.g, i1 * st.g))
+                else:
+                    babies.append(rotate(babies[0], s, i1 * st.g, i1 * st.g))
+        log.note_pmult(label, s, len(cmap))
         inners = []
         for i2 in range(1 << plan.k2):
             inner = None
-            for i1 in range(1 << plan.k1):
+            for i1 in range(big):
                 pt = cmap.get((i1, i2))
                 if pt is None:
                     continue
                 term = pmult(babies[i1], pt)
-                if log is not None:
-                    log.note_pmult(label, s)
                 inner = term if inner is None else hadd(inner, term)
             inners.append(inner)
         if grouped:
-            acc = minks_rotate_accumulate(params, inners, gee,
-                                          _rotation_key(keys, gee),
-                                          log, label, s)
+            # Horner: acc <- rot(acc, G) + inner through the one stride-G
+            # key; an empty row adds nothing but still advances the fold.
+            gee = (big * st.g) % plan.size
+            acc = inners[-1]
+            for inner in reversed(inners[:-1]):
+                if acc is not None:
+                    acc = rotate(acc, s, gee, gee)
+                if inner is not None:
+                    acc = inner if acc is None else hadd(acc, inner)
         else:
             acc = None
             for i2, inner in enumerate(inners):
                 if inner is None:
                     continue
-                term = _keyed_rotate(params, inner, i2 * big * st.g, keys,
-                                     plan.size, log, label, s)
-                acc = term if acc is None else hadd(acc, term)
+                if i2:
+                    inner = rotate(inner, s, i2 * big * st.g,
+                                   i2 * big * st.g)
+                acc = inner if acc is None else hadd(acc, inner)
         ct = hrescale(params, acc)
 
     if grouped and plan.direction == IDFT \
             and not plan.stages[-1].center_only:
         # Exit fix-up; the stride-1 key is the last stage's own baby key.
-        ct = _single_rotate(params, ct, 1, keys, log, label,
-                            len(plan.stages) - 1)
+        ct = rotate(ct, len(plan.stages) - 1, 1, 1)
     return ct
 
 
@@ -544,26 +497,26 @@ def mod_raise(params: CkksParams, ct: Ciphertext,
 
     The lift is plain: viewed over the larger modulus, the underlying
     plaintext gains q0 times a small integer polynomial that a later
-    slot-wise reduction must remove.
+    slot-wise reduction must remove.  The q0 limbs of c0 and c1 are
+    inverse-transformed together, centered, and lifted into the other
+    primes; the q0 limbs themselves are kept as they are.
     """
     if ct.level != 0:
         raise ConfigurationError("mod raise expects a level-0 ciphertext")
     level = params.levels if level is None else level
     if level <= 0:
         raise ConfigurationError("mod raise must increase the level")
-    src = ct.c0.basis
     target = basis_c(params, level)
-    rest = LimbBasis(target.primes[1:])
-    table = make_base_table(src, rest)
-
-    def raise_poly(p):
-        limbs = np.empty((len(target), params.n_ring), dtype=U64)
-        limbs[0] = p.limbs[0]
-        limbs[1:] = bconv_routine(p, table).limbs
-        return RnsPolynomial(target, EVAL, limbs)
-
-    return Ciphertext(raise_poly(ct.c0), raise_poly(ct.c1), ct.scale, level,
-                      ct.slots)
+    q0 = target.primes[0].q
+    limbs = np.empty((len(target), 2, params.n_ring), dtype=U64)
+    limbs[:1] = np.stack([ct.c0.to_eval().limbs, ct.c1.to_eval().limbs],
+                         axis=1)
+    low = transform_limbs(limbs[:1], ct.c0.basis, "inverse")[0]
+    centered = low.view(np.int64) - (low > U64(q0 // 2)) * np.int64(q0)
+    limbs[1:] = lift_int_coeffs(centered, LimbBasis(target.primes[1:]))
+    return Ciphertext(RnsPolynomial(target, EVAL, limbs[:, 0]),
+                      RnsPolynomial(target, EVAL, limbs[:, 1]), ct.scale,
+                      level, ct.slots)
 
 
 def slotwise_mod_reference(params: CkksParams, ct: Ciphertext, sk: SecretKey,

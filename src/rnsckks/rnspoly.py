@@ -6,8 +6,8 @@ or evaluation (NTT) representation.  Base conversion follows the textbook
 approximate form: out_i = sum_j ([P]_{p_j} * phat_j^{-1} mod p_j) * phat_j
 mod q_i, read with signed step-1 residues, which may add an integer
 multiple k * P_src, |k| <= ceil(|source| / 2); callers rely on that slack
-being annihilated downstream (key-switching), bounded (ModDown) or
-irrelevant (mod raise).  From a single prime there is no slack.
+being annihilated downstream (key-switching) or bounded (ModDown).
+From a single prime there is no slack.
 
 Several polynomials over one basis stack as limbs shaped (L, ..., N): the
 leading axis is the prime, so each prime's rows sit together and
@@ -102,10 +102,6 @@ def transform_limbs(limbs: np.ndarray, basis: LimbBasis, direction: str,
     for i, p in enumerate(basis):
         out[i] = ntt(limbs[i], p, direction)
     return out
-
-
-def zero_poly(basis: LimbBasis, n: int, rep: str = COEFF) -> RnsPolynomial:
-    return RnsPolynomial(basis, rep, np.zeros((len(basis), n), dtype=U64))
 
 
 def _int_residues(coeffs, basis: LimbBasis) -> np.ndarray:
@@ -321,13 +317,6 @@ def base_convert(p: RnsPolynomial, table: BaseTable) -> RnsPolynomial:
                           qi, small=True)
         out[i] = mod_sub(_bconv_accumulate(v, table, i), shift, qi)
     return RnsPolynomial(table.target, COEFF, out)
-
-
-def bconv_routine(p: RnsPolynomial, table: BaseTable) -> RnsPolynomial:
-    """INTT -> base conversion -> NTT: the evaluation-rep conversion unit."""
-    if p.rep != EVAL:
-        raise RepresentationError("bconv routine expects evaluation rep")
-    return base_convert(p.to_coeff(), table).to_eval()
 
 
 # ---------------------------------------------------------------------------

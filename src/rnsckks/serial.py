@@ -193,6 +193,11 @@ def _get_poly(cur: _Cursor) -> RnsPolynomial:
 # ---------------------------------------------------------------------------
 # Scheme objects.
 
+def _check_level(cur: _Cursor, level: int, poly: RnsPolynomial):
+    if level != len(poly.basis) - 1:
+        cur.fail(f"level {level} does not match {len(poly.basis)} limbs")
+
+
 def save_plaintext(path: str, pt: Plaintext):
     body = _Body()
     body.put_fraction(pt.scale)
@@ -207,6 +212,7 @@ def load_plaintext(path: str) -> Plaintext:
     level, slots = cur.unpack("iI")
     poly = _get_poly(cur)
     cur.done()
+    _check_level(cur, level, poly)
     return Plaintext(poly, scale, level, slots)
 
 
@@ -226,6 +232,9 @@ def load_ciphertext(path: str) -> Ciphertext:
     c0 = _get_poly(cur)
     c1 = _get_poly(cur)
     cur.done()
+    if c1.basis != c0.basis:
+        cur.fail("c0 and c1 lie over different bases")
+    _check_level(cur, level, c0)
     return Ciphertext(c0, c1, scale, level, slots)
 
 
@@ -436,7 +445,13 @@ def read_usage_log(path: str) -> EvkUsageLog:
         except ValueError:
             raise SerializationError(f"line {lineno}: malformed numbers",
                                      path)
-        log.entries.append(entry)
-        if entry.op == "hrot":
-            log._seen.add((entry.transform, entry.stage, entry.evk_id))
+        # Replayed, so the load/reuse state is the one the entries imply.
+        if op == "hrot":
+            log.note_rotation(entry.transform, entry.stage, entry.amount,
+                              entry.evk_id, entry.performed)
+        else:
+            log.note_pmult(entry.transform, entry.stage)
+        if log.entries[-1] != entry:
+            raise SerializationError(
+                f"line {lineno}: record does not replay as logged", path)
     return log

@@ -5,17 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rnsckks.ckks import basis_c, encode, encrypt, modulus_chain, slot_values
+from rnsckks.ckks import (basis_c, encode, encrypt, make_rotation_keys,
+                          modulus_chain, slot_values)
 from rnsckks.embedding import packed_to_slots
 from rnsckks.errors import (ConfigurationError, MissingKeyError,
                             SeedRangeError)
 from rnsckks.hdft import (DFT, IDFT, DftPlan, EvkUsageLog, PlanStage,
                           bootstrap, build_dft_plan, diag_apply, diag_product,
                           hdft_apply, make_plaintext_seed, merge_factors,
-                          minks_rotate_accumulate, minks_rotations, mod_raise,
-                          of_limb_extend, radix2_factor)
+                          mod_raise, of_limb_extend, radix2_factor)
 from rnsckks.ntt import bit_reverse_permutation
-from rnsckks.rnspoly import EVAL, poly_from_int_coeffs
+from rnsckks.rnspoly import (EVAL, LimbBasis, base_convert, make_base_table,
+                             poly_from_int_coeffs)
 
 
 def rel_error(got, want):
@@ -264,45 +265,58 @@ def test_apply_requires_keys(params, sk, message_plans):
 
 
 # ---------------------------------------------------------------------------
-# Grouped-rotation helpers.
+# Rotation schedules through hdft_apply.
 
-def test_chained_rotations_share_one_key(params, sk, rot_keys):
+def test_minks_logs_chained_amounts_under_one_id(params, sk):
+    """Per stage: baby amounts g, 2g, ..., (2^k1 - 1) g under id g, then
+    giant amounts G under id G; the pass closes with one stride-1 fix-up."""
+    plan = build_dft_plan(params, IDFT, size=64, k=3, split=(2, 2))
+    keys = make_rotation_keys(params, sk, plan.required_steps("minks"),
+                              np.random.default_rng([7, 6]))
     rng = np.random.default_rng(61)
     v = random_message(params, rng)
     ct = encrypt(params, encode(params, v), sk, rng)
     log = EvkUsageLog()
-    outs = minks_rotations(params, ct, 2, 3, rot_keys[2], log, "probe", 0)
-    budget = params.budgets.fresh * params.budgets.rotate_factor * 4
-    for i, out in enumerate(outs, start=1):
-        assert rel_error(slot_values(params, out, sk),
-                         np.roll(v, -2 * i)) < budget
-    assert (log.loads("probe"), log.reuses("probe")) == (1, 2)
-    assert [e.amount for e in log.entries] == [2, 4, 6]
-    assert all(e.evk_id == 2 for e in log.entries)
+    out = hdft_apply(params, ct, plan, keys, "minks", log)
+    assert rel_error(slot_values(params, out, sk), plan_reference(plan, v)) \
+        < params.budgets.multiply * params.budgets.rotate_factor
+    big = 1 << plan.k1
+    for s, st in enumerate(plan.stages):
+        rots = [(e.amount, e.evk_id) for e in log.entries
+                if e.op == "hrot" and e.stage == s]
+        gee = big * st.g
+        want = [(i * st.g, st.g) for i in range(1, big)] \
+            + [(gee, gee)] * ((1 << plan.k2) - 1)
+        if s == len(plan.stages) - 1:
+            want.append((1, 1))
+        assert rots == want
+        assert log.loads_by_stage(IDFT)[s] == 2
 
 
-def test_rotate_accumulate_matches_naive_sum(params, sk, rot_keys):
-    rng = np.random.default_rng(67)
-    vs = [random_message(params, rng) for _ in range(4)]
-    cts = [encrypt(params, encode(params, v), sk, rng) for v in vs]
-    log = EvkUsageLog()
-    acc = minks_rotate_accumulate(params, cts, 2, rot_keys[2], log,
-                                  "probe", 0)
-    want = sum(np.roll(v, -2 * i) for i, v in enumerate(vs))
-    budget = params.budgets.fresh * params.budgets.rotate_factor * 8
-    assert rel_error(slot_values(params, acc, sk), want) < budget
-    assert (log.loads("probe"), log.reuses("probe")) == (1, 2)
-
-
-def test_rotate_accumulate_skips_missing_terms(params, sk, rot_keys):
+@pytest.mark.parametrize("variant", ["baseline", "minks"])
+def test_empty_giant_row_matches_reference(params, sk, rot_keys, variant):
+    """A giant row with no populated diagonal adds nothing, and the minks
+    fold still rotates past it."""
+    plan = build_dft_plan(params, DFT, size=4, k=2, split=(1, 2),
+                          levels=[params.levels])
+    st = plan.stages[0]
+    # Row i2 = 1 of both rectangles: diagonals 1, 2 for the baseline,
+    # 2, 3 for minks.
+    st.diags[1] = st.diags[2] = st.diags[3] = None
     rng = np.random.default_rng(71)
-    vs = [random_message(params, rng) for _ in range(4)]
-    cts = [encrypt(params, encode(params, v), sk, rng) for v in vs]
-    cts[1] = None
-    acc = minks_rotate_accumulate(params, cts, 2, rot_keys[2])
-    want = sum(np.roll(v, -2 * i) for i, v in enumerate(vs) if i != 1)
-    budget = params.budgets.fresh * params.budgets.rotate_factor * 8
-    assert rel_error(slot_values(params, acc, sk), want) < budget
+    v = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+    ct = encrypt(params, encode(params, np.resize(v, params.n_slots)), sk,
+                 rng)
+    log = EvkUsageLog()
+    out = hdft_apply(params, ct, plan, rot_keys, variant, log)
+    want = diag_apply(stage_matrix(st, plan.k), v)
+    got = slot_values(params, out, sk)
+    assert rel_error(got, np.resize(want, params.n_slots)) \
+        < params.budgets.multiply * params.budgets.rotate_factor
+    assert log.pmult_ops() == 4
+    if variant == "minks":
+        giants = [e for e in log.entries if e.op == "hrot" and e.evk_id == 2]
+        assert len(giants) == (1 << plan.k2) - 1
 
 
 def test_center_only_stage_multiplies_in_place(params, sk):
@@ -403,6 +417,24 @@ def test_mod_raise_congruence(params, sk):
         assert rem == 0
         worst = max(worst, abs(quot))
     assert 0 < worst <= params.n_ring
+
+
+def test_mod_raise_is_centered_base_conversion(params, sk):
+    """The raised limbs are those of the evaluation-rep base conversion
+    from q0: to coefficients, convert, back to evaluation."""
+    rng = np.random.default_rng(97)
+    ct = encrypt(params, encode(params, random_message(params, rng),
+                                level=0), sk, rng)
+    q0 = basis_c(params, 0)
+    for level in (1, 3, params.levels):
+        raised = mod_raise(params, ct, level)
+        rest = LimbBasis(basis_c(params, level).primes[1:])
+        table = make_base_table(q0, rest)
+        for got, low in ((raised.c0, ct.c0), (raised.c1, ct.c1)):
+            want = base_convert(low.to_coeff(), table).to_eval()
+            assert got.basis == basis_c(params, level)
+            assert np.array_equal(got.limbs[0], low.limbs[0])
+            assert np.array_equal(got.limbs[1:], want.limbs)
 
 
 def test_mod_raise_level_guards(params, sk):

@@ -13,10 +13,9 @@ from rnsckks.modmath import U64, PrimeModulus, generate_ntt_primes
 from rnsckks.ntt import ntt
 from rnsckks.rnspoly import (COEFF, EVAL, BaseTable, LimbBasis,
                              RnsPolynomial, automorphism, base_convert,
-                             bconv_routine, crt_reconstruct,
-                             lift_int_coeffs, make_base_table,
-                             poly_from_int_coeffs, rp_add, rp_mul, rp_neg,
-                             rp_scalar_mul_per_limb, rp_sub, zero_poly)
+                             crt_reconstruct, lift_int_coeffs,
+                             make_base_table, poly_from_int_coeffs, rp_add,
+                             rp_mul, rp_neg, rp_scalar_mul_per_limb, rp_sub)
 
 
 def make_basis(bits, count, two_n, skip=()):
@@ -157,12 +156,6 @@ def test_mismatched_operands_rejected():
         rp_mul(a.to_eval(), random_poly(BASIS64, 32, rng))
 
 
-def test_zero_poly():
-    z = zero_poly(BASIS64, 16)
-    assert z.rep == COEFF
-    assert not z.limbs.any()
-
-
 # ---------------------------------------------------------------------------
 # Base conversion.
 
@@ -206,16 +199,13 @@ def test_base_convert_matches_crt_with_slack(n):
         assert max(abs(k) for k in ks) <= len(src) // 2 + 1
 
 
-def test_bconv_routine_is_intt_bconv_ntt():
+def test_base_convert_rejects_wrong_input():
     src = make_basis(40, 3, 128)
     tgt = make_basis(59, 4, 128, skip=tuple(p.q for p in src))
     table = make_base_table(src, tgt)
     p = random_poly(src, 64, np.random.default_rng(107), rep=COEFF)
-    via_routine = bconv_routine(p.to_eval(), table)
-    direct = base_convert(p, table).to_eval()
-    assert np.array_equal(via_routine.limbs, direct.limbs)
     with pytest.raises(RepresentationError):
-        bconv_routine(p, table)
+        base_convert(p.to_eval(), table)
     with pytest.raises(BasisMismatchError):
         base_convert(random_poly(tgt, 64, np.random.default_rng(1)), table)
 

@@ -2,13 +2,14 @@
 
 import struct
 import zlib
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from rnsckks.ckks import (decrypt, encode, encrypt, make_rotation_key,
-                          slot_values)
+                          mod_drop, slot_values)
 from rnsckks.errors import SerializationError
 from rnsckks.hdft import IDFT, EvkUsageLog, build_dft_plan
 from rnsckks.serial import (EVKLOG_SCHEMA, PARAMS_SCHEMA, PlanSeeds,
@@ -196,12 +197,19 @@ def _word_at_modulus(body):
     return body
 
 
+def _level_99(body):
+    at = _poly_at(body) - 8
+    body[at:at + 4] = struct.pack("<i", 99)
+    return body
+
+
 @pytest.mark.parametrize("edit, what", [
     (lambda b: _scale_text(b, b"\xff\xfe/1"), "UTF-8"),
     (lambda b: _scale_text(b, b"1/0"), "malformed fraction"),
     (_rep_code, "representation code 2"),
     (_word_at_modulus, "not below their modulus"),
-], ids=["utf8", "zero-denominator", "rep-code", "word-at-q"])
+    (_level_99, "level 99"),
+], ids=["utf8", "zero-denominator", "rep-code", "word-at-q", "level"])
 def test_crafted_ciphertext_raises_serialization_error(tiny_params, tiny_sk,
                                                        tmp_path, edit, what):
     """A body the checksum accepts but the loader must not: its own error
@@ -218,6 +226,20 @@ def test_crafted_ciphertext_raises_serialization_error(tiny_params, tiny_sk,
     with pytest.raises(SerializationError, match="crafted.ct") as info:
         load_ciphertext(path)
     assert what in str(info.value)
+
+
+def test_loaders_check_level_against_limbs(tiny_params, tiny_sk, tmp_path):
+    rng = np.random.default_rng(137)
+    pt = encode(tiny_params, message(tiny_params, rng))
+    ct = encrypt(tiny_params, pt, tiny_sk, rng)
+    path = str(tmp_path / "off.pt")
+    save_plaintext(path, replace(pt, level=pt.level - 1))
+    with pytest.raises(SerializationError, match="does not match"):
+        load_plaintext(path)
+    path = str(tmp_path / "mixed.ct")
+    save_ciphertext(path, replace(ct, c1=mod_drop(tiny_params, ct, 0).c1))
+    with pytest.raises(SerializationError, match="different bases"):
+        load_ciphertext(path)
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +314,8 @@ def test_usage_log_roundtrip(tmp_path):
     ("hrot idft 0 64 64 load", "expected 7 fields"),
     ("spin idft 0 64 64 load 1", "malformed record"),
     ("hrot idft zero 64 64 load 1", "malformed numbers"),
+    ("hrot idft 0 64 64 reuse 1", "does not replay"),
+    ("pmult idft 0 0 0 load 1", "does not replay"),
 ])
 def test_usage_log_rejects_malformed(tmp_path, body, what):
     path = str(tmp_path / "bad.evklog")
