@@ -267,9 +267,9 @@ def test_apply_requires_keys(params, sk, message_plans):
 # ---------------------------------------------------------------------------
 # Rotation schedules through hdft_apply.
 
-def test_minks_logs_chained_amounts_under_one_id(params, sk):
-    """Per stage: baby amounts g, 2g, ..., (2^k1 - 1) g under id g, then
-    giant amounts G under id G; the pass closes with one stride-1 fix-up."""
+@pytest.fixture(scope="module")
+def minks_chain_run(params, sk):
+    """One minks IDFT pass (size 64, k=3, split (2, 2)) with its log."""
     plan = build_dft_plan(params, IDFT, size=64, k=3, split=(2, 2))
     keys = make_rotation_keys(params, sk, plan.required_steps("minks"),
                               np.random.default_rng([7, 6]))
@@ -278,19 +278,42 @@ def test_minks_logs_chained_amounts_under_one_id(params, sk):
     ct = encrypt(params, encode(params, v), sk, rng)
     log = EvkUsageLog()
     out = hdft_apply(params, ct, plan, keys, "minks", log)
-    assert rel_error(slot_values(params, out, sk), plan_reference(plan, v)) \
-        < params.budgets.multiply * params.budgets.rotate_factor
+    return plan, v, out, log
+
+
+def test_chained_rotations_share_one_key(minks_chain_run):
+    """Per stage: baby amounts g, 2g, ..., (2^k1 - 1) g under id g, then
+    giant amounts G under id G; each id loads once per stage and every
+    later rotation under it is a reuse. The pass closes with one stride-1
+    fix-up that reuses the last stage's baby key."""
+    plan, _, _, log = minks_chain_run
     big = 1 << plan.k1
     for s, st in enumerate(plan.stages):
-        rots = [(e.amount, e.evk_id) for e in log.entries
+        rots = [(e.amount, e.evk_id, e.kind) for e in log.entries
                 if e.op == "hrot" and e.stage == s]
         gee = big * st.g
-        want = [(i * st.g, st.g) for i in range(1, big)] \
-            + [(gee, gee)] * ((1 << plan.k2) - 1)
+        want = [(i * st.g, st.g, "load" if i == 1 else "reuse")
+                for i in range(1, big)] \
+            + [(gee, gee, "load")] \
+            + [(gee, gee, "reuse")] * ((1 << plan.k2) - 2)
         if s == len(plan.stages) - 1:
-            want.append((1, 1))
+            want.append((1, 1, "reuse"))
         assert rots == want
         assert log.loads_by_stage(IDFT)[s] == 2
+
+
+def test_rotate_accumulate_matches_naive_sum(params, sk, minks_chain_run):
+    """The baby chain and Horner giant fold give, stage by stage, the naive
+    sum of every populated diagonal times the slots rolled by its offset."""
+    plan, v, out, log = minks_chain_run
+    want = v
+    for st in plan.stages:
+        want = sum(vec * np.roll(want, -off)
+                   for off, vec in stage_matrix(st, plan.k).items())
+    assert rel_error(slot_values(params, out, sk), want) \
+        < params.budgets.multiply * params.budgets.rotate_factor
+    assert log.pmult_ops(IDFT) == sum(
+        sum(1 for d in st.diags if d is not None) for st in plan.stages)
 
 
 @pytest.mark.parametrize("variant", ["baseline", "minks"])
