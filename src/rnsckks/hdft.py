@@ -24,9 +24,11 @@ Two execution styles share a plan:
                 accumulated total, always -1 mod n, is repaired by a single
                 stride-1 rotation whose key the plan already holds.
   minks-oflimb  minks with plan constants stored as single-limb seeds and
-                extended to the working basis on the fly; the extension is
-                bit-identical to full precomputation whenever the
-                coefficients fit the seed prime.
+                extended to the working basis on the fly, one giant row
+                (the cells that share i2) right before that row's pmults,
+                so at most 2^k1 widened plaintexts are alive at a time;
+                the extension is bit-identical to full precomputation
+                whenever the coefficients fit the seed prime.
 
 Every rotation of a pass is one logged step under a key id: it records
 the amount the schedule prescribes and the id, then rotates by
@@ -225,13 +227,17 @@ def of_limb_extend(params: CkksParams, seed: PlaintextSeed,
 
 
 def _seed_batch(params: CkksParams, rows: np.ndarray, scale: int,
-                tag: str) -> list[PlaintextSeed]:
-    return [make_plaintext_seed(params, c, scale, tag=f"{tag}:{r}")
+                tag: str, start: int) -> list[PlaintextSeed]:
+    """Seeds for consecutive rows of a stage, tagged by their stage-wide
+    row index, which starts at `start`."""
+    return [make_plaintext_seed(params, c, scale, tag=f"{tag}:{start + r}")
             for r, c in enumerate(slots_to_coeffs(rows, scale))]
 
 
 def _extend_stage_seeds(params: CkksParams, seeds: dict, level: int) -> dict:
-    """Batched seed extension for one stage's constants."""
+    """Batched seed extension for one giant row of a stage's constants:
+    its plaintexts are views of one lifted (L, R, N) stack, released
+    together once the row's pmults are done."""
     keys = list(seeds)
     basis = basis_c(params, level)
     stacks = lift_int_coeffs(np.stack([seeds[kk].q0_limb for kk in keys]),
@@ -328,9 +334,15 @@ class DftPlan:
                             _lroll(st.diags[di], roll % self.size), reps))
                         keys.append((i1, i2))
             if variant == "minks-oflimb":
-                entries = _seed_batch(self.params, np.array(rows),
-                                      self.const_scale,
-                                      f"{self.direction}:{s}")
+                # One giant row (the cells that share i2) per batch.
+                entries = []
+                for i2 in range(1 << self.k2):
+                    idx = [r for r, key in enumerate(keys) if key[1] == i2]
+                    if idx:
+                        entries += _seed_batch(
+                            self.params, np.array([rows[r] for r in idx]),
+                            self.const_scale, f"{self.direction}:{s}",
+                            idx[0])
             else:
                 entries = encode_diagonal_batch(self.params, np.array(rows),
                                                 st.level,
@@ -405,6 +417,15 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
 # ---------------------------------------------------------------------------
 # Plan execution.
 
+def _row_sum(babies: list[Ciphertext], row: dict) -> Ciphertext | None:
+    """One giant row's inner sum: babies[i1] times row[i1], in i1 order."""
+    inner = None
+    for i1, pt in row.items():
+        term = pmult(babies[i1], pt)
+        inner = term if inner is None else hadd(inner, term)
+    return inner
+
+
 def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
                keys: dict[int, EvaluationKey], variant: str = "minks",
                log: EvkUsageLog | None = None) -> Ciphertext:
@@ -437,8 +458,6 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
             raise ConfigurationError(
                 f"stage {s} expects level {st.level}, got {ct.level}")
         cmap = consts[s]
-        if variant == "minks-oflimb":
-            cmap = _extend_stage_seeds(params, cmap, st.level)
         babies = [ct]
         if not st.center_only:
             if not grouped:
@@ -452,14 +471,12 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
         log.note_pmult(label, s, len(cmap))
         inners = []
         for i2 in range(1 << plan.k2):
-            inner = None
-            for i1 in range(big):
-                pt = cmap.get((i1, i2))
-                if pt is None:
-                    continue
-                term = pmult(babies[i1], pt)
-                inner = term if inner is None else hadd(inner, term)
-            inners.append(inner)
+            row = {i1: cmap[i1, i2] for i1 in range(big) if (i1, i2) in cmap}
+            if variant == "minks-oflimb" and row:
+                row = _extend_stage_seeds(params, row, st.level)
+            inners.append(_row_sum(babies, row))
+        # The fold reads only the inner sums.
+        del babies, row
         if grouped:
             # Horner: acc <- rot(acc, G) + inner through the one stride-G
             # key; an empty row adds nothing but still advances the fold.

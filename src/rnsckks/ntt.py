@@ -215,29 +215,40 @@ def _inverse(x: np.ndarray, t: NttTables) -> np.ndarray:
     return np.take(x, gather, axis=-1)
 
 
-def _transform(values: np.ndarray, t: NttTables, direction: str) -> np.ndarray:
+def _transform(values: np.ndarray, t: NttTables, direction: str,
+               out: np.ndarray | None = None) -> np.ndarray:
     run = {"forward": _forward, "inverse": _inverse}.get(direction)
     if run is None:
         raise ConfigurationError(f"unknown direction {direction!r}")
     x = values.reshape(-1, t.n)
     block = max(1, BLOCK_WORDS // t.n)
-    if len(x) <= block:
-        return run(x, t).reshape(values.shape)
-    out = np.empty_like(x)
+    if out is None:
+        if len(x) <= block:
+            return run(x, t).reshape(values.shape)
+        out = np.empty(values.shape, dtype=U64)
+    elif (out.shape != values.shape or out.dtype != U64
+          or not out.flags.c_contiguous):
+        raise ConfigurationError(
+            "out must be a C-contiguous uint64 array shaped like the input")
+    # Each block reads its own rows before it writes them, so `out` may be
+    # `values` itself.
+    dest = out.reshape(-1, t.n)
     for lo in range(0, len(x), block):
-        out[lo:lo + block] = run(x[lo:lo + block], t)
-    return out.reshape(values.shape)
+        dest[lo:lo + block] = run(x[lo:lo + block], t)
+    return out
 
 
 def ntt(values: np.ndarray, mod: PrimeModulus, direction: str = "forward",
-        psi: int | None = None) -> np.ndarray:
+        psi: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """Negacyclic NTT over the last axis; direction 'forward' or 'inverse'.
 
-    Input words must be canonical, in [0, q).
+    Input words must be canonical, in [0, q).  The result goes to `out`
+    (a C-contiguous uint64 array shaped like the input, which may be the
+    input itself) or to a new array.
     """
     values = np.asarray(values, dtype=U64)
     return _transform(values, get_tables(mod, values.shape[-1], psi),
-                      direction)
+                      direction, out)
 
 
 def cyclic_ntt(values: np.ndarray, mod: PrimeModulus, direction: str,

@@ -98,9 +98,9 @@ def transform_limbs(limbs: np.ndarray, basis: LimbBasis, direction: str,
     """Limbs shaped (L, ..., N) over `basis` through the negacyclic NTT in
     `direction`, one `ntt` call per prime over all of that prime's rows.
     Writes into `out` (which may be `limbs`) or a new array."""
-    out = np.empty_like(limbs) if out is None else out
+    out = np.empty(limbs.shape, dtype=U64) if out is None else out
     for i, p in enumerate(basis):
-        out[i] = ntt(limbs[i], p, direction)
+        ntt(limbs[i], p, direction, out=out[i])
     return out
 
 
@@ -110,7 +110,7 @@ def _int_residues(coeffs, basis: LimbBasis) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.int64)
     out = np.empty((len(basis),) + coeffs.shape, dtype=U64)
     for i, p in enumerate(basis):
-        out[i] = coeffs % np.int64(p.q)
+        np.remainder(coeffs, np.int64(p.q), out=out[i].view(np.int64))
     return out
 
 

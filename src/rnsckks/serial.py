@@ -268,9 +268,19 @@ def save_evaluation_key(path: str, evk: EvaluationKey):
 def load_evaluation_key(path: str) -> EvaluationKey:
     cur = _read_container(path, KIND_EVALUATION_KEY)
     kind_code, step, npieces = cur.unpack("BqH")
+    if kind_code not in (0, 1):
+        cur.fail(f"unknown key kind code {kind_code}")
+    if npieces == 0:
+        cur.fail("evaluation key has no pieces")
     pieces = tuple((_get_poly(cur), _get_poly(cur))
                    for _ in range(npieces))
     cur.done()
+    basis = pieces[0][0].basis
+    for b, a in pieces:
+        if a.basis != b.basis:
+            cur.fail("b and a of a key piece lie over different bases")
+        if b.basis != basis:
+            cur.fail("key pieces lie over different bases")
     return EvaluationKey("rot" if kind_code else "mult", step, pieces)
 
 

@@ -1,5 +1,6 @@
 """Transform plans, grouped-rotation execution, and the bootstrap pipeline."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -268,11 +269,18 @@ def test_apply_requires_keys(params, sk, message_plans):
 # Rotation schedules through hdft_apply.
 
 @pytest.fixture(scope="module")
-def minks_chain_run(params, sk):
-    """One minks IDFT pass (size 64, k=3, split (2, 2)) with its log."""
+def chain_plan(params, sk):
+    """An IDFT plan (size 64, k=3, split (2, 2)) and its minks keys."""
     plan = build_dft_plan(params, IDFT, size=64, k=3, split=(2, 2))
     keys = make_rotation_keys(params, sk, plan.required_steps("minks"),
                               np.random.default_rng([7, 6]))
+    return plan, keys
+
+
+@pytest.fixture(scope="module")
+def minks_chain_run(params, sk, chain_plan):
+    """One minks IDFT pass over the chain plan, with its log."""
+    plan, keys = chain_plan
     rng = np.random.default_rng(61)
     v = random_message(params, rng)
     ct = encrypt(params, encode(params, v), sk, rng)
@@ -316,7 +324,34 @@ def test_rotate_accumulate_matches_naive_sum(params, sk, minks_chain_run):
         sum(1 for d in st.diags if d is not None) for st in plan.stages)
 
 
-@pytest.mark.parametrize("variant", ["baseline", "minks"])
+def test_oflimb_widens_one_giant_row_at_a_time(params, sk, chain_plan):
+    """With the constants built beforehand, an OF-Limb pass holds at most
+    one giant row of widened plaintexts, 2^k1 (l+1) N words, beyond what
+    the min-KS pass holds, and both passes give the same limbs and log."""
+    plan, keys = chain_plan
+    rng = np.random.default_rng(67)
+    ct = encrypt(params, encode(params, random_message(params, rng)), sk, rng)
+    runs = []
+    for variant in ("minks", "minks-oflimb"):
+        plan.stage_constants(variant)
+        log = EvkUsageLog()
+        tracemalloc.start()
+        try:
+            out = hdft_apply(params, ct, plan, keys, variant, log)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        runs.append((out, log, peak))
+    (a, log_a, peak_a), (b, log_b, peak_b) = runs
+    row = (1 << plan.k1) * (plan.stages[0].level + 1) * params.n_ring * 8
+    assert row == 2 << 20
+    assert peak_b - peak_a <= row
+    assert np.array_equal(a.c0.limbs, b.c0.limbs)
+    assert np.array_equal(a.c1.limbs, b.c1.limbs)
+    assert log_a.entries == log_b.entries
+
+
+@pytest.mark.parametrize("variant", ["baseline", "minks", "minks-oflimb"])
 def test_empty_giant_row_matches_reference(params, sk, rot_keys, variant):
     """A giant row with no populated diagonal adds nothing, and the minks
     fold still rotates past it."""
@@ -337,7 +372,7 @@ def test_empty_giant_row_matches_reference(params, sk, rot_keys, variant):
     assert rel_error(got, np.resize(want, params.n_slots)) \
         < params.budgets.multiply * params.budgets.rotate_factor
     assert log.pmult_ops() == 4
-    if variant == "minks":
+    if variant != "baseline":
         giants = [e for e in log.entries if e.op == "hrot" and e.evk_id == 2]
         assert len(giants) == (1 << plan.k2) - 1
 

@@ -201,6 +201,29 @@ def test_row_blocks_bound_the_temporaries():
     assert peak < 6 << 20
 
 
+def test_out_takes_the_words_of_a_new_array():
+    """`out=` writes the same words `ntt` returns, also over its own input
+    and across row blocks, and refuses a buffer it cannot fill in place."""
+    pm = WIDE["base59"]
+    block = ntt_module.BLOCK_WORDS // DESK.n_ring
+    rng = np.random.default_rng(67)
+    for rows in (1, block + 1):
+        mat = rng.integers(0, pm.q, (rows, DESK.n_ring), dtype=np.uint64)
+        for direction in ("forward", "inverse"):
+            want = ntt(mat, pm, direction)
+            out = np.empty_like(mat)
+            assert ntt(mat, pm, direction, out=out) is out
+            assert np.array_equal(out, want), (rows, direction)
+            same = mat.copy()
+            ntt(same, pm, direction, out=same)
+            assert np.array_equal(same, want), (rows, direction)
+    for bad in (np.empty((2, DESK.n_ring), dtype=np.uint64),
+                np.empty((block + 1, DESK.n_ring), dtype=np.int64),
+                np.empty((DESK.n_ring, block + 1), dtype=np.uint64).T):
+        with pytest.raises(ConfigurationError):
+            ntt(mat, pm, "forward", out=bad)
+
+
 def test_rejects_bad_direction_and_length():
     pm = prime_for(16)
     v = np.zeros(16, dtype=U64)

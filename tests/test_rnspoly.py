@@ -104,6 +104,25 @@ def test_lift_holds_one_stack():
     assert peak < 42 << 20
 
 
+def test_lift_writes_each_prime_in_place():
+    """Residues and transforms write straight into the result stack, so
+    lifting 64 rows to level 7 peaks at the 32 MiB result plus one
+    transform block's temporaries, without a prime's rows copied aside."""
+    params = CkksParams()
+    basis = basis_c(params, 7)
+    coeffs = np.random.default_rng(113).integers(
+        -(1 << 50), 1 << 50, (64, params.n_ring), dtype=np.int64)
+    lift_int_coeffs(coeffs[:1], basis)
+    tracemalloc.start()
+    try:
+        out = lift_int_coeffs(coeffs, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 32 << 20
+    assert peak < 34 << 20
+
+
 def test_rep_conversion_roundtrip_bitwise():
     rng = np.random.default_rng(71)
     p = random_poly(BASIS64, 64, rng)

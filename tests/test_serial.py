@@ -8,10 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rnsckks.ckks import (decrypt, encode, encrypt, make_rotation_key,
-                          mod_drop, slot_values)
+from rnsckks.ckks import (decrypt, encode, encrypt, make_relin_key,
+                          make_rotation_key, mod_drop, restrict_poly,
+                          slot_values)
 from rnsckks.errors import SerializationError
 from rnsckks.hdft import IDFT, EvkUsageLog, build_dft_plan
+from rnsckks.rnspoly import LimbBasis
 from rnsckks.serial import (EVKLOG_SCHEMA, PARAMS_SCHEMA, PlanSeeds,
                             load_ciphertext, load_evaluation_key,
                             load_plaintext, load_plan_seeds, load_secret_key,
@@ -240,6 +242,52 @@ def test_loaders_check_level_against_limbs(tiny_params, tiny_sk, tmp_path):
     save_ciphertext(path, replace(ct, c1=mod_drop(tiny_params, ct, 0).c1))
     with pytest.raises(SerializationError, match="different bases"):
         load_ciphertext(path)
+
+
+def _without_last_prime(p):
+    return restrict_poly(p, LimbBasis(p.basis.primes[:-1]))
+
+
+def _kind_code_2(evk, path):
+    save_evaluation_key(path, evk)
+    raw = open(path, "rb").read()
+    body = b"\x02" + raw[17:]
+    with open(path, "wb") as f:
+        f.write(raw[:12] + struct.pack("<I", zlib.crc32(body)) + body)
+
+
+def _no_pieces(evk, path):
+    save_evaluation_key(path, replace(evk, pieces=()))
+
+
+def _piece_halves_apart(evk, path):
+    (b, a), *rest = evk.pieces
+    save_evaluation_key(path, replace(
+        evk, pieces=((b, _without_last_prime(a)), *rest)))
+
+
+def _pieces_apart(evk, path):
+    first, *rest = evk.pieces
+    save_evaluation_key(path, replace(evk, pieces=(first, *(
+        (_without_last_prime(b), _without_last_prime(a)) for b, a in rest))))
+
+
+@pytest.mark.parametrize("craft, what", [
+    (_kind_code_2, "kind code 2"),
+    (_no_pieces, "no pieces"),
+    (_piece_halves_apart, "b and a of a key piece"),
+    (_pieces_apart, "key pieces lie over different bases"),
+], ids=["kind-code", "no-pieces", "piece-halves", "pieces"])
+def test_crafted_evaluation_key_raises_serialization_error(
+        tiny_params, tiny_sk, tmp_path, craft, what):
+    """Checksum-valid key containers that no key generation writes."""
+    evk = make_relin_key(tiny_params, tiny_sk, np.random.default_rng(139))
+    assert len(evk.pieces) > 1
+    path = str(tmp_path / "crafted.evk")
+    craft(evk, path)
+    with pytest.raises(SerializationError, match="crafted.evk") as info:
+        load_evaluation_key(path)
+    assert what in str(info.value)
 
 
 # ---------------------------------------------------------------------------
