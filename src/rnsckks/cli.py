@@ -57,17 +57,21 @@ def _note(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _load_params(args: argparse.Namespace) -> tuple[CkksParams, int]:
+def _read_params(args: argparse.Namespace) -> tuple[CkksParams, int | None]:
+    """The --params file's parameters and seed, or the defaults and None."""
     if args.params_path is None:
-        return CkksParams(), args.seed
-    params, file_seed = serial.read_params(args.params_path)
+        return CkksParams(), None
+    return serial.read_params(args.params_path)
+
+
+def _load_params(args: argparse.Namespace) -> tuple[CkksParams, int]:
+    """Parameters and seed; a nonzero --seed overrides the file's seed."""
+    params, file_seed = _read_params(args)
     seed = file_seed if file_seed is not None and args.seed == 0 else args.seed
     return params, seed
 
 
-def _profile_for(params: CkksParams, name: str) -> ParamProfile:
-    if name != "desk":
-        return PROFILES[name]
+def _desk_profile(params: CkksParams) -> ParamProfile:
     return ParamProfile("desk", N=params.n_ring, L=params.levels,
                         dnum=params.dnum, alpha=params.alpha,
                         n=params.n_slots, L_boot=0)
@@ -178,7 +182,7 @@ def _check_oflimb_seeds(params, rng):
     seed = make_plaintext_seed(params, coeffs, params.scale)
     for level in (0, params.levels // 2, params.levels):
         full = poly_from_int_coeffs(coeffs, basis_c(params, level)).to_eval()
-        ext = of_limb_extend(params, seed, level)
+        ext = of_limb_extend(params, {0: seed}, level)[0]
         assert np.array_equal(ext.poly.limbs, full.limbs)
     q0 = modulus_chain(params)[0].q
     try:
@@ -361,7 +365,7 @@ def cmd_hdft(args: argparse.Namespace) -> int:
     lines.append(f"rotations performed: {log.rotation_ops()}  "
                  f"pmults: {log.pmult_ops()}  reuses: {log.reuses()}")
 
-    desk = _profile_for(params, "desk")
+    desk = _desk_profile(params)
     for label, plan in ((IDFT, inv), (DFT, fwd)):
         rep = hdft_pass_cost(PassShape.from_plan(plan), desk, args.variant,
                              usage=log)
@@ -398,7 +402,7 @@ def cmd_sizes(args: argparse.Namespace) -> int:
             f"({in_mb[0]:.2f}/{in_mb[1]:.2f}/{in_mb[2]:.2f} MB) "
             f"(expect {expect[0]:g}/{expect[1]:g}/{expect[2]:g} MiB) "
             f"{'ok' if ok else 'FAIL'}")
-    desk = _profile_for(_load_params(args)[0], "desk")
+    desk = _desk_profile(_read_params(args)[0])
     got = data_sizes(desk)
     lines.append(f"row desk: plaintext {got.plaintext_bytes} "
                  f"ciphertext {got.ciphertext_bytes} "
@@ -456,7 +460,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     params, seed = _load_params(args)
     rng = np.random.default_rng([seed, 0xBE7C4])
-    profile = _profile_for(params, "desk")
+    profile = _desk_profile(params)
     lines = [REPORT_SCHEMA, "command: bench", f"seed: {seed}"]
 
     km = keyswitch_mults(profile, params.levels)
@@ -501,36 +505,46 @@ def _time_once(fn) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Argument wiring.
+# Argument wiring: each command registers only the options it reads.
+
+OPTIONS = {
+    "--params": dict(dest="params_path", default=None,
+                     help="parameter file (key = value lines)"),
+    "--seed": dict(type=int, default=0,
+                   help="PRNG seed; reports are byte-stable per seed"),
+    "--variant": dict(default="minks", choices=list(costmodel.VARIANTS)),
+    "--profile": dict(default="ark", choices=sorted(PROFILES)),
+    "--out": dict(default=None,
+                  help="mirror the report (keygen: output directory)"),
+    "--analytic-only": dict(action="store_true",
+                            help="skip execution; emit model reports only"),
+    "--n": dict(type=int, default=64,
+                help="transform length for executed passes"),
+    "--k": dict(type=int, default=2,
+                help="merged radix exponent for executed passes"),
+}
+
+COMMANDS = (
+    ("selftest", "run the seeded invariant suite",
+     ("--params", "--seed", "--out")),
+    ("hdft", "run or model the packed (I)DFT", tuple(OPTIONS)),
+    ("sizes", "reproduce the data-size table", ("--params", "--out")),
+    ("keygen", "generate and serialize key material",
+     ("--params", "--seed", "--variant", "--out", "--n", "--k")),
+    ("bench", "time core ops; report model counts",
+     ("--params", "--seed", "--out")),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rnsckks",
         description="RNS-CKKS transforms, key material, and cost reports")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary in (("selftest", "run the seeded invariant suite"),
-                          ("hdft", "run or model the packed (I)DFT"),
-                          ("sizes", "reproduce the data-size table"),
-                          ("keygen", "generate and serialize key material"),
-                          ("bench", "time core ops; report model counts")):
+    for name, summary, flags in COMMANDS:
         cmd = sub.add_parser(name, help=summary)
-        cmd.add_argument("--params", dest="params_path", default=None,
-                         help="parameter file (key = value lines)")
-        cmd.add_argument("--seed", type=int, default=0,
-                         help="PRNG seed; reports are byte-stable per seed")
-        cmd.add_argument("--variant", default="minks",
-                         choices=list(costmodel.VARIANTS))
-        cmd.add_argument("--profile",
-                         default="ark" if name == "hdft" else "desk",
-                         choices=sorted(PROFILES))
-        cmd.add_argument("--out", default=None,
-                         help="mirror the report (keygen: output directory)")
-        cmd.add_argument("--analytic-only", action="store_true",
-                         help="skip execution; emit model reports only")
-        cmd.add_argument("--n", type=int, default=64,
-                         help="transform length for executed passes")
-        cmd.add_argument("--k", type=int, default=2,
-                         help="merged radix exponent for executed passes")
+        for flag in flags:
+            cmd.add_argument(flag, **OPTIONS[flag])
     return parser
 
 

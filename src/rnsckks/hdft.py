@@ -30,6 +30,10 @@ Two execution styles share a plan:
                 the extension is bit-identical to full precomputation
                 whenever the coefficients fit the seed prime.
 
+A plan is exactly what `build_dft_plan` returns: every stage carries all
+2^(k+1) - 1 diagonals, so every cell of the 2^k1 x 2^k2 rectangle that
+lands on a diagonal holds a constant and every giant row is non-empty.
+
 Every rotation of a pass is one logged step under a key id: it records
 the amount the schedule prescribes and the id, then rotates by
 step = id mod size under the key held for that step (none for a step of
@@ -56,7 +60,7 @@ from .embedding import stage_twiddles
 from .errors import ConfigurationError, MissingKeyError, SeedRangeError
 from .modmath import U64
 from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, lift_int_coeffs,
-                      poly_from_int_coeffs, transform_limbs)
+                      transform_limbs)
 
 DFT = "dft"       # coefficients to slot values
 IDFT = "idft"     # slot values back to coefficients
@@ -217,13 +221,22 @@ def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
     return PlaintextSeed(q0_limb=coeffs, scale=Fraction(scale), tag=tag)
 
 
-def of_limb_extend(params: CkksParams, seed: PlaintextSeed,
-                   level: int) -> Plaintext:
-    """Rebuild the full working-basis plaintext from its seed limb."""
-    poly = poly_from_int_coeffs(seed.q0_limb, basis_c(params, level),
-                                rep=EVAL)
-    return Plaintext(poly=poly, scale=seed.scale, level=level,
-                     slots=params.n_ring // 2)
+def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
+    """Rebuild working-basis plaintexts from their seed limbs.
+
+    The plaintexts, keyed as `seeds` is, are views of one lifted (L, R, N)
+    stack; `hdft_apply` widens one giant row per call and releases the row
+    together once its pmults are done.
+    """
+    if not seeds:
+        return {}
+    basis = basis_c(params, level)
+    stack = lift_int_coeffs(np.stack([s.q0_limb for s in seeds.values()]),
+                            basis)
+    return {key: Plaintext(poly=RnsPolynomial(basis, EVAL, stack[:, r]),
+                           scale=seed.scale, level=level,
+                           slots=params.n_ring // 2)
+            for r, (key, seed) in enumerate(seeds.items())}
 
 
 def _seed_batch(params: CkksParams, rows: np.ndarray, scale: int,
@@ -234,20 +247,6 @@ def _seed_batch(params: CkksParams, rows: np.ndarray, scale: int,
             for r, c in enumerate(slots_to_coeffs(rows, scale))]
 
 
-def _extend_stage_seeds(params: CkksParams, seeds: dict, level: int) -> dict:
-    """Batched seed extension for one giant row of a stage's constants:
-    its plaintexts are views of one lifted (L, R, N) stack, released
-    together once the row's pmults are done."""
-    keys = list(seeds)
-    basis = basis_c(params, level)
-    stacks = lift_int_coeffs(np.stack([seeds[kk].q0_limb for kk in keys]),
-                             basis)
-    return {kk: Plaintext(poly=RnsPolynomial(basis, EVAL, stacks[:, r]),
-                          scale=seeds[kk].scale, level=level,
-                          slots=params.n_ring // 2)
-            for r, kk in enumerate(keys)}
-
-
 # ---------------------------------------------------------------------------
 # Plans.
 
@@ -255,9 +254,8 @@ def _extend_stage_seeds(params: CkksParams, seeds: dict, level: int) -> dict:
 class PlanStage:
     g: int                          # unit stride; diagonals sit at i * g
     level: int                      # ciphertext level this stage runs at
-    diags: list                     # index i + 2^k - 1; None marks a zero
+    diags: list                     # diagonal i * g at index i + 2^k - 1
     minks_roll: int                 # outgoing residual folded into constants
-    center_only: bool = False       # single central diagonal, no rotations
 
 
 @dataclass
@@ -268,7 +266,6 @@ class DftPlan:
     k: int
     k1: int
     k2: int
-    incoming_residual: int
     const_scale: int
     stages: list[PlanStage]
     _consts: dict = field(default_factory=dict, repr=False)
@@ -282,8 +279,6 @@ class DftPlan:
         steps: set[int] = set()
         big = 1 << self.k1
         for st in self.stages:
-            if st.center_only:
-                continue
             if variant == "baseline":
                 steps.add((-(1 << self.k) * st.g) % self.size)
                 steps.update((i1 * st.g) % self.size
@@ -293,7 +288,7 @@ class DftPlan:
             else:
                 steps.add(st.g % self.size)
                 steps.add((big * st.g) % self.size)
-        if variant != "baseline" and self.stages:
+        if variant != "baseline":
             steps.add(1)
         return sorted(s for s in steps if s)
 
@@ -316,33 +311,25 @@ class DftPlan:
         out = []
         for s, st in enumerate(self.stages):
             rows, keys = [], []
-            if st.center_only:
-                roll = 0 if variant == "baseline" else st.minks_roll
-                rows.append(np.tile(_lroll(st.diags[bound], roll), reps))
-                keys.append((0, 0))
-            else:
-                for i2 in range(1 << self.k2):
-                    for i1 in range(1 << self.k1):
-                        di = i1 + big * i2 - base + bound
-                        if not 0 <= di < len(st.diags) \
-                                or st.diags[di] is None:
-                            continue
-                        roll = -i2 * big * st.g
-                        if variant != "baseline":
-                            roll += st.minks_roll
-                        rows.append(np.tile(
-                            _lroll(st.diags[di], roll % self.size), reps))
-                        keys.append((i1, i2))
+            for i2 in range(1 << self.k2):
+                for i1 in range(1 << self.k1):
+                    di = i1 + big * i2 - base + bound
+                    if not 0 <= di < len(st.diags):
+                        continue
+                    roll = -i2 * big * st.g
+                    if variant != "baseline":
+                        roll += st.minks_roll
+                    rows.append(np.tile(
+                        _lroll(st.diags[di], roll % self.size), reps))
+                    keys.append((i1, i2))
             if variant == "minks-oflimb":
                 # One giant row (the cells that share i2) per batch.
                 entries = []
                 for i2 in range(1 << self.k2):
                     idx = [r for r, key in enumerate(keys) if key[1] == i2]
-                    if idx:
-                        entries += _seed_batch(
-                            self.params, np.array([rows[r] for r in idx]),
-                            self.const_scale, f"{self.direction}:{s}",
-                            idx[0])
+                    entries += _seed_batch(
+                        self.params, np.array([rows[r] for r in idx]),
+                        self.const_scale, f"{self.direction}:{s}", idx[0])
             else:
                 entries = encode_diagonal_batch(self.params, np.array(rows),
                                                 st.level,
@@ -354,8 +341,7 @@ class DftPlan:
 
 def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
                    k: int = 6, split: tuple[int, int] = (3, 4),
-                   levels=None, incoming_residual: int = 0,
-                   const_scale: int | None = None) -> DftPlan:
+                   levels=None, const_scale: int | None = None) -> DftPlan:
     """Group the radix-2 factors of the packed embedding into BSGS stages.
 
     `size` is the transform length (default: all n_ring/2 slots); log2(size)
@@ -393,7 +379,7 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
         raise ConfigurationError("stage levels must descend by one")
 
     bound = (1 << k) - 1
-    residual = incoming_residual + (1 if direction == DFT else 0)
+    residual = 1 if direction == DFT else 0
     stages = []
     for s in range(n_stages):
         if direction == DFT:
@@ -405,24 +391,23 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
         merged = merge_factors(size, lengths, inverse=(direction == IDFT))
         if any(d % g for d in merged):
             raise ConfigurationError("merged offsets off the stage stride")
-        diags = [merged.get((di - bound) * g) for di in range(2 * bound + 1)]
+        diags = [merged[(di - bound) * g] for di in range(2 * bound + 1)]
         residual += bound * g
         stages.append(PlanStage(g=g, level=levels[s], diags=diags,
                                 minks_roll=residual % size))
     return DftPlan(params=params, direction=direction, size=size, k=k,
-                   k1=k1, k2=k2, incoming_residual=incoming_residual,
-                   const_scale=const_scale, stages=stages)
+                   k1=k1, k2=k2, const_scale=const_scale, stages=stages)
 
 
 # ---------------------------------------------------------------------------
 # Plan execution.
 
-def _row_sum(babies: list[Ciphertext], row: dict) -> Ciphertext | None:
+def _row_sum(babies: list[Ciphertext], row: dict) -> Ciphertext:
     """One giant row's inner sum: babies[i1] times row[i1], in i1 order."""
-    inner = None
-    for i1, pt in row.items():
-        term = pmult(babies[i1], pt)
-        inner = term if inner is None else hadd(inner, term)
+    (i1, pt), *rest = row.items()
+    inner = pmult(babies[i1], pt)
+    for i1, pt in rest:
+        inner = hadd(inner, pmult(babies[i1], pt))
     return inner
 
 
@@ -448,7 +433,7 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
             raise MissingKeyError(f"no rotation key for step {step}")
         return hrot(params, ct, step, keys[step])
 
-    if grouped and plan.direction == DFT and not plan.stages[0].center_only:
+    if grouped and plan.direction == DFT:
         # Entry fix-up: +1 makes the stage residuals sum to a full cycle.
         # The stride-1 key is stage 0's own baby key.
         ct = rotate(ct, 0, 1, 1)
@@ -459,47 +444,37 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
                 f"stage {s} expects level {st.level}, got {ct.level}")
         cmap = consts[s]
         babies = [ct]
-        if not st.center_only:
-            if not grouped:
-                pre = -(1 << plan.k) * st.g
-                babies = [rotate(ct, s, pre, pre)]
-            for i1 in range(1, big):
-                if grouped:     # chained through the one stride-g key
-                    babies.append(rotate(babies[-1], s, st.g, i1 * st.g))
-                else:
-                    babies.append(rotate(babies[0], s, i1 * st.g, i1 * st.g))
+        if not grouped:
+            pre = -(1 << plan.k) * st.g
+            babies = [rotate(ct, s, pre, pre)]
+        for i1 in range(1, big):
+            if grouped:     # chained through the one stride-g key
+                babies.append(rotate(babies[-1], s, st.g, i1 * st.g))
+            else:
+                babies.append(rotate(babies[0], s, i1 * st.g, i1 * st.g))
         log.note_pmult(label, s, len(cmap))
         inners = []
         for i2 in range(1 << plan.k2):
             row = {i1: cmap[i1, i2] for i1 in range(big) if (i1, i2) in cmap}
-            if variant == "minks-oflimb" and row:
-                row = _extend_stage_seeds(params, row, st.level)
+            if variant == "minks-oflimb":
+                row = of_limb_extend(params, row, st.level)
             inners.append(_row_sum(babies, row))
         # The fold reads only the inner sums.
         del babies, row
         if grouped:
-            # Horner: acc <- rot(acc, G) + inner through the one stride-G
-            # key; an empty row adds nothing but still advances the fold.
+            # Horner: acc <- rot(acc, G) + inner through the one stride-G key.
             gee = (big * st.g) % plan.size
             acc = inners[-1]
             for inner in reversed(inners[:-1]):
-                if acc is not None:
-                    acc = rotate(acc, s, gee, gee)
-                if inner is not None:
-                    acc = inner if acc is None else hadd(acc, inner)
+                acc = hadd(rotate(acc, s, gee, gee), inner)
         else:
-            acc = None
-            for i2, inner in enumerate(inners):
-                if inner is None:
-                    continue
-                if i2:
-                    inner = rotate(inner, s, i2 * big * st.g,
-                                   i2 * big * st.g)
-                acc = inner if acc is None else hadd(acc, inner)
+            acc = inners[0]
+            for i2 in range(1, len(inners)):
+                amount = i2 * big * st.g
+                acc = hadd(acc, rotate(inners[i2], s, amount, amount))
         ct = hrescale(params, acc)
 
-    if grouped and plan.direction == IDFT \
-            and not plan.stages[-1].center_only:
+    if grouped and plan.direction == IDFT:
         # Exit fix-up; the stride-1 key is the last stage's own baby key.
         ct = rotate(ct, len(plan.stages) - 1, 1, 1)
     return ct
@@ -557,9 +532,7 @@ def slotwise_mod_reference(params: CkksParams, ct: Ciphertext, sk: SecretKey,
 
 def bootstrap(params: CkksParams, ct: Ciphertext, sk: SecretKey,
               keys: dict[int, EvaluationKey], rng: np.random.Generator,
-              plans: tuple[DftPlan, DftPlan] | None = None,
-              variant: str = "minks", k: int = 6,
-              split: tuple[int, int] = (3, 4),
+              plans: tuple[DftPlan, DftPlan], variant: str = "minks",
               log: EvkUsageLog | None = None) -> Ciphertext:
     """Raise a bottom-level ciphertext back to a usable level.
 
@@ -567,11 +540,10 @@ def bootstrap(params: CkksParams, ct: Ciphertext, sk: SecretKey,
     slot-wise reduction, coefficient-to-slot transform (DFT).  Both
     transforms read coefficients in the same bit-reversed order, so the
     pair composes to the identity on slot values and the output decodes to
-    the input message.
+    the input message.  `plans` is an (IDFT, DFT) pair from
+    `build_dft_plan`; only full-width plans recover the message, because
+    the modulus-raise residue is not periodic across slot blocks.
     """
-    if plans is None:
-        plans = (build_dft_plan(params, IDFT, k=k, split=split),
-                 build_dft_plan(params, DFT, k=k, split=split))
     inv_plan, fwd_plan = plans
     if inv_plan.direction != IDFT or fwd_plan.direction != DFT:
         raise ConfigurationError("plans must be (idft, dft)")

@@ -60,28 +60,22 @@ def bit_reverse_permutation(n: int) -> np.ndarray:
 class NttTables:
     """Twiddles and reciprocals for one (q, n, psi) triple.
 
-    Entries [h, 2h) of each table serve the stage that merges length-h
-    sub-transforms (h = 1, 2, ..., n/2); entry 0 is unused.  The inverse
-    table's h = 1 entry folds in 1/n.  `fwd_stages` and `inv_stages` hold,
-    per stage in execution order, (h, twiddles, companions, float ratios)
-    as views shaped for the stage's butterfly halves; the ratios exist only
-    for a narrow prime, whose lazy products take their quotient from
-    float64.
+    Entries [h, 2h) of each twiddle table serve the stage that merges
+    length-h sub-transforms (h = 1, 2, ..., n/2); entry 0 is unused.  The
+    inverse table's h = 1 entry folds in 1/n.  `fwd_stages` and
+    `inv_stages` hold, per stage in execution order, (h, twiddles,
+    companions, float ratios) as views of those tables shaped for the
+    stage's butterfly halves; the ratios exist only for a narrow prime,
+    whose lazy products take their quotient from float64.
     """
 
     mod: PrimeModulus
     n: int
-    psi: int
-    fwd: np.ndarray
-    fwd_shoup: np.ndarray
-    inv: np.ndarray
-    inv_shoup: np.ndarray
     n_inv: np.uint64
     n_inv_shoup: np.uint64
     narrow: bool
     fwd_stages: tuple
     inv_stages: tuple
-    cyclic: bool = False
 
 
 def _stages(n: int, w: np.ndarray, w_shoup: np.ndarray, narrow: bool,
@@ -123,12 +117,10 @@ def _build_tables(mod: PrimeModulus, n: int, psi: int, cyclic: bool) -> NttTable
     # exactly, which the float quotient estimate needs.
     narrow = 4 * q <= SMALL_WORD
     spans = [1 << k for k in range(n.bit_length() - 1)]
-    return NttTables(mod=mod, n=n, psi=psi, fwd=fwd, fwd_shoup=fwd_sh,
-                     inv=inv, inv_shoup=inv_sh, n_inv=U64(n_inv),
+    return NttTables(mod=mod, n=n, n_inv=U64(n_inv),
                      n_inv_shoup=U64((n_inv << 64) // q), narrow=narrow,
                      fwd_stages=_stages(n, fwd, fwd_sh, narrow, spans),
-                     inv_stages=_stages(n, inv, inv_sh, narrow, spans[::-1]),
-                     cyclic=cyclic)
+                     inv_stages=_stages(n, inv, inv_sh, narrow, spans[::-1]))
 
 
 def get_tables(mod: PrimeModulus, n: int, psi: int | None = None,

@@ -292,7 +292,6 @@ class StageSeeds:
     level: int
     g: int
     minks_roll: int
-    center_only: bool
     cells: dict  # (i1, i2) -> PlaintextSeed
 
 
@@ -316,8 +315,8 @@ def save_plan_seeds(path: str, plan):
               plan.k, plan.k1, plan.k2, len(plan.stages))
     body.put_fraction(Fraction(plan.const_scale))
     for st, cells in zip(plan.stages, consts):
-        body.pack("iQQBH", st.level, st.g, st.minks_roll,
-                  1 if st.center_only else 0, len(cells))
+        # The v1 layout keeps a flag byte per stage; it is always 0.
+        body.pack("iQQBH", st.level, st.g, st.minks_roll, 0, len(cells))
         for (i1, i2), seed in sorted(cells.items()):
             body.pack("BB", i1, i2)
             body.put_fraction(seed.scale)
@@ -333,7 +332,9 @@ def load_plan_seeds(path: str) -> PlanSeeds:
     const_scale = cur.get_fraction()
     stages = []
     for _ in range(nstages):
-        level, g, roll, center, ncells = cur.unpack("iQQBH")
+        level, g, roll, flag, ncells = cur.unpack("iQQBH")
+        if flag:
+            cur.fail(f"unknown stage flag {flag}")
         cells = {}
         for _ in range(ncells):
             i1, i2 = cur.unpack("BB")
@@ -342,8 +343,7 @@ def load_plan_seeds(path: str) -> PlanSeeds:
             (nwords,) = cur.unpack("I")
             limb = cur.get_words((nwords,), "<i8")
             cells[(i1, i2)] = PlaintextSeed(limb, scale, tag)
-        stages.append(StageSeeds(level, int(g), int(roll), bool(center),
-                                 cells))
+        stages.append(StageSeeds(level, int(g), int(roll), cells))
     cur.done()
     return PlanSeeds("dft" if dir_code == 0 else "idft", size, k, k1, k2,
                      const_scale, tuple(stages))

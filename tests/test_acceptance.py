@@ -205,7 +205,7 @@ def test_seeded_extension_bit_exact_everywhere(params):
         coeffs = rng.integers(-half, half, params.n_ring)
         seed = make_plaintext_seed(params, coeffs, 1 << 40)
         for level in range(params.levels + 1):
-            pt = of_limb_extend(params, seed, level)
+            pt = of_limb_extend(params, {0: seed}, level)[0]
             direct = poly_from_int_coeffs(coeffs, basis_c(params, level),
                                           rep=EVAL)
             assert np.array_equal(pt.poly.limbs, direct.limbs)

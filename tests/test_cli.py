@@ -88,6 +88,12 @@ def test_unknown_choice_is_rejected(flag, value):
     assert "invalid choice" in proc.stderr
 
 
+def test_option_a_command_does_not_read_is_rejected():
+    proc = run_cli("sizes", "--variant", "minks")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --variant" in proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # sizes: the published table, in both byte units, deterministically.
 

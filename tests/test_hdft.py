@@ -1,11 +1,13 @@
 """Transform plans, grouped-rotation execution, and the bootstrap pipeline."""
 
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from rnsckks import hdft
 from rnsckks.ckks import (basis_c, encode, encrypt, make_rotation_keys,
                           modulus_chain, slot_values)
 from rnsckks.embedding import packed_to_slots
@@ -31,8 +33,7 @@ def random_message(params, rng):
 
 def stage_matrix(st: PlanStage, k: int) -> dict:
     bound = (1 << k) - 1
-    return {(di - bound) * st.g: vec
-            for di, vec in enumerate(st.diags) if vec is not None}
+    return {(di - bound) * st.g: vec for di, vec in enumerate(st.diags)}
 
 
 def plan_reference(plan: DftPlan, v: np.ndarray) -> np.ndarray:
@@ -139,6 +140,41 @@ def test_plan_validation_errors(params):
                        levels=[2, 1, 0])
 
 
+def _every_plan(params, max_size):
+    """Every plan build_dft_plan makes up to `max_size` at default levels:
+    each size, each k dividing log2(size) in at most `levels` stages, each
+    split and both directions."""
+    for logn in range(1, max_size.bit_length()):
+        for k in range(1, logn + 1):
+            if logn % k or logn // k > params.levels:
+                continue
+            for k1 in range(1, k + 1):
+                for direction in (IDFT, DFT):
+                    yield build_dft_plan(params, direction, size=1 << logn,
+                                         k=k, split=(k1, k + 1 - k1))
+
+
+def test_every_plan_fills_its_rectangle(params, boot_plans, monkeypatch):
+    """Each stage carries all 2^(k+1) - 1 diagonals and every giant row of
+    every variant holds a constant: hdft_apply handles no other plan."""
+    # Only the cell keys are read, so encoding is skipped.
+    monkeypatch.setattr(hdft, "encode_diagonal_batch",
+                        lambda params, rows, level, scale: [None] * len(rows))
+    monkeypatch.setattr(hdft, "_seed_batch",
+                        lambda params, rows, *rest: [None] * len(rows))
+    plans = [*_every_plan(params, 256),
+             *(replace(plan, _consts={}) for plan in boot_plans)]
+    assert len(plans) == 112
+    for plan in plans:
+        for st in plan.stages:
+            assert len(st.diags) == 2 ** (plan.k + 1) - 1
+            assert all(d.shape == (plan.size,) for d in st.diags)
+        for variant in ("baseline", "minks", "minks-oflimb"):
+            for cells in plan.stage_constants(variant):
+                assert len(cells) == 2 ** (plan.k + 1) - 1
+                assert {i2 for _, i2 in cells} == set(range(1 << plan.k2))
+
+
 def test_stage_constants_cached(params):
     plan = build_dft_plan(params, DFT, size=16, k=2, split=(1, 2),
                           levels=[3, 2])
@@ -225,8 +261,7 @@ def test_baseline_logs_scheduled_noops(idft_runs):
 
 def test_pmult_counts_match_diagonal_population(message_plans, idft_runs):
     inv, _ = message_plans
-    populated = sum(sum(1 for d in st.diags if d is not None)
-                    for st in inv.stages)
+    populated = sum(len(st.diags) for st in inv.stages)
     for variant in ("baseline", "minks", "minks-oflimb"):
         assert idft_runs[2][variant][1].pmult_ops("idft") == populated
 
@@ -320,8 +355,7 @@ def test_rotate_accumulate_matches_naive_sum(params, sk, minks_chain_run):
                    for off, vec in stage_matrix(st, plan.k).items())
     assert rel_error(slot_values(params, out, sk), want) \
         < params.budgets.multiply * params.budgets.rotate_factor
-    assert log.pmult_ops(IDFT) == sum(
-        sum(1 for d in st.diags if d is not None) for st in plan.stages)
+    assert log.pmult_ops(IDFT) == sum(len(st.diags) for st in plan.stages)
 
 
 def test_oflimb_widens_one_giant_row_at_a_time(params, sk, chain_plan):
@@ -351,75 +385,32 @@ def test_oflimb_widens_one_giant_row_at_a_time(params, sk, chain_plan):
     assert log_a.entries == log_b.entries
 
 
-@pytest.mark.parametrize("variant", ["baseline", "minks", "minks-oflimb"])
-def test_empty_giant_row_matches_reference(params, sk, rot_keys, variant):
-    """A giant row with no populated diagonal adds nothing, and the minks
-    fold still rotates past it."""
-    plan = build_dft_plan(params, DFT, size=4, k=2, split=(1, 2),
-                          levels=[params.levels])
-    st = plan.stages[0]
-    # Row i2 = 1 of both rectangles: diagonals 1, 2 for the baseline,
-    # 2, 3 for minks.
-    st.diags[1] = st.diags[2] = st.diags[3] = None
-    rng = np.random.default_rng(71)
-    v = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
-    ct = encrypt(params, encode(params, np.resize(v, params.n_slots)), sk,
-                 rng)
-    log = EvkUsageLog()
-    out = hdft_apply(params, ct, plan, rot_keys, variant, log)
-    want = diag_apply(stage_matrix(st, plan.k), v)
-    got = slot_values(params, out, sk)
-    assert rel_error(got, np.resize(want, params.n_slots)) \
-        < params.budgets.multiply * params.budgets.rotate_factor
-    assert log.pmult_ops() == 4
-    if variant != "baseline":
-        giants = [e for e in log.entries if e.op == "hrot" and e.evk_id == 2]
-        assert len(giants) == (1 << plan.k2) - 1
-
-
-def test_center_only_stage_multiplies_in_place(params, sk):
-    """A stage holding only the central diagonal costs one constant
-    multiply and no rotations under every variant."""
-    rng = np.random.default_rng(73)
-    size = 64
-    diag = rng.normal(size=size) + 1j * rng.normal(size=size)
-    bound = (1 << 2) - 1
-    diags = [None] * (2 * bound + 1)
-    diags[bound] = diag
-    stage = PlanStage(g=1, level=params.levels, diags=diags, minks_roll=0,
-                      center_only=True)
-    plan = DftPlan(params=params, direction=DFT, size=size, k=2, k1=1, k2=2,
-                   incoming_residual=0, const_scale=params.scale,
-                   stages=[stage])
-    v = random_message(params, rng)
-    ct = encrypt(params, encode(params, v), sk, rng)
-    for variant in ("baseline", "minks", "minks-oflimb"):
-        log = EvkUsageLog()
-        out = hdft_apply(params, ct.copy(), plan, {}, variant, log)
-        assert rel_error(slot_values(params, out, sk),
-                         v * diag) < params.budgets.multiply
-        assert log.rotation_ops() == 0 and log.loads() == 0
-        assert log.pmult_ops(DFT) == 1
-        assert out.level == params.levels - 1
-
-
 # ---------------------------------------------------------------------------
 # Seeded constants.
 
 def test_seed_extension_is_bit_exact(params):
+    """One batch widens a mapping of seeds, each bit-identical to its own
+    direct lift, under the same keys and scales."""
     rng = np.random.default_rng(79)
     q0 = modulus_chain(params)[0].q
-    coeffs = rng.integers(-(q0 // 2), q0 // 2, params.n_ring)
-    seed = make_plaintext_seed(params, coeffs, 1 << 40, tag="probe")
-    assert seed.tag == "probe"
-    assert seed.scale == Fraction(1 << 40)
+    coeffs = {key: rng.integers(-(q0 // 2), q0 // 2, params.n_ring)
+              for key in ((0, 1), (2, 1), (1, 1))}
+    seeds = {key: make_plaintext_seed(params, c, 1 << (40 + key[0]),
+                                      tag="probe")
+             for key, c in coeffs.items()}
+    assert seeds[0, 1].tag == "probe"
+    assert seeds[0, 1].scale == Fraction(1 << 40)
     for level in (0, 3, params.levels):
-        pt = of_limb_extend(params, seed, level)
-        direct = poly_from_int_coeffs(coeffs, basis_c(params, level),
-                                      rep=EVAL)
-        assert np.array_equal(pt.poly.limbs, direct.limbs)
-        assert pt.level == level
-        assert pt.slots == params.n_ring // 2
+        pts = of_limb_extend(params, seeds, level)
+        assert list(pts) == list(seeds)
+        for key, pt in pts.items():
+            direct = poly_from_int_coeffs(coeffs[key], basis_c(params, level),
+                                          rep=EVAL)
+            assert np.array_equal(pt.poly.limbs, direct.limbs)
+            assert pt.scale == seeds[key].scale
+            assert pt.level == level
+            assert pt.slots == params.n_ring // 2
+    assert of_limb_extend(params, {}, 3) == {}
 
 
 def test_seed_range_guard(params):
@@ -446,8 +437,7 @@ def test_oflimb_constants_reject_non_finite_rows(params):
     plan = build_dft_plan(params, DFT, size=16, k=2, split=(1, 2),
                           levels=[3, 2])
     stage = plan.stages[0]
-    first = next(i for i, d in enumerate(stage.diags) if d is not None)
-    stage.diags[first] = np.full_like(stage.diags[first], np.nan)
+    stage.diags[0] = np.full_like(stage.diags[0], np.nan)
     for _ in range(2):      # nothing half-built is cached either
         with pytest.raises(ConfigurationError):
             plan.stage_constants("minks-oflimb")

@@ -106,7 +106,6 @@ def test_plan_seeds_roundtrip(params, tmp_path):
     for st, seed_st, cells in zip(plan.stages, seeds.stages, consts):
         assert (seed_st.level, seed_st.g) == (st.level, st.g)
         assert seed_st.minks_roll == st.minks_roll
-        assert seed_st.center_only == st.center_only
         assert sorted(seed_st.cells) == sorted(cells)
         for key, got in seed_st.cells.items():
             want = cells[key]
@@ -288,6 +287,27 @@ def test_crafted_evaluation_key_raises_serialization_error(
     with pytest.raises(SerializationError, match="crafted.evk") as info:
         load_evaluation_key(path)
     assert what in str(info.value)
+
+
+def test_plan_seeds_reject_a_stage_flag(params, tmp_path):
+    """The v1 layout keeps one flag byte per stage and writes it as 0; a
+    checksum-valid container with another value does not load."""
+    plan = build_dft_plan(params, IDFT, size=16, k=2, split=(1, 2),
+                          levels=[5, 4])
+    path = str(tmp_path / "crafted.seeds")
+    save_plan_seeds(path, plan)
+    raw = open(path, "rb").read()
+    body = bytearray(raw[16:])
+    # Plan header (10 bytes), the scale text, then the first stage's
+    # level, g and roll (20 bytes) before its flag byte.
+    at = 10 + 4 + struct.unpack("<I", body[10:14])[0] + 20
+    assert body[at] == 0
+    body[at] = 1
+    with open(path, "wb") as f:
+        f.write(raw[:12] + struct.pack("<I", zlib.crc32(body)) + body)
+    with pytest.raises(SerializationError, match="crafted.seeds") as info:
+        load_plan_seeds(path)
+    assert "stage flag 1" in str(info.value)
 
 
 # ---------------------------------------------------------------------------
