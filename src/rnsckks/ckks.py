@@ -6,9 +6,11 @@ are tracked as exact rationals; operators enforce exact scale equality for
 additive mixing and leave rescaling to the caller.
 
 Key-switching uses one fixed full-level key per switched element.  The
-switched polynomial is cut into digit pieces of alpha limbs, each piece is
-base-extended to the full current basis plus the auxiliary primes, and the
-inner product with the key pairs is taken there; the gadget constants
+switched polynomial is cut into digit pieces of alpha limbs; ModUp takes
+each piece through `rnspoly.convert_limbs` into the rest of the current
+basis plus the auxiliary primes, the key product is taken there, and
+`mod_down` runs the same routine once over both halves: dnum_l + 2
+polynomials, as `costmodel.keyswitch_mults` counts.  The gadget constants
 T_i = P * (Q/Q_i) * ((Q/Q_i)^{-1} mod Q_i) make every base-extension slack
 term vanish modulo the working modulus at every level, so one key serves
 all levels.
@@ -24,14 +26,14 @@ import numpy as np
 
 from .embedding import packed_to_slots, slots_to_packed
 from .errors import (BasisMismatchError, ConfigurationError,
-                     LevelExhaustedError, MissingKeyError, ScaleMismatchError)
+                     LevelExhaustedError, MissingKeyError, RepresentationError,
+                     ScaleMismatchError)
 from .modmath import (SMALL_WORD, U64, PrimeModulus, generate_ntt_primes,
                       mod_sub, mul_sum, shoup_mul, shoup_words)
-from .rnspoly import (COEFF, EVAL, LimbBasis, RnsPolynomial, automorphism,
-                      base_convert, crt_float, lift_int_coeffs,
-                      make_base_table, poly_from_int_coeffs, rp_add, rp_mul,
-                      rp_mul_sum, rp_neg, rp_scalar_mul_per_limb, rp_sub,
-                      transform_limbs)
+from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, automorphism,
+                      convert_limbs, crt_float, lift_int_coeffs,
+                      poly_from_int_coeffs, rp_add, rp_mul, rp_mul_sum,
+                      rp_neg, rp_scalar_mul_per_limb, rp_sub)
 
 
 @dataclass(frozen=True)
@@ -440,21 +442,14 @@ def mod_down(limbs: np.ndarray, kept: LimbBasis,
     kept + dropped shaped (L, ..., N), D the product of the dropped primes;
     returns eval-rep limbs shaped (len(kept), ..., N).
 
-    The dropped rows are base-converted into `kept`, subtracted, and
-    multiplied by D^{-1}.  The centered conversion may add k * D with
-    |k| <= ceil(|dropped| / 2); from one prime it is the centered lift
-    itself, so the rescale rounds to within half a unit.  Key switching
-    drops the auxiliary primes B, rescale drops q_l.  A stack of
-    polynomials shares each prime's transforms; base conversion works
-    coefficient by coefficient, so it takes the stacked rows as one wide
-    row.
+    The dropped rows go through one `convert_limbs` into `kept`, are
+    subtracted, and the difference is multiplied by D^{-1}.  The centered
+    conversion may add k * D with |k| <= ceil(|dropped| / 2); from one
+    prime it is the centered lift itself, so the rescale rounds to within
+    half a unit.  Key switching drops the auxiliary primes B, rescale
+    drops q_l; a stack of polynomials shares each prime's transforms.
     """
-    k = len(kept)
-    coeff = transform_limbs(limbs[k:], dropped, "inverse")
-    wide = RnsPolynomial(dropped, COEFF, coeff.reshape(len(dropped), -1))
-    corr = base_convert(wide, make_base_table(dropped, kept)).limbs
-    corr = corr.reshape((k,) + limbs.shape[1:])
-    transform_limbs(corr, kept, "forward", out=corr)
+    corr = convert_limbs(limbs[len(kept):], dropped, kept)
     inv, inv_shoup = _drop_inverses(kept, dropped)
     for i, pm in enumerate(kept):
         corr[i] = shoup_mul(mod_sub(limbs[i], corr[i], pm), inv[i],
@@ -469,32 +464,21 @@ def key_switch(params: CkksParams, d: RnsPolynomial,
     c_basis = basis_c(params, level)
     if d.basis != c_basis:
         raise BasisMismatchError("switched polynomial is not over C_level")
-    b_basis = basis_b(params)
+    if d.rep != EVAL:
+        raise RepresentationError("key switching needs evaluation rep")
     d_basis = basis_d(params, level)
-    d_coeff = d.to_coeff()
 
     # ModUp: ext[r, i] is digit piece i over prime r of C_level + B, its
-    # own limbs as they are, the others base-converted from the piece.
+    # own limbs as they are, the others converted from the piece.
     count = params.piece_count(level)
     ext = np.empty((len(d_basis), count, params.n_ring), dtype=U64)
     for i in range(count):
-        src = piece_basis(params, i, level)
-        lo, hi = i * params.alpha, i * params.alpha + len(src)
+        piece = piece_basis(params, i, level)
+        lo, hi = i * params.alpha, i * params.alpha + len(piece)
         rest = LimbBasis(d_basis.primes[:lo] + d_basis.primes[hi:])
-        own = RnsPolynomial(src, COEFF, d_coeff.limbs[lo:hi])
-        conv = base_convert(own, make_base_table(src, rest)).limbs
+        conv = convert_limbs(d.limbs[lo:hi], piece, rest)
         ext[:lo, i], ext[lo:hi, i], ext[hi:, i] = (conv[:lo], d.limbs[lo:hi],
                                                    conv[lo:])
-    # Each prime's converted rows take one transform: over C_level every
-    # piece but the prime's own, over B every piece.
-    c = level + 1
-    transform_limbs(ext[c:], b_basis, "forward", out=ext[c:])
-    if count > 1:
-        others = np.array([[i for i in range(count) if i != r // params.alpha]
-                           for r in range(c)])
-        rows = np.arange(c)[:, None]
-        ext[rows, others] = transform_limbs(ext[rows, others], c_basis,
-                                            "forward")
 
     # Inner product with the key pairs, one reduction per output word; the
     # accumulator is (L, 2, N) so that one ModDown sheds B from both halves.
@@ -506,7 +490,7 @@ def key_switch(params: CkksParams, d: RnsPolynomial,
                 [(ext[r, i], evk.pieces[i][half].limbs[kr])
                  for i in range(count)], pm)
 
-    out = mod_down(acc, c_basis, b_basis)
+    out = mod_down(acc, c_basis, basis_b(params))
     return (RnsPolynomial(c_basis, EVAL, out[:, 0]),
             RnsPolynomial(c_basis, EVAL, out[:, 1]))
 

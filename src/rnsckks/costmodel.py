@@ -231,11 +231,11 @@ class PassShape:
             raise ConfigurationError("direction must be dft or idft")
         if self.size < 2 or self.size & (self.size - 1):
             raise ConfigurationError("size must be a power of two")
+        if self.k1 < 1 or self.k2 < 1 or self.k1 + self.k2 != self.k + 1:
+            raise ConfigurationError("split must satisfy k1 + k2 = k + 1")
         n_bits = self.size.bit_length() - 1
         if n_bits % self.k:
             raise ConfigurationError("k must divide log2(size)")
-        if self.k1 + self.k2 != self.k + 1:
-            raise ConfigurationError("split must satisfy k1 + k2 = k + 1")
         if len(self.levels) != n_bits // self.k:
             raise ConfigurationError("one level per iteration required")
         for a, b in zip(self.levels, self.levels[1:]):

@@ -59,8 +59,8 @@ from .costmodel import VARIANTS
 from .embedding import stage_twiddles
 from .errors import ConfigurationError, MissingKeyError, SeedRangeError
 from .modmath import U64
-from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, lift_int_coeffs,
-                      transform_limbs)
+from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, convert_limbs,
+                      lift_int_coeffs)
 
 DFT = "dft"       # coefficients to slot values
 IDFT = "idft"     # slot values back to coefficients
@@ -360,11 +360,11 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
         raise ConfigurationError(f"bad transform size {size}")
     if direction not in (DFT, IDFT):
         raise ConfigurationError(f"bad direction {direction!r}")
-    if logn % k:
-        raise ConfigurationError(f"radix 2^{k} does not tile log2({size})")
     k1, k2 = split
     if k1 + k2 != k + 1 or k1 < 1 or k2 < 1:
         raise ConfigurationError("split must satisfy k1 + k2 = k + 1")
+    if logn % k:
+        raise ConfigurationError(f"radix 2^{k} does not tile log2({size})")
     n_stages = logn // k
     if const_scale is None:
         const_scale = (1 << (params.q0_bits - 4)) if direction == IDFT \
@@ -489,9 +489,10 @@ def mod_raise(params: CkksParams, ct: Ciphertext,
 
     The lift is plain: viewed over the larger modulus, the underlying
     plaintext gains q0 times a small integer polynomial that a later
-    slot-wise reduction must remove.  The q0 limbs of c0 and c1 are
-    inverse-transformed together, centered, and lifted into the other
-    primes; the q0 limbs themselves are kept as they are.
+    slot-wise reduction must remove.  The q0 limbs of c0 and c1 go through
+    one `convert_limbs` into the other primes (from one prime, the
+    centered conversion is the centered lift); the q0 limbs themselves are
+    kept as they are.
     """
     if ct.level != 0:
         raise ConfigurationError("mod raise expects a level-0 ciphertext")
@@ -499,13 +500,11 @@ def mod_raise(params: CkksParams, ct: Ciphertext,
     if level <= 0:
         raise ConfigurationError("mod raise must increase the level")
     target = basis_c(params, level)
-    q0 = target.primes[0].q
     limbs = np.empty((len(target), 2, params.n_ring), dtype=U64)
     limbs[:1] = np.stack([ct.c0.to_eval().limbs, ct.c1.to_eval().limbs],
                          axis=1)
-    low = transform_limbs(limbs[:1], ct.c0.basis, "inverse")[0]
-    centered = low.view(np.int64) - (low > U64(q0 // 2)) * np.int64(q0)
-    limbs[1:] = lift_int_coeffs(centered, LimbBasis(target.primes[1:]))
+    limbs[1:] = convert_limbs(limbs[:1], ct.c0.basis,
+                              LimbBasis(target.primes[1:]))
     return Ciphertext(RnsPolynomial(target, EVAL, limbs[:, 0]),
                       RnsPolynomial(target, EVAL, limbs[:, 1]), ct.scale,
                       level, ct.slots)

@@ -12,8 +12,11 @@ From a single prime there is no slack.
 Several polynomials over one basis stack as limbs shaped (L, ..., N): the
 leading axis is the prime, so each prime's rows sit together and
 `transform_limbs` runs them through one `ntt` call (in cache-sized
-blocks) instead of one call per row.  Key switching, rescale and the
-integer lift pass their same-prime rows this way.
+blocks) instead of one call per row.  `convert_limbs` is the one
+evaluation-rep base conversion (inverse NTT, BConv, forward NTT) over
+such a stack: key switching's ModUp runs it once per digit piece, ModDown
+(key switching and rescale) once per call, and the bootstrap's modulus
+raise once from the base prime.
 """
 
 from __future__ import annotations
@@ -247,22 +250,13 @@ class BaseTable:
 @lru_cache(maxsize=None)
 def make_base_table(source: LimbBasis, target: LimbBasis) -> BaseTable:
     p_src = source.modulus
-    inv = np.empty(len(source), dtype=U64)
-    inv_sh = np.empty(len(source), dtype=U64)
-    fac = np.empty((len(target), len(source)), dtype=U64)
-    fac_sh = np.empty((len(target), len(source)), dtype=U64)
-    src = np.empty(len(target), dtype=U64)
-    src_sh = np.empty(len(target), dtype=U64)
-    for j, pj in enumerate(source):
-        phat = p_src // pj.q
-        w = pow(phat % pj.q, -1, pj.q)
-        inv[j], inv_sh[j] = w, (w << 64) // pj.q
-        for i, qi in enumerate(target):
-            w = phat % qi.q
-            fac[i, j], fac_sh[i, j] = w, (w << 64) // qi.q
-    for i, qi in enumerate(target):
-        w = p_src % qi.q
-        src[i], src_sh[i] = w, (w << 64) // qi.q
+    phats = [p_src // pj.q for pj in source]
+    inv, inv_sh = shoup_words([pow(ph % pj.q, -1, pj.q)
+                               for ph, pj in zip(phats, source)], source.qs)
+    rows = [shoup_words([ph % q for ph in phats], [q] * len(phats))
+            for q in target.qs]
+    fac, fac_sh = (np.stack(a) for a in zip(*rows))
+    src, src_sh = shoup_words([p_src % q for q in target.qs], target.qs)
     return BaseTable(source=source, target=target,
                      inv_factors=inv, inv_shoup=inv_sh,
                      factors=fac, factors_shoup=fac_sh,
@@ -317,6 +311,20 @@ def base_convert(p: RnsPolynomial, table: BaseTable) -> RnsPolynomial:
                           qi, small=True)
         out[i] = mod_sub(_bconv_accumulate(v, table, i), shift, qi)
     return RnsPolynomial(table.target, COEFF, out)
+
+
+def convert_limbs(limbs: np.ndarray, source: LimbBasis,
+                  target: LimbBasis) -> np.ndarray:
+    """Eval-rep limbs shaped (S, ..., N) over `source` as eval-rep limbs
+    shaped (T, ..., N) over `target`, centered as `base_convert` is (from
+    one prime, the centered lift).  Each prime's rows take one inverse and
+    one forward transform; base conversion works coefficient by
+    coefficient, so the stacked rows pass through it as one wide row."""
+    coeff = transform_limbs(limbs, source, "inverse")
+    wide = RnsPolynomial(source, COEFF, coeff.reshape(len(source), -1))
+    out = base_convert(wide, make_base_table(source, target)).limbs
+    out = out.reshape((len(target),) + limbs.shape[1:])
+    return transform_limbs(out, target, "forward", out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from oracles import (centered_mod, oracle_crt, oracle_negacyclic_big,
                      oracle_residues)
+import rnsckks.ckks as ckks_module
 import rnsckks.rnspoly as rnspoly_module
 from rnsckks.ckks import (CkksParams, aux_chain, basis_b, basis_c, basis_d,
                           cadd, cmult, decode, decrypt, encode,
@@ -23,7 +24,7 @@ from rnsckks.costmodel import (PROFILES, ParamProfile, keyswitch_mults,
 from rnsckks.embedding import packed_to_slots
 from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             LevelExhaustedError, MissingKeyError,
-                            ScaleMismatchError)
+                            RepresentationError, ScaleMismatchError)
 from rnsckks.rnspoly import (COEFF, EVAL, LimbBasis, RnsPolynomial, crt_float,
                              crt_reconstruct, rp_mul)
 
@@ -159,6 +160,10 @@ def test_key_switch_rejects_wrong_basis(tiny_params, tiny_sk):
                        np.random.default_rng(31))
     with pytest.raises(BasisMismatchError):
         key_switch(tiny_params, d, evk)
+    d = sample_uniform(basis_c(tiny_params, tiny_params.levels),
+                       tiny_params.n_ring, np.random.default_rng(31))
+    with pytest.raises(RepresentationError):
+        key_switch(tiny_params, d.to_coeff(), evk)
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +484,57 @@ def test_key_switch_transforms_match_cost_model(which, params, relin,
             // butterflies, level
     if which == "desk":
         assert counts[7] == 48
+
+
+@pytest.mark.parametrize("level", [7, 6, 5, 2, 1])
+def test_key_switch_converts_dnum_plus_two_polynomials(level, params, relin,
+                                                       monkeypatch):
+    """One key switch runs `convert_limbs` once per digit piece (ModUp,
+    piece -> rest of C_level + B) and once for ModDown (B -> C_level) over
+    both halves stacked: dnum_l + 2 polynomials, the factor of
+    costmodel.keyswitch_mults."""
+    calls = []
+    real = ckks_module.convert_limbs
+
+    def recording(limbs, source, target):
+        calls.append((source, target, limbs.shape))
+        return real(limbs, source, target)
+
+    monkeypatch.setattr(ckks_module, "convert_limbs", recording)
+    d = sample_uniform(basis_c(params, level), params.n_ring,
+                       np.random.default_rng(97))
+    key_switch(params, d, relin)
+    count = params.piece_count(level)
+    full = basis_d(params, level)
+    n = params.n_ring
+    for i, (source, target, shape) in enumerate(calls[:-1]):
+        assert source == piece_basis(params, i, level)
+        assert target.primes == tuple(pm for pm in full
+                                      if pm not in source.primes)
+        assert shape == (len(source), n)
+    assert calls[-1] == (basis_b(params), basis_c(params, level),
+                         (params.alpha, 2, n))
+    polys = sum(int(np.prod(shape[1:-1])) for _, _, shape in calls)
+    assert len(calls) == count + 1 and polys == count + 2
+    butterflies = n // 2 * (n.bit_length() - 1)
+    assert keyswitch_mults(PROFILES["desk"], level).ntt // butterflies \
+        == polys * (params.alpha + level + 1)
+
+
+def test_key_switch_memory_peak(params, relin):
+    """One L7 key switch holds the (12, 2, N) ModUp stack, the (12, 2, N)
+    key product and the (8, 2, N) result, 4 MiB, and peaks under 7 MiB:
+    each piece's converted rows live only until they are copied in."""
+    d = sample_uniform(basis_c(params, 7), params.n_ring,
+                       np.random.default_rng(99))
+    key_switch(params, d, relin)                        # warm the tables
+    tracemalloc.start()
+    try:
+        key_switch(params, d, relin)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 << 20, peak / 2 ** 20
 
 
 @pytest.mark.parametrize("which", ["tiny", "desk"])

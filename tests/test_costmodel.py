@@ -153,8 +153,8 @@ def test_pass_shape_validation():
                 levels=(23, 22, 21))
     PassShape(**good)
     for bad in (dict(direction="up"), dict(size=3000), dict(k=4),
-                dict(k1=2), dict(levels=(23, 22)),
-                dict(levels=(23, 21, 20))):
+                dict(k=0), dict(k1=2), dict(k1=6, k2=0),
+                dict(levels=(23, 22)), dict(levels=(23, 21, 20))):
         with pytest.raises(ConfigurationError):
             PassShape(**{**good, **bad})
 

@@ -130,6 +130,8 @@ def test_plan_validation_errors(params):
     with pytest.raises(ConfigurationError):
         build_dft_plan(params, IDFT, size=64, k=2, split=(3, 0))
     with pytest.raises(ConfigurationError):
+        build_dft_plan(params, IDFT, size=64, k=0, split=(1, 1))
+    with pytest.raises(ConfigurationError):
         build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2),
                        levels=[7, 6])
     with pytest.raises(ConfigurationError):

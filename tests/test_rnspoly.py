@@ -7,13 +7,14 @@ import pytest
 
 from oracles import (centered_mod, oracle_crt, oracle_negacyclic,
                      oracle_residues)
-from rnsckks.ckks import CkksParams, basis_c, basis_d
+from rnsckks.ckks import (CkksParams, basis_b, basis_c, basis_d,
+                          modulus_chain, piece_basis)
 from rnsckks.errors import BasisMismatchError, RepresentationError
 from rnsckks.modmath import U64, PrimeModulus, generate_ntt_primes
 from rnsckks.ntt import ntt
 from rnsckks.rnspoly import (COEFF, EVAL, BaseTable, LimbBasis,
                              RnsPolynomial, automorphism, base_convert,
-                             crt_reconstruct, lift_int_coeffs,
+                             convert_limbs, crt_reconstruct, lift_int_coeffs,
                              make_base_table, poly_from_int_coeffs, rp_add,
                              rp_mul, rp_neg, rp_scalar_mul_per_limb, rp_sub)
 
@@ -227,6 +228,30 @@ def test_base_convert_rejects_wrong_input():
         base_convert(p.to_eval(), table)
     with pytest.raises(BasisMismatchError):
         base_convert(random_poly(tgt, 64, np.random.default_rng(1)), table)
+
+
+@pytest.mark.parametrize("level", [7, 1])
+@pytest.mark.parametrize("source", ["piece", "B", "q0", "q_l"])
+def test_convert_limbs_matches_per_row_base_convert(source, level, params):
+    """One stacked (S, R, N) conversion into the complement of the source
+    within C_level + B gives the words of R single conversions, and each
+    equals the row's to_coeff -> base_convert -> to_eval."""
+    full = basis_d(params, level)
+    src = {"piece": piece_basis(params, 0, level), "B": basis_b(params),
+           "q0": LimbBasis(modulus_chain(params)[:1]),
+           "q_l": LimbBasis(modulus_chain(params)[level:level + 1])}[source]
+    tgt = LimbBasis(tuple(pm for pm in full if pm not in src.primes))
+    rng = np.random.default_rng([113, level])
+    rows = [random_poly(src, params.n_ring, rng, rep=EVAL) for _ in range(3)]
+    stacked = convert_limbs(np.stack([r.limbs for r in rows], axis=1), src,
+                            tgt)
+    assert stacked.shape == (len(tgt), 3, params.n_ring)
+    table = make_base_table(src, tgt)
+    for r, row in enumerate(rows):
+        assert np.array_equal(stacked[:, r], convert_limbs(row.limbs, src,
+                                                           tgt)), r
+        want = base_convert(row.to_coeff(), table).to_eval()
+        assert np.array_equal(stacked[:, r], want.limbs), r
 
 
 # ---------------------------------------------------------------------------
