@@ -252,14 +252,13 @@ class PassShape:
                    tuple(st.level for st in plan.stages))
 
 
-def bootstrap_pass_shapes(p: ParamProfile, k: int, split: tuple[int, int],
-                          dft_floor: int = 2) -> tuple[PassShape, PassShape]:
+def bootstrap_pass_shapes(p: ParamProfile, k: int, split: tuple[int, int]
+                          ) -> tuple[PassShape, PassShape]:
     """Default slot-to-coefficient schedules around a bootstrap.
 
     The inverse transform runs right after the raise, starting at the
     top level; the forward transform runs at the bottom of the modulus
-    chain, finishing at `dft_floor`, so its plaintexts and keys stay
-    small.
+    chain, finishing at level 2, so its plaintexts and keys stay small.
     """
     size = p.N // 2
     iters = (size.bit_length() - 1) // k
@@ -267,7 +266,7 @@ def bootstrap_pass_shapes(p: ParamProfile, k: int, split: tuple[int, int],
     idft = PassShape("idft", size, k, k1, k2,
                      tuple(range(p.L, p.L - iters, -1)))
     dft = PassShape("dft", size, k, k1, k2,
-                    tuple(range(dft_floor + iters - 1, dft_floor - 1, -1)))
+                    tuple(range(iters + 1, 1, -1)))
     return idft, dft
 
 

@@ -202,12 +202,10 @@ class PlaintextSeed:
 
     q0_limb: np.ndarray          # int64, |c| < q0/2
     scale: Fraction
-    tag: str = ""
 
 
 def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
-                        scale: int | Fraction,
-                        tag: str = "") -> PlaintextSeed:
+                        scale: int | Fraction) -> PlaintextSeed:
     q0 = modulus_chain(params)[0].q
     values = np.asarray(coeffs)
     if values.dtype.kind in "fc" and not np.all(
@@ -218,7 +216,7 @@ def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
     if np.any(coeffs >= bound) or np.any(coeffs <= -bound):
         raise SeedRangeError(
             f"coefficients reach +-{q0 // 2}; one limb cannot carry them")
-    return PlaintextSeed(q0_limb=coeffs, scale=Fraction(scale), tag=tag)
+    return PlaintextSeed(q0_limb=coeffs, scale=Fraction(scale))
 
 
 def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
@@ -239,12 +237,11 @@ def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
             for r, (key, seed) in enumerate(seeds.items())}
 
 
-def _seed_batch(params: CkksParams, rows: np.ndarray, scale: int,
-                tag: str, start: int) -> list[PlaintextSeed]:
-    """Seeds for consecutive rows of a stage, tagged by their stage-wide
-    row index, which starts at `start`."""
-    return [make_plaintext_seed(params, c, scale, tag=f"{tag}:{start + r}")
-            for r, c in enumerate(slots_to_coeffs(rows, scale))]
+def _seed_batch(params: CkksParams, rows: np.ndarray,
+                scale: int) -> list[PlaintextSeed]:
+    """Seeds for a batch of constant rows at one scale."""
+    return [make_plaintext_seed(params, c, scale)
+            for c in slots_to_coeffs(rows, scale)]
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +306,7 @@ class DftPlan:
         bound = (1 << self.k) - 1
         base = (1 << self.k) if variant == "baseline" else bound
         out = []
-        for s, st in enumerate(self.stages):
+        for st in self.stages:
             rows, keys = [], []
             for i2 in range(1 << self.k2):
                 for i1 in range(1 << self.k1):
@@ -326,10 +323,11 @@ class DftPlan:
                 # One giant row (the cells that share i2) per batch.
                 entries = []
                 for i2 in range(1 << self.k2):
-                    idx = [r for r, key in enumerate(keys) if key[1] == i2]
                     entries += _seed_batch(
-                        self.params, np.array([rows[r] for r in idx]),
-                        self.const_scale, f"{self.direction}:{s}", idx[0])
+                        self.params,
+                        np.array([row for row, (_, j2) in zip(rows, keys)
+                                  if j2 == i2]),
+                        self.const_scale)
             else:
                 entries = encode_diagonal_batch(self.params, np.array(rows),
                                                 st.level,
@@ -341,7 +339,7 @@ class DftPlan:
 
 def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
                    k: int = 6, split: tuple[int, int] = (3, 4),
-                   levels=None, const_scale: int | None = None) -> DftPlan:
+                   levels=None) -> DftPlan:
     """Group the radix-2 factors of the packed embedding into BSGS stages.
 
     `size` is the transform length (default: all n_ring/2 slots); log2(size)
@@ -349,7 +347,7 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
     stage, consecutive and descending; the defaults start at the top for
     IDFT and end at level 1 for DFT, matching their bootstrap positions.
 
-    IDFT constants default to a scale well above the nominal one: the
+    IDFT constants take a scale well above the nominal one: the
     transform runs on raised values carrying base-modulus multiples, so
     constant quantization must sit far below the message precision.  The
     exact scale field on the ciphertext absorbs the per-stage drift.
@@ -366,9 +364,8 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
     if logn % k:
         raise ConfigurationError(f"radix 2^{k} does not tile log2({size})")
     n_stages = logn // k
-    if const_scale is None:
-        const_scale = (1 << (params.q0_bits - 4)) if direction == IDFT \
-            else params.scale
+    const_scale = (1 << (params.q0_bits - 4)) if direction == IDFT \
+        else params.scale
     if levels is None:
         start = params.levels if direction == IDFT else n_stages
         levels = list(range(start, start - n_stages, -1))

@@ -100,8 +100,8 @@ def _find_2n_root(q: int, two_n: int) -> int:
 class PrimeModulus:
     """An NTT-friendly prime with cached reduction constants.
 
-    `two_n` is the transform length the prime was generated for; `root` is a
-    primitive two_n-th root of unity mod q.
+    `two_n` is the transform length the prime was generated for, a power of
+    two; `root` is a primitive two_n-th root of unity mod q.
     """
 
     q: int
@@ -115,12 +115,15 @@ class PrimeModulus:
         q = self.q
         if q % 2 == 0 or q.bit_length() > 62:
             raise ConfigurationError(f"modulus {q} must be odd and < 2^62")
-        if self.two_n and (q - 1) % self.two_n != 0:
-            raise ConfigurationError(f"{q} != 1 mod {self.two_n}")
-        root = self.root or _find_2n_root(q, self.two_n)
-        if self.two_n:
-            if pow(root, self.two_n // 2, q) != q - 1:
-                raise ConfigurationError(f"{root} has wrong order mod {q}")
+        two_n = self.two_n
+        if two_n < 2 or two_n & (two_n - 1):
+            raise ConfigurationError(
+                f"root order {two_n} is not a power of two >= 2")
+        if (q - 1) % two_n != 0:
+            raise ConfigurationError(f"{q} != 1 mod {two_n}")
+        root = self.root or _find_2n_root(q, two_n)
+        if pow(root, two_n // 2, q) != q - 1:
+            raise ConfigurationError(f"{root} has wrong order mod {q}")
         object.__setattr__(self, "root", root)
         ratio = (1 << 128) // q
         object.__setattr__(self, "ratio_hi", ratio >> 64)

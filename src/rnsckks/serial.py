@@ -1,4 +1,4 @@
-"""Binary and text serialization for keys, ciphertexts, and plans.
+"""Binary and text serialization for keys and ciphertexts.
 
 Binary containers share one layout: an eight-byte magic, a format
 version, a kind tag, and a CRC32 of the body, followed by kind-specific
@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .ckks import Ciphertext, CkksParams, EvaluationKey, Plaintext, SecretKey
 from .errors import SerializationError
-from .hdft import EvkUsageLog, LogEntry, PlaintextSeed
+from .hdft import EvkUsageLog, LogEntry
 from .modmath import PrimeModulus
 from .rnspoly import COEFF, EVAL, LimbBasis, RnsPolynomial
 
@@ -33,14 +32,12 @@ KIND_PLAINTEXT = 1
 KIND_CIPHERTEXT = 2
 KIND_SECRET_KEY = 3
 KIND_EVALUATION_KEY = 4
-KIND_PLAN_SEEDS = 5
 
 _KIND_NAMES = {
     KIND_PLAINTEXT: "plaintext",
     KIND_CIPHERTEXT: "ciphertext",
     KIND_SECRET_KEY: "secret key",
     KIND_EVALUATION_KEY: "evaluation key",
-    KIND_PLAN_SEEDS: "plan seeds",
 }
 
 
@@ -285,71 +282,6 @@ def load_evaluation_key(path: str) -> EvaluationKey:
 
 
 # ---------------------------------------------------------------------------
-# Transform plans, stored as their single-limb constant seeds.
-
-@dataclass(frozen=True)
-class StageSeeds:
-    level: int
-    g: int
-    minks_roll: int
-    cells: dict  # (i1, i2) -> PlaintextSeed
-
-
-@dataclass(frozen=True)
-class PlanSeeds:
-    """Portable image of a transform plan: shape plus seeded constants."""
-
-    direction: str
-    size: int
-    k: int
-    k1: int
-    k2: int
-    const_scale: Fraction
-    stages: tuple[StageSeeds, ...]
-
-
-def save_plan_seeds(path: str, plan):
-    consts = plan.stage_constants("minks-oflimb")
-    body = _Body()
-    body.pack("BIBBBH", 0 if plan.direction == "dft" else 1, plan.size,
-              plan.k, plan.k1, plan.k2, len(plan.stages))
-    body.put_fraction(Fraction(plan.const_scale))
-    for st, cells in zip(plan.stages, consts):
-        # The v1 layout keeps a flag byte per stage; it is always 0.
-        body.pack("iQQBH", st.level, st.g, st.minks_roll, 0, len(cells))
-        for (i1, i2), seed in sorted(cells.items()):
-            body.pack("BB", i1, i2)
-            body.put_fraction(seed.scale)
-            body.put_text(seed.tag)
-            body.pack("I", len(seed.q0_limb))
-            body.put_words(seed.q0_limb, "<i8")
-    _write_container(path, KIND_PLAN_SEEDS, body.getvalue())
-
-
-def load_plan_seeds(path: str) -> PlanSeeds:
-    cur = _read_container(path, KIND_PLAN_SEEDS)
-    dir_code, size, k, k1, k2, nstages = cur.unpack("BIBBBH")
-    const_scale = cur.get_fraction()
-    stages = []
-    for _ in range(nstages):
-        level, g, roll, flag, ncells = cur.unpack("iQQBH")
-        if flag:
-            cur.fail(f"unknown stage flag {flag}")
-        cells = {}
-        for _ in range(ncells):
-            i1, i2 = cur.unpack("BB")
-            scale = cur.get_fraction()
-            tag = cur.get_text()
-            (nwords,) = cur.unpack("I")
-            limb = cur.get_words((nwords,), "<i8")
-            cells[(i1, i2)] = PlaintextSeed(limb, scale, tag)
-        stages.append(StageSeeds(level, int(g), int(roll), cells))
-    cur.done()
-    return PlanSeeds("dft" if dir_code == 0 else "idft", size, k, k1, k2,
-                     const_scale, tuple(stages))
-
-
-# ---------------------------------------------------------------------------
 # Parameter files.
 
 _PARAM_KEYS = ("n_ring", "n_slots", "levels", "dnum", "scale_bits",
@@ -358,6 +290,13 @@ PARAMS_SCHEMA = "# rnsckks-params v1"
 
 
 def write_params(path: str, params: CkksParams, seed: int | None = None):
+    """Write a parameter file; `read_params` rebuilds alpha as
+    (levels + 1) / dnum, so parameters whose last digit piece is short
+    cannot be written."""
+    if params.alpha * params.dnum != params.levels + 1:
+        raise SerializationError(
+            f"alpha {params.alpha} does not divide levels + 1 = "
+            f"{params.levels + 1}; the file could not restore it", path)
     lines = [PARAMS_SCHEMA,
              f"n_ring = {params.n_ring}",
              f"n_slots = {params.n_slots}",

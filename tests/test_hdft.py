@@ -1,5 +1,6 @@
 """Transform plans, grouped-rotation execution, and the bootstrap pipeline."""
 
+import hashlib
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -183,6 +184,28 @@ def test_stage_constants_cached(params):
     first = plan.stage_constants("minks")
     assert plan.stage_constants("minks") is first
     assert plan.stage_constants("baseline") is not first
+
+
+# Digest of the constants of one small IDFT plan: the minks plaintext
+# limbs, then each minks-oflimb seed limb and scale, cell by cell in key
+# order.  A plan is stored nowhere but rebuilt from its arguments, so a
+# rewrite of the plan or constant code must leave these words as they are.
+PINNED_CONSTANTS = "e40a84d0269c072b"
+
+
+def test_plan_constants_pinned(params):
+    plan = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
+    h = hashlib.sha256()
+    for cells in plan.stage_constants("minks"):
+        for key, pt in cells.items():
+            h.update(repr(key).encode())
+            h.update(np.ascontiguousarray(pt.poly.limbs, "<u8").tobytes())
+    for cells in plan.stage_constants("minks-oflimb"):
+        for key, seed in cells.items():
+            h.update(repr(key).encode())
+            h.update(np.ascontiguousarray(seed.q0_limb, "<i8").tobytes())
+            h.update(str(seed.scale).encode())
+    assert h.hexdigest()[:16] == PINNED_CONSTANTS
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +420,8 @@ def test_seed_extension_is_bit_exact(params):
     q0 = modulus_chain(params)[0].q
     coeffs = {key: rng.integers(-(q0 // 2), q0 // 2, params.n_ring)
               for key in ((0, 1), (2, 1), (1, 1))}
-    seeds = {key: make_plaintext_seed(params, c, 1 << (40 + key[0]),
-                                      tag="probe")
+    seeds = {key: make_plaintext_seed(params, c, 1 << (40 + key[0]))
              for key, c in coeffs.items()}
-    assert seeds[0, 1].tag == "probe"
     assert seeds[0, 1].scale == Fraction(1 << 40)
     for level in (0, 3, params.levels):
         pts = of_limb_extend(params, seeds, level)

@@ -43,6 +43,12 @@ def test_prime_modulus_rejects_bad_inputs():
         PrimeModulus((1 << 63) + 1, 0)      # too wide
     with pytest.raises(ConfigurationError):
         PrimeModulus(97, 256)               # 97 != 1 mod 256
+    with pytest.raises(ConfigurationError):
+        PrimeModulus(97, 0)                 # no root order
+    with pytest.raises(ConfigurationError):
+        PrimeModulus(193, 0, 5)             # no root order, root unchecked
+    with pytest.raises(ConfigurationError):
+        PrimeModulus(193, 24)               # 193 = 1 mod 24, not a power of 2
 
 
 def test_prime_modulus_root_has_order_two_n():

@@ -8,18 +8,17 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rnsckks.ckks import (decrypt, encode, encrypt, make_relin_key,
-                          make_rotation_key, mod_drop, restrict_poly,
-                          slot_values)
+from rnsckks.ckks import (CkksParams, decrypt, encode, encrypt,
+                          make_relin_key, make_rotation_key, mod_drop,
+                          restrict_poly, slot_values)
 from rnsckks.errors import SerializationError
-from rnsckks.hdft import IDFT, EvkUsageLog, build_dft_plan
+from rnsckks.hdft import EvkUsageLog
 from rnsckks.rnspoly import LimbBasis
-from rnsckks.serial import (EVKLOG_SCHEMA, PARAMS_SCHEMA, PlanSeeds,
-                            load_ciphertext, load_evaluation_key,
-                            load_plaintext, load_plan_seeds, load_secret_key,
-                            read_params, read_usage_log, save_ciphertext,
-                            save_evaluation_key, save_plaintext,
-                            save_plan_seeds, save_secret_key, write_params,
+from rnsckks.serial import (EVKLOG_SCHEMA, PARAMS_SCHEMA, load_ciphertext,
+                            load_evaluation_key, load_plaintext,
+                            load_secret_key, read_params, read_usage_log,
+                            save_ciphertext, save_evaluation_key,
+                            save_plaintext, save_secret_key, write_params,
                             write_usage_log)
 
 
@@ -89,30 +88,6 @@ def test_evaluation_key_roundtrip(params, sk, relin, tmp_path):
         for (b0, a0), (b1, a1) in zip(back.pieces, evk.pieces):
             assert np.array_equal(b0.limbs, b1.limbs)
             assert np.array_equal(a0.limbs, a1.limbs)
-
-
-def test_plan_seeds_roundtrip(params, tmp_path):
-    plan = build_dft_plan(params, IDFT, size=16, k=2, split=(1, 2),
-                          levels=[5, 4])
-    path = str(tmp_path / "plan.seeds")
-    save_plan_seeds(path, plan)
-    seeds = load_plan_seeds(path)
-    assert isinstance(seeds, PlanSeeds)
-    assert (seeds.direction, seeds.size, seeds.k) == (IDFT, 16, 2)
-    assert (seeds.k1, seeds.k2) == (1, 2)
-    assert seeds.const_scale == Fraction(plan.const_scale)
-    consts = plan.stage_constants("minks-oflimb")
-    assert len(seeds.stages) == len(plan.stages)
-    for st, seed_st, cells in zip(plan.stages, seeds.stages, consts):
-        assert (seed_st.level, seed_st.g) == (st.level, st.g)
-        assert seed_st.minks_roll == st.minks_roll
-        assert sorted(seed_st.cells) == sorted(cells)
-        for key, got in seed_st.cells.items():
-            want = cells[key]
-            assert got.scale == want.scale
-            assert got.tag == want.tag
-            assert got.q0_limb.dtype == np.int64
-            assert np.array_equal(got.q0_limb, want.q0_limb)
 
 
 def test_serialization_is_deterministic(params, ct, tmp_path):
@@ -289,27 +264,6 @@ def test_crafted_evaluation_key_raises_serialization_error(
     assert what in str(info.value)
 
 
-def test_plan_seeds_reject_a_stage_flag(params, tmp_path):
-    """The v1 layout keeps one flag byte per stage and writes it as 0; a
-    checksum-valid container with another value does not load."""
-    plan = build_dft_plan(params, IDFT, size=16, k=2, split=(1, 2),
-                          levels=[5, 4])
-    path = str(tmp_path / "crafted.seeds")
-    save_plan_seeds(path, plan)
-    raw = open(path, "rb").read()
-    body = bytearray(raw[16:])
-    # Plan header (10 bytes), the scale text, then the first stage's
-    # level, g and roll (20 bytes) before its flag byte.
-    at = 10 + 4 + struct.unpack("<I", body[10:14])[0] + 20
-    assert body[at] == 0
-    body[at] = 1
-    with open(path, "wb") as f:
-        f.write(raw[:12] + struct.pack("<I", zlib.crc32(body)) + body)
-    with pytest.raises(SerializationError, match="crafted.seeds") as info:
-        load_plan_seeds(path)
-    assert "stage flag 1" in str(info.value)
-
-
 # ---------------------------------------------------------------------------
 # Parameter files.
 
@@ -335,6 +289,18 @@ def test_params_file_expresses_digit_count(tmp_path):
     open(path2, "w").write("levels = 5\ndnum = 4\n")
     with pytest.raises(SerializationError, match="divide"):
         read_params(path2)
+
+
+@pytest.mark.parametrize("levels,alpha", [(5, 4), (7, 3)])
+def test_params_file_refuses_a_short_last_digit(tmp_path, levels, alpha):
+    """A file stores dnum, from which alpha is rebuilt as (levels + 1) /
+    dnum; parameters it cannot restore are refused before any file is made
+    (5, 4 would read back with alpha 3; 7, 3 would not read back)."""
+    path = tmp_path / "params.txt"
+    short = CkksParams(n_ring=64, n_slots=4, levels=levels, alpha=alpha)
+    with pytest.raises(SerializationError, match="params.txt"):
+        write_params(str(path), short)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("line,what", [
