@@ -18,9 +18,10 @@ import time
 import numpy as np
 
 from . import costmodel, serial
-from .ckks import (CkksParams, basis_c, decode, decrypt, encode, encrypt,
-                   hadd, hmult, hrescale, hrot, keygen, make_relin_key,
-                   make_rotation_keys, modulus_chain, pmult, slot_values)
+from .ckks import (CkksParams, aux_chain, basis_c, decode, decrypt, encode,
+                   encrypt, hadd, hmult, hrescale, hrot, keygen,
+                   make_relin_key, make_rotation_keys, modulus_chain, pmult,
+                   slot_values)
 from .costmodel import (PROFILES, ParamProfile, PassShape,
                         bootstrap_pass_shapes, data_sizes,
                         distribution_transfer, hdft_pass_cost,
@@ -492,6 +493,17 @@ def cmd_bench(args: argparse.Namespace) -> int:
     timed("hrot", lambda: hrot(params, ct, 1, rot))
     for name, best in timings:
         _note(f"bench: {name} {best * 1e3:.2f} ms")
+    # One prime per butterfly kernel, per row of a 4-row stack; stderr
+    # only, so the report's "ops timed" line does not move.
+    ntt_rng = np.random.default_rng([seed, 0x177])
+    for label, pm in (("scale", modulus_chain(params)[1]),
+                      ("aux", aux_chain(params)[0])):
+        words = ntt_rng.integers(0, pm.q, (4, params.n_ring), dtype=np.uint64)
+        for direction in ("forward", "inverse"):
+            best = min(_time_once(lambda: ntt(words, pm, direction))
+                       for _ in range(5))
+            _note(f"bench: ntt {direction} {label} q{pm.bit_width} "
+                  f"{best / len(words) * 1e3:.3f} ms/row")
     lines.append(f"ops timed: {' '.join(name for name, _ in timings)}")
     lines.append("timings: stderr (wall clock, not part of the report)")
     _emit(lines, args.out)

@@ -196,6 +196,8 @@ def keyswitch_mults(p: ParamProfile, level: int) -> KeySwitchMults:
 
 def pmult_mults(p: ParamProfile, level: int) -> int:
     # Plaintext times both ciphertext polynomials, level + 1 limbs each.
+    # This counts multiplies, not reductions: a giant row's sum of pmults
+    # reduces each word once, not once per product.
     return 2 * (level + 1) * p.N
 
 

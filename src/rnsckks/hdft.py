@@ -54,13 +54,14 @@ import numpy as np
 from .ckks import (Ciphertext, CkksParams, EvaluationKey, Plaintext,
                    SecretKey, basis_c, decode, decrypt, encode,
                    encode_diagonal_batch, encrypt, hadd, hrescale, hrot,
-                   modulus_chain, pmult, slots_to_coeffs)
+                   modulus_chain, slots_to_coeffs)
 from .costmodel import VARIANTS
 from .embedding import stage_twiddles
-from .errors import ConfigurationError, MissingKeyError, SeedRangeError
+from .errors import (BasisMismatchError, ConfigurationError, MissingKeyError,
+                     ScaleMismatchError, SeedRangeError)
 from .modmath import U64
 from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, convert_limbs,
-                      lift_int_coeffs)
+                      lift_int_coeffs, rp_mul_sum)
 
 DFT = "dft"       # coefficients to slot values
 IDFT = "idft"     # slot values back to coefficients
@@ -400,12 +401,26 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
 # Plan execution.
 
 def _row_sum(babies: list[Ciphertext], row: dict) -> Ciphertext:
-    """One giant row's inner sum: babies[i1] times row[i1], in i1 order."""
-    (i1, pt), *rest = row.items()
-    inner = pmult(babies[i1], pt)
-    for i1, pt in rest:
-        inner = hadd(inner, pmult(babies[i1], pt))
-    return inner
+    """One giant row's inner sum: babies[i1] times row[i1] over the row.
+
+    Each half is one `rp_mul_sum`, one reduction per word, where a pmult
+    per diagonal and an hadd per term would reduce every product and every
+    partial sum; the words are the same.  The checks those made hold here:
+    every product is at one level and one scale.
+    """
+    pairs = [(babies[i1], pt) for i1, pt in row.items()]
+    level = pairs[0][0].level
+    scale = pairs[0][0].scale * pairs[0][1].scale
+    for ct, pt in pairs:
+        if ct.level != level or pt.level != level:
+            raise BasisMismatchError(
+                f"levels differ: {ct.level}, {pt.level} vs {level}")
+        if ct.scale * pt.scale != scale:
+            raise ScaleMismatchError(
+                f"scales differ: {ct.scale * pt.scale} vs {scale}")
+    return Ciphertext(rp_mul_sum([(ct.c0, pt.poly) for ct, pt in pairs]),
+                      rp_mul_sum([(ct.c1, pt.poly) for ct, pt in pairs]),
+                      scale, level, min(ct.slots for ct, _ in pairs))
 
 
 def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,

@@ -9,8 +9,9 @@ strategies:
   base-conversion tables, per-limb scalars): the multiplier rides with
   its companion floor(w * 2^64 / q), so each product costs one high-word
   multiply, two wrapping multiplies and a conditional subtract.  The lazy
-  form skips the subtract and returns a value in [0, 2q), which the NTT
-  butterflies carry until one final correction.
+  form skips the subtract and returns a value in [0, 2q), which base
+  conversion accumulates before one reduction.  (The NTT has butterfly
+  kernels of its own; see `ntt`.)
 * Barrett with a precomputed floor(2^128 / q) for general data-by-data
   products (multiply-accumulate paths); a sum of several 128-bit products
   can be reduced once.
@@ -203,6 +204,8 @@ def mul128(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # estimated in float64 to within one.
 SMALL_WORD = 1 << 48
 _LOW_BIAS = 1.0 - 2.0 ** -49
+# The most pairs whose float64 quotient `_mul_sum_float` keeps within one.
+FLOAT_PAIRS = 14
 
 
 def _as_float(words) -> np.ndarray:
@@ -210,19 +213,10 @@ def _as_float(words) -> np.ndarray:
     return np.asarray(words).view(np.int64).astype(np.float64)
 
 
-def float_ratio(w_shoup) -> np.ndarray:
-    """w_shoup / 2^64 in float64, biased low by a relative 2^-49 so that,
-    after the roundings of one more product, an estimate from it never
-    exceeds the true quotient."""
-    ratio = np.asarray(w_shoup).astype(np.float64)
-    ratio *= 2.0 ** -64 * _LOW_BIAS
-    return ratio
-
-
 @_wrapping
 def shoup_mul_lazy(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
                    q: np.uint64, out: np.ndarray | None = None,
-                   small: bool = False, ratio=None) -> np.ndarray:
+                   small: bool = False) -> np.ndarray:
     """a * w mod q, up to one q: a value in [0, 2q) for any a < 2^64.
 
     The quotient estimate floor(a * w_shoup / 2^64) with
@@ -230,14 +224,15 @@ def shoup_mul_lazy(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
     multiply and two wrapping multiplies replace a full reduction.
     Requires q < 2^63 and w < q.  `out` may be `a` itself.
 
-    `small` promises a < 2^48.  The estimate then comes from float64 as
-    a * float_ratio(w_shoup) (or the `ratio` given): a converts exactly, and
-    with the ratio's low bias the product lies in (a*w/q - 1, a*w/q], so
-    truncation is again floor(a * w / q) or one less.
+    `small` promises a < 2^48.  The estimate then comes from float64 as a
+    times w_shoup / 2^64, biased low by a relative 2^-49: a converts
+    exactly, and after the roundings the product lies in
+    (a*w/q - 1, a*w/q], so truncation is again floor(a * w / q) or one
+    less.
     """
     if small:
-        if ratio is None:
-            ratio = float_ratio(w_shoup)
+        ratio = np.asarray(w_shoup).astype(np.float64)
+        ratio *= 2.0 ** -64 * _LOW_BIAS
         est = _as_float(a) * ratio
         quot = est.astype(np.int64).view(U64)
     else:
@@ -295,13 +290,13 @@ def mul_sum(pairs, mod: PrimeModulus) -> np.ndarray:
     """sum_k a_k * b_k mod q over (a_k, b_k) pairs of words in [0, q).
 
     Each word takes one reduction, not one per product; the canonical
-    result is the same.  For at most four pairs with k * q <= 2^48, the
+    result is the same.  For k <= FLOAT_PAIRS pairs with k * q <= 2^48, the
     quotient comes from float64 (`_mul_sum_float`).  Otherwise the products
     accumulate exactly in 128 bits for one Barrett reduction, and a sum is
     folded back to one word before it could pass 2^128.
     """
     pairs = list(pairs)
-    if len(pairs) <= 4 and len(pairs) * mod.q <= SMALL_WORD:
+    if len(pairs) <= FLOAT_PAIRS and len(pairs) * mod.q <= SMALL_WORD:
         return _mul_sum_float(pairs, mod)
     room = max(1, ((1 << 128) - 1) // (mod.q - 1) ** 2 - 1)
     hi = lo = None
@@ -320,15 +315,21 @@ def mul_sum(pairs, mod: PrimeModulus) -> np.ndarray:
 
 
 def _mul_sum_float(pairs, mod: PrimeModulus) -> np.ndarray:
-    """`mul_sum` with the quotient from float64, for k <= 4 pairs and
-    k * q <= 2^48.
+    """`mul_sum` with the quotient from float64, for k <= FLOAT_PAIRS pairs
+    and k * q <= 2^48.
 
-    The operands convert exactly.  The products' float sum times 1/q,
-    biased low by a relative 2^-49 like `float_ratio`, carries at most
-    (k + 2) roundings of 2^-53 each, fewer than the bias: it lies in
-    (x - 1, x] for the exact quotient x < 2^48.  The wrapped sum of the
-    products' low words less the truncated estimate times q is then the
-    remainder plus at most one q.
+    The operands convert exactly.  The estimate of the exact quotient
+    x = sum_k a_k b_k / q passes each product through at most k + 2
+    roundings, each a factor (1 + e) with |e| <= u = 2^-53: its own, k - 1
+    in the sum (every term is non-negative), one in fl(_LOW_BIAS / q) and
+    one in the last multiply.  With the low bias 1 - 2^-49 = 1 - 16u the
+    estimate lies between x (1 - u)^(k+2) (1 - 16u) and
+    x (1 + u)^(k+2) (1 - 16u).  The upper factor is at most one while
+    k + 2 <= 16, because (1 + u)^16 < 1 / (1 - 16u); at k + 2 = 17 it is
+    above one.  The lower factor is then above 1 - 32u, so with
+    x < k * q <= 2^48 the estimate is above x - 1.  Its truncation is
+    floor(x) or one less, and the wrapped sum of the products' low words
+    less that times q is the remainder plus at most one q.
     """
     q = U64(mod.q)
     est = low = None

@@ -13,14 +13,37 @@ Conventions, fixed across the package:
   geometric progressions starting at one; only the sqrt(n) row ratios are
   stored, and the table is generated column by column at runtime.
 
-Twiddle tables are cached per (q, n, root, cyclic) and stored alongside their
-64-bit reciprocal companions.  Butterflies are Harvey's lazy form: each
-costs one lazy Shoup product (result in [0, 2q)) and one conditional
-subtract, words stay below 4q < 2^64 between stages, and one final
-correction per transform returns canonical words.  The product's quotient
-estimate is a high-word multiply, or for primes below 2^46 (so words
-below 2^48) one float64 multiply.  The stages with short butterfly spans
-run on a transposed copy so that numpy's inner loops stay long.
+Twiddle tables are cached per (q, n, root, cyclic).  Each table carries
+one of two butterfly kernels, chosen per prime when it is built; both end
+in canonical words, so the choice changes no output word.
+
+* Signed, for the primes its predicate admits (the 40-bit scale
+  primes).  Words are int64 and may be negative.  A product is
+  r = a * w - trunc(a * fl(w / q)) * q, formed in wrapping 64-bit words
+  and read as int64.  Its quotient estimate is off
+  by less than one, so |r| < q (1 + |a| 2^-52) with no conditional
+  subtract and no offset.  A forward (Cooley-Tukey) stage adds at most
+  about q to the word bound.  An inverse (Gentleman-Sande) stage doubles
+  the bound of its sum path, so that path is reduced to about q at the
+  stages the table marks.  One floor-based pass makes the words canonical
+  at the end.  `_signed_schedule` follows the bound stage by stage in
+  Python integers; it admits a prime only if every bound B keeps
+  B (2^54 + 1) < 2^106.  Then each float64 estimate, whose relative error
+  is at most 2^-52 + 2^-106, is off by less than one, and every word
+  converts to float64 exactly.  At n = 2^13 this admits q up to about
+  2^47.7, where the forward words reach about 20q.
+* Wide, for the 59-bit base prime, the 60-bit auxiliary primes and any
+  prime the signed predicate refuses.  Words are uint64.  A product is a
+  lazy Shoup product with w' = floor(w * 2^64 / q).  Its quotient
+  floor(a * w' / 2^64) is estimated from three 32-bit partial products,
+  a1 w'1 + (a1 w'0 >> 32) + (a0 w'1 >> 32), which is low by at most two;
+  Shoup's estimate is low by at most one more, so the product lies in
+  [0, 4q) for any a < 2^64.  One conditional subtract takes it to
+  [0, 2q).  Words stay below 4q < 2^64 between stages for every q < 2^62,
+  and a final correction makes them canonical.
+
+The stages with short butterfly spans run on a transposed copy so that
+numpy's inner loops stay long.
 
 A stack of rows (..., n) runs through every stage in blocks of
 `BLOCK_WORDS` words, 4 rows at n = 2^13.  A whole 127-row stack and its
@@ -37,13 +60,18 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .modmath import (SMALL_WORD, U64, PrimeModulus, barrett_mul,
-                      float_ratio, shoup_mul, shoup_mul_lazy, shoup_words)
+from .modmath import (MASK32, SHIFT32, U64, PrimeModulus, barrett_mul,
+                      shoup_mul, shoup_words)
 
 # Words per pass through the butterfly stages: 256 KiB, so a block and its
 # stage temporaries (a few times its size) fit a 2 MiB L2.  On a 2-core
 # Xeon with that L2, 2^16 ran 8 rows of the 59-bit prime 1.5x slower.
 BLOCK_WORDS = 1 << 15
+
+I64 = np.int64
+# 2^106 times the relative error bound 2^-52 + 2^-106 of a float64
+# estimate x * fl(c): one rounding in fl(c), one in the product.
+_EST_ERR = (1 << 54) + 1
 
 
 def bit_reverse_permutation(n: int) -> np.ndarray:
@@ -56,39 +84,87 @@ def bit_reverse_permutation(n: int) -> np.ndarray:
     return rev
 
 
+def _signed_fits(bound: int) -> bool:
+    """Whether signed words of magnitude <= bound keep every float64
+    quotient estimate within one, and so convert to float64 exactly."""
+    return bound * _EST_ERR < 1 << 106
+
+
+def _signed_bound(q: int, bound: int) -> int:
+    """A bound on |r| for a signed product or reduction of a word of
+    magnitude <= bound: |r| < q (1 + bound (2^-52 + 2^-106))."""
+    return q + (q * bound * _EST_ERR >> 106) + 1
+
+
+def _signed_schedule(q: int, n: int) -> tuple[bool, ...] | None:
+    """The inverse stages that reduce their sum path, in execution order,
+    or None when some word bound of either direction would not fit."""
+    stages = n.bit_length() - 1
+    bound = q - 1
+    for _ in range(stages):                  # forward: lo +- r
+        bound += _signed_bound(q, bound)
+    if not _signed_fits(bound):
+        return None
+    bound, reduce = q - 1, []
+    for s in range(stages):
+        diff = 2 * bound                     # lo - hi, and lo + hi
+        if not _signed_fits(diff):
+            return None
+        prod = _signed_bound(q, diff)
+        # The sum feeds the next stage's difference; after the last stage
+        # it only takes 1/n.
+        cut = s + 1 < stages and not _signed_fits(2 * max(prod, diff))
+        reduce.append(cut)
+        total = _signed_bound(q, diff) if cut else diff
+        bound = max(prod, total)
+    last = max(prod, _signed_bound(q, total))
+    return tuple(reduce) if _signed_fits(last) else None
+
+
 @dataclass(frozen=True)
 class NttTables:
-    """Twiddles and reciprocals for one (q, n, psi) triple.
+    """Twiddles for one (q, n, psi) triple, in the form its kernel reads.
 
     Entries [h, 2h) of each twiddle table serve the stage that merges
     length-h sub-transforms (h = 1, 2, ..., n/2); entry 0 is unused.  The
     inverse table's h = 1 entry folds in 1/n.  `fwd_stages` and
-    `inv_stages` hold, per stage in execution order, (h, twiddles,
-    companions, float ratios) as views of those tables shaped for the
-    stage's butterfly halves; the ratios exist only for a narrow prime,
-    whose lazy products take their quotient from float64.
+    `inv_stages` hold, per stage in execution order, (h, w, aux, reduce),
+    with w and aux viewed in the shape of the stage's butterfly halves.
+    Under `signed`, w is int64, aux = (fl(w / q),), and `reduce` marks the
+    inverse stages that reduce their sum path.  Otherwise w is uint64, aux
+    holds the low and high 32-bit halves of the Shoup companions
+    floor(w * 2^64 / q), and `reduce` is unset.  `n_inv` is (1/n, aux) in
+    the same form, for the inverse's sum path.
     """
 
     mod: PrimeModulus
     n: int
-    n_inv: np.uint64
-    n_inv_shoup: np.uint64
-    narrow: bool
+    signed: bool
+    n_inv: tuple
     fwd_stages: tuple
     inv_stages: tuple
 
 
-def _stages(n: int, w: np.ndarray, w_shoup: np.ndarray, narrow: bool,
-            spans) -> tuple:
+def _kernel_words(words: list[int], q: int, signed: bool) -> tuple:
+    """(w, aux) as the kernel reads them: int64 twiddles and fl(w / q), or
+    uint64 twiddles and the 32-bit halves of their Shoup companions."""
+    if signed:
+        w = np.array(words, dtype=I64)
+        return w, (w / float(q),)
+    w, w_shoup = shoup_words(words, [q] * len(words))
+    return w, (w_shoup & MASK32, w_shoup >> SHIFT32)
+
+
+def _stages(n: int, words: list[int], q: int, signed: bool, spans,
+            reduce) -> tuple:
     b = _layout(n)[0]
-    ratio = float_ratio(w_shoup) if narrow else None
+    w, aux = _kernel_words(words, q, signed)
     out = []
-    for h in spans:
-        cut = slice(h, 2 * h)
-        views = (w[cut], w_shoup[cut], None if ratio is None else ratio[cut])
+    for h, cut in zip(spans, reduce):
+        views = [v[h:2 * h] for v in (w, *aux)]
         if h < b:                # halves of the transposed layout: (K, h, n/b)
-            views = tuple(None if v is None else v[:, None] for v in views)
-        out.append((h, *views))
+            views = [v[:, None] for v in views]
+        out.append((h, views[0], tuple(views[1:]), cut))
     return tuple(out)
 
 
@@ -111,16 +187,15 @@ def _build_tables(mod: PrimeModulus, n: int, psi: int, cyclic: bool) -> NttTable
         w_inv = [pow(psi_inv, e, q) for e in exps]
         inv += [x * n_inv % q for x in w_inv] if h == 1 else w_inv
         h <<= 1
-    fwd, fwd_sh = shoup_words(fwd, [q] * n)
-    inv, inv_sh = shoup_words(inv, [q] * n)
-    # Butterfly words stay below 4q; below 2^48 they convert to float64
-    # exactly, which the float quotient estimate needs.
-    narrow = 4 * q <= SMALL_WORD
+    schedule = _signed_schedule(q, n)
+    signed = schedule is not None
     spans = [1 << k for k in range(n.bit_length() - 1)]
-    return NttTables(mod=mod, n=n, n_inv=U64(n_inv),
-                     n_inv_shoup=U64((n_inv << 64) // q), narrow=narrow,
-                     fwd_stages=_stages(n, fwd, fwd_sh, narrow, spans),
-                     inv_stages=_stages(n, inv, inv_sh, narrow, spans[::-1]))
+    w, aux = _kernel_words([n_inv], q, signed)
+    return NttTables(
+        mod=mod, n=n, signed=signed, n_inv=(w[0], tuple(a[0] for a in aux)),
+        fwd_stages=_stages(n, fwd, q, signed, spans, [False] * len(spans)),
+        inv_stages=_stages(n, inv, q, signed, spans[::-1],
+                           schedule or [False] * len(spans)))
 
 
 def get_tables(mod: PrimeModulus, n: int, psi: int | None = None,
@@ -134,6 +209,8 @@ def get_tables(mod: PrimeModulus, n: int, psi: int | None = None,
                 f"modulus root order {mod.two_n} does not cover length {n}")
         psi = pow(mod.root, mod.two_n // order, mod.q)
     return _build_tables(mod, n, psi, cyclic)
+
+
 
 
 @lru_cache(maxsize=None)
@@ -150,60 +227,125 @@ def _layout(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     return b, br.reshape(n // b, b).T.ravel(), (br % b) * (n // b) + br // b
 
 
+def _signed_mul(a: np.ndarray, w, aux: tuple, q: np.int64,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """a * w - trunc(a * fl(w / q)) * q, with |r| < q (1 + |a| 2^-52) for
+    |a| below the schedule's bound.  `out` may be `a` itself."""
+    quot = np.multiply(a, aux[0]).astype(I64)
+    quot *= q
+    r = np.multiply(a, w, out=out)
+    r -= quot                               # wrapping, exact mod 2^64
+    return r
+
+
+def _wide_mul(a: np.ndarray, w, aux: tuple, q: np.uint64,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Lazy Shoup product a * w mod q in [0, 4q) for any a < 2^64, its
+    quotient from three 32-bit partial products.  `out` may be `a`."""
+    w_lo, w_hi = aux
+    t = a >> SHIFT32
+    quot = t * w_hi
+    t *= w_lo
+    t >>= SHIFT32
+    quot += t
+    t = a & MASK32
+    t *= w_hi
+    t >>= SHIFT32
+    quot += t           # low by at most 2, and Shoup's estimate by 1 more
+    quot *= q
+    r = np.multiply(a, w, out=out)
+    r -= quot                               # wrapping, exact mod 2^64
+    return r
+
+
+def _canonical(x: np.ndarray, t: NttTables) -> np.ndarray:
+    """Canonical uint64 words, in place, from a transform's last words:
+    signed ones within the schedule's bound, or unsigned ones below 4q."""
+    q = t.mod.q
+    if t.signed:
+        # floor(x * fl(1/q)) is floor(x / q), or one less at an exact
+        # multiple of q, so x lands in [0, q].
+        est = np.multiply(x, 1.0 / q)
+        np.floor(est, out=est)
+        quot = est.astype(I64)
+        quot *= q
+        x -= quot
+        x = x.view(U64)
+        return np.minimum(x, x - U64(q), out=x)
+    q = U64(q)
+    np.minimum(x, x - (q + q), out=x)
+    return np.minimum(x, x - q, out=x)
+
+
 def _forward(x: np.ndarray, t: NttTables) -> np.ndarray:
     """(R, n) canonical coefficient rows -> evaluation rows."""
-    q = U64(t.mod.q)
-    two_q = q + q
     rows, n = x.shape
     b, gather, _ = _layout(n)
     m = n // b
     x = np.take(x, gather, axis=-1).reshape(rows, b, m)
-    for h, w, w_shoup, ratio in t.fwd_stages:
+    if t.signed:
+        x = x.view(I64)
+        q = I64(t.mod.q)
+    else:
+        q = U64(t.mod.q)
+        two_q = q + q
+    for h, w, aux, _ in t.fwd_stages:
         if h == b:
             x = x.transpose(0, 2, 1).reshape(rows, n)
         y = x.reshape(-1, 2, h, m) if h < b else x.reshape(-1, 2, h)
         lo, hi = y[:, 0], y[:, 1]
-        # Harvey's lazy butterfly: words stay in [0, 4q) between stages.
-        prod = shoup_mul_lazy(hi, w, w_shoup, q, small=t.narrow,
-                              ratio=ratio)                 # [0, 2q)
+        if t.signed:
+            r = _signed_mul(hi, w, aux, q)
+            np.subtract(lo, r, out=hi)
+            lo += r                        # bounds grow by about q a stage
+            continue
+        r = _wide_mul(hi, w, aux, q)                       # [0, 4q)
+        np.minimum(r, r - two_q, out=r)                    # [0, 2q)
         np.subtract(lo, two_q, out=hi)
         np.minimum(lo, hi, out=lo)                         # [0, 2q)
-        np.subtract(lo, prod, out=hi)
+        np.subtract(lo, r, out=hi)
         hi += two_q                                        # (0, 4q)
-        lo += prod                                         # [0, 4q)
-    x = x.reshape(rows, n)             # with b == n, n / b = 1: no transpose
-    y = x - two_q
-    np.minimum(x, y, out=x)
-    np.subtract(x, q, out=y)
-    return np.minimum(x, y, out=x)
+        lo += r                                            # [0, 4q)
+    # With b == n, n / b = 1: no transpose.
+    return _canonical(x.reshape(rows, n), t)
 
 
 def _inverse(x: np.ndarray, t: NttTables) -> np.ndarray:
     """(R, n) canonical evaluation rows -> coefficient rows."""
-    q = U64(t.mod.q)
-    two_q = q + q
     rows, n = x.shape
     b, _, gather = _layout(n)
     m = n // b
-    x = x.copy()
-    for h, w, w_shoup, ratio in t.inv_stages:
+    if t.signed:
+        x = x.astype(I64)
+        q = I64(t.mod.q)
+        by_one = (I64(1), (1.0 / t.mod.q,))    # a reduction
+    else:
+        x = x.copy()
+        q = U64(t.mod.q)
+        two_q = q + q
+    for h, w, aux, reduce in t.inv_stages:
         if h == b // 2:
             x = x.reshape(rows, m, b).transpose(0, 2, 1).copy()
         y = x.reshape(-1, 2, h, m) if h < b else x.reshape(-1, 2, h)
         lo, hi = y[:, 0], y[:, 1]
-        # Gentleman-Sande lazy butterfly: words stay in [0, 2q).
+        if t.signed:
+            diff = lo - hi
+            lo += hi                       # the sum path's bound doubles
+            if reduce:
+                _signed_mul(lo, *by_one, q, out=lo)
+            _signed_mul(diff, w, aux, q, out=hi)
+            continue
         diff = lo + two_q
         diff -= hi                                         # (0, 4q)
         lo += hi
         np.subtract(lo, two_q, out=hi)
         np.minimum(lo, hi, out=lo)                         # [0, 2q)
-        shoup_mul_lazy(diff, w, w_shoup, q, out=hi, small=t.narrow,
-                       ratio=ratio)
+        _wide_mul(diff, w, aux, q, out=hi)                 # [0, 4q)
+        np.minimum(hi, hi - two_q, out=hi)                 # [0, 2q)
     # 1/n lives in the last stage: the difference path's twiddles carry it
     # already, the sum path takes it here.
-    shoup_mul_lazy(lo, t.n_inv, t.n_inv_shoup, q, out=lo, small=t.narrow)
-    x = x.reshape(rows, n)
-    np.minimum(x, x - q, out=x)
+    (_signed_mul if t.signed else _wide_mul)(lo, *t.n_inv, q, out=lo)
+    x = _canonical(x.reshape(rows, n), t)
     return np.take(x, gather, axis=-1)
 
 

@@ -130,6 +130,14 @@ def _write_container(path: str, kind: int, body: bytes):
         raise SerializationError(f"cannot write container: {e}", path)
 
 
+def _write_text(path: str, lines: list[str], what: str):
+    try:
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+    except OSError as e:
+        raise SerializationError(f"cannot write {what}: {e}", path)
+
+
 def _read_container(path: str, kind: int) -> _Cursor:
     try:
         with open(path, "rb") as f:
@@ -308,8 +316,7 @@ def write_params(path: str, params: CkksParams, seed: int | None = None):
              f"sigma = {params.sigma}"]
     if seed is not None:
         lines.append(f"seed = {seed}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_text(path, lines, "parameter file")
 
 
 def read_params(path: str) -> tuple[CkksParams, int | None]:
@@ -361,8 +368,7 @@ def write_usage_log(path: str, log: EvkUsageLog):
     for e in log.entries:
         lines.append(f"{e.op} {e.transform} {e.stage} {e.amount} "
                      f"{e.evk_id} {e.kind or '-'} {int(e.performed)}")
-    with open(path, "w") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_text(path, lines, "usage log")
 
 
 def read_usage_log(path: str) -> EvkUsageLog:

@@ -234,6 +234,12 @@ def test_bench_reports_model_counts():
     # Wall times live on stderr only, so the report stays byte-stable.
     assert first.stdout == again.stdout
     assert "bench:" in first.stderr
+    ntt_lines = [ln.split() for ln in first.stderr.splitlines()
+                 if ln.startswith("bench: ntt ")]
+    assert [ln[2:5] for ln in ntt_lines] == [
+        ["forward", "scale", "q40"], ["inverse", "scale", "q40"],
+        ["forward", "aux", "q60"], ["inverse", "aux", "q60"]]
+    assert all(ln[6] == "ms/row" and float(ln[5]) > 0 for ln in ntt_lines)
 
 
 # ---------------------------------------------------------------------------

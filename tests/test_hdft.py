@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from rnsckks import hdft
-from rnsckks.ckks import (basis_c, encode, encrypt, make_rotation_keys,
-                          modulus_chain, slot_values)
+from rnsckks.ckks import (basis_c, encode, encrypt, hadd,
+                          make_rotation_keys, modulus_chain, pmult,
+                          slot_values)
 from rnsckks.embedding import packed_to_slots
-from rnsckks.errors import (ConfigurationError, MissingKeyError,
+from rnsckks.errors import (BasisMismatchError, ConfigurationError,
+                            MissingKeyError, ScaleMismatchError,
                             SeedRangeError)
 from rnsckks.hdft import (DFT, IDFT, DftPlan, EvkUsageLog, PlanStage,
                           bootstrap, build_dft_plan, diag_apply, diag_product,
@@ -381,6 +383,47 @@ def test_rotate_accumulate_matches_naive_sum(params, sk, minks_chain_run):
     assert rel_error(slot_values(params, out, sk), want) \
         < params.budgets.multiply * params.budgets.rotate_factor
     assert log.pmult_ops(IDFT) == sum(len(st.diags) for st in plan.stages)
+
+
+@pytest.mark.parametrize("level", [7, 2])
+def test_row_sum_equals_pmult_then_hadd(params, sk, level):
+    """A giant row's inner sum, one multiply-accumulate per half, has the
+    words, scale, level and slots of one pmult per diagonal summed by
+    hadd: at 1 and 8 pairs (the float64 quotient on the scale primes),
+    at 15 (past its pair limit), and on the 59-bit base prime's 128-bit
+    path throughout."""
+    rng = np.random.default_rng([73, level])
+    babies = [encrypt(params, encode(params, random_message(params, rng),
+                                     level=level), sk, rng)
+              for _ in range(15)]
+    pts = [encode(params, random_message(params, rng), level=level)
+           for _ in range(15)]
+    for count in (1, 8, 15):
+        want = pmult(babies[0], pts[0])
+        for ct, pt in zip(babies[1:count], pts[1:count]):
+            want = hadd(want, pmult(ct, pt))
+        got = hdft._row_sum(babies, dict(enumerate(pts[:count])))
+        assert np.array_equal(got.c0.limbs, want.c0.limbs), count
+        assert np.array_equal(got.c1.limbs, want.c1.limbs), count
+        assert (got.scale, got.level, got.slots) == \
+            (want.scale, want.level, want.slots)
+
+
+def test_row_sum_keeps_pmult_and_hadd_checks(params, sk):
+    """Products at another level, or at another scale, are refused with
+    the errors pmult and hadd raise."""
+    rng = np.random.default_rng(79)
+    v = random_message(params, rng)
+    ct3 = encrypt(params, encode(params, v, level=3), sk, rng)
+    ct2 = encrypt(params, encode(params, v, level=2), sk, rng)
+    pt3, pt2 = encode(params, v, level=3), encode(params, v, level=2)
+    with pytest.raises(BasisMismatchError):
+        hdft._row_sum([ct3], {0: pt2})
+    with pytest.raises(BasisMismatchError):
+        hdft._row_sum([ct3, ct2], {0: pt3, 1: pt2})
+    with pytest.raises(ScaleMismatchError):
+        hdft._row_sum([ct3, ct3], {0: pt3, 1: encode(params, v, level=3,
+                                                     scale=1 << 30)})
 
 
 def test_oflimb_widens_one_giant_row_at_a_time(params, sk, chain_plan):

@@ -1,14 +1,18 @@
 """Word-level modular arithmetic against 128-bit integer oracles."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from oracles import oracle_is_prime
 from rnsckks.errors import ConfigurationError
-from rnsckks.modmath import (SMALL_WORD, U64, PrimeModulus, barrett_mul,
-                             barrett_reduce128, generate_ntt_primes, mod_add,
-                             mod_neg, mod_sub, mul128, mul_sum, mulhi,
-                             shoup_mul, shoup_mul_lazy)
+from rnsckks import modmath
+from rnsckks.modmath import (FLOAT_PAIRS, SMALL_WORD, U64, PrimeModulus,
+                             barrett_mul, barrett_reduce128,
+                             generate_ntt_primes, is_prime, mod_add, mod_neg,
+                             mod_sub, mul128, mul_sum, mulhi, shoup_mul,
+                             shoup_mul_lazy)
 
 PRIMES = [PrimeModulus(q, 1 << 14)
           for q in generate_ntt_primes(40, 2, 1 << 14)
@@ -174,3 +178,57 @@ def test_mul_sum_matches_oracle(bits):
     want = [sum(int(a[i]) * int(b[i]) for a, b in pairs) % pm.q
             for i in range(len(pairs[0][0]))]
     assert np.array_equal(mul_sum(pairs, pm), np.array(want, dtype=U64))
+
+
+def float_quotient_within_one(k):
+    """`_mul_sum_float`'s rounding argument in exact rationals: k + 2
+    roundings of at most u = 2^-53 each against the low bias 1 - 16u keep
+    the estimate at most the quotient, and above it less one for any
+    quotient below 2^48."""
+    u = Fraction(1, 1 << 53)
+    bias = 1 - 16 * u
+    upper = (1 + u) ** (k + 2) * bias
+    lower = (1 - u) ** (k + 2) * bias
+    return upper <= 1 and (1 - lower) * (1 << 48) < 1
+
+
+def test_float_pair_limit_is_the_largest_the_rounding_allows():
+    assert modmath._LOW_BIAS == 1 - 2.0 ** -49
+    assert all(float_quotient_within_one(k)
+               for k in range(1, FLOAT_PAIRS + 1))
+    assert not float_quotient_within_one(FLOAT_PAIRS + 1)
+
+
+def widest_prime_below(bound):
+    q = bound - 1 if bound % 2 == 0 else bound
+    while not is_prime(q):
+        q -= 2
+    return PrimeModulus(q, 2)
+
+
+@pytest.mark.parametrize("k", range(1, FLOAT_PAIRS + 2))
+def test_mul_sum_float_path_at_every_pair_count(k, monkeypatch):
+    """At every pair count up to the limit, with the widest prime that
+    keeps k * q <= 2^48 and with a 40-bit scale prime, sums of words
+    q - 1 and of random words match big integers, and they take the
+    float64 quotient; one pair more takes the 128-bit path."""
+    calls = []
+    float_path = modmath._mul_sum_float
+
+    def counted(pairs, mod):
+        calls.append(len(pairs))
+        return float_path(pairs, mod)
+
+    monkeypatch.setattr(modmath, "_mul_sum_float", counted)
+    rng = np.random.default_rng([101, k])
+    for pm in (widest_prime_below(SMALL_WORD // k + 1), PRIMES[0]):
+        assert k * pm.q <= SMALL_WORD
+        top = np.full(64, pm.q - 1, dtype=U64)
+        for pairs in ([(top, top)] * k,
+                      [(words_below(pm.q, rng, 2000),
+                        words_below(pm.q, rng, 2000)) for _ in range(k)]):
+            want = [sum(int(a[i]) * int(b[i]) for a, b in pairs) % pm.q
+                    for i in range(len(pairs[0][0]))]
+            assert np.array_equal(mul_sum(pairs, pm),
+                                  np.array(want, dtype=U64))
+    assert calls == ([k] * 4 if k <= FLOAT_PAIRS else [])

@@ -2,6 +2,7 @@
 
 import importlib
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,16 +11,19 @@ from oracles import oracle_cyclic, oracle_negacyclic
 from rnsckks.ckks import CkksParams, aux_chain, modulus_chain
 from rnsckks.errors import ConfigurationError
 from rnsckks.modmath import (U64, PrimeModulus, barrett_mul,
-                             generate_ntt_primes)
+                             generate_ntt_primes, is_prime)
 from rnsckks.ntt import (bit_reverse_permutation, cyclic_ntt, four_step_ntt,
                          get_tables, ntt)
 
 ntt_module = importlib.import_module("rnsckks.ntt")
 
-# The chain's widest primes, where lazy butterfly words come closest to
-# 2^64, and the widest prime whose butterflies take the float64 quotient.
+# The chain's widest primes, whose butterflies take the wide kernel.
 DESK = CkksParams()
 WIDE = {"base59": modulus_chain(DESK)[0], "aux60": aux_chain(DESK)[0]}
+# The edge of the signed kernel at n = 2^13, among primes q = 1 mod 2^14:
+# the widest prime it takes, where signed words come closest to the
+# bound, and the narrowest one above, which takes the wide kernel.
+EDGE = {"admit": 228587578195969, "refuse": 228587579228161}
 
 
 def prime_for(n, bits=40, index=0):
@@ -30,6 +34,8 @@ def prime_for(n, bits=40, index=0):
 def modulus(n, width):
     if width in WIDE:
         return WIDE[width]
+    if width in EDGE:
+        return PrimeModulus(EDGE[width], 1 << 14)
     return prime_for(n, bits=int(width[1:]))
 
 
@@ -57,7 +63,8 @@ def test_bit_reverse_permutation_is_involution():
 
 @pytest.mark.parametrize("n,width", [
     *(pytest.param(n, "q40", id=str(n)) for n in (16, 64, 256, 1024, 8192)),
-    *widths_param((16, 1024, 8192), ("q46", "base59", "aux60"))])
+    *widths_param((16, 1024, 8192),
+                  ("q46", "base59", "aux60", "q62", "admit", "refuse"))])
 def test_roundtrip_identity(n, width):
     pm = modulus(n, width)
     rng = np.random.default_rng([31, n])
@@ -83,7 +90,8 @@ def test_linearity():
 
 @pytest.mark.parametrize("n,width", [
     *(pytest.param(n, "q40", id=str(n)) for n in (16, 64, 256)),
-    *widths_param((16, 256), ("q46", "base59", "aux60"))])
+    *widths_param((16, 256),
+                  ("q46", "base59", "aux60", "q62", "admit", "refuse"))])
 def test_convolution_theorem_vs_quadratic_oracle(n, width):
     pm = modulus(n, width)
     rng = np.random.default_rng([41, n])
@@ -96,6 +104,144 @@ def test_convolution_theorem_vs_quadratic_oracle(n, width):
                                pm), pm, "inverse")
         assert np.array_equal(prod, np.array(oracle_negacyclic(x, y, pm.q),
                                              dtype=U64))
+
+
+def test_kernel_per_prime_class():
+    """The scale primes take the signed kernel, the base and auxiliary
+    primes the wide one, and the edge primes fall on either side of the
+    predicate with no prime q = 1 mod 2^14 between them."""
+    n = DESK.n_ring
+    assert all(get_tables(pm, n).signed for pm in modulus_chain(DESK)[1:])
+    assert not any(get_tables(pm, n).signed
+                   for pm in (modulus_chain(DESK)[0], *aux_chain(DESK)))
+    assert get_tables(modulus(n, "admit"), n).signed
+    assert not get_tables(modulus(n, "refuse"), n).signed
+    assert not any(is_prime(q) for q in range(EDGE["admit"] + (1 << 14),
+                                              EDGE["refuse"], 1 << 14))
+
+
+@pytest.mark.parametrize("bits", [40, 59, 60, 62])
+def test_wide_product_lies_below_four_q(bits):
+    """The wide kernel's three-product quotient leaves a * w mod q in
+    [0, 4q) for any 64-bit a, and its signed counterpart leaves
+    |r| < q (1 + |a| 2^-52) for |a| < 2^52."""
+    pm = prime_for(8, bits)
+    q = pm.q
+    rng = np.random.default_rng([89, bits])
+    a = np.concatenate([np.array([0, 1, q - 1, q, 4 * q - 1, (1 << 64) - 1],
+                                 dtype=U64),
+                        rng.integers(0, 1 << 64, 3000, dtype=np.uint64)])
+    for w in (1, q - 1, int(rng.integers(1, q))):
+        w_shoup = (w << 64) // q
+        r = ntt_module._wide_mul(a, U64(w), (U64(w_shoup & 0xFFFFFFFF),
+                                             U64(w_shoup >> 32)), U64(q))
+        assert all(int(x) < 4 * q and int(x) % q == int(y) * w % q
+                   for x, y in zip(r, a))
+    if bits > 40:
+        return
+    s = np.concatenate([np.array([0, 1, -1, (1 << 52) - 1, 1 - (1 << 52)]),
+                        rng.integers(1 - (1 << 52), 1 << 52, 3000)])
+    for w in (1, q - 1, int(rng.integers(1, q))):
+        r = ntt_module._signed_mul(s, np.int64(w), (w / float(q),),
+                                   np.int64(q))
+        assert all(abs(int(x)) * (1 << 52) < q * ((1 << 52) + abs(int(y)))
+                   and (int(x) - int(y) * w) % q == 0
+                   for x, y in zip(r, s))
+
+
+def signed_word_bounds(q, n, reduce):
+    """Every word bound of a signed forward and inverse transform, stage by
+    stage in exact rationals, from the error model alone: a float64
+    estimate x * fl(c) has relative error at most e = 2^-52 + 2^-106, so a
+    product or reduction of a word of magnitude at most B is below
+    q (1 + B e).  `reduce` marks the inverse stages whose sum path is
+    reduced.  Returns (forward bounds, inverse bounds); the last of each
+    is what the final canonical pass reads."""
+    e = Fraction(2, 1 << 53) + Fraction(1, 1 << 106)
+
+    def product(bound):
+        return q * (1 + bound * e)
+
+    fwd, bound = [], Fraction(q - 1)
+    for _ in range(n.bit_length() - 1):
+        fwd.append(bound)                   # hi, into the product
+        bound += product(bound)             # lo +- r
+    fwd.append(bound)
+    inv, bound = [], Fraction(q - 1)
+    for cut in reduce:
+        diff = 2 * bound                    # lo - hi into the product
+        inv.append(diff)
+        total = product(diff) if cut else diff
+        bound = max(product(diff), total)
+    inv.append(total)                       # the sum path times 1/n
+    inv.append(max(product(diff), product(total)))
+    return fwd, inv
+
+
+def fits(bound):
+    """Quotient estimates of words this large are off by less than one."""
+    return bound * (Fraction(2, 1 << 53) + Fraction(1, 1 << 106)) < 1
+
+
+@pytest.mark.parametrize("n", [16, 1024, 8192])
+def test_signed_kernel_stays_within_its_word_bound(n):
+    """Every prime the signed predicate admits keeps each word bound of
+    both directions, recomputed here, under the bound the float64
+    estimates need; past the edge prime the forward bound breaks."""
+    primes = [*modulus_chain(DESK), *aux_chain(DESK),
+              *(modulus(n, w) for w in EDGE),
+              *(prime_for(n, bits) for bits in (20, 30, 40, 44, 46, 47, 48,
+                                                49, 50, 59, 62))]
+    admitted = 0
+    for pm in primes:
+        t = get_tables(pm, n)
+        if not t.signed:
+            continue
+        admitted += 1
+        fwd, inv = signed_word_bounds(pm.q, n,
+                                      [st[3] for st in t.inv_stages])
+        assert all(map(fits, fwd + inv)), pm.q
+    assert admitted >= 8
+    fwd, _ = signed_word_bounds(EDGE["refuse"], DESK.n_ring, [False] * 13)
+    assert not fits(fwd[-1])
+
+
+def test_long_inverse_relies_on_its_marked_reductions():
+    """At n = 2^16 and the widest signed prime there, the inverse's sum
+    path over words q - 1 would pass 2^63 unless the stages the table
+    marks reduce it; the round trips stay exact."""
+    n, q = 1 << 16, 187421848109057
+    pm = PrimeModulus(q, 2 * n)
+    t = get_tables(pm, n)
+    assert t.signed and any(st[3] for st in t.inv_stages)
+    assert n * (q - 1) >= 1 << 63
+    rng = np.random.default_rng(83)
+    for x in (np.full(n, q - 1, dtype=U64),
+              rng.integers(0, q, n, dtype=np.uint64)):
+        assert np.array_equal(ntt(ntt(x, pm, "inverse"), pm, "forward"), x)
+        assert np.array_equal(ntt(ntt(x, pm, "forward"), pm, "inverse"), x)
+
+
+@pytest.mark.parametrize("width", ["q40", "admit", "refuse", "base59",
+                                   "aux60", "q62"])
+def test_sparse_evaluation_vectors_come_back_canonical(width):
+    """Evaluation vectors about 90% zero, through inverse then forward:
+    their coefficients and the vectors themselves come back with every
+    word below q, where an exact multiple of q at the end of a transform
+    must land on 0, not on q."""
+    n = DESK.n_ring
+    pm = modulus_chain(DESK)[1] if width == "q40" else modulus(n, width)
+    rng = np.random.default_rng(71)
+    x = rng.integers(0, pm.q, (8, n), dtype=np.uint64)
+    x[rng.random(x.shape) < 0.9] = 0
+    x[0] = 0
+    x[1, :] = 0
+    x[1, 5] = pm.q - 1
+    coeffs = ntt(x, pm, "inverse")
+    assert int(coeffs.max()) < pm.q
+    back = ntt(coeffs, pm, "forward")
+    assert int(back.max()) < pm.q
+    assert np.array_equal(back, x)
 
 
 @pytest.mark.parametrize("width", ["q40", "q46", "base59", "aux60"])

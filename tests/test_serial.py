@@ -321,6 +321,12 @@ def test_params_file_missing(tmp_path):
         read_params(str(tmp_path / "absent.txt"))
 
 
+def test_params_file_unwritable_path():
+    with pytest.raises(SerializationError, match="cannot write") as err:
+        write_params("/nonexistent-dir/x.txt", CkksParams())
+    assert "/nonexistent-dir/x.txt" in str(err.value)
+
+
 # ---------------------------------------------------------------------------
 # Usage logs.
 
@@ -341,6 +347,14 @@ def test_usage_log_roundtrip(tmp_path):
     # The dedup set is rebuilt, so appending keeps classifying correctly.
     back.note_rotation("idft", 0, 192, 64)
     assert back.entries[-1].kind == "reuse"
+
+
+def test_usage_log_unwritable_path():
+    log = EvkUsageLog()
+    log.note_rotation("idft", 0, 64, 64)
+    with pytest.raises(SerializationError, match="cannot write") as err:
+        write_usage_log("/nonexistent-dir/x.txt", log)
+    assert "/nonexistent-dir/x.txt" in str(err.value)
 
 
 @pytest.mark.parametrize("body,what", [
