@@ -292,7 +292,8 @@ def encode(params: CkksParams, values, level: int | None = None,
 
     Vectors shorter than n_ring/2 slots are replicated across the slot
     space; the inverse packed transform of a periodic vector lands on the
-    matching subring, so short messages cost nothing extra.
+    matching subring, so short messages cost nothing extra: m slots lift
+    through 2m-point transforms (`rnspoly.lift_int_coeffs`).
     """
     level = params.levels if level is None else level
     scale = Fraction(params.scale if scale is None else scale)

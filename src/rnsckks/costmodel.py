@@ -326,6 +326,13 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile, variant: str,
     counts.  With one, key loads and performed rotations come from the
     log's entries for `shape.direction`, so a report built from a real
     run reproduces the measured working set exactly.
+
+    The OF-Limb term prices every seed as (level + 1) N-point transforms.
+    That is an upper bound.  The diagonals of a stage of unit stride g = 1
+    repeat every 2^k slots, so its seeds lie in the subring
+    Z[X^(N/2^(k+1))], which `rnspoly.lift_int_coeffs` widens at 2^(k+1)
+    points: a pass with such a stage runs fewer butterflies than this
+    report counts.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")

@@ -28,7 +28,12 @@ Two execution styles share a plan:
                 (the cells that share i2) right before that row's pmults,
                 so at most 2^k1 widened plaintexts are alive at a time;
                 the extension is bit-identical to full precomputation
-                whenever the coefficients fit the seed prime.
+                whenever the coefficients fit the seed prime.  The
+                diagonals of a g = 1 stage repeat every 2^k slots, so its
+                seeds lie in a subring and widen through 2^(k+1)-point
+                transforms instead of N-point ones: at full width with
+                N = 2^13 and k = 6, IDFT's last stage and DFT's first
+                widen at N/64 = 128 points, the two g = 64 stages at N.
 
 A plan is exactly what `build_dft_plan` returns: every stage carries all
 2^(k+1) - 1 diagonals, so every cell of the 2^k1 x 2^k2 rectangle that

@@ -9,6 +9,13 @@ multiple k * P_src, |k| <= ceil(|source| / 2); callers rely on that slack
 being annihilated downstream (key-switching) or bounded (ModDown).
 From a single prime there is no slack.
 
+Integer plaintexts enter the evaluation domain through `lift_int_coeffs`
+alone.  A stack whose nonzero coefficients all sit at multiples of a power
+of two t lies in the subring Z[X^t]; its evaluation vector is the
+(N/t)-point transform of every t-th coefficient, repeated t times, word
+for word (the lift's docstring has the identity), so slot vectors with a
+short period and the sparse two-term scalars cost short transforms.
+
 Several polynomials over one basis stack as limbs shaped (L, ..., N): the
 leading axis is the prime, so each prime's rows sit together and
 `transform_limbs` runs them through one `ntt` call (in cache-sized
@@ -117,6 +124,17 @@ def _int_residues(coeffs, basis: LimbBasis) -> np.ndarray:
     return out
 
 
+def _subring_stride(coeffs: np.ndarray) -> int:
+    """The largest power of two t <= N/2 dividing the index of every
+    nonzero coefficient of the stack; 1 as soon as an odd index is nonzero,
+    and for an N that is not a power of two, which the transform rejects."""
+    n = coeffs.shape[-1]
+    t = 1
+    while not n & (n - 1) and 4 * t <= n and not coeffs[..., t::2 * t].any():
+        t *= 2
+    return t
+
+
 def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
     """Signed int64 coefficients shaped (N,) or (R, N) as evaluation-rep
     limbs shaped (L, N) or (L, R, N).
@@ -124,9 +142,20 @@ def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
     Every integer plaintext enters the evaluation domain here: encoding
     and OF-Limb seed extension share this lift, so a seed rebuilds exactly
     the words full precomputation stores.
+
+    With t the largest power of two up to N/2 that divides the index of
+    every nonzero coefficient, the stack lies in the subring Z[X^t]:
+    P(X) = p'(X^t) with p' = coeffs[..., ::t].  Only p' goes through a
+    transform, the (N/t)-point one, whose root is psi^t; and
+    P(psi^(2j+1)) = p'((psi^t)^(2j+1)) repeats with period N/t in j, so
+    tiling that transform t times gives every word of the N-point one.
+    Dense input has t = 1 and is transformed in place.
     """
-    out = _int_residues(coeffs, basis)
-    return transform_limbs(out, basis, "forward", out=out)
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    t = _subring_stride(coeffs)
+    out = _int_residues(coeffs[..., ::t], basis)
+    transform_limbs(out, basis, "forward", out=out)
+    return out if t == 1 else np.tile(out, t)
 
 
 def poly_from_int_coeffs(coeffs: np.ndarray, basis: LimbBasis,

@@ -4,6 +4,7 @@ session from fixed seeds and never mutated by tests."""
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +12,26 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import rnsckks.rnspoly as rnspoly_module
 from rnsckks.ckks import (CkksParams, keygen, make_relin_key,
                           make_rotation_keys)
 from rnsckks.hdft import DFT, IDFT, build_dft_plan
+
+
+@pytest.fixture
+def ntt_rows(monkeypatch):
+    """Rows the scheme transforms, tallied by (direction, length): every
+    transform of a scheme or hdft operation goes through `rnspoly.ntt`."""
+    tally = Counter()
+    real = rnspoly_module.ntt
+
+    def counting(values, mod, direction="forward", *args, **kwargs):
+        shape = np.shape(values)
+        tally[direction, shape[-1]] += int(np.prod(shape[:-1]))
+        return real(values, mod, direction, *args, **kwargs)
+
+    monkeypatch.setattr(rnspoly_module, "ntt", counting)
+    return tally
 
 
 @pytest.fixture(scope="session")

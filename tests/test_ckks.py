@@ -10,7 +10,6 @@ import pytest
 from oracles import (centered_mod, oracle_crt, oracle_negacyclic_big,
                      oracle_residues)
 import rnsckks.ckks as ckks_module
-import rnsckks.rnspoly as rnspoly_module
 from rnsckks.ckks import (CkksParams, aux_chain, basis_b, basis_c, basis_d,
                           cadd, cmult, decode, decrypt, encode,
                           encode_diagonal_batch, encrypt, hadd, hmult, hneg,
@@ -452,7 +451,7 @@ def test_stacked_mod_down_equals_one_at_a_time(level, params):
 @pytest.mark.parametrize("which", ["tiny", "desk"])
 def test_key_switch_transforms_match_cost_model(which, params, relin,
                                                 tiny_params, tiny_sk,
-                                                monkeypatch):
+                                                ntt_rows):
     """Limb rows transformed by one key switch equal the
     (dnum_l + 2)(alpha + l + 1) that costmodel.keyswitch_mults charges,
     however the rows are grouped into calls."""
@@ -464,22 +463,14 @@ def test_key_switch_transforms_match_cost_model(which, params, relin,
     else:
         p, levels, evk, profile = params, (7, 6, 5, 2, 1), relin, \
             PROFILES["desk"]
-    rows = []
-    real_ntt = rnspoly_module.ntt
-
-    def counting_ntt(values, *args, **kwargs):
-        rows.append(np.size(values) // np.shape(values)[-1])
-        return real_ntt(values, *args, **kwargs)
-
-    monkeypatch.setattr(rnspoly_module, "ntt", counting_ntt)
     rng = np.random.default_rng(95)
     butterflies = p.n_ring // 2 * (p.n_ring.bit_length() - 1)
     counts = {}
     for level in levels:
         d = sample_uniform(basis_c(p, level), p.n_ring, rng)
-        rows.clear()
+        ntt_rows.clear()
         key_switch(p, d, evk)
-        counts[level] = sum(rows)
+        counts[level] = sum(ntt_rows.values())
         assert counts[level] == keyswitch_mults(profile, level).ntt \
             // butterflies, level
     if which == "desk":
@@ -539,31 +530,23 @@ def test_key_switch_memory_peak(params, relin):
 
 @pytest.mark.parametrize("which", ["tiny", "desk"])
 def test_rescale_transforms_l_plus_one_limbs(which, params, sk, tiny_params,
-                                             tiny_sk, monkeypatch):
+                                             tiny_sk, ntt_rows):
     """Limb transforms per rescaled polynomial equal the l + 1 that
     costmodel.rescale_mults charges."""
     p, key = (tiny_params, tiny_sk) if which == "tiny" else (params, sk)
     profile = PROFILES["desk"] if which == "desk" else ParamProfile(
         "tiny", N=p.n_ring, L=p.levels, dnum=p.dnum, alpha=p.alpha,
         n=p.n_slots)
-    rows = []
-    real_ntt = rnspoly_module.ntt
-
-    def counting_ntt(values, *args, **kwargs):
-        rows.append(np.size(values) // np.shape(values)[-1])
-        return real_ntt(values, *args, **kwargs)
-
-    monkeypatch.setattr(rnspoly_module, "ntt", counting_ntt)
     rng = np.random.default_rng(77)
     ct = encrypt(p, encode(p, random_message(p, rng)), key, rng)
     butterflies = p.n_ring // 2 * (p.n_ring.bit_length() - 1)
     for level in range(p.levels, 0, -1):
-        rows.clear()
+        ntt_rows.clear()
         ct = hrescale(p, ct)
         model = (rescale_mults(profile, level) // 2
                  - level * p.n_ring) // butterflies
         assert model == level + 1
-        assert sum(rows) == 2 * model, level
+        assert sum(ntt_rows.values()) == 2 * model, level
 
 
 # Digests of the limbs these operations returned, for this seed, before

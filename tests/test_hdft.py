@@ -479,6 +479,30 @@ def test_seed_extension_is_bit_exact(params):
     assert of_limb_extend(params, {}, 3) == {}
 
 
+def test_subring_stages_widen_at_short_length(params, boot_plans, ntt_rows):
+    """In the full-width k=6 plans every g = 1 stage's seeds lie in the
+    subring Z[X^64], so widening any of its giant rows runs (level + 1)
+    transforms of 128 points per cell; a g = 64 stage widens at N points.
+    A 64-slot encode lands on the same subring."""
+    n = params.n_ring
+    for plan in boot_plans:
+        consts = replace(plan, _consts={}).stage_constants("minks-oflimb")
+        assert sorted(st.g for st in plan.stages) == [1, 64]
+        for st, cmap in zip(plan.stages, consts):
+            for i2 in range(1 << plan.k2) if st.g == 1 else [3]:
+                row = {i1: cmap[i1, i2] for i1 in range(1 << plan.k1)
+                       if (i1, i2) in cmap}
+                ntt_rows.clear()
+                of_limb_extend(params, row, st.level)
+                length = n // 64 if st.g == 1 else n
+                assert ntt_rows == {("forward", length):
+                                    (st.level + 1) * len(row)}, (st.g, i2)
+    ntt_rows.clear()
+    encode(params, random_message(params, np.random.default_rng(89))[:64],
+           level=7)
+    assert ntt_rows == {("forward", n // 64): 8}
+
+
 def test_seed_range_guard(params):
     q0 = modulus_chain(params)[0].q
     coeffs = np.zeros(params.n_ring, dtype=np.int64)

@@ -9,7 +9,8 @@ from oracles import (centered_mod, oracle_crt, oracle_negacyclic,
                      oracle_residues)
 from rnsckks.ckks import (CkksParams, basis_b, basis_c, basis_d,
                           modulus_chain, piece_basis)
-from rnsckks.errors import BasisMismatchError, RepresentationError
+from rnsckks.errors import (BasisMismatchError, ConfigurationError,
+                            RepresentationError)
 from rnsckks.modmath import U64, PrimeModulus, generate_ntt_primes
 from rnsckks.ntt import ntt
 from rnsckks.rnspoly import (COEFF, EVAL, BaseTable, LimbBasis,
@@ -61,6 +62,15 @@ def test_poly_roundtrip_big_ints():
     assert list(crt_reconstruct(p)) == coeffs
 
 
+def _dense_lift(rows, basis):
+    """Per-row oracle: big-integer residues through the full-length NTT."""
+    return np.stack([np.stack([ntt(res, pm, "forward")
+                               for res, pm in zip(
+                                   oracle_residues(row.tolist(), basis.qs),
+                                   basis)])
+                     for row in rows], axis=1)
+
+
 def test_lift_matches_big_integer_residues():
     """The integer -> evaluation lift that encoding, seed extension and
     rescale share equals big-integer residues followed by the forward NTT
@@ -79,12 +89,66 @@ def test_lift_matches_big_integer_residues():
                      np.zeros(n, dtype=np.int64)])
     stacked = lift_int_coeffs(rows, basis)
     assert stacked.shape == (len(basis), len(rows), n)
+    want = _dense_lift(rows, basis)
+    assert np.array_equal(stacked, want)
     for r, row in enumerate(rows):
-        residues = oracle_residues(row.tolist(), basis.qs)
-        want = np.stack([ntt(res, pm, "forward")
-                         for res, pm in zip(residues, basis)])
-        assert np.array_equal(stacked[:, r], want), r
-        assert np.array_equal(lift_int_coeffs(row, basis), want), r
+        assert np.array_equal(lift_int_coeffs(row, basis), want[:, r]), r
+
+
+@pytest.mark.parametrize("log_t", range(13))
+def test_subring_lift_matches_dense_transform(log_t, ntt_rows):
+    """A stack whose nonzero coefficients all sit at multiples of t lifts
+    through (N/t)-point transforms alone, tiled t times; every word equals
+    the dense N-point transform, at every prime width of C_7 + B and for
+    (N,) and (R, N) input, with an all-zero row and a row nonzero only at
+    index 0 in the stack."""
+    params = CkksParams()
+    basis = basis_d(params, params.levels)
+    assert {pm.bit_width for pm in basis} == {59, 40, 60}
+    n, t = params.n_ring, 1 << log_t
+    top = (1 << 62) - 1
+    rows = np.zeros((4, n), dtype=np.int64)
+    rows[0, ::t] = np.random.default_rng([127, log_t]).integers(
+        -top, top, n // t, endpoint=True)
+    rows[1, ::t] = top
+    rows[3, 0] = -top
+    want = _dense_lift(rows, basis)
+    assert np.array_equal(lift_int_coeffs(rows, basis), want)
+    assert ntt_rows == {("forward", n // t): len(rows) * len(basis)}
+    assert np.array_equal(lift_int_coeffs(rows[0], basis), want[:, 0])
+
+
+def test_subring_lift_edge_rows(ntt_rows):
+    """A zero row and a row nonzero only at index 0 lift alone as the
+    dense transform does; a stack of rows with different strides lifts at
+    the smallest of them."""
+    params = CkksParams()
+    basis = basis_d(params, params.levels)
+    n = params.n_ring
+    rng = np.random.default_rng(131)
+    constant = np.zeros(n, dtype=np.int64)
+    constant[0] = -12345
+    zero = np.zeros(n, dtype=np.int64)
+    for row in (zero, constant):
+        assert np.array_equal(lift_int_coeffs(row, basis),
+                              _dense_lift(row[None], basis)[:, 0])
+    mixed = np.zeros((3, n), dtype=np.int64)
+    for r, t in enumerate((64, 8, 1024)):
+        mixed[r, ::t] = rng.integers(-(1 << 40), 1 << 40, n // t)
+    ntt_rows.clear()
+    got = lift_int_coeffs(mixed, basis)
+    assert ntt_rows == {("forward", n // 8): 3 * len(basis)}
+    assert np.array_equal(got, _dense_lift(mixed, basis))
+
+
+def test_lift_rejects_length_not_power_of_two():
+    basis = basis_c(CkksParams(), 1)
+    for n in (12, 24, 96):
+        sparse = np.zeros((2, n), dtype=np.int64)
+        sparse[:, ::4] = 1
+        for coeffs in (sparse, np.ones(n, dtype=np.int64)):
+            with pytest.raises(ConfigurationError):
+                lift_int_coeffs(coeffs, basis)
 
 
 def test_lift_holds_one_stack():
@@ -113,6 +177,25 @@ def test_lift_writes_each_prime_in_place():
     basis = basis_c(params, 7)
     coeffs = np.random.default_rng(113).integers(
         -(1 << 50), 1 << 50, (64, params.n_ring), dtype=np.int64)
+    lift_int_coeffs(coeffs[:1], basis)
+    tracemalloc.start()
+    try:
+        out = lift_int_coeffs(coeffs, basis)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == 32 << 20
+    assert peak < 34 << 20
+
+
+def test_subring_lift_holds_one_stack():
+    """Lifting 64 stride-64 rows to level 7 holds the 32 MiB result plus
+    the short (N/64)-point stack it tiles, within the dense lift's bound."""
+    params = CkksParams()
+    basis = basis_c(params, 7)
+    coeffs = np.zeros((64, params.n_ring), dtype=np.int64)
+    coeffs[:, ::64] = np.random.default_rng(137).integers(
+        -(1 << 50), 1 << 50, (64, params.n_ring // 64))
     lift_int_coeffs(coeffs[:1], basis)
     tracemalloc.start()
     try:
