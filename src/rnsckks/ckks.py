@@ -1,16 +1,19 @@
 """RNS-CKKS scheme: parameters, keys, encoding, and homomorphic operators.
 
 Levels count remaining rescales: a level-l ciphertext lives over the first
-l+1 primes of the modulus chain, level 0 over the base prime alone.  Scales
-are tracked as exact rationals; operators enforce exact scale equality for
-additive mixing and leave rescaling to the caller.
+l+1 primes of the modulus chain, level 0 over the base prime alone.  A
+ciphertext is one eval-rep stack, limbs shaped (l+1, 2, N), c0 beside c1
+under each prime; its level, like a plaintext's, is read from the basis.
+Scales are tracked as exact rationals; operators enforce exact scale
+equality for additive mixing and leave rescaling to the caller.
 
 Key-switching uses one fixed full-level key per switched element.  The
 switched polynomial is cut into digit pieces of alpha limbs; ModUp takes
 each piece through `rnspoly.convert_limbs` into the rest of the current
 basis plus the auxiliary primes, the key product is taken there, and
-`mod_down` runs the same routine once over both halves: dnum_l + 2
-polynomials, as `costmodel.keyswitch_mults` counts.  The gadget constants
+`mod_down` runs the same routine once over the stack of both halves that
+the ciphertext keeps: dnum_l + 2 polynomials, as
+`costmodel.keyswitch_mults` counts.  The gadget constants
 T_i = P * (Q/Q_i) * ((Q/Q_i)^{-1} mod Q_i) make every base-extension slack
 term vanish modulo the working modulus at every level, so one key serves
 all levels.
@@ -31,7 +34,7 @@ from .errors import (BasisMismatchError, ConfigurationError,
 from .modmath import (SMALL_WORD, U64, PrimeModulus, generate_ntt_primes,
                       mod_sub, mul_sum, shoup_mul, shoup_words)
 from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, automorphism,
-                      convert_limbs, crt_float, lift_int_coeffs,
+                      convert_limbs, crt_float, lift_int_coeffs, one_poly,
                       poly_from_int_coeffs, rp_add, rp_mul, rp_mul_sum,
                       rp_neg, rp_scalar_mul_per_limb, rp_sub)
 
@@ -146,21 +149,37 @@ class SecretKey:
 class Plaintext:
     poly: RnsPolynomial          # eval rep over C_level
     scale: Fraction
-    level: int
     slots: int
+
+    level = property(lambda self: len(self.poly.basis) - 1)
 
 
 @dataclass
 class Ciphertext:
-    c0: RnsPolynomial            # eval rep over C_level
-    c1: RnsPolynomial
+    poly: RnsPolynomial          # eval rep over C_level, limbs (L, 2, N)
     scale: Fraction
-    level: int
     slots: int
 
-    def copy(self) -> "Ciphertext":
-        return Ciphertext(self.c0.copy(), self.c1.copy(), self.scale,
-                          self.level, self.slots)
+    def __post_init__(self):
+        if self.poly.rep != EVAL or self.poly.limbs.shape[1:-1] != (2,):
+            raise RepresentationError("a ciphertext is an eval-rep (L, 2, N)"
+                                      f" stack, not {self.poly.limbs.shape}")
+
+    level = Plaintext.level
+    c0 = property(lambda self: _half(self.poly, 0))
+    c1 = property(lambda self: _half(self.poly, 1))
+
+
+def _half(stack: RnsPolynomial, h: int) -> RnsPolynomial:
+    """Half h of an (L, 2, N) stack as a read-only view."""
+    limbs = stack.limbs[:, h]
+    limbs.flags.writeable = False
+    return RnsPolynomial(stack.basis, stack.rep, limbs)
+
+
+def _add_into(stack: RnsPolynomial, h: int, p: RnsPolynomial):
+    """Add p into half h of the (L, 2, N) stack, in place."""
+    stack.limbs[:, h] = rp_add(_half(stack, h), p).limbs
 
 
 @dataclass
@@ -173,7 +192,7 @@ class EvaluationKey:
 
 
 def restrict_poly(p: RnsPolynomial, basis: LimbBasis) -> RnsPolynomial:
-    """Select the limb rows of `basis` out of a wider polynomial."""
+    """Select the limb rows of `basis` out of a wider polynomial or stack."""
     pos = {pm.q: i for i, pm in enumerate(p.basis)}
     try:
         rows = [pos[pm.q] for pm in basis]
@@ -306,7 +325,7 @@ def encode(params: CkksParams, values, level: int | None = None,
         raise ConfigurationError(f"slot count {m} must divide {half}")
     coeffs = slots_to_coeffs(np.tile(values, half // m), scale)
     poly = poly_from_int_coeffs(coeffs, basis_c(params, level), rep=EVAL)
-    return Plaintext(poly=poly, scale=scale, level=level, slots=m)
+    return Plaintext(poly=poly, scale=scale, slots=m)
 
 
 def decode(params: CkksParams, pt: Plaintext) -> np.ndarray:
@@ -329,7 +348,7 @@ def encode_diagonal_batch(params: CkksParams, rows: np.ndarray, level: int,
     basis = basis_c(params, level)
     stacks = lift_int_coeffs(slots_to_coeffs(rows, scale), basis)
     return [Plaintext(poly=RnsPolynomial(basis, EVAL, stacks[:, r]),
-                      scale=scale, level=level, slots=half)
+                      scale=scale, slots=half)
             for r in range(rows.shape[0])]
 
 
@@ -343,15 +362,15 @@ def encrypt(params: CkksParams, pt: Plaintext, sk: SecretKey,
     e = poly_from_int_coeffs(sample_error(rng, params.n_ring, params.sigma),
                              basis, rep=EVAL)
     s = restrict_poly(sk.poly, basis)
-    c0 = rp_add(rp_sub(e, rp_mul(a, s)), pt.poly)
-    return Ciphertext(c0=c0, c1=a, scale=pt.scale, level=pt.level,
-                      slots=pt.slots)
+    limbs = np.empty((len(basis), 2, params.n_ring), dtype=U64)
+    limbs[:, 0] = rp_add(rp_sub(e, rp_mul(a, s)), pt.poly).limbs
+    limbs[:, 1] = a.limbs
+    return Ciphertext(RnsPolynomial(basis, EVAL, limbs), pt.scale, pt.slots)
 
 
 def decrypt(params: CkksParams, ct: Ciphertext, sk: SecretKey) -> Plaintext:
-    s = restrict_poly(sk.poly, ct.c0.basis)
-    poly = rp_add(ct.c0, rp_mul(ct.c1, s))
-    return Plaintext(poly=poly, scale=ct.scale, level=ct.level, slots=ct.slots)
+    s = restrict_poly(sk.poly, ct.poly.basis)
+    return Plaintext(rp_add(ct.c0, rp_mul(ct.c1, s)), ct.scale, ct.slots)
 
 
 def slot_values(params: CkksParams, ct: Ciphertext, sk: SecretKey) -> np.ndarray:
@@ -361,40 +380,35 @@ def slot_values(params: CkksParams, ct: Ciphertext, sk: SecretKey) -> np.ndarray
 # ---------------------------------------------------------------------------
 # Arithmetic.
 
-def _check_add(a, b):
-    if a.level != b.level:
-        raise BasisMismatchError(f"levels differ: {a.level} vs {b.level}")
+def _check_scale(a, b):
+    """One scale; the rp operation refuses different bases (levels)."""
     if a.scale != b.scale:
         raise ScaleMismatchError(f"scales differ: {a.scale} vs {b.scale}")
 
 
 def hadd(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    _check_add(a, b)
-    return Ciphertext(rp_add(a.c0, b.c0), rp_add(a.c1, b.c1), a.scale,
-                      a.level, min(a.slots, b.slots))
+    _check_scale(a, b)
+    return Ciphertext(rp_add(a.poly, b.poly), a.scale, min(a.slots, b.slots))
 
 
 def hsub(a: Ciphertext, b: Ciphertext) -> Ciphertext:
-    _check_add(a, b)
-    return Ciphertext(rp_sub(a.c0, b.c0), rp_sub(a.c1, b.c1), a.scale,
-                      a.level, min(a.slots, b.slots))
+    _check_scale(a, b)
+    return Ciphertext(rp_sub(a.poly, b.poly), a.scale, min(a.slots, b.slots))
 
 
 def hneg(a: Ciphertext) -> Ciphertext:
-    return Ciphertext(rp_neg(a.c0), rp_neg(a.c1), a.scale, a.level, a.slots)
+    return Ciphertext(rp_neg(a.poly), a.scale, a.slots)
 
 
 def padd(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-    _check_add(ct, pt)
-    return Ciphertext(rp_add(ct.c0, pt.poly), ct.c1, ct.scale, ct.level,
-                      ct.slots)
+    _check_scale(ct, pt)
+    poly = RnsPolynomial(ct.poly.basis, EVAL, ct.poly.limbs.copy())
+    _add_into(poly, 0, pt.poly)
+    return Ciphertext(poly, ct.scale, ct.slots)
 
 
 def pmult(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-    if ct.level != pt.level:
-        raise BasisMismatchError(f"levels differ: {ct.level} vs {pt.level}")
-    return Ciphertext(rp_mul(ct.c0, pt.poly), rp_mul(ct.c1, pt.poly),
-                      ct.scale * pt.scale, ct.level, ct.slots)
+    return Ciphertext(rp_mul(ct.poly, pt.poly), ct.scale * pt.scale, ct.slots)
 
 
 def _scalar_plaintext(params: CkksParams, z: complex, level: int,
@@ -405,8 +419,7 @@ def _scalar_plaintext(params: CkksParams, z: complex, level: int,
     coeffs[0] = int(round(z.real * float(scale)))
     coeffs[params.n_ring // 2] = int(round(z.imag * float(scale)))
     poly = poly_from_int_coeffs(coeffs, basis_c(params, level), rep=EVAL)
-    return Plaintext(poly=poly, scale=scale, level=level,
-                     slots=params.n_ring // 2)
+    return Plaintext(poly=poly, scale=scale, slots=params.n_ring // 2)
 
 
 def cadd(params: CkksParams, ct: Ciphertext, z: complex) -> Ciphertext:
@@ -459,14 +472,16 @@ def mod_down(limbs: np.ndarray, kept: LimbBasis,
 
 
 def key_switch(params: CkksParams, d: RnsPolynomial,
-               evk: EvaluationKey) -> tuple[RnsPolynomial, RnsPolynomial]:
-    """Switch the secret under `d` (eval rep over C_level) using `evk`."""
+               evk: EvaluationKey) -> RnsPolynomial:
+    """Switch the secret under `d` (one eval-rep polynomial over C_level)
+    using `evk`, into the (L, 2, N) stack of the two switched halves."""
     level = len(d.basis) - 1
     c_basis = basis_c(params, level)
     if d.basis != c_basis:
         raise BasisMismatchError("switched polynomial is not over C_level")
     if d.rep != EVAL:
         raise RepresentationError("key switching needs evaluation rep")
+    one_poly(d)
     d_basis = basis_d(params, level)
 
     # ModUp: ext[r, i] is digit piece i over prime r of C_level + B, its
@@ -490,24 +505,19 @@ def key_switch(params: CkksParams, d: RnsPolynomial,
             acc[r, half] = mul_sum(
                 [(ext[r, i], evk.pieces[i][half].limbs[kr])
                  for i in range(count)], pm)
-
-    out = mod_down(acc, c_basis, basis_b(params))
-    return (RnsPolynomial(c_basis, EVAL, out[:, 0]),
-            RnsPolynomial(c_basis, EVAL, out[:, 1]))
+    return RnsPolynomial(c_basis, EVAL,
+                         mod_down(acc, c_basis, basis_b(params)))
 
 
 def hmult(params: CkksParams, a: Ciphertext, b: Ciphertext,
           evk: EvaluationKey) -> Ciphertext:
     if evk.kind != "mult":
         raise MissingKeyError("relinearization key required")
-    if a.level != b.level:
-        raise BasisMismatchError(f"levels differ: {a.level} vs {b.level}")
-    d0 = rp_mul(a.c0, b.c0)
-    d1 = rp_mul_sum([(a.c0, b.c1), (a.c1, b.c0)])
-    d2 = rp_mul(a.c1, b.c1)
-    k0, k1 = key_switch(params, d2, evk)
-    return Ciphertext(rp_add(d0, k0), rp_add(d1, k1), a.scale * b.scale,
-                      a.level, min(a.slots, b.slots))
+    # The other products come after, so only c1 * c1' is held through it.
+    out = key_switch(params, rp_mul(a.c1, b.c1), evk)
+    _add_into(out, 0, rp_mul(a.c0, b.c0))
+    _add_into(out, 1, rp_mul_sum([(a.c0, b.c1), (a.c1, b.c0)]))
+    return Ciphertext(out, a.scale * b.scale, min(a.slots, b.slots))
 
 
 def hrot(params: CkksParams, ct: Ciphertext, r: int,
@@ -518,12 +528,10 @@ def hrot(params: CkksParams, ct: Ciphertext, r: int,
         return ct
     if evk.kind != "rot" or evk.step != r:
         raise MissingKeyError(f"no rotation key for step {r}")
-    r0 = automorphism(ct.c0, r)
-    r1 = automorphism(ct.c1, r)
-    k0, k1 = key_switch(params, r1, evk)
-    # k1 alone, as a view, would keep the whole (L, 2, N) ModDown output.
-    return Ciphertext(rp_add(r0, k0), k1.copy(), ct.scale, ct.level,
-                      ct.slots)
+    # c0 is rotated after, so only the rotated c1 is held through it.
+    out = key_switch(params, automorphism(ct.c1, r), evk)
+    _add_into(out, 0, automorphism(ct.c0, r))
+    return Ciphertext(out, ct.scale, ct.slots)
 
 
 def hrescale(params: CkksParams, ct: Ciphertext) -> Ciphertext:
@@ -533,17 +541,14 @@ def hrescale(params: CkksParams, ct: Ciphertext) -> Ciphertext:
         raise LevelExhaustedError("cannot rescale below the base prime")
     kept = basis_c(params, ct.level - 1)
     dropped = LimbBasis(modulus_chain(params)[ct.level:ct.level + 1])
-    out = mod_down(np.stack([ct.c0.to_eval().limbs, ct.c1.to_eval().limbs],
-                            axis=1), kept, dropped)
-    return Ciphertext(RnsPolynomial(kept, EVAL, out[:, 0]),
-                      RnsPolynomial(kept, EVAL, out[:, 1]),
-                      ct.scale / dropped.modulus, ct.level - 1, ct.slots)
+    out = mod_down(ct.poly.limbs, kept, dropped)
+    return Ciphertext(RnsPolynomial(kept, EVAL, out),
+                      ct.scale / dropped.modulus, ct.slots)
 
 
 def mod_drop(params: CkksParams, ct: Ciphertext, level: int) -> Ciphertext:
     """Forget limbs above `level`; scale and plaintext are unchanged."""
     if level > ct.level:
         raise LevelExhaustedError(f"cannot raise {ct.level} to {level}")
-    basis = basis_c(params, level)
-    return Ciphertext(restrict_poly(ct.c0, basis), restrict_poly(ct.c1, basis),
-                      ct.scale, level, ct.slots)
+    return Ciphertext(restrict_poly(ct.poly, basis_c(params, level)),
+                      ct.scale, ct.slots)

@@ -199,16 +199,15 @@ def _check_serialization(params, rng, sk, tmpdir):
     ct = encrypt(params, encode(params, v), sk, rng)
     path = os.path.join(tmpdir, "fixture.ct")
     serial.save_ciphertext(path, ct)
-    back = serial.load_ciphertext(path)
-    assert np.array_equal(back.c0.limbs, ct.c0.limbs)
-    assert np.array_equal(back.c1.limbs, ct.c1.limbs)
+    back = serial.load_ciphertext(path, params)
+    assert np.array_equal(back.poly.limbs, ct.poly.limbs)
     raw = bytearray(open(path, "rb").read())
     raw[len(raw) // 2] ^= 0x55
     bad = os.path.join(tmpdir, "corrupt.ct")
     with open(bad, "wb") as f:
         f.write(bytes(raw))
     try:
-        serial.load_ciphertext(bad)
+        serial.load_ciphertext(bad, params)
     except SerializationError as e:
         assert "corrupt.ct" in str(e)
     else:
@@ -430,20 +429,14 @@ def cmd_keygen(args: argparse.Namespace) -> int:
     keys = make_rotation_keys(params, sk, steps, rng)
     _note(f"keygen: generated in {time.perf_counter() - t0:.2f}s")
 
-    written = []
-    path = os.path.join(out_dir, "params.txt")
-    serial.write_params(path, params, seed=seed)
-    written.append(path)
-    path = os.path.join(out_dir, "secret.key")
-    serial.save_secret_key(path, sk)
-    written.append(path)
-    path = os.path.join(out_dir, "relin.evk")
-    serial.save_evaluation_key(path, relin)
-    written.append(path)
-    for step in sorted(keys):
-        path = os.path.join(out_dir, f"rot_{step}.evk")
-        serial.save_evaluation_key(path, keys[step])
-        written.append(path)
+    evks = {"relin.evk": relin,
+            **{f"rot_{step}.evk": keys[step] for step in sorted(keys)}}
+    written = [os.path.join(out_dir, name)
+               for name in ("params.txt", "secret.key", *evks)]
+    serial.write_params(written[0], params, seed=seed)
+    serial.save_secret_key(written[1], sk)
+    for path, evk in zip(written[2:], evks.values()):
+        serial.save_evaluation_key(path, evk)
 
     lines = [REPORT_SCHEMA, "command: keygen", f"seed: {seed}",
              f"rotation steps: {' '.join(str(s) for s in sorted(keys))}"]

@@ -424,19 +424,3 @@ def tas_metric(t_boot: float, t_mult: Callable[[int], float],
     total = t_boot + sum(t_mult(level) for level in range(1, depth + 1))
     return total / depth / p.n
 
-
-# ---------------------------------------------------------------------------
-# Report records.
-
-def report_records(label: str, report: CostReport) -> list[tuple]:
-    """Flatten a report into (metric, variant, value, unit) records."""
-    rec = [
-        ("evk_bytes", report.variant, report.evk_bytes, "B"),
-        ("plaintext_bytes", report.variant, report.plaintext_bytes, "B"),
-        ("offchip_bytes", report.variant, report.offchip_bytes, "B"),
-        ("modular_mults", report.variant, report.modular_mults, "mult"),
-        ("evk_loads", report.variant, report.evk_loads, "key"),
-        ("ops_per_byte", report.variant,
-         round(report.ops_per_byte, 4), "mult/B"),
-    ]
-    return [(f"{label}.{m}", v, val, unit) for m, v, val, unit in rec]

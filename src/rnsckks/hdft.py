@@ -62,9 +62,8 @@ from .ckks import (Ciphertext, CkksParams, EvaluationKey, Plaintext,
                    modulus_chain, slots_to_coeffs)
 from .costmodel import VARIANTS
 from .embedding import stage_twiddles
-from .errors import (BasisMismatchError, ConfigurationError, MissingKeyError,
-                     ScaleMismatchError, SeedRangeError)
-from .modmath import U64
+from .errors import (ConfigurationError, MissingKeyError, ScaleMismatchError,
+                     SeedRangeError)
 from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, convert_limbs,
                       lift_int_coeffs, rp_mul_sum)
 
@@ -238,8 +237,7 @@ def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
     stack = lift_int_coeffs(np.stack([s.q0_limb for s in seeds.values()]),
                             basis)
     return {key: Plaintext(poly=RnsPolynomial(basis, EVAL, stack[:, r]),
-                           scale=seed.scale, level=level,
-                           slots=params.n_ring // 2)
+                           scale=seed.scale, slots=params.n_ring // 2)
             for r, (key, seed) in enumerate(seeds.items())}
 
 
@@ -408,24 +406,19 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
 def _row_sum(babies: list[Ciphertext], row: dict) -> Ciphertext:
     """One giant row's inner sum: babies[i1] times row[i1] over the row.
 
-    Each half is one `rp_mul_sum`, one reduction per word, where a pmult
-    per diagonal and an hadd per term would reduce every product and every
-    partial sum; the words are the same.  The checks those made hold here:
-    every product is at one level and one scale.
+    One `rp_mul_sum` of the (L, 2, N) ciphertext stacks by the (L, N)
+    plaintexts, one reduction per word of both halves, gives the words of
+    a pmult per diagonal summed by hadd.  Their checks hold: `rp_mul_sum`
+    refuses other bases (levels), and every product has one scale.
     """
     pairs = [(babies[i1], pt) for i1, pt in row.items()]
-    level = pairs[0][0].level
     scale = pairs[0][0].scale * pairs[0][1].scale
     for ct, pt in pairs:
-        if ct.level != level or pt.level != level:
-            raise BasisMismatchError(
-                f"levels differ: {ct.level}, {pt.level} vs {level}")
         if ct.scale * pt.scale != scale:
             raise ScaleMismatchError(
                 f"scales differ: {ct.scale * pt.scale} vs {scale}")
-    return Ciphertext(rp_mul_sum([(ct.c0, pt.poly) for ct, pt in pairs]),
-                      rp_mul_sum([(ct.c1, pt.poly) for ct, pt in pairs]),
-                      scale, level, min(ct.slots for ct, _ in pairs))
+    return Ciphertext(rp_mul_sum([(ct.poly, pt.poly) for ct, pt in pairs]),
+                      scale, min(ct.slots for ct, _ in pairs))
 
 
 def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
@@ -506,10 +499,10 @@ def mod_raise(params: CkksParams, ct: Ciphertext,
 
     The lift is plain: viewed over the larger modulus, the underlying
     plaintext gains q0 times a small integer polynomial that a later
-    slot-wise reduction must remove.  The q0 limbs of c0 and c1 go through
-    one `convert_limbs` into the other primes (from one prime, the
-    centered conversion is the centered lift); the q0 limbs themselves are
-    kept as they are.
+    slot-wise reduction must remove.  The (1, 2, N) q0 stack of c0 and c1
+    goes through one `convert_limbs` into the other primes (from one
+    prime, the centered conversion is the centered lift), and the raised
+    stack is the q0 rows as they are over the converted ones.
     """
     if ct.level != 0:
         raise ConfigurationError("mod raise expects a level-0 ciphertext")
@@ -517,14 +510,9 @@ def mod_raise(params: CkksParams, ct: Ciphertext,
     if level <= 0:
         raise ConfigurationError("mod raise must increase the level")
     target = basis_c(params, level)
-    limbs = np.empty((len(target), 2, params.n_ring), dtype=U64)
-    limbs[:1] = np.stack([ct.c0.to_eval().limbs, ct.c1.to_eval().limbs],
-                         axis=1)
-    limbs[1:] = convert_limbs(limbs[:1], ct.c0.basis,
-                              LimbBasis(target.primes[1:]))
-    return Ciphertext(RnsPolynomial(target, EVAL, limbs[:, 0]),
-                      RnsPolynomial(target, EVAL, limbs[:, 1]), ct.scale,
-                      level, ct.slots)
+    limbs = np.concatenate([ct.poly.limbs, convert_limbs(
+        ct.poly.limbs, ct.poly.basis, LimbBasis(target.primes[1:]))])
+    return Ciphertext(RnsPolynomial(target, EVAL, limbs), ct.scale, ct.slots)
 
 
 def slotwise_mod_reference(params: CkksParams, ct: Ciphertext, sk: SecretKey,

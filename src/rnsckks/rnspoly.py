@@ -19,11 +19,14 @@ short period and the sparse two-term scalars cost short transforms.
 Several polynomials over one basis stack as limbs shaped (L, ..., N): the
 leading axis is the prime, so each prime's rows sit together and
 `transform_limbs` runs them through one `ntt` call (in cache-sized
-blocks) instead of one call per row.  `convert_limbs` is the one
-evaluation-rep base conversion (inverse NTT, BConv, forward NTT) over
-such a stack: key switching's ModUp runs it once per digit piece, ModDown
-(key switching and rescale) once per call, and the bootstrap's modulus
-raise once from the base prime.
+blocks) instead of one call per row.  A ciphertext is one such stack,
+(L, 2, N).  The arithmetic and `automorphism` take any stack, each prime's
+output rows the broadcast of the operands' rows, so a ciphertext times a
+(L, N) plaintext multiplies both halves; `base_convert` and the CRT lifts
+refuse one.  `convert_limbs` is the one evaluation-rep base conversion
+(inverse NTT, BConv, forward NTT) over a stack: key switching's ModUp
+runs it once per digit piece, ModDown (key switching and rescale) once
+per call, and the bootstrap's modulus raise once from the base prime.
 """
 
 from __future__ import annotations
@@ -69,14 +72,16 @@ class LimbBasis:
 
 @dataclass
 class RnsPolynomial:
-    """Residue-limb matrix plus its basis and representation tag."""
+    """Residue limbs plus their basis and representation tag: one
+    polynomial shaped (len(basis), N), or a stack shaped
+    (len(basis), ..., N), dtype uint64."""
 
     basis: LimbBasis
     rep: str
-    limbs: np.ndarray        # shape (len(basis), N), dtype uint64
+    limbs: np.ndarray
 
     def __post_init__(self):
-        if self.limbs.ndim != 2 or self.limbs.shape[0] != len(self.basis):
+        if self.limbs.ndim < 2 or self.limbs.shape[0] != len(self.basis):
             raise BasisMismatchError(
                 f"limb matrix {self.limbs.shape} does not match basis "
                 f"of {len(self.basis)} primes")
@@ -85,10 +90,7 @@ class RnsPolynomial:
 
     @property
     def n(self) -> int:
-        return self.limbs.shape[1]
-
-    def copy(self) -> "RnsPolynomial":
-        return RnsPolynomial(self.basis, self.rep, self.limbs.copy())
+        return self.limbs.shape[-1]
 
     def to_eval(self) -> "RnsPolynomial":
         if self.rep == EVAL:
@@ -166,60 +168,66 @@ def poly_from_int_coeffs(coeffs: np.ndarray, basis: LimbBasis,
     return RnsPolynomial(basis, COEFF, _int_residues(coeffs, basis))
 
 
-def _check_pair(a: RnsPolynomial, b: RnsPolynomial):
+def one_poly(p: RnsPolynomial):
+    """Refuse a stack where one polynomial is expected."""
+    if p.limbs.ndim != 2:
+        raise BasisMismatchError(
+            f"expected one polynomial, got a stack shaped {p.limbs.shape}")
+
+
+def _check_pair(a: RnsPolynomial, b: RnsPolynomial) -> tuple:
+    """The shape of one prime's output rows: the broadcast of a's and b's."""
     if a.basis != b.basis:
         raise BasisMismatchError("operands live over different bases")
     if a.rep != b.rep:
         raise RepresentationError(f"operands mix {a.rep} and {b.rep}")
+    return np.broadcast_shapes(a.limbs.shape[1:], b.limbs.shape[1:])
+
+
+def _rowwise(op, a: RnsPolynomial, b: RnsPolynomial) -> RnsPolynomial:
+    out = np.empty((len(a.basis),) + _check_pair(a, b), dtype=U64)
+    for i, p in enumerate(a.basis):
+        out[i] = op(a.limbs[i], b.limbs[i], p)
+    return RnsPolynomial(a.basis, a.rep, out)
 
 
 def rp_add(a: RnsPolynomial, b: RnsPolynomial) -> RnsPolynomial:
-    _check_pair(a, b)
-    out = np.empty_like(a.limbs)
-    for i, p in enumerate(a.basis):
-        out[i] = mod_add(a.limbs[i], b.limbs[i], p)
-    return RnsPolynomial(a.basis, a.rep, out)
+    return _rowwise(mod_add, a, b)
 
 
 def rp_sub(a: RnsPolynomial, b: RnsPolynomial) -> RnsPolynomial:
-    _check_pair(a, b)
-    out = np.empty_like(a.limbs)
-    for i, p in enumerate(a.basis):
-        out[i] = mod_sub(a.limbs[i], b.limbs[i], p)
-    return RnsPolynomial(a.basis, a.rep, out)
+    return _rowwise(mod_sub, a, b)
 
 
 def rp_neg(a: RnsPolynomial) -> RnsPolynomial:
-    out = np.empty_like(a.limbs)
-    for i, p in enumerate(a.basis):
-        out[i] = mod_neg(a.limbs[i], p)
-    return RnsPolynomial(a.basis, a.rep, out)
+    return _rowwise(lambda x, _, p: mod_neg(x, p), a, a)
 
 
 def rp_mul(a: RnsPolynomial, b: RnsPolynomial) -> RnsPolynomial:
     """Pointwise product; the multiply-accumulate path, Barrett reduced."""
-    _check_pair(a, b)
     if a.rep != EVAL:
         raise RepresentationError("pointwise product needs evaluation rep")
-    out = np.empty_like(a.limbs)
-    for i, p in enumerate(a.basis):
-        out[i] = barrett_mul(a.limbs[i], b.limbs[i], p)
-    return RnsPolynomial(a.basis, a.rep, out)
+    return _rowwise(barrett_mul, a, b)
 
 
 def rp_mul_sum(pairs) -> RnsPolynomial:
     """sum_k a_k * b_k for (a_k, b_k) operand pairs over one basis, with one
     Barrett reduction per word instead of one per product."""
     pairs = list(pairs)
-    for a, b in pairs:
-        _check_pair(pairs[0][0], a)
-        _check_pair(a, b)
     a0 = pairs[0][0]
+    rows = ()
+    for a, b in pairs:
+        _check_pair(a0, a)
+        rows = np.broadcast_shapes(rows, _check_pair(a, b))
     if a0.rep != EVAL:
         raise RepresentationError("pointwise product needs evaluation rep")
-    out = np.empty_like(a0.limbs)
+    out = np.empty((len(a0.basis),) + rows, dtype=U64)
     for i, p in enumerate(a0.basis):
-        out[i] = mul_sum([(a.limbs[i], b.limbs[i]) for a, b in pairs], p)
+        # The first term spans the output, so the sum grows in place.
+        first = np.broadcast_to(a0.limbs[i], rows)
+        out[i] = mul_sum([(first, pairs[0][1].limbs[i])]
+                         + [(a.limbs[i], b.limbs[i]) for a, b in pairs[1:]],
+                         p)
     return RnsPolynomial(a0.basis, a0.rep, out)
 
 
@@ -322,6 +330,7 @@ def base_convert(p: RnsPolynomial, table: BaseTable) -> RnsPolynomial:
     form; the leftover slack k * P_src then has |k| <= ceil(|source| / 2)
     and zero mean instead of a positive bias.
     """
+    one_poly(p)
     if p.rep != COEFF:
         raise RepresentationError("base conversion needs coefficient rep")
     if p.basis != table.source:
@@ -378,18 +387,15 @@ def automorphism(p: RnsPolynomial, r: int) -> RnsPolynomial:
 
     Coefficient rep: a signed monomial permutation (negacyclic wraps flip
     sign).  Evaluation rep: a pure index permutation of the odd-exponent
-    evaluation points.
+    evaluation points.  Every row of a stack is permuted alike.
     """
     coeff_tgt, coeff_flip, eval_src = _auto_maps(p.n, r)
+    if p.rep == EVAL:
+        return RnsPolynomial(p.basis, p.rep, p.limbs[..., eval_src])
     out = np.empty_like(p.limbs)
-    if p.rep == COEFF:
-        for i, pm in enumerate(p.basis):
-            row = np.empty_like(p.limbs[i])
-            vals = np.where(coeff_flip, mod_neg(p.limbs[i], pm), p.limbs[i])
-            row[coeff_tgt] = vals
-            out[i] = row
-    else:
-        out[:] = p.limbs[:, eval_src]
+    for i, pm in enumerate(p.basis):
+        out[i][..., coeff_tgt] = np.where(coeff_flip, mod_neg(p.limbs[i], pm),
+                                          p.limbs[i])
     return RnsPolynomial(p.basis, p.rep, out)
 
 
@@ -398,6 +404,7 @@ def automorphism(p: RnsPolynomial, r: int) -> RnsPolynomial:
 
 def crt_reconstruct(p: RnsPolynomial, centered: bool = True) -> np.ndarray:
     """Exact coefficients as Python integers, centered in (-Q/2, Q/2]."""
+    one_poly(p)
     poly = p.to_coeff()
     big_q = poly.basis.modulus
     acc = np.zeros(poly.n, dtype=object)
@@ -490,6 +497,7 @@ def crt_float(p: RnsPolynomial) -> np.ndarray:
     to nearest unless x lies within about 2^-100 of a rounding midpoint;
     `crt_reconstruct` is the exact reference.
     """
+    one_poly(p)
     poly = p.to_coeff()
     t = _garner_table(poly.basis)
     size = len(poly.basis)

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ckks import Ciphertext, CkksParams, EvaluationKey, Plaintext, SecretKey
+from .ckks import (Ciphertext, CkksParams, EvaluationKey, Plaintext,
+                   SecretKey, basis_c, basis_d)
 from .errors import SerializationError
 from .hdft import EvkUsageLog, LogEntry
 from .modmath import PrimeModulus
@@ -196,11 +197,20 @@ def _get_poly(cur: _Cursor) -> RnsPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Scheme objects.
+# Scheme objects.  Each loader checks what it read against `params`.
 
-def _check_level(cur: _Cursor, level: int, poly: RnsPolynomial):
+def _check_basis(cur: _Cursor, level: int, poly: RnsPolynomial,
+                 params: CkksParams):
     if level != len(poly.basis) - 1:
         cur.fail(f"level {level} does not match {len(poly.basis)} limbs")
+    _check_ring(cur, poly, params)
+    if not 0 <= level <= params.levels or poly.basis != basis_c(params, level):
+        cur.fail(f"basis is not the parameters' level-{level} basis")
+
+
+def _check_ring(cur: _Cursor, poly: RnsPolynomial, params: CkksParams):
+    if poly.n != params.n_ring:
+        cur.fail(f"ring degree {poly.n} is not n_ring = {params.n_ring}")
 
 
 def save_plaintext(path: str, pt: Plaintext):
@@ -211,17 +221,18 @@ def save_plaintext(path: str, pt: Plaintext):
     _write_container(path, KIND_PLAINTEXT, body.getvalue())
 
 
-def load_plaintext(path: str) -> Plaintext:
+def load_plaintext(path: str, params: CkksParams) -> Plaintext:
     cur = _read_container(path, KIND_PLAINTEXT)
     scale = cur.get_fraction()
     level, slots = cur.unpack("iI")
     poly = _get_poly(cur)
     cur.done()
-    _check_level(cur, level, poly)
-    return Plaintext(poly, scale, level, slots)
+    _check_basis(cur, level, poly, params)
+    return Plaintext(poly, scale, slots)
 
 
 def save_ciphertext(path: str, ct: Ciphertext):
+    """The level, then c0's block, then c1's block."""
     body = _Body()
     body.put_fraction(ct.scale)
     body.pack("iI", ct.level, ct.slots)
@@ -230,7 +241,7 @@ def save_ciphertext(path: str, ct: Ciphertext):
     _write_container(path, KIND_CIPHERTEXT, body.getvalue())
 
 
-def load_ciphertext(path: str) -> Ciphertext:
+def load_ciphertext(path: str, params: CkksParams) -> Ciphertext:
     cur = _read_container(path, KIND_CIPHERTEXT)
     scale = cur.get_fraction()
     level, slots = cur.unpack("iI")
@@ -239,8 +250,12 @@ def load_ciphertext(path: str) -> Ciphertext:
     cur.done()
     if c1.basis != c0.basis:
         cur.fail("c0 and c1 lie over different bases")
-    _check_level(cur, level, c0)
-    return Ciphertext(c0, c1, scale, level, slots)
+    _check_basis(cur, level, c0, params)
+    if c0.rep != EVAL or c1.rep != EVAL:
+        cur.fail("ciphertext block in coefficient rep")
+    limbs = np.empty((len(c0.basis), 2, c0.n), dtype=np.uint64)
+    limbs[:, 0], limbs[:, 1] = c0.limbs, c1.limbs
+    return Ciphertext(RnsPolynomial(c0.basis, EVAL, limbs), scale, slots)
 
 
 def save_secret_key(path: str, sk: SecretKey):
@@ -253,10 +268,7 @@ def load_secret_key(path: str, params: CkksParams) -> SecretKey:
     cur = _read_container(path, KIND_SECRET_KEY)
     poly = _get_poly(cur)
     cur.done()
-    if poly.n != params.n_ring:
-        raise SerializationError(
-            f"secret key ring degree {poly.n} does not match parameters",
-            path)
+    _check_ring(cur, poly, params)
     return SecretKey(params, poly)
 
 
@@ -270,7 +282,7 @@ def save_evaluation_key(path: str, evk: EvaluationKey):
     _write_container(path, KIND_EVALUATION_KEY, body.getvalue())
 
 
-def load_evaluation_key(path: str) -> EvaluationKey:
+def load_evaluation_key(path: str, params: CkksParams) -> EvaluationKey:
     cur = _read_container(path, KIND_EVALUATION_KEY)
     kind_code, step, npieces = cur.unpack("BqH")
     if kind_code not in (0, 1):
@@ -286,6 +298,11 @@ def load_evaluation_key(path: str) -> EvaluationKey:
             cur.fail("b and a of a key piece lie over different bases")
         if b.basis != basis:
             cur.fail("key pieces lie over different bases")
+    if npieces != params.dnum:
+        cur.fail(f"{npieces} key pieces, not dnum = {params.dnum}")
+    _check_ring(cur, pieces[0][0], params)
+    if basis != basis_d(params, params.levels):
+        cur.fail("key pieces do not lie over the parameters' full basis")
     return EvaluationKey("rot" if kind_code else "mult", step, pieces)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -10,14 +11,14 @@ import pytest
 from oracles import (centered_mod, oracle_crt, oracle_negacyclic_big,
                      oracle_residues)
 import rnsckks.ckks as ckks_module
-from rnsckks.ckks import (CkksParams, aux_chain, basis_b, basis_c, basis_d,
-                          cadd, cmult, decode, decrypt, encode,
-                          encode_diagonal_batch, encrypt, hadd, hmult, hneg,
-                          hrescale, hrot, hsub, key_switch, make_relin_key,
-                          make_rotation_key, make_rotation_keys, mod_down,
-                          mod_drop, modulus_chain, normalize_step, padd,
-                          piece_basis, pmult, restrict_poly, sample_uniform,
-                          slot_values)
+from rnsckks.ckks import (Ciphertext, CkksParams, Plaintext, aux_chain,
+                          basis_b, basis_c, basis_d, cadd, cmult, decode,
+                          decrypt, encode, encode_diagonal_batch, encrypt,
+                          hadd, hmult, hneg, hrescale, hrot, hsub, key_switch,
+                          make_relin_key, make_rotation_key,
+                          make_rotation_keys, mod_down, mod_drop,
+                          modulus_chain, normalize_step, padd, piece_basis,
+                          pmult, restrict_poly, sample_uniform, slot_values)
 from rnsckks.costmodel import (PROFILES, ParamProfile, keyswitch_mults,
                                rescale_mults)
 from rnsckks.embedding import packed_to_slots
@@ -108,11 +109,16 @@ def test_piece_basis_tiles_the_chain(params):
 NOISE_CEILING = 1 << 20
 
 
-def switch_residual(params, d, k0, k1, s_coeffs, t_coeffs):
+def halves(stack):
+    """c0 and c1 of an (L, 2, N) stack as polynomials."""
+    return [RnsPolynomial(stack.basis, stack.rep, stack.limbs[:, h])
+            for h in (0, 1)]
+
+
+def switch_residual(params, d, k, s_coeffs, t_coeffs):
     big_q = d.basis.modulus
     dd = crt_reconstruct(d.to_coeff())
-    kk0 = crt_reconstruct(k0.to_coeff())
-    kk1 = crt_reconstruct(k1.to_coeff())
+    kk0, kk1 = (crt_reconstruct(h.to_coeff()) for h in halves(k))
     lhs = [a + b for a, b in zip(kk0, oracle_negacyclic_big(kk1, s_coeffs))]
     rhs = oracle_negacyclic_big(dd, t_coeffs)
     return max(abs(centered_mod(a - b, big_q)) for a, b in zip(lhs, rhs))
@@ -132,8 +138,8 @@ def test_relinearization_key_switch_identity(tiny_params, tiny_sk):
         rng = np.random.default_rng([21, level])
         d = sample_uniform(basis_c(tiny_params, level), tiny_params.n_ring,
                            rng)
-        k0, k1 = key_switch(tiny_params, d, evk)
-        assert switch_residual(tiny_params, d, k0, k1, s, t) < NOISE_CEILING
+        k = key_switch(tiny_params, d, evk)
+        assert switch_residual(tiny_params, d, k, s, t) < NOISE_CEILING
 
 
 def test_rotation_key_switch_identity(tiny_params, tiny_sk):
@@ -149,8 +155,8 @@ def test_rotation_key_switch_identity(tiny_params, tiny_sk):
                             np.random.default_rng([23, 0]))
     d = sample_uniform(basis_c(tiny_params, tiny_params.levels),
                        tiny_params.n_ring, np.random.default_rng([23, 1]))
-    k0, k1 = key_switch(tiny_params, d, evk)
-    assert switch_residual(tiny_params, d, k0, k1, s, t) < NOISE_CEILING
+    k = key_switch(tiny_params, d, evk)
+    assert switch_residual(tiny_params, d, k, s, t) < NOISE_CEILING
 
 
 def test_key_switch_rejects_wrong_basis(tiny_params, tiny_sk):
@@ -163,6 +169,33 @@ def test_key_switch_rejects_wrong_basis(tiny_params, tiny_sk):
                        tiny_params.n_ring, np.random.default_rng(31))
     with pytest.raises(RepresentationError):
         key_switch(tiny_params, d.to_coeff(), evk)
+    ct = encrypt(tiny_params, encode(tiny_params, [1.0]), tiny_sk,
+                 np.random.default_rng(33))
+    with pytest.raises(BasisMismatchError, match="stack"):
+        key_switch(tiny_params, ct.poly, evk)
+
+
+def test_ciphertext_is_one_stack(params, sk):
+    """Three fields; the level comes from the basis, c0 and c1 are
+    read-only views of the one eval-rep (L, 2, N) stack."""
+    rng = np.random.default_rng(35)
+    pt = encode(params, random_message(params, rng), level=5)
+    ct = encrypt(params, pt, sk, rng)
+    assert [f.name for f in fields(Ciphertext)] == ["poly", "scale", "slots"]
+    assert [f.name for f in fields(Plaintext)] == ["poly", "scale", "slots"]
+    assert ct.poly.limbs.shape == (6, 2, params.n_ring)
+    assert ct.level == pt.level == 5
+    for h, half in enumerate((ct.c0, ct.c1)):
+        assert half.basis == ct.poly.basis
+        assert np.shares_memory(half.limbs, ct.poly.limbs)
+        assert np.array_equal(half.limbs, ct.poly.limbs[:, h])
+        with pytest.raises(ValueError):
+            half.limbs[0, 0] = 0
+    with pytest.raises(RepresentationError):
+        Ciphertext(RnsPolynomial(ct.poly.basis, COEFF, ct.poly.limbs),
+                   ct.scale, ct.slots)
+    with pytest.raises(RepresentationError):
+        Ciphertext(pt.poly, pt.scale, pt.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +561,37 @@ def test_key_switch_memory_peak(params, relin):
     assert peak < 7 << 20, peak / 2 ** 20
 
 
+@pytest.mark.parametrize("op, kept_mib, peak_mib", [
+    ("hrot", 1, 7.5), ("hmult", 1, 7.5), ("hrescale", 0.875, 2)])
+def test_stacked_op_memory(op, kept_mib, peak_mib, params, sk, relin,
+                           rot_keys):
+    """At L7 each op keeps exactly its (L, 2, N) output, 1 MiB, or
+    0.875 MiB for the L6 rescale output: less than one 64 KiB row on top.
+
+    hrot and hmult hold one (8, N) polynomial, 0.5 MiB, through the key
+    switch (the rotated c1; the product c1 * c1'), which peaks under 7 MiB
+    on its own (test_key_switch_memory_peak): under 7.5 MiB.  hrescale
+    holds its 0.875 MiB output and the conversion of the dropped prime's
+    (1, 2, N) rows, about 1 MiB of temporaries: under 2 MiB, where a
+    stacked copy of the 1 MiB input would put it near 2.9."""
+    rng = np.random.default_rng(103)
+    ct, dt = (encrypt(params, encode(params, random_message(params, rng)),
+                      sk, rng) for _ in range(2))
+    run = {"hrot": lambda: hrot(params, ct, 5, rot_keys[5]),
+           "hmult": lambda: hmult(params, ct, dt, relin),
+           "hrescale": lambda: hrescale(params, ct)}[op]
+    run()                                               # warm the tables
+    tracemalloc.start()
+    try:
+        out = run()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.poly.limbs.nbytes == kept_mib * (1 << 20)
+    assert kept - out.poly.limbs.nbytes < 64 << 10, kept / 2 ** 20
+    assert peak < peak_mib * (1 << 20), peak / 2 ** 20
+
+
 @pytest.mark.parametrize("which", ["tiny", "desk"])
 def test_rescale_transforms_l_plus_one_limbs(which, params, sk, tiny_params,
                                              tiny_sk, ntt_rows):
@@ -561,9 +625,10 @@ PINNED = {
 }
 
 
-def limb_digest(*polys):
+def limb_digest(stack):
+    """sha256 over c0's limbs, then c1's, of an (L, 2, N) stack."""
     h = hashlib.sha256()
-    for p in polys:
+    for p in halves(stack):
         h.update(np.ascontiguousarray(p.limbs, dtype="<u8").tobytes())
     return h.hexdigest()[:16]
 
@@ -578,10 +643,10 @@ def test_rewritten_ops_reproduce_pinned_limbs(params, sk, relin, rot_keys):
     rot = hrot(params, ct, 5, rot_keys[5])
     res = hrescale(params, prod)
     got = {
-        "key_switch": limb_digest(*switched),
-        "hmult": limb_digest(prod.c0, prod.c1),
-        "hrot": limb_digest(rot.c0, rot.c1),
-        "hrescale": limb_digest(res.c0, res.c1),
+        "key_switch": limb_digest(switched),
+        "hmult": limb_digest(prod.poly),
+        "hrot": limb_digest(rot.poly),
+        "hrescale": limb_digest(res.poly),
     }
     assert got == PINNED
 

@@ -14,7 +14,7 @@ from rnsckks.costmodel import (PROFILES, POLICY_ALTERNATING, POLICY_LIMB_WISE,
                                distribution_transfer, evk_bytes_at,
                                hdft_pass_cost, keyswitch_mults,
                                plaintext_bytes_at, pmult_mults,
-                               report_records, rescale_mults, tas_metric,
+                               rescale_mults, tas_metric,
                                twist_words_avoided, utilization_bound)
 from rnsckks.errors import ConfigurationError
 
@@ -359,18 +359,6 @@ def test_amortized_slot_time():
                          n=4, L_boot=15)
     with pytest.raises(ConfigurationError):
         tas_metric(1.0, lambda lv: 0.0, stuck)
-
-
-def test_report_records_layout(ark_reports):
-    recs = report_records("ark.idft", ark_reports[("idft", "minks")])
-    assert len(recs) == 6
-    names = [r[0] for r in recs]
-    assert names == [f"ark.idft.{m}" for m in
-                     ("evk_bytes", "plaintext_bytes", "offchip_bytes",
-                      "modular_mults", "evk_loads", "ops_per_byte")]
-    assert all(r[1] == "minks" for r in recs)
-    opb = dict(zip(names, recs))["ark.idft.ops_per_byte"]
-    assert opb[2] == round(ark_reports[("idft", "minks")].ops_per_byte, 4)
 
 
 def test_zero_byte_report_has_zero_intensity():

@@ -223,7 +223,7 @@ def idft_runs(params, sk, message_plans, message_keys):
     runs = {}
     for variant in ("baseline", "minks", "minks-oflimb"):
         log = EvkUsageLog()
-        out = hdft_apply(params, ct.copy(), inv, message_keys, variant, log)
+        out = hdft_apply(params, ct, inv, message_keys, variant, log)
         runs[variant] = (out, log)
     # The encoded message tiles across the slot space, so one
     # transform-sized block of the reference covers the readable slots.

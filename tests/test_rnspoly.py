@@ -15,9 +15,10 @@ from rnsckks.modmath import U64, PrimeModulus, generate_ntt_primes
 from rnsckks.ntt import ntt
 from rnsckks.rnspoly import (COEFF, EVAL, BaseTable, LimbBasis,
                              RnsPolynomial, automorphism, base_convert,
-                             convert_limbs, crt_reconstruct, lift_int_coeffs,
-                             make_base_table, poly_from_int_coeffs, rp_add,
-                             rp_mul, rp_neg, rp_scalar_mul_per_limb, rp_sub)
+                             convert_limbs, crt_float, crt_reconstruct,
+                             lift_int_coeffs, make_base_table,
+                             poly_from_int_coeffs, rp_add, rp_mul, rp_mul_sum,
+                             rp_neg, rp_scalar_mul_per_limb, rp_sub)
 
 
 def make_basis(bits, count, two_n, skip=()):
@@ -151,28 +152,12 @@ def test_lift_rejects_length_not_power_of_two():
                 lift_int_coeffs(coeffs, basis)
 
 
-def test_lift_holds_one_stack():
-    """Lifting 64 rows to level 7 holds the 32 MiB result plus one prime's
-    rows and one transform block, not four times a prime's rows."""
-    params = CkksParams()
-    basis = basis_c(params, 7)
-    coeffs = np.random.default_rng(113).integers(
-        -(1 << 50), 1 << 50, (64, params.n_ring), dtype=np.int64)
-    lift_int_coeffs(coeffs[:1], basis)   # tables are built once, not here
-    tracemalloc.start()
-    try:
-        out = lift_int_coeffs(coeffs, basis)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.nbytes == 32 << 20
-    assert peak < 42 << 20
-
-
 def test_lift_writes_each_prime_in_place():
     """Residues and transforms write straight into the result stack, so
-    lifting 64 rows to level 7 peaks at the 32 MiB result plus one
-    transform block's temporaries, without a prime's rows copied aside."""
+    lifting 64 rows to level 7 holds one stack, the 32 MiB result, and
+    peaks at it plus one transform block's temporaries: no prime's 4 MiB
+    of rows is copied aside, let alone the four copies a lift through
+    per-prime temporaries would hold."""
     params = CkksParams()
     basis = basis_c(params, 7)
     coeffs = np.random.default_rng(113).integers(
@@ -247,6 +232,53 @@ def test_scalar_multiplies():
     per = rp_scalar_mul_per_limb(a, table)
     assert list(crt_reconstruct(per, centered=False)) \
         == [(5 * x) % BASIS64.modulus for x in want]
+
+
+def random_stack(basis, n, rng, rep=EVAL):
+    """Two polynomials stacked as limbs shaped (L, 2, N)."""
+    return RnsPolynomial(basis, rep, np.stack(
+        [random_poly(basis, n, rng).limbs for _ in range(2)], axis=1))
+
+
+def row(stack, h):
+    return RnsPolynomial(stack.basis, stack.rep, stack.limbs[:, h])
+
+
+def test_stack_ops_equal_per_row_ops():
+    """On (L, 2, N) stacks each op equals the op on each row; a (L, N)
+    operand meets both rows, in either order and in any pair of a sum."""
+    rng = np.random.default_rng(131)
+    s, t = random_stack(BASIS64, 64, rng), random_stack(BASIS64, 64, rng)
+    p = random_poly(BASIS64, 64, rng, rep=EVAL)
+    ops = [
+        (lambda x, y, q: rp_add(x, y), (s, t, p)),
+        (lambda x, y, q: rp_sub(x, q), (s, t, p)),
+        (lambda x, y, q: rp_sub(q, y), (s, t, p)),
+        (lambda x, y, q: rp_neg(x), (s, t, p)),
+        (lambda x, y, q: rp_mul(x, q), (s, t, p)),
+        (lambda x, y, q: rp_mul(q, y), (s, t, p)),
+        (lambda x, y, q: rp_mul_sum([(q, q), (x, q), (q, y), (x, y)]),
+         (s, t, p)),
+        (lambda x, y, q: automorphism(x, 3), (s, t, p)),
+        (lambda x, y, q: automorphism(x, 3),
+         (RnsPolynomial(BASIS64, COEFF, s.limbs), t, p)),
+    ]
+    for k, (op, (x, y, q)) in enumerate(ops):
+        out = op(x, y, q)
+        assert out.limbs.shape == (len(BASIS64), 2, 64), k
+        for h in (0, 1):
+            assert np.array_equal(out.limbs[:, h],
+                                  op(row(x, h), row(y, h), q).limbs), (k, h)
+
+
+def test_single_polynomial_routines_refuse_a_stack():
+    rng = np.random.default_rng(137)
+    s = random_stack(BASIS64, 64, rng, rep=COEFF)
+    assert s.n == 64
+    for call in (lambda: base_convert(s, make_base_table(BASIS64, AUX64)),
+                 lambda: crt_float(s), lambda: crt_reconstruct(s)):
+        with pytest.raises(BasisMismatchError, match="stack"):
+            call()
 
 
 def test_mismatched_operands_rejected():

@@ -1,5 +1,6 @@
 """Container formats: roundtrips, corruption detection, determinism."""
 
+import hashlib
 import struct
 import zlib
 from dataclasses import replace
@@ -8,9 +9,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rnsckks.ckks import (CkksParams, decrypt, encode, encrypt,
-                          make_relin_key, make_rotation_key, mod_drop,
-                          restrict_poly, slot_values)
+from rnsckks.ckks import (CkksParams, decrypt, encode, encrypt, hmult,
+                          hrescale, hrot, make_relin_key, make_rotation_key,
+                          mod_drop, restrict_poly, slot_values)
 from rnsckks.errors import SerializationError
 from rnsckks.hdft import EvkUsageLog
 from rnsckks.rnspoly import LimbBasis
@@ -41,7 +42,7 @@ def test_plaintext_roundtrip(params, tmp_path):
                 level=5, scale=Fraction(3, 2) * (1 << 40))
     path = str(tmp_path / "m.pt")
     save_plaintext(path, pt)
-    back = load_plaintext(path)
+    back = load_plaintext(path, params)
     assert back.scale == pt.scale            # exact Fraction survives
     assert (back.level, back.slots) == (pt.level, pt.slots)
     assert back.poly.basis == pt.poly.basis
@@ -52,7 +53,7 @@ def test_plaintext_roundtrip(params, tmp_path):
 def test_ciphertext_roundtrip(params, sk, ct, tmp_path):
     path = str(tmp_path / "m.ct")
     save_ciphertext(path, ct)
-    back = load_ciphertext(path)
+    back = load_ciphertext(path, params)
     assert back.scale == ct.scale
     assert np.array_equal(back.c0.limbs, ct.c0.limbs)
     assert np.array_equal(back.c1.limbs, ct.c1.limbs)
@@ -82,7 +83,7 @@ def test_evaluation_key_roundtrip(params, sk, relin, tmp_path):
     for name, evk in (("r.evk", relin), ("rot3.evk", rot)):
         path = str(tmp_path / name)
         save_evaluation_key(path, evk)
-        back = load_evaluation_key(path)
+        back = load_evaluation_key(path, params)
         assert (back.kind, back.step) == (evk.kind, evk.step)
         assert len(back.pieces) == len(evk.pieces)
         for (b0, a0), (b1, a1) in zip(back.pieces, evk.pieces):
@@ -97,6 +98,37 @@ def test_serialization_is_deterministic(params, ct, tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+# sha256 prefixes of the container files for one seeded chain, written
+# when c0 and c1 were two separate polynomials; a ciphertext file is the
+# level, then c0's block, then c1's block, whatever the in-memory layout.
+PINNED_CONTAINERS = {
+    "encoded.pt": "a307a1d7a3306f63",
+    "fresh.ct": "de4b6912991792a7",
+    "rotated.ct": "3447fb8c3dff8f57",
+    "decrypted.pt": "07761965d265da65",
+}
+
+
+def test_container_bytes_pinned(params, sk, relin, rot_keys, tmp_path):
+    """encrypt -> hmult -> hrescale -> hrot, saved at both ends."""
+    rng = np.random.default_rng([17, 3])
+    pt = encode(params, message(params, rng))
+    ct = encrypt(params, pt, sk, rng)
+    dt = encrypt(params, encode(params, message(params, rng)), sk, rng)
+    res = hrescale(params, hmult(params, ct, dt, relin))
+    out = hrot(params, res, 5, rot_keys[5])
+    got = {}
+    for name, save, obj in (("encoded.pt", save_plaintext, pt),
+                            ("fresh.ct", save_ciphertext, ct),
+                            ("rotated.ct", save_ciphertext, out),
+                            ("decrypted.pt", save_plaintext,
+                             decrypt(params, out, sk))):
+        path = tmp_path / name
+        save(str(path), obj)
+        got[name] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert got == PINNED_CONTAINERS
+
+
 # ---------------------------------------------------------------------------
 # Corruption.
 
@@ -107,7 +139,7 @@ def test_flipped_byte_names_the_file(params, ct, tmp_path):
     raw[len(raw) // 2] ^= 0x40
     open(path, "wb").write(bytes(raw))
     with pytest.raises(SerializationError, match="corrupt.ct") as info:
-        load_ciphertext(path)
+        load_ciphertext(path, params)
     assert "checksum" in str(info.value)
 
 
@@ -117,10 +149,10 @@ def test_truncation_detected(params, ct, tmp_path):
     raw = open(path, "rb").read()
     open(path, "wb").write(raw[:len(raw) - 9])
     with pytest.raises(SerializationError):
-        load_ciphertext(path)
+        load_ciphertext(path, params)
     open(path, "wb").write(raw[:11])
     with pytest.raises(SerializationError, match="header"):
-        load_ciphertext(path)
+        load_ciphertext(path, params)
 
 
 def test_bad_magic_and_kind_mismatch(params, ct, tmp_path):
@@ -128,11 +160,11 @@ def test_bad_magic_and_kind_mismatch(params, ct, tmp_path):
     save_ciphertext(path, ct)
     raw = bytearray(open(path, "rb").read())
     with pytest.raises(SerializationError, match="expected plaintext"):
-        load_plaintext(path)
+        load_plaintext(path, params)
     raw[0] ^= 0xFF
     open(path, "wb").write(bytes(raw))
     with pytest.raises(SerializationError, match="magic"):
-        load_ciphertext(path)
+        load_ciphertext(path, params)
 
 
 def test_trailing_garbage_detected(params, ct, tmp_path):
@@ -145,7 +177,7 @@ def test_trailing_garbage_detected(params, ct, tmp_path):
     head = head[:12] + struct.pack("<I", zlib.crc32(body))
     open(path, "wb").write(head + body)
     with pytest.raises(SerializationError, match="trailing"):
-        load_ciphertext(path)
+        load_ciphertext(path, params)
 
 
 def _scale_text(body, text):
@@ -159,8 +191,8 @@ def _poly_at(body):
     return 4 + struct.unpack("<I", body[:4])[0] + 8
 
 
-def _rep_code(body):
-    body[_poly_at(body)] = 2
+def _rep_code(body, code=2):
+    body[_poly_at(body)] = code
     return body
 
 
@@ -173,10 +205,30 @@ def _word_at_modulus(body):
     return body
 
 
-def _level_99(body):
+def _level(body, level=99):
     at = _poly_at(body) - 8
-    body[at:at + 4] = struct.pack("<i", 99)
+    body[at:at + 4] = struct.pack("<i", level)
     return body
+
+
+def _blocks(body):
+    """The fields before the polynomial blocks, then each block."""
+    at = _poly_at(body)
+    parts = [body[:at]]
+    while at < len(body):
+        _, nlimbs, n = struct.unpack("<BHI", body[at:at + 7])
+        parts.append(body[at:at + 7 + nlimbs * (16 + 8 * n)])
+        at += len(parts[-1])
+    return parts
+
+
+def _rewrite(path, edit):
+    """Apply `edit` to the body of the container at `path`, checksum kept
+    valid."""
+    raw = open(path, "rb").read()
+    body = bytes(edit(bytearray(raw[16:])))
+    with open(path, "wb") as f:
+        f.write(raw[:12] + struct.pack("<I", zlib.crc32(body)) + body)
 
 
 @pytest.mark.parametrize("edit, what", [
@@ -184,8 +236,10 @@ def _level_99(body):
     (lambda b: _scale_text(b, b"1/0"), "malformed fraction"),
     (_rep_code, "representation code 2"),
     (_word_at_modulus, "not below their modulus"),
-    (_level_99, "level 99"),
-], ids=["utf8", "zero-denominator", "rep-code", "word-at-q", "level"])
+    (_level, "level 99"),
+    (lambda b: _rep_code(b, 0), "coefficient rep"),
+], ids=["utf8", "zero-denominator", "rep-code", "word-at-q", "level",
+        "coeff-rep"])
 def test_crafted_ciphertext_raises_serialization_error(tiny_params, tiny_sk,
                                                        tmp_path, edit, what):
     """A body the checksum accepts but the loader must not: its own error
@@ -195,27 +249,75 @@ def test_crafted_ciphertext_raises_serialization_error(tiny_params, tiny_sk,
                  tiny_sk, rng)
     path = str(tmp_path / "crafted.ct")
     save_ciphertext(path, ct)
-    raw = open(path, "rb").read()
-    body = bytes(edit(bytearray(raw[16:])))
-    with open(path, "wb") as f:
-        f.write(raw[:12] + struct.pack("<I", zlib.crc32(body)) + body)
+    _rewrite(path, edit)
     with pytest.raises(SerializationError, match="crafted.ct") as info:
-        load_ciphertext(path)
+        load_ciphertext(path, tiny_params)
     assert what in str(info.value)
 
 
 def test_loaders_check_level_against_limbs(tiny_params, tiny_sk, tmp_path):
+    """The level field is written and checked on load: a plaintext whose
+    level is off by one, and a ciphertext whose c1 block lies over fewer
+    primes than c0's, are refused."""
     rng = np.random.default_rng(137)
     pt = encode(tiny_params, message(tiny_params, rng))
     ct = encrypt(tiny_params, pt, tiny_sk, rng)
     path = str(tmp_path / "off.pt")
-    save_plaintext(path, replace(pt, level=pt.level - 1))
+    save_plaintext(path, pt)
+    _rewrite(path, lambda b: _level(b, pt.level - 1))
     with pytest.raises(SerializationError, match="does not match"):
-        load_plaintext(path)
+        load_plaintext(path, tiny_params)
+    low = str(tmp_path / "low.ct")
+    save_ciphertext(low, mod_drop(tiny_params, ct, 0))
+    low_c1 = _blocks(open(low, "rb").read()[16:])[2]
     path = str(tmp_path / "mixed.ct")
-    save_ciphertext(path, replace(ct, c1=mod_drop(tiny_params, ct, 0).c1))
+    save_ciphertext(path, ct)
+    _rewrite(path, lambda b: b"".join(_blocks(b)[:2]) + low_c1)
     with pytest.raises(SerializationError, match="different bases"):
-        load_ciphertext(path)
+        load_ciphertext(path, tiny_params)
+
+
+def _saved(kind, params, sk, path):
+    """A plaintext, ciphertext or relinearization key made under `params`
+    and saved to `path`."""
+    rng = np.random.default_rng(141)
+    pt = encode(params, message(params, rng))
+    if kind == "pt":
+        save_plaintext(path, pt)
+    elif kind == "ct":
+        save_ciphertext(path, encrypt(params, pt, sk, rng))
+    else:
+        save_evaluation_key(path, make_relin_key(params, sk, rng))
+
+
+_LOADERS = {"pt": load_plaintext, "ct": load_ciphertext,
+            "evk": load_evaluation_key}
+# Each differs from the tiny parameters in one way: the ring degree, the
+# scale primes, the top level, or the digit count (alpha 3, one piece).
+_OTHER = {"n128": dict(n_ring=128), "bits30": dict(scale_bits=30),
+          "levels1": dict(levels=1), "dnum1": dict(alpha=3)}
+
+
+@pytest.mark.parametrize("kind, other, what", [
+    ("pt", "n128", "ring degree 64 is not n_ring = 128"),
+    ("ct", "n128", "ring degree 64 is not n_ring = 128"),
+    ("evk", "n128", "ring degree 64 is not n_ring = 128"),
+    ("pt", "bits30", "not the parameters' level-2 basis"),
+    ("ct", "bits30", "not the parameters' level-2 basis"),
+    ("ct", "levels1", "not the parameters' level-2 basis"),
+    ("evk", "bits30", "do not lie over the parameters' full basis"),
+    ("evk", "dnum1", "3 key pieces, not dnum = 1"),
+])
+def test_loaders_check_against_params(tiny_params, tiny_sk, tmp_path, kind,
+                                      other, what):
+    """A well-formed file made under other parameters is refused, naming
+    the file."""
+    path = str(tmp_path / f"other.{kind}")
+    _saved(kind, tiny_params, tiny_sk, path)
+    _LOADERS[kind](path, tiny_params)
+    with pytest.raises(SerializationError, match=f"other.{kind}") as info:
+        _LOADERS[kind](path, replace(tiny_params, **_OTHER[other]))
+    assert what in str(info.value)
 
 
 def _without_last_prime(p):
@@ -224,10 +326,7 @@ def _without_last_prime(p):
 
 def _kind_code_2(evk, path):
     save_evaluation_key(path, evk)
-    raw = open(path, "rb").read()
-    body = b"\x02" + raw[17:]
-    with open(path, "wb") as f:
-        f.write(raw[:12] + struct.pack("<I", zlib.crc32(body)) + body)
+    _rewrite(path, lambda b: b"\x02" + b[1:])
 
 
 def _no_pieces(evk, path):
@@ -260,7 +359,7 @@ def test_crafted_evaluation_key_raises_serialization_error(
     path = str(tmp_path / "crafted.evk")
     craft(evk, path)
     with pytest.raises(SerializationError, match="crafted.evk") as info:
-        load_evaluation_key(path)
+        load_evaluation_key(path, tiny_params)
     assert what in str(info.value)
 
 
