@@ -327,12 +327,13 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile, variant: str,
     log's entries for `shape.direction`, so a report built from a real
     run reproduces the measured working set exactly.
 
-    The OF-Limb term prices every seed as (level + 1) N-point transforms.
-    That is an upper bound.  The diagonals of a stage of unit stride g = 1
-    repeat every 2^k slots, so its seeds lie in the subring
-    Z[X^(N/2^(k+1))], which `rnspoly.lift_int_coeffs` widens at 2^(k+1)
-    points: a pass with such a stage runs fewer butterflies than this
-    report counts.
+    The OF-Limb terms price every seed as N stored words and (level + 1)
+    N-point transforms.  Both are upper bounds.  The diagonals of a stage
+    of unit stride g = 1 repeat every 2^k slots, so its seeds lie in the
+    subring Z[X^(N/2^(k+1))]: `hdft.make_plaintext_seed` stores their
+    2^(k+1) subring words and `rnspoly.lift_int_coeffs` widens them at
+    2^(k+1) points, so a pass with such a stage stores fewer bytes and
+    runs fewer butterflies than this report counts.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")

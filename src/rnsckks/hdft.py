@@ -30,14 +30,19 @@ Two execution styles share a plan:
                 the extension is bit-identical to full precomputation
                 whenever the coefficients fit the seed prime.  The
                 diagonals of a g = 1 stage repeat every 2^k slots, so its
-                seeds lie in a subring and widen through 2^(k+1)-point
-                transforms instead of N-point ones: at full width with
-                N = 2^13 and k = 6, IDFT's last stage and DFT's first
-                widen at N/64 = 128 points, the two g = 64 stages at N.
+                seeds lie in the subring Z[X^t], t = N / 2^(k+1): each
+                stores its N/t subring words and widens through
+                2^(k+1)-point transforms instead of N-point ones.  At
+                full width with N = 2^13 and k = 6, the seeds of IDFT's
+                last stage and DFT's first hold 128 words and widen at
+                128 points, those of the two g = 64 stages N words at N.
 
-A plan is exactly what `build_dft_plan` returns: every stage carries all
+A plan is exactly what `build_dft_plan` returns: every stage has all
 2^(k+1) - 1 diagonals, so every cell of the 2^k1 x 2^k2 rectangle that
 lands on a diagonal holds a constant and every giant row is non-empty.
+A stage stores only its butterfly lengths and direction; its complex
+diagonals are merged again from them on each read, and only
+`DftPlan.stage_constants` reads them, once per stage and variant.
 
 Every rotation of a pass is one logged step under a key id: it records
 the amount the schedule prescribes and the id, then rotates by
@@ -64,8 +69,8 @@ from .costmodel import VARIANTS
 from .embedding import stage_twiddles
 from .errors import (ConfigurationError, MissingKeyError, ScaleMismatchError,
                      SeedRangeError)
-from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, convert_limbs,
-                      lift_int_coeffs, rp_mul_sum)
+from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, _subring_stride,
+                      convert_limbs, lift_int_coeffs, rp_mul_sum)
 
 DFT = "dft"       # coefficients to slot values
 IDFT = "idft"     # slot values back to coefficients
@@ -203,17 +208,28 @@ class EvkUsageLog:
 @dataclass
 class PlaintextSeed:
     """Single-limb image of an integer plaintext polynomial, stored as the
-    centered representative so any working prime can rebuild its limb."""
+    centered representative so any working prime can rebuild its limb.
 
-    q0_limb: np.ndarray          # int64, |c| < q0/2
+    Only the subring words are kept: with t the polynomial's subring
+    stride (`rnspoly._subring_stride`), `q0_limb` holds the N/t
+    coefficients at indices 0, t, 2t, ...; every other one is zero.
+    """
+
+    q0_limb: np.ndarray          # int64, |c| < q0/2, N/t words
     scale: Fraction
 
 
 def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
                         scale: int | Fraction) -> PlaintextSeed:
+    """Seed a row of N integer coefficients; the range checks see the
+    full row, the seed keeps its subring words."""
     q0 = modulus_chain(params)[0].q
     values = np.asarray(coeffs)
-    if values.dtype.kind in "fc" and not np.all(
+    if values.dtype.kind == "c":
+        if np.any(values.imag != 0):
+            raise SeedRangeError("seed coefficients must be real")
+        values = values.real
+    if values.dtype.kind == "f" and not np.all(
             np.isfinite(values) & (values == np.rint(values))):
         raise SeedRangeError("seed coefficients must be finite integers")
     coeffs = values.astype(np.int64)
@@ -221,21 +237,28 @@ def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
     if np.any(coeffs >= bound) or np.any(coeffs <= -bound):
         raise SeedRangeError(
             f"coefficients reach +-{q0 // 2}; one limb cannot carry them")
-    return PlaintextSeed(q0_limb=coeffs, scale=Fraction(scale))
+    t = _subring_stride(coeffs)
+    return PlaintextSeed(q0_limb=np.ascontiguousarray(coeffs[::t]),
+                         scale=Fraction(scale))
 
 
 def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
     """Rebuild working-basis plaintexts from their seed limbs.
 
-    The plaintexts, keyed as `seeds` is, are views of one lifted (L, R, N)
-    stack; `hdft_apply` widens one giant row per call and releases the row
-    together once its pmults are done.
+    Each seed's words go back to their subring indices of a zeroed (R, N)
+    row stack, and one lift widens the stack.  The plaintexts, keyed as
+    `seeds` is, are views of the lifted (L, R, N) stack; `hdft_apply`
+    widens one giant row per call and releases the row together once its
+    pmults are done.
     """
     if not seeds:
         return {}
+    n = params.n_ring
+    coeffs = np.zeros((len(seeds), n), dtype=np.int64)
+    for row, seed in zip(coeffs, seeds.values()):
+        row[::n // len(seed.q0_limb)] = seed.q0_limb
     basis = basis_c(params, level)
-    stack = lift_int_coeffs(np.stack([s.q0_limb for s in seeds.values()]),
-                            basis)
+    stack = lift_int_coeffs(coeffs, basis)
     return {key: Plaintext(poly=RnsPolynomial(basis, EVAL, stack[:, r]),
                            scale=seed.scale, slots=params.n_ring // 2)
             for r, (key, seed) in enumerate(seeds.items())}
@@ -253,10 +276,27 @@ def _seed_batch(params: CkksParams, rows: np.ndarray,
 
 @dataclass
 class PlanStage:
+    """One merged stage of k butterflies.
+
+    The stage keeps the butterflies' lengths and direction, not their
+    product: `diags` merges them again on each read (a few tens of
+    milliseconds at full width) and gives the same words every time.
+    """
+
     g: int                          # unit stride; diagonals sit at i * g
     level: int                      # ciphertext level this stage runs at
-    diags: list                     # diagonal i * g at index i + 2^k - 1
+    size: int                       # transform length n
+    lengths: tuple[int, ...]        # butterfly lengths, application order
+    inverse: bool                   # inverse butterflies (an IDFT stage)
     minks_roll: int                 # outgoing residual folded into constants
+
+    @property
+    def diags(self) -> tuple[np.ndarray, ...]:
+        """Diagonal i * g at index i + 2^k - 1."""
+        merged = merge_factors(self.size, list(self.lengths), self.inverse)
+        bound = (1 << len(self.lengths)) - 1
+        return tuple(merged[(di - bound) * self.g]
+                     for di in range(2 * bound + 1))
 
 
 @dataclass
@@ -311,18 +351,20 @@ class DftPlan:
         base = (1 << self.k) if variant == "baseline" else bound
         out = []
         for st in self.stages:
+            diags = st.diags
             rows, keys = [], []
             for i2 in range(1 << self.k2):
                 for i1 in range(1 << self.k1):
                     di = i1 + big * i2 - base + bound
-                    if not 0 <= di < len(st.diags):
+                    if not 0 <= di < len(diags):
                         continue
                     roll = -i2 * big * st.g
                     if variant != "baseline":
                         roll += st.minks_roll
                     rows.append(np.tile(
-                        _lroll(st.diags[di], roll % self.size), reps))
+                        _lroll(diags[di], roll % self.size), reps))
                     keys.append((i1, i2))
+            del diags       # one stage's diagonals alive at a time
             if variant == "minks-oflimb":
                 # One giant row (the cells that share i2) per batch.
                 entries = []
@@ -389,12 +431,14 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
         else:
             lengths = [size >> (s * k + a) for a in range(k)]
             g = size >> ((s + 1) * k)
-        merged = merge_factors(size, lengths, inverse=(direction == IDFT))
-        if any(d % g for d in merged):
-            raise ConfigurationError("merged offsets off the stage stride")
-        diags = [merged[(di - bound) * g] for di in range(2 * bound + 1)]
+        # Merged offsets are sums of +-length/2, so they sit at multiples
+        # of g exactly when every half-length does.
+        if any((length // 2) % g for length in lengths):
+            raise ConfigurationError("butterfly offsets off the stage stride")
         residual += bound * g
-        stages.append(PlanStage(g=g, level=levels[s], diags=diags,
+        stages.append(PlanStage(g=g, level=levels[s], size=size,
+                                lengths=tuple(lengths),
+                                inverse=direction == IDFT,
                                 minks_roll=residual % size))
     return DftPlan(params=params, direction=direction, size=size, k=k,
                    k1=k1, k2=k2, const_scale=const_scale, stages=stages)

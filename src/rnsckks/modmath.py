@@ -102,7 +102,9 @@ class PrimeModulus:
     """An NTT-friendly prime with cached reduction constants.
 
     `two_n` is the transform length the prime was generated for, a power of
-    two; `root` is a primitive two_n-th root of unity mod q.
+    two; `root` is a primitive two_n-th root of unity mod q, searched for
+    when it is 0.  A composite q is refused before any search: the search
+    assumes a prime and need not end for a composite.
     """
 
     q: int
@@ -116,6 +118,8 @@ class PrimeModulus:
         q = self.q
         if q % 2 == 0 or q.bit_length() > 62:
             raise ConfigurationError(f"modulus {q} must be odd and < 2^62")
+        if not is_prime(q):
+            raise ConfigurationError(f"modulus {q} is not prime")
         two_n = self.two_n
         if two_n < 2 or two_n & (two_n - 1):
             raise ConfigurationError(

@@ -21,7 +21,7 @@ import numpy as np
 
 from .ckks import (Ciphertext, CkksParams, EvaluationKey, Plaintext,
                    SecretKey, basis_c, basis_d)
-from .errors import SerializationError
+from .errors import ConfigurationError, SerializationError
 from .hdft import EvkUsageLog, LogEntry
 from .modmath import PrimeModulus
 from .rnspoly import COEFF, EVAL, LimbBasis, RnsPolynomial
@@ -105,12 +105,17 @@ class _Cursor:
             self.fail(f"text is not UTF-8: {raw!r}")
 
     def get_fraction(self) -> Fraction:
+        """Only the text `put_fraction` writes: lowest terms, no sign on
+        the denominator, no spaces or underscores."""
         text = self.get_text()
         try:
             num, den = text.split("/")
-            return Fraction(int(num), int(den))
+            f = Fraction(int(num), int(den))
         except (ValueError, ZeroDivisionError):
             self.fail(f"malformed fraction {text!r}")
+        if text != f"{f.numerator}/{f.denominator}":
+            self.fail(f"fraction {text!r} is not in its written form")
+        return f
 
     def get_words(self, shape: tuple, dtype: str) -> np.ndarray:
         count = int(np.prod(shape))
@@ -183,7 +188,7 @@ def _get_poly(cur: _Cursor) -> RnsPolynomial:
         q, root = cur.unpack("QQ")
         try:
             primes.append(PrimeModulus(int(q), 2 * n, int(root)))
-        except Exception:
+        except ConfigurationError:
             cur.fail(f"invalid modulus {q}")
     limbs = cur.get_words((nlimbs, n), "<u8")
     for pm, row in zip(primes, limbs):

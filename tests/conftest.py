@@ -3,8 +3,11 @@ session from fixed seeds and never mutated by tests."""
 
 from __future__ import annotations
 
+import signal
 import sys
 from collections import Counter
+from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,28 @@ def ntt_rows(monkeypatch):
 
     monkeypatch.setattr(rnspoly_module, "ntt", counting)
     return tally
+
+
+class Expired(BaseException):
+    """Raised by `time_limit`; not an Exception, so no `except Exception`
+    in the code under test can turn it into a pass."""
+
+
+@pytest.fixture(scope="session")
+def time_limit():
+    """`with time_limit(seconds):` fails a block that would hang."""
+    @contextmanager
+    def limit(seconds: int):
+        def expire(signum, frame):
+            raise Expired(f"still running after {seconds} s")
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+    return limit
 
 
 @pytest.fixture(scope="session")
@@ -83,6 +108,15 @@ def boot_plans(params):
     across slot blocks, so the bootstrap needs all n_ring/2 slots."""
     return (build_dft_plan(params, IDFT, k=6, split=(3, 4)),
             build_dft_plan(params, DFT, k=6, split=(3, 4)))
+
+
+@pytest.fixture(scope="session")
+def oflimb_boot_plans(boot_plans):
+    """The full-width pair with only its OF-Limb seeds built."""
+    plans = tuple(replace(plan, _consts={}) for plan in boot_plans)
+    for plan in plans:
+        plan.stage_constants("minks-oflimb")
+    return plans
 
 
 @pytest.fixture(scope="session")

@@ -257,6 +257,22 @@ def test_oflimb_trades_bytes_for_transforms(ark_reports):
     assert added_share == pytest.approx(0.2264, abs=1e-4)
 
 
+def test_oflimb_seed_bytes_against_model(params, oflimb_boot_plans):
+    """The model's per-stage OF-Limb bytes (N words per seed) are what a
+    g = 64 stage stores; a g = 1 stage stores its 2^(k+1) = N/64 subring
+    words per seed, 1/64 of the term."""
+    desk = PROFILES["desk"]
+    assert desk.N == params.n_ring
+    for plan in oflimb_boot_plans:
+        report = hdft_pass_cost(PassShape.from_plan(plan), desk,
+                                "minks-oflimb")
+        consts = plan.stage_constants("minks-oflimb")
+        for st, cost, cells in zip(plan.stages, report.stages, consts):
+            stored = sum(seed.q0_limb.nbytes for seed in cells.values())
+            assert st.g in (1, 64)
+            assert stored * (64 if st.g == 1 else 1) == cost.plaintext_bytes
+
+
 def test_pass_cost_rejects_unknown_variant():
     shape = PassShape("idft", 1 << 15, 5, 3, 3, (23, 22, 21))
     with pytest.raises(ConfigurationError):

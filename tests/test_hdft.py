@@ -189,10 +189,19 @@ def test_stage_constants_cached(params):
 
 
 # Digest of the constants of one small IDFT plan: the minks plaintext
-# limbs, then each minks-oflimb seed limb and scale, cell by cell in key
-# order.  A plan is stored nowhere but rebuilt from its arguments, so a
-# rewrite of the plan or constant code must leave these words as they are.
+# limbs, then each minks-oflimb seed limb (at length N) and scale, cell by
+# cell in key order.  A plan is stored nowhere but rebuilt from its
+# arguments, so a rewrite of the plan or constant code must leave these
+# words as they are.
 PINNED_CONSTANTS = "e40a84d0269c072b"
+
+
+def full_seed_limb(params, seed) -> np.ndarray:
+    """A seed's subring words back at their indices of a length-N row."""
+    n = params.n_ring
+    row = np.zeros(n, dtype=np.int64)
+    row[::n // len(seed.q0_limb)] = seed.q0_limb
+    return row
 
 
 def test_plan_constants_pinned(params):
@@ -205,9 +214,56 @@ def test_plan_constants_pinned(params):
     for cells in plan.stage_constants("minks-oflimb"):
         for key, seed in cells.items():
             h.update(repr(key).encode())
-            h.update(np.ascontiguousarray(seed.q0_limb, "<i8").tobytes())
+            h.update(full_seed_limb(params, seed).astype("<i8").tobytes())
             h.update(str(seed.scale).encode())
     assert h.hexdigest()[:16] == PINNED_CONSTANTS
+
+
+def _arrays(obj):
+    """Every ndarray a plan holds, through its stages and cached
+    constants (the shared parameters aside)."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value)
+    elif hasattr(obj, "__dataclass_fields__"):
+        for name in obj.__dataclass_fields__:
+            if name != "params":
+                yield from _arrays(getattr(obj, name))
+
+
+def test_oflimb_plans_hold_short_seeds_only(params, oflimb_boot_plans):
+    """The full-width pair keeps no complex diagonals once its OF-Limb
+    constants exist, and each seed of a g = 1 stage holds its 128 subring
+    words: 127 seeds of N words and 127 of N/64 per plan."""
+    n = params.n_ring
+    arrays = list(_arrays(oflimb_boot_plans))
+    assert arrays
+    assert not any(np.iscomplexobj(a) for a in arrays)
+    total = 0
+    for plan in oflimb_boot_plans:
+        for st, cells in zip(plan.stages, plan.stage_constants(
+                "minks-oflimb")):
+            assert len(cells) == 127
+            for seed in cells.values():
+                assert len(seed.q0_limb) == (n // 64 if st.g == 1 else n)
+                total += seed.q0_limb.nbytes
+    assert total == 2 * 127 * 8192 * 8 + 2 * 127 * 128 * 8
+
+
+def test_stage_diagonals_are_rederived(params):
+    """A stage re-merges its butterflies on each read: the same words
+    every time, and nothing kept between reads."""
+    plan = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
+    for st in plan.stages:
+        first, again = st.diags, st.diags
+        assert first is not again
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        assert not any(isinstance(v, np.ndarray) for v in vars(st).values())
 
 
 # ---------------------------------------------------------------------------
@@ -517,17 +573,28 @@ def test_seed_range_guard(params):
     coeffs[0] = np.iinfo(np.int64).min
     with pytest.raises(SeedRangeError):
         make_plaintext_seed(params, coeffs, 1 << 40)
-    # Fractional and non-finite coefficients are rejected, not truncated.
-    for bad in (0.7, np.nan, np.inf):
+    # Fractional, non-finite and non-real coefficients are rejected, not
+    # truncated.
+    for bad in (0.7, np.nan, np.inf, 1 + 1j, 1j * np.nan):
         with pytest.raises(SeedRangeError):
             make_plaintext_seed(params, np.full(params.n_ring, bad), 1 << 40)
+    row = np.arange(params.n_ring) % 7 - 3
+    assert np.array_equal(make_plaintext_seed(params, row + 0j, 1 << 40)
+                          .q0_limb, row)
 
 
-def test_oflimb_constants_reject_non_finite_rows(params):
+def test_oflimb_constants_reject_non_finite_rows(params, monkeypatch):
     plan = build_dft_plan(params, DFT, size=16, k=2, split=(1, 2),
                           levels=[3, 2])
-    stage = plan.stages[0]
-    stage.diags[0] = np.full_like(stage.diags[0], np.nan)
+    merge = hdft.merge_factors
+
+    def with_nan(*args, **kwargs):
+        merged = merge(*args, **kwargs)
+        low = min(merged)
+        merged[low] = np.full_like(merged[low], np.nan)
+        return merged
+
+    monkeypatch.setattr(hdft, "merge_factors", with_nan)
     for _ in range(2):      # nothing half-built is cached either
         with pytest.raises(ConfigurationError):
             plan.stage_constants("minks-oflimb")

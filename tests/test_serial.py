@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rnsckks.ckks import (CkksParams, decrypt, encode, encrypt, hmult,
                           hrescale, hrot, make_relin_key, make_rotation_key,
@@ -255,6 +257,23 @@ def test_crafted_ciphertext_raises_serialization_error(tiny_params, tiny_sk,
     assert what in str(info.value)
 
 
+@pytest.mark.parametrize("text", [b"2199023255552/2", b"1_099511627776/1",
+                                  b" 1099511627776/1", b"1099511627776/+1",
+                                  b"-1099511627776/-1"])
+def test_scale_text_must_be_its_written_form(tiny_params, tiny_sk, tmp_path,
+                                             text):
+    """A scale parses only from the text `save_*` writes for it: lowest
+    terms, bare digits.  Any other spelling is a body no writer made."""
+    rng = np.random.default_rng(151)
+    pt = encode(tiny_params, message(tiny_params, rng))
+    path = str(tmp_path / "spelled.pt")
+    save_plaintext(path, pt)
+    assert pt.scale == 1 << 40
+    _rewrite(path, lambda b: _scale_text(b, text))
+    with pytest.raises(SerializationError, match="not in its written form"):
+        load_plaintext(path, tiny_params)
+
+
 def test_loaders_check_level_against_limbs(tiny_params, tiny_sk, tmp_path):
     """The level field is written and checked on load: a plaintext whose
     level is off by one, and a ciphertext whose c1 block lies over fewer
@@ -361,6 +380,105 @@ def test_crafted_evaluation_key_raises_serialization_error(
     with pytest.raises(SerializationError, match="crafted.evk") as info:
         load_evaluation_key(path, tiny_params)
     assert what in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# Any body the checksum accepts.
+
+KINDS = ("plaintext", "ciphertext", "secret key", "evaluation key")
+_SAVE_LOAD = {
+    "plaintext": (save_plaintext, load_plaintext),
+    "ciphertext": (save_ciphertext, load_ciphertext),
+    "secret key": (save_secret_key, load_secret_key),
+    "evaluation key": (save_evaluation_key, load_evaluation_key),
+}
+# Body offset of the first (q, root) field of each kind at the tiny
+# parameters: a plaintext or ciphertext has the scale text
+# "1099511627776/1" and its length, the level and slot count, then the
+# first polynomial's rep code, limb count and ring degree; a secret key
+# starts with its polynomial; a key has its kind code, step and piece
+# count first.
+FIRST_MODULUS = {"plaintext": 4 + 15 + 8 + 7, "ciphertext": 4 + 15 + 8 + 7,
+                 "secret key": 7, "evaluation key": 11 + 7}
+COMPOSITE = (1 << 41) + 1       # 1 mod 2^41, and a multiple of 3
+
+
+@pytest.fixture(scope="module")
+def tiny_files(tiny_params, tiny_sk, tmp_path_factory):
+    """The container file bytes of one object of each kind."""
+    rng = np.random.default_rng(149)
+    pt = encode(tiny_params, message(tiny_params, rng))
+    objects = {"plaintext": pt,
+               "ciphertext": encrypt(tiny_params, pt, tiny_sk, rng),
+               "secret key": tiny_sk,
+               "evaluation key": make_relin_key(tiny_params, tiny_sk, rng)}
+    path = tmp_path_factory.mktemp("bodies") / "object"
+    files = {}
+    for kind, obj in objects.items():
+        _SAVE_LOAD[kind][0](str(path), obj)
+        files[kind] = path.read_bytes()
+        first = (obj.pieces[0][0] if kind == "evaluation key"
+                 else obj.poly).basis.primes[0]
+        at = 16 + FIRST_MODULUS[kind]
+        assert files[kind][at:at + 16] == struct.pack("<QQ", first.q,
+                                                      first.root)
+    return files
+
+
+def _with_body(path, original, body):
+    """Write `original`'s header around `body`, checksum kept valid."""
+    with open(path, "wb") as f:
+        f.write(original[:12] + struct.pack("<I", zlib.crc32(body)) + body)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_composite_modulus_raises_serialization_error(
+        tiny_params, tiny_files, tmp_path, time_limit, kind):
+    """A first modulus that is 1 mod 2N but composite, with root 0 (search
+    for one), is refused at once instead of searched without end."""
+    body = bytearray(tiny_files[kind][16:])
+    at = FIRST_MODULUS[kind]
+    body[at:at + 16] = struct.pack("<QQ", COMPOSITE, 0)
+    path = str(tmp_path / "composite.bin")
+    _with_body(path, tiny_files[kind], bytes(body))
+    with time_limit(10):
+        with pytest.raises(SerializationError, match="composite.bin") as info:
+            _SAVE_LOAD[kind][1](path, tiny_params)
+    assert f"invalid modulus {COMPOSITE}" in str(info.value)
+
+
+# Half the mutations land in the leading fields, and some write the
+# characters a number's text is made of.
+_AT = st.integers(0, 63) | st.integers(0, 1 << 16)
+_BYTE = st.binary(min_size=1, max_size=1) | st.sampled_from(
+    [bytes([c]) for c in b"0123456789/-+_ \t"])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(KINDS), at=_AT, patch=_BYTE)
+@example(kind="ciphertext", at=FIRST_MODULUS["ciphertext"],
+         patch=struct.pack("<QQ", COMPOSITE, 0))
+def test_mutated_body_round_trips_or_raises(tiny_params, tiny_files,
+                                            tmp_path_factory, time_limit,
+                                            kind, at, patch):
+    """Overwrite body bytes and fix the checksum: the loader either
+    returns an object that saves back to exactly those bytes or raises
+    SerializationError, and nothing else."""
+    body = bytearray(tiny_files[kind][16:])
+    at %= len(body) - len(patch) + 1
+    body[at:at + len(patch)] = patch
+    body = bytes(body)
+    folder = tmp_path_factory.getbasetemp()
+    path, again = folder / "mutated.bin", folder / "resaved.bin"
+    _with_body(path, tiny_files[kind], body)
+    save, load = _SAVE_LOAD[kind]
+    try:
+        with time_limit(10):
+            obj = load(str(path), tiny_params)
+    except SerializationError:
+        return
+    save(str(again), obj)
+    assert again.read_bytes()[16:] == body
 
 
 # ---------------------------------------------------------------------------
