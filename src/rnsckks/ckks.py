@@ -33,8 +33,8 @@ from .errors import (BasisMismatchError, ConfigurationError,
                      ScaleMismatchError)
 from .modmath import (SMALL_WORD, U64, PrimeModulus, generate_ntt_primes,
                       mod_sub, mul_sum, shoup_mul, shoup_words)
-from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, automorphism,
-                      convert_limbs, crt_float, lift_int_coeffs, one_poly,
+from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, _lift_period,
+                      automorphism, convert_limbs, crt_float, one_poly,
                       poly_from_int_coeffs, rp_add, rp_mul, rp_mul_sum,
                       rp_neg, rp_scalar_mul_per_limb, rp_sub)
 
@@ -161,7 +161,8 @@ class Ciphertext:
     slots: int
 
     def __post_init__(self):
-        if self.poly.rep != EVAL or self.poly.limbs.shape[1:-1] != (2,):
+        if self.poly.rep != EVAL or self.poly.limbs.shape[1:-1] != (2,) \
+                or self.poly.n != self.poly.basis.ring_degree:
             raise RepresentationError("a ciphertext is an eval-rep (L, 2, N)"
                                       f" stack, not {self.poly.limbs.shape}")
 
@@ -339,14 +340,17 @@ def encode_diagonal_batch(params: CkksParams, rows: np.ndarray, level: int,
                           scale: int | Fraction | None = None) -> list[Plaintext]:
     """Encode many full-slot vectors at once; one batched transform and one
     batched NTT per limb instead of per-row calls.  Each plaintext's limbs
-    are a view of the one lifted (L, R, N) stack."""
+    are a view of the one lifted (L, R, N/t) stack: when every row repeats
+    with a period of n_ring/(2t) slots, the batch lies in the subring
+    Z[X^t] and each plaintext holds one period of N/t words
+    (`rnspoly._lift_period`), which the arithmetic broadcasts."""
     scale = Fraction(params.scale if scale is None else scale)
     rows = np.asarray(rows, dtype=np.complex128)
     half = params.n_ring // 2
     if rows.ndim != 2 or rows.shape[1] != half:
         raise ConfigurationError("diagonal batch must be (rows, n_ring/2)")
     basis = basis_c(params, level)
-    stacks = lift_int_coeffs(slots_to_coeffs(rows, scale), basis)
+    stacks = _lift_period(slots_to_coeffs(rows, scale), basis)
     return [Plaintext(poly=RnsPolynomial(basis, EVAL, stacks[:, r]),
                       scale=scale, slots=half)
             for r in range(rows.shape[0])]
@@ -482,6 +486,7 @@ def key_switch(params: CkksParams, d: RnsPolynomial,
     if d.rep != EVAL:
         raise RepresentationError("key switching needs evaluation rep")
     one_poly(d)
+    d = d.widened()
     d_basis = basis_d(params, level)
 
     # ModUp: ext[r, i] is digit piece i over prime r of C_level + B, its

@@ -327,13 +327,16 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile, variant: str,
     log's entries for `shape.direction`, so a report built from a real
     run reproduces the measured working set exactly.
 
-    The OF-Limb terms price every seed as N stored words and (level + 1)
-    N-point transforms.  Both are upper bounds.  The diagonals of a stage
-    of unit stride g = 1 repeat every 2^k slots, so its seeds lie in the
-    subring Z[X^(N/2^(k+1))]: `hdft.make_plaintext_seed` stores their
-    2^(k+1) subring words and `rnspoly.lift_int_coeffs` widens them at
-    2^(k+1) points, so a pass with such a stage stores fewer bytes and
-    runs fewer butterflies than this report counts.
+    The plaintext terms price every constant at N words per limb (per
+    seed for OF-Limb), and the OF-Limb compute term (level + 1) N-point
+    transforms per seed.  These are upper bounds.  The diagonals of a
+    stage of unit stride g = 1 repeat every 2^k slots, so its constants
+    lie in the subring Z[X^(N/2^(k+1))] and hold 2^(k+1) words per limb:
+    a min-KS or baseline plaintext stores one period of its evaluation
+    words (`ckks.encode_diagonal_batch`), an OF-Limb seed its subring
+    words (`hdft.make_plaintext_seed`), widened at 2^(k+1) points.  At
+    full width with k = 6 such a stage stores 64 times fewer bytes, and
+    runs fewer butterflies, than this report counts.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")

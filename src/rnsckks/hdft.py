@@ -28,14 +28,17 @@ Two execution styles share a plan:
                 (the cells that share i2) right before that row's pmults,
                 so at most 2^k1 widened plaintexts are alive at a time;
                 the extension is bit-identical to full precomputation
-                whenever the coefficients fit the seed prime.  The
-                diagonals of a g = 1 stage repeat every 2^k slots, so its
-                seeds lie in the subring Z[X^t], t = N / 2^(k+1): each
-                stores its N/t subring words and widens through
-                2^(k+1)-point transforms instead of N-point ones.  At
-                full width with N = 2^13 and k = 6, the seeds of IDFT's
-                last stage and DFT's first hold 128 words and widen at
-                128 points, those of the two g = 64 stages N words at N.
+                whenever the coefficients fit the seed prime.
+
+The diagonals of a g = 1 stage repeat every 2^k slots, so its constants
+lie in the subring Z[X^t], t = N / 2^(k+1), and every variant stores them
+at their short length.  A seed holds its N/t subring words and widens
+through 2^(k+1)-point transforms instead of N-point ones; a baseline or
+min-KS plaintext, and a widened seed, holds one period of N/t
+evaluation words per limb, which the giant-row sum broadcasts over the
+baby steps' full rows (`_row_sum`).  At full width with N = 2^13 and
+k = 6, the constants of IDFT's last stage and DFT's first hold 128 words
+per limb (or per seed), those of the two g = 64 stages N words.
 
 A plan is exactly what `build_dft_plan` returns: every stage has all
 2^(k+1) - 1 diagonals, so every cell of the 2^k1 x 2^k2 rectangle that
@@ -69,8 +72,8 @@ from .costmodel import VARIANTS
 from .embedding import stage_twiddles
 from .errors import (ConfigurationError, MissingKeyError, ScaleMismatchError,
                      SeedRangeError)
-from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, _subring_stride,
-                      convert_limbs, lift_int_coeffs, rp_mul_sum)
+from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, _lift_period,
+                      _subring_stride, convert_limbs, rp_mul_sum)
 
 DFT = "dft"       # coefficients to slot values
 IDFT = "idft"     # slot values back to coefficients
@@ -247,9 +250,9 @@ def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
 
     Each seed's words go back to their subring indices of a zeroed (R, N)
     row stack, and one lift widens the stack.  The plaintexts, keyed as
-    `seeds` is, are views of the lifted (L, R, N) stack; `hdft_apply`
-    widens one giant row per call and releases the row together once its
-    pmults are done.
+    `seeds` is, are views of the lifted (L, R, N/t) stack, one period per
+    limb for seeds in the subring Z[X^t]; `hdft_apply` widens one giant
+    row per call and releases the row together once its pmults are done.
     """
     if not seeds:
         return {}
@@ -258,7 +261,7 @@ def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
     for row, seed in zip(coeffs, seeds.values()):
         row[::n // len(seed.q0_limb)] = seed.q0_limb
     basis = basis_c(params, level)
-    stack = lift_int_coeffs(coeffs, basis)
+    stack = _lift_period(coeffs, basis)
     return {key: Plaintext(poly=RnsPolynomial(basis, EVAL, stack[:, r]),
                            scale=seed.scale, slots=params.n_ring // 2)
             for r, (key, seed) in enumerate(seeds.items())}
@@ -450,10 +453,12 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
 def _row_sum(babies: list[Ciphertext], row: dict) -> Ciphertext:
     """One giant row's inner sum: babies[i1] times row[i1] over the row.
 
-    One `rp_mul_sum` of the (L, 2, N) ciphertext stacks by the (L, N)
+    One `rp_mul_sum` of the (L, 2, N) ciphertext stacks by the
     plaintexts, one reduction per word of both halves, gives the words of
-    a pmult per diagonal summed by hadd.  Their checks hold: `rp_mul_sum`
-    refuses other bases (levels), and every product has one scale.
+    a pmult per diagonal summed by hadd.  A one-period (L, N/t) plaintext
+    multiplies a (L, 2, t, N/t) view of the stacks, broadcast, without a
+    copy.  Their checks hold: `rp_mul_sum` refuses other bases (levels),
+    and every product has one scale.
     """
     pairs = [(babies[i1], pt) for i1, pt in row.items()]
     scale = pairs[0][0].scale * pairs[0][1].scale

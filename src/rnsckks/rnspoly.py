@@ -9,12 +9,23 @@ multiple k * P_src, |k| <= ceil(|source| / 2); callers rely on that slack
 being annihilated downstream (key-switching) or bounded (ModDown).
 From a single prime there is no slack.
 
-Integer plaintexts enter the evaluation domain through `lift_int_coeffs`
-alone.  A stack whose nonzero coefficients all sit at multiples of a power
-of two t lies in the subring Z[X^t]; its evaluation vector is the
-(N/t)-point transform of every t-th coefficient, repeated t times, word
-for word (the lift's docstring has the identity), so slot vectors with a
-short period and the sparse two-term scalars cost short transforms.
+Integer plaintexts enter the evaluation domain through one lift,
+`_lift_period`.  A stack whose nonzero coefficients all sit at multiples
+of a power of two t lies in the subring Z[X^t]; its evaluation vector is
+the (N/t)-point transform of every t-th coefficient, repeated t times,
+word for word (the lift's docstring has the identity), so slot vectors
+with a short period and the sparse two-term scalars cost short
+transforms.  `lift_int_coeffs` tiles that period to N words;
+`ckks.encode_diagonal_batch` and `hdft.of_limb_extend` keep the one
+period.
+
+An eval-rep polynomial whose rows are shorter than the ring degree N of
+its basis (`LimbBasis.ring_degree`) is such a period: its full rows
+repeat it.  The arithmetic broadcasts a period over the full rows of the
+other operands through a folded (..., N/P, P) view, without a copy;
+`RnsPolynomial.widened` tiles it for the readers that need whole rows
+(`to_coeff`, so the CRT lifts and decoding, `automorphism` and the
+serial writers).
 
 Several polynomials over one basis stack as limbs shaped (L, ..., N): the
 leading axis is the prime, so each prime's rows sit together and
@@ -69,6 +80,11 @@ class LimbBasis:
     def concat(self, other: "LimbBasis") -> "LimbBasis":
         return LimbBasis(self.primes + other.primes)
 
+    @property
+    def ring_degree(self) -> int:
+        """N of X^N + 1: half the root order the primes were made for."""
+        return min((p.two_n for p in self.primes), default=0) // 2
+
 
 @dataclass
 class RnsPolynomial:
@@ -90,6 +106,7 @@ class RnsPolynomial:
 
     @property
     def n(self) -> int:
+        """Words per row: the ring degree, or the length of a period."""
         return self.limbs.shape[-1]
 
     def to_eval(self) -> "RnsPolynomial":
@@ -101,8 +118,21 @@ class RnsPolynomial:
     def to_coeff(self) -> "RnsPolynomial":
         if self.rep == COEFF:
             return self
+        limbs = self.widened().limbs
         return RnsPolynomial(self.basis, COEFF,
-                             transform_limbs(self.limbs, self.basis, "inverse"))
+                             transform_limbs(limbs, self.basis, "inverse"))
+
+    def widened(self) -> "RnsPolynomial":
+        """Whole rows: a one-period eval-rep polynomial tiled to the ring
+        degree of its basis, any other polynomial as it is."""
+        n = self.basis.ring_degree
+        if self.rep != EVAL or self.n >= n:
+            return self
+        if n % self.n:
+            raise BasisMismatchError(
+                f"rows of {self.n} words do not tile ring degree {n}")
+        return RnsPolynomial(self.basis, EVAL,
+                             np.tile(self.limbs, n // self.n))
 
 
 def transform_limbs(limbs: np.ndarray, basis: LimbBasis, direction: str,
@@ -137,9 +167,9 @@ def _subring_stride(coeffs: np.ndarray) -> int:
     return t
 
 
-def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
-    """Signed int64 coefficients shaped (N,) or (R, N) as evaluation-rep
-    limbs shaped (L, N) or (L, R, N).
+def _lift_period(coeffs, basis: LimbBasis) -> np.ndarray:
+    """Signed int64 coefficients shaped (..., N) as one period of their
+    evaluation-rep limbs, shaped (L, ..., N/t).
 
     Every integer plaintext enters the evaluation domain here: encoding
     and OF-Limb seed extension share this lift, so a seed rebuilds exactly
@@ -150,14 +180,21 @@ def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
     P(X) = p'(X^t) with p' = coeffs[..., ::t].  Only p' goes through a
     transform, the (N/t)-point one, whose root is psi^t; and
     P(psi^(2j+1)) = p'((psi^t)^(2j+1)) repeats with period N/t in j, so
-    tiling that transform t times gives every word of the N-point one.
-    Dense input has t = 1 and is transformed in place.
+    that transform is one period of every word of the N-point one.  Dense
+    input has t = 1 and is transformed in place.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    t = _subring_stride(coeffs)
-    out = _int_residues(coeffs[..., ::t], basis)
-    transform_limbs(out, basis, "forward", out=out)
-    return out if t == 1 else np.tile(out, t)
+    out = _int_residues(coeffs[..., ::_subring_stride(coeffs)], basis)
+    return transform_limbs(out, basis, "forward", out=out)
+
+
+def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
+    """Signed int64 coefficients shaped (N,) or (R, N) as evaluation-rep
+    limbs shaped (L, N) or (L, R, N): `_lift_period`'s period tiled to
+    N words."""
+    n = np.shape(coeffs)[-1]
+    out = _lift_period(coeffs, basis)
+    return out if out.shape[-1] == n else np.tile(out, n // out.shape[-1])
 
 
 def poly_from_int_coeffs(coeffs: np.ndarray, basis: LimbBasis,
@@ -175,19 +212,46 @@ def one_poly(p: RnsPolynomial):
             f"expected one polynomial, got a stack shaped {p.limbs.shape}")
 
 
-def _check_pair(a: RnsPolynomial, b: RnsPolynomial) -> tuple:
-    """The shape of one prime's output rows: the broadcast of a's and b's."""
-    if a.basis != b.basis:
-        raise BasisMismatchError("operands live over different bases")
-    if a.rep != b.rep:
-        raise RepresentationError(f"operands mix {a.rep} and {b.rep}")
-    return np.broadcast_shapes(a.limbs.shape[1:], b.limbs.shape[1:])
+def _row_layout(polys) -> tuple[tuple, int]:
+    """One prime's output row shape, the broadcast of the operands' rows,
+    and the width their rows fold at.
+
+    Rows of one length fold at that length.  Shorter eval-rep rows are a
+    period of the longest (module docstring): every operand folds to
+    (..., length / width, width) at the width of the longest shorter one,
+    so a period of that width broadcasts over the folds without a copy
+    and a still shorter one is tiled to it (`_folded`).
+    """
+    a = polys[0]
+    for b in polys[1:]:
+        if b.basis != a.basis:
+            raise BasisMismatchError("operands live over different bases")
+        if b.rep != a.rep:
+            raise RepresentationError(f"operands mix {a.rep} and {b.rep}")
+    widths = sorted({p.n for p in polys})
+    if len(widths) > 1 and (a.rep != EVAL or any(
+            long % short for short, long in zip(widths, widths[1:]))):
+        raise BasisMismatchError(
+            f"{a.rep}-rep rows of {widths} words do not tile one another")
+    rows = np.broadcast_shapes(*(p.limbs.shape[1:-1] for p in polys))
+    return rows + (widths[-1],), widths[-2 if len(widths) > 1 else -1]
+
+
+def _folded(rows: np.ndarray, width: int) -> np.ndarray:
+    """Rows shaped (..., M) as (..., M / width, width); a period shorter
+    than `width` is tiled to it first."""
+    if rows.shape[-1] < width:
+        rows = np.tile(rows, width // rows.shape[-1])
+    return rows.reshape(rows.shape[:-1] + (-1, width))
 
 
 def _rowwise(op, a: RnsPolynomial, b: RnsPolynomial) -> RnsPolynomial:
-    out = np.empty((len(a.basis),) + _check_pair(a, b), dtype=U64)
+    rows, width = _row_layout([a, b])
+    out = np.empty((len(a.basis),) + rows, dtype=U64)
+    view = _folded(out, width)
     for i, p in enumerate(a.basis):
-        out[i] = op(a.limbs[i], b.limbs[i], p)
+        view[i] = op(_folded(a.limbs[i], width), _folded(b.limbs[i], width),
+                     p)
     return RnsPolynomial(a.basis, a.rep, out)
 
 
@@ -215,19 +279,17 @@ def rp_mul_sum(pairs) -> RnsPolynomial:
     Barrett reduction per word instead of one per product."""
     pairs = list(pairs)
     a0 = pairs[0][0]
-    rows = ()
-    for a, b in pairs:
-        _check_pair(a0, a)
-        rows = np.broadcast_shapes(rows, _check_pair(a, b))
+    rows, width = _row_layout([p for pair in pairs for p in pair])
     if a0.rep != EVAL:
         raise RepresentationError("pointwise product needs evaluation rep")
     out = np.empty((len(a0.basis),) + rows, dtype=U64)
+    view = _folded(out, width)
     for i, p in enumerate(a0.basis):
+        terms = [(_folded(a.limbs[i], width), _folded(b.limbs[i], width))
+                 for a, b in pairs]
         # The first term spans the output, so the sum grows in place.
-        first = np.broadcast_to(a0.limbs[i], rows)
-        out[i] = mul_sum([(first, pairs[0][1].limbs[i])]
-                         + [(a.limbs[i], b.limbs[i]) for a, b in pairs[1:]],
-                         p)
+        terms[0] = (np.broadcast_to(terms[0][0], view.shape[1:]), terms[0][1])
+        view[i] = mul_sum(terms, p)
     return RnsPolynomial(a0.basis, a0.rep, out)
 
 
@@ -387,8 +449,10 @@ def automorphism(p: RnsPolynomial, r: int) -> RnsPolynomial:
 
     Coefficient rep: a signed monomial permutation (negacyclic wraps flip
     sign).  Evaluation rep: a pure index permutation of the odd-exponent
-    evaluation points.  Every row of a stack is permuted alike.
+    evaluation points, of the widened rows of a period.  Every row of a
+    stack is permuted alike.
     """
+    p = p.widened()
     coeff_tgt, coeff_flip, eval_src = _auto_maps(p.n, r)
     if p.rep == EVAL:
         return RnsPolynomial(p.basis, p.rep, p.limbs[..., eval_src])

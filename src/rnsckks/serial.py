@@ -171,6 +171,8 @@ def _read_container(path: str, kind: int) -> _Cursor:
 # Polynomial block.
 
 def _put_poly(body: _Body, p: RnsPolynomial):
+    """A one-period polynomial is written with its whole rows."""
+    p = p.widened()
     body.pack("BHI", 1 if p.rep == EVAL else 0, len(p.basis), p.n)
     for pm in p.basis:
         body.pack("QQ", pm.q, pm.root)
@@ -218,6 +220,12 @@ def _check_ring(cur: _Cursor, poly: RnsPolynomial, params: CkksParams):
         cur.fail(f"ring degree {poly.n} is not n_ring = {params.n_ring}")
 
 
+def _check_slots(cur: _Cursor, slots: int, params: CkksParams):
+    """`encode`'s rule: at least one slot, and a divisor of n_ring / 2."""
+    if slots < 1 or (params.n_ring // 2) % slots:
+        cur.fail(f"slot count {slots} does not divide {params.n_ring // 2}")
+
+
 def save_plaintext(path: str, pt: Plaintext):
     body = _Body()
     body.put_fraction(pt.scale)
@@ -233,6 +241,7 @@ def load_plaintext(path: str, params: CkksParams) -> Plaintext:
     poly = _get_poly(cur)
     cur.done()
     _check_basis(cur, level, poly, params)
+    _check_slots(cur, slots, params)
     return Plaintext(poly, scale, slots)
 
 
@@ -256,6 +265,7 @@ def load_ciphertext(path: str, params: CkksParams) -> Ciphertext:
     if c1.basis != c0.basis:
         cur.fail("c0 and c1 lie over different bases")
     _check_basis(cur, level, c0, params)
+    _check_slots(cur, slots, params)
     if c0.rep != EVAL or c1.rep != EVAL:
         cur.fail("ciphertext block in coefficient rep")
     limbs = np.empty((len(c0.basis), 2, c0.n), dtype=np.uint64)
@@ -274,6 +284,8 @@ def load_secret_key(path: str, params: CkksParams) -> SecretKey:
     poly = _get_poly(cur)
     cur.done()
     _check_ring(cur, poly, params)
+    if poly.basis != basis_d(params, params.levels):
+        cur.fail("secret key does not lie over the parameters' full basis")
     return SecretKey(params, poly)
 
 

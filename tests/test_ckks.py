@@ -196,6 +196,10 @@ def test_ciphertext_is_one_stack(params, sk):
                    ct.scale, ct.slots)
     with pytest.raises(RepresentationError):
         Ciphertext(pt.poly, pt.scale, pt.slots)
+    with pytest.raises(RepresentationError):
+        period = ct.poly.limbs[..., :128]
+        Ciphertext(RnsPolynomial(ct.poly.basis, EVAL, period), ct.scale,
+                   ct.slots)
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +243,33 @@ def test_diagonal_batch_matches_per_row_encode(params):
     # is rejected, not wrapped.
     with pytest.raises(ConfigurationError):
         encode_diagonal_batch(params, rows * 2.0 ** 27, level=5)
+
+
+def test_periodic_diagonal_batch_holds_one_period(tiny_params, tiny_sk):
+    """Rows that repeat every 4 of the 32 slots lie in the subring Z[X^8]:
+    each plaintext holds 8 words per limb, and decode, pmult, padd,
+    encrypt and key switching give the words they give for `encode`'s
+    tiled plaintext."""
+    params, sk = tiny_params, tiny_sk
+    rng = np.random.default_rng(47)
+    relin = make_relin_key(params, sk, rng)
+    rows = np.tile(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)),
+                   8)
+    ct = encrypt(params, encode(params, random_message(params, rng),
+                                level=2), sk, rng)
+    for row, pt in zip(rows, encode_diagonal_batch(params, rows, level=2)):
+        whole = encode(params, row, level=2)
+        assert pt.poly.limbs.shape == (3, 8)
+        assert np.array_equal(np.tile(pt.poly.limbs, 8), whole.poly.limbs)
+        assert np.array_equal(decode(params, pt), decode(params, whole))
+        for op in (pmult, padd):
+            assert np.array_equal(op(ct, pt).poly.limbs,
+                                  op(ct, whole).poly.limbs)
+        assert np.array_equal(
+            encrypt(params, pt, sk, np.random.default_rng(53)).poly.limbs,
+            encrypt(params, whole, sk, np.random.default_rng(53)).poly.limbs)
+        assert np.array_equal(key_switch(params, pt.poly, relin).limbs,
+                              key_switch(params, whole.poly, relin).limbs)
 
 
 def test_diagonal_batch_holds_one_stack(params):

@@ -273,6 +273,25 @@ def test_oflimb_seed_bytes_against_model(params, oflimb_boot_plans):
             assert stored * (64 if st.g == 1 else 1) == cost.plaintext_bytes
 
 
+def test_minks_plaintext_bytes_against_model(params, boot_plans):
+    """The model's per-stage min-KS bytes (plaintext_bytes_at per
+    diagonal) are what a g = 64 stage stores; a g = 1 stage stores one
+    period of N/64 words per limb, 1/64 of the term."""
+    desk = PROFILES["desk"]
+    total = 0
+    for plan in boot_plans:
+        report = hdft_pass_cost(PassShape.from_plan(plan), desk, "minks")
+        consts = plan.stage_constants("minks")
+        for st, cost, cells in zip(plan.stages, report.stages, consts):
+            stored = sum(pt.poly.limbs.nbytes for pt in cells.values())
+            assert cost.plaintext_bytes == 127 * plaintext_bytes_at(
+                desk, st.level)
+            assert st.g in (1, 64)
+            assert stored * (64 if st.g == 1 else 1) == cost.plaintext_bytes
+            total += stored
+    assert total == 127 * (8 + 2) * 8192 * 8 + 127 * (7 + 3) * 128 * 8
+
+
 def test_pass_cost_rejects_unknown_variant():
     shape = PassShape("idft", 1 << 15, 5, 3, 3, (23, 22, 21))
     with pytest.raises(ConfigurationError):

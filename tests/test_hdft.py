@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from rnsckks import hdft
-from rnsckks.ckks import (basis_c, encode, encrypt, hadd,
-                          make_rotation_keys, modulus_chain, pmult,
+from rnsckks.ckks import (basis_c, encode, encode_diagonal_batch, encrypt,
+                          hadd, make_rotation_keys, modulus_chain, pmult,
                           slot_values)
 from rnsckks.embedding import packed_to_slots
 from rnsckks.errors import (BasisMismatchError, ConfigurationError,
@@ -189,10 +189,10 @@ def test_stage_constants_cached(params):
 
 
 # Digest of the constants of one small IDFT plan: the minks plaintext
-# limbs, then each minks-oflimb seed limb (at length N) and scale, cell by
-# cell in key order.  A plan is stored nowhere but rebuilt from its
-# arguments, so a rewrite of the plan or constant code must leave these
-# words as they are.
+# limbs (widened to length N), then each minks-oflimb seed limb (at length
+# N) and scale, cell by cell in key order.  A plan is stored nowhere but
+# rebuilt from its arguments, so a rewrite of the plan or constant code
+# must leave these words as they are.
 PINNED_CONSTANTS = "e40a84d0269c072b"
 
 
@@ -210,7 +210,8 @@ def test_plan_constants_pinned(params):
     for cells in plan.stage_constants("minks"):
         for key, pt in cells.items():
             h.update(repr(key).encode())
-            h.update(np.ascontiguousarray(pt.poly.limbs, "<u8").tobytes())
+            h.update(np.ascontiguousarray(pt.poly.widened().limbs,
+                                          "<u8").tobytes())
     for cells in plan.stage_constants("minks-oflimb"):
         for key, seed in cells.items():
             h.update(repr(key).encode())
@@ -465,6 +466,76 @@ def test_row_sum_equals_pmult_then_hadd(params, sk, level):
             (want.scale, want.level, want.slots)
 
 
+def _one_period_row(params, rng, level, periods):
+    """Diagonal-batch plaintexts whose slots repeat with the given periods
+    (None: no period), and the same plaintexts with their rows tiled to N."""
+    half = params.n_ring // 2
+    row = {}
+    for i1, m in enumerate(periods):
+        m = m or half
+        values = np.tile(rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m),
+                         half // m)
+        (row[i1],) = encode_diagonal_batch(params, values[None], level)
+        assert row[i1].poly.n == 2 * m
+    tiled = {i1: replace(pt, poly=pt.poly.widened()) for i1, pt in row.items()}
+    return row, tiled
+
+
+@pytest.mark.parametrize("level", [6, 2])
+def test_one_period_row_sum_equals_tiled_row(params, sk, level):
+    """A giant row of one-period plaintexts (128 words per limb, as a
+    g = 1 stage stores them) sums to the words of the same row tiled to
+    N, and of one pmult per plaintext summed by hadd."""
+    rng = np.random.default_rng([83, level])
+    babies = [encrypt(params, encode(params, random_message(params, rng),
+                                     level=level), sk, rng)
+              for _ in range(8)]
+    row, tiled = _one_period_row(params, rng, level, [64] * 8)
+    got = hdft._row_sum(babies, row)
+    want = pmult(babies[0], row[0])
+    for i1 in range(1, 8):
+        want = hadd(want, pmult(babies[i1], row[i1]))
+    for other in (hdft._row_sum(babies, tiled), want):
+        assert np.array_equal(got.poly.limbs, other.poly.limbs)
+        assert (got.scale, got.level, got.slots) == \
+            (other.scale, other.level, other.slots)
+
+
+def test_row_sum_widens_mixed_periods(params, sk):
+    """Plaintexts of different periods in one row, and full rows beside
+    them, give the words of the row tiled to N."""
+    rng = np.random.default_rng(89)
+    babies = [encrypt(params, encode(params, random_message(params, rng),
+                                     level=3), sk, rng)
+              for _ in range(4)]
+    for periods in ([64, 32, None, 2], [16, 64]):
+        row, tiled = _one_period_row(params, rng, 3, periods)
+        assert np.array_equal(hdft._row_sum(babies, row).poly.limbs,
+                              hdft._row_sum(babies, tiled).poly.limbs)
+
+
+def test_g1_stage_encodes_without_the_tiled_stack(params, boot_plans):
+    """Encoding the min-KS constants of IDFT's g = 1 stage (level 6)
+    keeps 127 periods of 128 words per limb, and its peak stays below
+    the 55.6 MiB that the 127 plaintexts tiled to N would hold alone."""
+    plan = boot_plans[0]
+    (st,) = [st for st in plan.stages if st.g == 1]
+    assert st.level == 6
+    # Warm the transform tables outside the trace.
+    replace(plan, stages=[st], _consts={}).stage_constants("baseline")
+    one = replace(plan, stages=[st], _consts={})
+    tracemalloc.start()
+    try:
+        (cells,) = one.stage_constants("minks")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    tiled = 7 * 127 * params.n_ring * 8
+    assert {pt.poly.limbs.shape for pt in cells.values()} == {(7, 128)}
+    assert sum(pt.poly.limbs.nbytes for pt in cells.values()) == tiled // 64
+    assert peak < tiled
+
+
 def test_row_sum_keeps_pmult_and_hadd_checks(params, sk):
     """Products at another level, or at another scale, are refused with
     the errors pmult and hadd raise."""
@@ -538,7 +609,8 @@ def test_seed_extension_is_bit_exact(params):
 def test_subring_stages_widen_at_short_length(params, boot_plans, ntt_rows):
     """In the full-width k=6 plans every g = 1 stage's seeds lie in the
     subring Z[X^64], so widening any of its giant rows runs (level + 1)
-    transforms of 128 points per cell; a g = 64 stage widens at N points.
+    transforms of 128 points per cell and keeps those 128 words per limb;
+    a g = 64 stage widens at N points.
     A 64-slot encode lands on the same subring."""
     n = params.n_ring
     for plan in boot_plans:
@@ -549,10 +621,12 @@ def test_subring_stages_widen_at_short_length(params, boot_plans, ntt_rows):
                 row = {i1: cmap[i1, i2] for i1 in range(1 << plan.k1)
                        if (i1, i2) in cmap}
                 ntt_rows.clear()
-                of_limb_extend(params, row, st.level)
+                pts = of_limb_extend(params, row, st.level)
                 length = n // 64 if st.g == 1 else n
                 assert ntt_rows == {("forward", length):
                                     (st.level + 1) * len(row)}, (st.g, i2)
+                assert {pt.poly.limbs.shape for pt in pts.values()} == \
+                    {(st.level + 1, length)}
     ntt_rows.clear()
     encode(params, random_message(params, np.random.default_rng(89))[:64],
            level=7)

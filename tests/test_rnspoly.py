@@ -14,7 +14,8 @@ from rnsckks.errors import (BasisMismatchError, ConfigurationError,
 from rnsckks.modmath import U64, PrimeModulus, generate_ntt_primes
 from rnsckks.ntt import ntt
 from rnsckks.rnspoly import (COEFF, EVAL, BaseTable, LimbBasis,
-                             RnsPolynomial, automorphism, base_convert,
+                             RnsPolynomial, _lift_period, automorphism,
+                             base_convert,
                              convert_limbs, crt_float, crt_reconstruct,
                              lift_int_coeffs, make_base_table,
                              poly_from_int_coeffs, rp_add, rp_mul, rp_mul_sum,
@@ -190,6 +191,85 @@ def test_subring_lift_holds_one_stack():
         tracemalloc.stop()
     assert out.nbytes == 32 << 20
     assert peak < 34 << 20
+
+
+# ---------------------------------------------------------------------------
+# One-period polynomials.
+
+def subring_coeffs(t, rng, rows=()):
+    """Random coefficients of polynomials in Z[X^t] at ring degree 64."""
+    coeffs = np.zeros(rows + (64,), dtype=np.int64)
+    coeffs[..., ::t] = rng.integers(-(1 << 40), 1 << 40, rows + (64 // t,))
+    return coeffs
+
+
+def period(coeffs):
+    return RnsPolynomial(BASIS64, EVAL, _lift_period(coeffs, BASIS64))
+
+
+@pytest.mark.parametrize("t", [1, 4, 16])
+def test_lift_period_is_the_lift_before_its_tile(t):
+    """The one lift keeps N/t words per row; `lift_int_coeffs` and
+    `widened` tile them to the same N words, and full rows are not
+    copied."""
+    rng = np.random.default_rng([139, t])
+    assert BASIS64.ring_degree == 64
+    for coeffs in (subring_coeffs(t, rng), subring_coeffs(t, rng, (3,))):
+        whole = lift_int_coeffs(coeffs, BASIS64)
+        p = period(coeffs)
+        assert p.limbs.shape == whole.shape[:-1] + (64 // t,)
+        assert np.array_equal(np.tile(p.limbs, t), whole)
+        assert np.array_equal(p.widened().limbs, whole)
+    full = RnsPolynomial(BASIS64, EVAL, whole)
+    assert full.widened() is full
+
+
+def test_period_broadcasts_as_its_tiled_rows():
+    """Every operation gives the words it gives on the tiled rows: against
+    full rows and stacks the result has full rows; between periods it is
+    the longer period; periods of different lengths mix."""
+    rng = np.random.default_rng(149)
+    p, q = period(subring_coeffs(4, rng)), period(subring_coeffs(16, rng))
+    s, r = random_stack(BASIS64, 64, rng), random_poly(BASIS64, 64, rng,
+                                                       rep=EVAL)
+    ops = [lambda x, y: rp_add(s, x), lambda x, y: rp_sub(x, s),
+           lambda x, y: rp_mul(s, x), lambda x, y: rp_mul(x, r),
+           lambda x, y: rp_mul(x, y), lambda x, y: rp_add(y, x),
+           lambda x, y: rp_neg(x),
+           lambda x, y: rp_mul_sum([(s, x), (r, y), (x, y)]),
+           lambda x, y: rp_mul_sum([(x, y), (y, y)])]
+    for k, op in enumerate(ops):
+        got = op(p, q)
+        want = op(p.widened(), q.widened())
+        assert np.array_equal(got.widened().limbs, want.limbs), k
+        assert got.n == (16 if k in (4, 5, 6, 8) else 64), k
+
+
+def test_period_readers_widen():
+    """Whole-polynomial readers see the tiled rows."""
+    rng = np.random.default_rng(151)
+    p = period(subring_coeffs(8, rng))
+    whole = p.widened()
+    assert np.array_equal(p.to_coeff().limbs, whole.to_coeff().limbs)
+    assert crt_reconstruct(p).tolist() == crt_reconstruct(whole).tolist()
+    assert np.array_equal(crt_float(p), crt_float(whole))
+    for r in (1, 3):
+        assert np.array_equal(automorphism(p, r).limbs,
+                              automorphism(whole, r).limbs)
+
+
+def test_rows_that_do_not_tile_are_refused():
+    """Rows of lengths that do not divide one another, and short
+    coefficient-rep rows, which are no period, are refused."""
+    rng = np.random.default_rng(157)
+    odd = RnsPolynomial(BASIS64, EVAL, random_poly(BASIS64, 24, rng).limbs)
+    full = random_poly(BASIS64, 64, rng, rep=EVAL)
+    for call in (lambda: rp_add(full, odd), lambda: rp_mul_sum([(full, odd)]),
+                 lambda: odd.widened(), lambda: odd.to_coeff(),
+                 lambda: rp_add(random_poly(BASIS64, 64, rng),
+                                random_poly(BASIS64, 16, rng))):
+        with pytest.raises(BasisMismatchError, match="tile"):
+            call()
 
 
 def test_rep_conversion_roundtrip_bitwise():

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rnsckks.ckks import (CkksParams, decrypt, encode, encrypt, hmult,
-                          hrescale, hrot, make_relin_key, make_rotation_key,
-                          mod_drop, restrict_poly, slot_values)
+from rnsckks.ckks import (CkksParams, decrypt, encode, encode_diagonal_batch,
+                          encrypt, hmult, hrescale, hrot, make_relin_key,
+                          make_rotation_key, mod_drop, restrict_poly,
+                          slot_values)
 from rnsckks.errors import SerializationError
 from rnsckks.hdft import EvkUsageLog
 from rnsckks.rnspoly import LimbBasis
@@ -50,6 +51,21 @@ def test_plaintext_roundtrip(params, tmp_path):
     assert back.poly.basis == pt.poly.basis
     assert back.poly.rep == pt.poly.rep
     assert np.array_equal(back.poly.limbs, pt.poly.limbs)
+
+
+def test_one_period_plaintext_saved_whole(tiny_params, tmp_path):
+    """A plaintext holding one period of its evaluation words is written
+    with its whole rows: the bytes of `encode`'s plaintext."""
+    rng = np.random.default_rng(127)
+    row = np.tile(rng.normal(size=4) + 1j * rng.normal(size=4), 8)
+    (pt,) = encode_diagonal_batch(tiny_params, row[None], level=2)
+    assert pt.poly.n == 8
+    paths = [str(tmp_path / name) for name in ("period.pt", "whole.pt")]
+    save_plaintext(paths[0], pt)
+    save_plaintext(paths[1], encode(tiny_params, row, level=2))
+    assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+    back = load_plaintext(paths[0], tiny_params)
+    assert np.array_equal(back.poly.limbs, pt.poly.widened().limbs)
 
 
 def test_ciphertext_roundtrip(params, sk, ct, tmp_path):
@@ -213,6 +229,12 @@ def _level(body, level=99):
     return body
 
 
+def _slots(body, slots):
+    at = _poly_at(body) - 4
+    body[at:at + 4] = struct.pack("<I", slots)
+    return body
+
+
 def _blocks(body):
     """The fields before the polynomial blocks, then each block."""
     at = _poly_at(body)
@@ -240,8 +262,10 @@ def _rewrite(path, edit):
     (_word_at_modulus, "not below their modulus"),
     (_level, "level 99"),
     (lambda b: _rep_code(b, 0), "coefficient rep"),
+    (lambda b: _slots(b, 3), "slot count 3 does not divide 32"),
+    (lambda b: _slots(b, 0), "slot count 0 does not divide 32"),
 ], ids=["utf8", "zero-denominator", "rep-code", "word-at-q", "level",
-        "coeff-rep"])
+        "coeff-rep", "slots-3", "slots-0"])
 def test_crafted_ciphertext_raises_serialization_error(tiny_params, tiny_sk,
                                                        tmp_path, edit, what):
     """A body the checksum accepts but the loader must not: its own error
@@ -296,12 +320,29 @@ def test_loaders_check_level_against_limbs(tiny_params, tiny_sk, tmp_path):
         load_ciphertext(path, tiny_params)
 
 
+@pytest.mark.parametrize("slots", [3, 0, 64])
+def test_plaintext_slot_count_follows_encode(tiny_params, tmp_path, slots):
+    """A plaintext's slot count must be one `encode` accepts: at least
+    one, and a divisor of n_ring / 2 = 32."""
+    pt = encode(tiny_params, message(tiny_params, np.random.default_rng(157)))
+    path = str(tmp_path / "slots.pt")
+    save_plaintext(path, pt)
+    _rewrite(path, lambda b: _slots(b, 32))
+    assert load_plaintext(path, tiny_params).slots == 32
+    _rewrite(path, lambda b: _slots(b, slots))
+    with pytest.raises(SerializationError, match="slots.pt") as info:
+        load_plaintext(path, tiny_params)
+    assert f"slot count {slots} does not divide 32" in str(info.value)
+
+
 def _saved(kind, params, sk, path):
-    """A plaintext, ciphertext or relinearization key made under `params`
-    and saved to `path`."""
+    """A plaintext, ciphertext or relinearization key made under `params`,
+    or the secret key `sk`, saved to `path`."""
     rng = np.random.default_rng(141)
     pt = encode(params, message(params, rng))
-    if kind == "pt":
+    if kind == "sk":
+        save_secret_key(path, sk)
+    elif kind == "pt":
         save_plaintext(path, pt)
     elif kind == "ct":
         save_ciphertext(path, encrypt(params, pt, sk, rng))
@@ -310,7 +351,7 @@ def _saved(kind, params, sk, path):
 
 
 _LOADERS = {"pt": load_plaintext, "ct": load_ciphertext,
-            "evk": load_evaluation_key}
+            "evk": load_evaluation_key, "sk": load_secret_key}
 # Each differs from the tiny parameters in one way: the ring degree, the
 # scale primes, the top level, or the digit count (alpha 3, one piece).
 _OTHER = {"n128": dict(n_ring=128), "bits30": dict(scale_bits=30),
@@ -326,6 +367,10 @@ _OTHER = {"n128": dict(n_ring=128), "bits30": dict(scale_bits=30),
     ("ct", "levels1", "not the parameters' level-2 basis"),
     ("evk", "bits30", "do not lie over the parameters' full basis"),
     ("evk", "dnum1", "3 key pieces, not dnum = 1"),
+    ("sk", "n128", "ring degree 64 is not n_ring = 128"),
+    ("sk", "bits30", "secret key does not lie over the parameters' full"),
+    ("sk", "levels1", "secret key does not lie over the parameters' full"),
+    ("sk", "dnum1", "secret key does not lie over the parameters' full"),
 ])
 def test_loaders_check_against_params(tiny_params, tiny_sk, tmp_path, kind,
                                       other, what):
