@@ -33,8 +33,8 @@ from .errors import (BasisMismatchError, ConfigurationError,
                      ScaleMismatchError)
 from .modmath import (SMALL_WORD, U64, PrimeModulus, generate_ntt_primes,
                       mod_sub, mul_sum, shoup_mul, shoup_words)
-from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, _lift_period,
-                      automorphism, convert_limbs, crt_float, one_poly,
+from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, automorphism,
+                      convert_limbs, crt_float, lift_int_coeffs, one_poly,
                       poly_from_int_coeffs, rp_add, rp_mul, rp_mul_sum,
                       rp_neg, rp_scalar_mul_per_limb, rp_sub)
 
@@ -147,7 +147,16 @@ class SecretKey:
 
 @dataclass
 class Plaintext:
-    poly: RnsPolynomial          # eval rep over C_level
+    """An encoded slot vector.  `poly` is eval rep over C_level and holds
+    one period of its evaluation words: 2m/t words per limb for m slots,
+    t its subring stride (`encode_diagonal_batch`).
+
+    `slots` is a period the slot values repeat at, not necessarily the
+    least: `encode` records the m it was given, and `hdft.of_limb_extend`
+    half its seeds' width, which can be shorter than the m the same
+    constant was encoded at."""
+
+    poly: RnsPolynomial
     scale: Fraction
     slots: int
 
@@ -289,8 +298,8 @@ def make_rotation_keys(params: CkksParams, sk: SecretKey, steps,
 # Encoding.
 
 def slots_to_coeffs(rows, scale: int | Fraction) -> np.ndarray:
-    """Slot vectors shaped (..., N/2) as the rounded coefficients of their
-    scaled packed embedding, shaped (..., N): real parts, then imaginary.
+    """Slot vectors shaped (..., m) as the rounded coefficients of their
+    scaled packed embedding, shaped (..., 2m): real parts, then imaginary.
 
     Every plaintext built from slot values is rounded here, so each one
     rejects the same inputs: non-finite values, and coefficients that a
@@ -308,25 +317,13 @@ def slots_to_coeffs(rows, scale: int | Fraction) -> np.ndarray:
 
 def encode(params: CkksParams, values, level: int | None = None,
            scale: int | Fraction | None = None) -> Plaintext:
-    """Embed a complex vector as a scaled integer polynomial.
-
-    Vectors shorter than n_ring/2 slots are replicated across the slot
-    space; the inverse packed transform of a periodic vector lands on the
-    matching subring, so short messages cost nothing extra: m slots lift
-    through 2m-point transforms (`rnspoly.lift_int_coeffs`).
-    """
-    level = params.levels if level is None else level
-    scale = Fraction(params.scale if scale is None else scale)
+    """Embed a vector of m slots, m dividing n_ring/2, as a scaled integer
+    polynomial: the one-row case of `encode_diagonal_batch`."""
     values = np.asarray(values, dtype=np.complex128)
     if values.ndim != 1:
         raise ConfigurationError("encode expects one vector")
-    m = values.shape[0]
-    half = params.n_ring // 2
-    if m < 1 or half % m:
-        raise ConfigurationError(f"slot count {m} must divide {half}")
-    coeffs = slots_to_coeffs(np.tile(values, half // m), scale)
-    poly = poly_from_int_coeffs(coeffs, basis_c(params, level), rep=EVAL)
-    return Plaintext(poly=poly, scale=scale, slots=m)
+    level = params.levels if level is None else level
+    return encode_diagonal_batch(params, values[None], level, scale)[0]
 
 
 def decode(params: CkksParams, pt: Plaintext) -> np.ndarray:
@@ -338,21 +335,28 @@ def decode(params: CkksParams, pt: Plaintext) -> np.ndarray:
 
 def encode_diagonal_batch(params: CkksParams, rows: np.ndarray, level: int,
                           scale: int | Fraction | None = None) -> list[Plaintext]:
-    """Encode many full-slot vectors at once; one batched transform and one
-    batched NTT per limb instead of per-row calls.  Each plaintext's limbs
-    are a view of the one lifted (L, R, N/t) stack: when every row repeats
-    with a period of n_ring/(2t) slots, the batch lies in the subring
-    Z[X^t] and each plaintext holds one period of N/t words
-    (`rnspoly._lift_period`), which the arithmetic broadcasts."""
+    """Encode rows of m slots, shaped (R, m) with m dividing n_ring/2, in
+    one batched transform and one lift; each plaintext has m slots.
+
+    A row stands for its n_ring/(2m) repeats across the slot space.  The
+    m-point embedding of the row gives 2m coefficients, and those are the
+    coefficients of the repeats' N/2-point embedding at stride N/(2m),
+    bit for bit, with zeros between them: the two runs differ only by
+    powers of two.  So the rows lie in the subring Z[X^(N/2m)], and the
+    lift reads them as such (`rnspoly.lift_int_coeffs`).  Each
+    plaintext's limbs are a view of the one lifted (L, R, 2m/t) stack, one
+    period per limb, which the arithmetic broadcasts.
+    """
     scale = Fraction(params.scale if scale is None else scale)
     rows = np.asarray(rows, dtype=np.complex128)
     half = params.n_ring // 2
-    if rows.ndim != 2 or rows.shape[1] != half:
-        raise ConfigurationError("diagonal batch must be (rows, n_ring/2)")
+    if rows.ndim != 2 or rows.shape[1] < 1 or half % rows.shape[1]:
+        raise ConfigurationError(
+            f"slot rows {rows.shape} must be (R, m), m dividing {half}")
     basis = basis_c(params, level)
-    stacks = _lift_period(slots_to_coeffs(rows, scale), basis)
+    stacks = lift_int_coeffs(slots_to_coeffs(rows, scale), basis)
     return [Plaintext(poly=RnsPolynomial(basis, EVAL, stacks[:, r]),
-                      scale=scale, slots=half)
+                      scale=scale, slots=rows.shape[1])
             for r in range(rows.shape[0])]
 
 
@@ -415,25 +419,16 @@ def pmult(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
     return Ciphertext(rp_mul(ct.poly, pt.poly), ct.scale * pt.scale, ct.slots)
 
 
-def _scalar_plaintext(params: CkksParams, z: complex, level: int,
-                      scale: Fraction) -> Plaintext:
-    """z = x + iy as the two-term polynomial round(x*s) + round(y*s) X^(N/2);
-    X^(N/2) evaluates to i in every slot."""
-    coeffs = np.zeros(params.n_ring, dtype=np.int64)
-    coeffs[0] = int(round(z.real * float(scale)))
-    coeffs[params.n_ring // 2] = int(round(z.imag * float(scale)))
-    poly = poly_from_int_coeffs(coeffs, basis_c(params, level), rep=EVAL)
-    return Plaintext(poly=poly, scale=scale, slots=params.n_ring // 2)
-
-
 def cadd(params: CkksParams, ct: Ciphertext, z: complex) -> Ciphertext:
-    return padd(ct, _scalar_plaintext(params, complex(z), ct.level, ct.scale))
+    """Add z in every slot: z encoded as one slot, the two-term polynomial
+    round(x*s) + round(y*s) X^(N/2) for z = x + iy."""
+    return padd(ct, encode(params, [z], ct.level, ct.scale))
 
 
 def cmult(params: CkksParams, ct: Ciphertext, z: complex,
           scale: int | Fraction | None = None) -> Ciphertext:
-    scale = Fraction(params.scale if scale is None else scale)
-    return pmult(ct, _scalar_plaintext(params, complex(z), ct.level, scale))
+    """Multiply every slot by z, encoded as `cadd` encodes it."""
+    return pmult(ct, encode(params, [z], ct.level, scale))
 
 
 # ---------------------------------------------------------------------------

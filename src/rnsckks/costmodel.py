@@ -137,16 +137,6 @@ def plaintext_bytes_at(p: ParamProfile, level: int) -> int:
     return (level + 1) * p.N * p.word_bytes
 
 
-def twist_words_avoided(p: ParamProfile) -> int:
-    """Words of twisting factors a full-basis transform pass would load.
-
-    Negacyclic transforms fold the order-2N twist into their butterfly
-    sweep, so generating twiddles on the fly spares one forward and one
-    inverse table per limb across the extended basis.
-    """
-    return 2 * (p.alpha + p.L + 1) * p.N
-
-
 # ---------------------------------------------------------------------------
 # Key-switching compute.
 
@@ -330,13 +320,14 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile, variant: str,
     The plaintext terms price every constant at N words per limb (per
     seed for OF-Limb), and the OF-Limb compute term (level + 1) N-point
     transforms per seed.  These are upper bounds.  The diagonals of a
-    stage of unit stride g = 1 repeat every 2^k slots, so its constants
-    lie in the subring Z[X^(N/2^(k+1))] and hold 2^(k+1) words per limb:
-    a min-KS or baseline plaintext stores one period of its evaluation
-    words (`ckks.encode_diagonal_batch`), an OF-Limb seed its subring
-    words (`hdft.make_plaintext_seed`), widened at 2^(k+1) points.  At
-    full width with k = 6 such a stage stores 64 times fewer bytes, and
-    runs fewer butterflies, than this report counts.
+    stage of unit stride g repeat every 2^k * g slots, so its constants
+    lie in the subring Z[X^(N / 2^(k+1) g)] and stage s stores
+    min(N, 2^(k+1) * g_s) words per limb: a min-KS or baseline plaintext
+    one period of its evaluation words (`ckks.encode_diagonal_batch`), an
+    OF-Limb seed its subring words (`hdft.make_plaintext_seed`), widened
+    at that length.  At full width with k = 6 the two g = 1 stages store
+    64 times fewer bytes, and run fewer butterflies, than this report
+    counts.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")

@@ -90,10 +90,3 @@ def slots_to_packed(slots: np.ndarray) -> np.ndarray:
         x = np.concatenate([u + v, (u - v) / w], axis=-1).reshape(x.shape)
         length //= 2
     return x[..., bit_reverse_permutation(n)] / n
-
-
-def reference_matrix(n: int) -> np.ndarray:
-    """Dense V for small n; the O(n^2) oracle for the butterfly path."""
-    rg = rotation_powers(n)
-    e = np.outer(rg, np.arange(n)) % (4 * n)
-    return root_powers(n)[e]

@@ -30,15 +30,17 @@ Two execution styles share a plan:
                 the extension is bit-identical to full precomputation
                 whenever the coefficients fit the seed prime.
 
-The diagonals of a g = 1 stage repeat every 2^k slots, so its constants
-lie in the subring Z[X^t], t = N / 2^(k+1), and every variant stores them
-at their short length.  A seed holds its N/t subring words and widens
-through 2^(k+1)-point transforms instead of N-point ones; a baseline or
-min-KS plaintext, and a widened seed, holds one period of N/t
-evaluation words per limb, which the giant-row sum broadcasts over the
-baby steps' full rows (`_row_sum`).  At full width with N = 2^13 and
-k = 6, the constants of IDFT's last stage and DFT's first hold 128 words
-per limb (or per seed), those of the two g = 64 stages N words.
+The diagonals of a stage repeat every max(lengths) = 2^k * g slots (a
+butterfly of length l repeats every l slots, and so do products and
+rolls of such diagonals), so `DftPlan.stage_constants` encodes each
+from that one period: 2^(k+1) * g coefficients, which lie in the subring
+Z[X^(N / 2^(k+1) g)].  A baseline or min-KS plaintext, and a widened
+seed, holds one period of at most that many evaluation words per limb,
+which the giant-row sum broadcasts over the baby steps' full rows
+(`_row_sum`); a seed holds the subring words of its coefficients and
+widens through transforms of that length.  At full width with N = 2^13
+and k = 6, the constants of IDFT's last stage and DFT's first hold 128
+words per limb (or per seed), those of the two g = 64 stages N words.
 
 A plan is exactly what `build_dft_plan` returns: every stage has all
 2^(k+1) - 1 diagonals, so every cell of the 2^k1 x 2^k2 rectangle that
@@ -72,8 +74,8 @@ from .costmodel import VARIANTS
 from .embedding import stage_twiddles
 from .errors import (ConfigurationError, MissingKeyError, ScaleMismatchError,
                      SeedRangeError)
-from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, _lift_period,
-                      _subring_stride, convert_limbs, rp_mul_sum)
+from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, convert_limbs,
+                      lift_int_coeffs, rp_mul_sum, subring_stride)
 
 DFT = "dft"       # coefficients to slot values
 IDFT = "idft"     # slot values back to coefficients
@@ -213,19 +215,21 @@ class PlaintextSeed:
     """Single-limb image of an integer plaintext polynomial, stored as the
     centered representative so any working prime can rebuild its limb.
 
-    Only the subring words are kept: with t the polynomial's subring
-    stride (`rnspoly._subring_stride`), `q0_limb` holds the N/t
-    coefficients at indices 0, t, 2t, ...; every other one is zero.
+    Only the subring words are kept: for a row of M coefficients (an
+    element of Z[X^(N/M)]) with subring stride t
+    (`rnspoly.subring_stride`), `q0_limb` holds the M/t coefficients at
+    indices 0, t, 2t, ...; every other one is zero.
     """
 
-    q0_limb: np.ndarray          # int64, |c| < q0/2, N/t words
+    q0_limb: np.ndarray          # int64, |c| < q0/2, M/t words
     scale: Fraction
 
 
 def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
                         scale: int | Fraction) -> PlaintextSeed:
-    """Seed a row of N integer coefficients; the range checks see the
-    full row, the seed keeps its subring words."""
+    """Seed a row of M integer coefficients, M a power of two dividing N,
+    read as an element of Z[X^(N/M)]; the range checks see the whole row,
+    the seed keeps its subring words."""
     q0 = modulus_chain(params)[0].q
     values = np.asarray(coeffs)
     if values.dtype.kind == "c":
@@ -240,7 +244,7 @@ def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
     if np.any(coeffs >= bound) or np.any(coeffs <= -bound):
         raise SeedRangeError(
             f"coefficients reach +-{q0 // 2}; one limb cannot carry them")
-    t = _subring_stride(coeffs)
+    t = subring_stride(coeffs)
     return PlaintextSeed(q0_limb=np.ascontiguousarray(coeffs[::t]),
                          scale=Fraction(scale))
 
@@ -248,28 +252,29 @@ def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
 def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
     """Rebuild working-basis plaintexts from their seed limbs.
 
-    Each seed's words go back to their subring indices of a zeroed (R, N)
-    row stack, and one lift widens the stack.  The plaintexts, keyed as
-    `seeds` is, are views of the lifted (L, R, N/t) stack, one period per
-    limb for seeds in the subring Z[X^t]; `hdft_apply` widens one giant
-    row per call and releases the row together once its pmults are done.
+    The seeds stack at the length M of the longest one, each seed's words
+    at their subring indices of a zeroed (R, M) row, and one lift widens
+    the stack.  The plaintexts, keyed as `seeds` is, each of M/2 slots
+    (a period of their values; see `Plaintext`), are views of the lifted (L, R, M/t) stack, one period per limb;
+    `hdft_apply` widens one giant row per call and releases the row
+    together once its pmults are done.
     """
     if not seeds:
         return {}
-    n = params.n_ring
-    coeffs = np.zeros((len(seeds), n), dtype=np.int64)
+    width = max(len(seed.q0_limb) for seed in seeds.values())
+    coeffs = np.zeros((len(seeds), width), dtype=np.int64)
     for row, seed in zip(coeffs, seeds.values()):
-        row[::n // len(seed.q0_limb)] = seed.q0_limb
+        row[::width // len(seed.q0_limb)] = seed.q0_limb
     basis = basis_c(params, level)
-    stack = _lift_period(coeffs, basis)
+    stack = lift_int_coeffs(coeffs, basis)
     return {key: Plaintext(poly=RnsPolynomial(basis, EVAL, stack[:, r]),
-                           scale=seed.scale, slots=params.n_ring // 2)
+                           scale=seed.scale, slots=width // 2)
             for r, (key, seed) in enumerate(seeds.items())}
 
 
 def _seed_batch(params: CkksParams, rows: np.ndarray,
                 scale: int) -> list[PlaintextSeed]:
-    """Seeds for a batch of constant rows at one scale."""
+    """Seeds for a batch of constant rows, shaped (R, m), at one scale."""
     return [make_plaintext_seed(params, c, scale)
             for c in slots_to_coeffs(rows, scale)]
 
@@ -344,17 +349,18 @@ class DftPlan:
         i = index - (2^k - 1) for the grouped variants (whose per-stage
         residual is (2^k - 1) * g); each constant is the true diagonal
         rolled by the variant's accumulated residual minus its giant-step
-        twist.
+        twist.  The diagonal repeats every max(lengths) slots (module
+        docstring), so one period of it is rolled, and
+        `encode_diagonal_batch` and `_seed_batch` encode that period.
         """
         if variant in self._consts:
             return self._consts[variant]
-        reps = (self.params.n_ring // 2) // self.size
         big = 1 << self.k1
         bound = (1 << self.k) - 1
         base = (1 << self.k) if variant == "baseline" else bound
         out = []
         for st in self.stages:
-            diags = st.diags
+            diags, period = st.diags, max(st.lengths)
             rows, keys = [], []
             for i2 in range(1 << self.k2):
                 for i1 in range(1 << self.k1):
@@ -364,8 +370,7 @@ class DftPlan:
                     roll = -i2 * big * st.g
                     if variant != "baseline":
                         roll += st.minks_roll
-                    rows.append(np.tile(
-                        _lroll(diags[di], roll % self.size), reps))
+                    rows.append(_lroll(diags[di][:period], roll))
                     keys.append((i1, i2))
             del diags       # one stage's diagonals alive at a time
             if variant == "minks-oflimb":

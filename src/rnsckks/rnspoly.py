@@ -10,14 +10,14 @@ being annihilated downstream (key-switching) or bounded (ModDown).
 From a single prime there is no slack.
 
 Integer plaintexts enter the evaluation domain through one lift,
-`_lift_period`.  A stack whose nonzero coefficients all sit at multiples
-of a power of two t lies in the subring Z[X^t]; its evaluation vector is
-the (N/t)-point transform of every t-th coefficient, repeated t times,
-word for word (the lift's docstring has the identity), so slot vectors
-with a short period and the sparse two-term scalars cost short
-transforms.  `lift_int_coeffs` tiles that period to N words;
-`ckks.encode_diagonal_batch` and `hdft.of_limb_extend` keep the one
-period.
+`lift_int_coeffs`.  A row of M coefficients, M a power of two dividing
+N, is an element of Z[X^(N/M)], and a stack whose nonzero coefficients
+all sit at multiples of a power of two t lies in Z[X^(tN/M)]; its
+evaluation vector is the (M/t)-point transform of every t-th
+coefficient, repeated tN/M times, word for word (the lift's docstring
+has the identity).  The lift returns that one period, so a slot vector
+of m slots lifts through 2m-point transforms, a scalar through 2-point
+ones, and no full row is built.
 
 An eval-rep polynomial whose rows are shorter than the ring degree N of
 its basis (`LimbBasis.ring_degree`) is such a period: its full rows
@@ -156,10 +156,11 @@ def _int_residues(coeffs, basis: LimbBasis) -> np.ndarray:
     return out
 
 
-def _subring_stride(coeffs: np.ndarray) -> int:
-    """The largest power of two t <= N/2 dividing the index of every
-    nonzero coefficient of the stack; 1 as soon as an odd index is nonzero,
-    and for an N that is not a power of two, which the transform rejects."""
+def subring_stride(coeffs: np.ndarray) -> int:
+    """The largest power of two t <= M/2 dividing the index of every
+    nonzero coefficient of a stack of rows of M words; 1 as soon as an odd
+    index is nonzero, and for an M that is not a power of two, which the
+    transform rejects."""
     n = coeffs.shape[-1]
     t = 1
     while not n & (n - 1) and 4 * t <= n and not coeffs[..., t::2 * t].any():
@@ -167,39 +168,33 @@ def _subring_stride(coeffs: np.ndarray) -> int:
     return t
 
 
-def _lift_period(coeffs, basis: LimbBasis) -> np.ndarray:
-    """Signed int64 coefficients shaped (..., N) as one period of their
-    evaluation-rep limbs, shaped (L, ..., N/t).
+def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
+    """Signed int64 coefficients shaped (..., M) as one period of their
+    evaluation-rep limbs, shaped (L, ..., M/t).
 
     Every integer plaintext enters the evaluation domain here: encoding
     and OF-Limb seed extension share this lift, so a seed rebuilds exactly
     the words full precomputation stores.
 
-    With t the largest power of two up to N/2 that divides the index of
-    every nonzero coefficient, the stack lies in the subring Z[X^t]:
-    P(X) = p'(X^t) with p' = coeffs[..., ::t].  Only p' goes through a
-    transform, the (N/t)-point one, whose root is psi^t; and
-    P(psi^(2j+1)) = p'((psi^t)^(2j+1)) repeats with period N/t in j, so
-    that transform is one period of every word of the N-point one.  Dense
-    input has t = 1 and is transformed in place.
+    A row of M words, M a power of two dividing the ring degree N, is the
+    polynomial P(X) = p(X^(N/M)), p the row.  With t the largest power of
+    two up to M/2 that divides the index of every nonzero coefficient,
+    p(Y) = p'(Y^t) with p' = coeffs[..., ::t].  Only p' goes through a
+    transform, the (M/t)-point one, whose root the NTT takes from the row
+    length: psi^(tN/M).  P(psi^(2j+1)) = p'((psi^(tN/M))^(2j+1)) repeats
+    with period M/t in j, so that transform is one period of every word
+    of the N-point transform of P.  Dense input has t = 1 and is
+    transformed in place.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    out = _int_residues(coeffs[..., ::_subring_stride(coeffs)], basis)
+    out = _int_residues(coeffs[..., ::subring_stride(coeffs)], basis)
     return transform_limbs(out, basis, "forward", out=out)
-
-
-def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
-    """Signed int64 coefficients shaped (N,) or (R, N) as evaluation-rep
-    limbs shaped (L, N) or (L, R, N): `_lift_period`'s period tiled to
-    N words."""
-    n = np.shape(coeffs)[-1]
-    out = _lift_period(coeffs, basis)
-    return out if out.shape[-1] == n else np.tile(out, n // out.shape[-1])
 
 
 def poly_from_int_coeffs(coeffs: np.ndarray, basis: LimbBasis,
                          rep: str = COEFF) -> RnsPolynomial:
-    """Reduce signed word-sized integer coefficients into every limb."""
+    """Reduce signed word-sized integer coefficients into every limb; in
+    evaluation rep, the one period `lift_int_coeffs` returns."""
     if rep == EVAL:
         return RnsPolynomial(basis, EVAL, lift_int_coeffs(coeffs, basis))
     return RnsPolynomial(basis, COEFF, _int_residues(coeffs, basis))

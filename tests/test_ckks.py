@@ -18,7 +18,8 @@ from rnsckks.ckks import (Ciphertext, CkksParams, Plaintext, aux_chain,
                           make_relin_key, make_rotation_key,
                           make_rotation_keys, mod_down, mod_drop,
                           modulus_chain, normalize_step, padd, piece_basis,
-                          pmult, restrict_poly, sample_uniform, slot_values)
+                          pmult, restrict_poly, sample_uniform, slot_values,
+                          slots_to_coeffs)
 from rnsckks.costmodel import (PROFILES, ParamProfile, keyswitch_mults,
                                rescale_mults)
 from rnsckks.embedding import packed_to_slots
@@ -26,7 +27,8 @@ from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             LevelExhaustedError, MissingKeyError,
                             RepresentationError, ScaleMismatchError)
 from rnsckks.rnspoly import (COEFF, EVAL, LimbBasis, RnsPolynomial, crt_float,
-                             crt_reconstruct, rp_mul)
+                             crt_reconstruct, poly_from_int_coeffs, rp_mul,
+                             subring_stride)
 
 
 def random_message(params, rng):
@@ -226,6 +228,39 @@ def test_encode_rejects_bad_shapes(params):
         encode(params, np.array([1.0, np.nan]))
 
 
+def dense_encode(params, values, level, scale):
+    """Oracle: the vector tiled to n_ring/2 slots, its N coefficients, and
+    the coefficient polynomial through the N-point transforms."""
+    half = params.n_ring // 2
+    coeffs = slots_to_coeffs(np.tile(values, half // len(values)), scale)
+    return poly_from_int_coeffs(coeffs, basis_c(params, level),
+                                COEFF).to_eval()
+
+
+@pytest.mark.parametrize("which", ["tiny", "desk"])
+def test_encode_matches_dense_oracle(which, params, tiny_params):
+    """`encode` of m slots holds 2m/t words per limb, t the subring stride
+    of its 2m coefficients, and those words tiled to N equal the dense
+    oracle bit for bit: every m at the tiny parameters, m in {1, 64, 4096}
+    at desk, at magnitudes 1e-3 to 1e5 and the lowest and highest level."""
+    p = tiny_params if which == "tiny" else params
+    half = p.n_ring // 2
+    counts = ([1 << i for i in range(half.bit_length())] if which == "tiny"
+              else [1, 64, half])
+    rng = np.random.default_rng([151, p.n_ring])
+    for m in counts:
+        for mag in (1e-3, 1.0, 1e5):
+            v = mag * (rng.normal(size=m) + 1j * rng.normal(size=m))
+            for level in (0, p.levels):
+                pt = encode(p, v, level=level)
+                t = subring_stride(slots_to_coeffs(v[None], p.scale))
+                assert pt.poly.limbs.shape == (level + 1, 2 * m // t)
+                assert pt.slots == m
+                want = dense_encode(p, v, level, p.scale)
+                assert np.array_equal(pt.poly.widened().limbs, want.limbs), \
+                    (m, mag, level)
+
+
 def test_diagonal_batch_matches_per_row_encode(params):
     rng = np.random.default_rng(41)
     half = params.n_ring // 2
@@ -237,8 +272,9 @@ def test_diagonal_batch_matches_per_row_encode(params):
         assert np.array_equal(pt.poly.limbs, single.poly.limbs)
         assert pt.scale == single.scale
         assert (pt.level, pt.slots) == (5, half)
-    with pytest.raises(ConfigurationError):
-        encode_diagonal_batch(params, rows[:, :8], level=5)
+    for m in (3, params.n_ring):
+        with pytest.raises(ConfigurationError):
+            encode_diagonal_batch(params, np.ones((2, m)), level=5)
     # The batch rounds like encode: a row whose coefficients reach 2^62
     # is rejected, not wrapped.
     with pytest.raises(ConfigurationError):
@@ -247,9 +283,10 @@ def test_diagonal_batch_matches_per_row_encode(params):
 
 def test_periodic_diagonal_batch_holds_one_period(tiny_params, tiny_sk):
     """Rows that repeat every 4 of the 32 slots lie in the subring Z[X^8]:
-    each plaintext holds 8 words per limb, and decode, pmult, padd,
-    encrypt and key switching give the words they give for `encode`'s
-    tiled plaintext."""
+    each plaintext holds 8 words per limb, the words of `encode` of the
+    row's first 4 slots, and decode, pmult, padd, encrypt and key
+    switching give the words they give for that plaintext widened to N
+    words."""
     params, sk = tiny_params, tiny_sk
     rng = np.random.default_rng(47)
     relin = make_relin_key(params, sk, rng)
@@ -258,8 +295,11 @@ def test_periodic_diagonal_batch_holds_one_period(tiny_params, tiny_sk):
     ct = encrypt(params, encode(params, random_message(params, rng),
                                 level=2), sk, rng)
     for row, pt in zip(rows, encode_diagonal_batch(params, rows, level=2)):
-        whole = encode(params, row, level=2)
         assert pt.poly.limbs.shape == (3, 8)
+        assert np.array_equal(encode(params, row[:4], level=2).poly.limbs,
+                              pt.poly.limbs)
+        whole = encode(params, row, level=2)
+        whole.poly = whole.poly.widened()
         assert np.array_equal(np.tile(pt.poly.limbs, 8), whole.poly.limbs)
         assert np.array_equal(decode(params, pt), decode(params, whole))
         for op in (pmult, padd):
@@ -405,6 +445,35 @@ def test_scalar_ops(params, sk):
     scaled = hrescale(params, cmult(params, ct, z))
     assert rel_error(slot_values(params, scaled, sk),
                      v * z) < params.budgets.multiply
+
+
+def test_scalar_is_a_two_word_plaintext(params, sk):
+    """`cadd` and `cmult` encode z = x + iy as one slot: the two-term
+    polynomial round(x*s) + round(y*s) X^(N/2), two words per limb.  A
+    non-finite z, or one whose coefficients overflow 62 bits, raises
+    ConfigurationError."""
+    rng = np.random.default_rng(157)
+    ct = encrypt(params, encode(params, random_message(params, rng)), sk,
+                 rng)
+    n, scale = params.n_ring, params.scale
+    for z in (0.75 - 0.25j, -3.5, 2.5j):
+        pt = encode(params, [z], ct.level)
+        assert pt.poly.limbs.shape == (ct.level + 1, 2)
+        coeffs = np.zeros(n, dtype=np.int64)
+        coeffs[0] = round(complex(z).real * scale)
+        coeffs[n // 2] = round(complex(z).imag * scale)
+        want = poly_from_int_coeffs(coeffs, ct.poly.basis, COEFF).to_eval()
+        assert np.array_equal(pt.poly.widened().limbs, want.limbs)
+        assert np.array_equal(cadd(params, ct, z).poly.limbs,
+                              padd(ct, pt).poly.limbs)
+        assert np.array_equal(cmult(params, ct, z).poly.limbs,
+                              pmult(ct, pt).poly.limbs)
+    with np.errstate(invalid="ignore"):
+        for z in (np.nan, np.inf, complex(0, np.nan), 1e30, 1e7j):
+            with pytest.raises(ConfigurationError):
+                cadd(params, ct, z)
+            with pytest.raises(ConfigurationError):
+                cmult(params, ct, z)
 
 
 def test_rotation_matches_roll(params, sk, rot_keys):

@@ -14,8 +14,7 @@ from rnsckks.costmodel import (PROFILES, POLICY_ALTERNATING, POLICY_LIMB_WISE,
                                distribution_transfer, evk_bytes_at,
                                hdft_pass_cost, keyswitch_mults,
                                plaintext_bytes_at, pmult_mults,
-                               rescale_mults, tas_metric,
-                               twist_words_avoided, utilization_bound)
+                               rescale_mults, tas_metric, utilization_bound)
 from rnsckks.errors import ConfigurationError
 
 MIB = 1 << 20
@@ -103,11 +102,6 @@ def test_custom_single_digit_row():
     s = data_sizes(p)
     assert s.evk_bytes == 1 * 2 * (24 + 24) * (1 << 16) * 8
     assert s.ciphertext_bytes == 2 * s.plaintext_bytes
-
-
-def test_twist_words_avoided():
-    ark = PROFILES["ark"]
-    assert twist_words_avoided(ark) == 2 * (6 + 24) * (1 << 16)
 
 
 # ---------------------------------------------------------------------------

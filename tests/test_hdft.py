@@ -517,7 +517,9 @@ def test_row_sum_widens_mixed_periods(params, sk):
 def test_g1_stage_encodes_without_the_tiled_stack(params, boot_plans):
     """Encoding the min-KS constants of IDFT's g = 1 stage (level 6)
     keeps 127 periods of 128 words per limb, and its peak stays below
-    the 55.6 MiB that the 127 plaintexts tiled to N would hold alone."""
+    20 MiB: each diagonal is encoded from its 64-slot period, so no
+    (127, N) stack of coefficients, nor the 55.6 MiB that the 127
+    plaintexts tiled to N would hold, is ever built."""
     plan = boot_plans[0]
     (st,) = [st for st in plan.stages if st.g == 1]
     assert st.level == 6
@@ -533,7 +535,28 @@ def test_g1_stage_encodes_without_the_tiled_stack(params, boot_plans):
     tiled = 7 * 127 * params.n_ring * 8
     assert {pt.poly.limbs.shape for pt in cells.values()} == {(7, 128)}
     assert sum(pt.poly.limbs.nbytes for pt in cells.values()) == tiled // 64
-    assert peak < tiled
+    assert peak < 20 << 20
+
+
+@pytest.mark.parametrize("direction, k, split, lengths", [
+    (IDFT, 4, (2, 3), [8192, 512, 32]),
+    (DFT, 3, (2, 2), [16, 128, 1024, 8192]),
+])
+def test_full_width_plans_store_each_stage_at_its_period(
+        params, direction, k, split, lengths):
+    """Stage s of a full-width plan stores min(N, 2^(k+1) g) words per limb
+    for min-KS, and per seed for OF-Limb: its diagonals repeat every
+    2^k g slots."""
+    plan = build_dft_plan(params, direction, k=k, split=split)
+    assert [min(params.n_ring, 2 * max(st.lengths)) for st in plan.stages] \
+        == [min(params.n_ring, (2 << k) * st.g) for st in plan.stages] \
+        == lengths
+    minks = plan.stage_constants("minks")
+    seeds = plan.stage_constants("minks-oflimb")
+    for st, length, pts, cells in zip(plan.stages, lengths, minks, seeds):
+        assert {pt.poly.limbs.shape for pt in pts.values()} == \
+            {(st.level + 1, length)}
+        assert {len(seed.q0_limb) for seed in cells.values()} == {length}
 
 
 def test_row_sum_keeps_pmult_and_hadd_checks(params, sk):

@@ -14,8 +14,7 @@ from rnsckks.errors import (BasisMismatchError, ConfigurationError,
 from rnsckks.modmath import U64, PrimeModulus, generate_ntt_primes
 from rnsckks.ntt import ntt
 from rnsckks.rnspoly import (COEFF, EVAL, BaseTable, LimbBasis,
-                             RnsPolynomial, _lift_period, automorphism,
-                             base_convert,
+                             RnsPolynomial, automorphism, base_convert,
                              convert_limbs, crt_float, crt_reconstruct,
                              lift_int_coeffs, make_base_table,
                              poly_from_int_coeffs, rp_add, rp_mul, rp_mul_sum,
@@ -73,6 +72,11 @@ def _dense_lift(rows, basis):
                      for row in rows], axis=1)
 
 
+def _tiled(limbs, basis):
+    """Lifted limbs, one period, tiled to the ring degree of `basis`."""
+    return RnsPolynomial(basis, EVAL, limbs).widened().limbs
+
+
 def test_lift_matches_big_integer_residues():
     """The integer -> evaluation lift that encoding, seed extension and
     rescale share equals big-integer residues followed by the forward NTT
@@ -94,16 +98,21 @@ def test_lift_matches_big_integer_residues():
     want = _dense_lift(rows, basis)
     assert np.array_equal(stacked, want)
     for r, row in enumerate(rows):
-        assert np.array_equal(lift_int_coeffs(row, basis), want[:, r]), r
+        assert np.array_equal(_tiled(lift_int_coeffs(row, basis), basis),
+                              want[:, r]), r
+    # Alone, the zero row lies in Z[X^(N/2)]: a period of two words.
+    assert lift_int_coeffs(rows[2], basis).shape == (len(basis), 2)
 
 
 @pytest.mark.parametrize("log_t", range(13))
 def test_subring_lift_matches_dense_transform(log_t, ntt_rows):
     """A stack whose nonzero coefficients all sit at multiples of t lifts
-    through (N/t)-point transforms alone, tiled t times; every word equals
-    the dense N-point transform, at every prime width of C_7 + B and for
-    (N,) and (R, N) input, with an all-zero row and a row nonzero only at
-    index 0 in the stack."""
+    through (N/t)-point transforms alone to one period of N/t words, and
+    that period tiled t times equals the dense N-point transform word for
+    word, at every prime width of C_7 + B and for (N,) and (R, N) input,
+    with an all-zero row and a row nonzero only at index 0 in the stack.
+    The (N/t)-word rows of every t-th coefficient, read as elements of
+    Z[X^t], lift to the same period."""
     params = CkksParams()
     basis = basis_d(params, params.levels)
     assert {pm.bit_width for pm in basis} == {59, 40, 60}
@@ -115,15 +124,20 @@ def test_subring_lift_matches_dense_transform(log_t, ntt_rows):
     rows[1, ::t] = top
     rows[3, 0] = -top
     want = _dense_lift(rows, basis)
-    assert np.array_equal(lift_int_coeffs(rows, basis), want)
+    got = lift_int_coeffs(rows, basis)
+    assert got.shape == (len(basis), len(rows), n // t)
+    assert np.array_equal(_tiled(got, basis), want)
     assert ntt_rows == {("forward", n // t): len(rows) * len(basis)}
-    assert np.array_equal(lift_int_coeffs(rows[0], basis), want[:, 0])
+    assert np.array_equal(lift_int_coeffs(rows[0], basis), got[:, 0])
+    ntt_rows.clear()
+    assert np.array_equal(lift_int_coeffs(rows[:, ::t], basis), got)
+    assert ntt_rows == {("forward", n // t): len(rows) * len(basis)}
 
 
 def test_subring_lift_edge_rows(ntt_rows):
-    """A zero row and a row nonzero only at index 0 lift alone as the
-    dense transform does; a stack of rows with different strides lifts at
-    the smallest of them."""
+    """A zero row and a row nonzero only at index 0 lift alone to a
+    two-word period of the dense transform; a stack of rows with different
+    strides lifts at the smallest of them."""
     params = CkksParams()
     basis = basis_d(params, params.levels)
     n = params.n_ring
@@ -132,7 +146,9 @@ def test_subring_lift_edge_rows(ntt_rows):
     constant[0] = -12345
     zero = np.zeros(n, dtype=np.int64)
     for row in (zero, constant):
-        assert np.array_equal(lift_int_coeffs(row, basis),
+        got = lift_int_coeffs(row, basis)
+        assert got.shape == (len(basis), 2)
+        assert np.array_equal(_tiled(got, basis),
                               _dense_lift(row[None], basis)[:, 0])
     mixed = np.zeros((3, n), dtype=np.int64)
     for r, t in enumerate((64, 8, 1024)):
@@ -140,7 +156,8 @@ def test_subring_lift_edge_rows(ntt_rows):
     ntt_rows.clear()
     got = lift_int_coeffs(mixed, basis)
     assert ntt_rows == {("forward", n // 8): 3 * len(basis)}
-    assert np.array_equal(got, _dense_lift(mixed, basis))
+    assert got.shape == (len(basis), 3, n // 8)
+    assert np.array_equal(_tiled(got, basis), _dense_lift(mixed, basis))
 
 
 def test_lift_rejects_length_not_power_of_two():
@@ -175,8 +192,9 @@ def test_lift_writes_each_prime_in_place():
 
 
 def test_subring_lift_holds_one_stack():
-    """Lifting 64 stride-64 rows to level 7 holds the 32 MiB result plus
-    the short (N/64)-point stack it tiles, within the dense lift's bound."""
+    """Lifting 64 stride-64 rows to level 7 holds only their period, a
+    0.5 MiB stack of (N/64)-point rows, and peaks below 1 MiB: no stack
+    of N-word rows, which would take 32 MiB."""
     params = CkksParams()
     basis = basis_c(params, 7)
     coeffs = np.zeros((64, params.n_ring), dtype=np.int64)
@@ -189,8 +207,8 @@ def test_subring_lift_holds_one_stack():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert out.nbytes == 32 << 20
-    assert peak < 34 << 20
+    assert out.nbytes == 1 << 19
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +222,22 @@ def subring_coeffs(t, rng, rows=()):
 
 
 def period(coeffs):
-    return RnsPolynomial(BASIS64, EVAL, _lift_period(coeffs, BASIS64))
+    return RnsPolynomial(BASIS64, EVAL, lift_int_coeffs(coeffs, BASIS64))
 
 
 @pytest.mark.parametrize("t", [1, 4, 16])
 def test_lift_period_is_the_lift_before_its_tile(t):
-    """The one lift keeps N/t words per row; `lift_int_coeffs` and
-    `widened` tile them to the same N words, and full rows are not
-    copied."""
+    """The one lift keeps N/t words per row, for N-word rows and for their
+    (N/t)-word rows of every t-th coefficient alike; `widened` tiles them
+    to the dense transform's N words, and full rows are not copied."""
     rng = np.random.default_rng([139, t])
     assert BASIS64.ring_degree == 64
     for coeffs in (subring_coeffs(t, rng), subring_coeffs(t, rng, (3,))):
-        whole = lift_int_coeffs(coeffs, BASIS64)
+        whole = _dense_lift(coeffs.reshape(-1, 64), BASIS64).reshape(
+            (len(BASIS64),) + coeffs.shape)
         p = period(coeffs)
         assert p.limbs.shape == whole.shape[:-1] + (64 // t,)
+        assert np.array_equal(period(coeffs[..., ::t]).limbs, p.limbs)
         assert np.array_equal(np.tile(p.limbs, t), whole)
         assert np.array_equal(p.widened().limbs, whole)
     full = RnsPolynomial(BASIS64, EVAL, whole)
