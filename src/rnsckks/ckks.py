@@ -79,6 +79,12 @@ class CkksParams:
             raise ConfigurationError("need at least one level and one aux prime")
         if not (self.scale_bits < self.q0_bits <= 60 and self.aux_bits <= 60):
             raise ConfigurationError("prime widths out of range")
+        # Error samples are rounded to int64: a NaN or infinite width rounds
+        # every sample to INT64_MIN, and past 2^52 a sample some thousand
+        # widths out would leave int64 too.
+        if not 0 <= self.sigma < 2.0 ** 52:
+            raise ConfigurationError(
+                f"sigma must be finite, >= 0 and below 2^52, got {self.sigma}")
 
     @property
     def scale(self) -> int:

@@ -46,8 +46,8 @@ A plan is exactly what `build_dft_plan` returns: every stage has all
 2^(k+1) - 1 diagonals, so every cell of the 2^k1 x 2^k2 rectangle that
 lands on a diagonal holds a constant and every giant row is non-empty.
 A stage stores only its butterfly lengths and direction; its complex
-diagonals are merged again from them on each read, and only
-`DftPlan.stage_constants` reads them, once per stage and variant.
+diagonals are merged again from them, one period long, on each read, and
+only `DftPlan.stage_constants` reads them, once per stage and variant.
 
 Every rotation of a pass is one logged step under a key id: it records
 the amount the schedule prescribes and the id, then rotates by
@@ -90,10 +90,14 @@ def _lroll(v: np.ndarray, r: int) -> np.ndarray:
 # Sparse-diagonal matrix algebra (numeric; builds and checks plans).
 
 def diag_apply(diags: dict[int, np.ndarray], v: np.ndarray) -> np.ndarray:
-    n = np.asarray(v).shape[-1]
-    out = np.zeros(np.asarray(v).shape, dtype=np.complex128)
+    """The matrix with these diagonals times the rows of v.  A diagonal may
+    be one period of itself, of any length that divides n."""
+    v = np.asarray(v)
+    n = v.shape[-1]
+    out = np.zeros(v.shape, dtype=np.complex128)
     for d, vec in diags.items():
-        out += vec * _lroll(v, d % n)
+        view = out.reshape(out.shape[:-1] + (-1, len(vec)))
+        view += vec * _lroll(v, d % n).reshape(view.shape)
     return out
 
 
@@ -287,21 +291,23 @@ class PlanStage:
     """One merged stage of k butterflies.
 
     The stage keeps the butterflies' lengths and direction, not their
-    product: `diags` merges them again on each read (a few tens of
-    milliseconds at full width) and gives the same words every time.
+    product: `diags` merges them again on each read and gives the same
+    words every time.  Every diagonal repeats every max(lengths) slots
+    (module docstring), so the merge runs at that period: a few
+    milliseconds at full width.
     """
 
     g: int                          # unit stride; diagonals sit at i * g
     level: int                      # ciphertext level this stage runs at
-    size: int                       # transform length n
     lengths: tuple[int, ...]        # butterfly lengths, application order
     inverse: bool                   # inverse butterflies (an IDFT stage)
     minks_roll: int                 # outgoing residual folded into constants
 
     @property
     def diags(self) -> tuple[np.ndarray, ...]:
-        """Diagonal i * g at index i + 2^k - 1."""
-        merged = merge_factors(self.size, list(self.lengths), self.inverse)
+        """Diagonal i * g at index i + 2^k - 1, one max(lengths) period."""
+        merged = merge_factors(max(self.lengths), list(self.lengths),
+                               self.inverse)
         bound = (1 << len(self.lengths)) - 1
         return tuple(merged[(di - bound) * self.g]
                      for di in range(2 * bound + 1))
@@ -349,8 +355,7 @@ class DftPlan:
         i = index - (2^k - 1) for the grouped variants (whose per-stage
         residual is (2^k - 1) * g); each constant is the true diagonal
         rolled by the variant's accumulated residual minus its giant-step
-        twist.  The diagonal repeats every max(lengths) slots (module
-        docstring), so one period of it is rolled, and
+        twist.  Each diagonal is one max(lengths) period (`PlanStage`), so
         `encode_diagonal_batch` and `_seed_batch` encode that period.
         """
         if variant in self._consts:
@@ -360,7 +365,7 @@ class DftPlan:
         base = (1 << self.k) if variant == "baseline" else bound
         out = []
         for st in self.stages:
-            diags, period = st.diags, max(st.lengths)
+            diags = st.diags
             rows, keys = [], []
             for i2 in range(1 << self.k2):
                 for i1 in range(1 << self.k1):
@@ -370,7 +375,7 @@ class DftPlan:
                     roll = -i2 * big * st.g
                     if variant != "baseline":
                         roll += st.minks_roll
-                    rows.append(_lroll(diags[di][:period], roll))
+                    rows.append(_lroll(diags[di], roll))
                     keys.append((i1, i2))
             del diags       # one stage's diagonals alive at a time
             if variant == "minks-oflimb":
@@ -444,7 +449,7 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
         if any((length // 2) % g for length in lengths):
             raise ConfigurationError("butterfly offsets off the stage stride")
         residual += bound * g
-        stages.append(PlanStage(g=g, level=levels[s], size=size,
+        stages.append(PlanStage(g=g, level=levels[s],
                                 lengths=tuple(lengths),
                                 inverse=direction == IDFT,
                                 minks_roll=residual % size))

@@ -5,20 +5,21 @@ operands need 128 bits, which numpy lacks, so products are assembled from
 32-bit halves into an explicit (hi, lo) pair and reduced with one of two
 strategies:
 
-* Shoup for paths where one operand is a fixed multiplier (twiddles,
+* Shoup for every product by a fixed multiplier (NTT twiddles,
   base-conversion tables, per-limb scalars): the multiplier rides with
-  its companion floor(w * 2^64 / q), so each product costs one high-word
-  multiply, two wrapping multiplies and a conditional subtract.  The lazy
-  form skips the subtract and returns a value in [0, 2q), which base
-  conversion accumulates before one reduction.  (The NTT has butterfly
-  kernels of its own; see `ntt`.)
+  its companion floor(w * 2^64 / q).  The quotient comes from three 32-bit
+  partial products, then one conditional subtract of 2q leaves the lazy
+  product in [0, 2q), which base conversion accumulates before one
+  reduction and the NTT's wide butterflies carry between stages; one more
+  subtract makes it canonical.  (The NTT's signed kernel for the 40-bit
+  primes keeps int64 words and a product of its own; see `ntt`.)
 * Barrett with a precomputed floor(2^128 / q) for general data-by-data
   products (multiply-accumulate paths); a sum of several 128-bit products
   can be reduced once.
 
 Shoup's and Barrett's quotient estimates come from float64 instead when
 the words involved stay below 2^48, which covers the 40-bit scale primes:
-a float64 multiply replaces a four-product high word.  Both strategies
+a float64 multiply replaces the partial products.  Both strategies
 return the canonical representative in [0, q); tests cross-check them
 against wide-integer reference arithmetic.
 """
@@ -223,16 +224,21 @@ def shoup_mul_lazy(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
                    small: bool = False) -> np.ndarray:
     """a * w mod q, up to one q: a value in [0, 2q) for any a < 2^64.
 
-    The quotient estimate floor(a * w_shoup / 2^64) with
-    w_shoup = floor(w * 2^64 / q) is low by at most one, so one high-word
-    multiply and two wrapping multiplies replace a full reduction.
-    Requires q < 2^63 and w < q.  `out` may be `a` itself.
+    Shoup's quotient floor(a * w_shoup / 2^64), with
+    w_shoup = floor(w * 2^64 / q), is floor(a * w / q) or one less.  It is
+    estimated from three 32-bit partial products of a = a1 2^32 + a0 and
+    w_shoup = w'1 2^32 + w'0, a1 w'1 + (a1 w'0 >> 32) + (a0 w'1 >> 32),
+    which drop the low product and the carries of the middle word: at most
+    two more below.  So a * w less the estimate times q lies in [0, 4q),
+    and one conditional subtract of 2q takes it to [0, 2q).  Requires
+    q < 2^62, w < q, and a or w an array (the partial products and the
+    subtract run in place).  `out` may be `a` itself.
 
     `small` promises a < 2^48.  The estimate then comes from float64 as a
     times w_shoup / 2^64, biased low by a relative 2^-49: a converts
     exactly, and after the roundings the product lies in
-    (a*w/q - 1, a*w/q], so truncation is again floor(a * w / q) or one
-    less.
+    (a*w/q - 1, a*w/q], so truncation is floor(a * w / q) or one less, and
+    no subtract is needed.
     """
     if small:
         ratio = np.asarray(w_shoup).astype(np.float64)
@@ -240,11 +246,22 @@ def shoup_mul_lazy(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
         est = _as_float(a) * ratio
         quot = est.astype(np.int64).view(U64)
     else:
-        quot = mulhi(a, w_shoup)
+        w_hi = w_shoup >> SHIFT32
+        t = a >> SHIFT32
+        quot = t * w_hi
+        t = t * (w_shoup & MASK32)          # the shape a and w broadcast to
+        t >>= SHIFT32
+        quot += t
+        np.multiply(a & MASK32, w_hi, out=t)
+        t >>= SHIFT32
+        quot += t                           # low by at most three
     quot *= q
     r = np.multiply(a, w, out=out)
     r -= quot                               # wrapping, exact mod 2^64
-    return r
+    if small:
+        return r
+    np.subtract(r, q + q, out=quot)
+    return np.minimum(r, quot, out=r)
 
 
 @_wrapping

@@ -9,11 +9,12 @@ Conventions, fixed across the package:
 * The "inverse" direction is the exact inverse; the 1/n factor is folded
   into the final stage's twiddles so the roundtrip is the identity bitwise.
 * `four_step_ntt` computes the same map for square n via sqrt(n)-point
-  column and row passes joined by a twisting-factor table whose rows are
-  geometric progressions starting at one; only the sqrt(n) row ratios are
-  stored, and the table is generated column by column at runtime.
+  negacyclic column and row passes joined by a twisting-factor table whose
+  rows are geometric progressions starting at one; only the sqrt(n) row
+  ratios are stored, and the table is generated column by column at
+  runtime.
 
-Twiddle tables are cached per (q, n, root, cyclic).  Each table carries
+Twiddle tables are cached per (q, n, root).  Each table carries
 one of two butterfly kernels, chosen per prime when it is built; both end
 in canonical words, so the choice changes no output word.
 
@@ -33,14 +34,10 @@ in canonical words, so the choice changes no output word.
   converts to float64 exactly.  At n = 2^13 this admits q up to about
   2^47.7, where the forward words reach about 20q.
 * Wide, for the 59-bit base prime, the 60-bit auxiliary primes and any
-  prime the signed predicate refuses.  Words are uint64.  A product is a
-  lazy Shoup product with w' = floor(w * 2^64 / q).  Its quotient
-  floor(a * w' / 2^64) is estimated from three 32-bit partial products,
-  a1 w'1 + (a1 w'0 >> 32) + (a0 w'1 >> 32), which is low by at most two;
-  Shoup's estimate is low by at most one more, so the product lies in
-  [0, 4q) for any a < 2^64.  One conditional subtract takes it to
-  [0, 2q).  Words stay below 4q < 2^64 between stages for every q < 2^62,
-  and a final correction makes them canonical.
+  prime the signed predicate refuses.  Words are uint64.  A product is
+  `modmath.shoup_mul_lazy`, which lands in [0, 2q) for any a < 2^64.
+  Words stay below 4q < 2^64 between stages for every q < 2^62, and a
+  final correction makes them canonical.
 
 The stages with short butterfly spans run on a transposed copy so that
 numpy's inner loops stay long.
@@ -60,8 +57,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .modmath import (MASK32, SHIFT32, U64, PrimeModulus, barrett_mul,
-                      shoup_mul, shoup_words)
+from .modmath import (U64, PrimeModulus, barrett_mul, shoup_mul,
+                      shoup_mul_lazy, shoup_words)
 
 # Words per pass through the butterfly stages: 256 KiB, so a block and its
 # stage temporaries (a few times its size) fit a 2 MiB L2.  On a 2-core
@@ -128,13 +125,13 @@ class NttTables:
     Entries [h, 2h) of each twiddle table serve the stage that merges
     length-h sub-transforms (h = 1, 2, ..., n/2); entry 0 is unused.  The
     inverse table's h = 1 entry folds in 1/n.  `fwd_stages` and
-    `inv_stages` hold, per stage in execution order, (h, w, aux, reduce),
-    with w and aux viewed in the shape of the stage's butterfly halves.
-    Under `signed`, w is int64, aux = (fl(w / q),), and `reduce` marks the
-    inverse stages that reduce their sum path.  Otherwise w is uint64, aux
-    holds the low and high 32-bit halves of the Shoup companions
-    floor(w * 2^64 / q), and `reduce` is unset.  `n_inv` is (1/n, aux) in
-    the same form, for the inverse's sum path.
+    `inv_stages` hold, per stage in execution order, (h, w, c, reduce),
+    with the twiddles w and their companions c viewed in the shape of the
+    stage's butterfly halves.  Under `signed`, w is int64, c = fl(w / q),
+    and `reduce` marks the inverse stages that reduce their sum path.
+    Otherwise w is uint64, c is the Shoup companion floor(w * 2^64 / q),
+    and `reduce` is unset.  `n_inv` is (1/n, c) in the same form, for the
+    inverse's sum path.
     """
 
     mod: PrimeModulus
@@ -146,43 +143,41 @@ class NttTables:
 
 
 def _kernel_words(words: list[int], q: int, signed: bool) -> tuple:
-    """(w, aux) as the kernel reads them: int64 twiddles and fl(w / q), or
-    uint64 twiddles and the 32-bit halves of their Shoup companions."""
+    """(w, c) as the kernel reads them: int64 twiddles and fl(w / q), or
+    uint64 twiddles and their Shoup companions."""
     if signed:
         w = np.array(words, dtype=I64)
-        return w, (w / float(q),)
-    w, w_shoup = shoup_words(words, [q] * len(words))
-    return w, (w_shoup & MASK32, w_shoup >> SHIFT32)
+        return w, w / float(q)
+    return shoup_words(words, [q] * len(words))
 
 
 def _stages(n: int, words: list[int], q: int, signed: bool, spans,
             reduce) -> tuple:
     b = _layout(n)[0]
-    w, aux = _kernel_words(words, q, signed)
+    w, c = _kernel_words(words, q, signed)
     out = []
     for h, cut in zip(spans, reduce):
-        views = [v[h:2 * h] for v in (w, *aux)]
+        views = [v[h:2 * h] for v in (w, c)]
         if h < b:                # halves of the transposed layout: (K, h, n/b)
             views = [v[:, None] for v in views]
-        out.append((h, views[0], tuple(views[1:]), cut))
+        out.append((h, *views, cut))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _build_tables(mod: PrimeModulus, n: int, psi: int, cyclic: bool) -> NttTables:
+def _build_tables(mod: PrimeModulus, n: int, psi: int) -> NttTables:
     q = mod.q
-    order = n if cyclic else 2 * n
-    if pow(psi, order // 2, q) != q - 1:
-        raise ConfigurationError(f"root {psi} lacks order {order} mod {q}")
+    if pow(psi, n, q) != q - 1:
+        raise ConfigurationError(f"root {psi} lacks order {2 * n} mod {q}")
     psi_inv = pow(psi, -1, q)
     n_inv = pow(n, -1, q)
     fwd, inv = [0], [0]
     h = 1
     while h < n:
         # Stage h merges length-h sub-transforms; the sub-root is the
-        # n/(2h)-th power of psi, taken at odd exponents when negacyclic.
+        # n/(2h)-th power of psi, taken at odd exponents.
         step = n // (2 * h)
-        exps = [(u * step if cyclic else (2 * u + 1) * step) for u in range(h)]
+        exps = [(2 * u + 1) * step for u in range(h)]
         fwd += [pow(psi, e, q) for e in exps]
         w_inv = [pow(psi_inv, e, q) for e in exps]
         inv += [x * n_inv % q for x in w_inv] if h == 1 else w_inv
@@ -190,27 +185,23 @@ def _build_tables(mod: PrimeModulus, n: int, psi: int, cyclic: bool) -> NttTable
     schedule = _signed_schedule(q, n)
     signed = schedule is not None
     spans = [1 << k for k in range(n.bit_length() - 1)]
-    w, aux = _kernel_words([n_inv], q, signed)
+    w, c = _kernel_words([n_inv], q, signed)
     return NttTables(
-        mod=mod, n=n, signed=signed, n_inv=(w[0], tuple(a[0] for a in aux)),
+        mod=mod, n=n, signed=signed, n_inv=(w[0], c[0]),
         fwd_stages=_stages(n, fwd, q, signed, spans, [False] * len(spans)),
         inv_stages=_stages(n, inv, q, signed, spans[::-1],
                            schedule or [False] * len(spans)))
 
 
-def get_tables(mod: PrimeModulus, n: int, psi: int | None = None,
-               cyclic: bool = False) -> NttTables:
+def get_tables(mod: PrimeModulus, n: int, psi: int | None = None) -> NttTables:
     if n < 2 or n & (n - 1):
         raise ConfigurationError(f"transform length {n} is not a power of two >= 2")
     if psi is None:
-        order = n if cyclic else 2 * n
-        if mod.two_n % order:
+        if mod.two_n % (2 * n):
             raise ConfigurationError(
                 f"modulus root order {mod.two_n} does not cover length {n}")
-        psi = pow(mod.root, mod.two_n // order, mod.q)
-    return _build_tables(mod, n, psi, cyclic)
-
-
+        psi = pow(mod.root, mod.two_n // (2 * n), mod.q)
+    return _build_tables(mod, n, psi)
 
 
 @lru_cache(maxsize=None)
@@ -227,31 +218,12 @@ def _layout(n: int) -> tuple[int, np.ndarray, np.ndarray]:
     return b, br.reshape(n // b, b).T.ravel(), (br % b) * (n // b) + br // b
 
 
-def _signed_mul(a: np.ndarray, w, aux: tuple, q: np.int64,
+def _signed_mul(a: np.ndarray, w, c, q: np.int64,
                 out: np.ndarray | None = None) -> np.ndarray:
-    """a * w - trunc(a * fl(w / q)) * q, with |r| < q (1 + |a| 2^-52) for
-    |a| below the schedule's bound.  `out` may be `a` itself."""
-    quot = np.multiply(a, aux[0]).astype(I64)
-    quot *= q
-    r = np.multiply(a, w, out=out)
-    r -= quot                               # wrapping, exact mod 2^64
-    return r
-
-
-def _wide_mul(a: np.ndarray, w, aux: tuple, q: np.uint64,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Lazy Shoup product a * w mod q in [0, 4q) for any a < 2^64, its
-    quotient from three 32-bit partial products.  `out` may be `a`."""
-    w_lo, w_hi = aux
-    t = a >> SHIFT32
-    quot = t * w_hi
-    t *= w_lo
-    t >>= SHIFT32
-    quot += t
-    t = a & MASK32
-    t *= w_hi
-    t >>= SHIFT32
-    quot += t           # low by at most 2, and Shoup's estimate by 1 more
+    """a * w - trunc(a * c) * q for c = fl(w / q), with
+    |r| < q (1 + |a| 2^-52) for |a| below the schedule's bound.  `out` may
+    be `a` itself."""
+    quot = np.multiply(a, c).astype(I64)
     quot *= q
     r = np.multiply(a, w, out=out)
     r -= quot                               # wrapping, exact mod 2^64
@@ -289,18 +261,17 @@ def _forward(x: np.ndarray, t: NttTables) -> np.ndarray:
     else:
         q = U64(t.mod.q)
         two_q = q + q
-    for h, w, aux, _ in t.fwd_stages:
+    for h, w, c, _ in t.fwd_stages:
         if h == b:
             x = x.transpose(0, 2, 1).reshape(rows, n)
         y = x.reshape(-1, 2, h, m) if h < b else x.reshape(-1, 2, h)
         lo, hi = y[:, 0], y[:, 1]
         if t.signed:
-            r = _signed_mul(hi, w, aux, q)
+            r = _signed_mul(hi, w, c, q)
             np.subtract(lo, r, out=hi)
             lo += r                        # bounds grow by about q a stage
             continue
-        r = _wide_mul(hi, w, aux, q)                       # [0, 4q)
-        np.minimum(r, r - two_q, out=r)                    # [0, 2q)
+        r = shoup_mul_lazy(hi, w, c, q)                    # [0, 2q)
         np.subtract(lo, two_q, out=hi)
         np.minimum(lo, hi, out=lo)                         # [0, 2q)
         np.subtract(lo, r, out=hi)
@@ -318,12 +289,12 @@ def _inverse(x: np.ndarray, t: NttTables) -> np.ndarray:
     if t.signed:
         x = x.astype(I64)
         q = I64(t.mod.q)
-        by_one = (I64(1), (1.0 / t.mod.q,))    # a reduction
+        by_one = (I64(1), 1.0 / t.mod.q)       # a reduction
     else:
         x = x.copy()
         q = U64(t.mod.q)
         two_q = q + q
-    for h, w, aux, reduce in t.inv_stages:
+    for h, w, c, reduce in t.inv_stages:
         if h == b // 2:
             x = x.reshape(rows, m, b).transpose(0, 2, 1).copy()
         y = x.reshape(-1, 2, h, m) if h < b else x.reshape(-1, 2, h)
@@ -333,18 +304,17 @@ def _inverse(x: np.ndarray, t: NttTables) -> np.ndarray:
             lo += hi                       # the sum path's bound doubles
             if reduce:
                 _signed_mul(lo, *by_one, q, out=lo)
-            _signed_mul(diff, w, aux, q, out=hi)
+            _signed_mul(diff, w, c, q, out=hi)
             continue
         diff = lo + two_q
         diff -= hi                                         # (0, 4q)
         lo += hi
         np.subtract(lo, two_q, out=hi)
         np.minimum(lo, hi, out=lo)                         # [0, 2q)
-        _wide_mul(diff, w, aux, q, out=hi)                 # [0, 4q)
-        np.minimum(hi, hi - two_q, out=hi)                 # [0, 2q)
+        shoup_mul_lazy(diff, w, c, q, out=hi)              # [0, 2q)
     # 1/n lives in the last stage: the difference path's twiddles carry it
     # already, the sum path takes it here.
-    (_signed_mul if t.signed else _wide_mul)(lo, *t.n_inv, q, out=lo)
+    (_signed_mul if t.signed else shoup_mul_lazy)(lo, *t.n_inv, q, out=lo)
     x = _canonical(x.reshape(rows, n), t)
     return np.take(x, gather, axis=-1)
 
@@ -385,14 +355,6 @@ def ntt(values: np.ndarray, mod: PrimeModulus, direction: str = "forward",
                       direction, out)
 
 
-def cyclic_ntt(values: np.ndarray, mod: PrimeModulus, direction: str,
-               psi: int) -> np.ndarray:
-    """Cyclic (X^n - 1) companion transform used by the four-step row pass."""
-    values = np.asarray(values, dtype=U64)
-    t = get_tables(mod, values.shape[-1], psi, cyclic=True)
-    return _transform(values, t, direction)
-
-
 def _sqrt_len(n: int) -> int:
     s = 1 << ((n.bit_length() - 1) // 2)
     if s * s != n:
@@ -420,29 +382,32 @@ def four_step_ntt(values: np.ndarray, mod: PrimeModulus,
                   direction: str = "forward") -> np.ndarray:
     """Four-step evaluation of the same map as `ntt`, bit-identical output.
 
-    Column pass: sqrt(n)-point negacyclic transforms (root psi^sqrt(n)).
-    Twist: entry (j0, t0) gains psi^(±(2 j0 + 1) t0), rows expanded
-    geometrically from their ratios psi^(±(2 j0 + 1)).  Row pass:
-    sqrt(n)-point cyclic transforms (root psi^(2 sqrt(n))).
+    Both passes are sqrt(n)-point negacyclic transforms with the root
+    eta = psi^sqrt(n).  Column pass over t1, giving [t0, j0].  Twist: entry
+    (j0, t0) gains psi^(±(2 j0 + 1) t0).  Row pass over t0: the cyclic sum
+    with root eta^2 that the output needs is the negacyclic one with root
+    eta once entry t0 is scaled by eta^(-t0), so that factor folds into the
+    twist, whose rows are expanded geometrically from the ratios
+    psi^(±(2 j0 + 1 - sqrt(n))).  The inverse undoes the same steps in
+    reverse.
     """
     values = np.asarray(values, dtype=U64)
     n = values.shape[-1]
     s = _sqrt_len(n)
     psi = pow(mod.root, mod.two_n // (2 * n), mod.q)
-    eta = pow(psi, s, mod.q)            # order 2s: column negacyclic root
-    mu = pow(psi, 2 * s, mod.q)         # order s: row cyclic root
+    eta = pow(psi, s, mod.q)            # order 2s: the root of both passes
     base = psi if direction == "forward" else pow(psi, -1, mod.q)
-    ratios = [pow(base, 2 * j + 1, mod.q) for j in range(s)]
+    ratios = [pow(base, 2 * j + 1 - s, mod.q) for j in range(s)]
 
     if direction == "forward":
         mat = values.reshape(s, s)                        # [t1, t0]
         cols = ntt(mat.T.copy(), mod, "forward", psi=eta)        # [t0, j0]
         twisted = _apply_twist(cols.T.copy(), ratios, mod)  # [j0, t0]
-        rows = cyclic_ntt(twisted, mod, "forward", psi=mu)       # [j0, j1]
+        rows = ntt(twisted, mod, "forward", psi=eta)      # [j0, j1]
         return rows.T.reshape(n).copy()                   # out[j1 * s + j0]
     if direction == "inverse":
         mat = values.reshape(s, s).T.copy()               # [j0, j1]
-        rows = cyclic_ntt(mat, mod, "inverse", psi=mu)    # [j0, t0]
+        rows = ntt(mat, mod, "inverse", psi=eta)          # [j0, t0]
         untwisted = _apply_twist(rows, ratios, mod)
         cols = ntt(untwisted.T.copy(), mod, "inverse", psi=eta)  # [t0, t1]
         return cols.T.reshape(n).copy()

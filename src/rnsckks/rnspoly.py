@@ -290,9 +290,12 @@ def rp_mul_sum(pairs) -> RnsPolynomial:
 
 def rp_scalar_mul_per_limb(a: RnsPolynomial, scalars: dict[int, int]) -> RnsPolynomial:
     """Multiply limb of prime q by scalars[q]; used for exact-division tricks."""
+    ws, ws_shoup = shoup_words([scalars[q] % q for q in a.basis.qs],
+                               a.basis.qs)
     out = np.empty_like(a.limbs)
     for i, p in enumerate(a.basis):
-        out[i] = barrett_mul(a.limbs[i], np.array(scalars[p.q] % p.q, dtype=U64), p)
+        out[i] = shoup_mul(a.limbs[i], ws[i], ws_shoup[i], p,
+                           small=p.q <= SMALL_WORD)
     return RnsPolynomial(a.basis, a.rep, out)
 
 

@@ -53,19 +53,6 @@ def oracle_negacyclic(a, b, q: int) -> list[int]:
     return out
 
 
-def oracle_cyclic(a, b, q: int) -> list[int]:
-    """(a * b) mod (X^N - 1, q)."""
-    n = len(a)
-    out = [0] * n
-    for i in range(n):
-        ai = int(a[i])
-        if ai == 0:
-            continue
-        for j in range(n):
-            out[(i + j) % n] = (out[(i + j) % n] + ai * int(b[j])) % q
-    return out
-
-
 def oracle_crt(residue_rows, primes, centered: bool = True) -> list[int]:
     """Chinese-remainder lift of per-prime residue rows to big integers."""
     big = 1

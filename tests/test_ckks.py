@@ -68,6 +68,9 @@ def test_digit_count_rounds_up():
     dict(scale_bits=59),
     dict(q0_bits=61),
     dict(aux_bits=61),
+    # A NaN or infinite width rounds every error sample to INT64_MIN, and a
+    # negative one fails inside numpy.
+    *(dict(sigma=s) for s in (np.nan, np.inf, -np.inf, -1.0, 2.0 ** 60)),
 ])
 def test_parameter_validation(kwargs):
     with pytest.raises(ConfigurationError):

@@ -173,7 +173,7 @@ def test_every_plan_fills_its_rectangle(params, boot_plans, monkeypatch):
     for plan in plans:
         for st in plan.stages:
             assert len(st.diags) == 2 ** (plan.k + 1) - 1
-            assert all(d.shape == (plan.size,) for d in st.diags)
+            assert all(d.shape == (max(st.lengths),) for d in st.diags)
         for variant in ("baseline", "minks", "minks-oflimb"):
             for cells in plan.stage_constants(variant):
                 assert len(cells) == 2 ** (plan.k + 1) - 1
@@ -254,6 +254,23 @@ def test_oflimb_plans_hold_short_seeds_only(params, oflimb_boot_plans):
                 assert len(seed.q0_limb) == (n // 64 if st.g == 1 else n)
                 total += seed.q0_limb.nbytes
     assert total == 2 * 127 * 8192 * 8 + 2 * 127 * 128 * 8
+
+
+def test_stage_diagonals_are_one_period_of_the_full_merge(params,
+                                                         boot_plans):
+    """A stage merges its butterflies at their period max(lengths): each
+    diagonal is, bit for bit, the first period of the same merge at the
+    full transform size."""
+    for plan in [*_every_plan(params, 256), *boot_plans]:
+        bound = (1 << plan.k) - 1
+        for st in plan.stages:
+            full = merge_factors(plan.size, list(st.lengths), st.inverse)
+            period = max(st.lengths)
+            for di, diag in enumerate(st.diags):
+                want = full[(di - bound) * st.g][:period]
+                assert diag.shape == (period,)
+                assert np.array_equal(diag.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 def test_stage_diagonals_are_rederived(params):
@@ -435,7 +452,7 @@ def test_rotate_accumulate_matches_naive_sum(params, sk, minks_chain_run):
     plan, v, out, log = minks_chain_run
     want = v
     for st in plan.stages:
-        want = sum(vec * np.roll(want, -off)
+        want = sum(np.tile(vec, len(want) // len(vec)) * np.roll(want, -off)
                    for off, vec in stage_matrix(st, plan.k).items())
     assert rel_error(slot_values(params, out, sk), want) \
         < params.budgets.multiply * params.budgets.rotate_factor

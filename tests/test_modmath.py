@@ -152,12 +152,16 @@ def words_below(bound, rng, count=3000):
 
 @pytest.mark.parametrize("bits", WIDTHS)
 def test_shoup_estimates_match_oracle(bits):
-    """The high-word quotient takes any 64-bit word; the float64 one any
-    word below 2^48.  Both land in [0, 2q) and reduce canonically."""
+    """The partial-product quotient takes any 64-bit word; the float64 one
+    any word below 2^48.  Both land in [0, 2q) and reduce canonically, for
+    one multiplier over a row and for an (R, 1) column of multipliers over
+    a row (the mixed-radix lift's shape), and one word over a row of
+    multipliers."""
     rng = np.random.default_rng([83, bits])
     pm = widest_prime(bits)
     q = U64(pm.q)
-    for w in (0, 1, pm.q - 1, int(rng.integers(0, pm.q))):
+    ws = [0, 1, pm.q - 1, int(rng.integers(0, pm.q))]
+    for w in ws:
         w_shoup = U64((w << 64) // pm.q)
         for small, bound in ((False, 1 << 64), (True, SMALL_WORD)):
             a = words_below(bound, rng)
@@ -167,6 +171,22 @@ def test_shoup_estimates_match_oracle(bits):
                        for r, x in zip(lazy, want))
             got = shoup_mul(a, U64(w), w_shoup, pm, small=small)
             assert np.array_equal(got, np.array(want, dtype=U64))
+    col = np.array(ws, dtype=U64)[:, None]
+    col_shoup = np.array([(w << 64) // pm.q for w in ws], dtype=U64)[:, None]
+    for small, bound in ((False, 1 << 64), (True, SMALL_WORD)):
+        a = words_below(bound, rng, 500)
+        want = np.array([[int(x) * w % pm.q for x in a] for w in ws],
+                        dtype=U64)
+        lazy = shoup_mul_lazy(a, col, col_shoup, q, small=small)
+        assert lazy.shape == want.shape
+        assert all(int(r) % pm.q == int(x) and int(r) < 2 * pm.q
+                   for r, x in zip(lazy.ravel(), want.ravel()))
+        assert np.array_equal(shoup_mul(a, col, col_shoup, pm, small=small),
+                              want)
+        assert np.array_equal(
+            shoup_mul(a[-1], col[:, 0], col_shoup[:, 0], pm, small=small),
+            want[:, -1])
+
 
 
 @pytest.mark.parametrize("bits", WIDTHS)

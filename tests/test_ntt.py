@@ -1,4 +1,4 @@
-"""Negacyclic and cyclic transforms against convolution oracles."""
+"""Negacyclic transforms, flat and four-step, against convolution oracles."""
 
 import importlib
 import tracemalloc
@@ -7,13 +7,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import oracle_cyclic, oracle_negacyclic
+from oracles import oracle_negacyclic
 from rnsckks.ckks import CkksParams, aux_chain, modulus_chain
 from rnsckks.errors import ConfigurationError
 from rnsckks.modmath import (U64, PrimeModulus, barrett_mul,
                              generate_ntt_primes, is_prime)
-from rnsckks.ntt import (bit_reverse_permutation, cyclic_ntt, four_step_ntt,
-                         get_tables, ntt)
+from rnsckks.ntt import (bit_reverse_permutation, four_step_ntt, get_tables,
+                         ntt)
 
 ntt_module = importlib.import_module("rnsckks.ntt")
 
@@ -120,29 +120,17 @@ def test_kernel_per_prime_class():
                                               EDGE["refuse"], 1 << 14))
 
 
-@pytest.mark.parametrize("bits", [40, 59, 60, 62])
-def test_wide_product_lies_below_four_q(bits):
-    """The wide kernel's three-product quotient leaves a * w mod q in
-    [0, 4q) for any 64-bit a, and its signed counterpart leaves
-    |r| < q (1 + |a| 2^-52) for |a| < 2^52."""
-    pm = prime_for(8, bits)
+def test_signed_product_stays_below_its_bound():
+    """The signed kernel's product leaves |r| < q (1 + |a| 2^-52) for
+    |a| < 2^52.  (The wide kernel's product is `modmath.shoup_mul_lazy`,
+    tested against its oracle there.)"""
+    pm = prime_for(8, 40)
     q = pm.q
-    rng = np.random.default_rng([89, bits])
-    a = np.concatenate([np.array([0, 1, q - 1, q, 4 * q - 1, (1 << 64) - 1],
-                                 dtype=U64),
-                        rng.integers(0, 1 << 64, 3000, dtype=np.uint64)])
-    for w in (1, q - 1, int(rng.integers(1, q))):
-        w_shoup = (w << 64) // q
-        r = ntt_module._wide_mul(a, U64(w), (U64(w_shoup & 0xFFFFFFFF),
-                                             U64(w_shoup >> 32)), U64(q))
-        assert all(int(x) < 4 * q and int(x) % q == int(y) * w % q
-                   for x, y in zip(r, a))
-    if bits > 40:
-        return
+    rng = np.random.default_rng([89, 40])
     s = np.concatenate([np.array([0, 1, -1, (1 << 52) - 1, 1 - (1 << 52)]),
                         rng.integers(1 - (1 << 52), 1 << 52, 3000)])
     for w in (1, q - 1, int(rng.integers(1, q))):
-        r = ntt_module._signed_mul(s, np.int64(w), (w / float(q),),
+        r = ntt_module._signed_mul(s, np.int64(w), w / float(q),
                                    np.int64(q))
         assert all(abs(int(x)) * (1 << 52) < q * ((1 << 52) + abs(int(y)))
                    and (int(x) - int(y) * w) % q == 0
@@ -261,20 +249,6 @@ def test_forward_delta_is_a_root_power(width):
                                   np.array(want, dtype=U64))
 
 
-def test_cyclic_convolution_vs_oracle():
-    n = 64
-    pm = prime_for(n * 2)       # root order 256 covers a 64-point cyclic
-    psi = pow(pm.root, pm.two_n // n, pm.q)
-    rng = np.random.default_rng(43)
-    a = rng.integers(0, pm.q, n, dtype=np.uint64)
-    b = rng.integers(0, pm.q, n, dtype=np.uint64)
-    fa = cyclic_ntt(a, pm, "forward", psi)
-    fb = cyclic_ntt(b, pm, "forward", psi)
-    prod = cyclic_ntt(barrett_mul(fa, fb, pm), pm, "inverse", psi)
-    assert np.array_equal(prod, np.array(oracle_cyclic(a, b, pm.q),
-                                         dtype=U64))
-
-
 def test_four_step_equals_direct_exhaustive_small():
     """Every delta position at N=16 exercises every twiddle path."""
     n, pm = 16, prime_for(16)
@@ -291,13 +265,16 @@ def test_four_step_equals_direct_exhaustive_small():
 
 
 def test_four_step_equals_direct_randomized_large():
-    n, pm = 1 << 10, prime_for(1 << 10)
+    """Each kernel class runs both passes: the signed one for a 40-bit
+    prime, the wide one for the base and auxiliary primes."""
+    n = 1 << 12
     rng = np.random.default_rng(47)
-    for i in range(1000):
-        v = rng.integers(0, pm.q, n, dtype=np.uint64)
-        direction = "forward" if i % 2 == 0 else "inverse"
-        assert np.array_equal(four_step_ntt(v, pm, direction),
-                              ntt(v, pm, direction))
+    for pm in (prime_for(n), *WIDE.values()):
+        for i in range(200):
+            v = rng.integers(0, pm.q, n, dtype=np.uint64)
+            direction = "forward" if i % 2 == 0 else "inverse"
+            assert np.array_equal(four_step_ntt(v, pm, direction),
+                                  ntt(v, pm, direction)), (pm.q, i)
 
 
 def test_batched_rows_equal_per_row():

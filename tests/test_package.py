@@ -1,11 +1,21 @@
-"""Package structure: what one module may take from another."""
+"""Package structure: what one module may take from another, and the
+library names the benchmark harness in `perfbench/` resolves."""
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import rnsckks
 
 MODULES = sorted(Path(rnsckks.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# The names perfbench binds the package and its modules to.
+PERFBENCH_ALIASES = {
+    "rk": "rnsckks", "ntt_module": "rnsckks.ntt",
+    **{name: f"rnsckks.{name}" for name in (
+        "ckks", "costmodel", "embedding", "hdft", "modmath", "rnspoly")}}
 
 
 def test_no_module_imports_a_private_name():
@@ -20,3 +30,39 @@ def test_no_module_imports_a_private_name():
                             for alias in node.names
                             if alias.name.startswith("_")]
     assert private == []
+
+
+def _load_perfbench(name, monkeypatch):
+    """A harness file imported from its path, registered only for the test
+    (dataclasses look their module up while the file runs)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_names_exist(monkeypatch):
+    """Every library name the benchmark reads exists: `layers` resolves the
+    functions it traces (`rnspoly.crt_reconstruct`, `ckks.key_switch`,
+    `DftPlan.stage_constants`, ...) when it is imported, and every
+    `rk.X`, `ckks.X`, ... attribute in the harness names something, so a
+    deletion that would break the benchmark fails here first."""
+    layers = _load_perfbench("layers", monkeypatch)
+    hdft = importlib.import_module("rnsckks.hdft")
+    assert hdft.DftPlan.stage_constants in layers.LABELS
+    assert _load_perfbench("workloads", monkeypatch).WORKLOADS
+    modules = {alias: importlib.import_module(name)
+               for alias, name in PERFBENCH_ALIASES.items()}
+    scanned, missing = 0, []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in modules:
+                scanned += 1
+                if not hasattr(modules[node.value.id], node.attr):
+                    missing.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert scanned > 20
+    assert missing == []

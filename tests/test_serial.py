@@ -553,6 +553,19 @@ def test_params_file_expresses_digit_count(tmp_path):
         read_params(path2)
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-1",
+                                  str(2 ** 60)])
+def test_params_file_refuses_a_bad_sigma(tmp_path, text):
+    """A width that would make error samples garbage is refused as the
+    file's fault; sigma = 0 still loads."""
+    path = tmp_path / "params.txt"
+    path.write_text(f"sigma = {text}\n")
+    with pytest.raises(SerializationError, match="sigma"):
+        read_params(str(path))
+    path.write_text("sigma = 0\n")
+    assert read_params(str(path))[0].sigma == 0.0
+
+
 @pytest.mark.parametrize("levels,alpha", [(5, 4), (7, 3)])
 def test_params_file_refuses_a_short_last_digit(tmp_path, levels, alpha):
     """A file stores dnum, from which alpha is rebuilt as (levels + 1) /
