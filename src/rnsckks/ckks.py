@@ -147,7 +147,6 @@ def piece_basis(params: CkksParams, i: int, level: int) -> LimbBasis:
 
 @dataclass
 class SecretKey:
-    params: CkksParams
     poly: RnsPolynomial          # eval rep over the full basis C_L + B
 
 
@@ -239,7 +238,7 @@ def sample_uniform(basis: LimbBasis, n: int,
 def keygen(params: CkksParams, rng: np.random.Generator) -> SecretKey:
     s = sample_ternary(rng, params.n_ring)
     poly = poly_from_int_coeffs(s, basis_d(params, params.levels), rep=EVAL)
-    return SecretKey(params, poly)
+    return SecretKey(poly)
 
 
 @lru_cache(maxsize=None)
@@ -308,9 +307,12 @@ def slots_to_coeffs(rows, scale: int | Fraction) -> np.ndarray:
     scaled packed embedding, shaped (..., 2m): real parts, then imaginary.
 
     Every plaintext built from slot values is rounded here, so each one
-    rejects the same inputs: non-finite values, and coefficients that a
-    signed 64-bit word reduced per limb cannot carry.
+    rejects the same inputs: a zero scale, which no decode can divide out,
+    non-finite values, and coefficients that a signed 64-bit word reduced
+    per limb cannot carry.
     """
+    if scale == 0:
+        raise ConfigurationError("scale must be nonzero")
     packed = slots_to_packed(rows)
     coeffs = np.concatenate([np.rint(packed.real * float(scale)),
                              np.rint(packed.imag * float(scale))], axis=-1)

@@ -233,7 +233,10 @@ def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
                         scale: int | Fraction) -> PlaintextSeed:
     """Seed a row of M integer coefficients, M a power of two dividing N,
     read as an element of Z[X^(N/M)]; the range checks see the whole row,
-    the seed keeps its subring words."""
+    the seed keeps its subring words.  A zero scale is refused, as
+    `slots_to_coeffs` refuses it."""
+    if scale == 0:
+        raise ConfigurationError("scale must be nonzero")
     q0 = modulus_chain(params)[0].q
     values = np.asarray(coeffs)
     if values.dtype.kind == "c":

@@ -464,7 +464,7 @@ def automorphism(p: RnsPolynomial, r: int) -> RnsPolynomial:
 # ---------------------------------------------------------------------------
 # CRT reconstruction (big-integer exact path).
 
-def crt_reconstruct(p: RnsPolynomial, centered: bool = True) -> np.ndarray:
+def crt_reconstruct(p: RnsPolynomial) -> np.ndarray:
     """Exact coefficients as Python integers, centered in (-Q/2, Q/2]."""
     one_poly(p)
     poly = p.to_coeff()
@@ -476,9 +476,7 @@ def crt_reconstruct(p: RnsPolynomial, centered: bool = True) -> np.ndarray:
         t = barrett_mul(poly.limbs[i], np.array(y, dtype=U64), pm)
         acc += t.astype(object) * q_hat
     acc %= big_q
-    if centered:
-        acc = np.where(acc > big_q // 2, acc - big_q, acc)
-    return acc
+    return np.where(acc > big_q // 2, acc - big_q, acc)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ fields and little-endian eight-byte words in index-major order.  Any
 structural mismatch or checksum failure raises SerializationError with
 the offending path in the message.
 
+Loaders read each block against the parameters: its basis is fixed from
+`params` (and the level field) first, and the block's header must name
+exactly that ring degree and those primes; no modulus is built from bytes.
+
 Text formats cover parameter files (key = value lines) and switching-key
 usage logs (one op per line).  Both carry a schema-version comment on
 the first line so fixture diffs stay stable.
@@ -23,7 +27,6 @@ from .ckks import (Ciphertext, CkksParams, EvaluationKey, Plaintext,
                    SecretKey, basis_c, basis_d)
 from .errors import ConfigurationError, SerializationError
 from .hdft import EvkUsageLog, LogEntry
-from .modmath import PrimeModulus
 from .rnspoly import COEFF, EVAL, LimbBasis, RnsPolynomial
 
 MAGIC = b"RNSCKKS\x00"
@@ -179,51 +182,46 @@ def _put_poly(body: _Body, p: RnsPolynomial):
     body.put_words(p.limbs, "<u8")
 
 
-def _get_poly(cur: _Cursor) -> RnsPolynomial:
+def _get_poly(cur: _Cursor, basis: LimbBasis, mismatch: str) -> RnsPolynomial:
+    """One block over `basis`: every header field is checked against it
+    before a word is read.  `mismatch` leads the refusal of a limb count or
+    (q, root) pair that is not the basis's own."""
     rep_code, nlimbs, n = cur.unpack("BHI")
     if rep_code not in (0, 1):
         cur.fail(f"unknown representation code {rep_code}")
-    if n < 2 or n & (n - 1):
-        cur.fail(f"ring degree {n} is not a power of two")
-    primes = []
-    for _ in range(nlimbs):
+    if n != basis.ring_degree:
+        cur.fail(f"ring degree {n} is not n_ring = {basis.ring_degree}")
+    if nlimbs != len(basis):
+        cur.fail(f"{mismatch}: limb count {nlimbs} does not match its "
+                 f"{len(basis)} primes")
+    for pm in basis:
         q, root = cur.unpack("QQ")
-        try:
-            primes.append(PrimeModulus(int(q), 2 * n, int(root)))
-        except ConfigurationError:
-            cur.fail(f"invalid modulus {q}")
+        if (q, root) != (pm.q, pm.root):
+            cur.fail(f"{mismatch}: invalid modulus {q} with root {root}")
     limbs = cur.get_words((nlimbs, n), "<u8")
-    for pm, row in zip(primes, limbs):
+    for pm, row in zip(basis, limbs):
         if np.any(row >= np.uint64(pm.q)):
             cur.fail(f"limb words not below their modulus {pm.q}")
-    try:
-        return RnsPolynomial(LimbBasis(tuple(primes)),
-                             EVAL if rep_code else COEFF, limbs)
-    except Exception as e:
-        cur.fail(f"inconsistent polynomial block: {e}")
+    return RnsPolynomial(basis, EVAL if rep_code else COEFF, limbs)
 
 
 # ---------------------------------------------------------------------------
-# Scheme objects.  Each loader checks what it read against `params`.
+# Scheme objects.  Each loader fixes the basis from `params` first and reads
+# every block against it.
 
-def _check_basis(cur: _Cursor, level: int, poly: RnsPolynomial,
-                 params: CkksParams):
-    if level != len(poly.basis) - 1:
-        cur.fail(f"level {level} does not match {len(poly.basis)} limbs")
-    _check_ring(cur, poly, params)
-    if not 0 <= level <= params.levels or poly.basis != basis_c(params, level):
-        cur.fail(f"basis is not the parameters' level-{level} basis")
-
-
-def _check_ring(cur: _Cursor, poly: RnsPolynomial, params: CkksParams):
-    if poly.n != params.n_ring:
-        cur.fail(f"ring degree {poly.n} is not n_ring = {params.n_ring}")
-
-
-def _check_slots(cur: _Cursor, slots: int, params: CkksParams):
-    """`encode`'s rule: at least one slot, and a divisor of n_ring / 2."""
-    if slots < 1 or (params.n_ring // 2) % slots:
+def _get_leading_fields(cur: _Cursor, params: CkksParams):
+    """A plaintext's or ciphertext's scale, slot count and level basis, with
+    the lead of a block refusal at that level."""
+    scale = cur.get_fraction()
+    if scale == 0:
+        cur.fail("scale is zero")
+    level, slots = cur.unpack("iI")
+    if slots < 1 or (params.n_ring // 2) % slots:      # `encode`'s rule
         cur.fail(f"slot count {slots} does not divide {params.n_ring // 2}")
+    mismatch = f"basis is not the parameters' level-{level} basis"
+    if not 0 <= level <= params.levels:
+        cur.fail(f"{mismatch}: level {level} outside [0, {params.levels}]")
+    return scale, slots, basis_c(params, level), mismatch
 
 
 def save_plaintext(path: str, pt: Plaintext):
@@ -236,12 +234,9 @@ def save_plaintext(path: str, pt: Plaintext):
 
 def load_plaintext(path: str, params: CkksParams) -> Plaintext:
     cur = _read_container(path, KIND_PLAINTEXT)
-    scale = cur.get_fraction()
-    level, slots = cur.unpack("iI")
-    poly = _get_poly(cur)
+    scale, slots, basis, mismatch = _get_leading_fields(cur, params)
+    poly = _get_poly(cur, basis, mismatch)
     cur.done()
-    _check_basis(cur, level, poly, params)
-    _check_slots(cur, slots, params)
     return Plaintext(poly, scale, slots)
 
 
@@ -257,20 +252,14 @@ def save_ciphertext(path: str, ct: Ciphertext):
 
 def load_ciphertext(path: str, params: CkksParams) -> Ciphertext:
     cur = _read_container(path, KIND_CIPHERTEXT)
-    scale = cur.get_fraction()
-    level, slots = cur.unpack("iI")
-    c0 = _get_poly(cur)
-    c1 = _get_poly(cur)
+    scale, slots, basis, mismatch = _get_leading_fields(cur, params)
+    c0 = _get_poly(cur, basis, mismatch)
+    c1 = _get_poly(cur, basis, mismatch)
     cur.done()
-    if c1.basis != c0.basis:
-        cur.fail("c0 and c1 lie over different bases")
-    _check_basis(cur, level, c0, params)
-    _check_slots(cur, slots, params)
     if c0.rep != EVAL or c1.rep != EVAL:
         cur.fail("ciphertext block in coefficient rep")
-    limbs = np.empty((len(c0.basis), 2, c0.n), dtype=np.uint64)
-    limbs[:, 0], limbs[:, 1] = c0.limbs, c1.limbs
-    return Ciphertext(RnsPolynomial(c0.basis, EVAL, limbs), scale, slots)
+    limbs = np.stack([c0.limbs, c1.limbs], axis=1)
+    return Ciphertext(RnsPolynomial(basis, EVAL, limbs), scale, slots)
 
 
 def save_secret_key(path: str, sk: SecretKey):
@@ -281,12 +270,10 @@ def save_secret_key(path: str, sk: SecretKey):
 
 def load_secret_key(path: str, params: CkksParams) -> SecretKey:
     cur = _read_container(path, KIND_SECRET_KEY)
-    poly = _get_poly(cur)
+    poly = _get_poly(cur, basis_d(params, params.levels), "secret key does "
+                     "not lie over the parameters' full basis")
     cur.done()
-    _check_ring(cur, poly, params)
-    if poly.basis != basis_d(params, params.levels):
-        cur.fail("secret key does not lie over the parameters' full basis")
-    return SecretKey(params, poly)
+    return SecretKey(poly)
 
 
 def save_evaluation_key(path: str, evk: EvaluationKey):
@@ -300,27 +287,23 @@ def save_evaluation_key(path: str, evk: EvaluationKey):
 
 
 def load_evaluation_key(path: str, params: CkksParams) -> EvaluationKey:
+    """Only a step key generation writes: 0 for a relinearization key, and
+    one in [1, n_ring / 2) for a rotation key (`normalize_step`)."""
     cur = _read_container(path, KIND_EVALUATION_KEY)
     kind_code, step, npieces = cur.unpack("BqH")
     if kind_code not in (0, 1):
         cur.fail(f"unknown key kind code {kind_code}")
-    if npieces == 0:
-        cur.fail("evaluation key has no pieces")
-    pieces = tuple((_get_poly(cur), _get_poly(cur))
-                   for _ in range(npieces))
-    cur.done()
-    basis = pieces[0][0].basis
-    for b, a in pieces:
-        if a.basis != b.basis:
-            cur.fail("b and a of a key piece lie over different bases")
-        if b.basis != basis:
-            cur.fail("key pieces lie over different bases")
+    kind = "rot" if kind_code else "mult"
+    if step not in (range(1, params.n_ring // 2) if kind_code else (0,)):
+        cur.fail(f"{kind} key with step {step}")
     if npieces != params.dnum:
         cur.fail(f"{npieces} key pieces, not dnum = {params.dnum}")
-    _check_ring(cur, pieces[0][0], params)
-    if basis != basis_d(params, params.levels):
-        cur.fail("key pieces do not lie over the parameters' full basis")
-    return EvaluationKey("rot" if kind_code else "mult", step, pieces)
+    basis = basis_d(params, params.levels)
+    mismatch = "key pieces do not lie over the parameters' full basis"
+    pieces = tuple((_get_poly(cur, basis, mismatch),
+                    _get_poly(cur, basis, mismatch)) for _ in range(npieces))
+    cur.done()
+    return EvaluationKey(kind, step, pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +370,7 @@ def read_params(path: str) -> tuple[CkksParams, int | None]:
         values["alpha"] = (levels + 1) // dnum
     try:
         return CkksParams(**values), seed
-    except Exception as e:
+    except ConfigurationError as e:
         raise SerializationError(f"invalid parameters: {e}", path)
 
 

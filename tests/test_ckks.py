@@ -231,6 +231,22 @@ def test_encode_rejects_bad_shapes(params):
         encode(params, np.array([1.0, np.nan]))
 
 
+def test_zero_scale_refused(params, sk):
+    """A zero scale would decode to NaN, so every plaintext rounded from
+    slot values refuses it; a negative scale decodes correctly."""
+    rng = np.random.default_rng(163)
+    v = random_message(params, rng)[:4]
+    with pytest.raises(ConfigurationError, match="scale must be nonzero"):
+        encode(params, v, scale=0)
+    with pytest.raises(ConfigurationError, match="scale must be nonzero"):
+        encode_diagonal_batch(params, v[None], 3, Fraction(0))
+    ct = encrypt(params, encode(params, v), sk, rng)
+    with pytest.raises(ConfigurationError, match="scale must be nonzero"):
+        cmult(params, ct, 0.5, scale=0)
+    negative = encode(params, v, scale=-(1 << 40))
+    assert rel_error(decode(params, negative), v) < 1e-9
+
+
 def dense_encode(params, values, level, scale):
     """Oracle: the vector tiled to n_ring/2 slots, its N coefficients, and
     the coefficient polynomial through the N-point transforms."""

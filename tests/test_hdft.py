@@ -695,6 +695,8 @@ def test_seed_range_guard(params):
     row = np.arange(params.n_ring) % 7 - 3
     assert np.array_equal(make_plaintext_seed(params, row + 0j, 1 << 40)
                           .q0_limb, row)
+    with pytest.raises(ConfigurationError, match="scale must be nonzero"):
+        make_plaintext_seed(params, row, 0)
 
 
 def test_oflimb_constants_reject_non_finite_rows(params, monkeypatch):

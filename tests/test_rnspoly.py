@@ -305,12 +305,12 @@ def test_elementwise_ops_match_crt_oracle():
     big = BASIS64.modulus
     av = oracle_crt(a.limbs, [pm.q for pm in BASIS64], centered=False)
     bv = oracle_crt(b.limbs, [pm.q for pm in BASIS64], centered=False)
-    got_add = crt_reconstruct(rp_add(a, b), centered=False)
-    assert list(got_add) == [(x + y) % big for x, y in zip(av, bv)]
-    got_sub = crt_reconstruct(rp_sub(a, b), centered=False)
-    assert list(got_sub) == [(x - y) % big for x, y in zip(av, bv)]
-    got_neg = crt_reconstruct(rp_neg(a), centered=False)
-    assert list(got_neg) == [(-x) % big for x in av]
+    got_add = crt_reconstruct(rp_add(a, b))
+    assert list(got_add) == [centered_mod(x + y, big) for x, y in zip(av, bv)]
+    got_sub = crt_reconstruct(rp_sub(a, b))
+    assert list(got_sub) == [centered_mod(x - y, big) for x, y in zip(av, bv)]
+    got_neg = crt_reconstruct(rp_neg(a))
+    assert list(got_neg) == [centered_mod(-x, big) for x in av]
 
 
 def test_ring_product_matches_negacyclic_oracle():
@@ -330,8 +330,8 @@ def test_scalar_multiplies():
     want = oracle_crt(a.limbs, [pm.q for pm in BASIS64], centered=False)
     table = {pm.q: 5 for pm in BASIS64}
     per = rp_scalar_mul_per_limb(a, table)
-    assert list(crt_reconstruct(per, centered=False)) \
-        == [(5 * x) % BASIS64.modulus for x in want]
+    assert list(crt_reconstruct(per)) \
+        == [centered_mod(5 * x, BASIS64.modulus) for x in want]
 
 
 def random_stack(basis, n, rng, rep=EVAL):

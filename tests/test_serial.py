@@ -11,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rnsckks.ckks import (CkksParams, decrypt, encode, encode_diagonal_batch,
-                          encrypt, hmult, hrescale, hrot, make_relin_key,
-                          make_rotation_key, mod_drop, restrict_poly,
-                          slot_values)
+from rnsckks.ckks import (CkksParams, basis_d, decrypt, encode,
+                          encode_diagonal_batch, encrypt, hmult, hrescale,
+                          hrot, make_relin_key, make_rotation_key, mod_drop,
+                          restrict_poly, slot_values)
 from rnsckks.errors import SerializationError
 from rnsckks.hdft import EvkUsageLog
+from rnsckks.modmath import PrimeModulus
 from rnsckks.rnspoly import LimbBasis
 from rnsckks.serial import (EVKLOG_SCHEMA, PARAMS_SCHEMA, load_ciphertext,
                             load_evaluation_key, load_plaintext,
@@ -83,7 +84,7 @@ def test_secret_key_roundtrip(params, sk, tmp_path):
     path = str(tmp_path / "s.key")
     save_secret_key(path, sk)
     back = load_secret_key(path, params)
-    assert back.params is params
+    assert back.poly.basis == sk.poly.basis
     assert np.array_equal(back.poly.limbs, sk.poly.limbs)
 
 
@@ -258,14 +259,15 @@ def _rewrite(path, edit):
 @pytest.mark.parametrize("edit, what", [
     (lambda b: _scale_text(b, b"\xff\xfe/1"), "UTF-8"),
     (lambda b: _scale_text(b, b"1/0"), "malformed fraction"),
+    (lambda b: _scale_text(b, b"0/1"), "scale is zero"),
     (_rep_code, "representation code 2"),
     (_word_at_modulus, "not below their modulus"),
     (_level, "level 99"),
     (lambda b: _rep_code(b, 0), "coefficient rep"),
     (lambda b: _slots(b, 3), "slot count 3 does not divide 32"),
     (lambda b: _slots(b, 0), "slot count 0 does not divide 32"),
-], ids=["utf8", "zero-denominator", "rep-code", "word-at-q", "level",
-        "coeff-rep", "slots-3", "slots-0"])
+], ids=["utf8", "zero-denominator", "zero-scale", "rep-code", "word-at-q",
+        "level", "coeff-rep", "slots-3", "slots-0"])
 def test_crafted_ciphertext_raises_serialization_error(tiny_params, tiny_sk,
                                                        tmp_path, edit, what):
     """A body the checksum accepts but the loader must not: its own error
@@ -299,9 +301,9 @@ def test_scale_text_must_be_its_written_form(tiny_params, tiny_sk, tmp_path,
 
 
 def test_loaders_check_level_against_limbs(tiny_params, tiny_sk, tmp_path):
-    """The level field is written and checked on load: a plaintext whose
-    level is off by one, and a ciphertext whose c1 block lies over fewer
-    primes than c0's, are refused."""
+    """The level field is written and fixes the basis every block is read
+    against: a plaintext whose level is off by one, and a ciphertext whose
+    c1 block lies over fewer primes than c0's, are refused."""
     rng = np.random.default_rng(137)
     pt = encode(tiny_params, message(tiny_params, rng))
     ct = encrypt(tiny_params, pt, tiny_sk, rng)
@@ -316,7 +318,7 @@ def test_loaders_check_level_against_limbs(tiny_params, tiny_sk, tmp_path):
     path = str(tmp_path / "mixed.ct")
     save_ciphertext(path, ct)
     _rewrite(path, lambda b: b"".join(_blocks(b)[:2]) + low_c1)
-    with pytest.raises(SerializationError, match="different bases"):
+    with pytest.raises(SerializationError, match="limb count 1 does not"):
         load_ciphertext(path, tiny_params)
 
 
@@ -409,15 +411,28 @@ def _pieces_apart(evk, path):
         (_without_last_prime(b), _without_last_prime(a)) for b, a in rest))))
 
 
+def _with_step(kind, step):
+    """A key of `kind` whose step field reads `step`."""
+    return lambda evk, path: save_evaluation_key(
+        path, replace(evk, kind=kind, step=step))
+
+
 @pytest.mark.parametrize("craft, what", [
     (_kind_code_2, "kind code 2"),
-    (_no_pieces, "no pieces"),
-    (_piece_halves_apart, "b and a of a key piece"),
-    (_pieces_apart, "key pieces lie over different bases"),
-], ids=["kind-code", "no-pieces", "piece-halves", "pieces"])
+    (_no_pieces, "0 key pieces, not dnum = 3"),
+    (_piece_halves_apart, "limb count 3 does not match its 4 primes"),
+    (_pieces_apart, "limb count 3 does not match its 4 primes"),
+    (_with_step("rot", 0), "rot key with step 0"),
+    (_with_step("rot", -5), "rot key with step -5"),
+    (_with_step("rot", 40), "rot key with step 40"),
+    (_with_step("mult", 3), "mult key with step 3"),
+], ids=["kind-code", "no-pieces", "piece-halves", "pieces", "rot-step-0",
+        "rot-step-neg5", "rot-step-40", "mult-step-3"])
 def test_crafted_evaluation_key_raises_serialization_error(
         tiny_params, tiny_sk, tmp_path, craft, what):
-    """Checksum-valid key containers that no key generation writes."""
+    """Checksum-valid key containers that no key generation writes: a
+    rotation key's step lies in [1, n_ring / 2) = [1, 32), a
+    relinearization key's is 0."""
     evk = make_relin_key(tiny_params, tiny_sk, np.random.default_rng(139))
     assert len(evk.pieces) > 1
     path = str(tmp_path / "crafted.evk")
@@ -490,6 +505,72 @@ def test_composite_modulus_raises_serialization_error(
         with pytest.raises(SerializationError, match="composite.bin") as info:
             _SAVE_LOAD[kind][1](path, tiny_params)
     assert f"invalid modulus {COMPOSITE}" in str(info.value)
+
+
+def _other_root(body, at):
+    """Swap the first limb's root for its cube: another primitive 2N-th
+    root of the same prime."""
+    q, root = struct.unpack("<QQ", body[at:at + 16])
+    cube = pow(root, 3, q)
+    body[at + 8:at + 16] = struct.pack("<Q", cube)
+    return f"invalid modulus {q} with root {cube}"
+
+
+def _zero_root(body, at):
+    """Root 0, which a `PrimeModulus` would search for; no writer writes it,
+    and a file that names it cannot save back to the same bytes."""
+    (q,) = struct.unpack("<Q", body[at:at + 8])
+    body[at + 8:at + 16] = bytes(8)
+    return f"invalid modulus {q} with root 0"
+
+
+def _rep_code_at(body, at):
+    body[at - 7] = 2
+    return "unknown representation code 2"
+
+
+def _limb_count_up(body, at):
+    (nlimbs,) = struct.unpack("<H", body[at - 6:at - 4])
+    body[at - 6:at - 4] = struct.pack("<H", nlimbs + 1)
+    return f"limb count {nlimbs + 1} does not match its {nlimbs} primes"
+
+
+@pytest.mark.parametrize("field", [_rep_code_at, _limb_count_up, _other_root,
+                                   _zero_root],
+                         ids=["rep-code", "limb-count", "root", "root-zero"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_block_header_fields_checked(tiny_params, tiny_files, tmp_path, kind,
+                                     field):
+    """Each header field of a block is read against the parameters: a
+    representation code no writer uses, a limb count off by one, a valid
+    but different root of the right prime, and root 0 are each refused."""
+    body = bytearray(tiny_files[kind][16:])
+    what = field(body, FIRST_MODULUS[kind])
+    path = str(tmp_path / "header.bin")
+    _with_body(path, tiny_files[kind], bytes(body))
+    with pytest.raises(SerializationError, match="header.bin") as info:
+        _SAVE_LOAD[kind][1](path, tiny_params)
+    assert what in str(info.value)
+
+
+def test_loading_builds_no_modulus(tiny_params, tiny_files, tmp_path,
+                                   monkeypatch):
+    """Every block is read against the parameters' own primes: loading a
+    container of each kind constructs no `PrimeModulus` from its bytes."""
+    basis_d(tiny_params, tiny_params.levels)        # the chains are cached
+    built = []
+    real = PrimeModulus.__post_init__
+
+    def counting(self):
+        built.append(self.q)
+        real(self)
+
+    monkeypatch.setattr(PrimeModulus, "__post_init__", counting)
+    path = tmp_path / "object"
+    for kind in KINDS:
+        path.write_bytes(tiny_files[kind])
+        _SAVE_LOAD[kind][1](str(path), tiny_params)
+    assert built == []
 
 
 # Half the mutations land in the leading fields, and some write the
