@@ -5,7 +5,9 @@ l+1 primes of the modulus chain, level 0 over the base prime alone.  A
 ciphertext is one eval-rep stack, limbs shaped (l+1, 2, N), c0 beside c1
 under each prime; its level, like a plaintext's, is read from the basis.
 Scales are tracked as exact rationals; operators enforce exact scale
-equality for additive mixing and leave rescaling to the caller.
+equality for additive mixing and leave rescaling to the caller.  Keys and
+plaintexts are eval-rep too, the one representation of `rnspoly`, so
+the `serial` containers write every block's rep byte as the constant 1.
 
 Key-switching uses one fixed full-level key per switched element.  The
 switched polynomial is cut into digit pieces of alpha limbs; ModUp takes
@@ -33,10 +35,9 @@ from .errors import (BasisMismatchError, ConfigurationError,
                      ScaleMismatchError)
 from .modmath import (SMALL_WORD, U64, PrimeModulus, generate_ntt_primes,
                       mod_sub, mul_sum, shoup_mul, shoup_words)
-from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, automorphism,
-                      convert_limbs, crt_float, lift_int_coeffs, one_poly,
-                      poly_from_int_coeffs, rp_add, rp_mul, rp_mul_sum,
-                      rp_neg, rp_scalar_mul_per_limb, rp_sub)
+from .rnspoly import (LimbBasis, RnsPolynomial, automorphism, convert_limbs,
+                      crt_float, lift_int_coeffs, one_poly, rp_add, rp_mul,
+                      rp_mul_sum, rp_neg, rp_scalar_mul_per_limb, rp_sub)
 
 
 @dataclass(frozen=True)
@@ -175,7 +176,7 @@ class Ciphertext:
     slots: int
 
     def __post_init__(self):
-        if self.poly.rep != EVAL or self.poly.limbs.shape[1:-1] != (2,) \
+        if self.poly.limbs.shape[1:-1] != (2,) \
                 or self.poly.n != self.poly.basis.ring_degree:
             raise RepresentationError("a ciphertext is an eval-rep (L, 2, N)"
                                       f" stack, not {self.poly.limbs.shape}")
@@ -189,7 +190,7 @@ def _half(stack: RnsPolynomial, h: int) -> RnsPolynomial:
     """Half h of an (L, 2, N) stack as a read-only view."""
     limbs = stack.limbs[:, h]
     limbs.flags.writeable = False
-    return RnsPolynomial(stack.basis, stack.rep, limbs)
+    return RnsPolynomial(stack.basis, limbs)
 
 
 def _add_into(stack: RnsPolynomial, h: int, p: RnsPolynomial):
@@ -213,7 +214,7 @@ def restrict_poly(p: RnsPolynomial, basis: LimbBasis) -> RnsPolynomial:
         rows = [pos[pm.q] for pm in basis]
     except KeyError as e:
         raise BasisMismatchError(f"prime {e} not present in source basis")
-    return RnsPolynomial(basis, p.rep, p.limbs[rows])
+    return RnsPolynomial(basis, p.limbs[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +233,13 @@ def sample_uniform(basis: LimbBasis, n: int,
     limbs = np.empty((len(basis), n), dtype=U64)
     for i, pm in enumerate(basis):
         limbs[i] = rng.integers(0, pm.q, n, dtype=np.uint64)
-    return RnsPolynomial(basis, EVAL, limbs)
+    return RnsPolynomial(basis, limbs)
 
 
 def keygen(params: CkksParams, rng: np.random.Generator) -> SecretKey:
+    basis = basis_d(params, params.levels)
     s = sample_ternary(rng, params.n_ring)
-    poly = poly_from_int_coeffs(s, basis_d(params, params.levels), rep=EVAL)
-    return SecretKey(poly)
+    return SecretKey(RnsPolynomial(basis, lift_int_coeffs(s, basis)))
 
 
 @lru_cache(maxsize=None)
@@ -262,8 +263,8 @@ def _make_switch_key(params: CkksParams, sk: SecretKey,
     pieces = []
     for i in range(params.dnum):
         a_i = sample_uniform(full, params.n_ring, rng)
-        e_i = poly_from_int_coeffs(
-            sample_error(rng, params.n_ring, params.sigma), full, rep=EVAL)
+        e_i = RnsPolynomial(full, lift_int_coeffs(
+            sample_error(rng, params.n_ring, params.sigma), full))
         masked = rp_scalar_mul_per_limb(target, _gadget_constants(params, i))
         b_i = rp_sub(rp_add(e_i, masked), rp_mul(a_i, sk.poly))
         pieces.append((b_i, a_i))
@@ -363,7 +364,7 @@ def encode_diagonal_batch(params: CkksParams, rows: np.ndarray, level: int,
             f"slot rows {rows.shape} must be (R, m), m dividing {half}")
     basis = basis_c(params, level)
     stacks = lift_int_coeffs(slots_to_coeffs(rows, scale), basis)
-    return [Plaintext(poly=RnsPolynomial(basis, EVAL, stacks[:, r]),
+    return [Plaintext(poly=RnsPolynomial(basis, stacks[:, r]),
                       scale=scale, slots=rows.shape[1])
             for r in range(rows.shape[0])]
 
@@ -375,13 +376,13 @@ def encrypt(params: CkksParams, pt: Plaintext, sk: SecretKey,
             rng: np.random.Generator) -> Ciphertext:
     basis = basis_c(params, pt.level)
     a = sample_uniform(basis, params.n_ring, rng)
-    e = poly_from_int_coeffs(sample_error(rng, params.n_ring, params.sigma),
-                             basis, rep=EVAL)
+    e = RnsPolynomial(basis, lift_int_coeffs(
+        sample_error(rng, params.n_ring, params.sigma), basis))
     s = restrict_poly(sk.poly, basis)
     limbs = np.empty((len(basis), 2, params.n_ring), dtype=U64)
     limbs[:, 0] = rp_add(rp_sub(e, rp_mul(a, s)), pt.poly).limbs
     limbs[:, 1] = a.limbs
-    return Ciphertext(RnsPolynomial(basis, EVAL, limbs), pt.scale, pt.slots)
+    return Ciphertext(RnsPolynomial(basis, limbs), pt.scale, pt.slots)
 
 
 def decrypt(params: CkksParams, ct: Ciphertext, sk: SecretKey) -> Plaintext:
@@ -418,7 +419,7 @@ def hneg(a: Ciphertext) -> Ciphertext:
 
 def padd(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
     _check_scale(ct, pt)
-    poly = RnsPolynomial(ct.poly.basis, EVAL, ct.poly.limbs.copy())
+    poly = RnsPolynomial(ct.poly.basis, ct.poly.limbs.copy())
     _add_into(poly, 0, pt.poly)
     return Ciphertext(poly, ct.scale, ct.slots)
 
@@ -486,8 +487,6 @@ def key_switch(params: CkksParams, d: RnsPolynomial,
     c_basis = basis_c(params, level)
     if d.basis != c_basis:
         raise BasisMismatchError("switched polynomial is not over C_level")
-    if d.rep != EVAL:
-        raise RepresentationError("key switching needs evaluation rep")
     one_poly(d)
     d = d.widened()
     d_basis = basis_d(params, level)
@@ -513,8 +512,7 @@ def key_switch(params: CkksParams, d: RnsPolynomial,
             acc[r, half] = mul_sum(
                 [(ext[r, i], evk.pieces[i][half].limbs[kr])
                  for i in range(count)], pm)
-    return RnsPolynomial(c_basis, EVAL,
-                         mod_down(acc, c_basis, basis_b(params)))
+    return RnsPolynomial(c_basis, mod_down(acc, c_basis, basis_b(params)))
 
 
 def hmult(params: CkksParams, a: Ciphertext, b: Ciphertext,
@@ -550,7 +548,7 @@ def hrescale(params: CkksParams, ct: Ciphertext) -> Ciphertext:
     kept = basis_c(params, ct.level - 1)
     dropped = LimbBasis(modulus_chain(params)[ct.level:ct.level + 1])
     out = mod_down(ct.poly.limbs, kept, dropped)
-    return Ciphertext(RnsPolynomial(kept, EVAL, out),
+    return Ciphertext(RnsPolynomial(kept, out),
                       ct.scale / dropped.modulus, ct.slots)
 
 

@@ -31,8 +31,8 @@ from .hdft import (DFT, IDFT, EvkUsageLog, build_dft_plan, hdft_apply,
                    make_plaintext_seed, of_limb_extend)
 from .modmath import PrimeModulus, barrett_mul, generate_ntt_primes
 from .ntt import four_step_ntt, ntt
-from .rnspoly import (LimbBasis, base_convert, crt_reconstruct,
-                      make_base_table, poly_from_int_coeffs)
+from .rnspoly import (LimbBasis, RnsPolynomial, convert_limbs,
+                      crt_reconstruct, lift_int_coeffs)
 
 REPORT_SCHEMA = "# rnsckks-report v1"
 
@@ -119,8 +119,8 @@ def _check_base_convert(params, rng):
     src = LimbBasis(tuple(PrimeModulus(q, 64) for q in primes[:2]))
     tgt = LimbBasis(tuple(PrimeModulus(q, 64) for q in primes[2:]))
     coeffs = rng.integers(-1000, 1000, 32)
-    p = poly_from_int_coeffs(coeffs, src)
-    back = crt_reconstruct(base_convert(p, make_base_table(src, tgt)))
+    limbs = convert_limbs(lift_int_coeffs(coeffs, src), src, tgt)
+    back = crt_reconstruct(RnsPolynomial(tgt, limbs))
     big = src.modulus
     for got, want in zip(back, coeffs):
         slack = int(got) - int(want)
@@ -182,9 +182,9 @@ def _check_oflimb_seeds(params, rng):
     coeffs = rng.integers(-(1 << 30), 1 << 30, params.n_ring)
     seed = make_plaintext_seed(params, coeffs, params.scale)
     for level in (0, params.levels // 2, params.levels):
-        full = poly_from_int_coeffs(coeffs, basis_c(params, level)).to_eval()
+        full = lift_int_coeffs(coeffs, basis_c(params, level))
         ext = of_limb_extend(params, {0: seed}, level)[0]
-        assert np.array_equal(ext.poly.limbs, full.limbs)
+        assert np.array_equal(ext.poly.limbs, full)
     q0 = modulus_chain(params)[0].q
     try:
         make_plaintext_seed(params, np.array([q0 // 2 + 1]), params.scale)

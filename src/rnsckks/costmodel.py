@@ -20,7 +20,6 @@ the price of the forward transforms that rebuild the missing limbs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 

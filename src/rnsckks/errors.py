@@ -6,7 +6,8 @@ class ConfigurationError(ValueError):
 
 
 class RepresentationError(RuntimeError):
-    """A polynomial is in the wrong representation for the requested op."""
+    """A polynomial's limbs are not laid out as its object requires: a
+    ciphertext is an (L, 2, N) stack of whole rows."""
 
 
 class BasisMismatchError(ValueError):

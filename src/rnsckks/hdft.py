@@ -74,7 +74,7 @@ from .costmodel import VARIANTS
 from .embedding import stage_twiddles
 from .errors import (ConfigurationError, MissingKeyError, ScaleMismatchError,
                      SeedRangeError)
-from .rnspoly import (EVAL, LimbBasis, RnsPolynomial, convert_limbs,
+from .rnspoly import (LimbBasis, RnsPolynomial, convert_limbs,
                       lift_int_coeffs, rp_mul_sum, subring_stride)
 
 DFT = "dft"       # coefficients to slot values
@@ -262,9 +262,9 @@ def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
     The seeds stack at the length M of the longest one, each seed's words
     at their subring indices of a zeroed (R, M) row, and one lift widens
     the stack.  The plaintexts, keyed as `seeds` is, each of M/2 slots
-    (a period of their values; see `Plaintext`), are views of the lifted (L, R, M/t) stack, one period per limb;
-    `hdft_apply` widens one giant row per call and releases the row
-    together once its pmults are done.
+    (a period of their values; see `Plaintext`), are views of the lifted
+    (L, R, M/t) stack, one period per limb; `hdft_apply` widens one giant
+    row per call and releases the row together once its pmults are done.
     """
     if not seeds:
         return {}
@@ -274,7 +274,7 @@ def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
         row[::width // len(seed.q0_limb)] = seed.q0_limb
     basis = basis_c(params, level)
     stack = lift_int_coeffs(coeffs, basis)
-    return {key: Plaintext(poly=RnsPolynomial(basis, EVAL, stack[:, r]),
+    return {key: Plaintext(poly=RnsPolynomial(basis, stack[:, r]),
                            scale=seed.scale, slots=width // 2)
             for r, (key, seed) in enumerate(seeds.items())}
 
@@ -574,7 +574,7 @@ def mod_raise(params: CkksParams, ct: Ciphertext,
     target = basis_c(params, level)
     limbs = np.concatenate([ct.poly.limbs, convert_limbs(
         ct.poly.limbs, ct.poly.basis, LimbBasis(target.primes[1:]))])
-    return Ciphertext(RnsPolynomial(target, EVAL, limbs), ct.scale, ct.slots)
+    return Ciphertext(RnsPolynomial(target, limbs), ct.scale, ct.slots)
 
 
 def slotwise_mod_reference(params: CkksParams, ct: Ciphertext, sk: SecretKey,

@@ -1,8 +1,11 @@
 """RNS polynomials, fast base conversion, and Galois automorphisms.
 
 A polynomial in Z_Q[X]/(X^N + 1) with Q = q_0 ... q_l is held as an
-(l+1) x N uint64 matrix of per-prime residue limbs, in either coefficient
-or evaluation (NTT) representation.  Base conversion follows the textbook
+(l+1) x N uint64 matrix of per-prime residue limbs in evaluation (NTT)
+representation, the only one an `RnsPolynomial` has.  Coefficient words
+exist only as plain arrays inside base conversion (`convert_limbs`,
+between its inverse and forward transforms) and the two CRT lifts, which
+read `RnsPolynomial.coeffs`.  Base conversion follows the textbook
 approximate form: out_i = sum_j ([P]_{p_j} * phat_j^{-1} mod p_j) * phat_j
 mod q_i, read with signed step-1 residues, which may add an integer
 multiple k * P_src, |k| <= ceil(|source| / 2); callers rely on that slack
@@ -19,13 +22,13 @@ has the identity).  The lift returns that one period, so a slot vector
 of m slots lifts through 2m-point transforms, a scalar through 2-point
 ones, and no full row is built.
 
-An eval-rep polynomial whose rows are shorter than the ring degree N of
-its basis (`LimbBasis.ring_degree`) is such a period: its full rows
-repeat it.  The arithmetic broadcasts a period over the full rows of the
-other operands through a folded (..., N/P, P) view, without a copy;
+A polynomial whose rows are shorter than the ring degree N of its basis
+(`LimbBasis.ring_degree`) is such a period: its full rows repeat it.
+The arithmetic broadcasts a period over the full rows of the other
+operands through a folded (..., N/P, P) view, without a copy;
 `RnsPolynomial.widened` tiles it for the readers that need whole rows
-(`to_coeff`, so the CRT lifts and decoding, `automorphism` and the
-serial writers).
+(`coeffs`, so the CRT lifts and decoding, `automorphism` and the serial
+writers).
 
 Several polynomials over one basis stack as limbs shaped (L, ..., N): the
 leading axis is the prime, so each prime's rows sit together and
@@ -34,7 +37,7 @@ blocks) instead of one call per row.  A ciphertext is one such stack,
 (L, 2, N).  The arithmetic and `automorphism` take any stack, each prime's
 output rows the broadcast of the operands' rows, so a ciphertext times a
 (L, N) plaintext multiplies both halves; `base_convert` and the CRT lifts
-refuse one.  `convert_limbs` is the one evaluation-rep base conversion
+refuse one.  `convert_limbs` is the one base conversion of a polynomial
 (inverse NTT, BConv, forward NTT) over a stack: key switching's ModUp
 runs it once per digit piece, ModDown (key switching and rescale) once
 per call, and the bootstrap's modulus raise once from the base prime.
@@ -47,14 +50,11 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import BasisMismatchError, ConfigurationError, RepresentationError
+from .errors import BasisMismatchError, ConfigurationError
 from .modmath import (SMALL_WORD, U64, PrimeModulus, barrett_mul, mod_add,
                       mod_neg, mod_sub, mul_sum, shoup_mul, shoup_mul_lazy,
                       shoup_words)
 from .ntt import ntt
-
-COEFF = "coeff"
-EVAL = "eval"
 
 
 @dataclass(frozen=True)
@@ -88,12 +88,13 @@ class LimbBasis:
 
 @dataclass
 class RnsPolynomial:
-    """Residue limbs plus their basis and representation tag: one
-    polynomial shaped (len(basis), N), or a stack shaped
-    (len(basis), ..., N), dtype uint64."""
+    """Evaluation-rep residue limbs plus their basis: one polynomial shaped
+    (len(basis), N), or a stack shaped (len(basis), ..., N), dtype uint64.
+    Rows shorter than N are one period of the full rows (module
+    docstring).  There is no coefficient-rep polynomial: `coeffs` returns
+    the coefficient words as a plain array."""
 
     basis: LimbBasis
-    rep: str
     limbs: np.ndarray
 
     def __post_init__(self):
@@ -101,38 +102,26 @@ class RnsPolynomial:
             raise BasisMismatchError(
                 f"limb matrix {self.limbs.shape} does not match basis "
                 f"of {len(self.basis)} primes")
-        if self.rep not in (COEFF, EVAL):
-            raise RepresentationError(f"unknown representation {self.rep!r}")
 
     @property
     def n(self) -> int:
         """Words per row: the ring degree, or the length of a period."""
         return self.limbs.shape[-1]
 
-    def to_eval(self) -> "RnsPolynomial":
-        if self.rep == EVAL:
-            return self
-        return RnsPolynomial(self.basis, EVAL,
-                             transform_limbs(self.limbs, self.basis, "forward"))
-
-    def to_coeff(self) -> "RnsPolynomial":
-        if self.rep == COEFF:
-            return self
-        limbs = self.widened().limbs
-        return RnsPolynomial(self.basis, COEFF,
-                             transform_limbs(limbs, self.basis, "inverse"))
+    def coeffs(self) -> np.ndarray:
+        """The coefficient limbs of the widened rows, shaped as they are."""
+        return transform_limbs(self.widened().limbs, self.basis, "inverse")
 
     def widened(self) -> "RnsPolynomial":
-        """Whole rows: a one-period eval-rep polynomial tiled to the ring
-        degree of its basis, any other polynomial as it is."""
+        """Whole rows: a one-period polynomial tiled to the ring degree of
+        its basis, a polynomial of whole rows as it is."""
         n = self.basis.ring_degree
-        if self.rep != EVAL or self.n >= n:
+        if self.n >= n:
             return self
         if n % self.n:
             raise BasisMismatchError(
                 f"rows of {self.n} words do not tile ring degree {n}")
-        return RnsPolynomial(self.basis, EVAL,
-                             np.tile(self.limbs, n // self.n))
+        return RnsPolynomial(self.basis, np.tile(self.limbs, n // self.n))
 
 
 def transform_limbs(limbs: np.ndarray, basis: LimbBasis, direction: str,
@@ -143,16 +132,6 @@ def transform_limbs(limbs: np.ndarray, basis: LimbBasis, direction: str,
     out = np.empty(limbs.shape, dtype=U64) if out is None else out
     for i, p in enumerate(basis):
         ntt(limbs[i], p, direction, out=out[i])
-    return out
-
-
-def _int_residues(coeffs, basis: LimbBasis) -> np.ndarray:
-    """Signed int64 coefficients shaped (..., N) reduced into every prime:
-    uint64 limbs shaped (L, ..., N)."""
-    coeffs = np.asarray(coeffs, dtype=np.int64)
-    out = np.empty((len(basis),) + coeffs.shape, dtype=U64)
-    for i, p in enumerate(basis):
-        np.remainder(coeffs, np.int64(p.q), out=out[i].view(np.int64))
     return out
 
 
@@ -187,17 +166,11 @@ def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
     transformed in place.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    out = _int_residues(coeffs[..., ::subring_stride(coeffs)], basis)
+    coeffs = coeffs[..., ::subring_stride(coeffs)]
+    out = np.empty((len(basis),) + coeffs.shape, dtype=U64)
+    for i, p in enumerate(basis):
+        np.remainder(coeffs, np.int64(p.q), out=out[i].view(np.int64))
     return transform_limbs(out, basis, "forward", out=out)
-
-
-def poly_from_int_coeffs(coeffs: np.ndarray, basis: LimbBasis,
-                         rep: str = COEFF) -> RnsPolynomial:
-    """Reduce signed word-sized integer coefficients into every limb; in
-    evaluation rep, the one period `lift_int_coeffs` returns."""
-    if rep == EVAL:
-        return RnsPolynomial(basis, EVAL, lift_int_coeffs(coeffs, basis))
-    return RnsPolynomial(basis, COEFF, _int_residues(coeffs, basis))
 
 
 def one_poly(p: RnsPolynomial):
@@ -211,8 +184,8 @@ def _row_layout(polys) -> tuple[tuple, int]:
     """One prime's output row shape, the broadcast of the operands' rows,
     and the width their rows fold at.
 
-    Rows of one length fold at that length.  Shorter eval-rep rows are a
-    period of the longest (module docstring): every operand folds to
+    Rows of one length fold at that length.  Shorter rows are a period of
+    the longest (module docstring): every operand folds to
     (..., length / width, width) at the width of the longest shorter one,
     so a period of that width broadcasts over the folds without a copy
     and a still shorter one is tiled to it (`_folded`).
@@ -221,13 +194,10 @@ def _row_layout(polys) -> tuple[tuple, int]:
     for b in polys[1:]:
         if b.basis != a.basis:
             raise BasisMismatchError("operands live over different bases")
-        if b.rep != a.rep:
-            raise RepresentationError(f"operands mix {a.rep} and {b.rep}")
     widths = sorted({p.n for p in polys})
-    if len(widths) > 1 and (a.rep != EVAL or any(
-            long % short for short, long in zip(widths, widths[1:]))):
+    if any(long % short for short, long in zip(widths, widths[1:])):
         raise BasisMismatchError(
-            f"{a.rep}-rep rows of {widths} words do not tile one another")
+            f"rows of {widths} words do not tile one another")
     rows = np.broadcast_shapes(*(p.limbs.shape[1:-1] for p in polys))
     return rows + (widths[-1],), widths[-2 if len(widths) > 1 else -1]
 
@@ -247,7 +217,7 @@ def _rowwise(op, a: RnsPolynomial, b: RnsPolynomial) -> RnsPolynomial:
     for i, p in enumerate(a.basis):
         view[i] = op(_folded(a.limbs[i], width), _folded(b.limbs[i], width),
                      p)
-    return RnsPolynomial(a.basis, a.rep, out)
+    return RnsPolynomial(a.basis, out)
 
 
 def rp_add(a: RnsPolynomial, b: RnsPolynomial) -> RnsPolynomial:
@@ -264,8 +234,6 @@ def rp_neg(a: RnsPolynomial) -> RnsPolynomial:
 
 def rp_mul(a: RnsPolynomial, b: RnsPolynomial) -> RnsPolynomial:
     """Pointwise product; the multiply-accumulate path, Barrett reduced."""
-    if a.rep != EVAL:
-        raise RepresentationError("pointwise product needs evaluation rep")
     return _rowwise(barrett_mul, a, b)
 
 
@@ -275,8 +243,6 @@ def rp_mul_sum(pairs) -> RnsPolynomial:
     pairs = list(pairs)
     a0 = pairs[0][0]
     rows, width = _row_layout([p for pair in pairs for p in pair])
-    if a0.rep != EVAL:
-        raise RepresentationError("pointwise product needs evaluation rep")
     out = np.empty((len(a0.basis),) + rows, dtype=U64)
     view = _folded(out, width)
     for i, p in enumerate(a0.basis):
@@ -285,7 +251,7 @@ def rp_mul_sum(pairs) -> RnsPolynomial:
         # The first term spans the output, so the sum grows in place.
         terms[0] = (np.broadcast_to(terms[0][0], view.shape[1:]), terms[0][1])
         view[i] = mul_sum(terms, p)
-    return RnsPolynomial(a0.basis, a0.rep, out)
+    return RnsPolynomial(a0.basis, out)
 
 
 def rp_scalar_mul_per_limb(a: RnsPolynomial, scalars: dict[int, int]) -> RnsPolynomial:
@@ -296,7 +262,7 @@ def rp_scalar_mul_per_limb(a: RnsPolynomial, scalars: dict[int, int]) -> RnsPoly
     for i, p in enumerate(a.basis):
         out[i] = shoup_mul(a.limbs[i], ws[i], ws_shoup[i], p,
                            small=p.q <= SMALL_WORD)
-    return RnsPolynomial(a.basis, a.rep, out)
+    return RnsPolynomial(a.basis, out)
 
 
 # ---------------------------------------------------------------------------
@@ -381,8 +347,9 @@ def _bconv_accumulate(v: np.ndarray, table: BaseTable, i: int) -> np.ndarray:
     return acc % q
 
 
-def base_convert(p: RnsPolynomial, table: BaseTable) -> RnsPolynomial:
-    """Fast base conversion of a coefficient-representation polynomial.
+def base_convert(coeffs: np.ndarray, table: BaseTable) -> np.ndarray:
+    """Fast base conversion of coefficient limbs shaped (S, n) over the
+    table's source to limbs shaped (T, n) over its target.
 
     The step-1 residues are read as signed representatives: since
     v_j - b_j p_j with b_j = (v_j > p_j/2) shifts the sum by exactly
@@ -390,25 +357,26 @@ def base_convert(p: RnsPolynomial, table: BaseTable) -> RnsPolynomial:
     form; the leftover slack k * P_src then has |k| <= ceil(|source| / 2)
     and zero mean instead of a positive bias.
     """
-    one_poly(p)
-    if p.rep != COEFF:
-        raise RepresentationError("base conversion needs coefficient rep")
-    if p.basis != table.source:
-        raise BasisMismatchError("polynomial basis is not the table source")
-    v = np.empty_like(p.limbs)
-    borrow = np.zeros(p.n, dtype=U64)
+    if coeffs.ndim != 2 or coeffs.shape[0] != len(table.source):
+        got = "a stack" if coeffs.ndim > 2 else "limbs"
+        raise BasisMismatchError(
+            f"expected ({len(table.source)}, n) limbs over the table source, "
+            f"got {got} shaped {coeffs.shape}")
+    n = coeffs.shape[1]
+    v = np.empty_like(coeffs)
+    borrow = np.zeros(n, dtype=U64)
     for j, pj in enumerate(table.source):
-        v[j] = shoup_mul(p.limbs[j], table.inv_factors[j],
+        v[j] = shoup_mul(coeffs[j], table.inv_factors[j],
                          table.inv_shoup[j], pj, small=pj.q <= SMALL_WORD)
         borrow += v[j] > U64(pj.q // 2)
 
-    out = np.empty((len(table.target), p.n), dtype=U64)
+    out = np.empty((len(table.target), n), dtype=U64)
     for i, qi in enumerate(table.target):
         # borrow counts source primes, far below 2^48.
         shift = shoup_mul(borrow, table.src_mod[i], table.src_mod_shoup[i],
                           qi, small=True)
         out[i] = mod_sub(_bconv_accumulate(v, table, i), shift, qi)
-    return RnsPolynomial(table.target, COEFF, out)
+    return out
 
 
 def convert_limbs(limbs: np.ndarray, source: LimbBasis,
@@ -418,9 +386,9 @@ def convert_limbs(limbs: np.ndarray, source: LimbBasis,
     one prime, the centered lift).  Each prime's rows take one inverse and
     one forward transform; base conversion works coefficient by
     coefficient, so the stacked rows pass through it as one wide row."""
-    coeff = transform_limbs(limbs, source, "inverse")
-    wide = RnsPolynomial(source, COEFF, coeff.reshape(len(source), -1))
-    out = base_convert(wide, make_base_table(source, target)).limbs
+    coeffs = transform_limbs(limbs, source, "inverse")
+    out = base_convert(coeffs.reshape(len(source), -1),
+                       make_base_table(source, target))
     out = out.reshape((len(target),) + limbs.shape[1:])
     return transform_limbs(out, target, "forward", out=out)
 
@@ -429,36 +397,20 @@ def convert_limbs(limbs: np.ndarray, source: LimbBasis,
 # Galois automorphisms X -> X^(5^r mod 2N).
 
 @lru_cache(maxsize=None)
-def _auto_maps(n: int, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coeff target index, coeff sign-flip mask, eval source index) for psi_r."""
+def _eval_source(n: int, r: int) -> np.ndarray:
+    """The evaluation word each output word of psi_r reads: output j is
+    the point psi^(2j+1), taken from the point psi^((2j+1) 5^r)."""
     exp5 = pow(5, r % (n // 2), 2 * n)
-    i = np.arange(n, dtype=np.int64)
-    e = (i * exp5) % (2 * n)
-    coeff_tgt = e % n
-    coeff_flip = e >= n
-    j_out = np.arange(n, dtype=np.int64)
-    e_src = ((2 * j_out + 1) * exp5) % (2 * n)
-    eval_src = (e_src - 1) // 2
-    return coeff_tgt, coeff_flip, eval_src
+    j = np.arange(n, dtype=np.int64)
+    return ((2 * j + 1) * exp5) % (2 * n) // 2
 
 
 def automorphism(p: RnsPolynomial, r: int) -> RnsPolynomial:
-    """Apply psi_r: X -> X^(5^r mod 2N), in either representation.
-
-    Coefficient rep: a signed monomial permutation (negacyclic wraps flip
-    sign).  Evaluation rep: a pure index permutation of the odd-exponent
-    evaluation points, of the widened rows of a period.  Every row of a
-    stack is permuted alike.
-    """
+    """Apply psi_r: X -> X^(5^r mod 2N), a pure index permutation of the
+    odd-exponent evaluation points, of the widened rows of a period.
+    Every row of a stack is permuted alike."""
     p = p.widened()
-    coeff_tgt, coeff_flip, eval_src = _auto_maps(p.n, r)
-    if p.rep == EVAL:
-        return RnsPolynomial(p.basis, p.rep, p.limbs[..., eval_src])
-    out = np.empty_like(p.limbs)
-    for i, pm in enumerate(p.basis):
-        out[i][..., coeff_tgt] = np.where(coeff_flip, mod_neg(p.limbs[i], pm),
-                                          p.limbs[i])
-    return RnsPolynomial(p.basis, p.rep, out)
+    return RnsPolynomial(p.basis, p.limbs[..., _eval_source(p.n, r)])
 
 
 # ---------------------------------------------------------------------------
@@ -467,13 +419,13 @@ def automorphism(p: RnsPolynomial, r: int) -> RnsPolynomial:
 def crt_reconstruct(p: RnsPolynomial) -> np.ndarray:
     """Exact coefficients as Python integers, centered in (-Q/2, Q/2]."""
     one_poly(p)
-    poly = p.to_coeff()
-    big_q = poly.basis.modulus
-    acc = np.zeros(poly.n, dtype=object)
-    for i, pm in enumerate(poly.basis):
+    coeffs = p.coeffs()
+    big_q = p.basis.modulus
+    acc = np.zeros(coeffs.shape[1], dtype=object)
+    for i, pm in enumerate(p.basis):
         q_hat = big_q // pm.q
         y = pow(q_hat % pm.q, -1, pm.q)
-        t = barrett_mul(poly.limbs[i], np.array(y, dtype=U64), pm)
+        t = barrett_mul(coeffs[i], np.array(y, dtype=U64), pm)
         acc += t.astype(object) * q_hat
     acc %= big_q
     return np.where(acc > big_q // 2, acc - big_q, acc)
@@ -558,16 +510,16 @@ def crt_float(p: RnsPolynomial) -> np.ndarray:
     `crt_reconstruct` is the exact reference.
     """
     one_poly(p)
-    poly = p.to_coeff()
-    t = _garner_table(poly.basis)
-    size = len(poly.basis)
-    acc = np.zeros_like(poly.limbs)     # row j: sum_{k<i} d_k P_k mod q_j
+    coeffs = p.coeffs()
+    t = _garner_table(p.basis)
+    size = len(p.basis)
+    acc = np.zeros_like(coeffs)         # row j: sum_{k<i} d_k P_k mod q_j
     bound = 1                           # every row of acc is below bound*q_j
-    digits = np.empty(poly.limbs.shape, dtype=np.int64)
-    for i, pm in enumerate(poly.basis):
+    digits = np.empty(coeffs.shape, dtype=np.int64)
+    for i, pm in enumerate(p.basis):
         q = U64(pm.q)
         small = pm.q <= SMALL_WORD
-        u = poly.limbs[i]
+        u = coeffs[i]
         if i:
             u = shoup_mul(mod_sub(u, acc[i] % q, pm), t.inv[i],
                           t.inv_shoup[i], pm, small=small)

@@ -9,6 +9,8 @@ the offending path in the message.
 Loaders read each block against the parameters: its basis is fixed from
 `params` (and the level field) first, and the block's header must name
 exactly that ring degree and those primes; no modulus is built from bytes.
+Every polynomial is evaluation-rep (`rnspoly`), so a block's rep byte is
+written as the constant 1, and any other code, 0 included, is refused.
 
 Text formats cover parameter files (key = value lines) and switching-key
 usage logs (one op per line).  Both carry a schema-version comment on
@@ -27,7 +29,7 @@ from .ckks import (Ciphertext, CkksParams, EvaluationKey, Plaintext,
                    SecretKey, basis_c, basis_d)
 from .errors import ConfigurationError, SerializationError
 from .hdft import EvkUsageLog, LogEntry
-from .rnspoly import COEFF, EVAL, LimbBasis, RnsPolynomial
+from .rnspoly import LimbBasis, RnsPolynomial
 
 MAGIC = b"RNSCKKS\x00"
 VERSION = 1
@@ -176,7 +178,7 @@ def _read_container(path: str, kind: int) -> _Cursor:
 def _put_poly(body: _Body, p: RnsPolynomial):
     """A one-period polynomial is written with its whole rows."""
     p = p.widened()
-    body.pack("BHI", 1 if p.rep == EVAL else 0, len(p.basis), p.n)
+    body.pack("BHI", 1, len(p.basis), p.n)
     for pm in p.basis:
         body.pack("QQ", pm.q, pm.root)
     body.put_words(p.limbs, "<u8")
@@ -187,7 +189,10 @@ def _get_poly(cur: _Cursor, basis: LimbBasis, mismatch: str) -> RnsPolynomial:
     before a word is read.  `mismatch` leads the refusal of a limb count or
     (q, root) pair that is not the basis's own."""
     rep_code, nlimbs, n = cur.unpack("BHI")
-    if rep_code not in (0, 1):
+    if rep_code == 0:
+        cur.fail("block in coefficient rep (code 0); only evaluation rep "
+                 "(code 1) is stored")
+    if rep_code != 1:
         cur.fail(f"unknown representation code {rep_code}")
     if n != basis.ring_degree:
         cur.fail(f"ring degree {n} is not n_ring = {basis.ring_degree}")
@@ -202,7 +207,7 @@ def _get_poly(cur: _Cursor, basis: LimbBasis, mismatch: str) -> RnsPolynomial:
     for pm, row in zip(basis, limbs):
         if np.any(row >= np.uint64(pm.q)):
             cur.fail(f"limb words not below their modulus {pm.q}")
-    return RnsPolynomial(basis, EVAL if rep_code else COEFF, limbs)
+    return RnsPolynomial(basis, limbs)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +261,8 @@ def load_ciphertext(path: str, params: CkksParams) -> Ciphertext:
     c0 = _get_poly(cur, basis, mismatch)
     c1 = _get_poly(cur, basis, mismatch)
     cur.done()
-    if c0.rep != EVAL or c1.rep != EVAL:
-        cur.fail("ciphertext block in coefficient rep")
     limbs = np.stack([c0.limbs, c1.limbs], axis=1)
-    return Ciphertext(RnsPolynomial(basis, EVAL, limbs), scale, slots)
+    return Ciphertext(RnsPolynomial(basis, limbs), scale, slots)
 
 
 def save_secret_key(path: str, sk: SecretKey):
@@ -381,8 +384,13 @@ EVKLOG_SCHEMA = "# rnsckks-evklog v1"
 
 
 def write_usage_log(path: str, log: EvkUsageLog):
+    """One line of fields per entry; a transform label that is not one
+    nonempty word could not be split back, so it is refused first."""
     lines = [EVKLOG_SCHEMA]
     for e in log.entries:
+        if e.transform.split() != [e.transform]:
+            raise SerializationError(
+                f"transform label {e.transform!r} is not one word", path)
         lines.append(f"{e.op} {e.transform} {e.stage} {e.amount} "
                      f"{e.evk_id} {e.kind or '-'} {int(e.performed)}")
     _write_text(path, lines, "usage log")

@@ -80,6 +80,20 @@ def oracle_residues(coeffs, primes) -> np.ndarray:
                     dtype=np.uint64)
 
 
+def oracle_automorphism(residue_rows, r: int, primes) -> np.ndarray:
+    """psi_r: X -> X^(5^r mod 2N) on coefficient rows, one per prime: the
+    coefficient of X^i moves to X^(e mod N), e = i * 5^r mod 2N, negated
+    when e >= N (X^N = -1)."""
+    n = len(residue_rows[0])
+    exp = pow(5, r, 2 * n)
+    out = np.zeros((len(primes), n), dtype=np.uint64)
+    for row, q, dst in zip(residue_rows, primes, out):
+        for i in range(n):
+            e = i * exp % (2 * n)
+            dst[e % n] = int(row[i]) if e < n else -int(row[i]) % q
+    return out
+
+
 def oracle_negacyclic_big(a: list[int], b: list[int]) -> list[int]:
     """Exact integer negacyclic product, no modulus."""
     n = len(a)

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from oracles import oracle_crt, oracle_negacyclic
+from oracles import oracle_automorphism, oracle_crt, oracle_negacyclic
 from rnsckks.ckks import (basis_c, encode, encrypt, hadd, hmult, hrescale,
                           hrot, modulus_chain, pmult, slot_values)
 from rnsckks.costmodel import (PROFILES, POLICY_ALTERNATING, POLICY_LIMB_WISE,
@@ -30,9 +30,9 @@ from rnsckks.hdft import (IDFT, EvkUsageLog, hdft_apply, make_plaintext_seed,
 from rnsckks.modmath import (U64, PrimeModulus, barrett_mul,
                              generate_ntt_primes)
 from rnsckks.ntt import four_step_ntt, ntt
-from rnsckks.rnspoly import (COEFF, EVAL, LimbBasis, RnsPolynomial,
-                             automorphism, base_convert, make_base_table,
-                             poly_from_int_coeffs, rp_mul)
+from rnsckks.rnspoly import (LimbBasis, RnsPolynomial, automorphism,
+                             base_convert, lift_int_coeffs, make_base_table,
+                             rp_mul)
 
 MIB = 1 << 20
 
@@ -206,9 +206,8 @@ def test_seeded_extension_bit_exact_everywhere(params):
         seed = make_plaintext_seed(params, coeffs, 1 << 40)
         for level in range(params.levels + 1):
             pt = of_limb_extend(params, {0: seed}, level)[0]
-            direct = poly_from_int_coeffs(coeffs, basis_c(params, level),
-                                          rep=EVAL)
-            assert np.array_equal(pt.poly.limbs, direct.limbs)
+            direct = lift_int_coeffs(coeffs, basis_c(params, level))
+            assert np.array_equal(pt.poly.limbs, direct)
     out_of_range = np.full(params.n_ring, (q0 + 1) // 2, dtype=np.int64)
     with pytest.raises(SeedRangeError):
         make_plaintext_seed(params, out_of_range, 1 << 40)
@@ -263,9 +262,8 @@ def test_kernel_oracles():
     table = make_base_table(src, tgt)
     limbs = np.stack([rng.integers(0, pm.q, n, dtype=np.uint64)
                       for pm in src])
-    poly = RnsPolynomial(src, COEFF, limbs)
-    want = oracle_crt(poly.limbs, [pm.q for pm in src])
-    got = oracle_crt(base_convert(poly, table).limbs, [pm.q for pm in tgt])
+    want = oracle_crt(limbs, [pm.q for pm in src])
+    got = oracle_crt(base_convert(limbs, table), [pm.q for pm in tgt])
     big = src.modulus
     for g, w in zip(got, want):
         slack = g - w
@@ -274,17 +272,20 @@ def test_kernel_oracles():
 
     # Automorphisms: ring homomorphism and composition at ring degree 64.
     basis = LimbBasis(tuple(_prime_for(128, count=3)))
-    a = RnsPolynomial(basis, COEFF,
+    a = RnsPolynomial(basis,
                       np.stack([rng.integers(0, pm.q, 64, dtype=np.uint64)
                                 for pm in basis]))
-    b = RnsPolynomial(basis, COEFF,
+    b = RnsPolynomial(basis,
                       np.stack([rng.integers(0, pm.q, 64, dtype=np.uint64)
                                 for pm in basis]))
     for r, s in ((1, 2), (3, 4)):
-        lhs = automorphism(rp_mul(a.to_eval(), b.to_eval()).to_coeff(), r)
-        rhs = rp_mul(automorphism(a, r).to_eval(),
-                     automorphism(b, r).to_eval()).to_coeff()
+        lhs = automorphism(rp_mul(a, b), r)
+        rhs = rp_mul(automorphism(a, r), automorphism(b, r))
         assert np.array_equal(lhs.limbs, rhs.limbs)
+        prod = [oracle_negacyclic(x, y, pm.q)
+                for x, y, pm in zip(a.coeffs(), b.coeffs(), basis)]
+        assert np.array_equal(lhs.coeffs(),
+                              oracle_automorphism(prod, r, basis.qs))
         assert np.array_equal(automorphism(automorphism(a, r), s).limbs,
                               automorphism(automorphism(a, s), r).limbs)
     assert time.perf_counter() - t0 < 120.0

@@ -26,9 +26,9 @@ from rnsckks.embedding import packed_to_slots
 from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             LevelExhaustedError, MissingKeyError,
                             RepresentationError, ScaleMismatchError)
-from rnsckks.rnspoly import (COEFF, EVAL, LimbBasis, RnsPolynomial, crt_float,
-                             crt_reconstruct, poly_from_int_coeffs, rp_mul,
-                             subring_stride)
+from rnsckks.rnspoly import (LimbBasis, RnsPolynomial, crt_float,
+                             crt_reconstruct, rp_mul, subring_stride,
+                             transform_limbs)
 
 
 def random_message(params, rng):
@@ -116,21 +116,21 @@ NOISE_CEILING = 1 << 20
 
 def halves(stack):
     """c0 and c1 of an (L, 2, N) stack as polynomials."""
-    return [RnsPolynomial(stack.basis, stack.rep, stack.limbs[:, h])
+    return [RnsPolynomial(stack.basis, stack.limbs[:, h])
             for h in (0, 1)]
 
 
 def switch_residual(params, d, k, s_coeffs, t_coeffs):
     big_q = d.basis.modulus
-    dd = crt_reconstruct(d.to_coeff())
-    kk0, kk1 = (crt_reconstruct(h.to_coeff()) for h in halves(k))
+    dd = crt_reconstruct(d)
+    kk0, kk1 = (crt_reconstruct(h) for h in halves(k))
     lhs = [a + b for a, b in zip(kk0, oracle_negacyclic_big(kk1, s_coeffs))]
     rhs = oracle_negacyclic_big(dd, t_coeffs)
     return max(abs(centered_mod(a - b, big_q)) for a, b in zip(lhs, rhs))
 
 
 def ternary_coeffs(params, sk):
-    s = crt_reconstruct(restrict_poly(sk.poly, basis_c(params, 0)).to_coeff())
+    s = crt_reconstruct(restrict_poly(sk.poly, basis_c(params, 0)))
     assert max(abs(v) for v in s) <= 1
     return s
 
@@ -170,10 +170,6 @@ def test_key_switch_rejects_wrong_basis(tiny_params, tiny_sk):
                        np.random.default_rng(31))
     with pytest.raises(BasisMismatchError):
         key_switch(tiny_params, d, evk)
-    d = sample_uniform(basis_c(tiny_params, tiny_params.levels),
-                       tiny_params.n_ring, np.random.default_rng(31))
-    with pytest.raises(RepresentationError):
-        key_switch(tiny_params, d.to_coeff(), evk)
     ct = encrypt(tiny_params, encode(tiny_params, [1.0]), tiny_sk,
                  np.random.default_rng(33))
     with pytest.raises(BasisMismatchError, match="stack"):
@@ -197,13 +193,10 @@ def test_ciphertext_is_one_stack(params, sk):
         with pytest.raises(ValueError):
             half.limbs[0, 0] = 0
     with pytest.raises(RepresentationError):
-        Ciphertext(RnsPolynomial(ct.poly.basis, COEFF, ct.poly.limbs),
-                   ct.scale, ct.slots)
-    with pytest.raises(RepresentationError):
         Ciphertext(pt.poly, pt.scale, pt.slots)
     with pytest.raises(RepresentationError):
         period = ct.poly.limbs[..., :128]
-        Ciphertext(RnsPolynomial(ct.poly.basis, EVAL, period), ct.scale,
+        Ciphertext(RnsPolynomial(ct.poly.basis, period), ct.scale,
                    ct.slots)
 
 
@@ -247,13 +240,24 @@ def test_zero_scale_refused(params, sk):
     assert rel_error(decode(params, negative), v) < 1e-9
 
 
+def from_coeffs(basis, limbs):
+    """The polynomial whose coefficient limbs over `basis` are `limbs`."""
+    return RnsPolynomial(basis, transform_limbs(limbs, basis, "forward"))
+
+
+def dense_lift(coeffs, basis):
+    """Oracle: N signed coefficients reduced into every prime and taken
+    through the N-point transforms."""
+    return from_coeffs(basis, np.stack([coeffs % q for q in basis.qs])
+                       .astype(np.uint64))
+
+
 def dense_encode(params, values, level, scale):
     """Oracle: the vector tiled to n_ring/2 slots, its N coefficients, and
     the coefficient polynomial through the N-point transforms."""
     half = params.n_ring // 2
     coeffs = slots_to_coeffs(np.tile(values, half // len(values)), scale)
-    return poly_from_int_coeffs(coeffs, basis_c(params, level),
-                                COEFF).to_eval()
+    return dense_lift(coeffs, basis_c(params, level))
 
 
 @pytest.mark.parametrize("which", ["tiny", "desk"])
@@ -349,20 +353,19 @@ def test_diagonal_batch_holds_one_stack(params):
 
 
 def decode_cases(params, rng):
-    """(level, polynomial) pairs in coefficient rep: uniform limbs (values
-    spread over all of Z_Q), values a few units inside +-Q/2, values a few
-    times the base prime, values of the 2^80 scale a plaintext product
-    carries, and exact zeros."""
+    """(level, polynomial) pairs built from coefficient limbs: uniform
+    limbs (values spread over all of Z_Q), values a few units inside
+    +-Q/2, values a few times the base prime, values of the 2^80 scale a
+    plaintext product carries, and exact zeros."""
     n = params.n_ring
     for level in range(params.levels + 1):
         basis = basis_c(params, level)
         big_q = basis.modulus
 
         def poly_from_big_coeffs(coeffs):
-            return RnsPolynomial(basis, COEFF,
-                                 oracle_residues(coeffs, basis.qs))
+            return from_coeffs(basis, oracle_residues(coeffs, basis.qs))
 
-        yield level, RnsPolynomial(basis, COEFF, np.stack(
+        yield level, from_coeffs(basis, np.stack(
             [rng.integers(0, pm.q, n, dtype=np.uint64) for pm in basis]))
         edge = [big_q // 2 - int(k) for k in rng.integers(0, 1 << 20, n // 2)]
         edge += [-(big_q // 2) + int(k) for k in rng.integers(0, 1 << 20,
@@ -391,7 +394,7 @@ def test_decode_matches_exact_crt(params, sk):
     v = random_message(params, rng)
     ct = encrypt(params, encode(params, v), sk, rng)
     product = decrypt(params, pmult(ct, encode(params, v)), sk)
-    cases.append((params.levels, product.poly.to_coeff()))
+    cases.append((params.levels, product.poly))
     for level, poly in cases:
         want = crt_reconstruct(poly).astype(np.float64)
         got = crt_float(poly)
@@ -481,7 +484,7 @@ def test_scalar_is_a_two_word_plaintext(params, sk):
         coeffs = np.zeros(n, dtype=np.int64)
         coeffs[0] = round(complex(z).real * scale)
         coeffs[n // 2] = round(complex(z).imag * scale)
-        want = poly_from_int_coeffs(coeffs, ct.poly.basis, COEFF).to_eval()
+        want = dense_lift(coeffs, ct.poly.basis)
         assert np.array_equal(pt.poly.widened().limbs, want.limbs)
         assert np.array_equal(cadd(params, ct, z).poly.limbs,
                               padd(ct, pt).poly.limbs)
@@ -537,7 +540,7 @@ def rescale_oracle(poly, level, params):
     chain = modulus_chain(params)
     qs = [pm.q for pm in chain[:level + 1]]
     q_l = qs[-1]
-    xs = oracle_crt(poly.to_coeff().limbs, qs)
+    xs = oracle_crt(poly.coeffs(), qs)
     ys = [(x - centered_mod(x, q_l)) // q_l for x in xs]
     return np.array([[y % q for y in ys] for q in qs[:-1]], dtype=np.uint64)
 
@@ -551,7 +554,7 @@ def test_rescale_matches_big_integer_definition(which, params, sk,
     for level in range(p.levels, 0, -1):
         out = hrescale(p, ct)
         for before, after in ((ct.c0, out.c0), (ct.c1, out.c1)):
-            assert np.array_equal(after.to_coeff().limbs,
+            assert np.array_equal(after.coeffs(),
                                   rescale_oracle(before, level, p)), level
         ct = out
 
@@ -572,10 +575,10 @@ def test_mod_down_divides_by_dropped_primes(which, level, params,
         x = sample_uniform(full, p.n_ring, rng)
         out = mod_down(x.limbs, kept, dropped)
         assert out.shape == (len(kept), p.n_ring)
-        y = RnsPolynomial(kept, EVAL, out)
+        y = RnsPolynomial(kept, out)
         big_d = dropped.modulus
-        xs = oracle_crt(x.to_coeff().limbs, full.qs)
-        ys = oracle_crt(y.to_coeff().limbs, kept.qs)
+        xs = oracle_crt(x.coeffs(), full.qs)
+        ys = oracle_crt(y.coeffs(), kept.qs)
         worst = max(abs(centered_mod(big_d * b - a, full.modulus))
                     for a, b in zip(xs, ys))
         halves = 1 if len(dropped) == 1 else 2 * -(-len(dropped) // 2) + 1

@@ -21,8 +21,8 @@ from rnsckks.hdft import (DFT, IDFT, DftPlan, EvkUsageLog, PlanStage,
                           hdft_apply, make_plaintext_seed, merge_factors,
                           mod_raise, of_limb_extend, radix2_factor)
 from rnsckks.ntt import bit_reverse_permutation
-from rnsckks.rnspoly import (EVAL, LimbBasis, base_convert, make_base_table,
-                             poly_from_int_coeffs)
+from rnsckks.rnspoly import (LimbBasis, base_convert, lift_int_coeffs,
+                             make_base_table, transform_limbs)
 
 
 def rel_error(got, want):
@@ -637,9 +637,8 @@ def test_seed_extension_is_bit_exact(params):
         pts = of_limb_extend(params, seeds, level)
         assert list(pts) == list(seeds)
         for key, pt in pts.items():
-            direct = poly_from_int_coeffs(coeffs[key], basis_c(params, level),
-                                          rep=EVAL)
-            assert np.array_equal(pt.poly.limbs, direct.limbs)
+            direct = lift_int_coeffs(coeffs[key], basis_c(params, level))
+            assert np.array_equal(pt.poly.limbs, direct)
             assert pt.scale == seeds[key].scale
             assert pt.level == level
             assert pt.slots == params.n_ring // 2
@@ -730,8 +729,8 @@ def test_mod_raise_congruence(params, sk):
     assert raised.level == params.levels
     assert raised.scale == ct.scale
     q0 = modulus_chain(params)[0].q
-    low = crt_reconstruct(decrypt(params, ct, sk).poly.to_coeff())
-    high = crt_reconstruct(decrypt(params, raised, sk).poly.to_coeff())
+    low = crt_reconstruct(decrypt(params, ct, sk).poly)
+    high = crt_reconstruct(decrypt(params, raised, sk).poly)
     worst = 0
     for lo, hi in zip(low, high):
         quot, rem = divmod(hi - lo, q0)
@@ -752,10 +751,11 @@ def test_mod_raise_is_centered_base_conversion(params, sk):
         rest = LimbBasis(basis_c(params, level).primes[1:])
         table = make_base_table(q0, rest)
         for got, low in ((raised.c0, ct.c0), (raised.c1, ct.c1)):
-            want = base_convert(low.to_coeff(), table).to_eval()
+            want = transform_limbs(base_convert(low.coeffs(), table), rest,
+                                   "forward")
             assert got.basis == basis_c(params, level)
             assert np.array_equal(got.limbs[0], low.limbs[0])
-            assert np.array_equal(got.limbs[1:], want.limbs)
+            assert np.array_equal(got.limbs[1:], want)
 
 
 def test_mod_raise_level_guards(params, sk):

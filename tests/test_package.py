@@ -66,3 +66,41 @@ def test_perfbench_names_exist(monkeypatch):
                     missing.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert scanned > 20
     assert missing == []
+
+
+def _annotation_names(tree):
+    """Names inside quoted annotations, which the tree holds as text."""
+    for node in ast.walk(tree):
+        notes = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            notes.append(node.returns)
+        elif isinstance(node, (ast.arg, ast.AnnAssign)):
+            notes.append(node.annotation)
+        for note in notes:
+            if isinstance(note, ast.Constant) and isinstance(note.value, str):
+                yield from (n.id for n in ast.walk(ast.parse(note.value))
+                            if isinstance(n, ast.Name))
+
+
+def test_every_import_is_used():
+    """Each module but `__init__.py`, whose imports are its exports, uses
+    every name it imports."""
+    unused = []
+    for path in MODULES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.split(".")[0], a.name)
+                                for a in node.names)
+            elif isinstance(node, ast.ImportFrom) \
+                    and node.module != "__future__":
+                imported.update((a.asname or a.name, a.name)
+                                for a in node.names)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        used.update(_annotation_names(tree))
+        unused += [f"{path.name}: {full}" for name, full in imported.items()
+                   if name not in used]
+    assert unused == []

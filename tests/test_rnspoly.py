@@ -5,20 +5,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (centered_mod, oracle_crt, oracle_negacyclic,
-                     oracle_residues)
+from oracles import (centered_mod, oracle_automorphism, oracle_crt,
+                     oracle_negacyclic, oracle_residues)
 from rnsckks.ckks import (CkksParams, basis_b, basis_c, basis_d,
                           modulus_chain, piece_basis)
-from rnsckks.errors import (BasisMismatchError, ConfigurationError,
-                            RepresentationError)
+from rnsckks.errors import BasisMismatchError, ConfigurationError
 from rnsckks.modmath import U64, PrimeModulus, generate_ntt_primes
 from rnsckks.ntt import ntt
-from rnsckks.rnspoly import (COEFF, EVAL, BaseTable, LimbBasis,
-                             RnsPolynomial, automorphism, base_convert,
-                             convert_limbs, crt_float, crt_reconstruct,
-                             lift_int_coeffs, make_base_table,
-                             poly_from_int_coeffs, rp_add, rp_mul, rp_mul_sum,
-                             rp_neg, rp_scalar_mul_per_limb, rp_sub)
+from rnsckks.rnspoly import (BaseTable, LimbBasis, RnsPolynomial,
+                             automorphism, base_convert, convert_limbs,
+                             crt_float, crt_reconstruct, lift_int_coeffs,
+                             make_base_table, rp_add, rp_mul, rp_mul_sum,
+                             rp_neg, rp_scalar_mul_per_limb, rp_sub,
+                             transform_limbs)
 
 
 def make_basis(bits, count, two_n, skip=()):
@@ -30,10 +29,15 @@ BASIS64 = make_basis(40, 3, 128)
 AUX64 = make_basis(45, 4, 128, skip=tuple(p.q for p in BASIS64))
 
 
-def random_poly(basis, n, rng, rep=COEFF):
+def random_poly(basis, n, rng):
     limbs = np.stack([rng.integers(0, pm.q, n, dtype=np.uint64)
                       for pm in basis])
-    return RnsPolynomial(basis, rep, limbs)
+    return RnsPolynomial(basis, limbs)
+
+
+def from_coeffs(basis, limbs):
+    """The polynomial whose coefficient limbs over `basis` are `limbs`."""
+    return RnsPolynomial(basis, transform_limbs(limbs, basis, "forward"))
 
 
 def test_limb_basis_value_semantics():
@@ -49,7 +53,7 @@ def test_limb_basis_value_semantics():
 def test_poly_roundtrip_small_ints():
     rng = np.random.default_rng(61)
     coeffs = rng.integers(-5000, 5000, 64)
-    p = poly_from_int_coeffs(coeffs, BASIS64)
+    p = RnsPolynomial(BASIS64, lift_int_coeffs(coeffs, BASIS64))
     assert np.array_equal(np.array(crt_reconstruct(p), dtype=np.int64),
                           coeffs)
 
@@ -59,7 +63,7 @@ def test_poly_roundtrip_big_ints():
     half = BASIS64.modulus // 2
     coeffs = [int(rng.integers(-(1 << 62), 1 << 62)) * 1259 % half
               for _ in range(64)]
-    p = RnsPolynomial(BASIS64, COEFF, oracle_residues(coeffs, BASIS64.qs))
+    p = from_coeffs(BASIS64, oracle_residues(coeffs, BASIS64.qs))
     assert list(crt_reconstruct(p)) == coeffs
 
 
@@ -74,7 +78,7 @@ def _dense_lift(rows, basis):
 
 def _tiled(limbs, basis):
     """Lifted limbs, one period, tiled to the ring degree of `basis`."""
-    return RnsPolynomial(basis, EVAL, limbs).widened().limbs
+    return RnsPolynomial(basis, limbs).widened().limbs
 
 
 def test_lift_matches_big_integer_residues():
@@ -222,7 +226,7 @@ def subring_coeffs(t, rng, rows=()):
 
 
 def period(coeffs):
-    return RnsPolynomial(BASIS64, EVAL, lift_int_coeffs(coeffs, BASIS64))
+    return RnsPolynomial(BASIS64, lift_int_coeffs(coeffs, BASIS64))
 
 
 @pytest.mark.parametrize("t", [1, 4, 16])
@@ -240,7 +244,7 @@ def test_lift_period_is_the_lift_before_its_tile(t):
         assert np.array_equal(period(coeffs[..., ::t]).limbs, p.limbs)
         assert np.array_equal(np.tile(p.limbs, t), whole)
         assert np.array_equal(p.widened().limbs, whole)
-    full = RnsPolynomial(BASIS64, EVAL, whole)
+    full = RnsPolynomial(BASIS64, whole)
     assert full.widened() is full
 
 
@@ -250,8 +254,7 @@ def test_period_broadcasts_as_its_tiled_rows():
     the longer period; periods of different lengths mix."""
     rng = np.random.default_rng(149)
     p, q = period(subring_coeffs(4, rng)), period(subring_coeffs(16, rng))
-    s, r = random_stack(BASIS64, 64, rng), random_poly(BASIS64, 64, rng,
-                                                       rep=EVAL)
+    s, r = random_stack(BASIS64, 64, rng), random_poly(BASIS64, 64, rng)
     ops = [lambda x, y: rp_add(s, x), lambda x, y: rp_sub(x, s),
            lambda x, y: rp_mul(s, x), lambda x, y: rp_mul(x, r),
            lambda x, y: rp_mul(x, y), lambda x, y: rp_add(y, x),
@@ -270,7 +273,7 @@ def test_period_readers_widen():
     rng = np.random.default_rng(151)
     p = period(subring_coeffs(8, rng))
     whole = p.widened()
-    assert np.array_equal(p.to_coeff().limbs, whole.to_coeff().limbs)
+    assert np.array_equal(p.coeffs(), whole.coeffs())
     assert crt_reconstruct(p).tolist() == crt_reconstruct(whole).tolist()
     assert np.array_equal(crt_float(p), crt_float(whole))
     for r in (1, 3):
@@ -279,23 +282,23 @@ def test_period_readers_widen():
 
 
 def test_rows_that_do_not_tile_are_refused():
-    """Rows of lengths that do not divide one another, and short
-    coefficient-rep rows, which are no period, are refused."""
+    """Rows of lengths that do not divide one another, or the ring
+    degree, are refused."""
     rng = np.random.default_rng(157)
-    odd = RnsPolynomial(BASIS64, EVAL, random_poly(BASIS64, 24, rng).limbs)
-    full = random_poly(BASIS64, 64, rng, rep=EVAL)
+    odd = random_poly(BASIS64, 24, rng)
+    full = random_poly(BASIS64, 64, rng)
     for call in (lambda: rp_add(full, odd), lambda: rp_mul_sum([(full, odd)]),
-                 lambda: odd.widened(), lambda: odd.to_coeff(),
-                 lambda: rp_add(random_poly(BASIS64, 64, rng),
-                                random_poly(BASIS64, 16, rng))):
+                 lambda: odd.widened(), lambda: odd.coeffs(),
+                 lambda: rp_add(random_poly(BASIS64, 16, rng), odd)):
         with pytest.raises(BasisMismatchError, match="tile"):
             call()
 
 
 def test_rep_conversion_roundtrip_bitwise():
+    """Coefficient limbs into a polynomial and back out, word for word."""
     rng = np.random.default_rng(71)
-    p = random_poly(BASIS64, 64, rng)
-    assert np.array_equal(p.to_eval().to_coeff().limbs, p.limbs)
+    limbs = random_poly(BASIS64, 64, rng).limbs
+    assert np.array_equal(from_coeffs(BASIS64, limbs).coeffs(), limbs)
 
 
 def test_elementwise_ops_match_crt_oracle():
@@ -303,8 +306,8 @@ def test_elementwise_ops_match_crt_oracle():
     a = random_poly(BASIS64, 64, rng)
     b = random_poly(BASIS64, 64, rng)
     big = BASIS64.modulus
-    av = oracle_crt(a.limbs, [pm.q for pm in BASIS64], centered=False)
-    bv = oracle_crt(b.limbs, [pm.q for pm in BASIS64], centered=False)
+    av = oracle_crt(a.coeffs(), [pm.q for pm in BASIS64], centered=False)
+    bv = oracle_crt(b.coeffs(), [pm.q for pm in BASIS64], centered=False)
     got_add = crt_reconstruct(rp_add(a, b))
     assert list(got_add) == [centered_mod(x + y, big) for x, y in zip(av, bv)]
     got_sub = crt_reconstruct(rp_sub(a, b))
@@ -315,33 +318,32 @@ def test_elementwise_ops_match_crt_oracle():
 
 def test_ring_product_matches_negacyclic_oracle():
     rng = np.random.default_rng(79)
-    a = random_poly(BASIS64, 64, rng).to_eval()
-    b = random_poly(BASIS64, 64, rng).to_eval()
-    prod = rp_mul(a, b).to_coeff()
+    a = random_poly(BASIS64, 64, rng)
+    b = random_poly(BASIS64, 64, rng)
+    prod = rp_mul(a, b).coeffs()
     for i, pm in enumerate(BASIS64):
-        want = oracle_negacyclic(a.to_coeff().limbs[i],
-                                 b.to_coeff().limbs[i], pm.q)
-        assert np.array_equal(prod.limbs[i], np.array(want, dtype=U64))
+        want = oracle_negacyclic(a.coeffs()[i], b.coeffs()[i], pm.q)
+        assert np.array_equal(prod[i], np.array(want, dtype=U64))
 
 
 def test_scalar_multiplies():
     rng = np.random.default_rng(83)
     a = random_poly(BASIS64, 32, rng)
-    want = oracle_crt(a.limbs, [pm.q for pm in BASIS64], centered=False)
+    want = oracle_crt(a.coeffs(), [pm.q for pm in BASIS64], centered=False)
     table = {pm.q: 5 for pm in BASIS64}
     per = rp_scalar_mul_per_limb(a, table)
     assert list(crt_reconstruct(per)) \
         == [centered_mod(5 * x, BASIS64.modulus) for x in want]
 
 
-def random_stack(basis, n, rng, rep=EVAL):
+def random_stack(basis, n, rng):
     """Two polynomials stacked as limbs shaped (L, 2, N)."""
-    return RnsPolynomial(basis, rep, np.stack(
+    return RnsPolynomial(basis, np.stack(
         [random_poly(basis, n, rng).limbs for _ in range(2)], axis=1))
 
 
 def row(stack, h):
-    return RnsPolynomial(stack.basis, stack.rep, stack.limbs[:, h])
+    return RnsPolynomial(stack.basis, stack.limbs[:, h])
 
 
 def test_stack_ops_equal_per_row_ops():
@@ -349,7 +351,7 @@ def test_stack_ops_equal_per_row_ops():
     operand meets both rows, in either order and in any pair of a sum."""
     rng = np.random.default_rng(131)
     s, t = random_stack(BASIS64, 64, rng), random_stack(BASIS64, 64, rng)
-    p = random_poly(BASIS64, 64, rng, rep=EVAL)
+    p = random_poly(BASIS64, 64, rng)
     ops = [
         (lambda x, y, q: rp_add(x, y), (s, t, p)),
         (lambda x, y, q: rp_sub(x, q), (s, t, p)),
@@ -360,8 +362,6 @@ def test_stack_ops_equal_per_row_ops():
         (lambda x, y, q: rp_mul_sum([(q, q), (x, q), (q, y), (x, y)]),
          (s, t, p)),
         (lambda x, y, q: automorphism(x, 3), (s, t, p)),
-        (lambda x, y, q: automorphism(x, 3),
-         (RnsPolynomial(BASIS64, COEFF, s.limbs), t, p)),
     ]
     for k, (op, (x, y, q)) in enumerate(ops):
         out = op(x, y, q)
@@ -373,9 +373,10 @@ def test_stack_ops_equal_per_row_ops():
 
 def test_single_polynomial_routines_refuse_a_stack():
     rng = np.random.default_rng(137)
-    s = random_stack(BASIS64, 64, rng, rep=COEFF)
+    s = random_stack(BASIS64, 64, rng)
     assert s.n == 64
-    for call in (lambda: base_convert(s, make_base_table(BASIS64, AUX64)),
+    table = make_base_table(BASIS64, AUX64)
+    for call in (lambda: base_convert(s.limbs, table),
                  lambda: crt_float(s), lambda: crt_reconstruct(s)):
         with pytest.raises(BasisMismatchError, match="stack"):
             call()
@@ -387,8 +388,6 @@ def test_mismatched_operands_rejected():
     b = random_poly(AUX64, 32, rng)
     with pytest.raises(BasisMismatchError):
         rp_add(a, b)
-    with pytest.raises(RepresentationError):
-        rp_mul(a.to_eval(), random_poly(BASIS64, 32, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +420,10 @@ def test_base_convert_matches_crt_with_slack(n):
     table = make_base_table(src, tgt)
     rng = np.random.default_rng([97, n])
     for _ in range(3):
-        p = random_poly(src, n, rng)
-        out = base_convert(p, table)
-        want = oracle_crt(p.limbs, [pm.q for pm in src])
-        got = oracle_crt(out.limbs, [pm.q for pm in tgt])
+        coeffs = random_poly(src, n, rng).limbs
+        out = base_convert(coeffs, table)
+        want = oracle_crt(coeffs, [pm.q for pm in src])
+        got = oracle_crt(out, [pm.q for pm in tgt])
         big = src.modulus
         ks = set()
         for g, w in zip(got, want):
@@ -438,11 +437,9 @@ def test_base_convert_rejects_wrong_input():
     src = make_basis(40, 3, 128)
     tgt = make_basis(59, 4, 128, skip=tuple(p.q for p in src))
     table = make_base_table(src, tgt)
-    p = random_poly(src, 64, np.random.default_rng(107), rep=COEFF)
-    with pytest.raises(RepresentationError):
-        base_convert(p.to_eval(), table)
     with pytest.raises(BasisMismatchError):
-        base_convert(random_poly(tgt, 64, np.random.default_rng(1)), table)
+        base_convert(random_poly(tgt, 64, np.random.default_rng(1)).limbs,
+                     table)
 
 
 @pytest.mark.parametrize("level", [7, 1])
@@ -450,14 +447,15 @@ def test_base_convert_rejects_wrong_input():
 def test_convert_limbs_matches_per_row_base_convert(source, level, params):
     """One stacked (S, R, N) conversion into the complement of the source
     within C_level + B gives the words of R single conversions, and each
-    equals the row's to_coeff -> base_convert -> to_eval."""
+    equals the row's coefficients through `base_convert` and the forward
+    transform."""
     full = basis_d(params, level)
     src = {"piece": piece_basis(params, 0, level), "B": basis_b(params),
            "q0": LimbBasis(modulus_chain(params)[:1]),
            "q_l": LimbBasis(modulus_chain(params)[level:level + 1])}[source]
     tgt = LimbBasis(tuple(pm for pm in full if pm not in src.primes))
     rng = np.random.default_rng([113, level])
-    rows = [random_poly(src, params.n_ring, rng, rep=EVAL) for _ in range(3)]
+    rows = [random_poly(src, params.n_ring, rng) for _ in range(3)]
     stacked = convert_limbs(np.stack([r.limbs for r in rows], axis=1), src,
                             tgt)
     assert stacked.shape == (len(tgt), 3, params.n_ring)
@@ -465,8 +463,9 @@ def test_convert_limbs_matches_per_row_base_convert(source, level, params):
     for r, row in enumerate(rows):
         assert np.array_equal(stacked[:, r], convert_limbs(row.limbs, src,
                                                            tgt)), r
-        want = base_convert(row.to_coeff(), table).to_eval()
-        assert np.array_equal(stacked[:, r], want.limbs), r
+        want = transform_limbs(base_convert(row.coeffs(), table), tgt,
+                               "forward")
+        assert np.array_equal(stacked[:, r], want), r
 
 
 # ---------------------------------------------------------------------------
@@ -486,19 +485,26 @@ def test_automorphism_is_ring_homomorphism():
     a = random_poly(BASIS64, 64, rng)
     b = random_poly(BASIS64, 64, rng)
     for r in (1, 3, 6):
-        lhs = automorphism(rp_mul(a.to_eval(), b.to_eval()).to_coeff(), r)
-        rhs = rp_mul(automorphism(a, r).to_eval(),
-                     automorphism(b, r).to_eval()).to_coeff()
+        lhs = automorphism(rp_mul(a, b), r)
+        rhs = rp_mul(automorphism(a, r), automorphism(b, r))
         assert np.array_equal(lhs.limbs, rhs.limbs)
+        prod = [oracle_negacyclic(x, y, pm.q)
+                for x, y, pm in zip(a.coeffs(), b.coeffs(), BASIS64)]
+        assert np.array_equal(lhs.coeffs(),
+                              oracle_automorphism(prod, r, BASIS64.qs))
 
 
 def test_automorphism_reps_agree_bitwise():
+    """The evaluation-word permutation is the signed monomial permutation
+    of the coefficients, for full rows and for a one-period polynomial."""
     rng = np.random.default_rng(127)
     p = random_poly(BASIS64, 64, rng)
+    q = period(subring_coeffs(8, rng))
     for r in (1, 2, 9):
-        via_eval = automorphism(p.to_eval(), r).to_coeff()
-        via_coeff = automorphism(p, r)
-        assert np.array_equal(via_eval.limbs, via_coeff.limbs)
+        for x in (p, q):
+            assert np.array_equal(
+                automorphism(x, r).coeffs(),
+                oracle_automorphism(x.coeffs(), r, BASIS64.qs)), r
 
 
 def test_automorphism_explicit_monomial_map():
@@ -510,7 +516,7 @@ def test_automorphism_explicit_monomial_map():
     for i in (0, 1, 5, 40, 63):
         coeffs = np.zeros(n, dtype=np.int64)
         coeffs[i] = 1
-        p = poly_from_int_coeffs(coeffs, basis)
+        p = RnsPolynomial(basis, lift_int_coeffs(coeffs, basis))
         out = crt_reconstruct(automorphism(p, r))
         e = (i * pow(5, r, 2 * n)) % (2 * n)
         want = [0] * n

@@ -50,7 +50,6 @@ def test_plaintext_roundtrip(params, tmp_path):
     assert back.scale == pt.scale            # exact Fraction survives
     assert (back.level, back.slots) == (pt.level, pt.slots)
     assert back.poly.basis == pt.poly.basis
-    assert back.poly.rep == pt.poly.rep
     assert np.array_equal(back.poly.limbs, pt.poly.widened().limbs)
 
 
@@ -529,6 +528,12 @@ def _rep_code_at(body, at):
     return "unknown representation code 2"
 
 
+def _coeff_rep_at(body, at):
+    """Code 0, which named coefficient rep; no polynomial is stored so."""
+    body[at - 7] = 0
+    return "block in coefficient rep"
+
+
 def _limb_count_up(body, at):
     (nlimbs,) = struct.unpack("<H", body[at - 6:at - 4])
     body[at - 6:at - 4] = struct.pack("<H", nlimbs + 1)
@@ -536,14 +541,16 @@ def _limb_count_up(body, at):
 
 
 @pytest.mark.parametrize("field", [_rep_code_at, _limb_count_up, _other_root,
-                                   _zero_root],
-                         ids=["rep-code", "limb-count", "root", "root-zero"])
+                                   _zero_root, _coeff_rep_at],
+                         ids=["rep-code", "limb-count", "root", "root-zero",
+                              "coeff-rep"])
 @pytest.mark.parametrize("kind", KINDS)
 def test_block_header_fields_checked(tiny_params, tiny_files, tmp_path, kind,
                                      field):
     """Each header field of a block is read against the parameters: a
     representation code no writer uses, a limb count off by one, a valid
-    but different root of the right prime, and root 0 are each refused."""
+    but different root of the right prime, root 0, and the coefficient-rep
+    code 0 are each refused."""
     body = bytearray(tiny_files[kind][16:])
     what = field(body, FIRST_MODULUS[kind])
     path = str(tmp_path / "header.bin")
@@ -703,6 +710,20 @@ def test_usage_log_roundtrip(tmp_path):
     # The dedup set is rebuilt, so appending keeps classifying correctly.
     back.note_rotation("idft", 0, 192, 64)
     assert back.entries[-1].kind == "reuse"
+
+
+@pytest.mark.parametrize("label", ["my pass", "", "idft\n", "\tdft"],
+                         ids=["space", "empty", "newline", "tab"])
+def test_usage_log_refuses_a_label_it_could_not_read(tmp_path, label):
+    """A transform label that is not one word is refused before the file
+    is opened: read back, its line would not split into 7 fields."""
+    log = EvkUsageLog()
+    log.note_rotation(label, 0, 1, 1)
+    path = tmp_path / "bad.evklog"
+    with pytest.raises(SerializationError, match="transform label") as err:
+        write_usage_log(str(path), log)
+    assert str(path) in str(err.value)
+    assert not path.exists()
 
 
 def test_usage_log_unwritable_path():
