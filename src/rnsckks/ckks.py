@@ -23,9 +23,10 @@ all levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,7 +43,8 @@ from .rnspoly import (LimbBasis, RnsPolynomial, automorphism, convert_limbs,
 
 @dataclass(frozen=True)
 class NoiseBudgets:
-    """Accepted relative error per operation class, used as test gates."""
+    """Accepted relative error per operation class, used as test gates:
+    one set, the class constant `CkksParams.budgets`, not a parameter."""
 
     fresh: float = 2.0 ** -20
     multiply: float = 2.0 ** -12
@@ -57,6 +59,8 @@ class CkksParams:
     Defaults give a desk-scale instance: ring degree 2^13, 64 message
     slots, 7 rescale levels over 40-bit primes under a 59-bit base, and
     four 60-bit auxiliary primes (two digit pieces at the top level).
+    Every init field is a parameter `serial.write_params` writes; the
+    noise gates `budgets` are one class constant, not a parameter.
     """
 
     n_ring: int = 8192
@@ -67,7 +71,7 @@ class CkksParams:
     q0_bits: int = 59
     aux_bits: int = 60
     sigma: float = 3.2
-    budgets: NoiseBudgets = field(default_factory=NoiseBudgets)
+    budgets: ClassVar[NoiseBudgets] = NoiseBudgets()
 
     def __post_init__(self):
         for name in ("n_ring", "n_slots"):

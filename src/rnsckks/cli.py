@@ -22,9 +22,8 @@ from .ckks import (CkksParams, aux_chain, basis_c, decode, decrypt, encode,
                    encrypt, hadd, hmult, hrescale, hrot, keygen,
                    make_relin_key, make_rotation_keys, modulus_chain, pmult,
                    slot_values)
-from .costmodel import (PROFILES, ParamProfile, PassShape,
-                        bootstrap_pass_shapes, data_sizes,
-                        distribution_transfer, hdft_pass_cost,
+from .costmodel import (PROFILES, ParamProfile, bootstrap_pass_shapes,
+                        data_sizes, distribution_transfer, hdft_pass_cost,
                         keyswitch_mults, tas_metric)
 from .errors import SeedRangeError, SerializationError
 from .hdft import (DFT, IDFT, EvkUsageLog, build_dft_plan, hdft_apply,
@@ -74,8 +73,7 @@ def _load_params(args: argparse.Namespace) -> tuple[CkksParams, int]:
 
 def _desk_profile(params: CkksParams) -> ParamProfile:
     return ParamProfile("desk", N=params.n_ring, L=params.levels,
-                        dnum=params.dnum, alpha=params.alpha,
-                        n=params.n_slots, L_boot=0)
+                        alpha=params.alpha, n=params.n_slots, L_boot=0)
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -367,8 +365,7 @@ def cmd_hdft(args: argparse.Namespace) -> int:
 
     desk = _desk_profile(params)
     for label, plan in ((IDFT, inv), (DFT, fwd)):
-        rep = hdft_pass_cost(PassShape.from_plan(plan), desk, args.variant,
-                             usage=log)
+        rep = hdft_pass_cost(plan, desk, args.variant, usage=log)
         lines.append(f"measured cost {label}: offchip_bytes "
                      f"{rep.offchip_bytes} mults {rep.modular_mults} "
                      f"evk_loads {rep.evk_loads} "

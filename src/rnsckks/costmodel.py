@@ -40,13 +40,13 @@ class ParamProfile:
 
     `L_boot` is the level a freshly bootstrapped ciphertext comes back
     at, or None for configurations that never bootstrap packed data.
-    `n` is the slot count the configuration refreshes at a time.
+    `n` is the slot count the configuration refreshes at a time.  `dnum`
+    is derived, (L + 1) / alpha, as `CkksParams.dnum` is.
     """
 
     name: str
     N: int
     L: int
-    dnum: int
     alpha: int
     n: int
     L_boot: int | None = None
@@ -55,14 +55,18 @@ class ParamProfile:
     def __post_init__(self):
         if self.N < 2 or self.N & (self.N - 1):
             raise ConfigurationError("N must be a power of two")
-        if self.alpha * self.dnum != self.L + 1:
-            raise ConfigurationError("alpha * dnum must equal L + 1")
+        if self.alpha < 1 or (self.L + 1) % self.alpha:
+            raise ConfigurationError("alpha must divide L + 1")
         if not 1 <= self.n <= self.N // 2:
             raise ConfigurationError("slot count out of range")
         if self.word_bytes <= 0:
             raise ConfigurationError("word_bytes must be positive")
         if self.L_boot is not None and not 0 <= self.L_boot <= self.L:
             raise ConfigurationError("L_boot out of range")
+
+    @property
+    def dnum(self) -> int:
+        return (self.L + 1) // self.alpha
 
     def dnum_at(self, level: int) -> int:
         if not 0 <= level <= self.L:
@@ -78,26 +82,23 @@ class MachineProfile:
     modular_multiplier_count: int
     clock_hz: float
     offchip_bandwidth_bytes_per_s: float
-    onchip_capacity_bytes: int
 
     def __post_init__(self):
         for fname in ("modular_multiplier_count", "clock_hz",
-                      "offchip_bandwidth_bytes_per_s",
-                      "onchip_capacity_bytes"):
+                      "offchip_bandwidth_bytes_per_s"):
             if getattr(self, fname) <= 0:
                 raise ConfigurationError(f"{fname} must be positive")
 
 
 PROFILES = {
-    "desk": ParamProfile("desk", N=1 << 13, L=7, dnum=2, alpha=4,
-                         n=64, L_boot=0),
-    "lattigo": ParamProfile("lattigo", N=1 << 16, L=24, dnum=5, alpha=5,
+    "desk": ParamProfile("desk", N=1 << 13, L=7, alpha=4, n=64, L_boot=0),
+    "lattigo": ParamProfile("lattigo", N=1 << 16, L=24, alpha=5,
                             n=1 << 15, L_boot=15),
-    "100x": ParamProfile("100x", N=1 << 17, L=29, dnum=3, alpha=10,
+    "100x": ParamProfile("100x", N=1 << 17, L=29, alpha=10,
                          n=1 << 16, L_boot=19),
-    "f1": ParamProfile("f1", N=1 << 14, L=15, dnum=16, alpha=1,
+    "f1": ParamProfile("f1", N=1 << 14, L=15, alpha=1,
                        n=1, L_boot=None, word_bytes=4),
-    "ark": ParamProfile("ark", N=1 << 16, L=23, dnum=4, alpha=6,
+    "ark": ParamProfile("ark", N=1 << 16, L=23, alpha=6,
                         n=1 << 15, L_boot=15),
 }
 
@@ -106,8 +107,7 @@ PROFILES = {
 SCALED_F1 = MachineProfile("scaled-f1",
                            modular_multiplier_count=40960,
                            clock_hz=1e9,
-                           offchip_bandwidth_bytes_per_s=3e12,
-                           onchip_capacity_bytes=64 << 20)
+                           offchip_bandwidth_bytes_per_s=3e12)
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +121,8 @@ class DataSizes(NamedTuple):
 
 def data_sizes(p: ParamProfile) -> DataSizes:
     """Full-level object sizes: plaintext, ciphertext, switching key."""
-    pt = (p.L + 1) * p.N * p.word_bytes
-    evk = p.dnum * 2 * (p.alpha + p.L + 1) * p.N * p.word_bytes
-    return DataSizes(pt, 2 * pt, evk)
+    pt = plaintext_bytes_at(p, p.L)
+    return DataSizes(pt, 2 * pt, evk_bytes_at(p, p.L))
 
 
 def evk_bytes_at(p: ParamProfile, level: int) -> int:
@@ -203,9 +202,11 @@ def rescale_mults(p: ParamProfile, level: int) -> int:
 class PassShape:
     """Shape of one merged-radix transform pass, enough to cost it.
 
-    `levels` lists each iteration's working level in execution order;
-    every iteration ends in a rescale, so consecutive entries drop by
-    one.  `direction` decides where the grouped variants spend their
+    This class declares and validates a schedule's shape once:
+    `hdft.DftPlan` is a `PassShape`, so a plan is the shape the model
+    prices.  `levels` lists each iteration's working level in execution
+    order; every iteration ends in a rescale, so consecutive entries drop
+    by one.  `direction` decides where the grouped variants spend their
     single residual fix-up rotation: first iteration for "dft", last
     for "idft".
     """
@@ -239,8 +240,9 @@ class PassShape:
 
     @classmethod
     def from_plan(cls, plan) -> "PassShape":
+        """The bare shape of a plan, without its stages and constants."""
         return cls(plan.direction, plan.size, plan.k, plan.k1, plan.k2,
-                   tuple(st.level for st in plan.stages))
+                   plan.levels)
 
 
 def bootstrap_pass_shapes(p: ParamProfile, k: int, split: tuple[int, int]
@@ -311,10 +313,11 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile, variant: str,
                    usage=None) -> CostReport:
     """Cost one homomorphic (I)DFT pass at a profile.
 
-    Without a usage log the pass is costed from the schedule's nominal
-    counts.  With one, key loads and performed rotations come from the
-    log's entries for `shape.direction`, so a report built from a real
-    run reproduces the measured working set exactly.
+    `shape` is a `PassShape` or an `hdft.DftPlan`, which is one.  Without
+    a usage log the pass is costed from the schedule's nominal counts.
+    With one, key loads and performed rotations come from the log's
+    entries for `shape.direction`, so a report built from a real run
+    reproduces the measured working set exactly.
 
     The plaintext terms price every constant at N words per limb (per
     seed for OF-Limb), and the OF-Limb compute term (level + 1) N-point

@@ -70,7 +70,7 @@ from .ckks import (Ciphertext, CkksParams, EvaluationKey, Plaintext,
                    SecretKey, basis_c, decode, decrypt, encode,
                    encode_diagonal_batch, encrypt, hadd, hrescale, hrot,
                    modulus_chain, slots_to_coeffs)
-from .costmodel import VARIANTS
+from .costmodel import VARIANTS, PassShape
 from .embedding import stage_twiddles
 from .errors import (ConfigurationError, MissingKeyError, ScaleMismatchError,
                      SeedRangeError)
@@ -316,21 +316,25 @@ class PlanStage:
                      for di in range(2 * bound + 1))
 
 
-@dataclass
-class DftPlan:
+@dataclass(frozen=True)
+class DftPlan(PassShape):
+    """A transform schedule: the `PassShape` the cost model prices (its
+    direction, size n, k, split and one level per stage), plus the stages
+    that run it and their constants, built once per variant."""
+
     params: CkksParams
-    direction: str                  # DFT or IDFT
-    size: int                       # transform length n (a power of two)
-    k: int
-    k1: int
-    k2: int
-    const_scale: int
-    stages: list[PlanStage]
+    stages: tuple[PlanStage, ...]
     _consts: dict = field(default_factory=dict, repr=False)
 
     @property
-    def iterations(self) -> int:
-        return len(self.stages)
+    def const_scale(self) -> int:
+        """IDFT constants take a scale well above the nominal one: the
+        transform runs on raised values carrying base-modulus multiples, so
+        constant quantization must sit far below the message precision.  The
+        exact scale field on the ciphertext absorbs the per-stage drift."""
+        if self.direction == IDFT:
+            return 1 << (self.params.q0_bits - 4)
+        return self.params.scale
 
     def required_steps(self, variant: str) -> list[int]:
         """Physical rotation strides whose keys the variant consults."""
@@ -409,38 +413,31 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
     stage, consecutive and descending; the defaults start at the top for
     IDFT and end at level 1 for DFT, matching their bootstrap positions.
 
-    IDFT constants take a scale well above the nominal one: the
-    transform runs on raised values carrying base-modulus multiples, so
-    constant quantization must sit far below the message precision.  The
-    exact scale field on the ciphertext absorbs the per-stage drift.
+    The plan is a `PassShape`, which refuses a bad direction, size, k,
+    split, level count or level order.  Only what it cannot see is checked
+    here: the size against the ring, every level against the chain, each
+    stage's butterfly offsets against its stride, and the split, which
+    must hold before log2(size) is divided by k.
     """
     size = params.n_ring // 2 if size is None else size
-    logn = size.bit_length() - 1
-    if size < 2 or (1 << logn) != size or size > params.n_ring // 2:
+    if not 2 <= size <= params.n_ring // 2:
         raise ConfigurationError(f"bad transform size {size}")
-    if direction not in (DFT, IDFT):
-        raise ConfigurationError(f"bad direction {direction!r}")
     k1, k2 = split
     if k1 + k2 != k + 1 or k1 < 1 or k2 < 1:
         raise ConfigurationError("split must satisfy k1 + k2 = k + 1")
-    if logn % k:
-        raise ConfigurationError(f"radix 2^{k} does not tile log2({size})")
-    n_stages = logn // k
-    const_scale = (1 << (params.q0_bits - 4)) if direction == IDFT \
-        else params.scale
+    n_stages = (size.bit_length() - 1) // k
     if levels is None:
         start = params.levels if direction == IDFT else n_stages
-        levels = list(range(start, start - n_stages, -1))
-    levels = list(levels)
-    if len(levels) != n_stages or levels[-1] < 1 or levels[0] > params.levels:
-        raise ConfigurationError("one in-range level per stage required")
-    if any(a - b != 1 for a, b in zip(levels, levels[1:])):
-        raise ConfigurationError("stage levels must descend by one")
+        levels = range(start, start - n_stages, -1)
+    levels = tuple(levels)
+    if any(not 1 <= level <= params.levels for level in levels):
+        raise ConfigurationError("stage levels must lie in [1, levels]")
 
     bound = (1 << k) - 1
     residual = 1 if direction == DFT else 0
     stages = []
-    for s in range(n_stages):
+    # A level count other than n_stages is the PassShape's to refuse.
+    for s, level in zip(range(n_stages), levels):
         if direction == DFT:
             lengths = [1 << (s * k + a + 1) for a in range(k)]
             g = 1 << (s * k)
@@ -452,12 +449,11 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
         if any((length // 2) % g for length in lengths):
             raise ConfigurationError("butterfly offsets off the stage stride")
         residual += bound * g
-        stages.append(PlanStage(g=g, level=levels[s],
-                                lengths=tuple(lengths),
+        stages.append(PlanStage(g=g, level=level, lengths=tuple(lengths),
                                 inverse=direction == IDFT,
                                 minks_roll=residual % size))
-    return DftPlan(params=params, direction=direction, size=size, k=k,
-                   k1=k1, k2=k2, const_scale=const_scale, stages=stages)
+    return DftPlan(direction, size, k, k1, k2, levels, params=params,
+                   stages=tuple(stages))
 
 
 # ---------------------------------------------------------------------------

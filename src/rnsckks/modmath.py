@@ -103,14 +103,15 @@ class PrimeModulus:
     """An NTT-friendly prime with cached reduction constants.
 
     `two_n` is the transform length the prime was generated for, a power of
-    two; `root` is a primitive two_n-th root of unity mod q, searched for
-    when it is 0.  A composite q is refused before any search: the search
-    assumes a prime and need not end for a composite.
+    two; `root` is always searched for: the smallest-generator primitive
+    two_n-th root of unity mod q (`_find_2n_root`), never an argument.  A
+    composite q is refused before any search: the search assumes a prime
+    and need not end for a composite.
     """
 
     q: int
     two_n: int
-    root: int = 0
+    root: int = field(init=False)
     # Barrett: (hi, lo) words of floor(2^128 / q).
     ratio_hi: int = field(init=False)
     ratio_lo: int = field(init=False)
@@ -127,10 +128,7 @@ class PrimeModulus:
                 f"root order {two_n} is not a power of two >= 2")
         if (q - 1) % two_n != 0:
             raise ConfigurationError(f"{q} != 1 mod {two_n}")
-        root = self.root or _find_2n_root(q, two_n)
-        if pow(root, two_n // 2, q) != q - 1:
-            raise ConfigurationError(f"{root} has wrong order mod {q}")
-        object.__setattr__(self, "root", root)
+        object.__setattr__(self, "root", _find_2n_root(q, two_n))
         ratio = (1 << 128) // q
         object.__setattr__(self, "ratio_hi", ratio >> 64)
         object.__setattr__(self, "ratio_lo", ratio & ((1 << 64) - 1))

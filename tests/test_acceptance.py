@@ -116,7 +116,7 @@ def test_keyswitch_kernel_share_targets():
 # 5. Evaluation-key distribution transfer, exact closed forms.
 
 def test_distribution_transfer_closed_forms():
-    custom = ParamProfile("custom", N=1 << 12, L=11, dnum=3, alpha=4,
+    custom = ParamProfile("custom", N=1 << 12, L=11, alpha=4,
                           n=64, L_boot=2)
     for p in (PROFILES["lattigo"], PROFILES["100x"], PROFILES["f1"],
               PROFILES["ark"], custom):

@@ -41,23 +41,23 @@ def test_desk_profile_matches_scheme_defaults(params):
 
 @pytest.mark.parametrize("kwargs", [
     dict(N=100),
-    dict(dnum=3),                      # alpha * dnum != L + 1
+    dict(alpha=3),                     # alpha does not divide L + 1
     dict(n=0),
     dict(n=1 << 13),
     dict(word_bytes=0),
     dict(L_boot=8),
 ])
 def test_param_profile_validation(kwargs):
-    base = dict(name="x", N=1 << 13, L=7, dnum=2, alpha=4, n=64, L_boot=0)
+    base = dict(name="x", N=1 << 13, L=7, alpha=4, n=64, L_boot=0)
     with pytest.raises(ConfigurationError):
         ParamProfile(**{**base, **kwargs})
 
 
 def test_machine_profile_validation():
     with pytest.raises(ConfigurationError):
-        MachineProfile("m", 0, 1e9, 1e12, 1 << 20)
+        MachineProfile("m", 0, 1e9, 1e12)
     with pytest.raises(ConfigurationError):
-        MachineProfile("m", 1024, 1e9, -1.0, 1 << 20)
+        MachineProfile("m", 1024, 1e9, -1.0)
     assert SCALED_F1.modular_multiplier_count == 40960
 
 
@@ -98,7 +98,7 @@ def test_sizes_scale_with_level():
 
 
 def test_custom_single_digit_row():
-    p = ParamProfile("wide", N=1 << 16, L=23, dnum=1, alpha=24, n=1 << 15)
+    p = ParamProfile("wide", N=1 << 16, L=23, alpha=24, n=1 << 15)
     s = data_sizes(p)
     assert s.evk_bytes == 1 * 2 * (24 + 24) * (1 << 16) * 8
     assert s.ciphertext_bytes == 2 * s.plaintext_bytes
@@ -153,12 +153,20 @@ def test_pass_shape_validation():
             PassShape(**{**good, **bad})
 
 
-def test_pass_shape_from_plan(params):
+def test_pass_shape_from_plan(params, boot_plans):
+    """A plan is the shape the model prices: costing it, or the bare shape
+    `from_plan` takes from it, gives the same report."""
     from rnsckks.hdft import IDFT, build_dft_plan
     plan = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
+    assert isinstance(plan, PassShape)
     shape = PassShape.from_plan(plan)
     assert shape == PassShape("idft", 64, 2, 1, 2, (7, 6, 5))
-    assert shape.iterations == 3
+    assert shape.iterations == plan.iterations == 3
+    desk = PROFILES["desk"]
+    for each in (plan, *boot_plans):
+        for variant in VARIANTS:
+            assert hdft_pass_cost(each, desk, variant) == hdft_pass_cost(
+                PassShape.from_plan(each), desk, variant)
 
 
 def test_bootstrap_schedules():
@@ -353,7 +361,7 @@ def test_utilization_bound_pins(ark_reports):
 
 
 def test_utilization_bound_saturates():
-    m = MachineProfile("tiny", 2, 1e6, 1e9, 1 << 20)
+    m = MachineProfile("tiny", 2, 1e6, 1e9)
     assert utilization_bound(m, 1e9, 1e12) == 1.0
     with pytest.raises(ConfigurationError):
         utilization_bound(m, 0, 10)
@@ -384,7 +392,7 @@ def test_amortized_slot_time():
     assert ramp == pytest.approx(total / depth / ark.n, rel=1e-12)
     with pytest.raises(ConfigurationError):
         tas_metric(1.0, lambda lv: 0.0, PROFILES["f1"])
-    stuck = ParamProfile("stuck", N=1 << 14, L=15, dnum=16, alpha=1,
+    stuck = ParamProfile("stuck", N=1 << 14, L=15, alpha=1,
                          n=4, L_boot=15)
     with pytest.raises(ConfigurationError):
         tas_metric(1.0, lambda lv: 0.0, stuck)

@@ -50,21 +50,17 @@ def test_prime_modulus_rejects_bad_inputs():
     with pytest.raises(ConfigurationError):
         PrimeModulus(97, 0)                 # no root order
     with pytest.raises(ConfigurationError):
-        PrimeModulus(193, 0, 5)             # no root order, root unchecked
-    with pytest.raises(ConfigurationError):
         PrimeModulus(193, 24)               # 193 = 1 mod 24, not a power of 2
 
 
 def test_prime_modulus_refuses_a_composite(time_limit):
     """2^41 + 1 is 1 mod 2^41 and a multiple of 3: a root search over it
-    need not end, so it is refused before any search, given a root or
-    not."""
+    need not end, so it is refused before any search."""
     q = (1 << 41) + 1
     assert not oracle_is_prime(q)
     with time_limit(10):
-        for root in (0, 3):
-            with pytest.raises(ConfigurationError, match="not prime"):
-                PrimeModulus(q, 128, root)
+        with pytest.raises(ConfigurationError, match="not prime"):
+            PrimeModulus(q, 128)
 
 
 def test_prime_modulus_root_has_order_two_n():

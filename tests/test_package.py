@@ -104,3 +104,32 @@ def test_every_import_is_used():
         unused += [f"{path.name}: {full}" for name, full in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def _is_dataclass(node):
+    return any((d.func if isinstance(d, ast.Call) else d).id == "dataclass"
+               for d in node.decorator_list)
+
+
+def test_every_dataclass_field_is_read():
+    """Each field a `@dataclass` of the package declares (class constants
+    aside) is read as an attribute, `x.name`, somewhere in the package or
+    the benchmark harness; tests do not count.  A field nothing reads is
+    a setting with no effect."""
+    declared, read = [], set()
+    for path in [*MODULES, *sorted(PERFBENCH.glob("*.py"))]:
+        tree = ast.parse(path.read_text(), str(path))
+        read.update(n.attr for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute)
+                    and isinstance(n.ctx, ast.Load))
+        if path.parent == PERFBENCH:
+            continue
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and _is_dataclass(cls):
+                declared += [
+                    (cls.name, stmt.target.id) for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)]
+    assert len(declared) > 80
+    assert [f"{c}.{name}" for c, name in declared if name not in read] == []

@@ -3,7 +3,7 @@
 import hashlib
 import struct
 import zlib
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -628,6 +628,30 @@ def test_params_file_roundtrip(params, tmp_path):
     write_params(path, params)
     again, no_seed = read_params(path)
     assert again == params and no_seed is None
+
+
+# A valid value other than the default for every init field of
+# `CkksParams`.  A field with no entry fails the test below: a new field
+# must reach the parameter file, or leave the init fields.
+NON_DEFAULT_PARAMS = dict(n_ring=1024, n_slots=32, levels=5, alpha=3,
+                          scale_bits=30, q0_bits=50, aux_bits=55, sigma=3.5)
+
+
+def test_every_params_field_survives_its_file(tmp_path):
+    """Each init field, set away from its default, reads back from the
+    file `write_params` made, so no setting is silently lost."""
+    names = [f.name for f in fields(CkksParams) if f.init]
+    assert [n for n in names if n not in NON_DEFAULT_PARAMS] == []
+    assert sorted(NON_DEFAULT_PARAMS) == sorted(names)
+    defaults = CkksParams()
+    assert [n for n, v in NON_DEFAULT_PARAMS.items()
+            if v == getattr(defaults, n)] == []
+    params = CkksParams(**NON_DEFAULT_PARAMS)
+    path = str(tmp_path / "params.txt")
+    write_params(path, params)
+    back, _ = read_params(path)
+    assert [n for n in names
+            if getattr(back, n) != getattr(params, n)] == []
 
 
 def test_params_file_expresses_digit_count(tmp_path):
