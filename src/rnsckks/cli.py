@@ -238,8 +238,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     size, k, split = 16, 2, (1, 2)
     inv = build_dft_plan(params, IDFT, size=size, k=k, split=split)
     fwd = build_dft_plan(params, DFT, size=size, k=k, split=split,
-                         levels=[params.levels - len(inv.stages) - s
-                                 for s in range(len(inv.stages))])
+                         levels=[params.levels - inv.iterations - s
+                                 for s in range(inv.iterations)])
     steps = set()
     for plan in (inv, fwd):
         for variant in ("baseline", "minks"):
@@ -323,17 +323,16 @@ def cmd_hdft(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     _note("hdft: building plans and keys")
     inv = build_dft_plan(params, IDFT, size=size, k=k, split=split)
-    stages = len(inv.stages)
     fwd = build_dft_plan(params, DFT, size=size, k=k, split=split,
-                         levels=[params.levels - stages - s
-                                 for s in range(stages)])
+                         levels=[params.levels - inv.iterations - s
+                                 for s in range(inv.iterations)])
     sk = keygen(params, rng)
     # Message and ciphertext are drawn before the rotation keys: the key-step
     # inventory depends on the variant, and pulling it first would shift the
     # stream so each variant transformed a different input.
     v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    ct = encrypt(params, encode(params, np.resize(v, params.n_slots)), sk,
-                 rng)
+    slots = np.resize(v, max(size, params.n_slots))
+    ct = encrypt(params, encode(params, slots), sk, rng)
     ct.slots = size
     steps = set(inv.required_steps(args.variant)) \
         | set(fwd.required_steps(args.variant))

@@ -203,12 +203,13 @@ class PassShape:
     """Shape of one merged-radix transform pass, enough to cost it.
 
     This class declares and validates a schedule's shape once:
-    `hdft.DftPlan` is a `PassShape`, so a plan is the shape the model
-    prices.  `levels` lists each iteration's working level in execution
-    order; every iteration ends in a rescale, so consecutive entries drop
-    by one.  `direction` decides where the grouped variants spend their
-    single residual fix-up rotation: first iteration for "dft", last
-    for "idft".
+    `hdft.DftPlan` is a `PassShape` whose stages are derived from these
+    fields on each read, so a plan runs the shape the model prices.
+    `levels` lists each iteration's working level in execution order;
+    every iteration ends in a rescale, so consecutive entries drop by
+    one.  `direction` decides where the grouped variants spend their
+    single residual fix-up rotation: first iteration for "dft", last for
+    "idft".
     """
 
     direction: str
@@ -240,7 +241,8 @@ class PassShape:
 
     @classmethod
     def from_plan(cls, plan) -> "PassShape":
-        """The bare shape of a plan, without its stages and constants."""
+        """The bare shape of a plan, without its parameters and cached
+        constants."""
         return cls(plan.direction, plan.size, plan.k, plan.k1, plan.k2,
                    plan.levels)
 

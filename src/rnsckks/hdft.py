@@ -42,10 +42,12 @@ widens through transforms of that length.  At full width with N = 2^13
 and k = 6, the constants of IDFT's last stage and DFT's first hold 128
 words per limb (or per seed), those of the two g = 64 stages N words.
 
-A plan is exactly what `build_dft_plan` returns: every stage has all
+A plan is its shape (direction, size, k, split, one level per stage):
+its stages are derived from the shape on each read, so the stages that
+run are the ones the cost model prices.  Every stage has all
 2^(k+1) - 1 diagonals, so every cell of the 2^k1 x 2^k2 rectangle that
 lands on a diagonal holds a constant and every giant row is non-empty.
-A stage stores only its butterfly lengths and direction; its complex
+A stage is only its butterfly lengths and direction; its complex
 diagonals are merged again from them, one period long, on each read, and
 only `DftPlan.stage_constants` reads them, once per stage and variant.
 
@@ -291,9 +293,10 @@ def _seed_batch(params: CkksParams, rows: np.ndarray,
 
 @dataclass
 class PlanStage:
-    """One merged stage of k butterflies.
+    """One merged stage of k butterflies, derived from its plan's shape
+    (`DftPlan.stages`); the plan's `levels[s]` is the level it runs at.
 
-    The stage keeps the butterflies' lengths and direction, not their
+    The stage is the butterflies' lengths and direction, not their
     product: `diags` merges them again on each read and gives the same
     words every time.  Every diagonal repeats every max(lengths) slots
     (module docstring), so the merge runs at that period: a few
@@ -301,7 +304,6 @@ class PlanStage:
     """
 
     g: int                          # unit stride; diagonals sit at i * g
-    level: int                      # ciphertext level this stage runs at
     lengths: tuple[int, ...]        # butterfly lengths, application order
     inverse: bool                   # inverse butterflies (an IDFT stage)
     minks_roll: int                 # outgoing residual folded into constants
@@ -319,12 +321,34 @@ class PlanStage:
 @dataclass(frozen=True)
 class DftPlan(PassShape):
     """A transform schedule: the `PassShape` the cost model prices (its
-    direction, size n, k, split and one level per stage), plus the stages
-    that run it and their constants, built once per variant."""
+    direction, size n, k, split and one level per stage), plus the
+    parameters its constants are built for, once per variant."""
 
     params: CkksParams
-    stages: tuple[PlanStage, ...]
     _consts: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def stages(self) -> tuple[PlanStage, ...]:
+        """The stages, derived from (direction, size, k) on each read:
+        DFT stage s merges butterflies of lengths 2^(sk+a+1) at unit stride
+        g = 2^(sk), IDFT stage s those of lengths size >> (sk+a) at
+        g = size >> ((s+1)k), for a < k, so every merged offset (a sum of
+        +-half-lengths) sits on the stride."""
+        bound = (1 << self.k) - 1
+        residual = 1 if self.direction == DFT else 0
+        out = []
+        for s in range(self.iterations):
+            if self.direction == DFT:
+                lengths = [1 << (s * self.k + a + 1) for a in range(self.k)]
+                g = 1 << (s * self.k)
+            else:
+                lengths = [self.size >> (s * self.k + a)
+                           for a in range(self.k)]
+                g = self.size >> ((s + 1) * self.k)
+            residual += bound * g
+            out.append(PlanStage(g, tuple(lengths), self.direction == IDFT,
+                                 residual % self.size))
+        return tuple(out)
 
     @property
     def const_scale(self) -> int:
@@ -371,7 +395,7 @@ class DftPlan(PassShape):
         bound = (1 << self.k) - 1
         base = (1 << self.k) if variant == "baseline" else bound
         out = []
-        for st in self.stages:
+        for st, level in zip(self.stages, self.levels):
             diags = st.diags
             rows, keys = [], []
             for i2 in range(1 << self.k2):
@@ -396,8 +420,7 @@ class DftPlan(PassShape):
                         self.const_scale)
             else:
                 entries = encode_diagonal_batch(self.params, np.array(rows),
-                                                st.level,
-                                                scale=self.const_scale)
+                                                level, scale=self.const_scale)
             out.append(dict(zip(keys, entries)))
         self._consts[variant] = out
         return out
@@ -414,9 +437,9 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
     IDFT and end at level 1 for DFT, matching their bootstrap positions.
 
     The plan is a `PassShape`, which refuses a bad direction, size, k,
-    split, level count or level order.  Only what it cannot see is checked
-    here: the size against the ring, every level against the chain, each
-    stage's butterfly offsets against its stride, and the split, which
+    split, level count or level order; its stages are derived from that
+    shape.  Only what the shape cannot see is checked here: the size
+    against the ring, every level against the chain, and the split, which
     must hold before log2(size) is divided by k.
     """
     size = params.n_ring // 2 if size is None else size
@@ -425,35 +448,14 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
     k1, k2 = split
     if k1 + k2 != k + 1 or k1 < 1 or k2 < 1:
         raise ConfigurationError("split must satisfy k1 + k2 = k + 1")
-    n_stages = (size.bit_length() - 1) // k
     if levels is None:
+        n_stages = (size.bit_length() - 1) // k
         start = params.levels if direction == IDFT else n_stages
         levels = range(start, start - n_stages, -1)
     levels = tuple(levels)
     if any(not 1 <= level <= params.levels for level in levels):
         raise ConfigurationError("stage levels must lie in [1, levels]")
-
-    bound = (1 << k) - 1
-    residual = 1 if direction == DFT else 0
-    stages = []
-    # A level count other than n_stages is the PassShape's to refuse.
-    for s, level in zip(range(n_stages), levels):
-        if direction == DFT:
-            lengths = [1 << (s * k + a + 1) for a in range(k)]
-            g = 1 << (s * k)
-        else:
-            lengths = [size >> (s * k + a) for a in range(k)]
-            g = size >> ((s + 1) * k)
-        # Merged offsets are sums of +-length/2, so they sit at multiples
-        # of g exactly when every half-length does.
-        if any((length // 2) % g for length in lengths):
-            raise ConfigurationError("butterfly offsets off the stage stride")
-        residual += bound * g
-        stages.append(PlanStage(g=g, level=level, lengths=tuple(lengths),
-                                inverse=direction == IDFT,
-                                minks_roll=residual % size))
-    return DftPlan(direction, size, k, k1, k2, levels, params=params,
-                   stages=tuple(stages))
+    return DftPlan(direction, size, k, k1, k2, levels, params=params)
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +508,10 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
         # The stride-1 key is stage 0's own baby key.
         ct = rotate(ct, 0, 1, 1)
 
-    for s, st in enumerate(plan.stages):
-        if ct.level != st.level:
+    for s, (st, level) in enumerate(zip(plan.stages, plan.levels)):
+        if ct.level != level:
             raise ConfigurationError(
-                f"stage {s} expects level {st.level}, got {ct.level}")
+                f"stage {s} expects level {level}, got {ct.level}")
         cmap = consts[s]
         babies = [ct]
         if not grouped:
@@ -525,7 +527,7 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
         for i2 in range(1 << plan.k2):
             row = {i1: cmap[i1, i2] for i1 in range(big) if (i1, i2) in cmap}
             if variant == "minks-oflimb":
-                row = of_limb_extend(params, row, st.level)
+                row = of_limb_extend(params, row, level)
             inners.append(_row_sum(babies, row))
         # The fold reads only the inner sums.
         del babies, row
@@ -544,7 +546,7 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
 
     if grouped and plan.direction == IDFT:
         # Exit fix-up; the stride-1 key is the last stage's own baby key.
-        ct = rotate(ct, len(plan.stages) - 1, 1, 1)
+        ct = rotate(ct, plan.iterations - 1, 1, 1)
     return ct
 
 
@@ -611,11 +613,11 @@ def bootstrap(params: CkksParams, ct: Ciphertext, sk: SecretKey,
         raise ConfigurationError("plans must be (idft, dft)")
     orig_slots = ct.slots
     raise_scale = ct.scale
-    raised = mod_raise(params, ct, inv_plan.stages[0].level)
+    raised = mod_raise(params, ct, inv_plan.levels[0])
     raised.slots = params.n_ring // 2
     mid = hdft_apply(params, raised, inv_plan, keys, variant, log)
     fresh = slotwise_mod_reference(params, mid, sk, rng, raise_scale,
-                                   fwd_plan.stages[0].level)
+                                   fwd_plan.levels[0])
     out = hdft_apply(params, fresh, fwd_plan, keys, variant, log)
     out.slots = orig_slots
     return out

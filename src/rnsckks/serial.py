@@ -12,9 +12,8 @@ exactly that ring degree and those primes; no modulus is built from bytes.
 Every polynomial is evaluation-rep (`rnspoly`), so a block's rep byte is
 written as the constant 1, and any other code, 0 included, is refused.
 
-Text formats cover parameter files (key = value lines) and switching-key
-usage logs (one op per line).  Both carry a schema-version comment on
-the first line so fixture diffs stay stable.
+The one text format, parameter files (key = value lines), carries a
+schema-version comment on the first line so fixture diffs stay stable.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import numpy as np
 from .ckks import (Ciphertext, CkksParams, EvaluationKey, Plaintext,
                    SecretKey, basis_c, basis_d)
 from .errors import ConfigurationError, SerializationError
-from .hdft import EvkUsageLog, LogEntry
 from .rnspoly import LimbBasis, RnsPolynomial
 
 MAGIC = b"RNSCKKS\x00"
@@ -139,14 +137,6 @@ def _write_container(path: str, kind: int, body: bytes):
             f.write(header + body)
     except OSError as e:
         raise SerializationError(f"cannot write container: {e}", path)
-
-
-def _write_text(path: str, lines: list[str], what: str):
-    try:
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
-    except OSError as e:
-        raise SerializationError(f"cannot write {what}: {e}", path)
 
 
 def _read_container(path: str, kind: int) -> _Cursor:
@@ -336,7 +326,11 @@ def write_params(path: str, params: CkksParams, seed: int | None = None):
              f"sigma = {params.sigma}"]
     if seed is not None:
         lines.append(f"seed = {seed}")
-    _write_text(path, lines, "parameter file")
+    try:
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+    except OSError as e:
+        raise SerializationError(f"cannot write parameter file: {e}", path)
 
 
 def read_params(path: str) -> tuple[CkksParams, int | None]:
@@ -375,63 +369,3 @@ def read_params(path: str) -> tuple[CkksParams, int | None]:
         return CkksParams(**values), seed
     except ConfigurationError as e:
         raise SerializationError(f"invalid parameters: {e}", path)
-
-
-# ---------------------------------------------------------------------------
-# Usage-log text format.
-
-EVKLOG_SCHEMA = "# rnsckks-evklog v1"
-
-
-def write_usage_log(path: str, log: EvkUsageLog):
-    """One line of fields per entry; a transform label that is not one
-    nonempty word could not be split back, so it is refused first."""
-    lines = [EVKLOG_SCHEMA]
-    for e in log.entries:
-        if e.transform.split() != [e.transform]:
-            raise SerializationError(
-                f"transform label {e.transform!r} is not one word", path)
-        lines.append(f"{e.op} {e.transform} {e.stage} {e.amount} "
-                     f"{e.evk_id} {e.kind or '-'} {int(e.performed)}")
-    _write_text(path, lines, "usage log")
-
-
-def read_usage_log(path: str) -> EvkUsageLog:
-    try:
-        with open(path) as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        raise SerializationError(f"cannot read usage log: {e}", path)
-    if not lines or lines[0].strip() != EVKLOG_SCHEMA:
-        raise SerializationError("missing evklog schema header", path)
-    log = EvkUsageLog()
-    for lineno, line in enumerate(lines[1:], 2):
-        text = line.strip()
-        if not text or text.startswith("#"):
-            continue
-        fields = text.split()
-        if len(fields) != 7:
-            raise SerializationError(f"line {lineno}: expected 7 fields",
-                                     path)
-        op, transform, stage, amount, evk_id, kind, performed = fields
-        if op not in ("hrot", "pmult") or kind not in ("load", "reuse", "-") \
-                or performed not in ("0", "1"):
-            raise SerializationError(f"line {lineno}: malformed record",
-                                     path)
-        try:
-            entry = LogEntry(transform, int(stage), op, int(amount),
-                             int(evk_id), "" if kind == "-" else kind,
-                             performed == "1")
-        except ValueError:
-            raise SerializationError(f"line {lineno}: malformed numbers",
-                                     path)
-        # Replayed, so the load/reuse state is the one the entries imply.
-        if op == "hrot":
-            log.note_rotation(entry.transform, entry.stage, entry.amount,
-                              entry.evk_id, entry.performed)
-        else:
-            log.note_pmult(entry.transform, entry.stage)
-        if log.entries[-1] != entry:
-            raise SerializationError(
-                f"line {lineno}: record does not replay as logged", path)
-    return log

@@ -85,10 +85,9 @@ def rot_keys(params, sk):
 def message_plans(params):
     """IDFT then DFT over 64 slots, radix 4, scheduled back to back."""
     inv = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
-    stages = len(inv.stages)
     fwd = build_dft_plan(params, DFT, size=64, k=2, split=(1, 2),
-                         levels=[params.levels - stages - s
-                                 for s in range(stages)])
+                         levels=[params.levels - inv.iterations - s
+                                 for s in range(inv.iterations)])
     return inv, fwd
 
 

@@ -176,8 +176,7 @@ def test_grouped_transform_equals_baseline_with_two_loads(params, sk,
     rng = np.random.default_rng([11, 7])
     v = rng.uniform(-1, 1, params.n_slots) \
         + 1j * rng.uniform(-1, 1, params.n_slots)
-    ct = encrypt(params, encode(params, v, level=inv.stages[0].level),
-                 sk, rng)
+    ct = encrypt(params, encode(params, v, level=inv.levels[0]), sk, rng)
 
     base_log, mks_log = EvkUsageLog(), EvkUsageLog()
     base = hdft_apply(params, ct, inv, message_keys, "baseline", base_log)
@@ -302,14 +301,14 @@ def test_level_refresh_recovers_message_and_levels(params, sk, boot_plans,
     got = slot_values(params, out, sk)
     assert rel_error(got, v) < params.budgets.bootstrap
 
-    # Exact ledger: the raise grants inv.stages[0].level levels; each stage
-    # of either pass consumes one; the reference reduction between the
+    # Exact ledger: the raise grants inv.levels[0] levels; each stage of
+    # either pass consumes one; the reference reduction between the
     # passes re-encodes at the forward plan's entry level.
-    iterations = len(inv.stages) + len(fwd.stages)
-    bookkeeping = (inv.stages[-1].level - 1) - fwd.stages[0].level
+    iterations = inv.iterations + fwd.iterations
+    bookkeeping = (inv.levels[-1] - 1) - fwd.levels[0]
     assert ct.level == 0
-    assert out.level == fwd.stages[-1].level - 1
-    assert inv.stages[0].level - out.level == iterations + bookkeeping
+    assert out.level == fwd.levels[-1] - 1
+    assert inv.levels[0] - out.level == iterations + bookkeeping
     assert time.perf_counter() - t0 < 120.0
 
 

@@ -1,9 +1,10 @@
 """End-to-end exercises of the command-line harness.
 
-Every command runs as a subprocess (``python -m rnsckks.cli ...``) so the
+Commands run as a subprocess (``python -m rnsckks.cli ...``) so the
 tests observe exactly what a shell user would: the stdout report, stderr
-notes, and the exit status.  Report lines are pinned byte-for-byte where
-the contract promises determinism under a fixed seed.
+notes, and the exit status; one case calls `cli.main` in-process.  Report
+lines are pinned byte-for-byte where the contract promises determinism
+under a fixed seed.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import sys
 
 import pytest
 
-from rnsckks import serial
+from rnsckks import cli, serial
 from rnsckks.ckks import CkksParams
 
 
@@ -203,6 +204,16 @@ def test_default_invocation_full_width_message():
         counts = [int(tok.split(":")[1])
                   for tok in per_stage.split("stage:")[1].split()]
         assert counts == [2, 2, 2]
+
+
+def test_executed_transform_wider_than_the_slot_count(capsys):
+    """A transform longer than the parameters' 64 slots encodes all of
+    its message, not the message's first 64 values tiled, and so
+    round-trips."""
+    assert cli.main(["hdft", "--n", "128", "--k", "7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [ln for ln in lines if ln.startswith("roundtrip max error:")]
+    assert line.endswith("ok")
 
 
 # ---------------------------------------------------------------------------

@@ -284,10 +284,11 @@ def test_minks_plaintext_bytes_against_model(params, boot_plans):
     for plan in boot_plans:
         report = hdft_pass_cost(PassShape.from_plan(plan), desk, "minks")
         consts = plan.stage_constants("minks")
-        for st, cost, cells in zip(plan.stages, report.stages, consts):
+        for st, level, cost, cells in zip(plan.stages, plan.levels,
+                                          report.stages, consts):
             stored = sum(pt.poly.limbs.nbytes for pt in cells.values())
             assert cost.plaintext_bytes == 127 * plaintext_bytes_at(
-                desk, st.level)
+                desk, level)
             assert st.g in (1, 64)
             assert stored * (64 if st.g == 1 else 1) == cost.plaintext_bytes
             total += stored

@@ -12,6 +12,7 @@ from rnsckks import hdft
 from rnsckks.ckks import (basis_c, encode, encode_diagonal_batch, encrypt,
                           hadd, make_rotation_keys, modulus_chain, pmult,
                           slot_values)
+from rnsckks.costmodel import PROFILES, hdft_pass_cost
 from rnsckks.embedding import packed_to_slots
 from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             MissingKeyError, ScaleMismatchError,
@@ -92,11 +93,11 @@ def test_plan_shapes_and_strides(params):
     inv = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
     assert inv.iterations == 3
     assert [st.g for st in inv.stages] == [16, 4, 1]
-    assert [st.level for st in inv.stages] == [7, 6, 5]
+    assert inv.levels == (7, 6, 5)
     assert all(len(st.diags) == 7 for st in inv.stages)
     fwd = build_dft_plan(params, DFT, size=64, k=2, split=(1, 2))
     assert [st.g for st in fwd.stages] == [1, 4, 16]
-    assert [st.level for st in fwd.stages] == [3, 2, 1]
+    assert fwd.levels == (3, 2, 1)
     assert fwd.const_scale == params.scale
     assert inv.const_scale == 1 << (params.q0_bits - 4)
 
@@ -143,6 +144,22 @@ def test_plan_validation_errors(params):
     with pytest.raises(ConfigurationError):
         build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2),
                        levels=[2, 1, 0])
+
+
+def test_a_plan_runs_the_shape_it_is_priced_as(params):
+    """A plan's stages are derived from its shape, so none can be cut
+    apart from its levels: each plan runs one stage per level, and min-KS
+    prices two key loads per stage run."""
+    plan = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
+    with pytest.raises(TypeError):
+        replace(plan, stages=plan.stages[:1])
+    with pytest.raises(ConfigurationError):
+        replace(plan, levels=plan.levels[:1])
+    desk = PROFILES["desk"]
+    for plan in _every_plan(params, 256):
+        assert len(plan.stages) == plan.iterations
+        assert hdft_pass_cost(plan, desk, "minks").evk_loads \
+            == 2 * plan.iterations
 
 
 def _every_plan(params, max_size):
@@ -221,8 +238,8 @@ def test_plan_constants_pinned(params):
 
 
 def _arrays(obj):
-    """Every ndarray a plan holds, through its stages and cached
-    constants (the shared parameters aside)."""
+    """Every ndarray a plan holds, through its cached constants (the
+    shared parameters aside; its stages are derived, not held)."""
     if isinstance(obj, np.ndarray):
         yield obj
     elif isinstance(obj, dict):
@@ -327,11 +344,11 @@ def test_grouped_variants_bit_identical(idft_runs):
 def test_transform_scale_and_level_ledger(params, message_plans, idft_runs):
     inv, _ = message_plans
     out = idft_runs[2]["minks"][0]
-    assert out.level == inv.stages[-1].level - 1
+    assert out.level == inv.levels[-1] - 1
     scale = Fraction(1 << 40)
     chain = modulus_chain(params)
-    for st in inv.stages:
-        scale = scale * inv.const_scale / chain[st.level].q
+    for level in inv.levels:
+        scale = scale * inv.const_scale / chain[level].q
     assert out.scale == scale
 
 
@@ -374,7 +391,7 @@ def test_roundtrip_restores_message(params, sk, message_plans, message_keys):
     ct = encrypt(params, encode(params, v), sk, rng)
     mid = hdft_apply(params, ct, inv, message_keys, "minks")
     out = hdft_apply(params, mid, fwd, message_keys, "minks")
-    assert out.level == fwd.stages[-1].level - 1
+    assert out.level == fwd.levels[-1] - 1
     assert rel_error(slot_values(params, out, sk),
                      v) < params.budgets.bootstrap
 
@@ -536,13 +553,20 @@ def test_g1_stage_encodes_without_the_tiled_stack(params, boot_plans):
     keeps 127 periods of 128 words per limb, and its peak stays below
     20 MiB: each diagonal is encoded from its 64-slot period, so no
     (127, N) stack of coefficients, nor the 55.6 MiB that the 127
-    plaintexts tiled to N would hold, is ever built."""
-    plan = boot_plans[0]
-    (st,) = [st for st in plan.stages if st.g == 1]
-    assert st.level == 6
+    plaintexts tiled to N would hold, is ever built.  The stage is run
+    as the one-stage 64-slot plan, whose stage merges the same
+    butterflies and rolls its constants by the same amount mod 64."""
+    full = boot_plans[0]
+    (s,) = [s for s, st in enumerate(full.stages) if st.g == 1]
+    assert full.levels[s] == 6
+    one = build_dft_plan(params, IDFT, size=64, k=6, split=(3, 4),
+                         levels=[6])
+    (st,) = one.stages
+    want = full.stages[s]
+    assert (st.g, st.lengths, st.minks_roll % 64) == \
+        (want.g, want.lengths, want.minks_roll % 64)
     # Warm the transform tables outside the trace.
-    replace(plan, stages=[st], _consts={}).stage_constants("baseline")
-    one = replace(plan, stages=[st], _consts={})
+    replace(one, _consts={}).stage_constants("baseline")
     tracemalloc.start()
     try:
         (cells,) = one.stage_constants("minks")
@@ -570,9 +594,9 @@ def test_full_width_plans_store_each_stage_at_its_period(
         == lengths
     minks = plan.stage_constants("minks")
     seeds = plan.stage_constants("minks-oflimb")
-    for st, length, pts, cells in zip(plan.stages, lengths, minks, seeds):
+    for level, length, pts, cells in zip(plan.levels, lengths, minks, seeds):
         assert {pt.poly.limbs.shape for pt in pts.values()} == \
-            {(st.level + 1, length)}
+            {(level + 1, length)}
         assert {len(seed.q0_limb) for seed in cells.values()} == {length}
 
 
@@ -612,7 +636,7 @@ def test_oflimb_widens_one_giant_row_at_a_time(params, sk, chain_plan):
             tracemalloc.stop()
         runs.append((out, log, peak))
     (a, log_a, peak_a), (b, log_b, peak_b) = runs
-    row = (1 << plan.k1) * (plan.stages[0].level + 1) * params.n_ring * 8
+    row = (1 << plan.k1) * (plan.levels[0] + 1) * params.n_ring * 8
     assert row == 2 << 20
     assert peak_b - peak_a <= row
     assert np.array_equal(a.c0.limbs, b.c0.limbs)
@@ -655,17 +679,17 @@ def test_subring_stages_widen_at_short_length(params, boot_plans, ntt_rows):
     for plan in boot_plans:
         consts = replace(plan, _consts={}).stage_constants("minks-oflimb")
         assert sorted(st.g for st in plan.stages) == [1, 64]
-        for st, cmap in zip(plan.stages, consts):
+        for st, level, cmap in zip(plan.stages, plan.levels, consts):
             for i2 in range(1 << plan.k2) if st.g == 1 else [3]:
                 row = {i1: cmap[i1, i2] for i1 in range(1 << plan.k1)
                        if (i1, i2) in cmap}
                 ntt_rows.clear()
-                pts = of_limb_extend(params, row, st.level)
+                pts = of_limb_extend(params, row, level)
                 length = n // 64 if st.g == 1 else n
                 assert ntt_rows == {("forward", length):
-                                    (st.level + 1) * len(row)}, (st.g, i2)
+                                    (level + 1) * len(row)}, (st.g, i2)
                 assert {pt.poly.limbs.shape for pt in pts.values()} == \
-                    {(st.level + 1, length)}
+                    {(level + 1, length)}
     ntt_rows.clear()
     encode(params, random_message(params, np.random.default_rng(89))[:64],
            level=7)
@@ -773,7 +797,7 @@ def test_bootstrap_returns_to_usable_level(params, sk, boot_plans,
                                            bootstrap_run):
     v, ct_in, out, _ = bootstrap_run
     assert ct_in.level == 0
-    assert out.level == boot_plans[1].stages[-1].level - 1
+    assert out.level == boot_plans[1].levels[-1] - 1
     assert out.slots == params.n_slots
     assert rel_error(slot_values(params, out, sk),
                      v) < params.budgets.bootstrap

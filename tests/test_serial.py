@@ -16,15 +16,13 @@ from rnsckks.ckks import (CkksParams, basis_d, decrypt, encode,
                           hrot, make_relin_key, make_rotation_key, mod_drop,
                           restrict_poly, slot_values)
 from rnsckks.errors import SerializationError
-from rnsckks.hdft import EvkUsageLog
 from rnsckks.modmath import PrimeModulus
 from rnsckks.rnspoly import LimbBasis
-from rnsckks.serial import (EVKLOG_SCHEMA, PARAMS_SCHEMA, load_ciphertext,
+from rnsckks.serial import (PARAMS_SCHEMA, load_ciphertext,
                             load_evaluation_key, load_plaintext,
-                            load_secret_key, read_params, read_usage_log,
-                            save_ciphertext, save_evaluation_key,
-                            save_plaintext, save_secret_key, write_params,
-                            write_usage_log)
+                            load_secret_key, read_params, save_ciphertext,
+                            save_evaluation_key, save_plaintext,
+                            save_secret_key, write_params)
 
 
 def message(params, rng):
@@ -712,63 +710,3 @@ def test_params_file_unwritable_path():
     with pytest.raises(SerializationError, match="cannot write") as err:
         write_params("/nonexistent-dir/x.txt", CkksParams())
     assert "/nonexistent-dir/x.txt" in str(err.value)
-
-
-# ---------------------------------------------------------------------------
-# Usage logs.
-
-def test_usage_log_roundtrip(tmp_path):
-    log = EvkUsageLog()
-    log.note_rotation("idft", 0, 64, 64)
-    log.note_rotation("idft", 0, 128, 64)
-    log.note_rotation("idft", 0, -256, -256, performed=False)
-    log.note_pmult("idft", 0, count=3)
-    log.note_rotation("dft", 1, 8, 8)
-    path = str(tmp_path / "ops.evklog")
-    write_usage_log(path, log)
-    assert open(path).read().splitlines()[0] == EVKLOG_SCHEMA
-    back = read_usage_log(path)
-    assert back.entries == log.entries
-    assert back.loads("idft") == log.loads("idft") == 2
-    assert back.reuses("idft") == 1
-    # The dedup set is rebuilt, so appending keeps classifying correctly.
-    back.note_rotation("idft", 0, 192, 64)
-    assert back.entries[-1].kind == "reuse"
-
-
-@pytest.mark.parametrize("label", ["my pass", "", "idft\n", "\tdft"],
-                         ids=["space", "empty", "newline", "tab"])
-def test_usage_log_refuses_a_label_it_could_not_read(tmp_path, label):
-    """A transform label that is not one word is refused before the file
-    is opened: read back, its line would not split into 7 fields."""
-    log = EvkUsageLog()
-    log.note_rotation(label, 0, 1, 1)
-    path = tmp_path / "bad.evklog"
-    with pytest.raises(SerializationError, match="transform label") as err:
-        write_usage_log(str(path), log)
-    assert str(path) in str(err.value)
-    assert not path.exists()
-
-
-def test_usage_log_unwritable_path():
-    log = EvkUsageLog()
-    log.note_rotation("idft", 0, 64, 64)
-    with pytest.raises(SerializationError, match="cannot write") as err:
-        write_usage_log("/nonexistent-dir/x.txt", log)
-    assert "/nonexistent-dir/x.txt" in str(err.value)
-
-
-@pytest.mark.parametrize("body,what", [
-    ("", "schema"),
-    ("hrot idft 0 64 64 load", "expected 7 fields"),
-    ("spin idft 0 64 64 load 1", "malformed record"),
-    ("hrot idft zero 64 64 load 1", "malformed numbers"),
-    ("hrot idft 0 64 64 reuse 1", "does not replay"),
-    ("pmult idft 0 0 0 load 1", "does not replay"),
-])
-def test_usage_log_rejects_malformed(tmp_path, body, what):
-    path = str(tmp_path / "bad.evklog")
-    text = body if body == "" else EVKLOG_SCHEMA + "\n" + body + "\n"
-    open(path, "w").write(text)
-    with pytest.raises(SerializationError, match=what):
-        read_usage_log(path)
