@@ -185,6 +185,25 @@ def mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return hi
 
 
+def shoup_companions(w: np.ndarray, mod: PrimeModulus) -> np.ndarray:
+    """floor(w * 2^64 / q) for a uint64 array of words w < q, in bulk.
+
+    With floor(2^128 / q) = r_hi 2^64 + r_lo, the estimate
+    w r_hi + mulhi(w, r_lo) is floor(w * floor(2^128 / q) / 2^64), which
+    falls short of w * 2^64 / q by less than w / 2^64 < 1: the companion
+    or one less.  The remainder w 2^64 - est q is then below 2q < 2^64,
+    so its wrapped value -est q mod 2^64 is exact, and one test against q
+    corrects the estimate.  w r_hi < 2^64 because w < q.
+    """
+    q = U64(mod.q)
+    est = mulhi(w, U64(mod.ratio_lo))
+    est += w * U64(mod.ratio_hi)
+    rem = est * q
+    np.negative(rem, out=rem)                # w 2^64 - est q, mod 2^64
+    est += rem >= q
+    return est
+
+
 def _mulhi_narrow(a: np.ndarray, b: np.uint64) -> np.ndarray:
     """mulhi for a multiplier b < 2^32: two products instead of four."""
     t = a & MASK32

@@ -14,9 +14,14 @@ Conventions, fixed across the package:
   ratios are stored, and the table is generated column by column at
   runtime.
 
-Twiddle tables are cached per (q, n, root).  Each table carries
-one of two butterfly kernels, chosen per prime when it is built; both end
-in canonical words, so the choice changes no output word.
+Twiddle tables are built once per process for each (q, n, psi) and
+cached.  A build runs one power ladder, psi^e for e in [0, 2n) in
+log2(2n) vectorized doublings, and reads both directions' twiddles out of
+it by index gathers, psi^-e as psi^(2n - e); the wide kernel's Shoup
+companions are computed in bulk (`modmath.shoup_companions`).  No
+twiddle takes an exponentiation of its own.  Each table carries one of
+two butterfly kernels, chosen per prime when it is built; both end in
+canonical words, so the choice changes no output word.
 
 * Signed, for the primes its predicate admits (the 40-bit scale
   primes).  Words are int64 and may be negative.  A product is
@@ -57,8 +62,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigurationError
-from .modmath import (U64, PrimeModulus, barrett_mul, shoup_mul,
-                      shoup_mul_lazy, shoup_words)
+from .modmath import (U64, PrimeModulus, barrett_mul, shoup_companions,
+                      shoup_mul, shoup_mul_lazy)
 
 # Words per pass through the butterfly stages: 256 KiB, so a block and its
 # stage temporaries (a few times its size) fit a 2 MiB L2.  On a 2-core
@@ -123,7 +128,9 @@ class NttTables:
     """Twiddles for one (q, n, psi) triple, in the form its kernel reads.
 
     Entries [h, 2h) of each twiddle table serve the stage that merges
-    length-h sub-transforms (h = 1, 2, ..., n/2); entry 0 is unused.  The
+    length-h sub-transforms (h = 1, 2, ..., n/2): entry h + u is
+    psi^((2u + 1) n / (2h)) forward and its inverse backward, both
+    gathered from one ladder of the powers of psi; entry 0 is unused.  The
     inverse table's h = 1 entry folds in 1/n.  `fwd_stages` and
     `inv_stages` hold, per stage in execution order, (h, w, c, reduce),
     with the twiddles w and their companions c viewed in the shape of the
@@ -142,19 +149,38 @@ class NttTables:
     inv_stages: tuple
 
 
-def _kernel_words(words: list[int], q: int, signed: bool) -> tuple:
-    """(w, c) as the kernel reads them: int64 twiddles and fl(w / q), or
-    uint64 twiddles and their Shoup companions."""
+def _geometric(mod: PrimeModulus, first: int, ratio: int,
+               count: int) -> np.ndarray:
+    """first * ratio^e mod q for e in [0, count), count a power of two.
+
+    A ladder of log2(count) doublings: the terms [k, 2k) are the terms
+    [0, k) times ratio^k, one Shoup product each.
+    """
+    q = mod.q
+    out = np.empty(count, dtype=U64)
+    out[0] = first % q
+    step, k = ratio % q, 1                   # step = ratio^k
+    while k < count:
+        w = np.array([step], dtype=U64)
+        out[k:2 * k] = shoup_mul(out[:k], w, shoup_companions(w, mod), mod)
+        step, k = step * step % q, 2 * k
+    return out
+
+
+def _kernel_words(words: np.ndarray, mod: PrimeModulus, signed: bool) -> tuple:
+    """(w, c) as the kernel reads them, from canonical uint64 words:
+    int64 twiddles and fl(w / q), or uint64 twiddles and their Shoup
+    companions."""
     if signed:
-        w = np.array(words, dtype=I64)
-        return w, w / float(q)
-    return shoup_words(words, [q] * len(words))
+        w = words.astype(I64)
+        return w, w / float(mod.q)
+    return words, shoup_companions(words, mod)
 
 
-def _stages(n: int, words: list[int], q: int, signed: bool, spans,
-            reduce) -> tuple:
+def _stages(n: int, words: np.ndarray, mod: PrimeModulus, signed: bool,
+            spans, reduce) -> tuple:
     b = _layout(n)[0]
-    w, c = _kernel_words(words, q, signed)
+    w, c = _kernel_words(words, mod, signed)
     out = []
     for h, cut in zip(spans, reduce):
         views = [v[h:2 * h] for v in (w, c)]
@@ -167,29 +193,25 @@ def _stages(n: int, words: list[int], q: int, signed: bool, spans,
 @lru_cache(maxsize=None)
 def _build_tables(mod: PrimeModulus, n: int, psi: int) -> NttTables:
     q = mod.q
-    if pow(psi, n, q) != q - 1:
+    powers = _geometric(mod, 1, psi, 2 * n)          # psi^e, e in [0, 2n)
+    if powers[n] != q - 1:
         raise ConfigurationError(f"root {psi} lacks order {2 * n} mod {q}")
-    psi_inv = pow(psi, -1, q)
+    spans = [1 << k for k in range(n.bit_length() - 1)]
+    # Stage h merges length-h sub-transforms; the sub-root is the n/(2h)-th
+    # power of psi, taken at odd exponents.  Entry 0 is unused.
+    exps = np.concatenate(
+        [[0], *(np.arange(1, 2 * h, 2) * (n // (2 * h)) for h in spans)])
+    fwd = powers[exps]
+    inv = powers[-exps]                  # psi^-e = psi^(2n - e), e in (0, n)
     n_inv = pow(n, -1, q)
-    fwd, inv = [0], [0]
-    h = 1
-    while h < n:
-        # Stage h merges length-h sub-transforms; the sub-root is the
-        # n/(2h)-th power of psi, taken at odd exponents.
-        step = n // (2 * h)
-        exps = [(2 * u + 1) * step for u in range(h)]
-        fwd += [pow(psi, e, q) for e in exps]
-        w_inv = [pow(psi_inv, e, q) for e in exps]
-        inv += [x * n_inv % q for x in w_inv] if h == 1 else w_inv
-        h <<= 1
+    inv[1] = int(inv[1]) * n_inv % q
     schedule = _signed_schedule(q, n)
     signed = schedule is not None
-    spans = [1 << k for k in range(n.bit_length() - 1)]
-    w, c = _kernel_words([n_inv], q, signed)
+    w, c = _kernel_words(np.array([n_inv], dtype=U64), mod, signed)
     return NttTables(
         mod=mod, n=n, signed=signed, n_inv=(w[0], c[0]),
-        fwd_stages=_stages(n, fwd, q, signed, spans, [False] * len(spans)),
-        inv_stages=_stages(n, inv, q, signed, spans[::-1],
+        fwd_stages=_stages(n, fwd, mod, signed, spans, [False] * len(spans)),
+        inv_stages=_stages(n, inv, mod, signed, spans[::-1],
                            schedule or [False] * len(spans)))
 
 
@@ -362,14 +384,14 @@ def _sqrt_len(n: int) -> int:
     return s
 
 
-def _apply_twist(mat: np.ndarray, ratios: list[int],
+def _apply_twist(mat: np.ndarray, ratios: np.ndarray,
                  mod: PrimeModulus) -> np.ndarray:
     """Multiply mat[j, c] by ratios[j]^c, one column at a time.
 
     The ratios are fixed multipliers, so the column recurrence runs on
     Shoup products; the entry products are data by data, so Barrett.
     """
-    ratios, ratios_shoup = shoup_words(ratios, [mod.q] * len(ratios))
+    ratios_shoup = shoup_companions(ratios, mod)
     col = np.ones(len(ratios), dtype=U64)
     out = np.empty_like(mat)
     for c in range(mat.shape[1]):
@@ -397,7 +419,8 @@ def four_step_ntt(values: np.ndarray, mod: PrimeModulus,
     psi = pow(mod.root, mod.two_n // (2 * n), mod.q)
     eta = pow(psi, s, mod.q)            # order 2s: the root of both passes
     base = psi if direction == "forward" else pow(psi, -1, mod.q)
-    ratios = [pow(base, 2 * j + 1 - s, mod.q) for j in range(s)]
+    # psi^(±(2 j0 + 1 - s)) for j0 in [0, s): base^(1 - s) times (base^2)^j0.
+    ratios = _geometric(mod, pow(base, 1 - s, mod.q), base * base, s)
 
     if direction == "forward":
         mat = values.reshape(s, s)                        # [t1, t0]

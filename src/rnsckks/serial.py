@@ -310,7 +310,10 @@ PARAMS_SCHEMA = "# rnsckks-params v1"
 def write_params(path: str, params: CkksParams, seed: int | None = None):
     """Write a parameter file; `read_params` rebuilds alpha as
     (levels + 1) / dnum, so parameters whose last digit piece is short
-    cannot be written."""
+    cannot be written, and neither can a negative seed."""
+    if seed is not None and seed < 0:
+        raise SerializationError(
+            f"seed {seed} is negative; seeds are non-negative", path)
     if params.alpha * params.dnum != params.levels + 1:
         raise SerializationError(
             f"alpha {params.alpha} does not divide levels + 1 = "
@@ -334,7 +337,9 @@ def write_params(path: str, params: CkksParams, seed: int | None = None):
 
 
 def read_params(path: str) -> tuple[CkksParams, int | None]:
-    """Parse a parameter file; returns the params and an optional seed."""
+    """Parse a parameter file; returns the params and an optional seed.
+
+    Each key may appear once, and a seed must be non-negative."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
@@ -353,11 +358,17 @@ def read_params(path: str) -> tuple[CkksParams, int | None]:
         if key not in _PARAM_KEYS:
             raise SerializationError(f"line {lineno}: unknown key {key!r}",
                                      path)
+        if key in values:
+            raise SerializationError(f"line {lineno}: repeated key {key!r}",
+                                     path)
         try:
             values[key] = float(val) if key == "sigma" else int(val)
         except ValueError:
             raise SerializationError(
                 f"line {lineno}: malformed value for {key}", path)
+        if key == "seed" and values[key] < 0:
+            raise SerializationError(
+                f"line {lineno}: seed {values[key]} is negative", path)
     seed = values.pop("seed", None)
     dnum = values.pop("dnum", None)
     if dnum is not None:

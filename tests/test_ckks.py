@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (centered_mod, oracle_crt, oracle_negacyclic_big,
                      oracle_residues)
@@ -15,7 +17,7 @@ from rnsckks.ckks import (Ciphertext, CkksParams, Plaintext, aux_chain,
                           basis_b, basis_c, basis_d, cadd, cmult, decode,
                           decrypt, encode, encode_diagonal_batch, encrypt,
                           hadd, hmult, hneg, hrescale, hrot, hsub, key_switch,
-                          make_relin_key, make_rotation_key,
+                          keygen, make_relin_key, make_rotation_key,
                           make_rotation_keys, mod_down, mod_drop,
                           modulus_chain, normalize_step, padd, piece_basis,
                           pmult, restrict_poly, sample_uniform, slot_values,
@@ -29,6 +31,7 @@ from rnsckks.errors import (BasisMismatchError, ConfigurationError,
 from rnsckks.rnspoly import (LimbBasis, RnsPolynomial, crt_float,
                              crt_reconstruct, rp_mul, subring_stride,
                              transform_limbs)
+from rnsckks.serial import read_params, write_params
 
 
 def random_message(params, rng):
@@ -835,3 +838,48 @@ def test_rotation_key_table(params, sk):
     assert sorted(keys) == [1, 2]
     assert all(evk.kind == "rot" and evk.step == r
                for r, evk in keys.items())
+
+
+# ---------------------------------------------------------------------------
+# Small parameter sets drawn at random.
+
+@st.composite
+def small_params(draw):
+    """Ring degree 2^6..2^10, 1..7 levels, a digit size alpha dividing
+    levels + 1, and a power-of-two slot count up to n_ring / 2."""
+    log_n = draw(st.integers(6, 10))
+    levels = draw(st.integers(1, 7))
+    alpha = draw(st.sampled_from([a for a in range(1, levels + 2)
+                                  if (levels + 1) % a == 0]))
+    n_slots = 1 << draw(st.integers(1, log_n - 1))
+    return CkksParams(n_ring=1 << log_n, n_slots=n_slots, levels=levels,
+                      alpha=alpha)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(params=small_params())
+@example(params=CkksParams(n_ring=1024, n_slots=512, levels=7, alpha=8))
+def test_scheme_ops_within_budget_on_small_params(params, tmp_path_factory):
+    """Each drawn set builds its own primes and twiddle tables; fresh
+    encryption, a multiply with rescale and a rotation by one stay within
+    their budgets, and the parameter file reads back the same set.  The
+    draws shrink toward small rings, so the widest corner, 2^10 with 16
+    primes and full slots, is an explicit example."""
+    budgets = params.budgets
+    rng = np.random.default_rng([params.n_ring, params.levels, params.alpha,
+                                 params.n_slots])
+    sk = keygen(params, rng)
+    va, vb = random_message(params, rng), random_message(params, rng)
+    a = encrypt(params, encode(params, va), sk, rng)
+    b = encrypt(params, encode(params, vb), sk, rng)
+    assert rel_error(slot_values(params, a, sk), va) < budgets.fresh
+    prod = hrescale(params, hmult(params, a, b, make_relin_key(params, sk,
+                                                               rng)))
+    assert rel_error(slot_values(params, prod, sk),
+                     va * vb) < budgets.multiply
+    rot = make_rotation_keys(params, sk, [1], rng)[1]
+    assert rel_error(slot_values(params, hrot(params, a, 1, rot), sk),
+                     np.roll(va, -1)) < budgets.fresh * budgets.rotate_factor
+    path = str(tmp_path_factory.mktemp("params") / "params.txt")
+    write_params(path, params, seed=7)
+    assert read_params(path) == (params, 7)

@@ -2,7 +2,8 @@
 
 Commands run as a subprocess (``python -m rnsckks.cli ...``) so the
 tests observe exactly what a shell user would: the stdout report, stderr
-notes, and the exit status; one case calls `cli.main` in-process.  Report
+notes, and the exit status; the cases that fail before any command runs
+call `cli.main` in-process, as does one executed transform.  Report
 lines are pinned byte-for-byte where the contract promises determinism
 under a fixed seed.
 """
@@ -245,8 +246,14 @@ def test_bench_reports_model_counts():
     # Wall times live on stderr only, so the report stays byte-stable.
     assert first.stdout == again.stdout
     assert "bench:" in first.stderr
+    # One line for the twiddle tables of C_L + B at the ring degree.
+    tables = [ln for ln in first.stderr.splitlines()
+              if ln.startswith("bench: ntt tables ")]
+    assert len(tables) == 1
+    assert re.fullmatch(r"bench: ntt tables 12 x 8192 \d+\.\d\d ms "
+                        r"\(first build\)", tables[0]), tables
     ntt_lines = [ln.split() for ln in first.stderr.splitlines()
-                 if ln.startswith("bench: ntt ")]
+                 if ln.startswith("bench: ntt ") and ln not in tables]
     assert [ln[2:5] for ln in ntt_lines] == [
         ["forward", "scale", "q40"], ["inverse", "scale", "q40"],
         ["forward", "aux", "q60"], ["inverse", "aux", "q60"]]
@@ -310,6 +317,24 @@ def test_corrupt_params_file_exits_2(tmp_path):
     proc = run_cli("sizes", "--params", str(path))
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["selftest", "hdft", "keygen", "bench"])
+def test_negative_seed_is_refused_at_parse_time(command, capsys):
+    """numpy seeds only with non-negative integers; the parser says so and
+    names the option, in-process, before any command runs."""
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--seed", "-1"])
+    assert exit_.value.code == 2
+    assert "argument --seed: expected a non-negative integer" in (
+        capsys.readouterr().err)
+
+
+def test_negative_seed_in_params_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "params.txt"
+    path.write_text("# rnsckks-params v1\nn_ring = 64\nseed = -5\n")
+    assert cli.main(["selftest", "--params", str(path)]) == 2
+    assert "line 3: seed -5 is negative" in capsys.readouterr().err
 
 
 def test_missing_params_file_exits_2(tmp_path):

@@ -11,8 +11,8 @@ from rnsckks import modmath
 from rnsckks.modmath import (FLOAT_PAIRS, SMALL_WORD, U64, PrimeModulus,
                              barrett_mul, barrett_reduce128,
                              generate_ntt_primes, is_prime, mod_add, mod_neg,
-                             mod_sub, mul128, mul_sum, mulhi, shoup_mul,
-                             shoup_mul_lazy)
+                             mod_sub, mul128, mul_sum, mulhi,
+                             shoup_companions, shoup_mul, shoup_mul_lazy)
 
 PRIMES = [PrimeModulus(q, 1 << 14)
           for q in generate_ntt_primes(40, 2, 1 << 14)
@@ -183,6 +183,21 @@ def test_shoup_estimates_match_oracle(bits):
             shoup_mul(a[-1], col[:, 0], col_shoup[:, 0], pm, small=small),
             want[:, -1])
 
+
+
+@pytest.mark.parametrize("bits", WIDTHS)
+def test_shoup_companions_match_oracle(bits):
+    """The bulk companion is floor(w * 2^64 / q) for words across [0, q),
+    both ends included, and for the words w = k 2^-64 mod q, whose
+    remainder w 2^64 mod q is k: there the estimate falls one short at
+    every width from 33 bits up, and the remainder test corrects it."""
+    rng = np.random.default_rng([97, bits])
+    pm = widest_prime(bits)
+    short = [k * pow(1 << 64, -1, pm.q) % pm.q for k in (1, 2, 3)]
+    w = np.concatenate([words_below(pm.q, rng),
+                        np.array(short, dtype=U64)])
+    assert shoup_companions(w, pm).tolist() == [(int(x) << 64) // pm.q
+                                                for x in w]
 
 
 @pytest.mark.parametrize("bits", WIDTHS)

@@ -1,5 +1,6 @@
 """Negacyclic transforms, flat and four-step, against convolution oracles."""
 
+import builtins
 import importlib
 import tracemalloc
 from fractions import Fraction
@@ -16,6 +17,7 @@ from rnsckks.ntt import (bit_reverse_permutation, four_step_ntt, get_tables,
                          ntt)
 
 ntt_module = importlib.import_module("rnsckks.ntt")
+modmath_module = importlib.import_module("rnsckks.modmath")
 
 # The chain's widest primes, whose butterflies take the wide kernel.
 DESK = CkksParams()
@@ -359,3 +361,68 @@ def test_rejects_bad_direction_and_length():
 def test_tables_are_cached_per_modulus():
     pm = prime_for(64)
     assert get_tables(pm, 64) is get_tables(pm, 64)
+
+
+def closed_form_twiddles(pm, n, psi, h, inverse, us):
+    """Twiddles u of stage h by direct exponentiation: psi^((2u+1) n/(2h)),
+    or psi^-1 to the same powers with 1/n folded in at h = 1."""
+    q = pm.q
+    base = pow(psi, -1, q) if inverse else psi
+    scale = pow(n, -1, q) if inverse and h == 1 else 1
+    return [pow(base, (2 * u + 1) * (n // (2 * h)), q) * scale % q for u in us]
+
+
+def test_tables_match_their_closed_form():
+    """Every stage's twiddles and companions, and (1/n, c), against direct
+    exponentiation: every entry at n = 16 and 128, and at n = 8192 each
+    stage's first and last entry and a strided sample, at every desk prime;
+    and the widest, the signed edge and the wide edge primes at n = 16."""
+    desk = [*modulus_chain(DESK), *aux_chain(DESK)]
+    cases = [(n, pm) for n in (16, 128, 8192) for pm in desk]
+    cases += [(16, modulus(16, w)) for w in ("q62", "admit", "refuse")]
+    for n, pm in cases:
+        q = pm.q
+        psi = pow(pm.root, pm.two_n // (2 * n), q)
+        t = get_tables(pm, n)
+
+        def companion(w):
+            return w / float(q) if t.signed else (w << 64) // q
+
+        def check(w, c, want):
+            assert w.dtype == (np.int64 if t.signed else U64)
+            assert c.dtype == (np.float64 if t.signed else U64)
+            assert [int(x) for x in w] == want, (n, q)
+            assert c.tolist() == [companion(x) for x in want], (n, q)
+
+        spans = [1 << k for k in range(n.bit_length() - 1)]
+        assert [st[0] for st in t.fwd_stages] == spans
+        assert [st[0] for st in t.inv_stages] == spans[::-1]
+        for inverse, stages in ((False, t.fwd_stages), (True, t.inv_stages)):
+            for h, w, c, _ in stages:
+                w, c = w.ravel(), c.ravel()
+                assert len(w) == len(c) == h
+                us = (range(h) if n <= 128 else
+                      sorted({0, h - 1, *range(0, h, max(1, h // 32))}))
+                check(w[us], c[us],
+                      closed_form_twiddles(pm, n, psi, h, inverse, us))
+        n_inv = pow(n, -1, q)
+        check(np.array([t.n_inv[0]]), np.array([t.n_inv[1]]), [n_inv])
+
+
+def test_table_build_makes_few_exponentiations(monkeypatch):
+    """A fresh 8192-point build reads its twiddles off one power ladder:
+    a few exponentiations, not one per twiddle (16,385 per table)."""
+    n = 8192
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return builtins.pow(*args)
+
+    for module in (ntt_module, modmath_module):
+        monkeypatch.setattr(module, "pow", counting_pow, raising=False)
+    for pm in (modulus_chain(DESK)[1], WIDE["aux60"]):      # signed, wide
+        psi = pow(pm.root, pm.two_n // (2 * n), pm.q)
+        calls.clear()
+        ntt_module._build_tables.__wrapped__(pm, n, psi)     # uncached
+        assert len(calls) <= 64, (pm.q, len(calls))

@@ -701,6 +701,30 @@ def test_params_file_rejects_bad_lines(tmp_path, line, what):
         read_params(path)
 
 
+def test_params_file_refuses_a_repeated_key(tmp_path):
+    """Two files that differ only after a repeated key would otherwise read
+    as one parameter set."""
+    path = tmp_path / "params.txt"
+    path.write_text(PARAMS_SCHEMA + "\nn_ring = 64\nn_slots = 4\n"
+                    "n_ring = 128\n")
+    with pytest.raises(SerializationError,
+                       match="line 4: repeated key 'n_ring'"):
+        read_params(str(path))
+
+
+def test_params_file_refuses_a_negative_seed(tmp_path):
+    path = tmp_path / "params.txt"
+    path.write_text(PARAMS_SCHEMA + "\nseed = -5\n")
+    with pytest.raises(SerializationError, match="line 2: seed -5"):
+        read_params(str(path))
+    path.unlink()
+    with pytest.raises(SerializationError, match="negative"):
+        write_params(str(path), CkksParams(), seed=-1)
+    assert not path.exists()
+    write_params(str(path), CkksParams(), seed=0)
+    assert read_params(str(path))[1] == 0
+
+
 def test_params_file_missing(tmp_path):
     with pytest.raises(SerializationError, match="cannot read"):
         read_params(str(tmp_path / "absent.txt"))
