@@ -19,6 +19,15 @@ the ciphertext keeps: dnum_l + 2 polynomials, as
 T_i = P * (Q/Q_i) * ((Q/Q_i)^{-1} mod Q_i) make every base-extension slack
 term vanish modulo the working modulus at every level, so one key serves
 all levels.
+
+A generated key keeps only its b_i halves resident.  Each a_i is drawn
+from the caller's generator as before and b_i is formed with it, but the
+key then holds the generator's snapshot from before the draw
+(`UniformSeed`) in place of a_i's limbs; a_i is made again when a switch
+reads the piece (`EvaluationKey.piece`).  The replay gives the drawn
+words, so keys, ciphertexts and containers are the same bit for bit.
+Containers store the full a_i: the snapshot replays numpy's
+`Generator.integers`, which holds only within one process.
 """
 
 from __future__ import annotations
@@ -202,13 +211,52 @@ def _add_into(stack: RnsPolynomial, h: int, p: RnsPolynomial):
     stack.limbs[:, h] = rp_add(_half(stack, h), p).limbs
 
 
+@dataclass(frozen=True)
+class UniformSeed:
+    """A uniform polynomial as the generator snapshot it was drawn from:
+    `expand` replays `sample_uniform` over `basis` at ring degree `n` from
+    a fresh bit generator of class `generator` put in `state`, so it gives
+    the drawn words again, within the process that drew them."""
+
+    basis: LimbBasis
+    n: int
+    generator: type              # the caller's bit-generator class
+    state: dict                  # its `.state` before the draw
+
+    def expand(self) -> RnsPolynomial:
+        bits = self.generator()
+        bits.state = self.state
+        return sample_uniform(self.basis, self.n, np.random.Generator(bits))
+
+
 @dataclass
 class EvaluationKey:
-    """Switching key for one secret: digit-piece pairs over C_L + B."""
+    """Switching key for one secret: digit-piece pairs (b_i, a_i) over
+    C_L + B, b_i = -a_i s + e_i + T_i * target.
+
+    A generated key keeps only b_i resident; a_i, the uniform half, stays
+    the `UniformSeed` it was drawn from and is made when a switch reads
+    the piece (`piece`).  So `key_switch` expands the pieces it uses on
+    each call, and `hdft.hdft_apply` expands each key once per stage
+    (`expanded`) and drops the copy when the stage is done.  A key read
+    from a container holds a_i's limbs, which `piece` returns as they
+    are.  Containers keep the full a_i because a seed replays numpy's
+    `Generator.integers` and is valid only in the process that drew it.
+    """
 
     kind: str                    # "mult" or "rot"
     step: int                    # rotation amount; 0 for "mult"
-    pieces: tuple[tuple[RnsPolynomial, RnsPolynomial], ...]
+    pieces: tuple[tuple[RnsPolynomial, RnsPolynomial | UniformSeed], ...]
+
+    def piece(self, i: int) -> tuple[RnsPolynomial, RnsPolynomial]:
+        """Digit piece i with a_i as limbs, expanded if it is a seed."""
+        b, a = self.pieces[i]
+        return b, a.expand() if isinstance(a, UniformSeed) else a
+
+    def expanded(self) -> EvaluationKey:
+        """The same key with every a_i as limbs."""
+        return EvaluationKey(self.kind, self.step, tuple(
+            self.piece(i) for i in range(len(self.pieces))))
 
 
 def restrict_poly(p: RnsPolynomial, basis: LimbBasis) -> RnsPolynomial:
@@ -262,16 +310,19 @@ def _gadget_constants(params: CkksParams, i: int) -> dict[int, int]:
 def _make_switch_key(params: CkksParams, sk: SecretKey,
                      target: RnsPolynomial, rng: np.random.Generator,
                      kind: str, step: int) -> EvaluationKey:
-    """Key pairs (b_i, a_i) with b_i = -a_i s + e_i + T_i * target."""
+    """Key pairs (b_i, a_i) with b_i = -a_i s + e_i + T_i * target; each
+    a_i is drawn from `rng` and kept as the `UniformSeed` of that draw."""
     full = basis_d(params, params.levels)
     pieces = []
     for i in range(params.dnum):
+        seed = UniformSeed(full, params.n_ring, type(rng.bit_generator),
+                           rng.bit_generator.state)
         a_i = sample_uniform(full, params.n_ring, rng)
         e_i = RnsPolynomial(full, lift_int_coeffs(
             sample_error(rng, params.n_ring, params.sigma), full))
         masked = rp_scalar_mul_per_limb(target, _gadget_constants(params, i))
         b_i = rp_sub(rp_add(e_i, masked), rp_mul(a_i, sk.poly))
-        pieces.append((b_i, a_i))
+        pieces.append((b_i, seed))
     return EvaluationKey(kind=kind, step=step, pieces=tuple(pieces))
 
 
@@ -509,13 +560,15 @@ def key_switch(params: CkksParams, d: RnsPolynomial,
 
     # Inner product with the key pairs, one reduction per output word; the
     # accumulator is (L, 2, N) so that one ModDown sheds B from both halves.
+    pieces = [evk.piece(i) for i in range(count)]
     key_rows = _key_rows(params, level)
     acc = np.empty((len(d_basis), 2, params.n_ring), dtype=U64)
     for r, (pm, kr) in enumerate(zip(d_basis, key_rows)):
         for half in (0, 1):
             acc[r, half] = mul_sum(
-                [(ext[r, i], evk.pieces[i][half].limbs[kr])
+                [(ext[r, i], pieces[i][half].limbs[kr])
                  for i in range(count)], pm)
+    del ext, pieces     # the ModUp stack and any expanded a_i die first
     return RnsPolynomial(c_basis, mod_down(acc, c_basis, basis_b(params)))
 
 

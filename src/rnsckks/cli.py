@@ -489,6 +489,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     timed("hrot", lambda: hrot(params, ct, 1, rot))
     for name, best in timings:
         _note(f"bench: {name} {best * 1e3:.2f} ms")
+    # hrot above includes it: the key keeps its a_i halves as seeds.
+    expand = min(_time_once(rot.expanded) for _ in range(3))
+    _note(f"bench: evk expand {len(rot.pieces)} x {len(primes)} x "
+          f"{params.n_ring} {expand * 1e3:.2f} ms (one key)")
     # One prime per butterfly kernel, per row of a 4-row stack; stderr
     # only, so the report's "ops timed" line does not move.
     ntt_rng = np.random.default_rng([seed, 0x177])

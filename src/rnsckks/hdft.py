@@ -58,6 +58,13 @@ step = id mod size under the key held for that step (none for a step of
 scheduled amounts, so a scheduled no-op still counts as a key load; the
 minks baby chain and giant fold each use their one stride as the id, and
 each fix-up rotation uses id 1.
+
+A load is an expansion: a generated key keeps only b_i resident
+(`ckks.EvaluationKey`), and the first rotation of a stage under a step
+makes that key's a_i limbs once; every later rotation of the stage,
+fix-up included, uses that copy, and the copies are dropped when the
+next stage begins.  So a min-KS stage expands the two keys it loads, and
+at most two expanded keys are alive at a time.
 """
 
 from __future__ import annotations
@@ -492,16 +499,23 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
     consts = plan.stage_constants(variant)
     big = 1 << plan.k1
     grouped = variant != "baseline"
+    held = {}               # step -> expanded key, for the stage held_stage
+    held_stage = None
 
     def rotate(ct: Ciphertext, stage: int, evk_id: int,
                amount: int) -> Ciphertext:
+        nonlocal held, held_stage
         step = evk_id % plan.size
         log.note_rotation(label, stage, amount, evk_id, performed=step != 0)
         if step == 0:
             return ct
         if step not in keys:
             raise MissingKeyError(f"no rotation key for step {step}")
-        return hrot(params, ct, step, keys[step])
+        if stage != held_stage:     # the last stage's keys are done
+            held, held_stage = {}, stage
+        if step not in held:        # this stage's load of the key
+            held[step] = keys[step].expanded()
+        return hrot(params, ct, step, held[step])
 
     if grouped and plan.direction == DFT:
         # Entry fix-up: +1 makes the stage residuals sum to a full cycle.

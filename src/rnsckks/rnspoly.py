@@ -508,6 +508,11 @@ def crt_float(p: RnsPolynomial) -> np.ndarray:
     double-double arithmetic (about 106 bits), so the result is x rounded
     to nearest unless x lies within about 2^-100 of a rounding midpoint;
     `crt_reconstruct` is the exact reference.
+
+    Once the tail through digit i matches x under every later prime, it
+    is x (both lie within Q/2), so every later digit is zero: the loop
+    stops there and Horner starts at digit i, which gives the words that
+    zero digits would.
     """
     one_poly(p)
     coeffs = p.coeffs()
@@ -537,8 +542,12 @@ def crt_float(p: RnsPolynomial) -> np.ndarray:
                                     t.q_col[rest], small=small)
         acc[rest] += neg * t.wrap[i, rest]
         bound += 3
-    vh, vl = _split_int(digits[-1])
-    for i in range(size - 2, -1, -1):
+        if all(np.array_equal(acc[j] % t.q_col[j], coeffs[j])
+               for j in range(i + 1, size)):
+            break
+    top = i
+    vh, vl = _split_int(digits[top])
+    for i in range(top - 1, -1, -1):
         q_hi, q_lo, q_hh, q_hl = t.split[i]
         dh, dl = _split_int(digits[i])
         # (vh + vl) * q + d with the product error of vh * q_hi exact.

@@ -270,10 +270,12 @@ def load_secret_key(path: str, params: CkksParams) -> SecretKey:
 
 
 def save_evaluation_key(path: str, evk: EvaluationKey):
+    """Every a_i is written as its limbs, expanded if the key holds its
+    seed, so the bytes do not depend on how the key keeps it."""
     body = _Body()
     body.pack("BqH", 1 if evk.kind == "rot" else 0, evk.step,
               len(evk.pieces))
-    for b, a in evk.pieces:
+    for b, a in evk.expanded().pieces:
         _put_poly(body, b)
         _put_poly(body, a)
     _write_container(path, KIND_EVALUATION_KEY, body.getvalue())

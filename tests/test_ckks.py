@@ -13,15 +13,15 @@ from hypothesis import strategies as st
 from oracles import (centered_mod, oracle_crt, oracle_negacyclic_big,
                      oracle_residues)
 import rnsckks.ckks as ckks_module
-from rnsckks.ckks import (Ciphertext, CkksParams, Plaintext, aux_chain,
-                          basis_b, basis_c, basis_d, cadd, cmult, decode,
-                          decrypt, encode, encode_diagonal_batch, encrypt,
-                          hadd, hmult, hneg, hrescale, hrot, hsub, key_switch,
-                          keygen, make_relin_key, make_rotation_key,
-                          make_rotation_keys, mod_down, mod_drop,
-                          modulus_chain, normalize_step, padd, piece_basis,
-                          pmult, restrict_poly, sample_uniform, slot_values,
-                          slots_to_coeffs)
+from rnsckks.ckks import (Ciphertext, CkksParams, Plaintext, UniformSeed,
+                          aux_chain, basis_b, basis_c, basis_d, cadd, cmult,
+                          decode, decrypt, encode, encode_diagonal_batch,
+                          encrypt, hadd, hmult, hneg, hrescale, hrot, hsub,
+                          key_switch, keygen, make_relin_key,
+                          make_rotation_key, make_rotation_keys, mod_down,
+                          mod_drop, modulus_chain, normalize_step, padd,
+                          piece_basis, pmult, restrict_poly, sample_uniform,
+                          slot_values, slots_to_coeffs)
 from rnsckks.costmodel import (PROFILES, ParamProfile, keyswitch_mults,
                                rescale_mults)
 from rnsckks.embedding import packed_to_slots
@@ -31,7 +31,8 @@ from rnsckks.errors import (BasisMismatchError, ConfigurationError,
 from rnsckks.rnspoly import (LimbBasis, RnsPolynomial, crt_float,
                              crt_reconstruct, rp_mul, subring_stride,
                              transform_limbs)
-from rnsckks.serial import read_params, write_params
+from rnsckks.serial import (load_evaluation_key, read_params,
+                            save_evaluation_key, write_params)
 
 
 def random_message(params, rng):
@@ -359,7 +360,8 @@ def decode_cases(params, rng):
     """(level, polynomial) pairs built from coefficient limbs: uniform
     limbs (values spread over all of Z_Q), values a few units inside
     +-Q/2, values a few times the base prime, values of the 2^80 scale a
-    plaintext product carries, and exact zeros."""
+    plaintext product carries, small values with one near +-Q/2, where
+    `crt_float` must not stop at the low digits, and exact zeros."""
     n = params.n_ring
     for level in range(params.levels + 1):
         basis = basis_c(params, level)
@@ -385,6 +387,9 @@ def decode_cases(params, rng):
             scaled = [int(x) << 60 for x in rng.integers(-1 << 20, 1 << 20, n)]
             scaled[::7] = [0] * len(scaled[::7])
             yield level, poly_from_big_coeffs(scaled)
+        lone = [int(x) for x in rng.integers(-1 << 20, 1 << 20, n)]
+        lone[int(rng.integers(n))] = (big_q // 2 - 3) * (-1) ** level
+        yield level, poly_from_big_coeffs(lone)
         yield level, poly_from_big_coeffs([0] * n)
 
 
@@ -684,6 +689,33 @@ def test_key_switch_memory_peak(params, relin):
     finally:
         tracemalloc.stop()
     assert peak < 7 << 20, peak / 2 ** 20
+
+
+@pytest.mark.parametrize("level", [7, 4, 1])
+def test_generated_key_switches_like_its_expansion(level, params, relin,
+                                                   tmp_path):
+    """A generated key keeps a_i as a seed; it switches to the words of
+    the same key with a_i as limbs, and of that key saved and loaded."""
+    path = str(tmp_path / "relin.evk")
+    save_evaluation_key(path, relin)
+    d = sample_uniform(basis_c(params, level), params.n_ring,
+                       np.random.default_rng(107))
+    want = key_switch(params, d, relin).limbs
+    for key in (relin.expanded(), load_evaluation_key(path, params)):
+        assert np.array_equal(key_switch(params, d, key).limbs, want)
+
+
+def test_generated_key_holds_b_halves_only(params, relin):
+    """Only the b_i limbs of a generated key are resident: dnum pieces of
+    12 limbs, 1.5 MiB at desk, half of what its container holds."""
+    resident = [half.limbs.nbytes for piece in relin.pieces for half in piece
+                if isinstance(half, RnsPolynomial)]
+    assert resident == [12 * params.n_ring * 8] * params.dnum
+    assert all(isinstance(a, UniformSeed) for _, a in relin.pieces)
+    loaded = relin.expanded()
+    assert 2 * sum(resident) == sum(half.limbs.nbytes
+                                    for piece in loaded.pieces
+                                    for half in piece)
 
 
 @pytest.mark.parametrize("op, kept_mib, peak_mib", [

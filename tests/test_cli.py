@@ -252,6 +252,12 @@ def test_bench_reports_model_counts():
     assert len(tables) == 1
     assert re.fullmatch(r"bench: ntt tables 12 x 8192 \d+\.\d\d ms "
                         r"\(first build\)", tables[0]), tables
+    # One line for a rotation key's a_i halves, made from their seeds.
+    expand = [ln for ln in first.stderr.splitlines()
+              if ln.startswith("bench: evk expand ")]
+    assert len(expand) == 1
+    assert re.fullmatch(r"bench: evk expand 2 x 12 x 8192 \d+\.\d\d ms "
+                        r"\(one key\)", expand[0]), expand
     ntt_lines = [ln.split() for ln in first.stderr.splitlines()
                  if ln.startswith("bench: ntt ") and ln not in tables]
     assert [ln[2:5] for ln in ntt_lines] == [

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from rnsckks import hdft
-from rnsckks.ckks import (basis_c, encode, encode_diagonal_batch, encrypt,
-                          hadd, make_rotation_keys, modulus_chain, pmult,
+from rnsckks.ckks import (EvaluationKey, basis_c, encode,
+                          encode_diagonal_batch, encrypt, hadd,
+                          make_rotation_keys, modulus_chain, pmult,
                           slot_values)
 from rnsckks.costmodel import PROFILES, hdft_pass_cost
 from rnsckks.embedding import packed_to_slots
@@ -364,6 +365,39 @@ def test_key_loads_per_iteration(message_plans, idft_runs):
         # the closing stride-1 fix-up reuses the last stage's baby key.
         assert log.loads("idft") == 2 * len(inv.stages)
         assert log.reuses("idft") == 2 * len(inv.stages) + 1
+
+
+@pytest.mark.parametrize("variant", ["baseline", "minks", "minks-oflimb"])
+def test_key_expansions_follow_loads(variant, params, sk, message_plans,
+                                     message_keys, monkeypatch):
+    """Over an IDFT and a DFT pass, a stage expands each key it uses once:
+    one per distinct performed step, so under min-KS the two keys it
+    loads, and the fix-ups, which reuse a stage's baby key, none."""
+    log = EvkUsageLog()
+    expanded = []
+    real = EvaluationKey.expanded
+
+    def counting(key):
+        last = log.entries[-1]          # the rotation that needs the key
+        expanded.append((last.transform, last.stage, key.step))
+        return real(key)
+
+    monkeypatch.setattr(EvaluationKey, "expanded", counting)
+    rng = np.random.default_rng(67)
+    ct = encrypt(params, encode(params, random_message(params, rng)), sk, rng)
+    for plan in message_plans:
+        ct = hdft_apply(params, ct, plan, message_keys, variant, log)
+    for plan in message_plans:
+        loads = log.loads_by_stage(plan.direction)
+        for s in range(plan.iterations):
+            got = sorted(step for t, stage, step in expanded
+                         if (t, stage) == (plan.direction, s))
+            assert got == sorted({e.evk_id % plan.size for e in log.entries
+                                  if e.op == "hrot" and e.performed
+                                  and (e.transform, e.stage)
+                                  == (plan.direction, s)})
+            if variant != "baseline":
+                assert len(got) == loads[s] == 2
 
 
 def test_baseline_logs_scheduled_noops(idft_runs):
