@@ -1,10 +1,11 @@
 """Analytical cost model for RNS-CKKS key-switching workloads.
 
 Everything in this module is closed-form arithmetic over parameter
-profiles; no ciphertext is touched.  The unit of compute is one modular
-multiplication (modular additions and reductions ride along for free)
-and the unit of traffic is one off-chip byte; arithmetic intensity is
-the quotient of the two.
+profiles and pass schedules (`PassShape.rotations`, the rotations that
+`hdft.hdft_apply` runs); no ciphertext is touched.  The unit of compute
+is one modular multiplication (modular additions and reductions ride
+along for free) and the unit of traffic is one off-chip byte;
+arithmetic intensity is the quotient of the two.
 
 The traffic model for homomorphic (I)DFT passes assumes a device whose
 on-chip memory holds the working ciphertext and rotation state, so
@@ -198,18 +199,31 @@ def rescale_mults(p: ParamProfile, level: int) -> int:
 # ---------------------------------------------------------------------------
 # Homomorphic (I)DFT pass costs.
 
+class StageRotations(NamedTuple):
+    """One stage's (evk_id, amount) rotation pairs, by where they act: on
+    the input, as baby steps, in the giant sum, on the rescaled output."""
+
+    before: tuple[tuple[int, int], ...]
+    babies: tuple[tuple[int, int], ...]
+    giants: tuple[tuple[int, int], ...]
+    after: tuple[tuple[int, int], ...]
+
+    @property
+    def flat(self) -> tuple[tuple[int, int], ...]:
+        """Every pair, in the order the stage runs and logs them."""
+        return self.before + self.babies + self.giants + self.after
+
+
 @dataclass(frozen=True)
 class PassShape:
     """Shape of one merged-radix transform pass, enough to cost it.
 
-    This class declares and validates a schedule's shape once:
-    `hdft.DftPlan` is a `PassShape` whose stages are derived from these
-    fields on each read, so a plan runs the shape the model prices.
+    This class declares and validates a schedule's shape and rotations
+    once: `hdft.DftPlan` is a `PassShape` whose stages are derived from
+    these fields, `hdft_apply` performs what `rotations` lists and
+    `hdft_pass_cost` prices it, so a plan runs what the model prices.
     `levels` lists each iteration's working level in execution order;
-    every iteration ends in a rescale, so consecutive entries drop by
-    one.  `direction` decides where the grouped variants spend their
-    single residual fix-up rotation: first iteration for "dft", last for
-    "idft".
+    every iteration ends in a rescale, so consecutive entries drop by one.
     """
 
     direction: str
@@ -241,10 +255,49 @@ class PassShape:
 
     @classmethod
     def from_plan(cls, plan) -> "PassShape":
-        """The bare shape of a plan, without its parameters and cached
-        constants."""
+        """The bare shape of a plan, without its parameters and constants."""
         return cls(plan.direction, plan.size, plan.k, plan.k1, plan.k2,
                    plan.levels)
+
+    def stride(self, s: int) -> int:
+        """g_s, the unit stride of stage s's diagonals."""
+        if self.direction == "dft":
+            return 1 << (s * self.k)
+        return self.size >> ((s + 1) * self.k)
+
+    def rotations(self, s: int, variant: str) -> StageRotations:
+        """Stage s's rotations as (evk_id, amount) pairs.  Each rotates by
+        evk_id mod size under that step's key (a step of 0 is a no-op that
+        still loads its id) and is logged with its scheduled amount.
+
+        The baseline pre-rotates by -2^k * g, and each baby i1 * g and
+        giant i2 * 2^k1 * g is its own id: 2^k1 + 2^k2 - 1 loads.  The
+        grouped variants chain the babies through id g and fold the giants
+        through id 2^k1 * g mod size; a fix-up by 1 rotates a DFT's input or
+        an IDFT's output under that stage's own stride-1 key: two loads.
+        """
+        if variant not in VARIANTS:
+            raise ConfigurationError(f"unknown variant {variant!r}")
+        g, big = self.stride(s), 1 << self.k1
+        if variant == "baseline":       # each amount is its own key id
+            pre = -(1 << self.k) * g
+            return StageRotations(
+                ((pre, pre),), tuple((i * g,) * 2 for i in range(1, big)),
+                tuple((i * big * g,) * 2 for i in range(1, 1 << self.k2)), ())
+        gee = big * g % self.size
+        fix, last = ((1, 1),), self.iterations - 1
+        return StageRotations(
+            fix if (self.direction, s) == ("dft", 0) else (),
+            tuple((g, i * g) for i in range(1, big)),
+            ((gee, gee),) * ((1 << self.k2) - 1),
+            fix if (self.direction, s) == ("idft", last) else ())
+
+    def required_steps(self, variant: str) -> list[int]:
+        """Physical rotation steps whose keys the variant consults: every
+        key id of `rotations`, mod size, bar the no-op 0."""
+        steps = {evk_id % self.size for s in range(self.iterations)
+                 for evk_id, _ in self.rotations(s, variant).flat}
+        return sorted(steps - {0})
 
 
 def bootstrap_pass_shapes(p: ParamProfile, k: int, split: tuple[int, int]
@@ -254,6 +307,13 @@ def bootstrap_pass_shapes(p: ParamProfile, k: int, split: tuple[int, int]
     The inverse transform runs right after the raise, starting at the
     top level; the forward transform runs at the bottom of the modulus
     chain, finishing at level 2, so its plaintexts and keys stay small.
+
+    That is one level above `hdft.build_dft_plan`'s default, which every
+    desk bootstrap runs: this shape returns at level 1, keeping a level
+    for a multiply, and the plan at level 0 (desk's `L_boot`, which
+    neither reads).  At desk with k = 6 the model prices the DFT at
+    levels (3, 2) and the plan runs (2, 1).  Both sides are pinned, so
+    neither moves; price a run as itself, `hdft_pass_cost(plan, ...)`.
     """
     size = p.N // 2
     iters = (size.bit_length() - 1) // k
@@ -276,14 +336,26 @@ class StageCost:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Off-chip traffic and compute of one transform pass."""
+    """Off-chip traffic and compute of one transform pass, by stage."""
 
     variant: str
-    evk_bytes: int
-    plaintext_bytes: int
-    modular_mults: int
-    evk_loads: int
     stages: tuple[StageCost, ...]
+
+    @property
+    def evk_bytes(self) -> int:
+        return sum(st.evk_bytes for st in self.stages)
+
+    @property
+    def plaintext_bytes(self) -> int:
+        return sum(st.plaintext_bytes for st in self.stages)
+
+    @property
+    def modular_mults(self) -> int:
+        return sum(st.modular_mults for st in self.stages)
+
+    @property
+    def evk_loads(self) -> int:
+        return sum(st.evk_loads for st in self.stages)
 
     @property
     def offchip_bytes(self) -> int:
@@ -296,42 +368,22 @@ class CostReport:
         return self.modular_mults / self.offchip_bytes
 
 
-def _stage_rotations(shape: PassShape, variant: str) -> int:
-    # Performed rotations per iteration: the grouped variants drop the
-    # pre-rotation; the baseline giant step skips its zero cell.
-    babies = (1 << shape.k1) - 1
-    giants = (1 << shape.k2) - 1
-    return babies + giants + (1 if variant == "baseline" else 0)
-
-
-def _stage_loads(shape: PassShape, variant: str) -> int:
-    # Distinct key ids per iteration under nominal accounting.
-    if variant == "baseline":
-        return (1 << shape.k1) + (1 << shape.k2) - 1
-    return 2
-
-
 def hdft_pass_cost(shape: PassShape, p: ParamProfile, variant: str,
                    usage=None) -> CostReport:
     """Cost one homomorphic (I)DFT pass at a profile.
 
-    `shape` is a `PassShape` or an `hdft.DftPlan`, which is one.  Without
-    a usage log the pass is costed from the schedule's nominal counts.
-    With one, key loads and performed rotations come from the log's
-    entries for `shape.direction`, so a report built from a real run
-    reproduces the measured working set exactly.
+    `shape` is a `PassShape` or an `hdft.DftPlan`, which is one.  Stage s
+    performs the rotations of `shape.rotations(s, variant)` and loads one
+    key per distinct id among them; with a usage log, both counts come
+    from its `rotations_by_stage` and `loads_by_stage` instead, so a
+    report built from a real run reproduces the measured working set.
 
     The plaintext terms price every constant at N words per limb (per
     seed for OF-Limb), and the OF-Limb compute term (level + 1) N-point
-    transforms per seed.  These are upper bounds.  The diagonals of a
-    stage of unit stride g repeat every 2^k * g slots, so its constants
-    lie in the subring Z[X^(N / 2^(k+1) g)] and stage s stores
-    min(N, 2^(k+1) * g_s) words per limb: a min-KS or baseline plaintext
-    one period of its evaluation words (`ckks.encode_diagonal_batch`), an
-    OF-Limb seed its subring words (`hdft.make_plaintext_seed`), widened
-    at that length.  At full width with k = 6 the two g = 1 stages store
-    64 times fewer bytes, and run fewer butterflies, than this report
-    counts.
+    transforms per seed.  These are upper bounds: stage s stores one
+    period, min(N, 2^(k+1) * g_s) words per limb or seed (`hdft`'s module
+    docstring), so at full width with k = 6 the two g = 1 stages store 64
+    times fewer bytes, and run fewer butterflies, than this report counts.
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
@@ -339,22 +391,16 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile, variant: str,
         logged = usage.loads_by_stage(shape.direction)
         if sorted(logged) != list(range(shape.iterations)):
             raise ConfigurationError("usage log does not cover the pass")
+        performed = usage.rotations_by_stage(shape.direction)
 
     diagonals = (1 << (shape.k + 1)) - 1
-    fix_stage = 0 if shape.direction == "dft" else shape.iterations - 1
     stages = []
     for s, level in enumerate(shape.levels):
         if usage is None:
-            loads = _stage_loads(shape, variant)
-            rotations = _stage_rotations(shape, variant)
-            if variant != "baseline" and s == fix_stage:
-                rotations += 1
+            flat = shape.rotations(s, variant).flat
+            rotations, loads = len(flat), len({evk_id for evk_id, _ in flat})
         else:
-            loads = logged[s]
-            rotations = sum(1 for e in usage.entries
-                            if e.transform == shape.direction
-                            and e.stage == s and e.op == "hrot"
-                            and e.performed)
+            rotations, loads = performed.get(s, 0), logged[s]
         mults = (rotations * keyswitch_mults(p, level).total
                  + diagonals * pmult_mults(p, level)
                  + rescale_mults(p, level))
@@ -365,15 +411,7 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile, variant: str,
             mults += diagonals * (level + 1) * _butterflies(p.N)
         stages.append(StageCost(level, loads, loads * evk_bytes_at(p, level),
                                 pt_bytes, mults))
-
-    return CostReport(
-        variant=variant,
-        evk_bytes=sum(st.evk_bytes for st in stages),
-        plaintext_bytes=sum(st.plaintext_bytes for st in stages),
-        modular_mults=sum(st.modular_mults for st in stages),
-        evk_loads=sum(st.evk_loads for st in stages),
-        stages=tuple(stages),
-    )
+    return CostReport(variant, tuple(stages))
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,23 @@ offsets i * g for |i| < 2^k, where g is the stage's unit stride.  A plan
 evaluates one stage per level as a baby-step/giant-step sum of rotated,
 constant-multiplied copies of the ciphertext, then rescales.
 
-Two execution styles share a plan:
+Three variants share a plan.  The rotations each stage performs are
+`PassShape.rotations` (in `costmodel`), (evk_id, amount) pairs that
+`hdft_apply` logs and performs as steps evk_id mod size, that
+`required_steps` makes keys for and `hdft_pass_cost` prices; a step of
+0 is a no-op that still loads its id.  `hdft_apply` adds the data flow:
 
-  baseline      one pre-rotation by -2^k * g followed by a 2^k1 x 2^k2
-                rectangle of rotations; every prescribed rotation amount has
-                its own switching key, so an iteration loads
-                2^k1 + 2^k2 - 1 keys.  Amounts are taken verbatim from the
-                schedule; an amount that reduces to zero modulo the slot
-                count leaves the ciphertext unchanged but still counts as a
-                key load, matching the accounting this variant models.
+  baseline      one pre-rotation by -2^k * g, baby steps fanned out from
+                it and giant steps that rotate each giant row's inner sum;
+                every scheduled amount has its own switching key, so an
+                iteration loads 2^k1 + 2^k2 - 1 keys.
   minks         baby rotations chain one stride-g key and the giant sum
                 folds Horner-style through one stride-G key (G = 2^k1 * g),
-                so an iteration loads exactly two keys.  Dropping the
-                pre-rotation leaves each stage's output rotated by
-                (2^k - 1) * g; the shift is absorbed into the next stage's
-                constants (a cyclic roll of the diagonal vectors), and the
-                accumulated total, always -1 mod n, is repaired by a single
-                stride-1 rotation whose key the plan already holds.
+                so an iteration loads exactly two keys.  Without the
+                pre-rotation each stage's output is rotated by (2^k - 1) g,
+                absorbed into the next stage's constants (a cyclic roll);
+                the total, always -1 mod n, is repaired by one stride-1
+                rotation of the DFT's input or of the IDFT's output.
   minks-oflimb  minks with plan constants stored as single-limb seeds and
                 extended to the working basis on the fly, one giant row
                 (the cells that share i2) right before that row's pmults,
@@ -51,14 +51,6 @@ A stage is only its butterfly lengths and direction; its complex
 diagonals are merged again from them, one period long, on each read, and
 only `DftPlan.stage_constants` reads them, once per stage and variant.
 
-Every rotation of a pass is one logged step under a key id: it records
-the amount the schedule prescribes and the id, then rotates by
-step = id mod size under the key held for that step (none for a step of
-0, which leaves the ciphertext as it is).  The baseline's ids are its
-scheduled amounts, so a scheduled no-op still counts as a key load; the
-minks baby chain and giant fold each use their one stride as the id, and
-each fix-up rotation uses id 1.
-
 A load is an expansion: a generated key keeps only b_i resident
 (`ckks.EvaluationKey`), and the first rotation of a stage under a step
 makes that key's a_i limbs once; every later rotation of the stage,
@@ -69,6 +61,7 @@ at most two expanded keys are alive at a time.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -191,33 +184,33 @@ class EvkUsageLog:
                                      evk_id, kind, performed))
 
     def note_pmult(self, transform: str, stage: int, count: int = 1):
-        for _ in range(count):
-            self.entries.append(LogEntry(transform, stage, "pmult",
-                                         0, 0, "", True))
+        self.entries += [LogEntry(transform, stage, "pmult", 0, 0, "",
+                                  True)] * count
+
+    def _ops(self, op: str, transform: str | None) -> list[LogEntry]:
+        return [e for e in self.entries
+                if e.op == op and transform in (None, e.transform)]
 
     def loads(self, transform: str | None = None) -> int:
-        return sum(1 for e in self.entries if e.op == "hrot"
-                   and e.kind == "load" and transform in (None, e.transform))
+        return sum(e.kind == "load" for e in self._ops("hrot", transform))
 
     def reuses(self, transform: str | None = None) -> int:
-        return sum(1 for e in self.entries if e.op == "hrot"
-                   and e.kind == "reuse" and transform in (None, e.transform))
+        return sum(e.kind == "reuse" for e in self._ops("hrot", transform))
 
     def loads_by_stage(self, transform: str) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e in self.entries:
-            if e.transform == transform and e.op == "hrot" \
-                    and e.kind == "load":
-                out[e.stage] = out.get(e.stage, 0) + 1
-        return out
+        return dict(Counter(e.stage for e in self._ops("hrot", transform)
+                            if e.kind == "load"))
+
+    def rotations_by_stage(self, transform: str) -> dict[int, int]:
+        """Performed rotations per stage: scheduled no-ops do not count."""
+        return dict(Counter(e.stage for e in self._ops("hrot", transform)
+                            if e.performed))
 
     def rotation_ops(self, transform: str | None = None) -> int:
-        return sum(1 for e in self.entries if e.op == "hrot" and e.performed
-                   and transform in (None, e.transform))
+        return sum(e.performed for e in self._ops("hrot", transform))
 
     def pmult_ops(self, transform: str | None = None) -> int:
-        return sum(1 for e in self.entries if e.op == "pmult"
-                   and transform in (None, e.transform))
+        return len(self._ops("pmult", transform))
 
 
 # ---------------------------------------------------------------------------
@@ -336,22 +329,17 @@ class DftPlan(PassShape):
 
     @property
     def stages(self) -> tuple[PlanStage, ...]:
-        """The stages, derived from (direction, size, k) on each read:
-        DFT stage s merges butterflies of lengths 2^(sk+a+1) at unit stride
-        g = 2^(sk), IDFT stage s those of lengths size >> (sk+a) at
-        g = size >> ((s+1)k), for a < k, so every merged offset (a sum of
-        +-half-lengths) sits on the stride."""
+        """The stages, derived from the shape on each read: stage s merges
+        butterflies of lengths 2g, ..., 2^k * g (reversed for an IDFT) at
+        its stride g = `stride(s)`, which divides every merged offset."""
         bound = (1 << self.k) - 1
         residual = 1 if self.direction == DFT else 0
         out = []
         for s in range(self.iterations):
-            if self.direction == DFT:
-                lengths = [1 << (s * self.k + a + 1) for a in range(self.k)]
-                g = 1 << (s * self.k)
-            else:
-                lengths = [self.size >> (s * self.k + a)
-                           for a in range(self.k)]
-                g = self.size >> ((s + 1) * self.k)
+            g = self.stride(s)
+            lengths = [g << (a + 1) for a in range(self.k)]
+            if self.direction == IDFT:
+                lengths.reverse()
             residual += bound * g
             out.append(PlanStage(g, tuple(lengths), self.direction == IDFT,
                                  residual % self.size))
@@ -366,24 +354,6 @@ class DftPlan(PassShape):
         if self.direction == IDFT:
             return 1 << (self.params.q0_bits - 4)
         return self.params.scale
-
-    def required_steps(self, variant: str) -> list[int]:
-        """Physical rotation strides whose keys the variant consults."""
-        steps: set[int] = set()
-        big = 1 << self.k1
-        for st in self.stages:
-            if variant == "baseline":
-                steps.add((-(1 << self.k) * st.g) % self.size)
-                steps.update((i1 * st.g) % self.size
-                             for i1 in range(1, 1 << self.k1))
-                steps.update((i2 * big * st.g) % self.size
-                             for i2 in range(1, 1 << self.k2))
-            else:
-                steps.add(st.g % self.size)
-                steps.add((big * st.g) % self.size)
-        if variant != "baseline":
-            steps.add(1)
-        return sorted(s for s in steps if s)
 
     def stage_constants(self, variant: str):
         """Per-stage BSGS constants, encoded (or seeded) lazily and cached.
@@ -442,6 +412,8 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
     must be a multiple of k.  `levels` lists the ciphertext level of each
     stage, consecutive and descending; the defaults start at the top for
     IDFT and end at level 1 for DFT, matching their bootstrap positions.
+    That DFT runs one level below `costmodel.bootstrap_pass_shapes` (at
+    desk with k = 6, levels (2, 1) against (3, 2)); see there for why.
 
     The plan is a `PassShape`, which refuses a bad direction, size, k,
     split, level count or level order; its stages are derived from that
@@ -491,13 +463,12 @@ def _row_sum(babies: list[Ciphertext], row: dict) -> Ciphertext:
 def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
                keys: dict[int, EvaluationKey], variant: str = "minks",
                log: EvkUsageLog | None = None) -> Ciphertext:
-    """Evaluate the planned transform, one stage per level."""
+    """Evaluate the planned transform, one stage per level, performing the
+    rotations of `plan.rotations(s, variant)` at stage s."""
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
     log = EvkUsageLog() if log is None else log
-    label = plan.direction
     consts = plan.stage_constants(variant)
-    big = 1 << plan.k1
     grouped = variant != "baseline"
     held = {}               # step -> expanded key, for the stage held_stage
     held_stage = None
@@ -506,7 +477,8 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
                amount: int) -> Ciphertext:
         nonlocal held, held_stage
         step = evk_id % plan.size
-        log.note_rotation(label, stage, amount, evk_id, performed=step != 0)
+        log.note_rotation(plan.direction, stage, amount, evk_id,
+                          performed=step != 0)
         if step == 0:
             return ct
         if step not in keys:
@@ -517,50 +489,41 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
             held[step] = keys[step].expanded()
         return hrot(params, ct, step, held[step])
 
-    if grouped and plan.direction == DFT:
-        # Entry fix-up: +1 makes the stage residuals sum to a full cycle.
-        # The stride-1 key is stage 0's own baby key.
-        ct = rotate(ct, 0, 1, 1)
-
-    for s, (st, level) in enumerate(zip(plan.stages, plan.levels)):
+    for s, (cmap, level) in enumerate(zip(consts, plan.levels)):
         if ct.level != level:
             raise ConfigurationError(
                 f"stage {s} expects level {level}, got {ct.level}")
-        cmap = consts[s]
+        rots = plan.rotations(s, variant)
+        for evk_id, amount in rots.before:
+            ct = rotate(ct, s, evk_id, amount)
         babies = [ct]
-        if not grouped:
-            pre = -(1 << plan.k) * st.g
-            babies = [rotate(ct, s, pre, pre)]
-        for i1 in range(1, big):
-            if grouped:     # chained through the one stride-g key
-                babies.append(rotate(babies[-1], s, st.g, i1 * st.g))
-            else:
-                babies.append(rotate(babies[0], s, i1 * st.g, i1 * st.g))
-        log.note_pmult(label, s, len(cmap))
+        for evk_id, amount in rots.babies:
+            # Chained through one key, or fanned out from the input.
+            src = babies[-1] if grouped else ct
+            babies.append(rotate(src, s, evk_id, amount))
+        log.note_pmult(plan.direction, s, len(cmap))
         inners = []
         for i2 in range(1 << plan.k2):
-            row = {i1: cmap[i1, i2] for i1 in range(big) if (i1, i2) in cmap}
+            row = {i1: pt for (i1, j2), pt in cmap.items() if j2 == i2}
             if variant == "minks-oflimb":
                 row = of_limb_extend(params, row, level)
             inners.append(_row_sum(babies, row))
         # The fold reads only the inner sums.
         del babies, row
         if grouped:
-            # Horner: acc <- rot(acc, G) + inner through the one stride-G key.
-            gee = (big * st.g) % plan.size
+            # Horner: acc <- rot(acc, G) + inner through the one key.
             acc = inners[-1]
-            for inner in reversed(inners[:-1]):
-                acc = hadd(rotate(acc, s, gee, gee), inner)
+            for inner, (evk_id, amount) in zip(reversed(inners[:-1]),
+                                               rots.giants, strict=True):
+                acc = hadd(rotate(acc, s, evk_id, amount), inner)
         else:
             acc = inners[0]
-            for i2 in range(1, len(inners)):
-                amount = i2 * big * st.g
-                acc = hadd(acc, rotate(inners[i2], s, amount, amount))
+            for inner, (evk_id, amount) in zip(inners[1:], rots.giants,
+                                               strict=True):
+                acc = hadd(acc, rotate(inner, s, evk_id, amount))
         ct = hrescale(params, acc)
-
-    if grouped and plan.direction == IDFT:
-        # Exit fix-up; the stride-1 key is the last stage's own baby key.
-        ct = rotate(ct, plan.iterations - 1, 1, 1)
+        for evk_id, amount in rots.after:
+            ct = rotate(ct, s, evk_id, amount)
     return ct
 
 

@@ -14,14 +14,15 @@ Conventions, fixed across the package:
   ratios are stored, and the table is generated column by column at
   runtime.
 
-Twiddle tables are built once per process for each (q, n, psi) and
-cached.  A build runs one power ladder, psi^e for e in [0, 2n) in
-log2(2n) vectorized doublings, and reads both directions' twiddles out of
-it by index gathers, psi^-e as psi^(2n - e); the wide kernel's Shoup
-companions are computed in bulk (`modmath.shoup_companions`).  No
-twiddle takes an exponentiation of its own.  Each table carries one of
-two butterfly kernels, chosen per prime when it is built; both end in
-canonical words, so the choice changes no output word.
+Twiddle tables are built once per process for each (q, n), whose psi
+is the modulus root raised to two_n / 2n, and cached.  A build runs one
+power ladder, psi^e for e in [0, 2n) in log2(2n) vectorized doublings,
+and reads both directions' twiddles out of it by index gathers, psi^-e
+as psi^(2n - e); the wide kernel's Shoup companions are computed in bulk
+(`modmath.shoup_companions`).  No twiddle takes an exponentiation of its
+own.  Each table carries one of two butterfly kernels, chosen per prime
+when it is built; both end in canonical words, so the choice changes no
+output word.
 
 * Signed, for the primes its predicate admits (the 40-bit scale
   primes).  Words are int64 and may be negative.  A product is
@@ -215,15 +216,13 @@ def _build_tables(mod: PrimeModulus, n: int, psi: int) -> NttTables:
                            schedule or [False] * len(spans)))
 
 
-def get_tables(mod: PrimeModulus, n: int, psi: int | None = None) -> NttTables:
+def get_tables(mod: PrimeModulus, n: int) -> NttTables:
     if n < 2 or n & (n - 1):
         raise ConfigurationError(f"transform length {n} is not a power of two >= 2")
-    if psi is None:
-        if mod.two_n % (2 * n):
-            raise ConfigurationError(
-                f"modulus root order {mod.two_n} does not cover length {n}")
-        psi = pow(mod.root, mod.two_n // (2 * n), mod.q)
-    return _build_tables(mod, n, psi)
+    if mod.two_n % (2 * n):
+        raise ConfigurationError(
+            f"modulus root order {mod.two_n} does not cover length {n}")
+    return _build_tables(mod, n, pow(mod.root, mod.two_n // (2 * n), mod.q))
 
 
 @lru_cache(maxsize=None)
@@ -365,7 +364,7 @@ def _transform(values: np.ndarray, t: NttTables, direction: str,
 
 
 def ntt(values: np.ndarray, mod: PrimeModulus, direction: str = "forward",
-        psi: int | None = None, out: np.ndarray | None = None) -> np.ndarray:
+        out: np.ndarray | None = None) -> np.ndarray:
     """Negacyclic NTT over the last axis; direction 'forward' or 'inverse'.
 
     Input words must be canonical, in [0, q).  The result goes to `out`
@@ -373,7 +372,7 @@ def ntt(values: np.ndarray, mod: PrimeModulus, direction: str = "forward",
     input itself) or to a new array.
     """
     values = np.asarray(values, dtype=U64)
-    return _transform(values, get_tables(mod, values.shape[-1], psi),
+    return _transform(values, get_tables(mod, values.shape[-1]),
                       direction, out)
 
 
@@ -404,7 +403,7 @@ def four_step_ntt(values: np.ndarray, mod: PrimeModulus,
                   direction: str = "forward") -> np.ndarray:
     """Four-step evaluation of the same map as `ntt`, bit-identical output.
 
-    Both passes are sqrt(n)-point negacyclic transforms with the root
+    Both passes are sqrt(n)-point negacyclic `ntt`s, whose root is
     eta = psi^sqrt(n).  Column pass over t1, giving [t0, j0].  Twist: entry
     (j0, t0) gains psi^(±(2 j0 + 1) t0).  Row pass over t0: the cyclic sum
     with root eta^2 that the output needs is the negacyclic one with root
@@ -417,21 +416,20 @@ def four_step_ntt(values: np.ndarray, mod: PrimeModulus,
     n = values.shape[-1]
     s = _sqrt_len(n)
     psi = pow(mod.root, mod.two_n // (2 * n), mod.q)
-    eta = pow(psi, s, mod.q)            # order 2s: the root of both passes
     base = psi if direction == "forward" else pow(psi, -1, mod.q)
     # psi^(±(2 j0 + 1 - s)) for j0 in [0, s): base^(1 - s) times (base^2)^j0.
     ratios = _geometric(mod, pow(base, 1 - s, mod.q), base * base, s)
 
     if direction == "forward":
         mat = values.reshape(s, s)                        # [t1, t0]
-        cols = ntt(mat.T.copy(), mod, "forward", psi=eta)        # [t0, j0]
+        cols = ntt(mat.T.copy(), mod, "forward")          # [t0, j0]
         twisted = _apply_twist(cols.T.copy(), ratios, mod)  # [j0, t0]
-        rows = ntt(twisted, mod, "forward", psi=eta)      # [j0, j1]
+        rows = ntt(twisted, mod, "forward")               # [j0, j1]
         return rows.T.reshape(n).copy()                   # out[j1 * s + j0]
     if direction == "inverse":
         mat = values.reshape(s, s).T.copy()               # [j0, j1]
-        rows = ntt(mat, mod, "inverse", psi=eta)          # [j0, t0]
+        rows = ntt(mat, mod, "inverse")                   # [j0, t0]
         untwisted = _apply_twist(rows, ratios, mod)
-        cols = ntt(untwisted.T.copy(), mod, "inverse", psi=eta)  # [t0, t1]
+        cols = ntt(untwisted.T.copy(), mod, "inverse")    # [t0, t1]
         return cols.T.reshape(n).copy()
     raise ConfigurationError(f"unknown direction {direction!r}")

@@ -295,6 +295,77 @@ def test_minks_plaintext_bytes_against_model(params, boot_plans):
     assert total == 127 * (8 + 2) * 8192 * 8 + 127 * (7 + 3) * 128 * 8
 
 
+def _oracle_stage(shape, s, variant):
+    """(loads, rotations) of stage s in closed form, written apart from
+    `PassShape.rotations`: the baseline loads one key per scheduled
+    rotation (a pre-rotation, 2^k1 - 1 babies, 2^k2 - 1 giants); the
+    grouped variants load two keys, and the fix-up stage, first for a DFT
+    and last for an IDFT, performs one rotation more."""
+    if variant == "baseline":
+        n = (1 << shape.k1) + (1 << shape.k2) - 1
+        return n, n
+    fix = 0 if shape.direction == "dft" else shape.iterations - 1
+    return 2, (1 << shape.k1) + (1 << shape.k2) - 2 + (s == fix)
+
+
+def _oracle_steps(shape, variant):
+    """Key steps in closed form: the baseline's every scheduled amount,
+    the grouped variants' strides g and 2^k1 * g plus the fix-up's 1."""
+    big, steps = 1 << shape.k1, set()
+    for s in range(shape.iterations):
+        g = shape.stride(s)
+        if variant == "baseline":
+            steps |= {-(1 << shape.k) * g,
+                      *(i1 * g for i1 in range(1, big)),
+                      *(i2 * big * g for i2 in range(1, 1 << shape.k2))}
+        else:
+            steps |= {1, g, big * g}
+    return sorted({x % shape.size for x in steps} - {0})
+
+
+def _check_against_oracle(shape, p, variant):
+    """Check one shape's schedule, and its price where its levels fit the
+    profile's chain, against the oracle; return its stage count."""
+    assert shape.required_steps(variant) == _oracle_steps(shape, variant)
+    priced = shape.iterations <= p.L
+    report = hdft_pass_cost(shape, p, variant) if priced else None
+    diagonals = (1 << (shape.k + 1)) - 1
+    for s, level in enumerate(shape.levels):
+        loads, rotations = _oracle_stage(shape, s, variant)
+        flat = shape.rotations(s, variant).flat
+        assert (len({evk_id for evk_id, _ in flat}), len(flat)) \
+            == (loads, rotations), (p.name, shape, s, variant)
+        if not priced:
+            continue
+        st = report.stages[s]
+        widen = (diagonals * (level + 1) * (p.N // 2) * (p.N.bit_length() - 1)
+                 if variant == "minks-oflimb" else 0)
+        assert st.evk_loads == loads
+        assert st.modular_mults == (rotations * keyswitch_mults(p, level).total
+                                    + diagonals * pmult_mults(p, level)
+                                    + rescale_mults(p, level) + widen)
+    return shape.iterations
+
+
+def test_schedule_matches_closed_form_oracle():
+    """Every pass shape the five profiles admit (each k dividing
+    log2(N/2), each split, both directions), under every variant: the
+    schedule `hdft_apply` runs, and the stage costs the model prices
+    from it, have the closed-form loads and rotations."""
+    checks = 0
+    for p in PROFILES.values():
+        size = p.N // 2
+        logn = size.bit_length() - 1
+        for k in (k for k in range(1, logn + 1) if logn % k == 0):
+            for k1 in range(1, k + 1):
+                for direction in ("idft", "dft"):
+                    shape = PassShape(direction, size, k, k1, k + 1 - k1,
+                                      tuple(range(logn // k, 0, -1)))
+                    for variant in VARIANTS:
+                        checks += _check_against_oracle(shape, p, variant)
+    assert checks == 1788
+
+
 def test_pass_cost_rejects_unknown_variant():
     shape = PassShape("idft", 1 << 15, 5, 3, 3, (23, 22, 21))
     with pytest.raises(ConfigurationError):
@@ -400,7 +471,8 @@ def test_amortized_slot_time():
 
 
 def test_zero_byte_report_has_zero_intensity():
-    empty = CostReport("minks", 0, 0, 0, 0, ())
-    assert empty.offchip_bytes == 0
+    empty = CostReport("minks", ())
+    assert (empty.evk_bytes, empty.plaintext_bytes, empty.modular_mults,
+            empty.evk_loads, empty.offchip_bytes) == (0, 0, 0, 0, 0)
     assert empty.ops_per_byte == 0.0
     assert isinstance(data_sizes(PROFILES["desk"]), DataSizes)

@@ -13,7 +13,7 @@ from rnsckks.ckks import (EvaluationKey, basis_c, encode,
                           encode_diagonal_batch, encrypt, hadd,
                           make_rotation_keys, modulus_chain, pmult,
                           slot_values)
-from rnsckks.costmodel import PROFILES, hdft_pass_cost
+from rnsckks.costmodel import PROFILES, VARIANTS, hdft_pass_cost
 from rnsckks.embedding import packed_to_slots
 from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             MissingKeyError, ScaleMismatchError,
@@ -365,6 +365,36 @@ def test_key_loads_per_iteration(message_plans, idft_runs):
         # the closing stride-1 fix-up reuses the last stage's baby key.
         assert log.loads("idft") == 2 * len(inv.stages)
         assert log.reuses("idft") == 2 * len(inv.stages) + 1
+
+
+def _logged_rotations(log, plan):
+    return [(e.stage, e.evk_id, e.amount) for e in log.entries
+            if e.op == "hrot" and e.transform == plan.direction]
+
+
+def _listed_rotations(plan, variant):
+    return [(s, evk_id, amount) for s in range(plan.iterations)
+            for evk_id, amount in plan.rotations(s, variant).flat]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_runs_perform_the_listed_rotations(variant, params, message_plans,
+                                           message_keys, idft_runs):
+    """An IDFT pass and the DFT pass after it log, in order, exactly the
+    (stage, key id, amount) rotations that `plan.rotations` lists: the
+    one schedule that `required_steps` and the cost model read."""
+    inv, fwd = message_plans
+    out, log = idft_runs[2][variant]
+    dft_log = EvkUsageLog()
+    hdft_apply(params, out, fwd, message_keys, variant, dft_log)
+    assert _logged_rotations(log, inv) == _listed_rotations(inv, variant)
+    assert _logged_rotations(dft_log, fwd) == _listed_rotations(fwd, variant)
+
+
+def test_bootstrap_performs_the_listed_rotations(boot_plans, bootstrap_run):
+    log = bootstrap_run[3]
+    for plan in boot_plans:
+        assert _logged_rotations(log, plan) == _listed_rotations(plan, "minks")
 
 
 @pytest.mark.parametrize("variant", ["baseline", "minks", "minks-oflimb"])

@@ -43,28 +43,57 @@ def _load_perfbench(name, monkeypatch):
     return module
 
 
-def test_perfbench_names_exist(monkeypatch):
+def _dotted(node):
+    """`a.b.c` as ["a", "b", "c"]; None for any other expression."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(names)] if isinstance(node, ast.Name) else None
+
+
+def test_perfbench_names_exist(monkeypatch, params):
     """Every library name the benchmark reads exists: `layers` resolves the
     functions it traces (`rnspoly.crt_reconstruct`, `ckks.key_switch`,
-    `DftPlan.stage_constants`, ...) when it is imported, and every
-    `rk.X`, `ckks.X`, ... attribute in the harness names something, so a
-    deletion that would break the benchmark fails here first."""
+    `DftPlan.stage_constants`, ...) when it is imported, and every dotted
+    name in the harness rooted at a module alias (`rk.X`,
+    `costmodel.PassShape.from_plan`, ...) or at a variable the harness
+    binds to a library object (`plan.required_steps`, `log.loads`,
+    `report.evk_loads`, `st.modular_mults`, ...) resolves on a small built
+    object of that kind, so a deletion or rename that would break the
+    benchmark fails here first."""
     layers = _load_perfbench("layers", monkeypatch)
     hdft = importlib.import_module("rnsckks.hdft")
+    costmodel = importlib.import_module("rnsckks.costmodel")
     assert hdft.DftPlan.stage_constants in layers.LABELS
     assert _load_perfbench("workloads", monkeypatch).WORKLOADS
-    modules = {alias: importlib.import_module(name)
-               for alias, name in PERFBENCH_ALIASES.items()}
-    scanned, missing = 0, []
+    roots = {alias: importlib.import_module(name)
+             for alias, name in PERFBENCH_ALIASES.items()}
+    plan = hdft.build_dft_plan(params, hdft.IDFT, size=16, k=2,
+                               split=(1, 2))
+    desk = costmodel.PROFILES["desk"]
+    report = costmodel.hdft_pass_cost(plan, desk, "minks")
+    roots.update(plan=plan, shape=costmodel.PassShape.from_plan(plan),
+                 log=hdft.EvkUsageLog(), report=report,
+                 st=report.stages[0], p=desk)
+    scanned, missing = set(), []
     for path in sorted(PERFBENCH.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Attribute) \
-                    and isinstance(node.value, ast.Name) \
-                    and node.value.id in modules:
-                scanned += 1
-                if not hasattr(modules[node.value.id], node.attr):
-                    missing.append(f"{path.name}: {node.value.id}.{node.attr}")
-    assert scanned > 20
+            names = _dotted(node) if isinstance(node, ast.Attribute) else None
+            if names is None or names[0] not in roots:
+                continue
+            scanned.add(".".join(names))
+            obj = roots[names[0]]
+            for name in names[1:]:
+                if not hasattr(obj, name):
+                    missing.append(f"{path.name}: {'.'.join(names)}")
+                    break
+                obj = getattr(obj, name)
+    assert {"plan.required_steps", "plan.stage_constants", "plan.iterations",
+            "plan.direction", "costmodel.PassShape.from_plan",
+            "log.loads_by_stage", "log.loads", "report.stages",
+            "report.evk_loads", "st.modular_mults", "st.level"} <= scanned
+    assert len(scanned) > 40
     assert missing == []
 
 
