@@ -9,16 +9,16 @@ equality for additive mixing and leave rescaling to the caller.  Keys and
 plaintexts are eval-rep too, the one representation of `rnspoly`, so
 the `serial` containers write every block's rep byte as the constant 1.
 
-Key-switching uses one fixed full-level key per switched element.  The
-switched polynomial is cut into digit pieces of alpha limbs; ModUp takes
-each piece through `rnspoly.convert_limbs` into the rest of the current
-basis plus the auxiliary primes, the key product is taken there, and
-`mod_down` runs the same routine once over the stack of both halves that
-the ciphertext keeps: dnum_l + 2 polynomials, as
-`costmodel.keyswitch_mults` counts.  The gadget constants
+Key-switching uses one fixed full-level key per switched element and runs
+three steps.  `mod_up` cuts the switched polynomial into digit pieces of
+alpha limbs and takes each through `rnspoly.convert_limbs` into the rest
+of the current basis plus the auxiliary primes; `key_product` multiplies
+the pieces by the key pairs there; `mod_down` runs the same conversion
+once over the stack of both halves that the ciphertext keeps: dnum_l + 2
+polynomials, as `costmodel.keyswitch_mults` counts.  The gadget constants
 T_i = P * (Q/Q_i) * ((Q/Q_i)^{-1} mod Q_i) make every base-extension slack
 term vanish modulo the working modulus at every level, so one key serves
-all levels.
+all levels.  The bootstrap's raise is a `mod_up` of one piece, q0.
 
 A generated key keeps only its b_i halves resident.  Each a_i is drawn
 from the caller's generator as before and b_i is formed with it, but the
@@ -108,9 +108,6 @@ class CkksParams:
     def dnum(self) -> int:
         return -(-(self.levels + 1) // self.alpha)
 
-    def piece_count(self, level: int) -> int:
-        return -(-(level + 1) // self.alpha)
-
 
 @lru_cache(maxsize=None)
 def _chains(params: CkksParams) -> tuple[tuple[PrimeModulus, ...],
@@ -146,14 +143,6 @@ def basis_b(params: CkksParams) -> LimbBasis:
 
 def basis_d(params: CkksParams, level: int) -> LimbBasis:
     return basis_c(params, level).concat(basis_b(params))
-
-
-def piece_basis(params: CkksParams, i: int, level: int) -> LimbBasis:
-    chain = modulus_chain(params)[:level + 1]
-    lo = i * params.alpha
-    if lo >= len(chain):
-        raise ConfigurationError(f"piece {i} empty at level {level}")
-    return LimbBasis(chain[lo:lo + params.alpha])
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +225,7 @@ class EvaluationKey:
 
     A generated key keeps only b_i resident; a_i, the uniform half, stays
     the `UniformSeed` it was drawn from and is made when a switch reads
-    the piece (`piece`).  So `key_switch` expands the pieces it uses on
+    the piece (`piece`).  So `key_product` expands the pieces it uses on
     each call, and `hdft.hdft_apply` expands each key once per stage
     (`expanded`) and drops the copy when the stage is done.  A key read
     from a container holds a_i's limbs, which `piece` returns as they
@@ -498,12 +487,6 @@ def cmult(params: CkksParams, ct: Ciphertext, z: complex,
 # ---------------------------------------------------------------------------
 # Key switching and the operators built on it.
 
-def _key_rows(params: CkksParams, level: int) -> list[int]:
-    """Rows of a full C_L + B key polynomial that lie over C_level + B."""
-    full = params.levels + 1
-    return list(range(level + 1)) + list(range(full, full + params.alpha))
-
-
 @lru_cache(maxsize=None)
 def _drop_inverses(kept: LimbBasis,
                    dropped: LimbBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -534,41 +517,59 @@ def mod_down(limbs: np.ndarray, kept: LimbBasis,
     return corr
 
 
+def mod_up(limbs: np.ndarray, basis: LimbBasis, alpha: int) -> np.ndarray:
+    """ModUp: eval-rep limbs shaped (S, ..., N) over basis[:S], cut into
+    digit pieces of `alpha` rows, as limbs over all of `basis` shaped
+    (len(basis), pieces, ..., N).  Each piece keeps its own rows as they
+    are; its other rows come from one centered `convert_limbs` of the
+    piece, from one prime its centered lift."""
+    s = len(limbs)
+    ext = np.empty((len(basis), -(-s // alpha)) + limbs.shape[1:], dtype=U64)
+    for i, lo in enumerate(range(0, s, alpha)):
+        hi = min(lo + alpha, s)
+        rest = LimbBasis(basis.primes[:lo] + basis.primes[hi:])
+        conv = convert_limbs(limbs[lo:hi], LimbBasis(basis.primes[lo:hi]),
+                             rest)
+        ext[:lo, i], ext[lo:hi, i], ext[hi:, i] = (conv[:lo], limbs[lo:hi],
+                                                   conv[lo:])
+    return ext
+
+
+def key_product(params: CkksParams, ext: np.ndarray,
+                evk: EvaluationKey) -> np.ndarray:
+    """A ModUp stack over C_level + B, (L, pieces, N), times the key pairs
+    into (L, 2, N), one reduction per word, so that one ModDown sheds B
+    from both halves.  The one reader of a key's rows and seeds: a key
+    with another piece count, or a half over a basis other than C_L + B
+    (made for other parameters), is refused before a seed is expanded."""
+    full = basis_d(params, params.levels)
+    if len(evk.pieces) != params.dnum or any(
+            half.basis != full for piece in evk.pieces for half in piece):
+        raise BasisMismatchError("switching key was made for other parameters")
+    level = len(ext) - params.alpha - 1
+    pieces = [evk.piece(i) for i in range(ext.shape[1])]
+    acc = np.empty((len(ext), 2, params.n_ring), dtype=U64)
+    for r, pm in enumerate(basis_d(params, level)):
+        kr = r if r <= level else r + params.levels - level  # B after C_L
+        for half in (0, 1):
+            acc[r, half] = mul_sum([(ext[r, i], b_a[half].limbs[kr])
+                                    for i, b_a in enumerate(pieces)], pm)
+    return acc
+
+
 def key_switch(params: CkksParams, d: RnsPolynomial,
                evk: EvaluationKey) -> RnsPolynomial:
     """Switch the secret under `d` (one eval-rep polynomial over C_level)
-    using `evk`, into the (L, 2, N) stack of the two switched halves."""
+    using `evk`, into the (L, 2, N) stack of the two switched halves:
+    `mod_down(key_product(mod_up(d)))`, the ModUp stack freed first."""
     level = len(d.basis) - 1
     c_basis = basis_c(params, level)
     if d.basis != c_basis:
         raise BasisMismatchError("switched polynomial is not over C_level")
     one_poly(d)
-    d = d.widened()
-    d_basis = basis_d(params, level)
-
-    # ModUp: ext[r, i] is digit piece i over prime r of C_level + B, its
-    # own limbs as they are, the others converted from the piece.
-    count = params.piece_count(level)
-    ext = np.empty((len(d_basis), count, params.n_ring), dtype=U64)
-    for i in range(count):
-        piece = piece_basis(params, i, level)
-        lo, hi = i * params.alpha, i * params.alpha + len(piece)
-        rest = LimbBasis(d_basis.primes[:lo] + d_basis.primes[hi:])
-        conv = convert_limbs(d.limbs[lo:hi], piece, rest)
-        ext[:lo, i], ext[lo:hi, i], ext[hi:, i] = (conv[:lo], d.limbs[lo:hi],
-                                                   conv[lo:])
-
-    # Inner product with the key pairs, one reduction per output word; the
-    # accumulator is (L, 2, N) so that one ModDown sheds B from both halves.
-    pieces = [evk.piece(i) for i in range(count)]
-    key_rows = _key_rows(params, level)
-    acc = np.empty((len(d_basis), 2, params.n_ring), dtype=U64)
-    for r, (pm, kr) in enumerate(zip(d_basis, key_rows)):
-        for half in (0, 1):
-            acc[r, half] = mul_sum(
-                [(ext[r, i], pieces[i][half].limbs[kr])
-                 for i in range(count)], pm)
-    del ext, pieces     # the ModUp stack and any expanded a_i die first
+    acc = key_product(params, mod_up(d.widened().limbs,
+                                     basis_d(params, level), params.alpha),
+                      evk)
     return RnsPolynomial(c_basis, mod_down(acc, c_basis, basis_b(params)))
 
 

@@ -166,14 +166,15 @@ def _butterflies(N: int) -> int:
 def keyswitch_mults(p: ParamProfile, level: int) -> KeySwitchMults:
     """Closed-form mult count of one key-switching at a working level.
 
-    Each of the dnum_l input pieces is taken to coefficient form on its
-    own alpha limbs and re-extended over the remaining level + 1 limbs;
-    the two output polynomials each run the same routine to shed the
-    auxiliary limbs.  That gives (dnum_l + 2) * (alpha + level + 1) limb
-    transforms.  Each base conversion scales its alpha source limbs and
-    feeds an alpha by (level + 1) accumulation per coefficient.  The
-    element-wise part is the key inner product over the extended basis
-    plus the final per-limb scaling of both outputs.
+    ModUp (`ckks.mod_up`) takes each of the dnum_l input pieces to
+    coefficient form on its own alpha limbs and re-extends it over the
+    remaining level + 1 limbs; ModDown (`ckks.mod_down`) runs the same
+    routine on the two output polynomials to shed the auxiliary limbs.
+    Of ntt, (dnum_l + 2) * (alpha + level + 1) limb transforms, and of
+    bconv, where each conversion scales its alpha source limbs and feeds
+    an alpha by (level + 1) accumulation per coefficient, dnum_l parts
+    are ModUp's and two ModDown's.  elementwise is the key product
+    (`ckks.key_product`) plus ModDown's per-limb scaling of both outputs.
     """
     d = p.dnum_at(level)
     limbs = p.alpha + level + 1

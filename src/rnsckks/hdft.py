@@ -53,10 +53,11 @@ only `DftPlan.stage_constants` reads them, once per stage and variant.
 
 A load is an expansion: a generated key keeps only b_i resident
 (`ckks.EvaluationKey`), and the first rotation of a stage under a step
-makes that key's a_i limbs once; every later rotation of the stage,
-fix-up included, uses that copy, and the copies are dropped when the
-next stage begins.  So a min-KS stage expands the two keys it loads, and
-at most two expanded keys are alive at a time.
+makes that key's a_i limbs once, in a dict made when the stage begins;
+every later rotation of the stage, fix-up included, runs inside it and
+uses that copy, and the dict is dropped when the next stage begins.  So
+a min-KS stage expands the two keys it loads, and at most two expanded
+keys are alive at a time.
 """
 
 from __future__ import annotations
@@ -71,13 +72,13 @@ import numpy as np
 from .ckks import (Ciphertext, CkksParams, EvaluationKey, Plaintext,
                    SecretKey, basis_c, decode, decrypt, encode,
                    encode_diagonal_batch, encrypt, hadd, hrescale, hrot,
-                   modulus_chain, slots_to_coeffs)
+                   mod_up, modulus_chain, slots_to_coeffs)
 from .costmodel import VARIANTS, PassShape
 from .embedding import stage_twiddles
 from .errors import (ConfigurationError, MissingKeyError, ScaleMismatchError,
                      SeedRangeError)
-from .rnspoly import (LimbBasis, RnsPolynomial, convert_limbs,
-                      lift_int_coeffs, rp_mul_sum, subring_stride)
+from .rnspoly import (RnsPolynomial, lift_int_coeffs, rp_mul_sum,
+                      subring_stride)
 
 DFT = "dft"       # coefficients to slot values
 IDFT = "idft"     # slot values back to coefficients
@@ -470,12 +471,9 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
     log = EvkUsageLog() if log is None else log
     consts = plan.stage_constants(variant)
     grouped = variant != "baseline"
-    held = {}               # step -> expanded key, for the stage held_stage
-    held_stage = None
 
     def rotate(ct: Ciphertext, stage: int, evk_id: int,
                amount: int) -> Ciphertext:
-        nonlocal held, held_stage
         step = evk_id % plan.size
         log.note_rotation(plan.direction, stage, amount, evk_id,
                           performed=step != 0)
@@ -483,8 +481,6 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
             return ct
         if step not in keys:
             raise MissingKeyError(f"no rotation key for step {step}")
-        if stage != held_stage:     # the last stage's keys are done
-            held, held_stage = {}, stage
         if step not in held:        # this stage's load of the key
             held[step] = keys[step].expanded()
         return hrot(params, ct, step, held[step])
@@ -493,6 +489,7 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
         if ct.level != level:
             raise ConfigurationError(
                 f"stage {s} expects level {level}, got {ct.level}")
+        held = {}           # step -> expanded key, for this stage only
         rots = plan.rotations(s, variant)
         for evk_id, amount in rots.before:
             ct = rotate(ct, s, evk_id, amount)
@@ -536,20 +533,19 @@ def mod_raise(params: CkksParams, ct: Ciphertext,
 
     The lift is plain: viewed over the larger modulus, the underlying
     plaintext gains q0 times a small integer polynomial that a later
-    slot-wise reduction must remove.  The (1, 2, N) q0 stack of c0 and c1
-    goes through one `convert_limbs` into the other primes (from one
-    prime, the centered conversion is the centered lift), and the raised
-    stack is the q0 rows as they are over the converted ones.
+    slot-wise reduction must remove.  It is key switching's ModUp
+    (`ckks.mod_up`) of one one-prime piece: the (1, 2, N) q0 stack of c0
+    and c1 keeps its rows and goes through one `convert_limbs` into the
+    other primes, where the centered conversion is the centered lift.
     """
-    if ct.level != 0:
+    if ct.poly.basis != basis_c(params, 0):
         raise ConfigurationError("mod raise expects a level-0 ciphertext")
     level = params.levels if level is None else level
     if level <= 0:
         raise ConfigurationError("mod raise must increase the level")
     target = basis_c(params, level)
-    limbs = np.concatenate([ct.poly.limbs, convert_limbs(
-        ct.poly.limbs, ct.poly.basis, LimbBasis(target.primes[1:]))])
-    return Ciphertext(RnsPolynomial(target, limbs), ct.scale, ct.slots)
+    raised = mod_up(ct.poly.limbs, target, 1)[:, 0]
+    return Ciphertext(RnsPolynomial(target, raised), ct.scale, ct.slots)
 
 
 def slotwise_mod_reference(params: CkksParams, ct: Ciphertext, sk: SecretKey,

@@ -38,9 +38,10 @@ blocks) instead of one call per row.  A ciphertext is one such stack,
 output rows the broadcast of the operands' rows, so a ciphertext times a
 (L, N) plaintext multiplies both halves; `base_convert` and the CRT lifts
 refuse one.  `convert_limbs` is the one base conversion of a polynomial
-(inverse NTT, BConv, forward NTT) over a stack: key switching's ModUp
-runs it once per digit piece, ModDown (key switching and rescale) once
-per call, and the bootstrap's modulus raise once from the base prime.
+(inverse NTT, BConv, forward NTT) over a stack.  Outside the selftest it
+has two callers: `ckks.mod_up`, once per digit piece (key switching, and
+the bootstrap's modulus raise from the base prime), and `ckks.mod_down`,
+once per call (key switching and rescale).
 """
 
 from __future__ import annotations

@@ -17,10 +17,10 @@ from rnsckks.ckks import (Ciphertext, CkksParams, Plaintext, UniformSeed,
                           aux_chain, basis_b, basis_c, basis_d, cadd, cmult,
                           decode, decrypt, encode, encode_diagonal_batch,
                           encrypt, hadd, hmult, hneg, hrescale, hrot, hsub,
-                          key_switch, keygen, make_relin_key,
+                          key_product, key_switch, keygen, make_relin_key,
                           make_rotation_key, make_rotation_keys, mod_down,
-                          mod_drop, modulus_chain, normalize_step, padd,
-                          piece_basis, pmult, restrict_poly, sample_uniform,
+                          mod_drop, mod_up, modulus_chain, normalize_step,
+                          padd, pmult, restrict_poly, sample_uniform,
                           slot_values, slots_to_coeffs)
 from rnsckks.costmodel import (PROFILES, ParamProfile, keyswitch_mults,
                                rescale_mults)
@@ -28,9 +28,9 @@ from rnsckks.embedding import packed_to_slots
 from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             LevelExhaustedError, MissingKeyError,
                             RepresentationError, ScaleMismatchError)
-from rnsckks.rnspoly import (LimbBasis, RnsPolynomial, crt_float,
-                             crt_reconstruct, rp_mul, subring_stride,
-                             transform_limbs)
+from rnsckks.rnspoly import (LimbBasis, RnsPolynomial, automorphism,
+                             crt_float, crt_reconstruct, rp_mul,
+                             subring_stride, transform_limbs)
 from rnsckks.serial import (load_evaluation_key, read_params,
                             save_evaluation_key, write_params)
 
@@ -52,7 +52,6 @@ def test_default_parameters():
     assert (p.n_ring, p.n_slots, p.levels, p.alpha) == (8192, 64, 7, 4)
     assert p.scale == 1 << 40
     assert p.dnum == 2
-    assert p.piece_count(7) == 2 and p.piece_count(3) == 1
 
 
 def test_digit_count_rounds_up():
@@ -60,7 +59,6 @@ def test_digit_count_rounds_up():
     assert p.dnum == 3
     q = CkksParams(n_ring=64, n_slots=4, levels=5, alpha=4)
     assert q.dnum == 2
-    assert q.piece_count(2) == 1
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -95,16 +93,6 @@ def test_chain_widths_and_bases(params):
         assert tuple(c.primes) == chain[:level + 1]
         assert len(basis_d(params, level)) == level + 1 + params.alpha
     assert tuple(basis_b(params).primes) == aux
-
-
-def test_piece_basis_tiles_the_chain(params):
-    level = params.levels
-    seen = []
-    for i in range(params.piece_count(level)):
-        seen.extend(pm.q for pm in piece_basis(params, i, level))
-    chain = [pm.q for pm in modulus_chain(params)]
-    assert seen == chain[:len(seen)]
-    assert len(seen) >= level + 1
 
 
 # ---------------------------------------------------------------------------
@@ -658,11 +646,13 @@ def test_key_switch_converts_dnum_plus_two_polynomials(level, params, relin,
     d = sample_uniform(basis_c(params, level), params.n_ring,
                        np.random.default_rng(97))
     key_switch(params, d, relin)
-    count = params.piece_count(level)
+    count = -(-(level + 1) // params.alpha)
     full = basis_d(params, level)
     n = params.n_ring
     for i, (source, target, shape) in enumerate(calls[:-1]):
-        assert source == piece_basis(params, i, level)
+        lo = i * params.alpha
+        assert source == LimbBasis(full.primes[lo:min(lo + params.alpha,
+                                                      level + 1)])
         assert target.primes == tuple(pm for pm in full
                                       if pm not in source.primes)
         assert shape == (len(source), n)
@@ -854,6 +844,57 @@ def test_mismatch_errors(params, sk, relin, rot_keys):
         hrot(params, a, 3, rot_keys[1])
     with pytest.raises(ConfigurationError):
         make_rotation_key(params, sk, 0, rng)
+
+
+@pytest.mark.parametrize("op", ["hrot", "hmult"])
+@pytest.mark.parametrize("other", [dict(q0_bits=58), dict(scale_bits=39),
+                                   dict(alpha=2), dict(n_ring=4096)])
+def test_key_for_other_parameters_is_refused(other, op, params, sk,
+                                             monkeypatch):
+    """A switching key made under other parameters has another piece
+    count or lies over other primes.  It is refused before any seed is
+    expanded: not used to give slots that are noise, nor left to fail on
+    an index or a shape."""
+    foreign = CkksParams(**other)
+    rng = np.random.default_rng(109)
+    fsk = keygen(foreign, rng)
+    evk = (make_rotation_key(foreign, fsk, 1, rng) if op == "hrot"
+           else make_relin_key(foreign, fsk, rng))
+    ct = encrypt(params, encode(params, random_message(params, rng)), sk, rng)
+
+    def no_expansion(seed):
+        raise AssertionError("a seed was expanded")
+
+    monkeypatch.setattr(UniformSeed, "expand", no_expansion)
+    with pytest.raises(BasisMismatchError, match="other parameters"):
+        if op == "hrot":
+            hrot(params, ct, 1, evk)
+        else:
+            hmult(params, ct, ct, evk)
+
+
+@pytest.fixture(scope="module")
+def step_keys(params, sk):
+    return make_rotation_keys(params, sk, (1, 2, 3),
+                              np.random.default_rng(113))
+
+
+@pytest.mark.parametrize("level", [7, 4, 1])
+def test_mod_up_commutes_with_automorphism(level, params, sk, step_keys):
+    """Rotating the ModUp stack of c1 and switching from there gives the
+    words of switching the rotated c1, for steps 1, 2 and 3: the centered
+    conversion commutes with the automorphism, a signed permutation of
+    the coefficients.  One ModUp can serve many rotations (hoisting)."""
+    rng = np.random.default_rng([115, level])
+    ct = encrypt(params, encode(params, random_message(params, rng),
+                                level=level), sk, rng)
+    c_basis, d_basis = basis_c(params, level), basis_d(params, level)
+    ext = RnsPolynomial(d_basis, mod_up(ct.c1.limbs, d_basis, params.alpha))
+    for r, key in step_keys.items():
+        hoisted = mod_down(key_product(params, automorphism(ext, r).limbs,
+                                       key), c_basis, basis_b(params))
+        want = key_switch(params, automorphism(ct.c1, r), key)
+        assert np.array_equal(hoisted, want.limbs), r
 
 
 def test_rescale_exhaustion(params, sk):

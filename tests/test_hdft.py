@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from rnsckks import hdft
-from rnsckks.ckks import (EvaluationKey, basis_c, encode,
-                          encode_diagonal_batch, encrypt, hadd,
+from rnsckks.ckks import (CkksParams, EvaluationKey, basis_c, encode,
+                          encode_diagonal_batch, encrypt, hadd, keygen,
                           make_rotation_keys, modulus_chain, pmult,
                           slot_values)
 from rnsckks.costmodel import PROFILES, VARIANTS, hdft_pass_cost
@@ -23,8 +23,9 @@ from rnsckks.hdft import (DFT, IDFT, DftPlan, EvkUsageLog, PlanStage,
                           hdft_apply, make_plaintext_seed, merge_factors,
                           mod_raise, of_limb_extend, radix2_factor)
 from rnsckks.ntt import bit_reverse_permutation
-from rnsckks.rnspoly import (LimbBasis, base_convert, lift_int_coeffs,
-                             make_base_table, transform_limbs)
+from rnsckks.rnspoly import (LimbBasis, base_convert, convert_limbs,
+                             lift_int_coeffs, make_base_table,
+                             transform_limbs)
 
 
 def rel_error(got, want):
@@ -846,6 +847,26 @@ def test_mod_raise_is_centered_base_conversion(params, sk):
             assert np.array_equal(got.limbs[1:], want)
 
 
+def test_mod_raise_is_one_mod_up(params, sk, monkeypatch):
+    """The raise runs key switching's ModUp of the one q0 piece: one
+    `convert_limbs` call, from q0 into the other primes, over both
+    halves."""
+    calls = []
+
+    def recording(limbs, source, target):
+        calls.append((source, target, limbs.shape))
+        return convert_limbs(limbs, source, target)
+
+    monkeypatch.setattr("rnsckks.ckks.convert_limbs", recording)
+    rng = np.random.default_rng(87)
+    ct = encrypt(params, encode(params, random_message(params, rng),
+                                level=0), sk, rng)
+    mod_raise(params, ct, 3)
+    assert calls == [(basis_c(params, 0),
+                      LimbBasis(basis_c(params, 3).primes[1:]),
+                      (1, 2, params.n_ring))]
+
+
 def test_mod_raise_level_guards(params, sk):
     rng = np.random.default_rng(89)
     ct = encrypt(params, encode(params, random_message(params, rng)), sk, rng)
@@ -855,6 +876,11 @@ def test_mod_raise_level_guards(params, sk):
                                  level=0), sk, rng)
     with pytest.raises(ConfigurationError):
         mod_raise(params, low, 0)
+    other = CkksParams(q0_bits=58)          # level 0, another base prime
+    foreign = encrypt(other, encode(other, [1.0], level=0),
+                      keygen(other, rng), rng)
+    with pytest.raises(ConfigurationError):
+        mod_raise(params, foreign)
 
 
 def test_bootstrap_returns_to_usable_level(params, sk, boot_plans,

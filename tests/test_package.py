@@ -97,6 +97,36 @@ def test_perfbench_names_exist(monkeypatch, params):
     assert missing == []
 
 
+def test_convert_limbs_has_one_mod_up_and_one_mod_down():
+    """Inside the package only `ckks.mod_up`, `ckks.mod_down` and the
+    selftest's `cli._check_base_convert` refer to `convert_limbs`, and no
+    module imports it under another name: key switching, the modulus
+    raise and rescale extend a basis through that one pair, and a new
+    caller (a subring trace, batched or hoisted switching) reuses them
+    instead of growing a conversion of its own."""
+    users, renamed = set(), []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.ImportFrom):
+                renamed.extend(f"{owner}: {a.asname}" for a in child.names
+                               if a.name == "convert_limbs" and a.asname)
+            elif "convert_limbs" in (getattr(child, "id", None),
+                                     getattr(child, "attr", None)):
+                users.add(owner)
+            visit(child, owner)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert renamed == []
+    assert users == {"ckks.mod_up", "ckks.mod_down",
+                     "cli._check_base_convert"}
+
+
 def _annotation_names(tree):
     """Names inside quoted annotations, which the tree holds as text."""
     for node in ast.walk(tree):

@@ -8,7 +8,7 @@ import pytest
 from oracles import (centered_mod, oracle_automorphism, oracle_crt,
                      oracle_negacyclic, oracle_residues)
 from rnsckks.ckks import (CkksParams, basis_b, basis_c, basis_d,
-                          modulus_chain, piece_basis)
+                          modulus_chain)
 from rnsckks.errors import BasisMismatchError, ConfigurationError
 from rnsckks.modmath import U64, PrimeModulus, generate_ntt_primes
 from rnsckks.ntt import ntt
@@ -450,9 +450,10 @@ def test_convert_limbs_matches_per_row_base_convert(source, level, params):
     equals the row's coefficients through `base_convert` and the forward
     transform."""
     full = basis_d(params, level)
-    src = {"piece": piece_basis(params, 0, level), "B": basis_b(params),
-           "q0": LimbBasis(modulus_chain(params)[:1]),
-           "q_l": LimbBasis(modulus_chain(params)[level:level + 1])}[source]
+    chain = modulus_chain(params)
+    src = {"piece": LimbBasis(chain[:min(params.alpha, level + 1)]),
+           "B": basis_b(params), "q0": LimbBasis(chain[:1]),
+           "q_l": LimbBasis(chain[level:level + 1])}[source]
     tgt = LimbBasis(tuple(pm for pm in full if pm not in src.primes))
     rng = np.random.default_rng([113, level])
     rows = [random_poly(src, params.n_ring, rng) for _ in range(3)]
