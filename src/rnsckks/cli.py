@@ -27,7 +27,7 @@ from .costmodel import (PROFILES, ParamProfile, bootstrap_pass_shapes,
                         keyswitch_mults, tas_metric)
 from .errors import SeedRangeError, SerializationError
 from .hdft import (DFT, IDFT, EvkUsageLog, build_dft_plan, hdft_apply,
-                   make_plaintext_seed, of_limb_extend)
+                   make_plaintext_seed, of_limb_extend, roundtrip_plans)
 from .modmath import PrimeModulus, barrett_mul, generate_ntt_primes
 from .ntt import four_step_ntt, get_tables, ntt
 from .rnspoly import (LimbBasis, RnsPolynomial, convert_limbs,
@@ -69,11 +69,6 @@ def _load_params(args: argparse.Namespace) -> tuple[CkksParams, int]:
     params, file_seed = _read_params(args)
     seed = file_seed if file_seed is not None and args.seed == 0 else args.seed
     return params, seed
-
-
-def _desk_profile(params: CkksParams) -> ParamProfile:
-    return ParamProfile("desk", N=params.n_ring, L=params.levels,
-                        alpha=params.alpha, n=params.n_slots, L_boot=0)
 
 
 def _emit(lines: list[str], out_path: str | None) -> None:
@@ -236,10 +231,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     relin = make_relin_key(params, sk, rng)
     rot5 = make_rotation_keys(params, sk, [5], rng)[5]
     size, k, split = 16, 2, (1, 2)
-    inv = build_dft_plan(params, IDFT, size=size, k=k, split=split)
-    fwd = build_dft_plan(params, DFT, size=size, k=k, split=split,
-                         levels=[params.levels - inv.iterations - s
-                                 for s in range(inv.iterations)])
+    inv, fwd = roundtrip_plans(params, size, k, split)
     steps = set()
     for plan in (inv, fwd):
         for variant in ("baseline", "minks"):
@@ -322,10 +314,7 @@ def cmd_hdft(args: argparse.Namespace) -> int:
     rng = np.random.default_rng([seed, 0xD1F7])
     t0 = time.perf_counter()
     _note("hdft: building plans and keys")
-    inv = build_dft_plan(params, IDFT, size=size, k=k, split=split)
-    fwd = build_dft_plan(params, DFT, size=size, k=k, split=split,
-                         levels=[params.levels - inv.iterations - s
-                                 for s in range(inv.iterations)])
+    inv, fwd = roundtrip_plans(params, size, k, split)
     sk = keygen(params, rng)
     # Message and ciphertext are drawn before the rotation keys: the key-step
     # inventory depends on the variant, and pulling it first would shift the
@@ -362,7 +351,7 @@ def cmd_hdft(args: argparse.Namespace) -> int:
     lines.append(f"rotations performed: {log.rotation_ops()}  "
                  f"pmults: {log.pmult_ops()}  reuses: {log.reuses()}")
 
-    desk = _desk_profile(params)
+    desk = ParamProfile.from_params(params)
     for label, plan in ((IDFT, inv), (DFT, fwd)):
         rep = hdft_pass_cost(plan, desk, args.variant, usage=log)
         lines.append(f"measured cost {label}: offchip_bytes "
@@ -398,7 +387,7 @@ def cmd_sizes(args: argparse.Namespace) -> int:
             f"({in_mb[0]:.2f}/{in_mb[1]:.2f}/{in_mb[2]:.2f} MB) "
             f"(expect {expect[0]:g}/{expect[1]:g}/{expect[2]:g} MiB) "
             f"{'ok' if ok else 'FAIL'}")
-    desk = _desk_profile(_read_params(args)[0])
+    desk = ParamProfile.from_params(_read_params(args)[0])
     got = data_sizes(desk)
     lines.append(f"row desk: plaintext {got.plaintext_bytes} "
                  f"ciphertext {got.ciphertext_bytes} "
@@ -450,7 +439,7 @@ def cmd_keygen(args: argparse.Namespace) -> int:
 def cmd_bench(args: argparse.Namespace) -> int:
     params, seed = _load_params(args)
     rng = np.random.default_rng([seed, 0xBE7C4])
-    profile = _desk_profile(params)
+    profile = ParamProfile.from_params(params)
     lines = [REPORT_SCHEMA, "command: bench", f"seed: {seed}"]
 
     km = keyswitch_mults(profile, params.levels)

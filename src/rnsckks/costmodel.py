@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .ckks import CkksParams
 from .errors import ConfigurationError
 
 VARIANTS = ("baseline", "minks", "minks-oflimb")
@@ -39,10 +40,11 @@ POLICY_LIMB_WISE = "limb_wise_only"
 class ParamProfile:
     """Scheme shape of one published or local configuration.
 
-    `L_boot` is the level a freshly bootstrapped ciphertext comes back
-    at, or None for configurations that never bootstrap packed data.
-    `n` is the slot count the configuration refreshes at a time.  `dnum`
-    is derived, (L + 1) / alpha, as `CkksParams.dnum` is.
+    `L_boot` is the number of levels a bootstrap consumes, or None for
+    configurations that never bootstrap packed data; a bootstrapped
+    ciphertext is left L - L_boot levels.  `n` is the slot count the
+    configuration refreshes at a time.  `dnum` is derived, (L + 1) /
+    alpha, as `CkksParams.dnum` is.
     """
 
     name: str
@@ -64,6 +66,19 @@ class ParamProfile:
             raise ConfigurationError("word_bytes must be positive")
         if self.L_boot is not None and not 0 <= self.L_boot <= self.L:
             raise ConfigurationError("L_boot out of range")
+
+    @classmethod
+    def from_params(cls, params: CkksParams) -> "ParamProfile":
+        """The desk profile of a parameter set; every profile built from
+        parameters comes from here.
+
+        A desk bootstrap consumes every level: `hdft.build_dft_plan`'s
+        default DFT ends at level 1 and rescales to 0, so `L_boot` is
+        `params.levels`.
+        """
+        return cls("desk", N=params.n_ring, L=params.levels,
+                   alpha=params.alpha, n=params.n_slots,
+                   L_boot=params.levels)
 
     @property
     def dnum(self) -> int:
@@ -92,7 +107,7 @@ class MachineProfile:
 
 
 PROFILES = {
-    "desk": ParamProfile("desk", N=1 << 13, L=7, alpha=4, n=64, L_boot=0),
+    "desk": ParamProfile.from_params(CkksParams()),
     "lattigo": ParamProfile("lattigo", N=1 << 16, L=24, alpha=5,
                             n=1 << 15, L_boot=15),
     "100x": ParamProfile("100x", N=1 << 17, L=29, alpha=10,
@@ -311,10 +326,11 @@ def bootstrap_pass_shapes(p: ParamProfile, k: int, split: tuple[int, int]
 
     That is one level above `hdft.build_dft_plan`'s default, which every
     desk bootstrap runs: this shape returns at level 1, keeping a level
-    for a multiply, and the plan at level 0 (desk's `L_boot`, which
-    neither reads).  At desk with k = 6 the model prices the DFT at
-    levels (3, 2) and the plan runs (2, 1).  Both sides are pinned, so
-    neither moves; price a run as itself, `hdft_pass_cost(plan, ...)`.
+    for a multiply, and the plan at level 0.  Neither reads `L_boot`,
+    the levels a bootstrap consumes.  At desk with k = 6 the model prices
+    the DFT at levels (3, 2) and the plan runs (2, 1).  Both sides are
+    pinned, so neither moves; price a run as itself,
+    `hdft_pass_cost(plan, ...)`.
     """
     size = p.N // 2
     iters = (size.bit_length() - 1) // k
@@ -452,9 +468,10 @@ def tas_metric(t_boot: float, t_mult: Callable[[int], float],
                p: ParamProfile) -> float:
     """Amortized multiply time per slot.
 
-    One bootstrap buys L - L_boot rescale levels across n slots, so the
-    cost of the bootstrap plus one multiply per recovered level, spread
-    over every level of every slot, prices the scheme's throughput.
+    A bootstrap consumes L_boot levels, so it buys L - L_boot rescale
+    levels across n slots; the cost of the bootstrap plus one multiply
+    per recovered level, spread over every level of every slot, prices
+    the scheme's throughput.
     """
     if p.L_boot is None or p.L <= p.L_boot:
         raise ConfigurationError("profile must recover at least one level")

@@ -413,8 +413,10 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
     must be a multiple of k.  `levels` lists the ciphertext level of each
     stage, consecutive and descending; the defaults start at the top for
     IDFT and end at level 1 for DFT, matching their bootstrap positions.
-    That DFT runs one level below `costmodel.bootstrap_pass_shapes` (at
-    desk with k = 6, levels (2, 1) against (3, 2)); see there for why.
+    That DFT rescales to level 0, so a bootstrap running it consumes every
+    level, the `L_boot` of `ParamProfile.from_params` (levels a bootstrap
+    consumes).  It runs one level below `costmodel.bootstrap_pass_shapes`
+    (at desk with k = 6, levels (2, 1) against (3, 2)); see there for why.
 
     The plan is a `PassShape`, which refuses a bad direction, size, k,
     split, level count or level order; its stages are derived from that
@@ -436,6 +438,17 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
     if any(not 1 <= level <= params.levels for level in levels):
         raise ConfigurationError("stage levels must lie in [1, levels]")
     return DftPlan(direction, size, k, k1, k2, levels, params=params)
+
+
+def roundtrip_plans(params: CkksParams, size: int, k: int,
+                    split: tuple[int, int]) -> tuple[DftPlan, DftPlan]:
+    """An IDFT from the top level and the DFT that starts at the level the
+    IDFT returns at, so the pair runs back to back on a fresh ciphertext."""
+    inv = build_dft_plan(params, IDFT, size=size, k=k, split=split)
+    top = params.levels - inv.iterations
+    fwd = build_dft_plan(params, DFT, size=size, k=k, split=split,
+                         levels=range(top, top - inv.iterations, -1))
+    return inv, fwd
 
 
 # ---------------------------------------------------------------------------

@@ -309,17 +309,22 @@ _PARAM_KEYS = ("n_ring", "n_slots", "levels", "dnum", "scale_bits",
 PARAMS_SCHEMA = "# rnsckks-params v1"
 
 
-def write_params(path: str, params: CkksParams, seed: int | None = None):
-    """Write a parameter file; `read_params` rebuilds alpha as
-    (levels + 1) / dnum, so parameters whose last digit piece is short
-    cannot be written, and neither can a negative seed."""
-    if seed is not None and seed < 0:
-        raise SerializationError(
-            f"seed {seed} is negative; seeds are non-negative", path)
+def _check_digits(params: CkksParams, path: str):
+    """A file stores dnum and alpha is rebuilt as (levels + 1) / dnum, so
+    it holds only parameters whose last digit piece is full."""
     if params.alpha * params.dnum != params.levels + 1:
         raise SerializationError(
             f"alpha {params.alpha} does not divide levels + 1 = "
             f"{params.levels + 1}; the file could not restore it", path)
+
+
+def write_params(path: str, params: CkksParams, seed: int | None = None):
+    """Write a parameter file; parameters whose last digit piece is short
+    cannot be written, and neither can a negative seed."""
+    if seed is not None and seed < 0:
+        raise SerializationError(
+            f"seed {seed} is negative; seeds are non-negative", path)
+    _check_digits(params, path)
     lines = [PARAMS_SCHEMA,
              f"n_ring = {params.n_ring}",
              f"n_slots = {params.n_slots}",
@@ -341,7 +346,9 @@ def write_params(path: str, params: CkksParams, seed: int | None = None):
 def read_params(path: str) -> tuple[CkksParams, int | None]:
     """Parse a parameter file; returns the params and an optional seed.
 
-    Each key may appear once, and a seed must be non-negative."""
+    Each key may appear once, and a seed must be non-negative.  Without a
+    dnum line alpha keeps its default, and parameters that `write_params`
+    could not write (levels = 6 under alpha = 4) are refused."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
@@ -379,6 +386,8 @@ def read_params(path: str) -> tuple[CkksParams, int | None]:
             raise SerializationError("dnum must divide levels + 1", path)
         values["alpha"] = (levels + 1) // dnum
     try:
-        return CkksParams(**values), seed
+        params = CkksParams(**values)
     except ConfigurationError as e:
         raise SerializationError(f"invalid parameters: {e}", path)
+    _check_digits(params, path)
+    return params, seed

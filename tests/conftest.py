@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 import rnsckks.rnspoly as rnspoly_module
 from rnsckks.ckks import (CkksParams, keygen, make_relin_key,
                           make_rotation_keys)
-from rnsckks.hdft import DFT, IDFT, build_dft_plan
+from rnsckks.hdft import DFT, IDFT, build_dft_plan, roundtrip_plans
 
 
 @pytest.fixture
@@ -84,11 +84,7 @@ def rot_keys(params, sk):
 @pytest.fixture(scope="session")
 def message_plans(params):
     """IDFT then DFT over 64 slots, radix 4, scheduled back to back."""
-    inv = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
-    fwd = build_dft_plan(params, DFT, size=64, k=2, split=(1, 2),
-                         levels=[params.levels - inv.iterations - s
-                                 for s in range(inv.iterations)])
-    return inv, fwd
+    return roundtrip_plans(params, size=64, k=2, split=(1, 2))
 
 
 @pytest.fixture(scope="session")

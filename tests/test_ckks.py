@@ -609,8 +609,7 @@ def test_key_switch_transforms_match_cost_model(which, params, relin,
     if which == "tiny":
         p, levels = tiny_params, range(tiny_params.levels + 1)
         evk = make_relin_key(p, tiny_sk, np.random.default_rng(93))
-        profile = ParamProfile("tiny", N=p.n_ring, L=p.levels,
-                               alpha=p.alpha, n=p.n_slots)
+        profile = ParamProfile.from_params(p)
     else:
         p, levels, evk, profile = params, (7, 6, 5, 2, 1), relin, \
             PROFILES["desk"]
@@ -745,8 +744,7 @@ def test_rescale_transforms_l_plus_one_limbs(which, params, sk, tiny_params,
     """Limb transforms per rescaled polynomial equal the l + 1 that
     costmodel.rescale_mults charges."""
     p, key = (tiny_params, tiny_sk) if which == "tiny" else (params, sk)
-    profile = PROFILES["desk"] if which == "desk" else ParamProfile(
-        "tiny", N=p.n_ring, L=p.levels, alpha=p.alpha, n=p.n_slots)
+    profile = ParamProfile.from_params(p)
     rng = np.random.default_rng(77)
     ct = encrypt(p, encode(p, random_message(p, rng)), key, rng)
     butterflies = p.n_ring // 2 * (p.n_ring.bit_length() - 1)

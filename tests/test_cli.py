@@ -343,6 +343,25 @@ def test_negative_seed_in_params_file_exits_2(tmp_path, capsys):
     assert "line 3: seed -5 is negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command",
+                         ["hdft", "sizes", "bench", "keygen", "selftest"])
+def test_unwritable_params_file_exits_2_first(command, tmp_path, capsys):
+    """levels = 6 under the default alpha = 4 is refused as the file's
+    fault before any plan or key is built: the error is the only line on
+    stderr, so no `hdft: building plans` note came first."""
+    path = tmp_path / "params.txt"
+    path.write_text("# rnsckks-params v1\nlevels = 6\n")
+    keys = tmp_path / "keys"
+    extra = ["--out", str(keys)] if command == "keygen" else []
+    assert cli.main([command, "--params", str(path), *extra]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines() == [
+        f"error: alpha 4 does not divide levels + 1 = 7; the file could "
+        f"not restore it (file: {path})"]
+    assert not keys.exists()
+
+
 def test_missing_params_file_exits_2(tmp_path):
     proc = run_cli("bench", "--params", str(tmp_path / "nope.txt"))
     assert proc.returncode == 2

@@ -7,6 +7,7 @@ the acceptance suite separately checks them against published targets.
 import numpy as np
 import pytest
 
+from rnsckks.ckks import CkksParams
 from rnsckks.costmodel import (PROFILES, POLICY_ALTERNATING, POLICY_LIMB_WISE,
                                SCALED_F1, VARIANTS, CostReport, DataSizes,
                                MachineProfile, ParamProfile, PassShape,
@@ -16,6 +17,7 @@ from rnsckks.costmodel import (PROFILES, POLICY_ALTERNATING, POLICY_LIMB_WISE,
                                plaintext_bytes_at, pmult_mults,
                                rescale_mults, tas_metric, utilization_bound)
 from rnsckks.errors import ConfigurationError
+from test_serial import NON_DEFAULT_PARAMS
 
 MIB = 1 << 20
 
@@ -30,13 +32,19 @@ def test_builtin_profiles_are_consistent():
         assert p.dnum_at(p.L) == p.dnum
 
 
-def test_desk_profile_matches_scheme_defaults(params):
-    p = PROFILES["desk"]
-    assert p.N == params.n_ring
-    assert p.L == params.levels
-    assert p.alpha == params.alpha
+def test_profile_from_params():
+    """`from_params` reads the ring, chain, digit size and slot count off
+    the parameters, and a desk bootstrap consumes every level; the desk
+    profile is the defaults' own, so `tas_metric` refuses it."""
+    params = CkksParams(**NON_DEFAULT_PARAMS)
+    p = ParamProfile.from_params(params)
+    assert (p.name, p.N, p.L, p.alpha, p.n) == (
+        "desk", params.n_ring, params.levels, params.alpha, params.n_slots)
     assert p.dnum == params.dnum
-    assert p.n == params.n_slots
+    assert p.L_boot == params.levels
+    assert PROFILES["desk"] == ParamProfile.from_params(CkksParams())
+    with pytest.raises(ConfigurationError, match="recover"):
+        tas_metric(1.0, lambda lv: 0.0, PROFILES["desk"])
 
 
 @pytest.mark.parametrize("kwargs", [

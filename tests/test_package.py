@@ -127,6 +127,38 @@ def test_convert_limbs_has_one_mod_up_and_one_mod_down():
                      "cli._check_base_convert"}
 
 
+def test_param_profiles_are_built_in_costmodel_only():
+    """Inside the package a `ParamProfile` is constructed only in
+    `costmodel`: in the table of published profiles and in
+    `ParamProfile.from_params`, and no module imports the class under
+    another name.  A module that needs the profile of some parameters asks
+    `from_params`, so no profile is assembled from parameter fields by
+    hand to drift away from the one the table holds."""
+    builders, renamed = set(), []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.ImportFrom):
+                renamed.extend(f"{owner}: {a.asname}" for a in child.names
+                               if a.name == "ParamProfile" and a.asname)
+            elif isinstance(child, ast.Call):
+                name = _dotted(child.func) or []
+                if name[-1:] == ["ParamProfile"] or (
+                        name == ["cls"]
+                        and owner.startswith("costmodel.ParamProfile.")):
+                    builders.add(owner)
+            visit(child, owner)
+
+    for path in MODULES:
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert renamed == []
+    assert builders == {"costmodel", "costmodel.ParamProfile.from_params"}
+
+
 def _annotation_names(tree):
     """Names inside quoted annotations, which the tree holds as text."""
     for node in ast.walk(tree):

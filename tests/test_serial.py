@@ -689,6 +689,17 @@ def test_params_file_refuses_a_short_last_digit(tmp_path, levels, alpha):
     assert not path.exists()
 
 
+def test_params_file_refuses_what_it_could_not_have_written(tmp_path):
+    """Without a dnum line alpha keeps its default, 4, which does not
+    divide levels + 1 = 7: `write_params` refuses those parameters, so
+    reading them back is refused too, naming the file."""
+    path = tmp_path / "params.txt"
+    path.write_text(PARAMS_SCHEMA + "\nlevels = 6\n")
+    with pytest.raises(SerializationError,
+                       match="alpha 4 does not divide .*params.txt"):
+        read_params(str(path))
+
+
 @pytest.mark.parametrize("line,what", [
     ("n_ring 8192", "expected key = value"),
     ("edges = 3", "unknown key"),
