@@ -353,7 +353,7 @@ def cmd_hdft(args: argparse.Namespace) -> int:
 
     desk = ParamProfile.from_params(params)
     for label, plan in ((IDFT, inv), (DFT, fwd)):
-        rep = hdft_pass_cost(plan, desk, args.variant, usage=log)
+        rep = hdft_pass_cost(plan, desk, args.variant)
         lines.append(f"measured cost {label}: offchip_bytes "
                      f"{rep.offchip_bytes} mults {rep.modular_mults} "
                      f"evk_loads {rep.evk_loads} "

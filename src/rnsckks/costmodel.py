@@ -277,14 +277,17 @@ class PassShape:
 
     def stride(self, s: int) -> int:
         """g_s, the unit stride of stage s's diagonals."""
+        if not 0 <= s < self.iterations:
+            raise ConfigurationError(f"stage {s} out of range")
         if self.direction == "dft":
             return 1 << (s * self.k)
         return self.size >> ((s + 1) * self.k)
 
     def rotations(self, s: int, variant: str) -> StageRotations:
         """Stage s's rotations as (evk_id, amount) pairs.  Each rotates by
-        evk_id mod size under that step's key (a step of 0 is a no-op that
-        still loads its id) and is logged with its scheduled amount.
+        evk_id mod size under that step's key and is logged with its
+        scheduled amount; a step of 0 is a no-op that loads its id and
+        costs nothing.
 
         The baseline pre-rotates by -2^k * g, and each baby i1 * g and
         giant i2 * 2^k1 * g is its own id: 2^k1 + 2^k2 - 1 loads.  The
@@ -332,6 +335,8 @@ def bootstrap_pass_shapes(p: ParamProfile, k: int, split: tuple[int, int]
     pinned, so neither moves; price a run as itself,
     `hdft_pass_cost(plan, ...)`.
     """
+    if k < 1:
+        raise ConfigurationError("k must be positive")
     size = p.N // 2
     iters = (size.bit_length() - 1) // k
     k1, k2 = split
@@ -385,15 +390,15 @@ class CostReport:
         return self.modular_mults / self.offchip_bytes
 
 
-def hdft_pass_cost(shape: PassShape, p: ParamProfile, variant: str,
-                   usage=None) -> CostReport:
+def hdft_pass_cost(shape: PassShape, p: ParamProfile,
+                   variant: str) -> CostReport:
     """Cost one homomorphic (I)DFT pass at a profile.
 
     `shape` is a `PassShape` or an `hdft.DftPlan`, which is one.  Stage s
-    performs the rotations of `shape.rotations(s, variant)` and loads one
-    key per distinct id among them; with a usage log, both counts come
-    from its `rotations_by_stage` and `loads_by_stage` instead, so a
-    report built from a real run reproduces the measured working set.
+    loads one key per distinct id of `shape.rotations(s, variant)` and
+    pays a key switch for each of its pairs whose step, id mod size, is
+    nonzero: a step-0 rotation loads its id and costs nothing, as
+    `hdft_apply` runs it.
 
     The plaintext terms price every constant at N words per limb (per
     seed for OF-Limb), and the OF-Limb compute term (level + 1) N-point
@@ -404,20 +409,12 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile, variant: str,
     """
     if variant not in VARIANTS:
         raise ConfigurationError(f"unknown variant {variant!r}")
-    if usage is not None:
-        logged = usage.loads_by_stage(shape.direction)
-        if sorted(logged) != list(range(shape.iterations)):
-            raise ConfigurationError("usage log does not cover the pass")
-        performed = usage.rotations_by_stage(shape.direction)
-
     diagonals = (1 << (shape.k + 1)) - 1
     stages = []
     for s, level in enumerate(shape.levels):
-        if usage is None:
-            flat = shape.rotations(s, variant).flat
-            rotations, loads = len(flat), len({evk_id for evk_id, _ in flat})
-        else:
-            rotations, loads = performed.get(s, 0), logged[s]
+        ids = [evk_id for evk_id, _ in shape.rotations(s, variant).flat]
+        rotations = sum(evk_id % shape.size != 0 for evk_id in ids)
+        loads = len(set(ids))
         mults = (rotations * keyswitch_mults(p, level).total
                  + diagonals * pmult_mults(p, level)
                  + rescale_mults(p, level))

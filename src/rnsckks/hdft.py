@@ -10,7 +10,8 @@ Three variants share a plan.  The rotations each stage performs are
 `PassShape.rotations` (in `costmodel`), (evk_id, amount) pairs that
 `hdft_apply` logs and performs as steps evk_id mod size, that
 `required_steps` makes keys for and `hdft_pass_cost` prices; a step of
-0 is a no-op that still loads its id.  `hdft_apply` adds the data flow:
+0 is a no-op that loads its id and costs nothing.  `hdft_apply` adds the
+data flow:
 
   baseline      one pre-rotation by -2^k * g, baby steps fanned out from
                 it and giant steps that rotate each giant row's inner sum;
@@ -170,7 +171,8 @@ class EvkUsageLog:
     A key id counts as a load on its first use within a stage (one
     iteration's working set) and as a reuse afterwards.  Chained rotations
     record the cumulative amount they realize but the single key id they
-    consult.
+    consult.  A step-0 rotation loads its id and costs nothing: it is
+    logged with `performed` False.
     """
 
     entries: list[LogEntry] = field(default_factory=list)
@@ -201,11 +203,6 @@ class EvkUsageLog:
     def loads_by_stage(self, transform: str) -> dict[int, int]:
         return dict(Counter(e.stage for e in self._ops("hrot", transform)
                             if e.kind == "load"))
-
-    def rotations_by_stage(self, transform: str) -> dict[int, int]:
-        """Performed rotations per stage: scheduled no-ops do not count."""
-        return dict(Counter(e.stage for e in self._ops("hrot", transform)
-                            if e.performed))
 
     def rotation_ops(self, transform: str | None = None) -> int:
         return sum(e.performed for e in self._ops("hrot", transform))
@@ -326,7 +323,7 @@ class DftPlan(PassShape):
     parameters its constants are built for, once per variant."""
 
     params: CkksParams
-    _consts: dict = field(default_factory=dict, repr=False)
+    _consts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def stages(self) -> tuple[PlanStage, ...]:

@@ -29,13 +29,13 @@ STDOUT_SHA256 = {
     "selftest":
         "192e91738422bf982c31b5955ad0ecf098ddaf8f75d4994cbbedbb43d3992b8d",
     "hdft":
-        "ec8249eabfd7d6b457d9dbb6742ae9cd760c60e7fcd82a7bece4c27a9f666acf",
+        "6eab15d2a863df113b470fc8a876fb6b9be2f97df1b6ab8fb67a4f05f7e5dbb4",
     "hdft --n 16 --k 2 --variant baseline":
-        "580a686362601df587b04105f2d7c31531b48ce2dd05b470d53e5443c1590f15",
+        "d1d01e1f0f190ba15227d4e84908b5a160c8c5486b73f90e05c0cad8e97c64c3",
     "hdft --n 16 --k 2 --variant minks":
-        "7764f12c0a06e609e6785fd089100fb5dad1ce588f2eeb46402d53efdbaa203b",
+        "62832b24f5dd285c12f62cf4e933b55ce53edb33a423b6679f00904440153b18",
     "hdft --analytic-only":
-        "dd59d795c0e6311681d2fa5cfce9596e8aa3aae7844a450afe6abc162dc119da",
+        "b7a078aba7a7ce0dd9ab3b4fde9c2618c5c8f784145e7d21d52a37fec70bb17e",
     "sizes":
         "61799f759e634e55639bb829534d646b8c607eef1ad1cccbdc542eb6bdcf892f",
     "keygen --n 16":
@@ -135,21 +135,21 @@ def test_analytic_report_is_pinned_and_deterministic():
             "mode: analytic",
             "schedule: size=2^15 k=5 split=3+3",
             "pass idft variant baseline: offchip_bytes 7752646656 "
-            "mults 8123842560 evk_loads 45 ops_per_byte 1.048",
+            "mults 7779385344 evk_loads 45 ops_per_byte 1.003",
             "pass idft variant minks: offchip_bytes 3008888832 "
             "mults 7785545728 evk_loads 6 ops_per_byte 2.588",
             "pass idft variant minks-oflimb: offchip_bytes 828899328 "
             "mults 10064625664 evk_loads 6 ops_per_byte 12.142",
-            "pass idft grouped intensity gain: 2.469x",
+            "pass idft grouped intensity gain: 2.579x",
             "pass idft cumulative intensity: 12.142 ops/byte",
             "pass idft traffic cut: 89.3%",
             "pass dft variant baseline: offchip_bytes 868220928 "
-            "mults 1168637952 evk_loads 45 ops_per_byte 1.346",
+            "mults 1127743488 evk_loads 45 ops_per_byte 1.299",
             "pass dft variant minks: offchip_bytes 459276288 "
             "mults 1124728832 evk_loads 6 ops_per_byte 2.449",
             "pass dft variant minks-oflimb: offchip_bytes 162004992 "
             "mults 1521090560 evk_loads 6 ops_per_byte 9.389",
-            "pass dft grouped intensity gain: 1.819x",
+            "pass dft grouped intensity gain: 1.885x",
             "pass dft cumulative intensity: 9.389 ops/byte",
             "pass dft traffic cut: 81.3%"):
         assert pinned in lines, f"missing report line: {pinned}"

@@ -207,6 +207,18 @@ def test_stage_constants_cached(params):
     assert plan.stage_constants("baseline") is not first
 
 
+def test_plan_equality_ignores_cached_constants(params):
+    """A plan is its shape and parameters: two built alike compare equal
+    and hash alike whichever constants each has cached."""
+    a, b = (build_dft_plan(params, IDFT, size=16, k=2, split=(1, 2))
+            for _ in range(2))
+    a.stage_constants("minks")
+    assert a == b and hash(a) == hash(b)
+    b.stage_constants("minks")
+    assert a == b and hash(a) == hash(b)
+    assert a != build_dft_plan(params, IDFT, size=16, k=2, split=(2, 1))
+
+
 # Digest of the constants of one small IDFT plan: the minks plaintext
 # limbs (widened to length N), then each minks-oflimb seed limb (at length
 # N) and scale, cell by cell in key order.  A plan is stored nowhere but
