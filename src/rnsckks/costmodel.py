@@ -216,7 +216,7 @@ def rescale_mults(p: ParamProfile, level: int) -> int:
 # Homomorphic (I)DFT pass costs.
 
 class StageRotations(NamedTuple):
-    """One stage's (evk_id, amount) rotation pairs, by where they act: on
+    """One stage's (step, amount) rotation pairs, by where they act: on
     the input, as baby steps, in the giant sum, on the rescaled output."""
 
     before: tuple[tuple[int, int], ...]
@@ -284,25 +284,28 @@ class PassShape:
         return self.size >> ((s + 1) * self.k)
 
     def rotations(self, s: int, variant: str) -> StageRotations:
-        """Stage s's rotations as (evk_id, amount) pairs.  Each rotates by
-        evk_id mod size under that step's key and is logged with its
-        scheduled amount; a step of 0 is a no-op that loads its id and
-        costs nothing.
+        """Stage s's rotations as (step, amount) pairs: each rotates by
+        its step, the amount mod size, under the key `make_rotation_keys`
+        makes for that step, and is logged with its scheduled amount; a
+        step of 0 is a no-op, with no key and no cost.
 
-        The baseline pre-rotates by -2^k * g, and each baby i1 * g and
-        giant i2 * 2^k1 * g is its own id: 2^k1 + 2^k2 - 1 loads.  The
-        grouped variants chain the babies through id g and fold the giants
-        through id 2^k1 * g mod size; a fix-up by 1 rotates a DFT's input or
-        an IDFT's output under that stage's own stride-1 key: two loads.
+        The baseline pre-rotates by -2^k * g and rotates each baby i1 * g
+        and giant i2 * 2^k1 * g by itself.  The grouped variants chain the
+        babies through step g and fold the giants through step 2^k1 * g; a
+        fix-up by 1 rotates a DFT's input or an IDFT's output under that
+        stage's own stride-1 key.  At the wrap stage, g = size / 2^k, the
+        baseline's -size and 2^(k2-1) * 2^k1 * g = size are no-ops and
+        giants i2 and i2 + 2^(k2-1) share a step; the grouped giant step
+        is 0 when k2 = 1.
         """
         if variant not in VARIANTS:
             raise ConfigurationError(f"unknown variant {variant!r}")
         g, big = self.stride(s), 1 << self.k1
-        if variant == "baseline":       # each amount is its own key id
-            pre = -(1 << self.k) * g
-            return StageRotations(
-                ((pre, pre),), tuple((i * g,) * 2 for i in range(1, big)),
-                tuple((i * big * g,) * 2 for i in range(1, 1 << self.k2)), ())
+        if variant == "baseline":       # each amount rotates by itself
+            amounts = ((-(1 << self.k) * g,), range(g, big * g, g),
+                       range(big * g, big * g << self.k2, big * g), ())
+            return StageRotations(*(tuple((a % self.size, a) for a in part)
+                                    for part in amounts))
         gee = big * g % self.size
         fix, last = ((1, 1),), self.iterations - 1
         return StageRotations(
@@ -313,9 +316,9 @@ class PassShape:
 
     def required_steps(self, variant: str) -> list[int]:
         """Physical rotation steps whose keys the variant consults: every
-        key id of `rotations`, mod size, bar the no-op 0."""
-        steps = {evk_id % self.size for s in range(self.iterations)
-                 for evk_id, _ in self.rotations(s, variant).flat}
+        step of `rotations` bar the no-op 0."""
+        steps = {step for s in range(self.iterations)
+                 for step, _ in self.rotations(s, variant).flat}
         return sorted(steps - {0})
 
 
@@ -395,10 +398,10 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile,
     """Cost one homomorphic (I)DFT pass at a profile.
 
     `shape` is a `PassShape` or an `hdft.DftPlan`, which is one.  Stage s
-    loads one key per distinct id of `shape.rotations(s, variant)` and
-    pays a key switch for each of its pairs whose step, id mod size, is
-    nonzero: a step-0 rotation loads its id and costs nothing, as
-    `hdft_apply` runs it.
+    loads one key per distinct nonzero step of `shape.rotations(s,
+    variant)`, as `hdft_apply` expands one, and pays a key switch for
+    each of its pairs whose step is nonzero: a step-0 rotation loads
+    nothing and costs nothing.
 
     The plaintext terms price every constant at N words per limb (per
     seed for OF-Limb), and the OF-Limb compute term (level + 1) N-point
@@ -412,9 +415,9 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile,
     diagonals = (1 << (shape.k + 1)) - 1
     stages = []
     for s, level in enumerate(shape.levels):
-        ids = [evk_id for evk_id, _ in shape.rotations(s, variant).flat]
-        rotations = sum(evk_id % shape.size != 0 for evk_id in ids)
-        loads = len(set(ids))
+        steps = [step for step, _ in shape.rotations(s, variant).flat]
+        rotations = len(steps) - steps.count(0)
+        loads = len(set(steps) - {0})
         mults = (rotations * keyswitch_mults(p, level).total
                  + diagonals * pmult_mults(p, level)
                  + rescale_mults(p, level))

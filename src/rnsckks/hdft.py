@@ -7,19 +7,22 @@ evaluates one stage per level as a baby-step/giant-step sum of rotated,
 constant-multiplied copies of the ciphertext, then rescales.
 
 Three variants share a plan.  The rotations each stage performs are
-`PassShape.rotations` (in `costmodel`), (evk_id, amount) pairs that
-`hdft_apply` logs and performs as steps evk_id mod size, that
-`required_steps` makes keys for and `hdft_pass_cost` prices; a step of
-0 is a no-op that loads its id and costs nothing.  `hdft_apply` adds the
-data flow:
+`PassShape.rotations` (in `costmodel`), (step, amount) pairs, the step
+the amount mod size: `hdft_apply` rotates by each step and logs its
+amount, `required_steps` makes a key per step and `hdft_pass_cost`
+prices them; a step of 0 is a no-op that loads and costs nothing.
+`hdft_apply` adds the data flow:
 
   baseline      one pre-rotation by -2^k * g, baby steps fanned out from
                 it and giant steps that rotate each giant row's inner sum;
-                every scheduled amount has its own switching key, so an
-                iteration loads 2^k1 + 2^k2 - 1 keys.
+                each amount rotates by its own step, so an iteration loads
+                2^k1 + 2^k2 - 1 keys, fewer where amounts size apart name
+                one step: at the wrap stage, g = size / 2^k, and for k = 1
+                at g = size / 4.
   minks         baby rotations chain one stride-g key and the giant sum
                 folds Horner-style through one stride-G key (G = 2^k1 * g),
-                so an iteration loads exactly two keys.  Without the
+                so an iteration loads at most two keys (one at a wrap
+                stage with k2 = 1, whose giant step is 0).  Without the
                 pre-rotation each stage's output is rotated by (2^k - 1) g,
                 absorbed into the next stage's constants (a cyclic roll);
                 the total, always -1 mod n, is repaired by one stride-1
@@ -56,9 +59,10 @@ A load is an expansion: a generated key keeps only b_i resident
 (`ckks.EvaluationKey`), and the first rotation of a stage under a step
 makes that key's a_i limbs once, in a dict made when the stage begins;
 every later rotation of the stage, fix-up included, runs inside it and
-uses that copy, and the dict is dropped when the next stage begins.  So
-a min-KS stage expands the two keys it loads, and at most two expanded
-keys are alive at a time.
+uses that copy, and the dict is dropped when the next stage begins.
+`EvkUsageLog` logs that first rotation as the load, and `hdft_pass_cost`
+counts one per distinct nonzero step, so a stage loads, in the log and
+the model, the keys it expands: at most two, alive at a time, for min-KS.
 """
 
 from __future__ import annotations
@@ -159,36 +163,31 @@ class LogEntry(NamedTuple):
     stage: int
     op: str          # "hrot" | "pmult"
     amount: int      # rotation amount as the schedule prescribes it
-    evk_id: int      # stride of the key consulted (0 for pmult)
+    evk_id: int      # step of the key consulted (0: a no-op, or a pmult)
     kind: str        # "load" | "reuse" | ""
-    performed: bool  # False when the amount reduced to a no-op
 
 
 @dataclass
 class EvkUsageLog:
     """Rotation-key and constant-multiply tally across transform passes.
 
-    A key id counts as a load on its first use within a stage (one
-    iteration's working set) and as a reuse afterwards.  Chained rotations
-    record the cumulative amount they realize but the single key id they
-    consult.  A step-0 rotation loads its id and costs nothing: it is
-    logged with `performed` False.
+    Each rotation is logged as `hdft_apply` runs it: a "load" when it
+    expands its step's key for the stage, a "reuse" when the stage holds
+    that key already, and "" for a step-0 no-op, which loads nothing.
+    Chained rotations record the cumulative amount they realize but the
+    single step they consult.
     """
 
     entries: list[LogEntry] = field(default_factory=list)
-    _seen: set = field(default_factory=set, repr=False)
 
     def note_rotation(self, transform: str, stage: int, amount: int,
-                      evk_id: int, performed: bool = True):
-        key = (transform, stage, evk_id)
-        kind = "reuse" if key in self._seen else "load"
-        self._seen.add(key)
+                      evk_id: int, kind: str):
         self.entries.append(LogEntry(transform, stage, "hrot", amount,
-                                     evk_id, kind, performed))
+                                     evk_id, kind))
 
     def note_pmult(self, transform: str, stage: int, count: int = 1):
-        self.entries += [LogEntry(transform, stage, "pmult", 0, 0, "",
-                                  True)] * count
+        entry = LogEntry(transform, stage, "pmult", 0, 0, "")
+        self.entries += [entry] * count
 
     def _ops(self, op: str, transform: str | None) -> list[LogEntry]:
         return [e for e in self.entries
@@ -205,7 +204,7 @@ class EvkUsageLog:
                             if e.kind == "load"))
 
     def rotation_ops(self, transform: str | None = None) -> int:
-        return sum(e.performed for e in self._ops("hrot", transform))
+        return sum(e.evk_id != 0 for e in self._ops("hrot", transform))
 
     def pmult_ops(self, transform: str | None = None) -> int:
         return len(self._ops("pmult", transform))
@@ -482,18 +481,15 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
     consts = plan.stage_constants(variant)
     grouped = variant != "baseline"
 
-    def rotate(ct: Ciphertext, stage: int, evk_id: int,
+    def rotate(ct: Ciphertext, stage: int, step: int,
                amount: int) -> Ciphertext:
-        step = evk_id % plan.size
-        log.note_rotation(plan.direction, stage, amount, evk_id,
-                          performed=step != 0)
-        if step == 0:
-            return ct
-        if step not in keys:
+        if step and step not in keys:
             raise MissingKeyError(f"no rotation key for step {step}")
-        if step not in held:        # this stage's load of the key
+        kind = "reuse" if step in held else "load" if step else ""
+        log.note_rotation(plan.direction, stage, amount, step, kind)
+        if kind == "load":          # this stage's load of the key
             held[step] = keys[step].expanded()
-        return hrot(params, ct, step, held[step])
+        return hrot(params, ct, step, held[step]) if step else ct
 
     for s, (cmap, level) in enumerate(zip(consts, plan.levels)):
         if ct.level != level:
@@ -501,13 +497,13 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
                 f"stage {s} expects level {level}, got {ct.level}")
         held = {}           # step -> expanded key, for this stage only
         rots = plan.rotations(s, variant)
-        for evk_id, amount in rots.before:
-            ct = rotate(ct, s, evk_id, amount)
+        for step, amount in rots.before:
+            ct = rotate(ct, s, step, amount)
         babies = [ct]
-        for evk_id, amount in rots.babies:
+        for step, amount in rots.babies:
             # Chained through one key, or fanned out from the input.
             src = babies[-1] if grouped else ct
-            babies.append(rotate(src, s, evk_id, amount))
+            babies.append(rotate(src, s, step, amount))
         log.note_pmult(plan.direction, s, len(cmap))
         inners = []
         for i2 in range(1 << plan.k2):
@@ -520,17 +516,17 @@ def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,
         if grouped:
             # Horner: acc <- rot(acc, G) + inner through the one key.
             acc = inners[-1]
-            for inner, (evk_id, amount) in zip(reversed(inners[:-1]),
-                                               rots.giants, strict=True):
-                acc = hadd(rotate(acc, s, evk_id, amount), inner)
+            for inner, (step, amount) in zip(reversed(inners[:-1]),
+                                             rots.giants, strict=True):
+                acc = hadd(rotate(acc, s, step, amount), inner)
         else:
             acc = inners[0]
-            for inner, (evk_id, amount) in zip(inners[1:], rots.giants,
-                                               strict=True):
-                acc = hadd(acc, rotate(inner, s, evk_id, amount))
+            for inner, (step, amount) in zip(inners[1:], rots.giants,
+                                             strict=True):
+                acc = hadd(acc, rotate(inner, s, step, amount))
         ct = hrescale(params, acc)
-        for evk_id, amount in rots.after:
-            ct = rotate(ct, s, evk_id, amount)
+        for step, amount in rots.after:
+            ct = rotate(ct, s, step, amount)
     return ct
 
 

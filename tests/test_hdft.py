@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from rnsckks.ckks import (CkksParams, EvaluationKey, basis_c, encode,
                           encode_diagonal_batch, encrypt, hadd, keygen,
                           make_rotation_keys, modulus_chain, pmult,
                           slot_values)
-from rnsckks.costmodel import PROFILES, VARIANTS, hdft_pass_cost
+from rnsckks.costmodel import PROFILES, VARIANTS, ParamProfile, hdft_pass_cost
 from rnsckks.embedding import packed_to_slots
 from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             MissingKeyError, ScaleMismatchError,
@@ -151,7 +152,8 @@ def test_plan_validation_errors(params):
 def test_a_plan_runs_the_shape_it_is_priced_as(params):
     """A plan's stages are derived from its shape, so none can be cut
     apart from its levels: each plan runs one stage per level, and min-KS
-    prices two key loads per stage run."""
+    prices two key loads per stage run, one at the wrap stage
+    (g = size / 2^k) when k2 = 1, where its giant step is 0."""
     plan = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
     with pytest.raises(TypeError):
         replace(plan, stages=plan.stages[:1])
@@ -161,7 +163,7 @@ def test_a_plan_runs_the_shape_it_is_priced_as(params):
     for plan in _every_plan(params, 256):
         assert len(plan.stages) == plan.iterations
         assert hdft_pass_cost(plan, desk, "minks").evk_loads \
-            == 2 * plan.iterations
+            == 2 * plan.iterations - (plan.k2 == 1)
 
 
 def _every_plan(params, max_size):
@@ -369,8 +371,11 @@ def test_transform_scale_and_level_ledger(params, message_plans, idft_runs):
 def test_key_loads_per_iteration(message_plans, idft_runs):
     inv, _ = message_plans
     stages = range(len(inv.stages))
+    # The baseline loads 2^1 + 2^2 - 1 keys per stage, bar the wrap stage
+    # (g = 16): its pre-rotation and giant 2 are step 0, and giants 1
+    # and 3 share step 32.
     base_log = idft_runs[2]["baseline"][1]
-    assert base_log.loads_by_stage("idft") == {s: 5 for s in stages}
+    assert base_log.loads_by_stage("idft") == {0: 2, 1: 5, 2: 5}
     for variant in ("minks", "minks-oflimb"):
         log = idft_runs[2][variant][1]
         assert log.loads_by_stage("idft") == {s: 2 for s in stages}
@@ -386,15 +391,15 @@ def _logged_rotations(log, plan):
 
 
 def _listed_rotations(plan, variant):
-    return [(s, evk_id, amount) for s in range(plan.iterations)
-            for evk_id, amount in plan.rotations(s, variant).flat]
+    return [(s, step, amount) for s in range(plan.iterations)
+            for step, amount in plan.rotations(s, variant).flat]
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_runs_perform_the_listed_rotations(variant, params, message_plans,
                                            message_keys, idft_runs):
     """An IDFT pass and the DFT pass after it log, in order, exactly the
-    (stage, key id, amount) rotations that `plan.rotations` lists: the
+    (stage, step, amount) rotations that `plan.rotations` lists: the
     one schedule that `required_steps` and the cost model read."""
     inv, fwd = message_plans
     out, log = idft_runs[2][variant]
@@ -410,46 +415,93 @@ def test_bootstrap_performs_the_listed_rotations(boot_plans, bootstrap_run):
         assert _logged_rotations(log, plan) == _listed_rotations(plan, "minks")
 
 
-@pytest.mark.parametrize("variant", ["baseline", "minks", "minks-oflimb"])
-def test_key_expansions_follow_loads(variant, params, sk, message_plans,
-                                     message_keys, monkeypatch):
-    """Over an IDFT and a DFT pass, a stage expands each key it uses once:
-    one per distinct performed step, so under min-KS the two keys it
-    loads, and the fix-ups, which reuse a stage's baby key, none."""
-    log = EvkUsageLog()
-    expanded = []
-    real = EvaluationKey.expanded
+@pytest.fixture(scope="module")
+def ring128():
+    """A 128-point ring with the desk chain, a secret key and a key for
+    every step below 64: a key-usage log is set by the plan's shape
+    alone, so this ring runs every plan up to size 64."""
+    params = CkksParams(n_ring=128)
+    rng = np.random.default_rng([7, 8])
+    sk = keygen(params, rng)
+    return params, sk, make_rotation_keys(params, sk, range(1, 64), rng)
+
+
+def _count_expansions(monkeypatch, current_log):
+    """`EvaluationKey.expanded` calls counted by the (transform, stage) of
+    the rotation that `current_log()` logged last, and the rotations of
+    the calls that were not logged as that key's load."""
+    counts, stray, real = Counter(), [], EvaluationKey.expanded
 
     def counting(key):
-        last = log.entries[-1]          # the rotation that needs the key
-        expanded.append((last.transform, last.stage, key.step))
+        last = current_log().entries[-1]    # the rotation that needs the key
+        counts[last.transform, last.stage] += 1
+        if (last.evk_id, last.kind) != (key.step, "load"):
+            stray.append(last)
         return real(key)
 
     monkeypatch.setattr(EvaluationKey, "expanded", counting)
+    return counts, stray
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_key_expansions_follow_loads(variant, ring128, monkeypatch):
+    """Over every plan up to size 64, a stage expands each key it uses
+    once: per stage, the log's loads, the keys expanded and the model's
+    `StageCost.evk_loads` are one number, under every variant.  Only the
+    log and the expansions are read, so the key switch is skipped."""
+    params, sk, keys = ring128
+
+    def unswitched(params, ct, r, key):
+        assert key.step == r
+        return ct
+
+    monkeypatch.setattr(hdft, "hrot", unswitched)
+    desk = ParamProfile.from_params(params)
     rng = np.random.default_rng(67)
-    ct = encrypt(params, encode(params, random_message(params, rng)), sk, rng)
-    for plan in message_plans:
-        ct = hdft_apply(params, ct, plan, message_keys, variant, log)
-    for plan in message_plans:
-        loads = log.loads_by_stage(plan.direction)
-        for s in range(plan.iterations):
-            got = sorted(step for t, stage, step in expanded
-                         if (t, stage) == (plan.direction, s))
-            assert got == sorted({e.evk_id % plan.size for e in log.entries
-                                  if e.op == "hrot" and e.performed
-                                  and (e.transform, e.stage)
-                                  == (plan.direction, s)})
-            if variant != "baseline":
-                assert len(got) == loads[s] == 2
+    logs = []
+    expanded, stray = _count_expansions(monkeypatch, lambda: logs[-1])
+    plans = list(_every_plan(params, 64))
+    assert len(plans) == 66
+    for plan in plans:
+        logs.append(EvkUsageLog())
+        expanded.clear()
+        ct = encrypt(params, encode(params, random_message(params, rng),
+                                    level=plan.levels[0]), sk, rng)
+        hdft_apply(params, ct, plan, keys, variant, logs[-1])
+        loads = logs[-1].loads_by_stage(plan.direction)
+        cost = hdft_pass_cost(plan, desk, variant)
+        for s, st in enumerate(cost.stages):
+            assert loads.get(s, 0) == expanded[plan.direction, s] \
+                == st.evk_loads, (plan, s)
+    assert stray == []
+
+
+def test_two_passes_log_every_load(ring128, monkeypatch):
+    """Two min-KS passes of one size-16 IDFT plan into one log: each pass
+    expands both keys of each stage again, and the log counts each
+    expansion as a load."""
+    params, sk, keys = ring128
+    plan = build_dft_plan(params, IDFT, size=16, k=2, split=(1, 2))
+    rng = np.random.default_rng(71)
+    log = EvkUsageLog()
+    expanded, stray = _count_expansions(monkeypatch, lambda: log)
+    for _ in range(2):
+        ct = encrypt(params, encode(params, random_message(params, rng)),
+                     sk, rng)
+        hdft_apply(params, ct, plan, keys, "minks", log)
+    assert log.loads_by_stage(IDFT) == {0: 4, 1: 4} \
+        == {s: n for (_, s), n in expanded.items()}
+    assert stray == []
 
 
 def test_baseline_logs_scheduled_noops(idft_runs):
+    """Stage g = 16 schedules -64 and +64, which name step 0: each is
+    logged with step 0 and kind "", loads nothing and performs nothing."""
     log = idft_runs[2]["baseline"][1]
-    noops = [e for e in log.entries if e.op == "hrot" and not e.performed]
-    # Stage g=16 schedules -64 and +64: both reduce to zero physically
-    # yet still consume their key loads.
-    assert len(noops) == 2
-    assert all(e.amount % 64 == 0 for e in noops)
+    noops = [e for e in log.entries if e.op == "hrot" and e.evk_id == 0]
+    assert [(e.stage, e.amount, e.kind) for e in noops] \
+        == [(0, -64, ""), (0, 64, "")]
+    assert all(e.evk_id != 0 for e in log.entries if e.kind == "load")
     assert log.rotation_ops("idft") == sum(
         1 for e in log.entries if e.op == "hrot") - 2
 
