@@ -156,13 +156,8 @@ class SecretKey:
 @dataclass
 class Plaintext:
     """An encoded slot vector.  `poly` is eval rep over C_level and holds
-    one period of its evaluation words: 2m/t words per limb for m slots,
-    t its subring stride (`encode_diagonal_batch`).
-
-    `slots` is a period the slot values repeat at, not necessarily the
-    least: `encode` records the m it was given, and `hdft.of_limb_extend`
-    half its seeds' width, which can be shorter than the m the same
-    constant was encoded at."""
+    one period of its evaluation words: an encode of m slots holds 2m
+    words per limb (`encode_diagonal_batch`), a decryption N."""
 
     poly: RnsPolynomial
     scale: Fraction
@@ -395,10 +390,11 @@ def encode_diagonal_batch(params: CkksParams, rows: np.ndarray, level: int,
     m-point embedding of the row gives 2m coefficients, and those are the
     coefficients of the repeats' N/2-point embedding at stride N/(2m),
     bit for bit, with zeros between them: the two runs differ only by
-    powers of two.  So the rows lie in the subring Z[X^(N/2m)], and the
-    lift reads them as such (`rnspoly.lift_int_coeffs`).  Each
-    plaintext's limbs are a view of the one lifted (L, R, 2m/t) stack, one
-    period per limb, which the arithmetic broadcasts.
+    powers of two.  So a row of 2m coefficients is an element of
+    Z[X^(N/2m)], and its 2m-point lift is one period of the N-point one
+    (`rnspoly.lift_int_coeffs`).  Each plaintext's limbs are a view of
+    the one lifted (L, R, 2m) stack, one period per limb, which the
+    arithmetic broadcasts.
     """
     scale = Fraction(params.scale if scale is None else scale)
     rows = np.asarray(rows, dtype=np.complex128)

@@ -181,7 +181,8 @@ def _check_oflimb_seeds(params, rng):
         assert np.array_equal(ext.poly.limbs, full)
     q0 = modulus_chain(params)[0].q
     try:
-        make_plaintext_seed(params, np.array([q0 // 2 + 1]), params.scale)
+        make_plaintext_seed(params, np.array([q0 // 2 + 1, 0]),
+                            params.scale)
     except SeedRangeError:
         pass
     else:

@@ -37,14 +37,14 @@ prices them; a step of 0 is a no-op that loads and costs nothing.
 The diagonals of a stage repeat every max(lengths) = 2^k * g slots (a
 butterfly of length l repeats every l slots, and so do products and
 rolls of such diagonals), so `DftPlan.stage_constants` encodes each
-from that one period: 2^(k+1) * g coefficients, which lie in the subring
-Z[X^(N / 2^(k+1) g)].  A baseline or min-KS plaintext, and a widened
-seed, holds one period of at most that many evaluation words per limb,
-which the giant-row sum broadcasts over the baby steps' full rows
-(`_row_sum`); a seed holds the subring words of its coefficients and
-widens through transforms of that length.  At full width with N = 2^13
-and k = 6, the constants of IDFT's last stage and DFT's first hold 128
-words per limb (or per seed), those of the two g = 64 stages N words.
+from that one period: a row of M = 2^(k+1) * g coefficients, an element
+of Z[X^(N/M)].  A baseline or min-KS plaintext, and a widened seed, holds
+its M-point transform, one period of M evaluation words per limb, which
+the giant-row sum broadcasts over the baby steps' full rows
+(`_row_sum`); a seed is that row and widens through M-point transforms.
+At full width with N = 2^13 and k = 6, the constants of IDFT's last
+stage and DFT's first hold 128 words per limb (or per seed), those of
+the two g = 64 stages N words.
 
 A plan is its shape (direction, size, k, split, one level per stage):
 its stages are derived from the shape on each read, so the stages that
@@ -82,8 +82,7 @@ from .costmodel import VARIANTS, PassShape
 from .embedding import stage_twiddles
 from .errors import (ConfigurationError, MissingKeyError, ScaleMismatchError,
                      SeedRangeError)
-from .rnspoly import (RnsPolynomial, lift_int_coeffs, rp_mul_sum,
-                      subring_stride)
+from .rnspoly import RnsPolynomial, lift_int_coeffs, rp_mul_sum
 
 DFT = "dft"       # coefficients to slot values
 IDFT = "idft"     # slot values back to coefficients
@@ -218,26 +217,29 @@ class PlaintextSeed:
     """Single-limb image of an integer plaintext polynomial, stored as the
     centered representative so any working prime can rebuild its limb.
 
-    Only the subring words are kept: for a row of M coefficients (an
-    element of Z[X^(N/M)]) with subring stride t
-    (`rnspoly.subring_stride`), `q0_limb` holds the M/t coefficients at
-    indices 0, t, 2t, ...; every other one is zero.
+    `q0_limb` is the row of M coefficients it was made from, an element
+    of Z[X^(N/M)], so M is its period.
     """
 
-    q0_limb: np.ndarray          # int64, |c| < q0/2, M/t words
+    q0_limb: np.ndarray          # int64, |c| < q0/2, M words
     scale: Fraction
 
 
 def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
                         scale: int | Fraction) -> PlaintextSeed:
-    """Seed a row of M integer coefficients, M a power of two dividing N,
-    read as an element of Z[X^(N/M)]; the range checks see the whole row,
-    the seed keeps its subring words.  A zero scale is refused, as
-    `slots_to_coeffs` refuses it."""
+    """Seed a row of M integer coefficients, read as an element of
+    Z[X^(N/M)].  A row that is not one-dimensional with M a power of two
+    from 2 to N is refused, and so is a zero scale, as `slots_to_coeffs`
+    refuses it."""
     if scale == 0:
         raise ConfigurationError("scale must be nonzero")
-    q0 = modulus_chain(params)[0].q
     values = np.asarray(coeffs)
+    m = values.shape[-1] if values.ndim == 1 else 0
+    if m < 2 or m & (m - 1) or m > params.n_ring:
+        raise ConfigurationError(
+            f"a seed row is one power-of-two length from 2 to "
+            f"{params.n_ring}, not {values.shape}")
+    q0 = modulus_chain(params)[0].q
     if values.dtype.kind == "c":
         if np.any(values.imag != 0):
             raise SeedRangeError("seed coefficients must be real")
@@ -250,20 +252,19 @@ def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
     if np.any(coeffs >= bound) or np.any(coeffs <= -bound):
         raise SeedRangeError(
             f"coefficients reach +-{q0 // 2}; one limb cannot carry them")
-    t = subring_stride(coeffs)
-    return PlaintextSeed(q0_limb=np.ascontiguousarray(coeffs[::t]),
-                         scale=Fraction(scale))
+    return PlaintextSeed(q0_limb=coeffs, scale=Fraction(scale))
 
 
 def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
     """Rebuild working-basis plaintexts from their seed limbs.
 
-    The seeds stack at the length M of the longest one, each seed's words
-    at their subring indices of a zeroed (R, M) row, and one lift widens
-    the stack.  The plaintexts, keyed as `seeds` is, each of M/2 slots
-    (a period of their values; see `Plaintext`), are views of the lifted
-    (L, R, M/t) stack, one period per limb; `hdft_apply` widens one giant
-    row per call and releases the row together once its pmults are done.
+    The seeds stack at the length M of the longest one: a shorter seed of
+    M' words is the same element of Z[X^(N/M)] with its words at stride
+    M/M' of a zeroed row, and one lift widens the (R, M) stack.  The
+    plaintexts, keyed as `seeds` is, each of M/2 slots, are views of the
+    lifted (L, R, M) stack, one period per limb; `hdft_apply` widens one
+    giant row per call and releases the row together once its pmults are
+    done.
     """
     if not seeds:
         return {}
@@ -455,8 +456,8 @@ def _row_sum(babies: list[Ciphertext], row: dict) -> Ciphertext:
 
     One `rp_mul_sum` of the (L, 2, N) ciphertext stacks by the
     plaintexts, one reduction per word of both halves, gives the words of
-    a pmult per diagonal summed by hadd.  A one-period (L, N/t) plaintext
-    multiplies a (L, 2, t, N/t) view of the stacks, broadcast, without a
+    a pmult per diagonal summed by hadd.  A one-period (L, M) plaintext
+    multiplies a (L, 2, N/M, M) view of the stacks, broadcast, without a
     copy.  Their checks hold: `rp_mul_sum` refuses other bases (levels),
     and every product has one scale.
     """
@@ -584,12 +585,17 @@ def bootstrap(params: CkksParams, ct: Ciphertext, sk: SecretKey,
     transforms read coefficients in the same bit-reversed order, so the
     pair composes to the identity on slot values and the output decodes to
     the input message.  `plans` is an (IDFT, DFT) pair from
-    `build_dft_plan`; only full-width plans recover the message, because
-    the modulus-raise residue is not periodic across slot blocks.
+    `build_dft_plan`, and both must be full-width: the modulus-raise
+    residue is not periodic across slot blocks, so a shorter pair cannot
+    recover the message and is refused.
     """
     inv_plan, fwd_plan = plans
     if inv_plan.direction != IDFT or fwd_plan.direction != DFT:
         raise ConfigurationError("plans must be (idft, dft)")
+    if {inv_plan.size, fwd_plan.size} != {params.n_ring // 2}:
+        raise ConfigurationError(
+            f"bootstrap plans must have size {params.n_ring // 2}, not "
+            f"({inv_plan.size}, {fwd_plan.size})")
     orig_slots = ct.slots
     raise_scale = ct.scale
     raised = mod_raise(params, ct, inv_plan.levels[0])

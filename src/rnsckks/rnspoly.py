@@ -14,13 +14,12 @@ From a single prime there is no slack.
 
 Integer plaintexts enter the evaluation domain through one lift,
 `lift_int_coeffs`.  A row of M coefficients, M a power of two dividing
-N, is an element of Z[X^(N/M)], and a stack whose nonzero coefficients
-all sit at multiples of a power of two t lies in Z[X^(tN/M)]; its
-evaluation vector is the (M/t)-point transform of every t-th
-coefficient, repeated tN/M times, word for word (the lift's docstring
-has the identity).  The lift returns that one period, so a slot vector
-of m slots lifts through 2m-point transforms, a scalar through 2-point
-ones, and no full row is built.
+N, is an element of Z[X^(N/M)]: its M-point transform is one period of
+the N-point transform of the polynomial it stands for, repeated N/M
+times, word for word (the lift's docstring has the identity).  The lift
+transforms each row at the length it is given, so a slot vector of m
+slots, built at its 2m coefficients, lifts through 2m-point transforms,
+and no full row is built.
 
 A polynomial whose rows are shorter than the ring degree N of its basis
 (`LimbBasis.ring_degree`) is such a period: its full rows repeat it.
@@ -136,38 +135,22 @@ def transform_limbs(limbs: np.ndarray, basis: LimbBasis, direction: str,
     return out
 
 
-def subring_stride(coeffs: np.ndarray) -> int:
-    """The largest power of two t <= M/2 dividing the index of every
-    nonzero coefficient of a stack of rows of M words; 1 as soon as an odd
-    index is nonzero, and for an M that is not a power of two, which the
-    transform rejects."""
-    n = coeffs.shape[-1]
-    t = 1
-    while not n & (n - 1) and 4 * t <= n and not coeffs[..., t::2 * t].any():
-        t *= 2
-    return t
-
-
 def lift_int_coeffs(coeffs, basis: LimbBasis) -> np.ndarray:
     """Signed int64 coefficients shaped (..., M) as one period of their
-    evaluation-rep limbs, shaped (L, ..., M/t).
+    evaluation-rep limbs, shaped (L, ..., M).
 
     Every integer plaintext enters the evaluation domain here: encoding
     and OF-Limb seed extension share this lift, so a seed rebuilds exactly
     the words full precomputation stores.
 
     A row of M words, M a power of two dividing the ring degree N, is the
-    polynomial P(X) = p(X^(N/M)), p the row.  With t the largest power of
-    two up to M/2 that divides the index of every nonzero coefficient,
-    p(Y) = p'(Y^t) with p' = coeffs[..., ::t].  Only p' goes through a
-    transform, the (M/t)-point one, whose root the NTT takes from the row
-    length: psi^(tN/M).  P(psi^(2j+1)) = p'((psi^(tN/M))^(2j+1)) repeats
-    with period M/t in j, so that transform is one period of every word
-    of the N-point transform of P.  Dense input has t = 1 and is
-    transformed in place.
+    polynomial P(X) = p(X^(N/M)), p the row.  The M-point transform takes
+    its root from the row length, psi^(N/M), and P(psi^(2j+1)) =
+    p((psi^(N/M))^(2j+1)) repeats with period M in j, so that transform
+    is one period of every word of the N-point transform of P.  The rows
+    are transformed in place.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64)
-    coeffs = coeffs[..., ::subring_stride(coeffs)]
     out = np.empty((len(basis),) + coeffs.shape, dtype=U64)
     for i, p in enumerate(basis):
         np.remainder(coeffs, np.int64(p.q), out=out[i].view(np.int64))

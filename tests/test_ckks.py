@@ -30,7 +30,7 @@ from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             RepresentationError, ScaleMismatchError)
 from rnsckks.rnspoly import (LimbBasis, RnsPolynomial, automorphism,
                              crt_float, crt_reconstruct, rp_mul,
-                             subring_stride, transform_limbs)
+                             transform_limbs)
 from rnsckks.serial import (load_evaluation_key, read_params,
                             save_evaluation_key, write_params)
 
@@ -254,10 +254,10 @@ def dense_encode(params, values, level, scale):
 
 @pytest.mark.parametrize("which", ["tiny", "desk"])
 def test_encode_matches_dense_oracle(which, params, tiny_params):
-    """`encode` of m slots holds 2m/t words per limb, t the subring stride
-    of its 2m coefficients, and those words tiled to N equal the dense
-    oracle bit for bit: every m at the tiny parameters, m in {1, 64, 4096}
-    at desk, at magnitudes 1e-3 to 1e5 and the lowest and highest level."""
+    """`encode` of m slots holds 2m words per limb, one per coefficient,
+    and those words tiled to N equal the dense oracle bit for bit: every m
+    at the tiny parameters, m in {1, 64, 4096} at desk, at magnitudes 1e-3
+    to 1e5 and the lowest and highest level."""
     p = tiny_params if which == "tiny" else params
     half = p.n_ring // 2
     counts = ([1 << i for i in range(half.bit_length())] if which == "tiny"
@@ -268,8 +268,7 @@ def test_encode_matches_dense_oracle(which, params, tiny_params):
             v = mag * (rng.normal(size=m) + 1j * rng.normal(size=m))
             for level in (0, p.levels):
                 pt = encode(p, v, level=level)
-                t = subring_stride(slots_to_coeffs(v[None], p.scale))
-                assert pt.poly.limbs.shape == (level + 1, 2 * m // t)
+                assert pt.poly.limbs.shape == (level + 1, 2 * m)
                 assert pt.slots == m
                 want = dense_encode(p, v, level, p.scale)
                 assert np.array_equal(pt.poly.widened().limbs, want.limbs), \
@@ -297,26 +296,26 @@ def test_diagonal_batch_matches_per_row_encode(params):
 
 
 def test_periodic_diagonal_batch_holds_one_period(tiny_params, tiny_sk):
-    """Rows that repeat every 4 of the 32 slots lie in the subring Z[X^8]:
-    each plaintext holds 8 words per limb, the words of `encode` of the
-    row's first 4 slots, and decode, pmult, padd, encrypt and key
-    switching give the words they give for that plaintext widened to N
-    words."""
+    """Rows of 4 of the 32 slots stand for their 8 repeats, an element of
+    Z[X^8]: each plaintext holds 8 words per limb, the words of `encode`
+    of the row, and those words tiled to N are the words of `encode` of
+    the 32 repeated slots; decode, pmult, padd, encrypt and key switching
+    give the words they give for that plaintext widened to N words."""
     params, sk = tiny_params, tiny_sk
     rng = np.random.default_rng(47)
     relin = make_relin_key(params, sk, rng)
-    rows = np.tile(rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)),
-                   8)
+    rows = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
     ct = encrypt(params, encode(params, random_message(params, rng),
                                 level=2), sk, rng)
     for row, pt in zip(rows, encode_diagonal_batch(params, rows, level=2)):
         assert pt.poly.limbs.shape == (3, 8)
-        assert np.array_equal(encode(params, row[:4], level=2).poly.limbs,
+        assert np.array_equal(encode(params, row, level=2).poly.limbs,
                               pt.poly.limbs)
-        whole = encode(params, row, level=2)
+        whole = encode(params, np.tile(row, 8), level=2)
         whole.poly = whole.poly.widened()
         assert np.array_equal(np.tile(pt.poly.limbs, 8), whole.poly.limbs)
-        assert np.array_equal(decode(params, pt), decode(params, whole))
+        assert np.array_equal(decode(params, pt),
+                              decode(params, whole)[:4])
         for op in (pmult, padd):
             assert np.array_equal(op(ct, pt).poly.limbs,
                                   op(ct, whole).poly.limbs)

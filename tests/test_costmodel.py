@@ -287,7 +287,7 @@ def test_oflimb_trades_bytes_for_transforms(ark_reports):
 
 def test_oflimb_seed_bytes_against_model(params, oflimb_boot_plans):
     """The model's per-stage OF-Limb bytes (N words per seed) are what a
-    g = 64 stage stores; a g = 1 stage stores its 2^(k+1) = N/64 subring
+    g = 64 stage stores; a g = 1 stage stores its row of 2^(k+1) = N/64
     words per seed, 1/64 of the term."""
     desk = PROFILES["desk"]
     assert desk.N == params.n_ring

@@ -230,7 +230,8 @@ PINNED_CONSTANTS = "e40a84d0269c072b"
 
 
 def full_seed_limb(params, seed) -> np.ndarray:
-    """A seed's subring words back at their indices of a length-N row."""
+    """A seed's row of M words as the length-N row of the same element of
+    Z[X^(N/M)]: its words at stride N/M, zeros between them."""
     n = params.n_ring
     row = np.zeros(n, dtype=np.int64)
     row[::n // len(seed.q0_limb)] = seed.q0_limb
@@ -272,7 +273,7 @@ def _arrays(obj):
 
 def test_oflimb_plans_hold_short_seeds_only(params, oflimb_boot_plans):
     """The full-width pair keeps no complex diagonals once its OF-Limb
-    constants exist, and each seed of a g = 1 stage holds its 128 subring
+    constants exist, and each seed of a g = 1 stage holds its row of 128
     words: 127 seeds of N words and 127 of N/64 per plan."""
     n = params.n_ring
     arrays = list(_arrays(oflimb_boot_plans))
@@ -630,14 +631,14 @@ def test_row_sum_equals_pmult_then_hadd(params, sk, level):
 
 
 def _one_period_row(params, rng, level, periods):
-    """Diagonal-batch plaintexts whose slots repeat with the given periods
-    (None: no period), and the same plaintexts with their rows tiled to N."""
+    """Diagonal-batch plaintexts of the given slot periods (None: all
+    n_ring/2 slots), each encoded from one period of its slots, and the
+    same plaintexts with their rows tiled to N."""
     half = params.n_ring // 2
     row = {}
     for i1, m in enumerate(periods):
         m = m or half
-        values = np.tile(rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m),
-                         half // m)
+        values = rng.uniform(-1, 1, m) + 1j * rng.uniform(-1, 1, m)
         (row[i1],) = encode_diagonal_batch(params, values[None], level)
         assert row[i1].poly.n == 2 * m
     tiled = {i1: replace(pt, poly=pt.poly.widened()) for i1, pt in row.items()}
@@ -799,11 +800,11 @@ def test_seed_extension_is_bit_exact(params):
 
 
 def test_subring_stages_widen_at_short_length(params, boot_plans, ntt_rows):
-    """In the full-width k=6 plans every g = 1 stage's seeds lie in the
-    subring Z[X^64], so widening any of its giant rows runs (level + 1)
-    transforms of 128 points per cell and keeps those 128 words per limb;
-    a g = 64 stage widens at N points.
-    A 64-slot encode lands on the same subring."""
+    """In the full-width k=6 plans every g = 1 stage's seeds are rows of
+    128 words, elements of Z[X^64], so widening any of its giant rows runs
+    (level + 1) transforms of 128 points per cell and keeps those 128
+    words per limb; a g = 64 stage widens at N points.
+    A 64-slot encode transforms at the same 128 points."""
     n = params.n_ring
     for plan in boot_plans:
         consts = replace(plan, _consts={}).stage_constants("minks-oflimb")
@@ -849,6 +850,15 @@ def test_seed_range_guard(params):
                           .q0_limb, row)
     with pytest.raises(ConfigurationError, match="scale must be nonzero"):
         make_plaintext_seed(params, row, 0)
+    # A seed is its row, so its length is its period: one dimension, a
+    # power of two from 2 to N.
+    for bad in (row.reshape(2, -1)[:, :64], row[:0], row[:1], row[:3],
+                np.tile(row, 2), np.int64(5)):
+        with pytest.raises(ConfigurationError, match="seed row"):
+            make_plaintext_seed(params, bad, 1 << 40)
+    for m in (2, 64, params.n_ring):
+        assert np.array_equal(
+            make_plaintext_seed(params, row[:m], 1 << 40).q0_limb, row[:m])
 
 
 def test_oflimb_constants_reject_non_finite_rows(params, monkeypatch):
@@ -968,11 +978,58 @@ def test_bootstrap_key_traffic(boot_plans, bootstrap_run):
     assert log.loads_by_stage(DFT) == {s: 2 for s in range(len(fwd.stages))}
 
 
+# The first 16 hex digits of the sha256 of the min-KS `bootstrap_run`'s
+# output limbs, then str((scale, level)), then repr(log.entries).
+BOOTSTRAP_DIGEST = "89a5e35cbf1fd119"
+
+
+def test_oflimb_bootstrap_is_minks_bit_for_bit(params, sk, boot_keys,
+                                               oflimb_boot_plans,
+                                               bootstrap_run):
+    """The full-width bootstrap under OF-Limb, replayed from the min-KS
+    run's seed, gives its limbs, scale, level and log entries; the min-KS
+    run itself is pinned."""
+    _, _, want, want_log = bootstrap_run
+    h = hashlib.sha256(want.poly.limbs.tobytes())
+    h.update(str((want.scale, want.level)).encode())
+    h.update(repr(want_log.entries).encode())
+    assert h.hexdigest()[:16] == BOOTSTRAP_DIGEST
+    rng = np.random.default_rng([7, 5])
+    v = (rng.uniform(-1, 1, params.n_slots)
+         + 1j * rng.uniform(-1, 1, params.n_slots))
+    ct = encrypt(params, encode(params, v, level=0), sk, rng)
+    log = EvkUsageLog()
+    out = bootstrap(params, ct, sk, boot_keys, rng, plans=oflimb_boot_plans,
+                    variant="minks-oflimb", log=log)
+    assert np.array_equal(out.poly.limbs, want.poly.limbs)
+    assert (out.scale, out.level) == (want.scale, want.level)
+    assert log.entries == want_log.entries
+
+
 def test_bootstrap_rejects_swapped_plans(params, sk, message_plans,
                                          message_keys):
     inv, fwd = message_plans
     rng = np.random.default_rng(101)
     ct = encrypt(params, encode(params, random_message(params, rng),
                                 level=0), sk, rng)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="idft, dft"):
         bootstrap(params, ct, sk, message_keys, rng, plans=(fwd, inv))
+
+
+def test_bootstrap_rejects_plans_short_of_full_width(params, sk,
+                                                     message_plans,
+                                                     message_keys,
+                                                     monkeypatch):
+    """A 64-slot pair cannot recover the message (the modulus-raise
+    residue is not periodic across slot blocks), so it is refused before
+    the modulus raise."""
+    rng = np.random.default_rng(103)
+    ct = encrypt(params, encode(params, random_message(params, rng),
+                                level=0), sk, rng)
+
+    def no_raise(*args, **kwargs):
+        raise AssertionError("modulus raise reached")
+
+    monkeypatch.setattr(hdft, "mod_raise", no_raise)
+    with pytest.raises(ConfigurationError, match="size 4096"):
+        bootstrap(params, ct, sk, message_keys, rng, plans=message_plans)

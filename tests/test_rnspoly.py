@@ -104,64 +104,54 @@ def test_lift_matches_big_integer_residues():
     for r, row in enumerate(rows):
         assert np.array_equal(_tiled(lift_int_coeffs(row, basis), basis),
                               want[:, r]), r
-    # Alone, the zero row lies in Z[X^(N/2)]: a period of two words.
-    assert lift_int_coeffs(rows[2], basis).shape == (len(basis), 2)
 
 
 @pytest.mark.parametrize("log_t", range(13))
 def test_subring_lift_matches_dense_transform(log_t, ntt_rows):
-    """A stack whose nonzero coefficients all sit at multiples of t lifts
-    through (N/t)-point transforms alone to one period of N/t words, and
-    that period tiled t times equals the dense N-point transform word for
-    word, at every prime width of C_7 + B and for (N,) and (R, N) input,
-    with an all-zero row and a row nonzero only at index 0 in the stack.
-    The (N/t)-word rows of every t-th coefficient, read as elements of
-    Z[X^t], lift to the same period."""
+    """Rows of N/t words, elements of Z[X^t], lift through (N/t)-point
+    transforms alone to one period of N/t words, and that period tiled t
+    times equals the dense N-point transform of the N-word rows that hold
+    the same coefficients at stride t, word for word, at every prime width
+    of C_7 + B and for (N/t,) and (R, N/t) input, with an all-zero row and
+    a row nonzero only at index 0 in the stack."""
     params = CkksParams()
     basis = basis_d(params, params.levels)
     assert {pm.bit_width for pm in basis} == {59, 40, 60}
     n, t = params.n_ring, 1 << log_t
     top = (1 << 62) - 1
-    rows = np.zeros((4, n), dtype=np.int64)
-    rows[0, ::t] = np.random.default_rng([127, log_t]).integers(
+    rows = np.zeros((4, n // t), dtype=np.int64)
+    rows[0] = np.random.default_rng([127, log_t]).integers(
         -top, top, n // t, endpoint=True)
-    rows[1, ::t] = top
+    rows[1] = top
     rows[3, 0] = -top
-    want = _dense_lift(rows, basis)
+    sparse = np.zeros((4, n), dtype=np.int64)
+    sparse[:, ::t] = rows
     got = lift_int_coeffs(rows, basis)
     assert got.shape == (len(basis), len(rows), n // t)
-    assert np.array_equal(_tiled(got, basis), want)
+    assert np.array_equal(_tiled(got, basis), _dense_lift(sparse, basis))
     assert ntt_rows == {("forward", n // t): len(rows) * len(basis)}
     assert np.array_equal(lift_int_coeffs(rows[0], basis), got[:, 0])
-    ntt_rows.clear()
-    assert np.array_equal(lift_int_coeffs(rows[:, ::t], basis), got)
-    assert ntt_rows == {("forward", n // t): len(rows) * len(basis)}
 
 
-def test_subring_lift_edge_rows(ntt_rows):
-    """A zero row and a row nonzero only at index 0 lift alone to a
-    two-word period of the dense transform; a stack of rows with different
-    strides lifts at the smallest of them."""
+def test_lift_keeps_the_row_length(ntt_rows):
+    """N-word rows lift to N words through N-point transforms, however
+    sparse: a zero row, a row nonzero only at index 0 and a stride-64 row
+    each equal their dense lift, alone and stacked."""
     params = CkksParams()
     basis = basis_d(params, params.levels)
     n = params.n_ring
-    rng = np.random.default_rng(131)
-    constant = np.zeros(n, dtype=np.int64)
-    constant[0] = -12345
-    zero = np.zeros(n, dtype=np.int64)
-    for row in (zero, constant):
+    rows = np.zeros((3, n), dtype=np.int64)
+    rows[1, 0] = -12345
+    rows[2, ::64] = np.random.default_rng(131).integers(
+        -(1 << 40), 1 << 40, n // 64)
+    want = _dense_lift(rows, basis)
+    for r, row in enumerate(rows):
+        ntt_rows.clear()
         got = lift_int_coeffs(row, basis)
-        assert got.shape == (len(basis), 2)
-        assert np.array_equal(_tiled(got, basis),
-                              _dense_lift(row[None], basis)[:, 0])
-    mixed = np.zeros((3, n), dtype=np.int64)
-    for r, t in enumerate((64, 8, 1024)):
-        mixed[r, ::t] = rng.integers(-(1 << 40), 1 << 40, n // t)
-    ntt_rows.clear()
-    got = lift_int_coeffs(mixed, basis)
-    assert ntt_rows == {("forward", n // 8): 3 * len(basis)}
-    assert got.shape == (len(basis), 3, n // 8)
-    assert np.array_equal(_tiled(got, basis), _dense_lift(mixed, basis))
+        assert got.shape == (len(basis), n), r
+        assert np.array_equal(got, want[:, r]), r
+        assert ntt_rows == {("forward", n): len(basis)}, r
+    assert np.array_equal(lift_int_coeffs(rows, basis), want)
 
 
 def test_lift_rejects_length_not_power_of_two():
@@ -196,13 +186,12 @@ def test_lift_writes_each_prime_in_place():
 
 
 def test_subring_lift_holds_one_stack():
-    """Lifting 64 stride-64 rows to level 7 holds only their period, a
+    """Lifting 64 rows of N/64 words to level 7 holds only their period, a
     0.5 MiB stack of (N/64)-point rows, and peaks below 1 MiB: no stack
     of N-word rows, which would take 32 MiB."""
     params = CkksParams()
     basis = basis_c(params, 7)
-    coeffs = np.zeros((64, params.n_ring), dtype=np.int64)
-    coeffs[:, ::64] = np.random.default_rng(137).integers(
+    coeffs = np.random.default_rng(137).integers(
         -(1 << 50), 1 << 50, (64, params.n_ring // 64))
     lift_int_coeffs(coeffs[:1], basis)
     tracemalloc.start()
@@ -219,10 +208,9 @@ def test_subring_lift_holds_one_stack():
 # One-period polynomials.
 
 def subring_coeffs(t, rng, rows=()):
-    """Random coefficients of polynomials in Z[X^t] at ring degree 64."""
-    coeffs = np.zeros(rows + (64,), dtype=np.int64)
-    coeffs[..., ::t] = rng.integers(-(1 << 40), 1 << 40, rows + (64 // t,))
-    return coeffs
+    """Random polynomials in Z[X^t] at ring degree 64, as their rows of
+    64/t coefficients."""
+    return rng.integers(-(1 << 40), 1 << 40, rows + (64 // t,))
 
 
 def period(coeffs):
@@ -231,17 +219,21 @@ def period(coeffs):
 
 @pytest.mark.parametrize("t", [1, 4, 16])
 def test_lift_period_is_the_lift_before_its_tile(t):
-    """The one lift keeps N/t words per row, for N-word rows and for their
-    (N/t)-word rows of every t-th coefficient alike; `widened` tiles them
-    to the dense transform's N words, and full rows are not copied."""
+    """The one lift keeps N/t words per row of N/t coefficients, an
+    element of Z[X^t]; tiled t times, or by `widened`, they are the dense
+    transform's N words of the N-word row that holds the coefficients at
+    stride t, which lifts to those N words itself; full rows are not
+    copied."""
     rng = np.random.default_rng([139, t])
     assert BASIS64.ring_degree == 64
     for coeffs in (subring_coeffs(t, rng), subring_coeffs(t, rng, (3,))):
-        whole = _dense_lift(coeffs.reshape(-1, 64), BASIS64).reshape(
-            (len(BASIS64),) + coeffs.shape)
+        sparse = np.zeros(coeffs.shape[:-1] + (64,), dtype=np.int64)
+        sparse[..., ::t] = coeffs
+        whole = _dense_lift(sparse.reshape(-1, 64), BASIS64).reshape(
+            (len(BASIS64),) + sparse.shape)
         p = period(coeffs)
         assert p.limbs.shape == whole.shape[:-1] + (64 // t,)
-        assert np.array_equal(period(coeffs[..., ::t]).limbs, p.limbs)
+        assert np.array_equal(period(sparse).limbs, whole)
         assert np.array_equal(np.tile(p.limbs, t), whole)
         assert np.array_equal(p.widened().limbs, whole)
     full = RnsPolynomial(BASIS64, whole)

@@ -53,14 +53,17 @@ def test_plaintext_roundtrip(params, tmp_path):
 
 def test_one_period_plaintext_saved_whole(tiny_params, tmp_path):
     """A plaintext holding one period of its evaluation words is written
-    with its whole rows: the bytes of `encode`'s plaintext."""
+    with its whole rows: the bytes of `encode`'s plaintext of the slots
+    repeated to fill the ring, recording the period's slot count."""
     rng = np.random.default_rng(127)
-    row = np.tile(rng.normal(size=4) + 1j * rng.normal(size=4), 8)
+    row = rng.normal(size=4) + 1j * rng.normal(size=4)
     (pt,) = encode_diagonal_batch(tiny_params, row[None], level=2)
     assert pt.poly.n == 8
+    whole = encode(tiny_params, np.tile(row, 8), level=2)
+    whole.slots = pt.slots
     paths = [str(tmp_path / name) for name in ("period.pt", "whole.pt")]
     save_plaintext(paths[0], pt)
-    save_plaintext(paths[1], encode(tiny_params, row, level=2))
+    save_plaintext(paths[1], whole)
     assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
     back = load_plaintext(paths[0], tiny_params)
     assert np.array_equal(back.poly.limbs, pt.poly.widened().limbs)
