@@ -18,10 +18,10 @@ import time
 import numpy as np
 
 from . import costmodel, serial
-from .ckks import (CkksParams, aux_chain, basis_c, basis_d, decode, decrypt,
-                   encode, encrypt, hadd, hmult, hrescale, hrot, keygen,
-                   make_relin_key, make_rotation_keys, modulus_chain, pmult,
-                   slot_values)
+from .ckks import (CkksParams, aux_chain, basis_b, basis_c, basis_d, decode,
+                   decrypt, encode, encrypt, hadd, hmult, hrescale, hrot,
+                   keygen, make_relin_key, make_rotation_keys, modulus_chain,
+                   pmult, slot_values)
 from .costmodel import (PROFILES, ParamProfile, bootstrap_pass_shapes,
                         data_sizes, distribution_transfer, hdft_pass_cost,
                         keyswitch_mults, tas_metric)
@@ -30,8 +30,8 @@ from .hdft import (DFT, IDFT, EvkUsageLog, build_dft_plan, hdft_apply,
                    make_plaintext_seed, of_limb_extend, roundtrip_plans)
 from .modmath import PrimeModulus, barrett_mul, generate_ntt_primes
 from .ntt import four_step_ntt, get_tables, ntt
-from .rnspoly import (LimbBasis, RnsPolynomial, convert_limbs,
-                      crt_reconstruct, lift_int_coeffs)
+from .rnspoly import (LimbBasis, RnsPolynomial, base_convert, convert_limbs,
+                      crt_reconstruct, lift_int_coeffs, make_base_table)
 
 REPORT_SCHEMA = "# rnsckks-report v1"
 
@@ -484,17 +484,29 @@ def cmd_bench(args: argparse.Namespace) -> int:
     expand = min(_time_once(rot.expanded) for _ in range(3))
     _note(f"bench: evk expand {len(rot.pieces)} x {len(primes)} x "
           f"{params.n_ring} {expand * 1e3:.2f} ms (one key)")
-    # One prime per butterfly kernel, per row of a 4-row stack; stderr
-    # only, so the report's "ops timed" line does not move.
+    # One prime per butterfly kernel, per row of a 4-row stack and of one
+    # row (key switching's transforms are mostly one row); stderr only, so
+    # the report's "ops timed" line does not move.
     ntt_rng = np.random.default_rng([seed, 0x177])
     for label, pm in (("scale", modulus_chain(params)[1]),
                       ("aux", aux_chain(params)[0])):
-        words = ntt_rng.integers(0, pm.q, (4, params.n_ring), dtype=np.uint64)
+        stack = ntt_rng.integers(0, pm.q, (4, params.n_ring), dtype=np.uint64)
         for direction in ("forward", "inverse"):
-            best = min(_time_once(lambda: ntt(words, pm, direction))
-                       for _ in range(5))
-            _note(f"bench: ntt {direction} {label} q{pm.bit_width} "
-                  f"{best / len(words) * 1e3:.3f} ms/row")
+            for words in (stack, stack[:1]):
+                best = min(_time_once(lambda: ntt(words, pm, direction))
+                           for _ in range(5))
+                _note(f"bench: ntt {direction} {label} q{pm.bit_width} "
+                      f"{best / len(words) * 1e3:.3f} ms/row "
+                      f"({len(words)} rows)")
+    # One ModDown base conversion, B -> C_L over a (2, N) stack.
+    src, tgt = basis_b(params), basis_c(params, params.levels)
+    coeffs = np.stack([ntt_rng.integers(0, q, 2 * params.n_ring,
+                                        dtype=np.uint64) for q in src.qs])
+    table = make_base_table(src, tgt)
+    best = min(_time_once(lambda: base_convert(coeffs, table))
+               for _ in range(5))
+    _note(f"bench: base_convert B -> C_{params.levels} {len(src)} x "
+          f"{len(tgt)} x 2 x {params.n_ring} {best * 1e3:.3f} ms")
     lines.append(f"ops timed: {' '.join(name for name, _ in timings)}")
     lines.append("timings: stderr (wall clock, not part of the report)")
     _emit(lines, args.out)

@@ -6,22 +6,28 @@ operands need 128 bits, which numpy lacks, so products are assembled from
 strategies:
 
 * Shoup for every product by a fixed multiplier (NTT twiddles,
-  base-conversion tables, per-limb scalars): the multiplier rides with
-  its companion floor(w * 2^64 / q).  The quotient comes from three 32-bit
-  partial products, then one conditional subtract of 2q leaves the lazy
-  product in [0, 2q), which base conversion accumulates before one
-  reduction and the NTT's wide butterflies carry between stages; one more
-  subtract makes it canonical.  (The NTT's signed kernel for the 40-bit
-  primes keeps int64 words and a product of its own; see `ntt`.)
+  base-conversion inverse factors, per-limb scalars): the multiplier
+  rides with its companion floor(w * 2^64 / q).  `shoup_estimate` takes
+  the quotient from three 32-bit partial products of the companion's
+  halves and leaves the product in [0, 4q), which the NTT's wide
+  butterflies carry between stages; `shoup_mul_lazy` subtracts 2q once for
+  [0, 2q), and one more subtract makes it canonical.  (The NTT's signed
+  kernel for the 40-bit primes keeps int64 words and a product of its
+  own; see `ntt`.)
 * Barrett with a precomputed floor(2^128 / q) for general data-by-data
   products (multiply-accumulate paths); a sum of several 128-bit products
   can be reduced once.
 
 Shoup's and Barrett's quotient estimates come from float64 instead when
 the words involved stay below 2^48, which covers the 40-bit scale primes:
-a float64 multiply replaces the partial products.  Both strategies
-return the canonical representative in [0, q); tests cross-check them
-against wide-integer reference arithmetic.
+a float64 multiply replaces the partial products.  A sum of products
+whose quotient float64 estimates to within one, below and never above,
+is reduced by `float_quotient_reduce` from that estimate and the wrapped
+sum of the products' low words: `mul_sum`'s float path, and base
+conversion's rows (`rnspoly.base_convert`), which keep their quotient
+small by splitting each word into 32-bit halves.  Every strategy returns
+the canonical representative in [0, q); tests cross-check them against
+wide-integer reference arithmetic.
 """
 
 from __future__ import annotations
@@ -235,21 +241,52 @@ def _as_float(words) -> np.ndarray:
     return np.asarray(words).view(np.int64).astype(np.float64)
 
 
+def shoup_halves(w_shoup) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low 32-bit halves of Shoup companions, as uint32,
+    the form `shoup_estimate` reads."""
+    w_shoup = np.asarray(w_shoup, dtype=U64)
+    return ((w_shoup >> SHIFT32).astype(np.uint32),
+            (w_shoup & MASK32).astype(np.uint32))
+
+
+@_wrapping
+def shoup_estimate(a: np.ndarray, w: np.ndarray, w_hi: np.ndarray,
+                   w_lo: np.ndarray, q: np.uint64,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """a * w mod q, up to three q: a value in [0, 4q) for any a < 2^64.
+
+    Shoup's quotient floor(a * w_shoup / 2^64), with
+    w_shoup = floor(w * 2^64 / q) = w_hi 2^32 + w_lo, is floor(a * w / q)
+    or one less.  It is estimated from three 32-bit partial products of
+    a = a1 2^32 + a0, a1 w_hi + (a1 w_lo >> 32) + (a0 w_hi >> 32), which
+    drop the low product and the carries of the middle word: at most two
+    more below.  So a * w less the estimate times q lies in [0, 4q).
+    Requires q < 2^62, w < q, and a or w an array (the partial products
+    run in place).  `out` may be `a` itself.
+    """
+    t = a >> SHIFT32
+    quot = t * w_hi
+    t = t * w_lo                            # the shape a and w broadcast to
+    t >>= SHIFT32
+    quot += t
+    np.multiply(a & MASK32, w_hi, out=t)
+    t >>= SHIFT32
+    quot += t                               # low by at most three
+    quot *= q
+    r = np.multiply(a, w, out=out)
+    r -= quot                               # wrapping, exact mod 2^64
+    return r
+
+
 @_wrapping
 def shoup_mul_lazy(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
                    q: np.uint64, out: np.ndarray | None = None,
                    small: bool = False) -> np.ndarray:
     """a * w mod q, up to one q: a value in [0, 2q) for any a < 2^64.
 
-    Shoup's quotient floor(a * w_shoup / 2^64), with
-    w_shoup = floor(w * 2^64 / q), is floor(a * w / q) or one less.  It is
-    estimated from three 32-bit partial products of a = a1 2^32 + a0 and
-    w_shoup = w'1 2^32 + w'0, a1 w'1 + (a1 w'0 >> 32) + (a0 w'1 >> 32),
-    which drop the low product and the carries of the middle word: at most
-    two more below.  So a * w less the estimate times q lies in [0, 4q),
-    and one conditional subtract of 2q takes it to [0, 2q).  Requires
-    q < 2^62, w < q, and a or w an array (the partial products and the
-    subtract run in place).  `out` may be `a` itself.
+    `shoup_estimate`, in [0, 4q), then one conditional subtract of 2q.
+    Requires q < 2^62, w < q, w_shoup = floor(w * 2^64 / q), and a or w
+    an array.  `out` may be `a` itself.
 
     `small` promises a < 2^48.  The estimate then comes from float64 as a
     times w_shoup / 2^64, biased low by a relative 2^-49: a converts
@@ -257,28 +294,18 @@ def shoup_mul_lazy(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
     (a*w/q - 1, a*w/q], so truncation is floor(a * w / q) or one less, and
     no subtract is needed.
     """
-    if small:
-        ratio = np.asarray(w_shoup).astype(np.float64)
-        ratio *= 2.0 ** -64 * _LOW_BIAS
-        est = _as_float(a) * ratio
-        quot = est.astype(np.int64).view(U64)
-    else:
-        w_hi = w_shoup >> SHIFT32
-        t = a >> SHIFT32
-        quot = t * w_hi
-        t = t * (w_shoup & MASK32)          # the shape a and w broadcast to
-        t >>= SHIFT32
-        quot += t
-        np.multiply(a & MASK32, w_hi, out=t)
-        t >>= SHIFT32
-        quot += t                           # low by at most three
+    if not small:
+        r = shoup_estimate(a, w, w_shoup >> SHIFT32, w_shoup & MASK32, q,
+                           out=out)
+        return np.minimum(r, r - (q + q), out=r)
+    ratio = np.asarray(w_shoup).astype(np.float64)
+    ratio *= 2.0 ** -64 * _LOW_BIAS
+    est = _as_float(a) * ratio
+    quot = est.astype(np.int64).view(U64)
     quot *= q
     r = np.multiply(a, w, out=out)
     r -= quot                               # wrapping, exact mod 2^64
-    if small:
-        return r
-    np.subtract(r, q + q, out=quot)
-    return np.minimum(r, quot, out=r)
+    return r
 
 
 @_wrapping
@@ -365,11 +392,9 @@ def _mul_sum_float(pairs, mod: PrimeModulus) -> np.ndarray:
     x (1 + u)^(k+2) (1 - 16u).  The upper factor is at most one while
     k + 2 <= 16, because (1 + u)^16 < 1 / (1 - 16u); at k + 2 = 17 it is
     above one.  The lower factor is then above 1 - 32u, so with
-    x < k * q <= 2^48 the estimate is above x - 1.  Its truncation is
-    floor(x) or one less, and the wrapped sum of the products' low words
-    less that times q is the remainder plus at most one q.
+    x < k * q <= 2^48 the estimate is above x - 1, as
+    `float_quotient_reduce` requires.
     """
-    q = U64(mod.q)
     est = low = None
     for a, b in pairs:
         t = _as_float(a) * _as_float(b)
@@ -380,10 +405,25 @@ def _mul_sum_float(pairs, mod: PrimeModulus) -> np.ndarray:
             est += t
             low += p
     est *= _LOW_BIAS / mod.q
+    return float_quotient_reduce(est, low, U64(mod.q))
+
+
+def float_quotient_reduce(est: np.ndarray, low: np.ndarray,
+                          q: np.ndarray) -> np.ndarray:
+    """X mod q, canonical, in place of `low`, for exact non-negative sums
+    X given low = X mod 2^64 and a float64 quotient estimate est with
+    X / q - 1 < est <= X / q.  q < 2^63 may be a column, one modulus per
+    row.
+
+    The truncation of est is floor(X / q) or one less, below 2^63, so X
+    less it times q lies in [0, 2q): the wrapped difference of the low
+    words is exact, and one conditional subtract makes it canonical.
+    """
     quot = est.astype(np.int64).view(U64)
     quot *= q
     low -= quot                              # wrapping, exact mod 2^64
-    return np.minimum(low, low - q)
+    np.subtract(low, q, out=quot)
+    return np.minimum(low, quot, out=low)
 
 
 @_wrapping

@@ -41,9 +41,19 @@ output word.
   2^47.7, where the forward words reach about 20q.
 * Wide, for the 59-bit base prime, the 60-bit auxiliary primes and any
   prime the signed predicate refuses.  Words are uint64.  A product is
-  `modmath.shoup_mul_lazy`, which lands in [0, 2q) for any a < 2^64.
-  Words stay below 4q < 2^64 between stages for every q < 2^62, and a
-  final correction makes them canonical.
+  `modmath.shoup_estimate`, Shoup's partial-product estimate with no
+  conditional subtract, which lands in [0, 4q) for any a < 2^64.  Harvey's
+  lazy butterflies keep words below a bound between stages, and a final
+  correction makes them canonical.  Each table picks the bound once, from
+  q (`NttTables.bound`).  Below 2^61, which holds every prime `CkksParams`
+  generates, the forward's words stay below 8q and the inverse's below 4q:
+  each butterfly reduces its sum word by 4q and takes the product as the
+  estimate gives it.  From 2^61 up, 8q would pass 2^64, so the bounds are
+  4q and 2q and each product is reduced below 2q first.  A table stores
+  each Shoup companion floor(w * 2^64 / q) as its two 32-bit halves, the
+  form the estimate multiplies by, as uint32 (as many bytes as the
+  companion); the transposed-layout stages hold their few halves as
+  uint64, which spares their products a cast.
 
 The stages with short butterfly spans run on a transposed copy so that
 numpy's inner loops stay long.
@@ -64,7 +74,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .modmath import (U64, PrimeModulus, barrett_mul, shoup_companions,
-                      shoup_mul, shoup_mul_lazy)
+                      shoup_estimate, shoup_halves, shoup_mul)
 
 # Words per pass through the butterfly stages: 256 KiB, so a block and its
 # stage temporaries (a few times its size) fit a 2 MiB L2.  On a 2-core
@@ -133,18 +143,21 @@ class NttTables:
     psi^((2u + 1) n / (2h)) forward and its inverse backward, both
     gathered from one ladder of the powers of psi; entry 0 is unused.  The
     inverse table's h = 1 entry folds in 1/n.  `fwd_stages` and
-    `inv_stages` hold, per stage in execution order, (h, w, c, reduce),
-    with the twiddles w and their companions c viewed in the shape of the
-    stage's butterfly halves.  Under `signed`, w is int64, c = fl(w / q),
-    and `reduce` marks the inverse stages that reduce their sum path.
-    Otherwise w is uint64, c is the Shoup companion floor(w * 2^64 / q),
-    and `reduce` is unset.  `n_inv` is (1/n, c) in the same form, for the
+    `inv_stages` hold, per stage in execution order, (h, words, reduce),
+    with each of the twiddle words viewed in the shape of the stage's
+    butterfly halves.  Under `signed`, words are the int64 twiddles w and
+    c = fl(w / q), and `reduce` marks the inverse stages that reduce their
+    sum path.  Otherwise words are the uint64 twiddles w and the 32-bit
+    halves (c_hi, c_lo) of their Shoup companions floor(w * 2^64 / q),
+    uint32 (uint64 in the transposed-layout stages), `bound` is the forward's word bound as a multiple of q (8 or 4), and
+    `reduce` is unset.  `n_inv` is 1/n's words in the same form, for the
     inverse's sum path.
     """
 
     mod: PrimeModulus
     n: int
     signed: bool
+    bound: int
     n_inv: tuple
     fwd_stages: tuple
     inv_stages: tuple
@@ -169,25 +182,28 @@ def _geometric(mod: PrimeModulus, first: int, ratio: int,
 
 
 def _kernel_words(words: np.ndarray, mod: PrimeModulus, signed: bool) -> tuple:
-    """(w, c) as the kernel reads them, from canonical uint64 words:
-    int64 twiddles and fl(w / q), or uint64 twiddles and their Shoup
-    companions."""
+    """The twiddle words as the kernel reads them, from canonical uint64
+    words: int64 twiddles and fl(w / q), or uint64 twiddles and the two
+    uint32 halves of their Shoup companions."""
     if signed:
         w = words.astype(I64)
         return w, w / float(mod.q)
-    return words, shoup_companions(words, mod)
+    return (words, *shoup_halves(shoup_companions(words, mod)))
 
 
 def _stages(n: int, words: np.ndarray, mod: PrimeModulus, signed: bool,
             spans, reduce) -> tuple:
     b = _layout(n)[0]
-    w, c = _kernel_words(words, mod, signed)
+    kernel_words = _kernel_words(words, mod, signed)
     out = []
     for h, cut in zip(spans, reduce):
-        views = [v[h:2 * h] for v in (w, c)]
+        views = tuple(v[h:2 * h] for v in kernel_words)
         if h < b:                # halves of the transposed layout: (K, h, n/b)
-            views = [v[:, None] for v in views]
-        out.append((h, *views, cut))
+            # At most b - 1 words in all: uint32 halves are widened here,
+            # which spares each of their products over (K, h, n/b) a cast.
+            views = tuple((v.astype(U64) if v.dtype == np.uint32 else v)
+                          [:, None] for v in views)
+        out.append((h, views, cut))
     return tuple(out)
 
 
@@ -208,9 +224,12 @@ def _build_tables(mod: PrimeModulus, n: int, psi: int) -> NttTables:
     inv[1] = int(inv[1]) * n_inv % q
     schedule = _signed_schedule(q, n)
     signed = schedule is not None
-    w, c = _kernel_words(np.array([n_inv], dtype=U64), mod, signed)
+    words = _kernel_words(np.array([n_inv], dtype=U64), mod, signed)
     return NttTables(
-        mod=mod, n=n, signed=signed, n_inv=(w[0], c[0]),
+        mod=mod, n=n, signed=signed,
+        # The wide forward's words stay below 8q while that is below 2^64.
+        bound=0 if signed else 8 if 8 * q < 1 << 64 else 4,
+        n_inv=tuple(v[0] for v in words),
         fwd_stages=_stages(n, fwd, mod, signed, spans, [False] * len(spans)),
         inv_stages=_stages(n, inv, mod, signed, spans[::-1],
                            schedule or [False] * len(spans)))
@@ -251,9 +270,10 @@ def _signed_mul(a: np.ndarray, w, c, q: np.int64,
     return r
 
 
-def _canonical(x: np.ndarray, t: NttTables) -> np.ndarray:
+def _canonical(x: np.ndarray, t: NttTables, bound: int) -> np.ndarray:
     """Canonical uint64 words, in place, from a transform's last words:
-    signed ones within the schedule's bound, or unsigned ones below 4q."""
+    signed ones within the schedule's bound, or unsigned ones below
+    bound * q, bound a power of two."""
     q = t.mod.q
     if t.signed:
         # floor(x * fl(1/q)) is floor(x / q), or one less at an exact
@@ -265,9 +285,20 @@ def _canonical(x: np.ndarray, t: NttTables) -> np.ndarray:
         x -= quot
         x = x.view(U64)
         return np.minimum(x, x - U64(q), out=x)
-    q = U64(q)
-    np.minimum(x, x - (q + q), out=x)
-    return np.minimum(x, x - q, out=x)
+    while bound > 1:
+        bound //= 2
+        np.minimum(x, x - U64(bound * q), out=x)
+    return x
+
+
+def _wide_mul(a: np.ndarray, words: tuple, q: np.uint64, t: NttTables,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """A wide butterfly's product: `shoup_estimate`, in [0, 4q), reduced
+    to [0, 2q) when the table's words must stay below 4q."""
+    r = shoup_estimate(a, *words, q, out=out)
+    if t.bound == 4:
+        np.minimum(r, r - (q + q), out=r)
+    return r
 
 
 def _forward(x: np.ndarray, t: NttTables) -> np.ndarray:
@@ -281,25 +312,25 @@ def _forward(x: np.ndarray, t: NttTables) -> np.ndarray:
         q = I64(t.mod.q)
     else:
         q = U64(t.mod.q)
-        two_q = q + q
-    for h, w, c, _ in t.fwd_stages:
+        cap = U64(t.bound // 2 * t.mod.q)         # 4q, or 2q from 2^61 up
+    for h, words, _ in t.fwd_stages:
         if h == b:
             x = x.transpose(0, 2, 1).reshape(rows, n)
         y = x.reshape(-1, 2, h, m) if h < b else x.reshape(-1, 2, h)
         lo, hi = y[:, 0], y[:, 1]
         if t.signed:
-            r = _signed_mul(hi, w, c, q)
+            r = _signed_mul(hi, *words, q)
             np.subtract(lo, r, out=hi)
             lo += r                        # bounds grow by about q a stage
             continue
-        r = shoup_mul_lazy(hi, w, c, q)                    # [0, 2q)
-        np.subtract(lo, two_q, out=hi)
-        np.minimum(lo, hi, out=lo)                         # [0, 2q)
+        r = _wide_mul(hi, words, q, t)                     # [0, cap)
+        np.subtract(lo, cap, out=hi)
+        np.minimum(lo, hi, out=lo)                         # [0, cap)
         np.subtract(lo, r, out=hi)
-        hi += two_q                                        # (0, 4q)
-        lo += r                                            # [0, 4q)
+        hi += cap                                          # (0, 2 cap)
+        lo += r                                            # [0, 2 cap)
     # With b == n, n / b = 1: no transpose.
-    return _canonical(x.reshape(rows, n), t)
+    return _canonical(x.reshape(rows, n), t, t.bound)
 
 
 def _inverse(x: np.ndarray, t: NttTables) -> np.ndarray:
@@ -314,8 +345,8 @@ def _inverse(x: np.ndarray, t: NttTables) -> np.ndarray:
     else:
         x = x.copy()
         q = U64(t.mod.q)
-        two_q = q + q
-    for h, w, c, reduce in t.inv_stages:
+        cap = U64(t.bound // 2 * t.mod.q)         # 4q, or 2q from 2^61 up
+    for h, words, reduce in t.inv_stages:
         if h == b // 2:
             x = x.reshape(rows, m, b).transpose(0, 2, 1).copy()
         y = x.reshape(-1, 2, h, m) if h < b else x.reshape(-1, 2, h)
@@ -325,18 +356,21 @@ def _inverse(x: np.ndarray, t: NttTables) -> np.ndarray:
             lo += hi                       # the sum path's bound doubles
             if reduce:
                 _signed_mul(lo, *by_one, q, out=lo)
-            _signed_mul(diff, w, c, q, out=hi)
+            _signed_mul(diff, *words, q, out=hi)
             continue
-        diff = lo + two_q
-        diff -= hi                                         # (0, 4q)
+        diff = lo + cap
+        diff -= hi                                         # (0, 2 cap)
         lo += hi
-        np.subtract(lo, two_q, out=hi)
-        np.minimum(lo, hi, out=lo)                         # [0, 2q)
-        shoup_mul_lazy(diff, w, c, q, out=hi)              # [0, 2q)
+        np.subtract(lo, cap, out=hi)
+        np.minimum(lo, hi, out=lo)                         # [0, cap)
+        _wide_mul(diff, words, q, t, out=hi)               # [0, cap)
     # 1/n lives in the last stage: the difference path's twiddles carry it
     # already, the sum path takes it here.
-    (_signed_mul if t.signed else shoup_mul_lazy)(lo, *t.n_inv, q, out=lo)
-    x = _canonical(x.reshape(rows, n), t)
+    if t.signed:
+        _signed_mul(lo, *t.n_inv, q, out=lo)
+    else:
+        _wide_mul(lo, t.n_inv, q, t, out=lo)
+    x = _canonical(x.reshape(rows, n), t, t.bound // 2)
     return np.take(x, gather, axis=-1)
 
 

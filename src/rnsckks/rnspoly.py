@@ -10,7 +10,9 @@ approximate form: out_i = sum_j ([P]_{p_j} * phat_j^{-1} mod p_j) * phat_j
 mod q_i, read with signed step-1 residues, which may add an integer
 multiple k * P_src, |k| <= ceil(|source| / 2); callers rely on that slack
 being annihilated downstream (key-switching) or bounded (ModDown).
-From a single prime there is no slack.
+From a single prime there is no slack.  Each target word is one sum of
+products of 32-bit words by the table's factors, reduced once from a
+float64 quotient estimate (`base_convert` proves the estimate's bound).
 
 Integer plaintexts enter the evaluation domain through one lift,
 `lift_int_coeffs`.  A row of M coefficients, M a power of two dividing
@@ -51,8 +53,9 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .errors import BasisMismatchError, ConfigurationError
-from .modmath import (SMALL_WORD, U64, PrimeModulus, barrett_mul, mod_add,
-                      mod_neg, mod_sub, mul_sum, shoup_mul, shoup_mul_lazy,
+from .modmath import (MASK32, SHIFT32, SMALL_WORD, U64, PrimeModulus,
+                      barrett_mul, float_quotient_reduce, mod_add, mod_neg,
+                      mod_sub, mul_sum, shoup_mul, shoup_mul_lazy,
                       shoup_words)
 from .ntt import ntt
 
@@ -252,15 +255,30 @@ def rp_scalar_mul_per_limb(a: RnsPolynomial, scalars: dict[int, int]) -> RnsPoly
 # ---------------------------------------------------------------------------
 # Fast base conversion.
 
+# Base conversion's float64 quotient is biased low by a relative 2^-44,
+# which covers up to BCONV_ROUNDINGS roundings of each term (`base_convert`).
+_BCONV_BIAS_BITS = 44
+BCONV_ROUNDINGS = 1 << 9
+# Words of the pair matrix and the target rows per column block: they and
+# their float64 copies stay within a few hundred KiB.
+_BCONV_BLOCK_WORDS = 1 << 15
+
+
+def _bconv_quotient(factor: int, q: int) -> float:
+    """factor (1 - 2^-44) / q, correctly rounded to float64."""
+    return factor * ((1 << _BCONV_BIAS_BITS) - 1) / (q << _BCONV_BIAS_BITS)
+
+
 @dataclass(frozen=True)
 class BaseTable:
     """Precomputed factors for source -> target fast base conversion.
 
-    `inv_factors[j]` is phat_j^{-1} mod p_j and `factors[i, j]` is
-    phat_j mod q_i, where phat_j = prod_{k != j} p_k over the source
-    primes; `src_mod[i]` is P_src mod q_i for the signed correction.
-    Each array rides with its 64-bit reciprocal companion so conversions
-    multiply via the fixed-operand fast path.
+    `inv_factors[j]` is phat_j^{-1} mod p_j, with its Shoup companion
+    `inv_shoup[j]`, where phat_j = prod_{k != j} p_k over the S source
+    primes.  Row i of `factors` holds the 2S + 1 multipliers of target
+    prime q_i, in the order of `base_convert`'s pairs: phat_j mod q_i, then
+    2^32 phat_j mod q_i, then -P_src mod q_i for the signed correction.
+    `quotients[i, k]` is factors[i, k] (1 - 2^-44) / q_i rounded to float64.
     """
 
     source: LimbBasis
@@ -268,98 +286,100 @@ class BaseTable:
     inv_factors: np.ndarray
     inv_shoup: np.ndarray
     factors: np.ndarray
-    factors_shoup: np.ndarray
-    src_mod: np.ndarray
-    src_mod_shoup: np.ndarray
+    quotients: np.ndarray
 
     def __post_init__(self):
         # Entries are recomputed the slow way (big-integer products) and
         # compared; a table built from a mismatched basis pair never ships.
         p_src = self.source.modulus
-        for j, pj in enumerate(self.source):
-            phat = p_src // pj.q
+        phats = [p_src // pj.q for pj in self.source]
+        for j, (phat, pj) in enumerate(zip(phats, self.source)):
             want_inv = pow(phat % pj.q, -1, pj.q)
             if int(self.inv_factors[j]) != want_inv \
                     or int(self.inv_shoup[j]) != (want_inv << 64) // pj.q:
                 raise ConfigurationError("base table inverse factor mismatch")
-            for i, qi in enumerate(self.target):
-                want = phat % qi.q
-                if int(self.factors[i, j]) != want \
-                        or int(self.factors_shoup[i, j]) != (want << 64) // qi.q:
-                    raise ConfigurationError("base table factor mismatch")
-        for i, qi in enumerate(self.target):
-            want = p_src % qi.q
-            if int(self.src_mod[i]) != want \
-                    or int(self.src_mod_shoup[i]) != (want << 64) // qi.q:
-                raise ConfigurationError("base table correction mismatch")
+        for i, q in enumerate(self.target.qs):
+            want = [ph % q for ph in phats] + [(ph << 32) % q for ph in phats]
+            want.append(-p_src % q)
+            if self.factors[i].tolist() != want or self.quotients[i].tolist() \
+                    != [_bconv_quotient(f, q) for f in want]:
+                raise ConfigurationError("base table factor mismatch")
 
 
 @lru_cache(maxsize=None)
 def make_base_table(source: LimbBasis, target: LimbBasis) -> BaseTable:
+    pairs = 2 * len(source) + 1
+    if pairs + 1 > BCONV_ROUNDINGS:
+        raise ConfigurationError(
+            f"base conversion from {len(source)} primes exceeds the "
+            f"{BCONV_ROUNDINGS} roundings its float64 quotient allows")
     p_src = source.modulus
     phats = [p_src // pj.q for pj in source]
     inv, inv_sh = shoup_words([pow(ph % pj.q, -1, pj.q)
                                for ph, pj in zip(phats, source)], source.qs)
-    rows = [shoup_words([ph % q for ph in phats], [q] * len(phats))
-            for q in target.qs]
-    fac, fac_sh = (np.stack(a) for a in zip(*rows))
-    src, src_sh = shoup_words([p_src % q for q in target.qs], target.qs)
+    fac = [[ph % q for ph in phats] + [(ph << 32) % q for ph in phats]
+           + [-p_src % q] for q in target.qs]
+    quo = [[_bconv_quotient(f, q) for f in row]
+           for row, q in zip(fac, target.qs)]
+    shape = (len(target), pairs)
     return BaseTable(source=source, target=target,
                      inv_factors=inv, inv_shoup=inv_sh,
-                     factors=fac, factors_shoup=fac_sh,
-                     src_mod=src, src_mod_shoup=src_sh)
-
-
-def _bconv_accumulate(v: np.ndarray, table: BaseTable, i: int) -> np.ndarray:
-    """sum_j v[j] * factors[i, j] mod q_i, for v[j] < p_j."""
-    qi = table.target.primes[i]
-    q = U64(qi.q)
-    # Lazy products stay below 2q_i, so partial sums fit 64 bits for
-    # `room` terms.
-    room = max(1, ((1 << 64) - 1) // (2 * qi.q - 1))
-    acc = None
-    for j, pj in enumerate(table.source):
-        term = shoup_mul_lazy(v[j], table.factors[i, j],
-                              table.factors_shoup[i, j], q,
-                              small=pj.q <= SMALL_WORD)
-        if acc is None:
-            acc = term
-        else:
-            acc += term
-        if (j + 1) % room == 0:
-            acc %= q
-    return acc % q
+                     factors=np.array(fac, dtype=U64).reshape(shape),
+                     quotients=np.array(quo, dtype=np.float64).reshape(shape))
 
 
 def base_convert(coeffs: np.ndarray, table: BaseTable) -> np.ndarray:
     """Fast base conversion of coefficient limbs shaped (S, n) over the
     table's source to limbs shaped (T, n) over its target.
 
-    The step-1 residues are read as signed representatives: since
-    v_j - b_j p_j with b_j = (v_j > p_j/2) shifts the sum by exactly
-    (sum b_j) * P_src, one subtraction per target row converts the unsigned
-    form; the leftover slack k * P_src then has |k| <= ceil(|source| / 2)
-    and zero mean instead of a positive bias.
+    The step-1 residues v_j = [x_j phat_j^{-1}]_{p_j} are read as signed
+    representatives: since v_j - b_j p_j with b_j = (v_j > p_j/2) shifts
+    the sum by exactly (sum b_j) * P_src, the borrow count b times
+    -P_src mod q_i converts the unsigned form; the leftover slack k * P_src
+    then has |k| <= ceil(|source| / 2) and zero mean instead of a positive
+    bias.
+
+    Each target word is one sum of K = 2S + 1 products a_k f_k, f_k =
+    factors[i, k] < q_i: the 32-bit halves of every v_j against phat_j and
+    2^32 phat_j mod q_i, and b against -P_src mod q_i.  Every a_k is below
+    2^32 and converts to float64 exactly, so X = sum_k a_k f_k has
+    x = X / q_i < K 2^32.  Its low word X mod 2^64 is the wrapped uint64
+    sum.  Its quotient comes from one float64 product of the pair matrix
+    by `quotients`, whose entries are f_k (1 - d) / q_i, d = 2^-44, with
+    one rounding each.  Each term then passes through at most K + 1
+    roundings of relative size u = 2^-53: its entry, its product and K - 1
+    in the sum, in any order, fused or not (every term is non-negative).
+    So the estimate lies between x (1 - d) (1 - u)^(K+1) and
+    x (1 - d) (1 + u)^(K+1).  The upper factor is at most one while
+    K + 1 <= BCONV_ROUNDINGS = 2^9, since (1 + u)^(2^9) <= 1 / (1 - d);
+    the lower one is then above 1 - 2d, and x < 2^9 2^32 makes x 2d < 1.
+    So x - 1 < est <= x, which is `float_quotient_reduce`'s precondition.
+    Columns run in blocks of a few hundred KiB of words.
     """
     if coeffs.ndim != 2 or coeffs.shape[0] != len(table.source):
         got = "a stack" if coeffs.ndim > 2 else "limbs"
         raise BasisMismatchError(
             f"expected ({len(table.source)}, n) limbs over the table source, "
             f"got {got} shaped {coeffs.shape}")
-    n = coeffs.shape[1]
-    v = np.empty_like(coeffs)
-    borrow = np.zeros(n, dtype=U64)
-    for j, pj in enumerate(table.source):
-        v[j] = shoup_mul(coeffs[j], table.inv_factors[j],
-                         table.inv_shoup[j], pj, small=pj.q <= SMALL_WORD)
-        borrow += v[j] > U64(pj.q // 2)
-
-    out = np.empty((len(table.target), n), dtype=U64)
-    for i, qi in enumerate(table.target):
-        # borrow counts source primes, far below 2^48.
-        shift = shoup_mul(borrow, table.src_mod[i], table.src_mod_shoup[i],
-                          qi, small=True)
-        out[i] = mod_sub(_bconv_accumulate(v, table, i), shift, qi)
+    s, n = coeffs.shape
+    t, k = table.factors.shape
+    p = np.array(table.source.qs, dtype=U64)[:, None]
+    q = np.array(table.target.qs, dtype=U64)[:, None]
+    inv = (table.inv_factors[:, None], table.inv_shoup[:, None])
+    small = max(table.source.qs, default=0) <= SMALL_WORD
+    out = np.empty((t, n), dtype=U64)
+    cols = max(1, _BCONV_BLOCK_WORDS // (k + t))
+    for lo in range(0, n, cols):
+        v = shoup_mul_lazy(coeffs[:, lo:lo + cols], *inv, p, small=small)
+        np.minimum(v, v - p, out=v)
+        pairs = np.empty((k, v.shape[1]), dtype=U64)
+        np.bitwise_and(v, MASK32, out=pairs[:s])
+        np.right_shift(v, SHIFT32, out=pairs[s:2 * s])
+        np.sum(v > p >> U64(1), axis=0, dtype=U64, out=pairs[-1])
+        est = table.quotients @ pairs.astype(np.float64)
+        low = out[:, lo:lo + cols]
+        np.einsum("tk,kc->tc", table.factors, pairs, out=low)
+        float_quotient_reduce(est, low, q)
     return out
 
 

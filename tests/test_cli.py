@@ -262,12 +262,20 @@ def test_bench_reports_model_counts():
     assert len(expand) == 1
     assert re.fullmatch(r"bench: evk expand 2 x 12 x 8192 \d+\.\d\d ms "
                         r"\(one key\)", expand[0]), expand
+    # Per kernel and direction, a row of a 4-row stack and a lone row.
     ntt_lines = [ln.split() for ln in first.stderr.splitlines()
                  if ln.startswith("bench: ntt ") and ln not in tables]
-    assert [ln[2:5] for ln in ntt_lines] == [
-        ["forward", "scale", "q40"], ["inverse", "scale", "q40"],
-        ["forward", "aux", "q60"], ["inverse", "aux", "q60"]]
+    assert [ln[2:5] + ln[7:] for ln in ntt_lines] == [
+        [d, label, q, rows, "rows)"]
+        for label, q in (("scale", "q40"), ("aux", "q60"))
+        for d in ("forward", "inverse") for rows in ("(4", "(1")]
     assert all(ln[6] == "ms/row" and float(ln[5]) > 0 for ln in ntt_lines)
+    # One line for a ModDown base conversion from B over a (2, N) stack.
+    bconv = [ln for ln in first.stderr.splitlines()
+             if ln.startswith("bench: base_convert ")]
+    assert len(bconv) == 1
+    assert re.fullmatch(r"bench: base_convert B -> C_7 4 x 8 x 2 x 8192 "
+                        r"\d+\.\d\d\d ms", bconv[0]), bconv
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from rnsckks.modmath import (FLOAT_PAIRS, SMALL_WORD, U64, PrimeModulus,
                              barrett_mul, barrett_reduce128,
                              generate_ntt_primes, is_prime, mod_add, mod_neg,
                              mod_sub, mul128, mul_sum, mulhi,
-                             shoup_companions, shoup_mul, shoup_mul_lazy)
+                             shoup_companions, shoup_estimate, shoup_halves,
+                             shoup_mul, shoup_mul_lazy)
 
 PRIMES = [PrimeModulus(q, 1 << 14)
           for q in generate_ntt_primes(40, 2, 1 << 14)
@@ -149,7 +150,8 @@ def words_below(bound, rng, count=3000):
 @pytest.mark.parametrize("bits", WIDTHS)
 def test_shoup_estimates_match_oracle(bits):
     """The partial-product quotient takes any 64-bit word; the float64 one
-    any word below 2^48.  Both land in [0, 2q) and reduce canonically, for
+    any word below 2^48.  The bare partial-product estimate lands in
+    [0, 4q); both lazy products land in [0, 2q) and reduce canonically, for
     one multiplier over a row and for an (R, 1) column of multipliers over
     a row (the mixed-radix lift's shape), and one word over a row of
     multipliers."""
@@ -165,6 +167,10 @@ def test_shoup_estimates_match_oracle(bits):
             lazy = shoup_mul_lazy(a, U64(w), w_shoup, q, small=small)
             assert all(int(r) % pm.q == x and int(r) < 2 * pm.q
                        for r, x in zip(lazy, want))
+            if not small:
+                est = shoup_estimate(a, U64(w), *shoup_halves(w_shoup), q)
+                assert all(int(r) % pm.q == x and int(r) < 4 * pm.q
+                           for r, x in zip(est, want))
             got = shoup_mul(a, U64(w), w_shoup, pm, small=small)
             assert np.array_equal(got, np.array(want, dtype=U64))
     col = np.array(ws, dtype=U64)[:, None]

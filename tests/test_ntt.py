@@ -24,8 +24,11 @@ DESK = CkksParams()
 WIDE = {"base59": modulus_chain(DESK)[0], "aux60": aux_chain(DESK)[0]}
 # The edge of the signed kernel at n = 2^13, among primes q = 1 mod 2^14:
 # the widest prime it takes, where signed words come closest to the
-# bound, and the narrowest one above, which takes the wide kernel.
-EDGE = {"admit": 228587578195969, "refuse": 228587579228161}
+# bound, and the narrowest one above, which takes the wide kernel.  "q61"
+# is the largest q < 2^61 with q = 1 mod 2^14, where the wide kernel's
+# words come closest to 2^64 under its 8q bound.
+EDGE = {"admit": 228587578195969, "refuse": 228587579228161,
+        "q61": 2305843009213317121}
 
 
 def prime_for(n, bits=40, index=0):
@@ -66,7 +69,8 @@ def test_bit_reverse_permutation_is_involution():
 @pytest.mark.parametrize("n,width", [
     *(pytest.param(n, "q40", id=str(n)) for n in (16, 64, 256, 1024, 8192)),
     *widths_param((16, 1024, 8192),
-                  ("q46", "base59", "aux60", "q62", "admit", "refuse"))])
+                  ("q46", "base59", "aux60", "q61", "q62", "admit",
+                   "refuse"))])
 def test_roundtrip_identity(n, width):
     pm = modulus(n, width)
     rng = np.random.default_rng([31, n])
@@ -93,8 +97,13 @@ def test_linearity():
 @pytest.mark.parametrize("n,width", [
     *(pytest.param(n, "q40", id=str(n)) for n in (16, 64, 256)),
     *widths_param((16, 256),
-                  ("q46", "base59", "aux60", "q62", "admit", "refuse"))])
+                  ("q46", "base59", "aux60", "q61", "q62", "admit",
+                   "refuse"))])
 def test_convolution_theorem_vs_quadratic_oracle(n, width):
+    """Both directions against the quadratic oracle: the inverse of the
+    product of two forward transforms is the negacyclic product of the
+    coefficient rows, and the forward transform of the negacyclic product
+    of two inverse transforms is the product of the evaluation rows."""
     pm = modulus(n, width)
     rng = np.random.default_rng([41, n])
     a = rng.integers(0, pm.q, n, dtype=np.uint64)
@@ -106,6 +115,10 @@ def test_convolution_theorem_vs_quadratic_oracle(n, width):
                                pm), pm, "inverse")
         assert np.array_equal(prod, np.array(oracle_negacyclic(x, y, pm.q),
                                              dtype=U64))
+        conv = oracle_negacyclic(ntt(x, pm, "inverse"), ntt(y, pm, "inverse"),
+                                 pm.q)
+        assert np.array_equal(ntt(np.array(conv, dtype=U64), pm, "forward"),
+                              barrett_mul(x, y, pm))
 
 
 def test_kernel_per_prime_class():
@@ -124,7 +137,7 @@ def test_kernel_per_prime_class():
 
 def test_signed_product_stays_below_its_bound():
     """The signed kernel's product leaves |r| < q (1 + |a| 2^-52) for
-    |a| < 2^52.  (The wide kernel's product is `modmath.shoup_mul_lazy`,
+    |a| < 2^52.  (The wide kernel's product is `modmath.shoup_estimate`,
     tested against its oracle there.)"""
     pm = prime_for(8, 40)
     q = pm.q
@@ -189,7 +202,7 @@ def test_signed_kernel_stays_within_its_word_bound(n):
             continue
         admitted += 1
         fwd, inv = signed_word_bounds(pm.q, n,
-                                      [st[3] for st in t.inv_stages])
+                                      [st[2] for st in t.inv_stages])
         assert all(map(fits, fwd + inv)), pm.q
     assert admitted >= 8
     fwd, _ = signed_word_bounds(EDGE["refuse"], DESK.n_ring, [False] * 13)
@@ -203,13 +216,64 @@ def test_long_inverse_relies_on_its_marked_reductions():
     n, q = 1 << 16, 187421848109057
     pm = PrimeModulus(q, 2 * n)
     t = get_tables(pm, n)
-    assert t.signed and any(st[3] for st in t.inv_stages)
+    assert t.signed and any(st[2] for st in t.inv_stages)
     assert n * (q - 1) >= 1 << 63
     rng = np.random.default_rng(83)
     for x in (np.full(n, q - 1, dtype=U64),
               rng.integers(0, q, n, dtype=np.uint64)):
         assert np.array_equal(ntt(ntt(x, pm, "inverse"), pm, "forward"), x)
         assert np.array_equal(ntt(ntt(x, pm, "forward"), pm, "inverse"), x)
+
+
+def wide_word_bounds(q, n, bound):
+    """Every word the wide kernel stores, stage by stage, as an exclusive
+    bound in Python integers, for a table whose forward words stay below
+    bound * q (8 or 4): the inputs of each Shoup estimate and every
+    butterfly output.  Asserts the kernel's own conditions on the way: a
+    reduction by cap = bound / 2 * q takes words below 2 cap, and a
+    product, below 4q or reduced below 2q, is at most cap, so lo - r + cap
+    does not wrap below zero.  Returns (forward words, inverse words); the
+    last of each is what the final canonical pass reads."""
+    cap = bound // 2 * q
+    prod = 4 * q if bound == 8 else 2 * q
+    assert prod <= cap
+    fwd, word = [], q - 1
+    for _ in range(n.bit_length() - 1):
+        assert word <= 2 * cap
+        lo = min(word, cap)                 # lo reduced by cap
+        fwd += [word, lo + cap, lo + prod]  # hi into the product, outputs
+        word = max(lo + cap, lo + prod)
+    inv, lo, hi = [], q - 1, q - 1
+    for _ in range(n.bit_length() - 1):
+        assert hi <= cap and lo + hi <= 2 * cap
+        inv += [lo + cap, lo + hi]          # the difference into the product
+        lo, hi = min(lo + hi, cap), prod
+    inv.append(max(prod, hi))               # lo times 1/n, and hi
+    return fwd, inv
+
+
+@pytest.mark.parametrize("n", [16, 8192])
+def test_wide_kernel_stays_below_two_to_the_64(n):
+    """Every prime the wide kernel takes keeps each word of both
+    directions below 2^64 under the bound its table picked, and ends below
+    what the canonical pass reduces: 8q below 2^61, as at the 59-bit base
+    prime, the 60-bit auxiliary primes and the edge prime q61, and 4q from
+    2^61 up.  At q62 the 8q bound would pass 2^64."""
+    primes = [*modulus_chain(DESK), *aux_chain(DESK),
+              *(modulus(n, w) for w in EDGE), modulus(n, "q62")]
+    admitted = 0
+    for pm in primes:
+        t = get_tables(pm, n)
+        if t.signed:
+            continue
+        admitted += 1
+        assert t.bound == (8 if pm.q < 1 << 61 else 4), pm.q
+        fwd, inv = wide_word_bounds(pm.q, n, t.bound)
+        assert max(fwd + inv) <= 1 << 64, pm.q
+        assert fwd[-1] <= t.bound * pm.q and inv[-1] <= t.bound // 2 * pm.q
+    assert admitted >= 7
+    q62 = modulus(n, "q62").q
+    assert max(wide_word_bounds(q62, n, 8)[0]) > 1 << 64
 
 
 @pytest.mark.parametrize("width", ["q40", "admit", "refuse", "base59",
@@ -373,40 +437,49 @@ def closed_form_twiddles(pm, n, psi, h, inverse, us):
 
 
 def test_tables_match_their_closed_form():
-    """Every stage's twiddles and companions, and (1/n, c), against direct
+    """Every stage's twiddles and companions, and 1/n's, against direct
     exponentiation: every entry at n = 16 and 128, and at n = 8192 each
     stage's first and last entry and a strided sample, at every desk prime;
-    and the widest, the signed edge and the wide edge primes at n = 16."""
+    and the widest, the signed edge and the wide edge primes at n = 16.
+    The wide kernel stores each Shoup companion as its two 32-bit halves,
+    as uint32 except in the few words of the transposed-layout stages."""
     desk = [*modulus_chain(DESK), *aux_chain(DESK)]
     cases = [(n, pm) for n in (16, 128, 8192) for pm in desk]
-    cases += [(16, modulus(16, w)) for w in ("q62", "admit", "refuse")]
+    cases += [(16, modulus(16, w)) for w in ("q61", "q62", "admit",
+                                             "refuse")]
     for n, pm in cases:
         q = pm.q
         psi = pow(pm.root, pm.two_n // (2 * n), q)
         t = get_tables(pm, n)
 
-        def companion(w):
-            return w / float(q) if t.signed else (w << 64) // q
-
-        def check(w, c, want):
-            assert w.dtype == (np.int64 if t.signed else U64)
-            assert c.dtype == (np.float64 if t.signed else U64)
+        def check(words, want, half=np.uint32):
+            if t.signed:
+                w, c = words
+                assert (w.dtype, c.dtype) == (np.int64, np.float64)
+                assert c.tolist() == [x / float(q) for x in want], (n, q)
+            else:
+                w, c_hi, c_lo = words
+                assert (w.dtype, c_hi.dtype, c_lo.dtype) == (U64, half, half)
+                assert [(int(h) << 32) | int(lo)
+                        for h, lo in zip(c_hi, c_lo)] \
+                    == [(x << 64) // q for x in want], (n, q)
             assert [int(x) for x in w] == want, (n, q)
-            assert c.tolist() == [companion(x) for x in want], (n, q)
 
         spans = [1 << k for k in range(n.bit_length() - 1)]
         assert [st[0] for st in t.fwd_stages] == spans
         assert [st[0] for st in t.inv_stages] == spans[::-1]
+        # The transposed-layout stages, h < b, widen their halves.
+        b = ntt_module._layout(n)[0]
         for inverse, stages in ((False, t.fwd_stages), (True, t.inv_stages)):
-            for h, w, c, _ in stages:
-                w, c = w.ravel(), c.ravel()
-                assert len(w) == len(c) == h
+            for h, words, _ in stages:
+                words = [v.ravel() for v in words]
+                assert all(len(v) == h for v in words)
                 us = (range(h) if n <= 128 else
                       sorted({0, h - 1, *range(0, h, max(1, h // 32))}))
-                check(w[us], c[us],
-                      closed_form_twiddles(pm, n, psi, h, inverse, us))
-        n_inv = pow(n, -1, q)
-        check(np.array([t.n_inv[0]]), np.array([t.n_inv[1]]), [n_inv])
+                check([v[us] for v in words],
+                      closed_form_twiddles(pm, n, psi, h, inverse, us),
+                      U64 if h < b else np.uint32)
+        check([np.array([v]) for v in t.n_inv], [pow(n, -1, q)])
 
 
 def test_table_build_makes_few_exponentiations(monkeypatch):

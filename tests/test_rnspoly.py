@@ -1,6 +1,9 @@
 """RNS polynomial primitives against big-integer CRT oracles."""
 
+import importlib
+import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +21,9 @@ from rnsckks.rnspoly import (BaseTable, LimbBasis, RnsPolynomial,
                              make_base_table, rp_add, rp_mul, rp_mul_sum,
                              rp_neg, rp_scalar_mul_per_limb, rp_sub,
                              transform_limbs)
+
+
+rnspoly_module = importlib.import_module("rnsckks.rnspoly")
 
 
 def make_basis(bits, count, two_n, skip=()):
@@ -386,21 +392,105 @@ def test_mismatched_operands_rejected():
 # Base conversion.
 
 def test_base_table_entries_match_big_products():
+    """The inverse factors, and per target prime the 2S + 1 pair
+    multipliers phat_j, 2^32 phat_j and -P_src mod q_i, with their biased
+    float64 quotients, against big-integer products."""
     table = make_base_table(BASIS64, AUX64)
     assert isinstance(table, BaseTable)
     assert make_base_table(BASIS64, AUX64) is table
     p_src = BASIS64.modulus
-    for j, pj in enumerate(BASIS64):
-        phat = p_src // pj.q
+    phats = [p_src // pj.q for pj in BASIS64]
+    for j, (phat, pj) in enumerate(zip(phats, BASIS64)):
         inv = pow(phat % pj.q, -1, pj.q)
         assert int(table.inv_factors[j]) == inv
         assert int(table.inv_shoup[j]) == (inv << 64) // pj.q
-        for i, qi in enumerate(AUX64):
-            assert int(table.factors[i, j]) == phat % qi.q
-            assert int(table.factors_shoup[i, j]) \
-                == ((phat % qi.q) << 64) // qi.q
+    assert table.factors.shape == table.quotients.shape == (len(AUX64), 7)
     for i, qi in enumerate(AUX64):
-        assert int(table.src_mod[i]) == p_src % qi.q
+        want = ([ph % qi.q for ph in phats]
+                + [(ph << 32) % qi.q for ph in phats] + [-p_src % qi.q])
+        assert [int(f) for f in table.factors[i]] == want
+        assert table.quotients[i].tolist() == [
+            float(Fraction(f, qi.q) * (1 - Fraction(1, 1 << 44)))
+            for f in want]
+
+
+def test_bconv_rounding_limit_is_what_the_bias_covers():
+    """`base_convert`'s rounding argument in exact rationals: at
+    BCONV_ROUNDINGS roundings of u = 2^-53 each, the bias 1 - 2^-44 keeps
+    the estimate at most the quotient, and above it less one for every
+    quotient below (BCONV_ROUNDINGS - 1) 2^32, the most K pairs of 32-bit
+    words give."""
+    u, d = Fraction(1, 1 << 53), Fraction(1, 1 << 44)
+    r = rnspoly_module.BCONV_ROUNDINGS
+    assert r == 1 << 9
+    assert (1 + u) ** r * (1 - d) <= 1
+    assert (1 - (1 - u) ** r * (1 - d)) * (r - 1) * (1 << 32) < 1
+
+
+def test_base_table_refuses_a_source_past_the_rounding_limit(monkeypatch):
+    monkeypatch.setattr(rnspoly_module, "BCONV_ROUNDINGS", 2 * 3 + 1)
+    with pytest.raises(ConfigurationError, match="roundings"):
+        make_base_table.__wrapped__(BASIS64, AUX64)
+
+
+def adversarial_columns(src, rng):
+    """Source columns whose every word takes each of 0, floor(p_j / 2),
+    floor(p_j / 2) + 1 and p_j - 1, in every combination across the
+    source: once as the input word and once as the step-1 residue v_j,
+    where the borrow flips.  Then a few random columns."""
+    qs = src.qs
+    p_src = src.modulus
+    edges = [(0, q // 2, q // 2 + 1, q - 1) for q in qs]
+    combos = np.array(list(itertools.product(*edges)), dtype=object).T
+    # v_j = x_j phat_j^-1 mod p_j, so x_j = v_j phat_j mod p_j.
+    as_v = np.array([[int(v) * (p_src // q) % q for v in row]
+                     for row, q in zip(combos, qs)], dtype=object)
+    rand = np.array([rng.integers(0, q, 16, dtype=np.uint64) for q in qs],
+                    dtype=object)
+    return np.concatenate([combos, as_v, rand], axis=1).astype(U64)
+
+
+def bconv_formula(coeffs, src, tgt):
+    """out_i = sum_j v_j phat_j - b P_src mod q_i in big integers, with
+    v_j = x_j phat_j^-1 mod p_j and b the count of v_j > p_j / 2."""
+    p_src = src.modulus
+    out = []
+    for col in coeffs.T:
+        v = [int(x) * pow(p_src // q % q, -1, q) % q
+             for x, q in zip(col, src.qs)]
+        borrow = sum(vj > q // 2 for vj, q in zip(v, src.qs))
+        total = sum(vj * (p_src // q) for vj, q in zip(v, src.qs))
+        total -= borrow * p_src
+        out.append([total % q for q in tgt.qs])
+    return np.array(out, dtype=U64).T
+
+
+@pytest.mark.parametrize("block", [None, 64])
+@pytest.mark.parametrize("case", ["moddown7", "moddown1", "piece_to_b",
+                                  "piece0", "rescale", "mod_raise"])
+def test_base_convert_is_the_formula_at_adversarial_words(case, block,
+                                                          params,
+                                                          monkeypatch):
+    """Bit for bit against the big-integer formula, at every source word on
+    0, the borrow edge floor(p_j / 2) and floor(p_j / 2) + 1, and p_j - 1:
+    wide to narrow (ModDown, B to C_l), narrow to wide (a 40-bit digit
+    piece to B), mixed (piece 0 with the 59-bit q0, to the rest) and one
+    prime (the rescale of q_l, the `mod_raise` of q0).  With 64-word
+    blocks the columns also cross block edges."""
+    if block:
+        monkeypatch.setattr(rnspoly_module, "_BCONV_BLOCK_WORDS", block)
+    chain, b = modulus_chain(params), basis_b(params)
+    src, tgt = {
+        "moddown7": (b, basis_c(params, 7)),
+        "moddown1": (b, basis_c(params, 1)),
+        "piece_to_b": (LimbBasis(chain[4:8]), b),
+        "piece0": (LimbBasis(chain[:4]), LimbBasis(chain[4:]).concat(b)),
+        "rescale": (LimbBasis(chain[7:8]), basis_c(params, 6)),
+        "mod_raise": (LimbBasis(chain[:1]), LimbBasis(chain[1:]).concat(b)),
+    }[case]
+    coeffs = adversarial_columns(src, np.random.default_rng(151))
+    got = base_convert(coeffs, make_base_table(src, tgt))
+    assert np.array_equal(got, bconv_formula(coeffs, src, tgt))
 
 
 @pytest.mark.parametrize("n", [64, 1024])
