@@ -70,6 +70,17 @@ class CkksParams:
     four 60-bit auxiliary primes (two digit pieces at the top level).
     Every init field is a parameter `serial.write_params` writes; the
     noise gates `budgets` are one class constant, not a parameter.
+
+    P, the product of the alpha auxiliary primes, must cover the largest
+    digit piece Q_piece, the one that holds q0: hybrid key switching
+    leaves a slot error of about dnum N sigma Q_piece / (P scale)
+    (Han-Ki, CT-RSA 2020), which a rotation shows in full.  In bit widths,
+    with Q_piece < 2^(q0_bits + (min(alpha, levels + 1) - 1) scale_bits)
+    and P >= 2^(alpha (aux_bits - 1)), parameters whose bound passes
+    `budgets.fresh` are refused.  The bound is 2^-81 at the defaults and
+    2^-29 at `aux_bits` 47; it refuses `aux_bits` 44 (a rotation measured
+    2.9e-7 off), 42 (7.4e-5) and alpha 1 at 45 (4.1e-4), erring 4 to 4.5
+    bits toward refusing.
     """
 
     n_ring: int = 8192
@@ -99,6 +110,16 @@ class CkksParams:
         if not 0 <= self.sigma < 2.0 ** 52:
             raise ConfigurationError(
                 f"sigma must be finite, >= 0 and below 2^52, got {self.sigma}")
+        piece_bits = self.q0_bits + self.scale_bits * (
+            min(self.alpha, self.levels + 1) - 1)
+        p_bits = self.alpha * (self.aux_bits - 1)
+        noise = Fraction(self.sigma) * self.dnum * self.n_ring
+        if noise * 2 ** piece_bits > Fraction(self.budgets.fresh) * 2 ** (
+                p_bits + self.scale_bits):
+            raise ConfigurationError(
+                f"auxiliary modulus of {p_bits}+ bits is too small for a "
+                f"{piece_bits}-bit digit piece: key-switch noise would pass "
+                f"budgets.fresh")
 
     @property
     def scale(self) -> int:
@@ -216,7 +237,8 @@ class UniformSeed:
 @dataclass
 class EvaluationKey:
     """Switching key for one secret: digit-piece pairs (b_i, a_i) over
-    C_L + B, b_i = -a_i s + e_i + T_i * target.
+    C_L + B, b_i = -a_i s + e_i + T_i * target.  The step names the
+    target: s^2 at 0, the automorphism of s by r at step r.
 
     A generated key keeps only b_i resident; a_i, the uniform half, stays
     the `UniformSeed` it was drawn from and is made when a switch reads
@@ -228,8 +250,7 @@ class EvaluationKey:
     `Generator.integers` and is valid only in the process that drew it.
     """
 
-    kind: str                    # "mult" or "rot"
-    step: int                    # rotation amount; 0 for "mult"
+    step: int                    # rotation amount; 0 for relinearization
     pieces: tuple[tuple[RnsPolynomial, RnsPolynomial | UniformSeed], ...]
 
     def piece(self, i: int) -> tuple[RnsPolynomial, RnsPolynomial]:
@@ -239,7 +260,7 @@ class EvaluationKey:
 
     def expanded(self) -> EvaluationKey:
         """The same key with every a_i as limbs."""
-        return EvaluationKey(self.kind, self.step, tuple(
+        return EvaluationKey(self.step, tuple(
             self.piece(i) for i in range(len(self.pieces))))
 
 
@@ -293,7 +314,7 @@ def _gadget_constants(params: CkksParams, i: int) -> dict[int, int]:
 
 def _make_switch_key(params: CkksParams, sk: SecretKey,
                      target: RnsPolynomial, rng: np.random.Generator,
-                     kind: str, step: int) -> EvaluationKey:
+                     step: int) -> EvaluationKey:
     """Key pairs (b_i, a_i) with b_i = -a_i s + e_i + T_i * target; each
     a_i is drawn from `rng` and kept as the `UniformSeed` of that draw."""
     full = basis_d(params, params.levels)
@@ -307,13 +328,13 @@ def _make_switch_key(params: CkksParams, sk: SecretKey,
         masked = rp_scalar_mul_per_limb(target, _gadget_constants(params, i))
         b_i = rp_sub(rp_add(e_i, masked), rp_mul(a_i, sk.poly))
         pieces.append((b_i, seed))
-    return EvaluationKey(kind=kind, step=step, pieces=tuple(pieces))
+    return EvaluationKey(step=step, pieces=tuple(pieces))
 
 
 def make_relin_key(params: CkksParams, sk: SecretKey,
                    rng: np.random.Generator) -> EvaluationKey:
     s_sq = rp_mul(sk.poly, sk.poly)
-    return _make_switch_key(params, sk, s_sq, rng, "mult", 0)
+    return _make_switch_key(params, sk, s_sq, rng, 0)
 
 
 def normalize_step(params: CkksParams, r: int) -> int:
@@ -326,7 +347,7 @@ def make_rotation_key(params: CkksParams, sk: SecretKey, r: int,
     if r == 0:
         raise ConfigurationError("rotation by zero needs no key")
     s_rot = automorphism(sk.poly, r)
-    return _make_switch_key(params, sk, s_rot, rng, "rot", r)
+    return _make_switch_key(params, sk, s_rot, rng, r)
 
 
 def make_rotation_keys(params: CkksParams, sk: SecretKey, steps,
@@ -571,7 +592,7 @@ def key_switch(params: CkksParams, d: RnsPolynomial,
 
 def hmult(params: CkksParams, a: Ciphertext, b: Ciphertext,
           evk: EvaluationKey) -> Ciphertext:
-    if evk.kind != "mult":
+    if evk.step != 0:
         raise MissingKeyError("relinearization key required")
     # The other products come after, so only c1 * c1' is held through it.
     out = key_switch(params, rp_mul(a.c1, b.c1), evk)
@@ -586,7 +607,7 @@ def hrot(params: CkksParams, ct: Ciphertext, r: int,
     r = normalize_step(params, r)
     if r == 0:
         return ct
-    if evk.kind != "rot" or evk.step != r:
+    if evk.step != r:
         raise MissingKeyError(f"no rotation key for step {r}")
     # c0 is rotated after, so only the rotated c1 is held through it.
     out = key_switch(params, automorphism(ct.c1, r), evk)

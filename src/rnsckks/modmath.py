@@ -1,9 +1,10 @@
 """Word-level modular arithmetic over NTT-friendly primes.
 
-All bulk arithmetic runs on uint64 numpy arrays.  Products of two sub-2^62
-operands need 128 bits, which numpy lacks, so products are assembled from
-32-bit halves into an explicit (hi, lo) pair and reduced with one of two
-strategies:
+All bulk arithmetic runs on uint64 numpy arrays, over primes below 2^61
+(`PrimeModulus`), which leaves the NTT's lazy butterflies room for words
+up to 8q.  Products of two such operands need 128 bits, which numpy
+lacks, so products are assembled from 32-bit halves into an explicit
+(hi, lo) pair and reduced with one of two strategies:
 
 * Shoup for every product by a fixed multiplier (NTT twiddles,
   base-conversion inverse factors, per-limb scalars): the multiplier
@@ -78,8 +79,8 @@ def generate_ntt_primes(bits: int, count: int, two_n: int,
 
     Scanning downward keeps the set deterministic for a given request.
     """
-    if bits < 2 or bits > 62:
-        raise ConfigurationError(f"prime width {bits} outside supported 2..62")
+    if bits < 2 or bits > 61:
+        raise ConfigurationError(f"prime width {bits} outside supported 2..61")
     primes: list[int] = []
     q = ((1 << bits) - 1) // two_n * two_n + 1
     while len(primes) < count:
@@ -112,7 +113,8 @@ class PrimeModulus:
     two; `root` is always searched for: the smallest-generator primitive
     two_n-th root of unity mod q (`_find_2n_root`), never an argument.  A
     composite q is refused before any search: the search assumes a prime
-    and need not end for a composite.
+    and need not end for a composite.  So is a q of 2^61 or more, whose
+    NTT words would pass 2^64 under the wide kernel's 8q bound (`ntt`).
     """
 
     q: int
@@ -124,8 +126,8 @@ class PrimeModulus:
 
     def __post_init__(self):
         q = self.q
-        if q % 2 == 0 or q.bit_length() > 62:
-            raise ConfigurationError(f"modulus {q} must be odd and < 2^62")
+        if q % 2 == 0 or q.bit_length() > 61:
+            raise ConfigurationError(f"modulus {q} must be odd and < 2^61")
         if not is_prime(q):
             raise ConfigurationError(f"modulus {q} is not prime")
         two_n = self.two_n

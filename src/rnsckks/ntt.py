@@ -43,17 +43,15 @@ output word.
   prime the signed predicate refuses.  Words are uint64.  A product is
   `modmath.shoup_estimate`, Shoup's partial-product estimate with no
   conditional subtract, which lands in [0, 4q) for any a < 2^64.  Harvey's
-  lazy butterflies keep words below a bound between stages, and a final
-  correction makes them canonical.  Each table picks the bound once, from
-  q (`NttTables.bound`).  Below 2^61, which holds every prime `CkksParams`
-  generates, the forward's words stay below 8q and the inverse's below 4q:
-  each butterfly reduces its sum word by 4q and takes the product as the
-  estimate gives it.  From 2^61 up, 8q would pass 2^64, so the bounds are
-  4q and 2q and each product is reduced below 2q first.  A table stores
-  each Shoup companion floor(w * 2^64 / q) as its two 32-bit halves, the
-  form the estimate multiplies by, as uint32 (as many bytes as the
-  companion); the transposed-layout stages hold their few halves as
-  uint64, which spares their products a cast.
+  lazy butterflies keep the forward's words below 8q and the inverse's
+  below 4q, which stays below 2^64 because every prime is below 2^61
+  (`modmath.PrimeModulus`): each butterfly reduces its sum word by 4q and
+  takes the product as the estimate gives it, and a final correction
+  makes the words canonical.  A table stores each Shoup companion
+  floor(w * 2^64 / q) as its two 32-bit halves, the form the estimate
+  multiplies by, as uint32 (as many bytes as the companion); the
+  transposed-layout stages hold their few halves as uint64, which spares
+  their products a cast.
 
 The stages with short butterfly spans run on a transposed copy so that
 numpy's inner loops stay long.
@@ -149,15 +147,14 @@ class NttTables:
     c = fl(w / q), and `reduce` marks the inverse stages that reduce their
     sum path.  Otherwise words are the uint64 twiddles w and the 32-bit
     halves (c_hi, c_lo) of their Shoup companions floor(w * 2^64 / q),
-    uint32 (uint64 in the transposed-layout stages), `bound` is the forward's word bound as a multiple of q (8 or 4), and
-    `reduce` is unset.  `n_inv` is 1/n's words in the same form, for the
-    inverse's sum path.
+    uint32 (uint64 in the transposed-layout stages), and `reduce` is
+    unset.  `n_inv` is 1/n's words in the same form, for the inverse's
+    sum path.
     """
 
     mod: PrimeModulus
     n: int
     signed: bool
-    bound: int
     n_inv: tuple
     fwd_stages: tuple
     inv_stages: tuple
@@ -227,8 +224,6 @@ def _build_tables(mod: PrimeModulus, n: int, psi: int) -> NttTables:
     words = _kernel_words(np.array([n_inv], dtype=U64), mod, signed)
     return NttTables(
         mod=mod, n=n, signed=signed,
-        # The wide forward's words stay below 8q while that is below 2^64.
-        bound=0 if signed else 8 if 8 * q < 1 << 64 else 4,
         n_inv=tuple(v[0] for v in words),
         fwd_stages=_stages(n, fwd, mod, signed, spans, [False] * len(spans)),
         inv_stages=_stages(n, inv, mod, signed, spans[::-1],
@@ -291,16 +286,6 @@ def _canonical(x: np.ndarray, t: NttTables, bound: int) -> np.ndarray:
     return x
 
 
-def _wide_mul(a: np.ndarray, words: tuple, q: np.uint64, t: NttTables,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """A wide butterfly's product: `shoup_estimate`, in [0, 4q), reduced
-    to [0, 2q) when the table's words must stay below 4q."""
-    r = shoup_estimate(a, *words, q, out=out)
-    if t.bound == 4:
-        np.minimum(r, r - (q + q), out=r)
-    return r
-
-
 def _forward(x: np.ndarray, t: NttTables) -> np.ndarray:
     """(R, n) canonical coefficient rows -> evaluation rows."""
     rows, n = x.shape
@@ -312,7 +297,7 @@ def _forward(x: np.ndarray, t: NttTables) -> np.ndarray:
         q = I64(t.mod.q)
     else:
         q = U64(t.mod.q)
-        cap = U64(t.bound // 2 * t.mod.q)         # 4q, or 2q from 2^61 up
+        cap = U64(4 * t.mod.q)                 # words stay below 2 cap = 8q
     for h, words, _ in t.fwd_stages:
         if h == b:
             x = x.transpose(0, 2, 1).reshape(rows, n)
@@ -323,14 +308,14 @@ def _forward(x: np.ndarray, t: NttTables) -> np.ndarray:
             np.subtract(lo, r, out=hi)
             lo += r                        # bounds grow by about q a stage
             continue
-        r = _wide_mul(hi, words, q, t)                     # [0, cap)
+        r = shoup_estimate(hi, *words, q)                  # [0, cap)
         np.subtract(lo, cap, out=hi)
         np.minimum(lo, hi, out=lo)                         # [0, cap)
         np.subtract(lo, r, out=hi)
         hi += cap                                          # (0, 2 cap)
         lo += r                                            # [0, 2 cap)
     # With b == n, n / b = 1: no transpose.
-    return _canonical(x.reshape(rows, n), t, t.bound)
+    return _canonical(x.reshape(rows, n), t, 8)
 
 
 def _inverse(x: np.ndarray, t: NttTables) -> np.ndarray:
@@ -345,7 +330,7 @@ def _inverse(x: np.ndarray, t: NttTables) -> np.ndarray:
     else:
         x = x.copy()
         q = U64(t.mod.q)
-        cap = U64(t.bound // 2 * t.mod.q)         # 4q, or 2q from 2^61 up
+        cap = U64(4 * t.mod.q)                 # stored words stay below cap
     for h, words, reduce in t.inv_stages:
         if h == b // 2:
             x = x.reshape(rows, m, b).transpose(0, 2, 1).copy()
@@ -363,14 +348,14 @@ def _inverse(x: np.ndarray, t: NttTables) -> np.ndarray:
         lo += hi
         np.subtract(lo, cap, out=hi)
         np.minimum(lo, hi, out=lo)                         # [0, cap)
-        _wide_mul(diff, words, q, t, out=hi)               # [0, cap)
+        shoup_estimate(diff, *words, q, out=hi)            # [0, cap)
     # 1/n lives in the last stage: the difference path's twiddles carry it
     # already, the sum path takes it here.
     if t.signed:
         _signed_mul(lo, *t.n_inv, q, out=lo)
     else:
-        _wide_mul(lo, t.n_inv, q, t, out=lo)
-    x = _canonical(x.reshape(rows, n), t, t.bound // 2)
+        shoup_estimate(lo, *t.n_inv, q, out=lo)
+    x = _canonical(x.reshape(rows, n), t, 4)
     return np.take(x, gather, axis=-1)
 
 

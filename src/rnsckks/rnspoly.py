@@ -288,23 +288,6 @@ class BaseTable:
     factors: np.ndarray
     quotients: np.ndarray
 
-    def __post_init__(self):
-        # Entries are recomputed the slow way (big-integer products) and
-        # compared; a table built from a mismatched basis pair never ships.
-        p_src = self.source.modulus
-        phats = [p_src // pj.q for pj in self.source]
-        for j, (phat, pj) in enumerate(zip(phats, self.source)):
-            want_inv = pow(phat % pj.q, -1, pj.q)
-            if int(self.inv_factors[j]) != want_inv \
-                    or int(self.inv_shoup[j]) != (want_inv << 64) // pj.q:
-                raise ConfigurationError("base table inverse factor mismatch")
-        for i, q in enumerate(self.target.qs):
-            want = [ph % q for ph in phats] + [(ph << 32) % q for ph in phats]
-            want.append(-p_src % q)
-            if self.factors[i].tolist() != want or self.quotients[i].tolist() \
-                    != [_bconv_quotient(f, q) for f in want]:
-                raise ConfigurationError("base table factor mismatch")
-
 
 @lru_cache(maxsize=None)
 def make_base_table(source: LimbBasis, target: LimbBasis) -> BaseTable:

@@ -271,10 +271,11 @@ def load_secret_key(path: str, params: CkksParams) -> SecretKey:
 
 def save_evaluation_key(path: str, evk: EvaluationKey):
     """Every a_i is written as its limbs, expanded if the key holds its
-    seed, so the bytes do not depend on how the key keeps it."""
+    seed, so the bytes do not depend on how the key keeps it.  The kind
+    code follows from the step: 1 for a rotation key, 0 for
+    relinearization."""
     body = _Body()
-    body.pack("BqH", 1 if evk.kind == "rot" else 0, evk.step,
-              len(evk.pieces))
+    body.pack("BqH", 1 if evk.step else 0, evk.step, len(evk.pieces))
     for b, a in evk.expanded().pieces:
         _put_poly(body, b)
         _put_poly(body, a)
@@ -298,7 +299,7 @@ def load_evaluation_key(path: str, params: CkksParams) -> EvaluationKey:
     pieces = tuple((_get_poly(cur, basis, mismatch),
                     _get_poly(cur, basis, mismatch)) for _ in range(npieces))
     cur.done()
-    return EvaluationKey(kind, step, pieces)
+    return EvaluationKey(step, pieces)
 
 
 # ---------------------------------------------------------------------------

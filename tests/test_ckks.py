@@ -73,6 +73,9 @@ def test_digit_count_rounds_up():
     # A NaN or infinite width rounds every error sample to INT64_MIN, and a
     # negative one fails inside numpy.
     *(dict(sigma=s) for s in (np.nan, np.inf, -np.inf, -1.0, 2.0 ** 60)),
+    # P too small for the largest digit piece: a rotation 7e-5 to 2e10 off.
+    *(dict(aux_bits=b) for b in (42, 40, 30)),
+    dict(alpha=1, aux_bits=45),
 ])
 def test_parameter_validation(kwargs):
     with pytest.raises(ConfigurationError):
@@ -906,8 +909,7 @@ def test_rotation_key_table(params, sk):
     keys = make_rotation_keys(params, sk, [1, 2, 1, 0, params.n_ring // 2],
                               np.random.default_rng(101))
     assert sorted(keys) == [1, 2]
-    assert all(evk.kind == "rot" and evk.step == r
-               for r, evk in keys.items())
+    assert all(evk.step == r for r, evk in keys.items())
 
 
 # ---------------------------------------------------------------------------

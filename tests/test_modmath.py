@@ -46,6 +46,15 @@ def test_prime_modulus_rejects_bad_inputs():
         PrimeModulus(1 << 20, 256)          # even
     with pytest.raises(ConfigurationError):
         PrimeModulus((1 << 63) + 1, 0)      # too wide
+    # Primes stop below 2^61, where the NTT's 8q word bound reaches 2^64:
+    # the narrowest prime q = 1 mod 2^14 above it, and wider requests.
+    wider = next(q for q in range((1 << 61) + 1, 1 << 62, 1 << 14)
+                 if is_prime(q))
+    with pytest.raises(ConfigurationError, match="< 2\\^61"):
+        PrimeModulus(wider, 1 << 14)
+    for bits in (62, 63):
+        with pytest.raises(ConfigurationError, match="2..61"):
+            generate_ntt_primes(bits, 1, 1 << 14)
     with pytest.raises(ConfigurationError):
         PrimeModulus(97, 256)               # 97 != 1 mod 256
     with pytest.raises(ConfigurationError):
@@ -130,10 +139,10 @@ def test_barrett_mul_scalar_broadcast():
                                    dtype=U64))
 
 
-# The largest prime of each width, from a few bits to the 62-bit cap,
+# The largest prime of each width, from a few bits to the 61-bit cap,
 # around the widths where the float quotient estimate and Barrett's narrow
 # high word switch on or off.
-WIDTHS = (5, 31, 33, 40, 46, 47, 48, 49, 59, 60, 62)
+WIDTHS = (5, 31, 33, 40, 46, 47, 48, 49, 59, 60, 61)
 
 
 def widest_prime(bits):

@@ -69,8 +69,7 @@ def test_bit_reverse_permutation_is_involution():
 @pytest.mark.parametrize("n,width", [
     *(pytest.param(n, "q40", id=str(n)) for n in (16, 64, 256, 1024, 8192)),
     *widths_param((16, 1024, 8192),
-                  ("q46", "base59", "aux60", "q61", "q62", "admit",
-                   "refuse"))])
+                  ("q46", "base59", "aux60", "q61", "admit", "refuse"))])
 def test_roundtrip_identity(n, width):
     pm = modulus(n, width)
     rng = np.random.default_rng([31, n])
@@ -97,8 +96,7 @@ def test_linearity():
 @pytest.mark.parametrize("n,width", [
     *(pytest.param(n, "q40", id=str(n)) for n in (16, 64, 256)),
     *widths_param((16, 256),
-                  ("q46", "base59", "aux60", "q61", "q62", "admit",
-                   "refuse"))])
+                  ("q46", "base59", "aux60", "q61", "admit", "refuse"))])
 def test_convolution_theorem_vs_quadratic_oracle(n, width):
     """Both directions against the quadratic oracle: the inverse of the
     product of two forward transforms is the negacyclic product of the
@@ -194,7 +192,7 @@ def test_signed_kernel_stays_within_its_word_bound(n):
     primes = [*modulus_chain(DESK), *aux_chain(DESK),
               *(modulus(n, w) for w in EDGE),
               *(prime_for(n, bits) for bits in (20, 30, 40, 44, 46, 47, 48,
-                                                49, 50, 59, 62))]
+                                                49, 50, 59, 61))]
     admitted = 0
     for pm in primes:
         t = get_tables(pm, n)
@@ -225,18 +223,15 @@ def test_long_inverse_relies_on_its_marked_reductions():
         assert np.array_equal(ntt(ntt(x, pm, "forward"), pm, "inverse"), x)
 
 
-def wide_word_bounds(q, n, bound):
+def wide_word_bounds(q, n):
     """Every word the wide kernel stores, stage by stage, as an exclusive
-    bound in Python integers, for a table whose forward words stay below
-    bound * q (8 or 4): the inputs of each Shoup estimate and every
+    bound in Python integers: the inputs of each Shoup estimate and every
     butterfly output.  Asserts the kernel's own conditions on the way: a
-    reduction by cap = bound / 2 * q takes words below 2 cap, and a
-    product, below 4q or reduced below 2q, is at most cap, so lo - r + cap
-    does not wrap below zero.  Returns (forward words, inverse words); the
-    last of each is what the final canonical pass reads."""
-    cap = bound // 2 * q
-    prod = 4 * q if bound == 8 else 2 * q
-    assert prod <= cap
+    reduction by cap = 4q takes words below 2 cap = 8q, and a product,
+    below 4q, is at most cap, so lo - r + cap does not wrap below zero.
+    Returns (forward words, inverse words); the last of each is what the
+    final canonical pass reads."""
+    cap = prod = 4 * q
     fwd, word = [], q - 1
     for _ in range(n.bit_length() - 1):
         assert word <= 2 * cap
@@ -255,29 +250,27 @@ def wide_word_bounds(q, n, bound):
 @pytest.mark.parametrize("n", [16, 8192])
 def test_wide_kernel_stays_below_two_to_the_64(n):
     """Every prime the wide kernel takes keeps each word of both
-    directions below 2^64 under the bound its table picked, and ends below
-    what the canonical pass reduces: 8q below 2^61, as at the 59-bit base
-    prime, the 60-bit auxiliary primes and the edge prime q61, and 4q from
-    2^61 up.  At q62 the 8q bound would pass 2^64."""
+    directions below 2^64, the forward's below 8q and the inverse's below
+    4q, which the canonical pass reduces: the 59-bit base prime, the
+    60-bit auxiliary primes and, closest to 2^64, the edge prime q61.  For
+    any odd q above 2^61 the 8q bound would pass 2^64, which is why primes
+    stop below it."""
     primes = [*modulus_chain(DESK), *aux_chain(DESK),
-              *(modulus(n, w) for w in EDGE), modulus(n, "q62")]
+              *(modulus(n, w) for w in EDGE)]
     admitted = 0
     for pm in primes:
-        t = get_tables(pm, n)
-        if t.signed:
+        if get_tables(pm, n).signed:
             continue
         admitted += 1
-        assert t.bound == (8 if pm.q < 1 << 61 else 4), pm.q
-        fwd, inv = wide_word_bounds(pm.q, n, t.bound)
+        fwd, inv = wide_word_bounds(pm.q, n)
         assert max(fwd + inv) <= 1 << 64, pm.q
-        assert fwd[-1] <= t.bound * pm.q and inv[-1] <= t.bound // 2 * pm.q
-    assert admitted >= 7
-    q62 = modulus(n, "q62").q
-    assert max(wide_word_bounds(q62, n, 8)[0]) > 1 << 64
+        assert fwd[-1] <= 8 * pm.q and inv[-1] <= 4 * pm.q
+    assert admitted >= 6
+    assert max(wide_word_bounds((1 << 61) + 1, n)[0]) > 1 << 64
 
 
 @pytest.mark.parametrize("width", ["q40", "admit", "refuse", "base59",
-                                   "aux60", "q62"])
+                                   "aux60"])
 def test_sparse_evaluation_vectors_come_back_canonical(width):
     """Evaluation vectors about 90% zero, through inverse then forward:
     their coefficients and the vectors themselves come back with every
@@ -445,8 +438,7 @@ def test_tables_match_their_closed_form():
     as uint32 except in the few words of the transposed-layout stages."""
     desk = [*modulus_chain(DESK), *aux_chain(DESK)]
     cases = [(n, pm) for n in (16, 128, 8192) for pm in desk]
-    cases += [(16, modulus(16, w)) for w in ("q61", "q62", "admit",
-                                             "refuse")]
+    cases += [(16, modulus(16, w)) for w in ("q61", "admit", "refuse")]
     for n, pm in cases:
         q = pm.q
         psi = pow(pm.root, pm.two_n // (2 * n), q)

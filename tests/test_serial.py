@@ -103,7 +103,7 @@ def test_evaluation_key_roundtrip(params, sk, relin, tmp_path):
         path = str(tmp_path / name)
         save_evaluation_key(path, evk)
         back = load_evaluation_key(path, params)
-        assert (back.kind, back.step) == (evk.kind, evk.step)
+        assert back.step == evk.step
         assert len(back.pieces) == len(evk.pieces)
         # A generated key keeps a_i as a seed; the file holds its limbs.
         for (b0, a0), (b1, a1) in zip(back.pieces, evk.expanded().pieces):
@@ -413,9 +413,14 @@ def _pieces_apart(evk, path):
 
 
 def _with_step(kind, step):
-    """A key of `kind` whose step field reads `step`."""
-    return lambda evk, path: save_evaluation_key(
-        path, replace(evk, kind=kind, step=step))
+    """A key whose step field reads `step` under the kind code of `kind`:
+    1 for "rot", 0 for "mult"."""
+    code = b"\x01" if kind == "rot" else b"\x00"
+
+    def craft(evk, path):
+        save_evaluation_key(path, replace(evk, step=step))
+        _rewrite(path, lambda b: code + b[1:])
+    return craft
 
 
 @pytest.mark.parametrize("craft, what", [
@@ -665,6 +670,18 @@ def test_params_file_expresses_digit_count(tmp_path):
     open(path2, "w").write("levels = 5\ndnum = 4\n")
     with pytest.raises(SerializationError, match="divide"):
         read_params(path2)
+
+
+def test_params_file_refuses_a_small_auxiliary_modulus(tmp_path):
+    """Parameters whose P is too small for the largest digit piece are
+    refused as the file's fault, naming it."""
+    path = tmp_path / "params.txt"
+    path.write_text(PARAMS_SCHEMA + "\naux_bits = 40\n")
+    with pytest.raises(SerializationError,
+                       match="auxiliary modulus.*params.txt"):
+        read_params(str(path))
+    path.write_text(PARAMS_SCHEMA + "\naux_bits = 47\n")
+    assert read_params(str(path))[0].aux_bits == 47
 
 
 @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "-1",
