@@ -43,8 +43,8 @@ from .embedding import packed_to_slots, slots_to_packed
 from .errors import (BasisMismatchError, ConfigurationError,
                      LevelExhaustedError, MissingKeyError, RepresentationError,
                      ScaleMismatchError)
-from .modmath import (SMALL_WORD, U64, PrimeModulus, generate_ntt_primes,
-                      mod_sub, mul_sum, shoup_mul, shoup_words)
+from .modmath import (U64, PrimeModulus, generate_ntt_primes, mod_sub,
+                      mul_sum, shoup_mul, shoup_words)
 from .rnspoly import (LimbBasis, RnsPolynomial, automorphism, convert_limbs,
                       crt_float, lift_int_coeffs, one_poly, rp_add, rp_mul,
                       rp_mul_sum, rp_neg, rp_scalar_mul_per_limb, rp_sub)
@@ -71,12 +71,16 @@ class CkksParams:
     Every init field is a parameter `serial.write_params` writes; the
     noise gates `budgets` are one class constant, not a parameter.
 
+    This class owns the digit rule: alpha must divide levels + 1, so the
+    top level splits into dnum = (levels + 1) / alpha whole digit pieces.
+    A prime q = 1 (mod 2N) exceeds 2N, so narrower widths are refused.
+
     P, the product of the alpha auxiliary primes, must cover the largest
     digit piece Q_piece, the one that holds q0: hybrid key switching
     leaves a slot error of about dnum N sigma Q_piece / (P scale)
     (Han-Ki, CT-RSA 2020), which a rotation shows in full.  In bit widths,
-    with Q_piece < 2^(q0_bits + (min(alpha, levels + 1) - 1) scale_bits)
-    and P >= 2^(alpha (aux_bits - 1)), parameters whose bound passes
+    with Q_piece < 2^(q0_bits + (alpha - 1) scale_bits) and
+    P >= 2^(alpha (aux_bits - 1)), parameters whose bound passes
     `budgets.fresh` are refused.  The bound is 2^-81 at the defaults and
     2^-29 at `aux_bits` 47; it refuses `aux_bits` 44 (a rotation measured
     2.9e-7 off), 42 (7.4e-5) and alpha 1 at 45 (4.1e-4), erring 4 to 4.5
@@ -102,7 +106,12 @@ class CkksParams:
             raise ConfigurationError("n_slots cannot exceed n_ring / 2")
         if self.levels < 1 or self.alpha < 1:
             raise ConfigurationError("need at least one level and one aux prime")
-        if not (self.scale_bits < self.q0_bits <= 60 and self.aux_bits <= 60):
+        if (self.levels + 1) % self.alpha:
+            raise ConfigurationError(f"alpha {self.alpha} does not divide "
+                                     f"levels + 1 = {self.levels + 1}")
+        least = self.n_ring.bit_length()    # every NTT prime exceeds 2N
+        if not (least < self.scale_bits < self.q0_bits <= 60
+                and least < self.aux_bits <= 60):
             raise ConfigurationError("prime widths out of range")
         # Error samples are rounded to int64: a NaN or infinite width rounds
         # every sample to INT64_MIN, and past 2^52 a sample some thousand
@@ -110,8 +119,7 @@ class CkksParams:
         if not 0 <= self.sigma < 2.0 ** 52:
             raise ConfigurationError(
                 f"sigma must be finite, >= 0 and below 2^52, got {self.sigma}")
-        piece_bits = self.q0_bits + self.scale_bits * (
-            min(self.alpha, self.levels + 1) - 1)
+        piece_bits = self.q0_bits + self.scale_bits * (self.alpha - 1)
         p_bits = self.alpha * (self.aux_bits - 1)
         noise = Fraction(self.sigma) * self.dnum * self.n_ring
         if noise * 2 ** piece_bits > Fraction(self.budgets.fresh) * 2 ** (
@@ -127,7 +135,7 @@ class CkksParams:
 
     @property
     def dnum(self) -> int:
-        return -(-(self.levels + 1) // self.alpha)
+        return (self.levels + 1) // self.alpha
 
 
 @lru_cache(maxsize=None)
@@ -530,7 +538,7 @@ def mod_down(limbs: np.ndarray, kept: LimbBasis,
     inv, inv_shoup = _drop_inverses(kept, dropped)
     for i, pm in enumerate(kept):
         corr[i] = shoup_mul(mod_sub(limbs[i], corr[i], pm), inv[i],
-                            inv_shoup[i], pm, small=pm.q <= SMALL_WORD)
+                            inv_shoup[i], pm)
     return corr
 
 

@@ -43,8 +43,8 @@ class ParamProfile:
     `L_boot` is the number of levels a bootstrap consumes, or None for
     configurations that never bootstrap packed data; a bootstrapped
     ciphertext is left L - L_boot levels.  `n` is the slot count the
-    configuration refreshes at a time.  `dnum` is derived, (L + 1) /
-    alpha, as `CkksParams.dnum` is.
+    configuration refreshes at a time.  alpha divides L + 1, the digit
+    rule `CkksParams` owns, so `dnum` = (L + 1) / alpha is `CkksParams.dnum`.
     """
 
     name: str
@@ -401,7 +401,8 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile,
     loads one key per distinct nonzero step of `shape.rotations(s,
     variant)`, as `hdft_apply` expands one, and pays a key switch for
     each of its pairs whose step is nonzero: a step-0 rotation loads
-    nothing and costs nothing.
+    nothing and costs nothing.  `rotations` refuses an unknown variant at
+    stage 0, before anything is priced.
 
     The plaintext terms price every constant at N words per limb (per
     seed for OF-Limb), and the OF-Limb compute term (level + 1) N-point
@@ -410,8 +411,6 @@ def hdft_pass_cost(shape: PassShape, p: ParamProfile,
     docstring), so at full width with k = 6 the two g = 1 stages store 64
     times fewer bytes, and run fewer butterflies, than this report counts.
     """
-    if variant not in VARIANTS:
-        raise ConfigurationError(f"unknown variant {variant!r}")
     diagonals = (1 << (shape.k + 1)) - 1
     stages = []
     for s, level in enumerate(shape.levels):

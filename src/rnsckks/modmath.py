@@ -282,13 +282,12 @@ def shoup_estimate(a: np.ndarray, w: np.ndarray, w_hi: np.ndarray,
 
 @_wrapping
 def shoup_mul_lazy(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
-                   q: np.uint64, out: np.ndarray | None = None,
-                   small: bool = False) -> np.ndarray:
+                   q: np.uint64, small: bool = False) -> np.ndarray:
     """a * w mod q, up to one q: a value in [0, 2q) for any a < 2^64.
 
     `shoup_estimate`, in [0, 4q), then one conditional subtract of 2q.
     Requires q < 2^62, w < q, w_shoup = floor(w * 2^64 / q), and a or w
-    an array.  `out` may be `a` itself.
+    an array.
 
     `small` promises a < 2^48.  The estimate then comes from float64 as a
     times w_shoup / 2^64, biased low by a relative 2^-49: a converts
@@ -297,28 +296,29 @@ def shoup_mul_lazy(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
     no subtract is needed.
     """
     if not small:
-        r = shoup_estimate(a, w, w_shoup >> SHIFT32, w_shoup & MASK32, q,
-                           out=out)
+        r = shoup_estimate(a, w, w_shoup >> SHIFT32, w_shoup & MASK32, q)
         return np.minimum(r, r - (q + q), out=r)
     ratio = np.asarray(w_shoup).astype(np.float64)
     ratio *= 2.0 ** -64 * _LOW_BIAS
     est = _as_float(a) * ratio
     quot = est.astype(np.int64).view(U64)
     quot *= q
-    r = np.multiply(a, w, out=out)
+    r = a * w
     r -= quot                               # wrapping, exact mod 2^64
     return r
 
 
 @_wrapping
 def shoup_mul(a: np.ndarray, w: np.ndarray, w_shoup: np.ndarray,
-              mod: PrimeModulus, small: bool = False) -> np.ndarray:
-    """a * w mod q for a fixed multiplier with w_shoup = floor(w * 2^64 / q).
+              mod: PrimeModulus) -> np.ndarray:
+    """a * w mod q for canonical words a < q and a fixed multiplier with
+    w_shoup = floor(w * 2^64 / q).
 
-    `shoup_mul_lazy` plus one conditional subtract.
+    `shoup_mul_lazy` plus one conditional subtract; a < q keeps a below
+    2^48 whenever q is, so primes of at most 48 bits take its float path.
     """
     q = U64(mod.q)
-    r = shoup_mul_lazy(a, w, w_shoup, q, small=small)
+    r = shoup_mul_lazy(a, w, w_shoup, q, small=mod.q <= SMALL_WORD)
     return np.minimum(r, r - q)
 
 

@@ -247,8 +247,7 @@ def rp_scalar_mul_per_limb(a: RnsPolynomial, scalars: dict[int, int]) -> RnsPoly
                                a.basis.qs)
     out = np.empty_like(a.limbs)
     for i, p in enumerate(a.basis):
-        out[i] = shoup_mul(a.limbs[i], ws[i], ws_shoup[i], p,
-                           small=p.q <= SMALL_WORD)
+        out[i] = shoup_mul(a.limbs[i], ws[i], ws_shoup[i], p)
     return RnsPolynomial(a.basis, out)
 
 
@@ -510,11 +509,10 @@ def crt_float(p: RnsPolynomial) -> np.ndarray:
     digits = np.empty(coeffs.shape, dtype=np.int64)
     for i, pm in enumerate(p.basis):
         q = U64(pm.q)
-        small = pm.q <= SMALL_WORD
         u = coeffs[i]
         if i:
             u = shoup_mul(mod_sub(u, acc[i] % q, pm), t.inv[i],
-                          t.inv_shoup[i], pm, small=small)
+                          t.inv_shoup[i], pm)
         neg = u > q // U64(2)
         np.subtract(u.view(np.int64), neg * np.int64(pm.q), out=digits[i])
         if i + 1 == size:
@@ -526,7 +524,7 @@ def crt_float(p: RnsPolynomial) -> np.ndarray:
         # Every later row at once: a lazy product below 2 q_j plus a
         # correction below q_j.
         acc[rest] += shoup_mul_lazy(u, t.radix[i, rest], t.radix_shoup[i, rest],
-                                    t.q_col[rest], small=small)
+                                    t.q_col[rest], small=pm.q <= SMALL_WORD)
         acc[rest] += neg * t.wrap[i, rest]
         bound += 3
         if all(np.array_equal(acc[j] % t.q_col[j], coeffs[j])

@@ -310,22 +310,14 @@ _PARAM_KEYS = ("n_ring", "n_slots", "levels", "dnum", "scale_bits",
 PARAMS_SCHEMA = "# rnsckks-params v1"
 
 
-def _check_digits(params: CkksParams, path: str):
-    """A file stores dnum and alpha is rebuilt as (levels + 1) / dnum, so
-    it holds only parameters whose last digit piece is full."""
-    if params.alpha * params.dnum != params.levels + 1:
-        raise SerializationError(
-            f"alpha {params.alpha} does not divide levels + 1 = "
-            f"{params.levels + 1}; the file could not restore it", path)
-
-
 def write_params(path: str, params: CkksParams, seed: int | None = None):
-    """Write a parameter file; parameters whose last digit piece is short
-    cannot be written, and neither can a negative seed."""
+    """Write a parameter file; a negative seed cannot be written.
+
+    The file stores dnum, not alpha: `CkksParams` owns the digit rule
+    (alpha divides levels + 1), so (levels + 1) / dnum restores alpha."""
     if seed is not None and seed < 0:
         raise SerializationError(
             f"seed {seed} is negative; seeds are non-negative", path)
-    _check_digits(params, path)
     lines = [PARAMS_SCHEMA,
              f"n_ring = {params.n_ring}",
              f"n_slots = {params.n_slots}",
@@ -347,9 +339,10 @@ def write_params(path: str, params: CkksParams, seed: int | None = None):
 def read_params(path: str) -> tuple[CkksParams, int | None]:
     """Parse a parameter file; returns the params and an optional seed.
 
-    Each key may appear once, and a seed must be non-negative.  Without a
-    dnum line alpha keeps its default, and parameters that `write_params`
-    could not write (levels = 6 under alpha = 4) are refused."""
+    Each key may appear once, a seed must be non-negative, and a dnum
+    must divide levels + 1.  Without a dnum line alpha keeps its default;
+    parameters that `CkksParams` refuses, by its digit rule (levels = 6
+    under alpha = 4) or any other, are refused naming the file."""
     try:
         with open(path) as f:
             lines = f.read().splitlines()
@@ -390,5 +383,4 @@ def read_params(path: str) -> tuple[CkksParams, int | None]:
         params = CkksParams(**values)
     except ConfigurationError as e:
         raise SerializationError(f"invalid parameters: {e}", path)
-    _check_digits(params, path)
     return params, seed

@@ -54,11 +54,9 @@ def test_default_parameters():
     assert p.dnum == 2
 
 
-def test_digit_count_rounds_up():
+def test_digit_count_is_exact():
     p = CkksParams(n_ring=64, n_slots=4, levels=2, alpha=1)
     assert p.dnum == 3
-    q = CkksParams(n_ring=64, n_slots=4, levels=5, alpha=4)
-    assert q.dnum == 2
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -76,6 +74,14 @@ def test_digit_count_rounds_up():
     # P too small for the largest digit piece: a rotation 7e-5 to 2e10 off.
     *(dict(aux_bits=b) for b in (42, 40, 30)),
     dict(alpha=1, aux_bits=45),
+    # A short last digit piece: alpha must divide levels + 1.
+    dict(n_ring=64, n_slots=4, levels=5, alpha=4),
+    dict(levels=7, alpha=3),
+    dict(levels=7, alpha=9),
+    dict(levels=6),
+    # No prime q = 1 mod 2^14 has 14 bits or fewer; at -10^9 the noise
+    # guard's 2 ** piece_bits underflows to 0.0, so only this check refuses.
+    *(dict(scale_bits=b) for b in (-1, 0, 14, -10 ** 9)),
 ])
 def test_parameter_validation(kwargs):
     with pytest.raises(ConfigurationError):

@@ -369,8 +369,8 @@ def test_unwritable_params_file_exits_2_first(command, tmp_path, capsys):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.splitlines() == [
-        f"error: alpha 4 does not divide levels + 1 = 7; the file could "
-        f"not restore it (file: {path})"]
+        f"error: invalid parameters: alpha 4 does not divide levels + 1 = 7 "
+        f"(file: {path})"]
     assert not keys.exists()
 
 

@@ -160,10 +160,11 @@ def words_below(bound, rng, count=3000):
 def test_shoup_estimates_match_oracle(bits):
     """The partial-product quotient takes any 64-bit word; the float64 one
     any word below 2^48.  The bare partial-product estimate lands in
-    [0, 4q); both lazy products land in [0, 2q) and reduce canonically, for
-    one multiplier over a row and for an (R, 1) column of multipliers over
-    a row (the mixed-radix lift's shape), and one word over a row of
-    multipliers."""
+    [0, 4q); both lazy products land in [0, 2q), for one multiplier over a
+    row and for an (R, 1) column of multipliers over a row (the mixed-radix
+    lift's shape).  `shoup_mul` reduces canonical words a < q canonically
+    in those shapes and for one word over a row of multipliers, taking the
+    float64 quotient itself for primes of at most 48 bits."""
     rng = np.random.default_rng([83, bits])
     pm = widest_prime(bits)
     q = U64(pm.q)
@@ -180,8 +181,6 @@ def test_shoup_estimates_match_oracle(bits):
                 est = shoup_estimate(a, U64(w), *shoup_halves(w_shoup), q)
                 assert all(int(r) % pm.q == x and int(r) < 4 * pm.q
                            for r, x in zip(est, want))
-            got = shoup_mul(a, U64(w), w_shoup, pm, small=small)
-            assert np.array_equal(got, np.array(want, dtype=U64))
     col = np.array(ws, dtype=U64)[:, None]
     col_shoup = np.array([(w << 64) // pm.q for w in ws], dtype=U64)[:, None]
     for small, bound in ((False, 1 << 64), (True, SMALL_WORD)):
@@ -192,11 +191,15 @@ def test_shoup_estimates_match_oracle(bits):
         assert lazy.shape == want.shape
         assert all(int(r) % pm.q == int(x) and int(r) < 2 * pm.q
                    for r, x in zip(lazy.ravel(), want.ravel()))
-        assert np.array_equal(shoup_mul(a, col, col_shoup, pm, small=small),
-                              want)
-        assert np.array_equal(
-            shoup_mul(a[-1], col[:, 0], col_shoup[:, 0], pm, small=small),
-            want[:, -1])
+    for w in ws:
+        a = words_below(pm.q, rng)
+        got = shoup_mul(a, U64(w), U64((w << 64) // pm.q), pm)
+        assert got.tolist() == [int(x) * w % pm.q for x in a]
+    a = words_below(pm.q, rng, 500)
+    want = np.array([[int(x) * w % pm.q for x in a] for w in ws], dtype=U64)
+    assert np.array_equal(shoup_mul(a, col, col_shoup, pm), want)
+    assert np.array_equal(shoup_mul(a[-1], col[:, 0], col_shoup[:, 0], pm),
+                          want[:, -1])
 
 
 

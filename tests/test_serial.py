@@ -15,7 +15,8 @@ from rnsckks.ckks import (CkksParams, basis_d, decrypt, encode,
                           encode_diagonal_batch, encrypt, hmult, hrescale,
                           hrot, make_relin_key, make_rotation_key, mod_drop,
                           restrict_poly, slot_values)
-from rnsckks.errors import SerializationError
+from rnsckks.costmodel import ParamProfile
+from rnsckks.errors import ConfigurationError, SerializationError
 from rnsckks.modmath import PrimeModulus
 from rnsckks.rnspoly import LimbBasis
 from rnsckks.serial import (PARAMS_SCHEMA, load_ciphertext,
@@ -697,22 +698,30 @@ def test_params_file_refuses_a_bad_sigma(tmp_path, text):
     assert read_params(str(path))[0].sigma == 0.0
 
 
-@pytest.mark.parametrize("levels,alpha", [(5, 4), (7, 3)])
-def test_params_file_refuses_a_short_last_digit(tmp_path, levels, alpha):
-    """A file stores dnum, from which alpha is rebuilt as (levels + 1) /
-    dnum; parameters it cannot restore are refused before any file is made
-    (5, 4 would read back with alpha 3; 7, 3 would not read back)."""
-    path = tmp_path / "params.txt"
-    short = CkksParams(n_ring=64, n_slots=4, levels=levels, alpha=alpha)
-    with pytest.raises(SerializationError, match="params.txt"):
-        write_params(str(path), short)
-    assert not path.exists()
+def test_one_digit_rule_in_params_profile_and_file(tmp_path):
+    """`CkksParams` owns the digit rule: over levels 1-7 and alpha 1-9 a
+    set builds exactly when alpha divides levels + 1, and each set that
+    builds has the cost model's digit count and reads back from its
+    file."""
+    path = str(tmp_path / "params.txt")
+    for levels in range(1, 8):
+        for alpha in range(1, 10):
+            try:
+                params = CkksParams(n_ring=64, n_slots=4, levels=levels,
+                                    alpha=alpha)
+            except ConfigurationError:
+                assert (levels + 1) % alpha, (levels, alpha)
+                continue
+            assert (levels + 1) % alpha == 0, (levels, alpha)
+            assert ParamProfile.from_params(params).dnum == params.dnum
+            write_params(path, params)
+            assert read_params(path)[0] == params
 
 
 def test_params_file_refuses_what_it_could_not_have_written(tmp_path):
     """Without a dnum line alpha keeps its default, 4, which does not
-    divide levels + 1 = 7: `write_params` refuses those parameters, so
-    reading them back is refused too, naming the file."""
+    divide levels + 1 = 7: `CkksParams` refuses those parameters, so no
+    file could hold them, and reading one is refused, naming the file."""
     path = tmp_path / "params.txt"
     path.write_text(PARAMS_SCHEMA + "\nlevels = 6\n")
     with pytest.raises(SerializationError,
@@ -725,6 +734,8 @@ def test_params_file_refuses_what_it_could_not_have_written(tmp_path):
     ("edges = 3", "unknown key"),
     ("levels = seven", "malformed value"),
     ("n_slots = 8192", "invalid parameters"),
+    # No NTT prime is this narrow: refused naming the file.
+    ("scale_bits = -1", "prime widths out of range .*bad.txt"),
 ])
 def test_params_file_rejects_bad_lines(tmp_path, line, what):
     path = str(tmp_path / "bad.txt")
