@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -73,7 +73,8 @@ class CkksParams:
 
     This class owns the digit rule: alpha must divide levels + 1, so the
     top level splits into dnum = (levels + 1) / alpha whole digit pieces.
-    A prime q = 1 (mod 2N) exceeds 2N, so narrower widths are refused.
+    A prime q = 1 (mod 2N) exceeds 2N, so narrower widths are refused,
+    and so is a width with too few such primes for the chain.
 
     P, the product of the alpha auxiliary primes, must cover the largest
     digit piece Q_piece, the one that holds q0: hybrid key switching
@@ -128,6 +129,7 @@ class CkksParams:
                 f"auxiliary modulus of {p_bits}+ bits is too small for a "
                 f"{piece_bits}-bit digit piece: key-switch noise would pass "
                 f"budgets.fresh")
+        _chains(self)       # refuses widths too narrow for enough primes
 
     @property
     def scale(self) -> int:
@@ -311,10 +313,9 @@ def keygen(params: CkksParams, rng: np.random.Generator) -> SecretKey:
 def _gadget_constants(params: CkksParams, i: int) -> dict[int, int]:
     """T_i mod each prime of C_L + B for digit piece i."""
     chain = modulus_chain(params)
-    big_q = reduce(lambda a, b: a * b.q, chain, 1)
-    q_i = reduce(lambda a, b: a * b.q,
-                 chain[i * params.alpha:(i + 1) * params.alpha], 1)
-    big_p = reduce(lambda a, b: a * b.q, aux_chain(params), 1)
+    big_q = basis_c(params, params.levels).modulus
+    q_i = LimbBasis(chain[i * params.alpha:(i + 1) * params.alpha]).modulus
+    big_p = basis_b(params).modulus
     q_hat = big_q // q_i
     t_i = big_p * q_hat * pow(q_hat % q_i, -1, q_i)
     return {pm.q: t_i % pm.q for pm in chain + aux_chain(params)}

@@ -42,15 +42,9 @@ TABLE_EXPECT_MIB = {
     "ark": (12.0, 24.0, 120.0),
 }
 
-# Merged-radix schedule each profile's full-width transform admits:
-# k must divide log2(N/2) and k1 + k2 = k + 1.
-ANALYTIC_SCHEDULE = {
-    "ark": (5, (3, 3)),
-    "lattigo": (5, (3, 3)),
-    "100x": (4, (2, 3)),
-    "f1": (1, (1, 1)),
-    "desk": (6, (3, 4)),
-}
+# Merged radix k each profile's full-width transform admits: k must
+# divide log2(N/2); the split is `_split_for(k)`.
+ANALYTIC_SCHEDULE = {"ark": 5, "lattigo": 5, "100x": 4, "f1": 1, "desk": 6}
 
 
 def _note(msg: str):
@@ -277,7 +271,8 @@ def cmd_selftest(args: argparse.Namespace) -> int:
 # hdft: run or model the slot/coefficient transforms.
 
 def _fig4_lines(profile: ParamProfile) -> list[str]:
-    k, split = ANALYTIC_SCHEDULE[profile.name]
+    k = ANALYTIC_SCHEDULE[profile.name]
+    split = _split_for(k)
     lines = [f"schedule: size=2^{(profile.N // 2).bit_length() - 1} "
              f"k={k} split={split[0]}+{split[1]}"]
     idft, dft = bootstrap_pass_shapes(profile, k=k, split=split)

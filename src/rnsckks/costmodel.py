@@ -235,8 +235,9 @@ class PassShape:
     """Shape of one merged-radix transform pass, enough to cost it.
 
     This class declares and validates a schedule's shape and rotations
-    once: `hdft.DftPlan` is a `PassShape` whose stages are derived from
-    these fields, `hdft_apply` performs what `rotations` lists and
+    once: `hdft.DftPlan` is a `PassShape`, and stage s is named only as
+    (shape, s), its `stride(s)`, `rotations(s, variant)`, `minks_roll(s)`
+    and `levels[s]`; `hdft_apply` performs what `rotations` lists and
     `hdft_pass_cost` prices it, so a plan runs what the model prices.
     `levels` lists each iteration's working level in execution order;
     every iteration ends in a rescale, so consecutive entries drop by one.
@@ -313,6 +314,19 @@ class PassShape:
             tuple((g, i * g) for i in range(1, big)),
             ((gee, gee),) * ((1 << self.k2) - 1),
             fix if (self.direction, s) == ("idft", last) else ())
+
+    def minks_roll(self, s: int) -> int:
+        """The rotation the grouped variants leave on stage s's output,
+        which the next stage's constants absorb as a cyclic roll.  Without
+        the baseline's pre-rotation each stage adds (2^k - 1) * g, and a
+        DFT starts at 1 from the fix-up on its input, so the closing
+        fix-up in `rotations` repairs the total: it ends at size - 1
+        after an IDFT, which the output's stride-1 rotation completes,
+        and at 0 after a DFT."""
+        # stride(s) refuses a stage out of range before the sum below.
+        walked = self.stride(s) + sum(map(self.stride, range(s)))
+        start = 1 if self.direction == "dft" else 0
+        return (start + ((1 << self.k) - 1) * walked) % self.size
 
     def required_steps(self, variant: str) -> list[int]:
         """Physical rotation steps whose keys the variant consults: every

@@ -24,9 +24,10 @@ prices them; a step of 0 is a no-op that loads and costs nothing.
                 so an iteration loads at most two keys (one at a wrap
                 stage with k2 = 1, whose giant step is 0).  Without the
                 pre-rotation each stage's output is rotated by (2^k - 1) g,
-                absorbed into the next stage's constants (a cyclic roll);
-                the total, always -1 mod n, is repaired by one stride-1
-                rotation of the DFT's input or of the IDFT's output.
+                absorbed into the next stage's constants (a cyclic roll,
+                `PassShape.minks_roll`); the total, always -1 mod n, is
+                repaired by one stride-1 rotation of the DFT's input or of
+                the IDFT's output.
   minks-oflimb  minks with plan constants stored as single-limb seeds and
                 extended to the working basis on the fly, one giant row
                 (the cells that share i2) right before that row's pmults,
@@ -34,26 +35,27 @@ prices them; a step of 0 is a no-op that loads and costs nothing.
                 the extension is bit-identical to full precomputation
                 whenever the coefficients fit the seed prime.
 
-The diagonals of a stage repeat every max(lengths) = 2^k * g slots (a
-butterfly of length l repeats every l slots, and so do products and
-rolls of such diagonals), so `DftPlan.stage_constants` encodes each
-from that one period: a row of M = 2^(k+1) * g coefficients, an element
-of Z[X^(N/M)].  A baseline or min-KS plaintext, and a widened seed, holds
-its M-point transform, one period of M evaluation words per limb, which
-the giant-row sum broadcasts over the baby steps' full rows
-(`_row_sum`); a seed is that row and widens through M-point transforms.
+The diagonals of a stage repeat every 2^k * g slots, the length of its
+longest butterfly (a butterfly of length l repeats every l slots, and so
+do products and rolls of such diagonals), so `DftPlan.stage_constants`
+encodes each from that one period: a row of M = 2^(k+1) * g
+coefficients, an element of Z[X^(N/M)].  A baseline or min-KS plaintext,
+and a widened seed, holds its M-point transform, one period of M
+evaluation words per limb, which the giant-row sum broadcasts over the
+baby steps' full rows (`_row_sum`); a seed is that row and widens
+through M-point transforms.
 At full width with N = 2^13 and k = 6, the constants of IDFT's last
 stage and DFT's first hold 128 words per limb (or per seed), those of
 the two g = 64 stages N words.
 
-A plan is its shape (direction, size, k, split, one level per stage):
-its stages are derived from the shape on each read, so the stages that
-run are the ones the cost model prices.  Every stage has all
-2^(k+1) - 1 diagonals, so every cell of the 2^k1 x 2^k2 rectangle that
-lands on a diagonal holds a constant and every giant row is non-empty.
-A stage is only its butterfly lengths and direction; its complex
-diagonals are merged again from them, one period long, on each read, and
-only `DftPlan.stage_constants` reads them, once per stage and variant.
+A plan is its shape (direction, size, k, split, one level per stage),
+and stage s is named only as (plan, s): everything about it is derived
+from the shape, so the stages that run are the ones the cost model
+prices.  Every stage has all 2^(k+1) - 1 diagonals, so every cell of the
+2^k1 x 2^k2 rectangle that lands on a diagonal holds a constant and
+every giant row is non-empty.  `DftPlan.diagonals(s)` merges a stage's
+complex diagonals again, one period long, on each call, and only
+`DftPlan.stage_constants` calls it, once per stage and variant.
 
 A load is an expansion: a generated key keeps only b_i resident
 (`ckks.EvaluationKey`), and the first rotation of a stage under a step
@@ -247,12 +249,16 @@ def make_plaintext_seed(params: CkksParams, coeffs: np.ndarray,
     if values.dtype.kind == "f" and not np.all(
             np.isfinite(values) & (values == np.rint(values))):
         raise SeedRangeError("seed coefficients must be finite integers")
-    coeffs = values.astype(np.int64)
+    # Compared before the cast, which would wrap a word past int64.  An
+    # integer or object row compares with the Python int exactly; a float
+    # row with the bound rounded to float64, which may refuse the one word
+    # that rounding put below the bound but never admits a word past it.
     bound = (q0 + 1) // 2
-    if np.any(coeffs >= bound) or np.any(coeffs <= -bound):
+    if np.any(values >= bound) or np.any(values <= -bound):
         raise SeedRangeError(
             f"coefficients reach +-{q0 // 2}; one limb cannot carry them")
-    return PlaintextSeed(q0_limb=coeffs, scale=Fraction(scale))
+    return PlaintextSeed(q0_limb=values.astype(np.int64),
+                         scale=Fraction(scale))
 
 
 def of_limb_extend(params: CkksParams, seeds: dict, level: int) -> dict:
@@ -289,33 +295,6 @@ def _seed_batch(params: CkksParams, rows: np.ndarray,
 # ---------------------------------------------------------------------------
 # Plans.
 
-@dataclass
-class PlanStage:
-    """One merged stage of k butterflies, derived from its plan's shape
-    (`DftPlan.stages`); the plan's `levels[s]` is the level it runs at.
-
-    The stage is the butterflies' lengths and direction, not their
-    product: `diags` merges them again on each read and gives the same
-    words every time.  Every diagonal repeats every max(lengths) slots
-    (module docstring), so the merge runs at that period: a few
-    milliseconds at full width.
-    """
-
-    g: int                          # unit stride; diagonals sit at i * g
-    lengths: tuple[int, ...]        # butterfly lengths, application order
-    inverse: bool                   # inverse butterflies (an IDFT stage)
-    minks_roll: int                 # outgoing residual folded into constants
-
-    @property
-    def diags(self) -> tuple[np.ndarray, ...]:
-        """Diagonal i * g at index i + 2^k - 1, one max(lengths) period."""
-        merged = merge_factors(max(self.lengths), list(self.lengths),
-                               self.inverse)
-        bound = (1 << len(self.lengths)) - 1
-        return tuple(merged[(di - bound) * self.g]
-                     for di in range(2 * bound + 1))
-
-
 @dataclass(frozen=True)
 class DftPlan(PassShape):
     """A transform schedule: the `PassShape` the cost model prices (its
@@ -325,23 +304,18 @@ class DftPlan(PassShape):
     params: CkksParams
     _consts: dict = field(default_factory=dict, repr=False, compare=False)
 
-    @property
-    def stages(self) -> tuple[PlanStage, ...]:
-        """The stages, derived from the shape on each read: stage s merges
-        butterflies of lengths 2g, ..., 2^k * g (reversed for an IDFT) at
-        its stride g = `stride(s)`, which divides every merged offset."""
+    def diagonals(self, s: int) -> tuple[np.ndarray, ...]:
+        """Stage s's diagonals, merged again on each call from butterflies
+        of lengths 2g, ..., 2^k * g (reversed for an IDFT), g = `stride(s)`,
+        at their period 2^k * g (module docstring): a few milliseconds at
+        full width.  Diagonal i * g sits at index i + 2^k - 1."""
+        g = self.stride(s)
+        lengths = [g << (a + 1) for a in range(self.k)]
+        if self.direction == IDFT:
+            lengths.reverse()
+        merged = merge_factors(g << self.k, lengths, self.direction == IDFT)
         bound = (1 << self.k) - 1
-        residual = 1 if self.direction == DFT else 0
-        out = []
-        for s in range(self.iterations):
-            g = self.stride(s)
-            lengths = [g << (a + 1) for a in range(self.k)]
-            if self.direction == IDFT:
-                lengths.reverse()
-            residual += bound * g
-            out.append(PlanStage(g, tuple(lengths), self.direction == IDFT,
-                                 residual % self.size))
-        return tuple(out)
+        return tuple(merged[i * g] for i in range(-bound, bound + 1))
 
     @property
     def const_scale(self) -> int:
@@ -361,7 +335,7 @@ class DftPlan(PassShape):
         i = index - (2^k - 1) for the grouped variants (whose per-stage
         residual is (2^k - 1) * g); each constant is the true diagonal
         rolled by the variant's accumulated residual minus its giant-step
-        twist.  Each diagonal is one max(lengths) period (`PlanStage`), so
+        twist.  Each diagonal is one 2^k * g period (`diagonals`), so
         `encode_diagonal_batch` and `_seed_batch` encode that period.
         """
         if variant in self._consts:
@@ -370,18 +344,16 @@ class DftPlan(PassShape):
         bound = (1 << self.k) - 1
         base = (1 << self.k) if variant == "baseline" else bound
         out = []
-        for st, level in zip(self.stages, self.levels):
-            diags = st.diags
+        for s, level in enumerate(self.levels):
+            g, diags = self.stride(s), self.diagonals(s)
+            residual = 0 if variant == "baseline" else self.minks_roll(s)
             rows, keys = [], []
             for i2 in range(1 << self.k2):
                 for i1 in range(1 << self.k1):
                     di = i1 + big * i2 - base + bound
                     if not 0 <= di < len(diags):
                         continue
-                    roll = -i2 * big * st.g
-                    if variant != "baseline":
-                        roll += st.minks_roll
-                    rows.append(_lroll(diags[di], roll))
+                    rows.append(_lroll(diags[di], residual - i2 * big * g))
                     keys.append((i1, i2))
             del diags       # one stage's diagonals alive at a time
             if variant == "minks-oflimb":
@@ -416,7 +388,7 @@ def build_dft_plan(params: CkksParams, direction: str, size: int | None = None,
     (at desk with k = 6, levels (2, 1) against (3, 2)); see there for why.
 
     The plan is a `PassShape`, which refuses a bad direction, size, k,
-    split, level count or level order; its stages are derived from that
+    split, level count or level order; each stage is derived from that
     shape.  Only what the shape cannot see is checked here: the size
     against the ring, every level against the chain, and the split, which
     must hold before log2(size) is divided by k.

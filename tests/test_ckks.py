@@ -82,6 +82,8 @@ def test_digit_count_is_exact():
     # No prime q = 1 mod 2^14 has 14 bits or fewer; at -10^9 the noise
     # guard's 2 ** piece_bits underflows to 0.0, so only this check refuses.
     *(dict(scale_bits=b) for b in (-1, 0, 14, -10 ** 9)),
+    # Wide enough, but too few 15-bit primes q = 1 mod 2^14 for the chain.
+    dict(scale_bits=15),
 ])
 def test_parameter_validation(kwargs):
     with pytest.raises(ConfigurationError):

@@ -295,10 +295,12 @@ def test_oflimb_seed_bytes_against_model(params, oflimb_boot_plans):
         report = hdft_pass_cost(PassShape.from_plan(plan), desk,
                                 "minks-oflimb")
         consts = plan.stage_constants("minks-oflimb")
-        for st, cost, cells in zip(plan.stages, report.stages, consts):
+        for s, cost, cells in zip(range(plan.iterations), report.stages,
+                                  consts):
             stored = sum(seed.q0_limb.nbytes for seed in cells.values())
-            assert st.g in (1, 64)
-            assert stored * (64 if st.g == 1 else 1) == cost.plaintext_bytes
+            g = plan.stride(s)
+            assert g in (1, 64)
+            assert stored * (64 if g == 1 else 1) == cost.plaintext_bytes
 
 
 def test_minks_plaintext_bytes_against_model(params, boot_plans):
@@ -310,13 +312,14 @@ def test_minks_plaintext_bytes_against_model(params, boot_plans):
     for plan in boot_plans:
         report = hdft_pass_cost(PassShape.from_plan(plan), desk, "minks")
         consts = plan.stage_constants("minks")
-        for st, level, cost, cells in zip(plan.stages, plan.levels,
-                                          report.stages, consts):
+        for s, level, cost, cells in zip(range(plan.iterations),
+                                         plan.levels, report.stages, consts):
             stored = sum(pt.poly.limbs.nbytes for pt in cells.values())
             assert cost.plaintext_bytes == 127 * plaintext_bytes_at(
                 desk, level)
-            assert st.g in (1, 64)
-            assert stored * (64 if st.g == 1 else 1) == cost.plaintext_bytes
+            g = plan.stride(s)
+            assert g in (1, 64)
+            assert stored * (64 if g == 1 else 1) == cost.plaintext_bytes
             total += stored
     assert total == 127 * (8 + 2) * 8192 * 8 + 127 * (7 + 3) * 128 * 8
 

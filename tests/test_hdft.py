@@ -19,8 +19,8 @@ from rnsckks.embedding import packed_to_slots
 from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             MissingKeyError, ScaleMismatchError,
                             SeedRangeError)
-from rnsckks.hdft import (DFT, IDFT, DftPlan, EvkUsageLog, PlanStage,
-                          bootstrap, build_dft_plan, diag_apply, diag_product,
+from rnsckks.hdft import (DFT, IDFT, DftPlan, EvkUsageLog, bootstrap,
+                          build_dft_plan, diag_apply, diag_product,
                           hdft_apply, make_plaintext_seed, merge_factors,
                           mod_raise, of_limb_extend, radix2_factor)
 from rnsckks.ntt import bit_reverse_permutation
@@ -38,15 +38,16 @@ def random_message(params, rng):
             + 1j * rng.uniform(-1, 1, params.n_slots))
 
 
-def stage_matrix(st: PlanStage, k: int) -> dict:
-    bound = (1 << k) - 1
-    return {(di - bound) * st.g: vec for di, vec in enumerate(st.diags)}
+def stage_matrix(plan: DftPlan, s: int) -> dict:
+    bound = (1 << plan.k) - 1
+    return {(di - bound) * plan.stride(s): vec
+            for di, vec in enumerate(plan.diagonals(s))}
 
 
 def plan_reference(plan: DftPlan, v: np.ndarray) -> np.ndarray:
     """Numeric effect of the plan on one transform-sized slot block."""
-    for st in plan.stages:
-        v = diag_apply(stage_matrix(st, plan.k), v)
+    for s in range(plan.iterations):
+        v = diag_apply(stage_matrix(plan, s), v)
     return v
 
 
@@ -95,11 +96,11 @@ def test_diag_product_keeps_structural_offsets():
 def test_plan_shapes_and_strides(params):
     inv = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
     assert inv.iterations == 3
-    assert [st.g for st in inv.stages] == [16, 4, 1]
+    assert [inv.stride(s) for s in range(3)] == [16, 4, 1]
     assert inv.levels == (7, 6, 5)
-    assert all(len(st.diags) == 7 for st in inv.stages)
+    assert all(len(inv.diagonals(s)) == 7 for s in range(3))
     fwd = build_dft_plan(params, DFT, size=64, k=2, split=(1, 2))
-    assert [st.g for st in fwd.stages] == [1, 4, 16]
+    assert [fwd.stride(s) for s in range(3)] == [1, 4, 16]
     assert fwd.levels == (3, 2, 1)
     assert fwd.const_scale == params.scale
     assert inv.const_scale == 1 << (params.q0_bits - 4)
@@ -108,11 +109,30 @@ def test_plan_shapes_and_strides(params):
 def test_plan_residual_bookkeeping(params):
     """Grouped stages leave (2^k - 1) * g each; the sum closes the cycle."""
     inv = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
-    assert [st.minks_roll for st in inv.stages] == [48, 60, 63]
-    assert inv.stages[-1].minks_roll == inv.size - 1  # +1 fix-up completes
+    assert [inv.minks_roll(s) for s in range(3)] == [48, 60, 63]
+    assert inv.minks_roll(2) == inv.size - 1  # +1 fix-up completes
     fwd = build_dft_plan(params, DFT, size=64, k=2, split=(1, 2))
-    assert [st.minks_roll for st in fwd.stages] == [4, 16, 0]
-    assert fwd.stages[-1].minks_roll == 0
+    assert [fwd.minks_roll(s) for s in range(3)] == [4, 16, 0]
+    assert fwd.minks_roll(2) == 0
+
+
+def test_every_minks_roll_is_closed_by_its_fix_up(params, boot_plans):
+    """The roll a grouped pass leaves ends where its one stride-1 fix-up
+    closes it: at size - 1 before an IDFT's closing rotation, and at 0
+    after a DFT whose input that rotation moved.  A stage outside the
+    plan is refused, as `stride` refuses it."""
+    for plan in [*_every_plan(params, 256), *boot_plans]:
+        last = plan.iterations - 1
+        if plan.direction == IDFT:
+            assert plan.minks_roll(last) == plan.size - 1
+            assert plan.rotations(last, "minks").after == ((1, 1),)
+        else:
+            assert plan.minks_roll(last) == 0
+            assert plan.rotations(0, "minks").before == ((1, 1),)
+        for method in (plan.minks_roll, plan.diagonals):
+            for s in (-1, plan.iterations):
+                with pytest.raises(ConfigurationError, match="out of range"):
+                    method(s)
 
 
 def test_required_steps_inventory(params):
@@ -156,12 +176,11 @@ def test_a_plan_runs_the_shape_it_is_priced_as(params):
     (g = size / 2^k) when k2 = 1, where its giant step is 0."""
     plan = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
     with pytest.raises(TypeError):
-        replace(plan, stages=plan.stages[:1])
+        replace(plan, stages=())
     with pytest.raises(ConfigurationError):
         replace(plan, levels=plan.levels[:1])
     desk = PROFILES["desk"]
     for plan in _every_plan(params, 256):
-        assert len(plan.stages) == plan.iterations
         assert hdft_pass_cost(plan, desk, "minks").evk_loads \
             == 2 * plan.iterations - (plan.k2 == 1)
 
@@ -192,9 +211,10 @@ def test_every_plan_fills_its_rectangle(params, boot_plans, monkeypatch):
              *(replace(plan, _consts={}) for plan in boot_plans)]
     assert len(plans) == 112
     for plan in plans:
-        for st in plan.stages:
-            assert len(st.diags) == 2 ** (plan.k + 1) - 1
-            assert all(d.shape == (max(st.lengths),) for d in st.diags)
+        for s in range(plan.iterations):
+            diags = plan.diagonals(s)
+            assert len(diags) == 2 ** (plan.k + 1) - 1
+            assert all(d.shape == (plan.stride(s) << plan.k,) for d in diags)
         for variant in ("baseline", "minks", "minks-oflimb"):
             for cells in plan.stage_constants(variant):
                 assert len(cells) == 2 ** (plan.k + 1) - 1
@@ -281,41 +301,48 @@ def test_oflimb_plans_hold_short_seeds_only(params, oflimb_boot_plans):
     assert not any(np.iscomplexobj(a) for a in arrays)
     total = 0
     for plan in oflimb_boot_plans:
-        for st, cells in zip(plan.stages, plan.stage_constants(
-                "minks-oflimb")):
+        for s, cells in enumerate(plan.stage_constants("minks-oflimb")):
             assert len(cells) == 127
             for seed in cells.values():
-                assert len(seed.q0_limb) == (n // 64 if st.g == 1 else n)
+                assert len(seed.q0_limb) == (n // 64 if plan.stride(s) == 1
+                                             else n)
                 total += seed.q0_limb.nbytes
     assert total == 2 * 127 * 8192 * 8 + 2 * 127 * 128 * 8
 
 
 def test_stage_diagonals_are_one_period_of_the_full_merge(params,
                                                          boot_plans):
-    """A stage merges its butterflies at their period max(lengths): each
-    diagonal is, bit for bit, the first period of the same merge at the
-    full transform size."""
+    """A stage merges its butterflies, of lengths 2g, ..., 2^k * g
+    (reversed for an IDFT), at their period 2^k * g: each diagonal is, bit
+    for bit, the first period of the same merge at the full transform
+    size."""
     for plan in [*_every_plan(params, 256), *boot_plans]:
         bound = (1 << plan.k) - 1
-        for st in plan.stages:
-            full = merge_factors(plan.size, list(st.lengths), st.inverse)
-            period = max(st.lengths)
-            for di, diag in enumerate(st.diags):
-                want = full[(di - bound) * st.g][:period]
+        for s in range(plan.iterations):
+            g = plan.stride(s)
+            lengths = [g << (a + 1) for a in range(plan.k)]
+            inverse = plan.direction == IDFT
+            full = merge_factors(plan.size, lengths[::-1] if inverse
+                                 else lengths, inverse)
+            period = g << plan.k
+            for di, diag in enumerate(plan.diagonals(s)):
+                want = full[(di - bound) * g][:period]
                 assert diag.shape == (period,)
                 assert np.array_equal(diag.view(np.uint64),
                                       want.view(np.uint64))
 
 
 def test_stage_diagonals_are_rederived(params):
-    """A stage re-merges its butterflies on each read: the same words
-    every time, and nothing kept between reads."""
+    """A stage re-merges its butterflies on each call: the same words
+    every time, in distinct arrays, and the plan keeps none of them."""
     plan = build_dft_plan(params, IDFT, size=64, k=2, split=(1, 2))
-    for st in plan.stages:
-        first, again = st.diags, st.diags
-        assert first is not again
+    for s in range(plan.iterations):
+        first, again = plan.diagonals(s), plan.diagonals(s)
+        assert not any(np.shares_memory(a, b) for a, b in zip(first, again))
         assert all(np.array_equal(a, b) for a, b in zip(first, again))
-        assert not any(isinstance(v, np.ndarray) for v in vars(st).values())
+    plan.stage_constants("minks")
+    arrays = list(_arrays(plan))
+    assert arrays and not any(np.iscomplexobj(a) for a in arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +398,7 @@ def test_transform_scale_and_level_ledger(params, message_plans, idft_runs):
 
 def test_key_loads_per_iteration(message_plans, idft_runs):
     inv, _ = message_plans
-    stages = range(len(inv.stages))
+    stages = range(inv.iterations)
     # The baseline loads 2^1 + 2^2 - 1 keys per stage, bar the wrap stage
     # (g = 16): its pre-rotation and giant 2 are step 0, and giants 1
     # and 3 share step 32.
@@ -382,8 +409,8 @@ def test_key_loads_per_iteration(message_plans, idft_runs):
         assert log.loads_by_stage("idft") == {s: 2 for s in stages}
         # Baby chain: 1 load; giant fold: 1 load + k2-rectangle reuses;
         # the closing stride-1 fix-up reuses the last stage's baby key.
-        assert log.loads("idft") == 2 * len(inv.stages)
-        assert log.reuses("idft") == 2 * len(inv.stages) + 1
+        assert log.loads("idft") == 2 * inv.iterations
+        assert log.reuses("idft") == 2 * inv.iterations + 1
 
 
 def _logged_rotations(log, plan):
@@ -509,7 +536,7 @@ def test_baseline_logs_scheduled_noops(idft_runs):
 
 def test_pmult_counts_match_diagonal_population(message_plans, idft_runs):
     inv, _ = message_plans
-    populated = sum(len(st.diags) for st in inv.stages)
+    populated = sum(len(inv.diagonals(s)) for s in range(inv.iterations))
     for variant in ("baseline", "minks", "minks-oflimb"):
         assert idft_runs[2][variant][1].pmult_ops("idft") == populated
 
@@ -579,15 +606,16 @@ def test_chained_rotations_share_one_key(minks_chain_run):
     fix-up that reuses the last stage's baby key."""
     plan, _, _, log = minks_chain_run
     big = 1 << plan.k1
-    for s, st in enumerate(plan.stages):
+    for s in range(plan.iterations):
         rots = [(e.amount, e.evk_id, e.kind) for e in log.entries
                 if e.op == "hrot" and e.stage == s]
-        gee = big * st.g
-        want = [(i * st.g, st.g, "load" if i == 1 else "reuse")
+        g = plan.stride(s)
+        gee = big * g
+        want = [(i * g, g, "load" if i == 1 else "reuse")
                 for i in range(1, big)] \
             + [(gee, gee, "load")] \
             + [(gee, gee, "reuse")] * ((1 << plan.k2) - 2)
-        if s == len(plan.stages) - 1:
+        if s == plan.iterations - 1:
             want.append((1, 1, "reuse"))
         assert rots == want
         assert log.loads_by_stage(IDFT)[s] == 2
@@ -598,12 +626,13 @@ def test_rotate_accumulate_matches_naive_sum(params, sk, minks_chain_run):
     sum of every populated diagonal times the slots rolled by its offset."""
     plan, v, out, log = minks_chain_run
     want = v
-    for st in plan.stages:
+    for s in range(plan.iterations):
         want = sum(np.tile(vec, len(want) // len(vec)) * np.roll(want, -off)
-                   for off, vec in stage_matrix(st, plan.k).items())
+                   for off, vec in stage_matrix(plan, s).items())
     assert rel_error(slot_values(params, out, sk), want) \
         < params.budgets.multiply * params.budgets.rotate_factor
-    assert log.pmult_ops(IDFT) == sum(len(st.diags) for st in plan.stages)
+    assert log.pmult_ops(IDFT) == sum(len(plan.diagonals(s))
+                                      for s in range(plan.iterations))
 
 
 @pytest.mark.parametrize("level", [7, 2])
@@ -687,14 +716,15 @@ def test_g1_stage_encodes_without_the_tiled_stack(params, boot_plans):
     as the one-stage 64-slot plan, whose stage merges the same
     butterflies and rolls its constants by the same amount mod 64."""
     full = boot_plans[0]
-    (s,) = [s for s, st in enumerate(full.stages) if st.g == 1]
+    (s,) = [s for s in range(full.iterations) if full.stride(s) == 1]
     assert full.levels[s] == 6
     one = build_dft_plan(params, IDFT, size=64, k=6, split=(3, 4),
                          levels=[6])
-    (st,) = one.stages
-    want = full.stages[s]
-    assert (st.g, st.lengths, st.minks_roll % 64) == \
-        (want.g, want.lengths, want.minks_roll % 64)
+    assert (one.stride(0), one.minks_roll(0) % 64) == \
+        (full.stride(s), full.minks_roll(s) % 64)
+    assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64))
+               for a, b in zip(one.diagonals(0), full.diagonals(s),
+                               strict=True))
     # Warm the transform tables outside the trace.
     replace(one, _consts={}).stage_constants("baseline")
     tracemalloc.start()
@@ -719,8 +749,10 @@ def test_full_width_plans_store_each_stage_at_its_period(
     for min-KS, and per seed for OF-Limb: its diagonals repeat every
     2^k g slots."""
     plan = build_dft_plan(params, direction, k=k, split=split)
-    assert [min(params.n_ring, 2 * max(st.lengths)) for st in plan.stages] \
-        == [min(params.n_ring, (2 << k) * st.g) for st in plan.stages] \
+    assert [min(params.n_ring, 2 * len(plan.diagonals(s)[0]))
+            for s in range(plan.iterations)] \
+        == [min(params.n_ring, (2 << k) * plan.stride(s))
+            for s in range(plan.iterations)] \
         == lengths
     minks = plan.stage_constants("minks")
     seeds = plan.stage_constants("minks-oflimb")
@@ -808,16 +840,17 @@ def test_subring_stages_widen_at_short_length(params, boot_plans, ntt_rows):
     n = params.n_ring
     for plan in boot_plans:
         consts = replace(plan, _consts={}).stage_constants("minks-oflimb")
-        assert sorted(st.g for st in plan.stages) == [1, 64]
-        for st, level, cmap in zip(plan.stages, plan.levels, consts):
-            for i2 in range(1 << plan.k2) if st.g == 1 else [3]:
+        strides = [plan.stride(s) for s in range(plan.iterations)]
+        assert sorted(strides) == [1, 64]
+        for g, level, cmap in zip(strides, plan.levels, consts):
+            for i2 in range(1 << plan.k2) if g == 1 else [3]:
                 row = {i1: cmap[i1, i2] for i1 in range(1 << plan.k1)
                        if (i1, i2) in cmap}
                 ntt_rows.clear()
                 pts = of_limb_extend(params, row, level)
-                length = n // 64 if st.g == 1 else n
+                length = n // 64 if g == 1 else n
                 assert ntt_rows == {("forward", length):
-                                    (level + 1) * len(row)}, (st.g, i2)
+                                    (level + 1) * len(row)}, (g, i2)
                 assert {pt.poly.limbs.shape for pt in pts.values()} == \
                     {(level + 1, length)}
     ntt_rows.clear()
@@ -840,6 +873,12 @@ def test_seed_range_guard(params):
     coeffs[0] = np.iinfo(np.int64).min
     with pytest.raises(SeedRangeError):
         make_plaintext_seed(params, coeffs, 1 << 40)
+    # Words past int64 are refused as themselves, not wrapped by a cast
+    # (2^64 - 1 would read as -1) or left to raise OverflowError.
+    for bad in (np.array([2 ** 64 - 1, 0], dtype=np.uint64), [2 ** 70, 0],
+                [-2 ** 70, 0], [1e30, 0]):
+        with pytest.raises(SeedRangeError):
+            make_plaintext_seed(params, bad, 1 << 40)
     # Fractional, non-finite and non-real coefficients are rejected, not
     # truncated.
     for bad in (0.7, np.nan, np.inf, 1 + 1j, 1j * np.nan):
@@ -972,10 +1011,10 @@ def test_bootstrap_key_traffic(boot_plans, bootstrap_run):
     rotations ride on keys their stages already loaded."""
     log = bootstrap_run[3]
     inv, fwd = boot_plans
-    assert log.loads(IDFT) == 2 * len(inv.stages)
-    assert log.loads(DFT) == 2 * len(fwd.stages)
-    assert log.loads_by_stage(IDFT) == {s: 2 for s in range(len(inv.stages))}
-    assert log.loads_by_stage(DFT) == {s: 2 for s in range(len(fwd.stages))}
+    assert log.loads(IDFT) == 2 * inv.iterations
+    assert log.loads(DFT) == 2 * fwd.iterations
+    assert log.loads_by_stage(IDFT) == {s: 2 for s in range(inv.iterations)}
+    assert log.loads_by_stage(DFT) == {s: 2 for s in range(fwd.iterations)}
 
 
 # The first 16 hex digits of the sha256 of the min-KS `bootstrap_run`'s

@@ -97,13 +97,10 @@ def test_perfbench_names_exist(monkeypatch, params):
     assert missing == []
 
 
-def test_convert_limbs_has_one_mod_up_and_one_mod_down():
-    """Inside the package only `ckks.mod_up`, `ckks.mod_down` and the
-    selftest's `cli._check_base_convert` refer to `convert_limbs`, and no
-    module imports it under another name: key switching, the modulus
-    raise and rescale extend a basis through that one pair, and a new
-    caller (a subring trace, batched or hoisted switching) reuses them
-    instead of growing a conversion of its own."""
+def _referrers(name):
+    """The functions and classes of the package (as `module.def...`, or
+    the module for its top level) whose code refers to `name`, by name or
+    as an attribute, and every import of it under another name."""
     users, renamed = set(), []
 
     def visit(node, owner):
@@ -114,17 +111,39 @@ def test_convert_limbs_has_one_mod_up_and_one_mod_down():
                 continue
             if isinstance(child, ast.ImportFrom):
                 renamed.extend(f"{owner}: {a.asname}" for a in child.names
-                               if a.name == "convert_limbs" and a.asname)
-            elif "convert_limbs" in (getattr(child, "id", None),
-                                     getattr(child, "attr", None)):
+                               if a.name == name and a.asname)
+            elif name in (getattr(child, "id", None),
+                          getattr(child, "attr", None)):
                 users.add(owner)
             visit(child, owner)
 
     for path in MODULES:
         visit(ast.parse(path.read_text(), str(path)), path.stem)
+    return users, renamed
+
+
+def test_convert_limbs_has_one_mod_up_and_one_mod_down():
+    """Inside the package only `ckks.mod_up`, `ckks.mod_down` and the
+    selftest's `cli._check_base_convert` refer to `convert_limbs`, and no
+    module imports it under another name: key switching, the modulus
+    raise and rescale extend a basis through that one pair, and a new
+    caller (a subring trace, batched or hoisted switching) reuses them
+    instead of growing a conversion of its own."""
+    users, renamed = _referrers("convert_limbs")
     assert renamed == []
     assert users == {"ckks.mod_up", "ckks.mod_down",
                      "cli._check_base_convert"}
+
+
+def test_a_stage_is_merged_in_one_place():
+    """Inside the package only `hdft.DftPlan.diagonals` refers to
+    `merge_factors`, and no module imports it under another name: a
+    stage's butterflies, their order and their period are worked out from
+    (plan, s) there, and nowhere else keeps a second description of a
+    stage to drift from the one the plans run."""
+    users, renamed = _referrers("merge_factors")
+    assert renamed == []
+    assert users == {"hdft.DftPlan.diagonals"}
 
 
 def test_param_profiles_are_built_in_costmodel_only():

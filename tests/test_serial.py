@@ -736,6 +736,7 @@ def test_params_file_refuses_what_it_could_not_have_written(tmp_path):
     ("n_slots = 8192", "invalid parameters"),
     # No NTT prime is this narrow: refused naming the file.
     ("scale_bits = -1", "prime widths out of range .*bad.txt"),
+    ("scale_bits = 15", "not enough 15-bit primes .*bad.txt"),
 ])
 def test_params_file_rejects_bad_lines(tmp_path, line, what):
     path = str(tmp_path / "bad.txt")
