@@ -46,8 +46,9 @@ from .errors import (BasisMismatchError, ConfigurationError,
 from .modmath import (U64, PrimeModulus, generate_ntt_primes, mod_sub,
                       mul_sum, shoup_mul, shoup_words)
 from .rnspoly import (LimbBasis, RnsPolynomial, automorphism, convert_limbs,
-                      crt_float, lift_int_coeffs, one_poly, rp_add, rp_mul,
-                      rp_mul_sum, rp_neg, rp_scalar_mul_per_limb, rp_sub)
+                      crt_float, lift_int_coeffs, one_poly, project, rp_add,
+                      rp_mul, rp_mul_sum, rp_neg, rp_scalar_mul_per_limb,
+                      rp_sub, transform_limbs)
 
 
 @dataclass(frozen=True)
@@ -188,7 +189,11 @@ class SecretKey:
 class Plaintext:
     """An encoded slot vector.  `poly` is eval rep over C_level and holds
     one period of its evaluation words: an encode of m slots holds 2m
-    words per limb (`encode_diagonal_batch`), a decryption N."""
+    words per limb (`encode_diagonal_batch`), a decryption all N.
+
+    `slots` is the message's period n: the n_ring/2 slot values repeat
+    every n places, so the message lies in Z[X^(N/2n)].  `decode` folds
+    `poly` to the 2n words of that projection and returns n values."""
 
     poly: RnsPolynomial
     scale: Fraction
@@ -199,7 +204,12 @@ class Plaintext:
 
 @dataclass
 class Ciphertext:
-    poly: RnsPolynomial          # eval rep over C_level, limbs (L, 2, N)
+    """An encrypted slot vector: `poly` is the eval-rep (L, 2, N) stack of
+    c0 and c1 over C_level, and `slots` the period of the message, as in
+    `Plaintext`.  A sum or product of messages of periods 2^a and 2^b has
+    period 2^max(a, b), so the binary operators keep the larger count."""
+
+    poly: RnsPolynomial
     scale: Fraction
     slots: int
 
@@ -405,10 +415,26 @@ def encode(params: CkksParams, values, level: int | None = None,
 
 
 def decode(params: CkksParams, pt: Plaintext) -> np.ndarray:
-    coeffs = crt_float(pt.poly)
-    half = params.n_ring // 2
-    packed = (coeffs[:half] + 1j * coeffs[half:]) / float(pt.scale)
-    return packed_to_slots(packed)[:pt.slots]
+    """The n = `pt.slots` slot values of the projection of `pt.poly` onto
+    Z[X^(N/2n)], the subring a message of period n lies in.
+
+    `rnspoly.project` folds the N evaluation words of each limb to the
+    m = 2n words of that projection, exactly, and their m-point inverse
+    transform is its stride coefficients c[i N/m] mod each prime, word
+    for word those of the exact lift; `crt_float` lifts those m.  A
+    polynomial of the subring has n-periodic slots, and the packed
+    n-point embedding of its stride coefficients is one period of them.
+    The projection drops the noise off the stride, as a sparse-slot
+    decoder does.  At n = N/2 the fold is the identity, so a full-width
+    decode runs on all N words.  Raises `ConfigurationError` when 2n does
+    not divide n_ring and `BasisMismatchError` when the rows do not tile
+    2n words.
+    """
+    n = pt.slots
+    proj = project(pt.poly, 2 * n)
+    coeffs = crt_float(transform_limbs(proj.limbs, proj.basis, "inverse"),
+                       proj.basis)
+    return packed_to_slots((coeffs[:n] + 1j * coeffs[n:]) / float(pt.scale))
 
 
 def encode_diagonal_batch(params: CkksParams, rows: np.ndarray, level: int,
@@ -475,12 +501,12 @@ def _check_scale(a, b):
 
 def hadd(a: Ciphertext, b: Ciphertext) -> Ciphertext:
     _check_scale(a, b)
-    return Ciphertext(rp_add(a.poly, b.poly), a.scale, min(a.slots, b.slots))
+    return Ciphertext(rp_add(a.poly, b.poly), a.scale, max(a.slots, b.slots))
 
 
 def hsub(a: Ciphertext, b: Ciphertext) -> Ciphertext:
     _check_scale(a, b)
-    return Ciphertext(rp_sub(a.poly, b.poly), a.scale, min(a.slots, b.slots))
+    return Ciphertext(rp_sub(a.poly, b.poly), a.scale, max(a.slots, b.slots))
 
 
 def hneg(a: Ciphertext) -> Ciphertext:
@@ -491,11 +517,12 @@ def padd(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
     _check_scale(ct, pt)
     poly = RnsPolynomial(ct.poly.basis, ct.poly.limbs.copy())
     _add_into(poly, 0, pt.poly)
-    return Ciphertext(poly, ct.scale, ct.slots)
+    return Ciphertext(poly, ct.scale, max(ct.slots, pt.slots))
 
 
 def pmult(ct: Ciphertext, pt: Plaintext) -> Ciphertext:
-    return Ciphertext(rp_mul(ct.poly, pt.poly), ct.scale * pt.scale, ct.slots)
+    return Ciphertext(rp_mul(ct.poly, pt.poly), ct.scale * pt.scale,
+                      max(ct.slots, pt.slots))
 
 
 def cadd(params: CkksParams, ct: Ciphertext, z: complex) -> Ciphertext:
@@ -607,7 +634,7 @@ def hmult(params: CkksParams, a: Ciphertext, b: Ciphertext,
     out = key_switch(params, rp_mul(a.c1, b.c1), evk)
     _add_into(out, 0, rp_mul(a.c0, b.c0))
     _add_into(out, 1, rp_mul_sum([(a.c0, b.c1), (a.c1, b.c0)]))
-    return Ciphertext(out, a.scale * b.scale, min(a.slots, b.slots))
+    return Ciphertext(out, a.scale * b.scale, max(a.slots, b.slots))
 
 
 def hrot(params: CkksParams, ct: Ciphertext, r: int,

@@ -440,7 +440,7 @@ def _row_sum(babies: list[Ciphertext], row: dict) -> Ciphertext:
             raise ScaleMismatchError(
                 f"scales differ: {ct.scale * pt.scale} vs {scale}")
     return Ciphertext(rp_mul_sum([(ct.poly, pt.poly) for ct, pt in pairs]),
-                      scale, min(ct.slots for ct, _ in pairs))
+                      scale, max(x.slots for pair in pairs for x in pair))
 
 
 def hdft_apply(params: CkksParams, ct: Ciphertext, plan: DftPlan,

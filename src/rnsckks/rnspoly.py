@@ -4,8 +4,9 @@ A polynomial in Z_Q[X]/(X^N + 1) with Q = q_0 ... q_l is held as an
 (l+1) x N uint64 matrix of per-prime residue limbs in evaluation (NTT)
 representation, the only one an `RnsPolynomial` has.  Coefficient words
 exist only as plain arrays inside base conversion (`convert_limbs`,
-between its inverse and forward transforms) and the two CRT lifts, which
-read `RnsPolynomial.coeffs`.  Base conversion follows the textbook
+between its inverse and forward transforms) and the two CRT lifts:
+`crt_reconstruct` reads `RnsPolynomial.coeffs`, and `crt_float` takes the
+coefficient limbs its caller made.  Base conversion follows the textbook
 approximate form: out_i = sum_j ([P]_{p_j} * phat_j^{-1} mod p_j) * phat_j
 mod q_i, read with signed step-1 residues, which may add an integer
 multiple k * P_src, |k| <= ceil(|source| / 2); callers rely on that slack
@@ -28,8 +29,10 @@ A polynomial whose rows are shorter than the ring degree N of its basis
 The arithmetic broadcasts a period over the full rows of the other
 operands through a folded (..., N/P, P) view, without a copy;
 `RnsPolynomial.widened` tiles it for the readers that need whole rows
-(`coeffs`, so the CRT lifts and decoding, `automorphism` and the serial
-writers).
+(`coeffs`, so `crt_reconstruct`, `automorphism` and the serial writers).
+The converse is `project`: the m-word period of a polynomial's
+projection onto Z[X^(N/m)], folded from its evaluation words, which is
+what decoding an (m/2)-slot message reads.
 
 Several polynomials over one basis stack as limbs shaped (L, ..., N): the
 leading axis is the prime, so each prime's rows sit together and
@@ -400,6 +403,47 @@ def automorphism(p: RnsPolynomial, r: int) -> RnsPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# Projection onto a subring.
+
+def project(p: RnsPolynomial, m: int) -> RnsPolynomial:
+    """The projection of p onto Z[X^(N/m)], the polynomial of p's stride
+    coefficients c[i N/m] alone, as one period of m words per row.
+
+    Word j of the N-point transform is P(psi^(2j+1)), and the r = N/m
+    words j + m t, t < r, are P at psi^(2j+1) times the r-th roots of
+    unity psi^(2mt).  Their sum keeps only the terms whose exponent r
+    divides: it is r times the m-point transform, at root psi^r, of the
+    stride coefficients.  So each coset j mod m is summed by an exact
+    mod-add tree and multiplied by r^-1 mod q, and the m-point inverse
+    `ntt` of the result gives c[i r] mod q, word for word.  A period of
+    M words stands for its N/M repeats, so it folds at its own length;
+    a period shorter than m is tiled to m, as `widened` tiles it.  Rows
+    of m words are returned as they are, the identity fold, which is the
+    whole polynomial at m = N.
+    """
+    ring = p.basis.ring_degree
+    if m < 1 or ring % m:
+        raise ConfigurationError(
+            f"a period of {m} words does not divide ring degree {ring}")
+    if ring % p.n:          # so p.n and m, powers of two, tile each other
+        raise BasisMismatchError(
+            f"rows of {p.n} words do not tile a period of {m} words")
+    limbs = p.limbs if p.n >= m else np.tile(p.limbs, m // p.n)
+    fold = limbs.shape[-1] // m
+    if fold == 1:
+        return RnsPolynomial(p.basis, limbs)
+    q = np.array(p.basis.qs, dtype=U64).reshape((-1,) + (1,) * limbs.ndim)
+    x = limbs.reshape(limbs.shape[:-1] + (fold, m))
+    while x.shape[-2] > 1:
+        h = x.shape[-2] // 2
+        s = x[..., :h, :] + x[..., h:, :]       # below 2q < 2^64
+        x = np.minimum(s, s - q)
+    inverses = {pm.q: pow(fold, -1, pm.q) for pm in p.basis}
+    return rp_scalar_mul_per_limb(RnsPolynomial(p.basis, x[..., 0, :]),
+                                  inverses)
+
+
+# ---------------------------------------------------------------------------
 # CRT reconstruction (big-integer exact path).
 
 def crt_reconstruct(p: RnsPolynomial) -> np.ndarray:
@@ -483,8 +527,17 @@ def _two_sum(a, b):
     return s, (a - (s - bb)) + (b - bb)
 
 
-def crt_float(p: RnsPolynomial) -> np.ndarray:
-    """Centered coefficients in (-Q/2, Q/2] as float64, without big integers.
+def crt_float(coeffs: np.ndarray, basis: LimbBasis) -> np.ndarray:
+    """Coefficient limbs shaped (L, n) over `basis` as the centered
+    integers in (-Q/2, Q/2] they stand for, as float64, without big
+    integers.
+
+    The lift is coefficient by coefficient, so rows of any length n
+    serve.  `ckks.decode` passes the m-point inverse transform of a
+    `project`ion: m coefficients, not N, which are exactly the stride
+    coefficients c[i N/m] of the polynomial (the fold sums whole cosets
+    of evaluation words, with no rounding).  At m = N the fold is the
+    identity and the rows are the polynomial's `coeffs`.
 
     Garner's algorithm yields digits d_i in (-q_i/2, q_i/2] with
     x = d_0 + d_1 P_1 + d_2 P_2 + ..., P_i = q_0 ... q_{i-1}.  Every tail
@@ -500,14 +553,16 @@ def crt_float(p: RnsPolynomial) -> np.ndarray:
     stops there and Horner starts at digit i, which gives the words that
     zero digits would.
     """
-    one_poly(p)
-    coeffs = p.coeffs()
-    t = _garner_table(p.basis)
-    size = len(p.basis)
+    if coeffs.ndim != 2 or len(coeffs) != len(basis):
+        raise BasisMismatchError(
+            f"expected ({len(basis)}, n) coefficient limbs, not a stack or "
+            f"limbs shaped {coeffs.shape}")
+    t = _garner_table(basis)
+    size = len(basis)
     acc = np.zeros_like(coeffs)         # row j: sum_{k<i} d_k P_k mod q_j
     bound = 1                           # every row of acc is below bound*q_j
     digits = np.empty(coeffs.shape, dtype=np.int64)
-    for i, pm in enumerate(p.basis):
+    for i, pm in enumerate(basis):
         q = U64(pm.q)
         u = coeffs[i]
         if i:

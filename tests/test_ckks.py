@@ -29,7 +29,7 @@ from rnsckks.errors import (BasisMismatchError, ConfigurationError,
                             LevelExhaustedError, MissingKeyError,
                             RepresentationError, ScaleMismatchError)
 from rnsckks.rnspoly import (LimbBasis, RnsPolynomial, automorphism,
-                             crt_float, crt_reconstruct, rp_mul,
+                             crt_float, crt_reconstruct, project, rp_mul,
                              transform_limbs)
 from rnsckks.serial import (load_evaluation_key, read_params,
                             save_evaluation_key, write_params)
@@ -403,19 +403,118 @@ def test_decode_matches_exact_crt(params, sk):
     cases.append((params.levels, product.poly))
     for level, poly in cases:
         want = crt_reconstruct(poly).astype(np.float64)
-        got = crt_float(poly)
+        got = crt_float(poly.coeffs(), poly.basis)
         assert np.array_equal(got == 0, want == 0), level
         nonzero = want != 0
         rel = np.abs(got[nonzero] - want[nonzero]) / np.abs(want[nonzero])
         assert rel.max(initial=0.0) <= 2.0 ** -50, level
         # The double-double evaluation rounds like the exact path.
         assert np.array_equal(got, want), level
-    # decode is that lift followed by the slot transform.
+    # decode of n slots is that lift of the stride coefficients c[i N/2n],
+    # the projection onto Z[X^(N/2n)], followed by the n-point slot
+    # transform.
+    n = product.slots
+    want = crt_reconstruct(product.poly)[::params.n_ring // (2 * n)]
+    want = want.astype(np.float64)
+    slots = packed_to_slots((want[:n] + 1j * want[n:])
+                            / float(product.scale))
+    assert np.array_equal(decode(params, product), slots)
+    # At full width, N/2 slots, it is the whole embedding.
     half = params.n_ring // 2
+    u = rng.uniform(-1, 1, half) + 1j * rng.uniform(-1, 1, half)
+    ct = encrypt(params, encode(params, u), sk, rng)
+    product = decrypt(params, pmult(ct, encode(params, u)), sk)
+    assert product.slots == half
     want = crt_reconstruct(product.poly).astype(np.float64)
     slots = packed_to_slots((want[:half] + 1j * want[half:])
                             / float(product.scale))[:product.slots]
     assert np.array_equal(decode(params, product), slots)
+
+
+@pytest.mark.parametrize("level", [7, 1])
+def test_projection_is_the_exact_stride_coefficients(params, sk, level):
+    """`project` to 2n words and the 2n-point inverse transform give the
+    stride coefficients c[i N/2n] of the exact lift, word for word, for
+    n in {1, 2, 64, N/4, N/2}, on a decrypted ciphertext, whose noise
+    fills every coefficient."""
+    rng = np.random.default_rng([167, level])
+    half = params.n_ring // 2
+    v = rng.uniform(-1, 1, half) + 1j * rng.uniform(-1, 1, half)
+    pt = decrypt(params, encrypt(params, encode(params, v, level=level), sk,
+                                 rng), sk)
+    exact = crt_reconstruct(pt.poly)
+    coeffs = pt.poly.coeffs()
+    for n in (1, 2, 64, half // 2, half):
+        stride = params.n_ring // (2 * n)
+        proj = project(pt.poly, 2 * n)
+        assert proj.limbs.shape == (level + 1, 2 * n)
+        got = transform_limbs(proj.limbs, proj.basis, "inverse")
+        assert np.array_equal(got, oracle_residues(exact[::stride],
+                                                   pt.poly.basis.qs)), n
+        assert np.array_equal(got, coeffs[:, ::stride]), n
+    assert project(pt.poly, params.n_ring).limbs is pt.poly.limbs
+
+
+def test_decode_reads_the_period(params, sk, relin):
+    """`slots` is the period of the message: a sum or product of messages
+    of 64 and 4096 slots has 4096, and decodes within the budgets of the
+    exact sum and product.  An encode of 64 slots (128 words per limb)
+    decodes at 64 slots to its packed embedding and at 32 to the average
+    of its two halves, the projection onto the smaller subring."""
+    rng = np.random.default_rng(173)
+    half = params.n_ring // 2
+    short = random_message(params, rng)
+    wide = rng.uniform(-1, 1, half) + 1j * rng.uniform(-1, 1, half)
+    tiled = np.tile(short, half // len(short))
+    a = encrypt(params, encode(params, short), sk, rng)
+    b = encrypt(params, encode(params, wide), sk, rng)
+    bound = 2 * params.budgets.fresh
+    for got, want in ((hadd(a, b), tiled + wide), (hsub(a, b), tiled - wide),
+                      (hadd(b, a), tiled + wide),
+                      (padd(a, encode(params, wide)), tiled + wide)):
+        assert got.slots == half
+        out = slot_values(params, got, sk)
+        assert out.shape == (half,)
+        assert rel_error(out, want) < bound
+    for got in (pmult(a, encode(params, wide)),
+                hmult(params, a, b, relin)):
+        assert got.slots == half
+        out = slot_values(params, hrescale(params, got), sk)
+        assert out.shape == (half,)
+        assert rel_error(out, tiled * wide) < params.budgets.multiply
+    pt = encode(params, short)
+    assert pt.poly.n == 128
+    c = slots_to_coeffs(short, params.scale).astype(np.float64)
+    m = len(short)
+    want = packed_to_slots((c[:m] + 1j * c[m:]) / params.scale)
+    assert np.array_equal(decode(params, pt), want)
+    pt.slots = m // 2
+    c = c[::2]
+    want = packed_to_slots((c[:m // 2] + 1j * c[m // 2:]) / params.scale)
+    got = decode(params, pt)
+    assert np.array_equal(got, want)
+    assert rel_error(got, (short[:m // 2] + short[m // 2:]) / 2) < 1e-9
+    # A period shorter than 2n words is tiled to 2n, as widening tiles it.
+    z = encode(params, [0.75 - 0.25j])
+    z.slots = m
+    whole = Plaintext(z.poly.widened(), z.scale, m)
+    assert np.array_equal(decode(params, z), decode(params, whole))
+    assert rel_error(decode(params, z), np.full(m, 0.75 - 0.25j)) < 1e-9
+
+
+def test_decode_refuses_a_period_that_is_not_one(params, tiny_params):
+    """A slot count whose 2n words do not divide n_ring, and rows that do
+    not tile 2n words, raise the package's errors."""
+    pt = encode(params, np.ones(4))
+    for slots in (0, 3, 48, params.n_ring):
+        pt.slots = slots
+        with pytest.raises(ConfigurationError, match="does not divide"):
+            decode(params, pt)
+    basis = basis_c(tiny_params, 1)
+    odd = Plaintext(RnsPolynomial(basis, np.ones((2, 24), dtype=np.uint64)),
+                    Fraction(tiny_params.scale), 4)
+    with pytest.raises(BasisMismatchError, match="tile"):
+        decode(tiny_params, odd)
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ STDOUT_SHA256 = {
     "selftest":
         "192e91738422bf982c31b5955ad0ecf098ddaf8f75d4994cbbedbb43d3992b8d",
     "hdft":
-        "15a8c07054b3480c9e5ada4ea9fc2318db09b51b82823baaa1470a3c7b73dcd0",
+        "f389b251637fb3424ee6c3a6f7445a258eb9e7dee27d4eee7d5a635bcaa453fd",
     "hdft --n 16 --k 2 --variant baseline":
-        "05129cd43620a75b827eb3cb84527de1c686b724324648ece917c0e9084aa379",
+        "b8d7a0660175384945991a1c58f23fe2a29dbb41ab1dae6cd2047e4b83592d8c",
     "hdft --n 16 --k 2 --variant minks":
-        "859fef9856fa945a9b4a87c15454522df3e603b36d86ad4a184457fbc20702f6",
+        "cad2739685dcfa2097c94d3653884754a5167e8d5a3cda6aaddbffb7ef27587b",
     "hdft --analytic-only":
         "b1bf17c6c59aa664066423922aa70443d23a3e052b3c4487bb66ead6b5d100ef",
     "sizes":
